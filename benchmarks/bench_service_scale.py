@@ -1,39 +1,29 @@
-"""Execution-core scale benchmark: backends, sharding, shared artifact tier.
+"""Service load benchmark: the inline and thread backends under a zipfian mix.
 
-A zipfian load generator drives a 4-shard :class:`~repro.service.ShardRouter`
-through every executor backend and records latency percentiles, throughput
-and cache hit rates.  Every request pays a fixed **synthetic I/O stall**
-(a pure-delay fault armed at the ``scheduler.worker`` seam) standing in for
-the per-request network/disk wait a deployed service sees; the stall is what
-the concurrent backends overlap, so backend speedups are meaningful even on
-a single-core runner where pure-Python plan compute cannot parallelise.
+A zipfian load generator drives a :class:`~repro.service.SessionManager`
+full of tenant sessions through both executor backends and records latency
+percentiles, throughput and cache hit rates.  Every request pays a fixed
+**synthetic I/O stall** (a pure-delay fault armed at the ``scheduler.worker``
+seam) standing in for the per-request network/disk wait a deployed service
+sees.  The thread backend's speedup over inline is **overlap of that
+injected stall**, not compute speed: plan compute itself does not run any
+faster on threads.
 
-Sections:
-
-* ``load`` — per backend (``inline``/``thread``/``process``): two timed
-  waves over the shard ring — an *uncached* wave (one request per
-  (session, variant), all budget-spending) followed by a *zipfian* wave
-  (popularity-skewed replays, all answered from the measurement cache) —
-  reporting p50/p99 latency, throughput, and cache hit rate.  **Gated**
-  (full mode): the thread and process backends must beat the inline
-  baseline's throughput by ``--min-speedup`` (default 2x) while returning
-  **byte-identical** per-request answers; the process backend additionally
-  reports its cross-process :class:`~repro.service.SharedArtifactStore`
-  hit rate.  **Gated** (both modes): routing stability — no session is
-  ever observed on two shards — and a loose p99 ceiling.
-* ``migration`` — round-trip ``migrate_session`` of a loaded session to
-  another shard and back: time per hop, with the reconciliation oracle
-  re-verified and a zero-ε cached replay checked after each hop (gated).
-* ``cache`` — the cached-vs-uncached throughput table the retired
-  ``bench_service_throughput.py`` reported, on the sharded service; the
-  cached wave is asserted budget-free.
+Per backend, two timed waves: an *uncached* wave (one request per (session,
+variant), all budget-spending) followed by a *zipfian* wave
+(popularity-skewed replays, all answered from the measurement cache and
+asserted budget-free) — reporting p50/p99 latency, throughput, uncached and
+cached throughput, and cache hit rate.  **Gated** (both modes): answers are
+**byte-identical** across backends and p99 stays under a loose ceiling.
+**Gated** (full mode): the thread backend's stall overlap must lift
+throughput to ``--min-speedup`` (default 2x) of inline.
 
 Each run appends one trajectory point to ``BENCH_service_scale.json`` at the
-repo root.  CI runs ``--quick`` mode (thread backend only, loose gates).
+repo root.  CI runs ``--quick`` mode (smaller mix, no speedup gate).
 
 Usage::
 
-    python benchmarks/bench_service_scale.py            # full: all backends
+    python benchmarks/bench_service_scale.py            # full mode
     python benchmarks/bench_service_scale.py --quick    # CI smoke mode
 """
 
@@ -49,15 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.durability import FaultInjector
-from repro.service import (
-    ArtifactCache,
-    PlanScheduler,
-    ProcessExecutor,
-    QueryRequest,
-    SharedArtifactStore,
-    ShardRouter,
-    reconcile,
-)
+from repro.service import PlanScheduler, QueryRequest, SessionManager, reconcile
 
 try:
     from .conftest import vector_relation
@@ -68,7 +50,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_service_scale.json"
 
 DOMAIN = 64
-NUM_SHARDS = 4
 #: distinct query variants per session (distinct epsilons → distinct answers).
 VARIANTS = 4
 #: zipf exponent of the session-popularity skew (s > 1: a few hot sessions).
@@ -78,30 +59,28 @@ ZIPF_S = 1.2
 # ----------------------------------------------------------------------------
 # Load generation.
 # ----------------------------------------------------------------------------
-def build_router(num_sessions: int, domain: int = DOMAIN) -> ShardRouter:
-    """A fresh ring with ``num_sessions`` identically-seeded tenant sessions.
+def build_manager(num_sessions: int, domain: int = DOMAIN) -> SessionManager:
+    """A fresh manager with ``num_sessions`` identically-seeded tenant sessions.
 
     Session ids and seeds are fixed so every backend run sees the *same*
     sessions — the precondition for the byte-identity gate.
     """
     rng = np.random.default_rng(0)
-    router = ShardRouter(num_shards=NUM_SHARDS)
+    manager = SessionManager()
     for index in range(num_sessions):
-        router.create_session(
+        manager.create_session(
             f"tenant{index}",
             vector_relation(rng.integers(0, 100, size=domain).astype(np.float64)),
             epsilon_total=10_000.0,
             seed=index,
             session_id=f"tenant{index}-s1",
         )
-    return router
+    return manager
 
 
 def _variant_request(session_id: str, variant: int, domain: int) -> QueryRequest:
     # Even variants take the cheapest plan; odd variants run a least-squares
-    # plan whose Gram factorisation is a shareable artifact — on the process
-    # backend one worker builds it and the others fetch it from the
-    # cross-process store, which is what the shared-tier hit rate measures.
+    # plan whose Gram factorisation is a shared artifact.
     return QueryRequest(
         session_id,
         plan="Identity" if variant % 2 == 0 else "Hierarchical (H2)",
@@ -139,36 +118,6 @@ def zipfian_mix(
     return uncached, replays
 
 
-def _warm_process_pool(executor: ProcessExecutor, domain: int) -> None:
-    """Pay the workers' one-time import cost outside the timed region.
-
-    The first job a forkserver worker runs imports the plan/kernel stack;
-    that is pool start-up, not per-request work, so it must not land inside
-    a timed wave.  A few throwaway jobs (more than there are workers) force
-    every worker through its first import.
-    """
-    from repro.service.executors import PlanJob
-
-    rng = np.random.default_rng(1)
-    table = vector_relation(rng.integers(0, 10, size=domain).astype(np.float64))
-    for index in range(executor.max_workers * 2):
-        executor.run_plan(
-            None,
-            PlanJob(
-                table=table,
-                accountant="pure",
-                epsilon_total=1.0,
-                delta=1e-6,
-                seed=index,
-                prior_primary=0.0,
-                prior_delta=0.0,
-                plan="Identity",
-                plan_params={},
-                epsilon=0.1,
-            ),
-        )
-
-
 def _percentiles(responses) -> tuple[float, float]:
     latencies = np.sort([response.elapsed_seconds for response in responses])
     return (
@@ -185,57 +134,35 @@ def run_backend(
     domain: int = DOMAIN,
 ) -> dict:
     """Drive one backend through both waves; returns metrics + answer digest."""
-    router = build_router(num_sessions, domain)
+    manager = build_manager(num_sessions, domain)
     session_ids = [f"tenant{index}-s1" for index in range(num_sessions)]
     faults = FaultInjector()
     if stall_seconds > 0:
         # Pure delay at the per-request seam: the synthetic I/O wait every
         # request pays and concurrent backends overlap.
         faults.arm("scheduler.worker", delay=stall_seconds, times=10**9)
-    shared_store = None
-    if backend == "process":
-        shared_store = SharedArtifactStore()
-        executor: object = ProcessExecutor(
-            max_workers=2, driver_threads=8, shared_store=shared_store
-        )
-        artifact_cache = ArtifactCache(shared=shared_store)
-    else:
-        executor = backend
-        artifact_cache = ArtifactCache()
     scheduler = PlanScheduler(
-        router,
-        executor=executor,
-        max_workers=8,
-        artifact_cache=artifact_cache,
-        fault_injector=faults,
+        manager, executor=backend, max_workers=8, fault_injector=faults
     )
     uncached, replays = zipfian_mix(session_ids, num_requests, domain)
     try:
-        if isinstance(executor, ProcessExecutor):
-            _warm_process_pool(executor, domain)
         start = time.perf_counter()
         first = scheduler.execute_batch(uncached)
         uncached_seconds = time.perf_counter() - start
-        budget_before = {s.session_id: s.budget_consumed() for s in router.sessions()}
+        budget_before = {s.session_id: s.budget_consumed() for s in manager.sessions()}
         start = time.perf_counter()
         second = scheduler.execute_batch(replays)
         cached_seconds = time.perf_counter() - start
-        store_stats = dict(shared_store.stats) if shared_store is not None else None
     finally:
         scheduler.shutdown()
-        if shared_store is not None:
-            shared_store.close()
 
     responses = first + second
     assert all(response.cached for response in second)
-    budget_after = {s.session_id: s.budget_consumed() for s in router.sessions()}
+    budget_after = {s.session_id: s.budget_consumed() for s in manager.sessions()}
     assert budget_after == budget_before, "cached wave must be budget-free"
-    for session in router.sessions():
+    for session in manager.sessions():
         assert reconcile(session)["exact"]
 
-    shards_seen: dict[str, set] = {}
-    for response in responses:
-        shards_seen.setdefault(response.session_id, set()).add(response.shard_id)
     cache_stats = scheduler.measurement_cache.stats
     p50, p99 = _percentiles(responses)
     total = len(responses)
@@ -243,7 +170,6 @@ def run_backend(
         "section": "load",
         "backend": backend,
         "num_sessions": num_sessions,
-        "num_shards": NUM_SHARDS,
         "stall_seconds": stall_seconds,
         "requests": total,
         "throughput_rps": total / (uncached_seconds + cached_seconds),
@@ -252,16 +178,7 @@ def run_backend(
         "p50_seconds": p50,
         "p99_seconds": p99,
         "cache_hit_rate": cache_stats["hits"] / max(cache_stats["hits"] + cache_stats["misses"], 1),
-        "max_shards_per_session": max(len(s) for s in shards_seen.values()),
-        "shard_load": router.stats["shards"],
     }
-    if store_stats is not None:
-        # The store's own counters see every process in the tier — the
-        # parent's workload builds and the workers' Gram fetches alike.
-        result["shared_artifact_hit_rate"] = store_stats["hits"] / max(
-            store_stats["hits"] + store_stats["misses"], 1
-        )
-        result["shared_artifact_store"] = store_stats
     # The digest the byte-identity gate compares across backends: the
     # *answers* (id, noise seed, released bytes).  Per-request ε deltas are
     # excluded — concurrent same-session requests may acquire the session
@@ -275,43 +192,9 @@ def run_backend(
     ]
     result["budget_totals"] = {
         session.session_id: session.budget_consumed()
-        for session in router.sessions()
+        for session in manager.sessions()
     }
     return result, digest
-
-
-# ----------------------------------------------------------------------------
-# Migration round trip.
-# ----------------------------------------------------------------------------
-def bench_migration(num_sessions: int, num_requests: int) -> dict:
-    """Round-trip a loaded session across shards, reconciling at each hop."""
-    router = build_router(num_sessions)
-    scheduler = PlanScheduler(router, executor="thread", max_workers=8)
-    session_id = "tenant0-s1"
-    for variant in range(min(num_requests, 8)):
-        scheduler.execute(_variant_request(session_id, variant, DOMAIN))
-    before = scheduler.execute(_variant_request(session_id, 0, DOMAIN))
-    home = router.shard_for(session_id)
-    target = next(
-        shard.shard_id for shard in router.shards if shard.shard_id != home
-    )
-    hops, hop_seconds = [(home, target), (target, home)], []
-    for _, destination in hops:
-        start = time.perf_counter()
-        session = scheduler.migrate_session(session_id, destination)
-        hop_seconds.append(time.perf_counter() - start)
-        assert session.shard_id == destination
-        assert reconcile(session)["exact"]
-        replay = scheduler.execute(_variant_request(session_id, 0, DOMAIN))
-        assert replay.cached and replay.epsilon_spent == 0.0
-        assert np.array_equal(replay.payload, before.payload)
-    scheduler.shutdown()
-    return {
-        "section": "migration",
-        "hops": len(hops),
-        "hop_seconds": hop_seconds,
-        "round_trip_exact": True,
-    }
 
 
 def record_trajectory(point: dict) -> None:
@@ -328,13 +211,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke mode: inline+thread only, smaller mix, loose gates",
+        help="CI smoke mode: smaller mix, shorter stall, no speedup gate",
     )
     parser.add_argument(
         "--min-speedup", type=float, default=None,
-        help="fail (full mode) unless thread and process throughput beat the "
-        "inline baseline by this factor (default 2.0; quick mode never "
-        "gates speedup — one noisy CI core proves nothing)",
+        help="fail (full mode) unless the thread backend, overlapping the "
+        "injected stall, beats the inline baseline's throughput by this "
+        "factor (default 2.0; quick mode never gates speedup — one noisy CI "
+        "core proves nothing)",
     )
     parser.add_argument(
         "--max-p99", type=float, default=1.0,
@@ -346,11 +230,10 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    backends = ["inline", "thread"]
     if args.quick:
-        backends = ["inline", "thread"]
         num_sessions, num_requests, stall = 8, 48, 0.002
     else:
-        backends = ["inline", "thread", "process"]
         num_sessions, num_requests, stall = 16, 160, 0.010
     min_speedup = args.min_speedup if args.min_speedup is not None else 2.0
 
@@ -359,47 +242,34 @@ def main() -> int:
         result, digest = run_backend(backend, num_sessions, num_requests, stall)
         results.append(result)
         digests[backend] = digest
-    results.append(bench_migration(num_sessions, num_requests))
 
     identical = all(digests[b] == digests["inline"] for b in backends)
-    baseline = next(r for r in results if r.get("backend") == "inline")
+    baseline = results[0]
     budgets_close = all(
         math.isclose(spent, baseline["budget_totals"][session_id], rel_tol=1e-9)
         for r in results
-        if r["section"] == "load"
         for session_id, spent in r["budget_totals"].items()
     )
     for result in results:
-        if result["section"] == "load":
-            result["speedup_vs_inline"] = (
-                result["throughput_rps"] / baseline["throughput_rps"]
-            )
-            result["byte_identical_to_inline"] = (
-                digests[result["backend"]] == digests["inline"]
-            )
+        # Overlap of the injected per-request stall, not compute speed.
+        result["stall_overlap_speedup"] = (
+            result["throughput_rps"] / baseline["throughput_rps"]
+        )
+        result["byte_identical_to_inline"] = digests[result["backend"]] == digests["inline"]
 
-    print(f"\nService scale benchmark ({'quick' if args.quick else 'full'} mode)")
+    print(f"\nService load benchmark ({'quick' if args.quick else 'full'} mode)")
     print(
-        f"  {num_sessions} sessions on {NUM_SHARDS} shards, "
+        f"  {num_sessions} sessions, "
         f"{num_sessions * VARIANTS} uncached + {num_requests} zipfian replays, "
         f"{stall * 1e3:.0f} ms synthetic I/O stall per request\n"
     )
     for r in results:
-        if r["section"] == "load":
-            extra = (
-                f" shared-artifact-hits={r['shared_artifact_hit_rate'] * 100:.0f}%"
-                if "shared_artifact_hit_rate" in r
-                else ""
-            )
-            print(
-                f"  load {r['backend']:7s} {r['throughput_rps']:7.1f} req/s "
-                f"({r['speedup_vs_inline']:.2f}x inline)  "
-                f"p50 {r['p50_seconds'] * 1e3:6.1f} ms  p99 {r['p99_seconds'] * 1e3:6.1f} ms  "
-                f"cache-hits={r['cache_hit_rate'] * 100:.0f}%{extra}"
-            )
-        else:
-            hops = ", ".join(f"{s * 1e3:.1f} ms" for s in r["hop_seconds"])
-            print(f"  migration round trip: {hops} per hop, ledger exact at each")
+        print(
+            f"  load {r['backend']:7s} {r['throughput_rps']:7.1f} req/s "
+            f"({r['stall_overlap_speedup']:.2f}x inline from stall overlap)  "
+            f"p50 {r['p50_seconds'] * 1e3:6.1f} ms  p99 {r['p99_seconds'] * 1e3:6.1f} ms  "
+            f"cache-hits={r['cache_hit_rate'] * 100:.0f}%"
+        )
 
     failures = []
     if not identical:
@@ -407,12 +277,6 @@ def main() -> int:
     if not budgets_close:
         failures.append("per-session budget totals diverge across backends")
     for result in results:
-        if result["section"] != "load":
-            continue
-        if result["max_shards_per_session"] > 1:
-            failures.append(
-                f"{result['backend']}: a session was observed on two shards"
-            )
         if result["p99_seconds"] > args.max_p99:
             failures.append(
                 f"{result['backend']}: p99 {result['p99_seconds']:.3f}s "
@@ -421,18 +285,16 @@ def main() -> int:
         if (
             not args.quick
             and result["backend"] != "inline"
-            and result["speedup_vs_inline"] < min_speedup
+            and result["stall_overlap_speedup"] < min_speedup
         ):
             failures.append(
-                f"{result['backend']}: {result['speedup_vs_inline']:.2f}x inline "
+                f"{result['backend']}: {result['stall_overlap_speedup']:.2f}x inline "
                 f"is below the {min_speedup:.1f}x gate"
             )
 
     print(
-        f"\nGates: byte-identical={identical}, routing-stable="
-        f"{all(r.get('max_shards_per_session', 1) == 1 for r in results)}, "
-        f"p99<={args.max_p99:.2f}s"
-        + ("" if args.quick else f", speedup>={min_speedup:.1f}x")
+        f"\nGates: byte-identical={identical}, p99<={args.max_p99:.2f}s"
+        + ("" if args.quick else f", stall-overlap speedup>={min_speedup:.1f}x")
     )
 
     if not args.no_record:
@@ -451,13 +313,12 @@ def main() -> int:
 
 
 # ----------------------------------------------------------------------------
-# pytest-benchmark entry points (the retired bench_service_throughput.py's,
-# rebuilt on the sharded load generator).
+# pytest-benchmark entry points.
 # ----------------------------------------------------------------------------
 def test_benchmark_uncached_throughput(benchmark):
-    router = build_router(4, domain=512)
-    scheduler = PlanScheduler(router, executor="thread", max_workers=4)
-    session_ids = [session.session_id for session in router.sessions()]
+    manager = build_manager(4, domain=512)
+    scheduler = PlanScheduler(manager, executor="thread", max_workers=4)
+    session_ids = [session.session_id for session in manager.sessions()]
     counter = iter(range(100_000))
 
     def wave():
@@ -481,9 +342,9 @@ def test_benchmark_uncached_throughput(benchmark):
 
 
 def test_benchmark_cached_throughput(benchmark):
-    router = build_router(4, domain=512)
-    scheduler = PlanScheduler(router, executor="thread", max_workers=4)
-    session_ids = [session.session_id for session in router.sessions()]
+    manager = build_manager(4, domain=512)
+    scheduler = PlanScheduler(manager, executor="thread", max_workers=4)
+    session_ids = [session.session_id for session in manager.sessions()]
     warm = [_variant_request(session_id, 0, 512) for session_id in session_ids]
     scheduler.execute_batch(warm)
     benchmark(lambda: scheduler.execute_batch(warm * 4))
@@ -491,16 +352,16 @@ def test_benchmark_cached_throughput(benchmark):
 
 
 def test_cached_path_spends_no_budget():
-    """Qualitative claim: replayed requests are budget-free, on any shard."""
-    router = build_router(2, domain=256)
-    scheduler = PlanScheduler(router, executor="thread", max_workers=2)
-    session_ids = [session.session_id for session in router.sessions()]
+    """Qualitative claim: replayed requests are budget-free."""
+    manager = build_manager(2, domain=256)
+    scheduler = PlanScheduler(manager, executor="thread", max_workers=2)
+    session_ids = [session.session_id for session in manager.sessions()]
     warm = [_variant_request(session_id, 0, 256) for session_id in session_ids]
     scheduler.execute_batch(warm)
-    consumed = [session.budget_consumed() for session in router.sessions()]
+    consumed = [session.budget_consumed() for session in manager.sessions()]
     responses = scheduler.execute_batch(warm * 4)
     assert all(response.cached for response in responses)
-    assert [session.budget_consumed() for session in router.sessions()] == consumed
+    assert [session.budget_consumed() for session in manager.sessions()] == consumed
     scheduler.shutdown()
 
 

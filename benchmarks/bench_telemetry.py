@@ -1,6 +1,6 @@
 """Benchmark of the telemetry subsystem: disabled overhead and tracing cost.
 
-Three sections:
+Four sections:
 
 * ``noop_overhead`` — cost of one instrumented seam when no tracer is active
   (the ``trace_span`` thread-local read returning the shared no-op handle),
@@ -16,13 +16,6 @@ Three sections:
   but the number is recorded so the trajectory catches regressions.
 * ``exporter_throughput`` — spans/second through the JSON-lines and Chrome
   trace-event serialisers over a realistic span population.
-* ``distributed_overhead`` — process-backend requests/second with tracing
-  disabled vs enabled.  The enabled path ships a ``TraceContext`` to the
-  worker, records spans on a private tracer there, pickles them home and
-  adopts them into the live trace (plus the worker metrics merge).
-  **Gated**: that whole round trip must cost no more than
-  ``--max-adoption-overhead`` of process-backend request latency (default 5%
-  full mode — distributed tracing must be cheap next to the IPC it rides).
 * ``slo_throughput`` — :meth:`SloEngine.evaluate` calls/second over a
   populated registry (latency + availability + privacy-burn objectives),
   so the trajectory catches the alert path getting expensive.
@@ -48,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.dataset import Attribute, Relation, Schema
-from repro.service import PlanScheduler, ProcessExecutor, QueryRequest, SessionManager
+from repro.service import PlanScheduler, QueryRequest, SessionManager
 from repro.telemetry import (
     MetricsRegistry,
     SloEngine,
@@ -192,85 +185,6 @@ def bench_exporters(num_spans: int, repeats: int) -> list[dict]:
     return results
 
 
-#: Domain size for the distributed section.  Remote plans exist for work
-#: heavy enough to justify a process round trip, so the adoption-overhead
-#: gate is judged against that latency — not a sub-millisecond toy domain.
-REMOTE_DOMAIN = 1024
-
-
-def _remote_relation() -> Relation:
-    rng = np.random.default_rng(0)
-    schema = Schema.build([Attribute("v", REMOTE_DOMAIN)])
-    return Relation.from_histogram(schema, rng.integers(0, 50, size=REMOTE_DOMAIN))
-
-
-def _remote_request(session, index: int) -> QueryRequest:
-    # DAWA is the representative remote plan.
-    return QueryRequest(
-        session.session_id,
-        plan="DAWA",
-        epsilon=0.1 + index * 1e-6,
-        workload="prefix",
-        workload_params={"n": REMOTE_DOMAIN},
-        reuse=False,
-    )
-
-
-def bench_distributed_overhead(num_requests: int, repeats: int) -> list[dict]:
-    """Cost of trace propagation + span adoption on the process backend.
-
-    Two schedulers — one traced, one not — share one warm worker pool and
-    answer the same DAWA request stream *interleaved request by request*,
-    so machine drift (frequency scaling, pool state) hits both modes
-    equally; per-mode medians then isolate the observability round trip —
-    the context pickled out, worker spans pickled back, adoption and the
-    metrics merge.
-    """
-    executor = ProcessExecutor(max_workers=2)
-    num_requests = num_requests * repeats
-    relation = _remote_relation()
-    try:
-        budget = (num_requests + 4) * 0.2
-        manager = SessionManager()
-        session_off = manager.create_session("bench", relation, budget, seed=0)
-        session_on = manager.create_session("bench", relation, budget, seed=0)
-        scheduler_off = PlanScheduler(manager, executor=executor)
-        scheduler_on = PlanScheduler(manager, tracer=Tracer(), executor=executor)
-        # Warm the pool (forkserver spawn + first-job imports) before timing.
-        for index in range(2):
-            scheduler_off.execute(_remote_request(session_off, num_requests + index))
-            scheduler_on.execute(_remote_request(session_on, num_requests + index))
-        samples_off: list[float] = []
-        samples_on: list[float] = []
-        for index in range(num_requests):
-            start = time.perf_counter()
-            scheduler_off.execute(_remote_request(session_off, index))
-            mid = time.perf_counter()
-            scheduler_on.execute(_remote_request(session_on, index))
-            samples_off.append(mid - start)
-            samples_on.append(time.perf_counter() - mid)
-    finally:
-        executor.shutdown()
-
-    def median(samples: list[float]) -> float:
-        ordered = sorted(samples)
-        return ordered[len(ordered) // 2]
-
-    disabled, enabled = median(samples_off), median(samples_on)
-    fraction = max(0.0, enabled / max(disabled, 1e-12) - 1.0)
-    return [
-        {
-            "section": "distributed_overhead",
-            "tracing": mode,
-            "num_requests": num_requests,
-            "median_request_seconds": seconds,
-            "requests_per_second": 1.0 / max(seconds, 1e-12),
-            "adoption_overhead_fraction": fraction,
-        }
-        for mode, seconds in (("disabled", disabled), ("enabled", enabled))
-    ]
-
-
 def bench_slo_throughput(num_evaluations: int, repeats: int) -> dict:
     """SLO evaluations/second over a registry with realistic instruments."""
     registry = MetricsRegistry()
@@ -329,15 +243,6 @@ def main() -> int:
         "hardware is noisy)",
     )
     parser.add_argument(
-        "--max-adoption-overhead",
-        type=float,
-        default=None,
-        help="fail if process-backend trace propagation + span adoption costs "
-        "more than this fraction of request latency (default: 0.05 full, "
-        "0.50 quick — a single quick repeat is at the mercy of the OS "
-        "scheduler)",
-    )
-    parser.add_argument(
         "--no-record", action="store_true", help="skip appending to BENCH_telemetry.json"
     )
     args = parser.parse_args()
@@ -347,29 +252,22 @@ def main() -> int:
         num_requests = 60
         noop_calls = 20_000
         num_spans = 200
-        num_remote = 20
         num_evaluations = 100
     else:
         repeats = 3
         num_requests = 300
         noop_calls = 200_000
         num_spans = 1000
-        num_remote = 100
         num_evaluations = 1000
 
     max_overhead = args.max_disabled_overhead if args.max_disabled_overhead is not None else (
         0.15 if args.quick else 0.02
-    )
-    max_adoption = args.max_adoption_overhead if args.max_adoption_overhead is not None else (
-        0.50 if args.quick else 0.05
     )
 
     results = bench_service_throughput(num_requests, repeats)
     noop = bench_noop_overhead(results, noop_calls, repeats)
     results.append(noop)
     results += bench_exporters(num_spans, repeats)
-    distributed = bench_distributed_overhead(num_remote, repeats)
-    results += distributed
     results.append(bench_slo_throughput(num_evaluations, repeats))
 
     print(f"\nTelemetry benchmark ({'quick' if args.quick else 'full'} mode)\n")
@@ -390,26 +288,15 @@ def main() -> int:
                 f"  exporter_throughput {r['exporter']:12s} "
                 f"{r['spans_per_second']:10.0f} spans/s over {r['num_spans']}"
             )
-        elif r["section"] == "distributed_overhead":
-            print(
-                f"  distributed_overhead tracing={r['tracing']:8s} "
-                f"{r['requests_per_second']:10.0f} req/s over {r['num_requests']} "
-                f"(process backend)"
-            )
         elif r["section"] == "slo_throughput":
             print(
                 f"  slo_throughput {r['evaluations_per_second']:10.0f} eval/s "
                 f"({r['num_specs']} specs)"
             )
 
-    adoption_fraction = distributed[0]["adoption_overhead_fraction"]
     print(
         f"\nGate: disabled-instrumentation overhead "
         f"{noop['overhead_fraction'] * 100:.3f}% (threshold {max_overhead * 100:.1f}%)"
-    )
-    print(
-        f"Gate: process-backend span-adoption overhead "
-        f"{adoption_fraction * 100:.3f}% (threshold {max_adoption * 100:.1f}%)"
     )
 
     if not args.no_record:
@@ -424,12 +311,6 @@ def main() -> int:
 
     if noop["overhead_fraction"] > max_overhead:
         print("FAIL: dormant telemetry instrumentation is no longer free", file=sys.stderr)
-        return 1
-    if adoption_fraction > max_adoption:
-        print(
-            "FAIL: distributed trace adoption costs too much process-backend latency",
-            file=sys.stderr,
-        )
         return 1
     return 0
 

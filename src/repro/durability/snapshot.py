@@ -35,6 +35,7 @@ the edge that would otherwise close the cycle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, fields as dataclass_fields
 
 from ..accounting.base import Cost
@@ -53,9 +54,6 @@ __all__ = [
 
 SNAPSHOT_VERSION = 1
 
-#: SessionEvent field names (resolved lazily; cached after first use).
-_EVENT_FIELDS: tuple[str, ...] | None = None
-
 
 class RecoveryError(Exception):
     """Restored state failed verification (accountant mismatch, inexact
@@ -71,27 +69,20 @@ def response_from_state(state: dict):
     """Invert :func:`response_state`."""
     from ..service.api import QueryResponse
 
-    return QueryResponse(**state)
+    return _from_record(QueryResponse, state)
 
 
-def _event_fields() -> tuple[str, ...]:
-    global _EVENT_FIELDS
-    if _EVENT_FIELDS is None:
-        from ..service.session import SessionEvent
-
-        _EVENT_FIELDS = tuple(f.name for f in dataclass_fields(SessionEvent))
-    return _EVENT_FIELDS
+@functools.cache
+def _field_names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in dataclass_fields(cls))
 
 
-def _event_from_record(record: dict):
-    from ..service.session import SessionEvent
-
-    return SessionEvent(**{name: record[name] for name in _event_fields() if name in record})
-
-
-def _measurement_from_record(record: dict) -> MeasurementRecord:
-    names = tuple(f.name for f in dataclass_fields(MeasurementRecord))
-    return MeasurementRecord(**{name: record[name] for name in names if name in record})
+def _from_record(cls, record: dict):
+    """Rebuild dataclass ``cls`` from a stored record, keeping only the
+    class's own fields: journal framing (``seq``, ``kind``) and fields that
+    older versions wrote but the class no longer has are dropped."""
+    names = _field_names(cls)
+    return cls(**{name: value for name, value in record.items() if name in names})
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +132,7 @@ def snapshot_session(session, measurement_cache=None) -> dict:
 # Restore.
 # ----------------------------------------------------------------------
 def _build_from_snapshot(table, snapshot: dict, strict: bool):
-    from ..service.session import Session
+    from ..service.session import Session, SessionEvent
 
     if snapshot.get("version") != SNAPSHOT_VERSION:
         raise RecoveryError(
@@ -164,7 +155,7 @@ def _build_from_snapshot(table, snapshot: dict, strict: bool):
         )
     session.kernel.load_state(snapshot["kernel"])
     session.request_counter = int(snapshot["request_counter"])
-    session.events = [_event_from_record(record) for record in snapshot["events"]]
+    session.events = [_from_record(SessionEvent, record) for record in snapshot["events"]]
     return session, int(snapshot["journal_seq"])
 
 
@@ -196,6 +187,8 @@ def _build_from_journal(table, journal: PrivacyJournal, strict: bool):
 
 def _replay(session, journal: PrivacyJournal, after_seq: int, measurement_cache) -> int:
     """Apply the journal suffix past ``after_seq`` to a detached session."""
+    from ..service.session import SessionEvent
+
     replayed = 0
     for record in journal.records(after_seq):
         kind = record.get("kind")
@@ -204,9 +197,9 @@ def _replay(session, journal: PrivacyJournal, after_seq: int, measurement_cache)
                 Cost(float(record["p"]), float(record["d"]))
             )
         elif kind == "measurement":
-            session.kernel.restore_measurement(_measurement_from_record(record))
+            session.kernel.restore_measurement(_from_record(MeasurementRecord, record))
         elif kind == "event":
-            session.events.append(_event_from_record(record))
+            session.events.append(_from_record(SessionEvent, record))
             request_number = _request_number(session.session_id, record.get("request_id"))
             if request_number is not None:
                 session.request_counter = max(session.request_counter, request_number)

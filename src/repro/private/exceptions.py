@@ -25,8 +25,7 @@ class BudgetExceededError(PrivacyError):
     def __reduce__(self):
         # Default exception pickling replays ``args`` (here: the formatted
         # message) into the two-argument constructor; reconstruct from the
-        # real fields instead so the executor's process backend can ship the
-        # concrete type between processes.
+        # real fields instead so the concrete type survives pickling.
         return (type(self), (self.requested, self.remaining))
 
 

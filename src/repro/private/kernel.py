@@ -691,16 +691,6 @@ class ProtectedKernel:
         """
         self._history.append(record)
 
-    def adopt_measurement(self, record: MeasurementRecord) -> None:
-        """Append a history record produced by a worker process's kernel.
-
-        Unlike :meth:`restore_measurement`, adoption *does* fire the
-        ``measurement_listener``: the record is new — it was measured by a
-        throwaway kernel on the executor's process backend and has not been
-        journaled yet.
-        """
-        self._record(record)
-
     # ------------------------------------------------------------------
     # Lineage introspection (public).
     # ------------------------------------------------------------------

@@ -8,18 +8,14 @@ needs between the two — sessions, scheduling, caching and auditing:
   its own epsilon ledger, lock and audit trail;
 * :class:`QueryRequest` / :class:`QueryResponse` — the data-free wire API;
 * :class:`PlanScheduler` — the execution core: a composable request pipeline
-  (:mod:`~repro.service.pipeline`) over pluggable executor backends
-  (:mod:`~repro.service.executors`: ``inline``/``thread``/``process``), with
+  (:mod:`~repro.service.pipeline`) driven by an executor backend
+  (:mod:`~repro.service.executors`: ``inline``/``thread``), with
   deterministic per-request noise seeding that makes answers byte-identical
-  on every backend;
-* :class:`ShardRouter` / :class:`Shard` — consistent-hash session sharding
-  with exact live migration, duck-type interchangeable with
-  :class:`SessionManager`;
+  on either backend;
 * :class:`MeasurementCache` — budget-free replay of already-released answers
   (post-processing), LRU-bounded, indexed against the kernel's query history;
 * :class:`ArtifactCache` — LRU cache of data-independent constructions
-  (workload matrices, strategy-keyed Gram factorisations), optionally backed
-  by a cross-process :class:`SharedArtifactStore` tier;
+  (workload matrices, strategy-keyed Gram factorisations);
 * :mod:`~repro.service.export` — structured audit export and ledger
   reconciliation built on :mod:`repro.private.audit`, plus
   :func:`telemetry_report` for the scheduler's operational snapshot.
@@ -27,12 +23,10 @@ needs between the two — sessions, scheduling, caching and auditing:
 Observability: construct the scheduler with a
 :class:`~repro.telemetry.Tracer` to get one hierarchical trace per request
 (``QueryResponse.trace_id``) spanning plan stages, kernel measurements and
-solver calls — on *every* backend: process workers record their spans on a
-private tracer and the driver adopts them into the live trace, so the span
-tree is structurally identical whether a plan ran inline or in a worker
-process.  Metrics (latency/queue-wait histograms, outcome and cache
-counters, the per-tenant privacy-spend odometer) are always collected on
-``scheduler.metrics``, with worker-side deltas merged in.  Attach a
+solver calls, structurally identical on either backend.  Metrics
+(latency/queue-wait histograms, outcome and cache counters, the per-tenant
+privacy-spend odometer) are always collected on ``scheduler.metrics``.
+Attach a
 :class:`~repro.telemetry.FlightRecorder` for postmortem bundles on failures
 and an :class:`~repro.telemetry.SloEngine` (or call :func:`slo_report`) for
 multi-window burn-rate alerting.  See :mod:`repro.telemetry`.
@@ -52,16 +46,8 @@ Typical usage::
 """
 
 from .api import QueryRequest, QueryResponse, RequestFailure
-from .artifact_cache import ArtifactCache, SharedArtifactStore
-from .executors import (
-    ExecutorBackend,
-    InlineExecutor,
-    PlanJob,
-    PlanJobOutcome,
-    ProcessExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from .artifact_cache import ArtifactCache
+from .executors import ExecutorBackend, InlineExecutor, ThreadExecutor, make_executor
 from .export import (
     export_json,
     reconcile,
@@ -81,7 +67,6 @@ from .robustness import (
 )
 from .scheduler import PlanScheduler, derive_request_seed
 from .session import Session, SessionEvent, SessionManager
-from .sharding import Shard, ShardRouter
 
 __all__ = [
     "QueryRequest",
@@ -90,23 +75,17 @@ __all__ = [
     "Session",
     "SessionEvent",
     "SessionManager",
-    "Shard",
-    "ShardRouter",
     "PlanScheduler",
     "derive_request_seed",
     "ExecutorBackend",
     "InlineExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
-    "PlanJob",
-    "PlanJobOutcome",
     "make_executor",
     "RequestContext",
     "RequestPipeline",
     "MeasurementCache",
     "CachedAnswer",
     "ArtifactCache",
-    "SharedArtifactStore",
     "AdmissionController",
     "AdmissionError",
     "CircuitBreaker",

@@ -108,10 +108,6 @@ class QueryResponse:
     #: (pass it to ``scheduler.tracer.trace(...)`` / the span exporters);
     #: None when tracing is off.
     trace_id: str | None = None
-    #: id of the shard that executed the request when the scheduler routes
-    #: through a :class:`~repro.service.sharding.ShardRouter` — the audit
-    #: correlation handle (which worker's journal to read); None unsharded.
-    shard_id: str | None = None
 
     @property
     def payload(self) -> np.ndarray:

@@ -2,28 +2,18 @@
 
 Workload matrices, measurement strategies and workload reductions depend only
 on public parameters (domain sizes, query counts, seeds), never on private
-data — so they are safe to share across sessions, tenants, shards and even
-processes.  Building them is often the dominant cost of a request on small
-domains; this cache keys them by the canonical hashable keys from
+data — so they are safe to share across sessions and tenants.  Building them
+is often the dominant cost of a request on small domains; this cache keys
+them by the canonical hashable keys from
 :func:`repro.workload.builders.workload_cache_key` (or any caller-provided
 hashable key) and rebuilds only on first use.
 
-Two tiers:
-
-* :class:`ArtifactCache` — the in-process tier every scheduler holds.  LRU
-  when size-bounded: a hit refreshes the entry's recency, so a hot Gram
-  factorisation is never evicted just because it was built first.
-* :class:`SharedArtifactStore` — an optional cross-process tier backed by a
-  ``multiprocessing.Manager`` (pickled values under a manager lock), which
-  the :class:`~repro.service.executors.ProcessExecutor` wires into every
-  worker's local cache so one shard's factorisation serves all workers.
-  Artifacts that cannot pickle (scipy SuperLU factorisations inside sparse
-  normal-equations artifacts) are skipped and stay process-local.
+The cache is LRU when size-bounded: a hit refreshes the entry's recency, so a
+hot Gram factorisation is never evicted just because it was built first.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from typing import Callable, Hashable, Mapping, TypeVar
@@ -38,108 +28,24 @@ T = TypeVar("T")
 _MISS = object()
 
 
-class SharedArtifactStore:
-    """Cross-process artifact tier: a manager-backed LRU dict of pickles.
-
-    Values are stored pickled (manager proxies cannot share live objects);
-    ``get`` unpickles into the caller's process, so each process keeps its
-    own live copy in its local :class:`ArtifactCache` and only pays the
-    transfer on its first miss.  ``state()`` returns the picklable proxy
-    bundle a worker initializer rebuilds the store from
-    (:meth:`from_state`); the manager process is owned by whoever
-    constructed the store without one.
-    """
-
-    def __init__(self, max_entries: int = 256, _state: tuple | None = None):
-        if _state is not None:
-            self._entries, self._order, self._stats, self._lock, self.max_entries = _state
-            self._manager = None
-            return
-        import multiprocessing as mp
-
-        self._manager = mp.Manager()
-        self._entries = self._manager.dict()
-        self._order = self._manager.list()
-        self._stats = self._manager.dict(hits=0, misses=0, evictions=0, unpicklable=0)
-        self._lock = self._manager.Lock()
-        self.max_entries = int(max_entries)
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "SharedArtifactStore":
-        """Rebuild a handle to an existing store from :meth:`state`."""
-        return cls(_state=tuple(state))
-
-    def state(self) -> tuple:
-        """Picklable handle bundle for worker-process initializers."""
-        return (self._entries, self._order, self._stats, self._lock, self.max_entries)
-
-    def get(self, key: Hashable):
-        """The artifact stored under ``key`` (unpickled), or ``_MISS``."""
-        with self._lock:
-            payload = self._entries.get(key)
-            if payload is None:
-                self._stats["misses"] += 1
-                return _MISS
-            self._stats["hits"] += 1
-            self._order.remove(key)
-            self._order.append(key)
-        return pickle.loads(payload)
-
-    def put(self, key: Hashable, artifact) -> bool:
-        """Publish an artifact; returns False when it cannot pickle."""
-        try:
-            payload = pickle.dumps(artifact)
-        except Exception:
-            with self._lock:
-                self._stats["unpicklable"] += 1
-            return False
-        with self._lock:
-            if key not in self._entries:
-                self._order.append(key)
-                self._entries[key] = payload
-                while len(self._order) > self.max_entries:
-                    victim = self._order.pop(0)
-                    del self._entries[victim]
-                    self._stats["evictions"] += 1
-        return True
-
-    @property
-    def stats(self) -> dict:
-        with self._lock:
-            report = dict(self._stats)
-            report["entries"] = len(self._entries)
-        return report
-
-    def close(self) -> None:
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
-
-
 class ArtifactCache:
     """Thread-safe LRU map from hashable keys to data-independent artifacts.
 
     ``bind_metrics`` attaches a :class:`~repro.telemetry.metrics.MetricsRegistry`
     so hit/miss/eviction counts surface as ``cache_hits`` / ``cache_misses`` /
     ``cache_evictions`` counters labelled ``cache=<name>`` (the scheduler binds
-    its registry automatically).  ``shared`` chains a
-    :class:`SharedArtifactStore` behind local misses: artifacts built anywhere
-    in the tier are installed locally on first use and published on build.
+    its registry automatically).
     """
 
     metrics_name = "artifact"
 
-    def __init__(self, max_entries: int | None = None, shared: SharedArtifactStore | None = None):
+    def __init__(self, max_entries: int | None = None):
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.Lock()
         self.max_entries = max_entries
-        self.shared = shared
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: cross-process tier probes resolved there (vs built locally).
-        self.shared_hits = 0
-        self.shared_misses = 0
         self._metrics: MetricsRegistry | None = None
 
     def bind_metrics(self, metrics: MetricsRegistry | None) -> None:
@@ -170,16 +76,7 @@ class ArtifactCache:
             self._count("hits")
             return artifact  # type: ignore[return-value]
         self._count("misses")
-        built_here = False
-        if self.shared is not None:
-            artifact = self.shared.get(key)
-            if artifact is _MISS:
-                self.shared_misses += 1
-            else:
-                self.shared_hits += 1
-        if artifact is _MISS:
-            artifact = builder()
-            built_here = True
+        artifact = builder()
         evicted = 0
         with self._lock:
             stored = self._entries.setdefault(key, artifact)
@@ -193,8 +90,6 @@ class ArtifactCache:
                     evicted += 1
         if evicted:
             self._count("evictions", evicted)
-        if built_here and self.shared is not None and stored is artifact:
-            self.shared.put(key, stored)
         return stored  # type: ignore[return-value]
 
     def workload(
@@ -231,16 +126,12 @@ class ArtifactCache:
     @property
     def stats(self) -> dict:
         with self._lock:
-            report = {
+            return {
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
-            if self.shared is not None:
-                report["shared_hits"] = self.shared_hits
-                report["shared_misses"] = self.shared_misses
-            return report
 
     def clear(self) -> None:
         with self._lock:

@@ -1,90 +1,43 @@
-"""Executor backends: where the service actually runs its work.
+"""Executor backends: how many threads drive requests.
 
-The scheduler separates two concerns that PR-1 fused into one
-``ThreadPoolExecutor``:
+A backend runs the scheduler's request-driving calls — admission, the
+session lock, cache probes, the plan itself, budget accounting and journal
+commits — through :meth:`ExecutorBackend.submit`.  Everything stays in the
+scheduler's process, next to the sessions' kernels and write-ahead journals:
 
-* **request driving** — everything privacy-critical about a request
-  (admission, the session lock, cache probes, budget accounting, journal
-  commits).  Driving always happens in the scheduler's own process, because
-  that is where the sessions' kernels and write-ahead journals live;
-  backends only choose *how many driver threads* run concurrently
-  (:meth:`ExecutorBackend.submit`).
-* **plan compute** — the numeric work of running a plan against the data
-  vector.  :meth:`ExecutorBackend.run_plan` places it: in the driving thread
-  (inline/thread backends) or in a worker process (:class:`ProcessExecutor`).
+* :class:`InlineExecutor` drives each request to completion on the calling
+  thread — the sequential, deterministic baseline;
+* :class:`ThreadExecutor` drives requests on a persistent thread pool, so
+  requests on different sessions overlap (requests on one session still
+  serialise on its lock).
 
-The process backend ships a :class:`PlanJob` — plan name, parameters, the
-session's accountant configuration, its *current root spend* and the derived
-per-request noise seed — to a worker that rebuilds a throwaway kernel around
-the same table, replays the prior spend, runs the plan and returns the
-root-level charges plus measurement records it produced.  The parent then
-**adopts** the outcome under the session lock: every charge goes through the
-real tracker's acceptance check (and hence the write-ahead journal listener),
-every measurement record lands in the real kernel history, so the session's
-ledger is byte-for-byte what local execution would have produced.  Answers
-are byte-identical by construction — all noise is drawn from the derived
-request seed, which is the same in any process (see
-:func:`~repro.service.scheduler.derive_request_seed`).
-
-Picklability constraints of the process backend: the table, plan parameters
-and workload parameters must pickle (they are plain
-dataclasses/ndarrays/primitives throughout this repo); plan *artifacts* that
-cannot pickle — notably scipy's SuperLU sparse factorisations inside
-normal-equations artifacts — simply stay in each worker's process-local
-cache and are skipped by the shared cross-process tier.
+Answers are byte-identical on both: all noise is drawn from the derived
+request seed (see :func:`~repro.service.pipeline.derive_request_seed`), which
+nothing scheduling-dependent feeds.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from ..telemetry.context import TraceContext
-from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.spans import Tracer, activate
 
 __all__ = [
     "ExecutorBackend",
     "InlineExecutor",
-    "PlanJob",
-    "PlanJobOutcome",
-    "ProcessExecutor",
     "ThreadExecutor",
-    "adopt_outcome",
-    "execute_plan_job",
     "make_executor",
 ]
 
 
 class ExecutorBackend:
-    """Protocol all backends implement: ``submit``/``map``/``run_plan``/``shutdown``."""
-
-    #: registry name ("inline", "thread", "process").
-    name = "abstract"
-    #: True when :meth:`run_plan` executes plans outside the session's process
-    #: (the scheduler then ships a :class:`PlanJob` and adopts the outcome).
-    remote_plans = False
+    """Protocol all backends implement: ``submit``/``shutdown``."""
 
     def submit(self, fn, *args) -> Future:
         """Schedule one request-driving call; returns its future."""
         raise NotImplementedError
 
-    def map(self, fn, items) -> list[Future]:
-        """Fan a sequence of argument tuples out over the driver pool."""
-        return [self.submit(fn, *item) for item in items]
-
-    def run_plan(self, invoke, job: "PlanJob | None" = None):
-        """Place one plan execution; default: run ``invoke()`` locally."""
-        return invoke()
-
     def shutdown(self, wait: bool = True) -> None:
-        """Release pools/processes; the backend is unusable afterwards."""
+        """Release pools; the backend is unusable afterwards."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -94,8 +47,6 @@ class InlineExecutor(ExecutorBackend):
     """Sequential driving on the calling thread — zero concurrency, zero
     pool overhead; the deterministic baseline every other backend must match
     byte-for-byte."""
-
-    name = "inline"
 
     def submit(self, fn, *args) -> Future:
         future = Future()
@@ -113,14 +64,8 @@ class InlineExecutor(ExecutorBackend):
 
 
 class ThreadExecutor(ExecutorBackend):
-    """A persistent ``ThreadPoolExecutor`` for request driving.
-
-    Plans still run in the driving thread (same process, same kernels), so
-    this is PR-1's concurrency model with the per-batch pool churn removed:
-    one pool for the scheduler's lifetime, lazily created on first use.
-    """
-
-    name = "thread"
+    """A persistent ``ThreadPoolExecutor`` for request driving: one pool for
+    the scheduler's lifetime, lazily created on first use."""
 
     def __init__(self, max_workers: int = 4):
         self.max_workers = max(int(max_workers), 1)
@@ -145,287 +90,6 @@ class ThreadExecutor(ExecutorBackend):
             pool.shutdown(wait=wait)
 
 
-# ----------------------------------------------------------------------
-# Process backend: picklable job spec, worker entry point, adoption.
-# ----------------------------------------------------------------------
-@dataclass
-class PlanJob:
-    """Everything a worker process needs to run one plan deterministically.
-
-    ``prior_primary``/``prior_delta`` replay the session's current root-level
-    spend into the throwaway kernel, so the worker's budget-acceptance
-    decisions mirror the live session's exactly (the session lock is held for
-    the whole round trip, so the baseline cannot move underneath it).
-
-    ``trace`` is the driver's :class:`~repro.telemetry.TraceContext` (or None
-    when tracing is off): when present the worker activates a private
-    recording tracer, so the spans the plan emits come home in the outcome
-    and get adopted into the live trace under the originating span.
-    """
-
-    table: object
-    accountant: str
-    epsilon_total: float
-    delta: float
-    seed: int
-    prior_primary: float
-    prior_delta: float
-    plan: str
-    plan_params: dict
-    epsilon: float
-    deadline_remaining: float | None = None
-    trace: TraceContext | None = None
-
-
-@dataclass
-class PlanJobOutcome:
-    """What came back: the estimate plus the accounting to adopt.
-
-    ``charges`` are the root-level costs the worker's tracker accepted, in
-    order; ``records`` the measurement history rows.  ``spans`` are the
-    finished spans the worker's private tracer recorded (empty when the job
-    carried no trace context) and ``metrics`` the worker registry's
-    :meth:`~repro.telemetry.MetricsRegistry.export_state` delta — both
-    travel home on success *and* failure, so a failed plan's trace and cache
-    counters are never lost.  On failure ``x_hat`` is None and ``error``
-    carries the pickled original exception (when it round-trips) so the
-    parent re-raises the concrete type callers match on.
-    """
-
-    x_hat: np.ndarray | None
-    info: dict
-    charges: list = field(default_factory=list)
-    records: list = field(default_factory=list)
-    spans: list = field(default_factory=list)
-    metrics: dict | None = None
-    error: bytes | None = None
-    error_type: str = ""
-    error_message: str = ""
-
-    def raise_error(self) -> None:
-        if self.error is not None:
-            raise pickle.loads(self.error)
-        raise RuntimeError(
-            f"remote plan execution failed: {self.error_type}: {self.error_message}"
-        )
-
-
-def _portable_exception(exc: BaseException) -> bytes | None:
-    """Pickle ``exc`` iff it survives a round trip (many exception classes
-    with multi-argument constructors don't by default)."""
-    try:
-        payload = pickle.dumps(exc)
-        pickle.loads(payload)
-        return payload
-    except Exception:
-        return None
-
-
-#: process-local artifact cache; built once per worker by the initializer
-#: (or on first use when the pool was created without one).
-_WORKER_CACHE = None
-
-
-def _init_plan_worker(store_state=None) -> None:
-    global _WORKER_CACHE
-    from .artifact_cache import ArtifactCache, SharedArtifactStore
-
-    shared = SharedArtifactStore.from_state(store_state) if store_state else None
-    _WORKER_CACHE = ArtifactCache(shared=shared)
-
-
-def execute_plan_job(job: PlanJob) -> PlanJobOutcome:
-    """Worker-process entry point: run one plan on a throwaway kernel.
-
-    The kernel is seeded with the job's derived request seed, pre-charged
-    with the session's prior spend, and instrumented so every accepted
-    root-level charge and every measurement record is captured for adoption.
-    Failures (budget exhaustion, deadline expiry mid-plan, plan bugs) are
-    returned, not raised: the partial charges they left behind must still
-    reach the parent's ledger.
-
-    Observability rides along the same way: the job runs against a fresh
-    worker-side :class:`~repro.telemetry.MetricsRegistry` (bound to the
-    worker's artifact cache, so its hit/miss counters are captured too) whose
-    full state *is* the per-job delta, and — when the job carries a
-    :class:`~repro.telemetry.TraceContext` — under a private recording tracer
-    whose ``executor.worker`` root span wraps the plan run exactly like the
-    driver-side span local backends emit.
-    """
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _init_plan_worker()
-    from ..accounting import make_accountant
-    from ..accounting.base import Cost
-    from ..plans.registry import make_plan
-    from ..private.kernel import ProtectedKernel
-    from ..private.protected import ProtectedDataSource
-
-    registry = MetricsRegistry()
-    _WORKER_CACHE.bind_metrics(registry)
-    worker_tracer = Tracer() if job.trace is not None else None
-    accountant = make_accountant(job.accountant, job.epsilon_total, delta=job.delta)
-    kernel = ProtectedKernel(
-        job.table, job.epsilon_total, seed=job.seed, accountant=accountant
-    )
-    if job.prior_primary or job.prior_delta:
-        kernel.budget_tracker.apply_restored_charge(
-            Cost(job.prior_primary, job.prior_delta)
-        )
-    charges: list[tuple[float, float]] = []
-    kernel.budget_tracker.charge_listener = lambda cost: charges.append(
-        (cost.primary, cost.delta)
-    )
-    records: list = []
-    kernel.measurement_listener = records.append
-    if job.deadline_remaining is not None:
-        now = time.perf_counter()
-        kernel.deadline = now + job.deadline_remaining
-        kernel.deadline_started = now
-    source = ProtectedDataSource(kernel, "root").vectorize()
-
-    def _run():
-        plan = make_plan(job.plan, dict(job.plan_params))
-        return plan.run(source, job.epsilon, gram_cache=_WORKER_CACHE)
-
-    started = time.perf_counter()
-    try:
-        if worker_tracer is not None:
-            with activate(worker_tracer), worker_tracer.span(
-                "executor.worker", backend="process", pid=os.getpid(), plan=job.plan
-            ):
-                result = _run()
-        else:
-            result = _run()
-    except Exception as exc:
-        _observe_worker(registry, job.plan, started, ok=False)
-        return PlanJobOutcome(
-            x_hat=None,
-            info={},
-            charges=charges,
-            records=records,
-            spans=worker_tracer.spans() if worker_tracer is not None else [],
-            metrics=registry.export_state(),
-            error=_portable_exception(exc),
-            error_type=type(exc).__name__,
-            error_message=str(exc),
-        )
-    _observe_worker(registry, job.plan, started, ok=True)
-    return PlanJobOutcome(
-        x_hat=np.asarray(result.x_hat),
-        info=dict(result.info),
-        charges=charges,
-        records=records,
-        spans=worker_tracer.spans() if worker_tracer is not None else [],
-        metrics=registry.export_state(),
-    )
-
-
-def _observe_worker(
-    registry: MetricsRegistry, plan: str, started: float, ok: bool
-) -> None:
-    """Worker-side instruments; merged into the live registry on adoption."""
-    registry.counter(
-        "worker_plan_runs", plan=plan, outcome="ok" if ok else "error"
-    ).inc()
-    registry.histogram("worker_plan_seconds", plan=plan).observe(
-        time.perf_counter() - started
-    )
-
-
-def adopt_outcome(session, outcome: PlanJobOutcome) -> None:
-    """Fold a worker's charges and history into the live session's kernel.
-
-    Must run under the session lock.  Charges go through the real tracker's
-    root-level :meth:`~repro.private.budget.BudgetTracker.charge` — the
-    acceptance check re-runs against the live ledger (the worker already
-    passed an identical one) and the write-ahead ``charge_listener`` fires,
-    so a journaled session journals adopted charges exactly like local ones.
-    Measurement records land via
-    :meth:`~repro.private.kernel.ProtectedKernel.adopt_measurement`, which
-    also mirrors them to the journal.
-    """
-    from ..accounting.base import Cost
-    from ..private.exceptions import BudgetExceededError
-    from ..private.kernel import MeasurementRecord
-
-    tracker = session.kernel.budget_tracker
-    for primary, delta in outcome.charges:
-        cost = Cost(float(primary), float(delta))
-        if not tracker.charge(tracker.root_name, cost):
-            # Tolerance-edge divergence between the worker's replayed ledger
-            # and the live one: the answer is withheld (nothing released), so
-            # rejecting here loses work but never privacy.
-            raise BudgetExceededError(cost.primary, tracker.remaining())
-    for record in outcome.records:
-        if not isinstance(record, MeasurementRecord):  # pragma: no cover - defensive
-            record = MeasurementRecord(**dict(record))
-        session.kernel.adopt_measurement(record)
-
-
-class ProcessExecutor(ExecutorBackend):
-    """Plan compute in worker processes, driving in a local thread pool.
-
-    ``mp_context`` defaults to ``forkserver`` (clean-state forks that cannot
-    inherit another thread's locks — the scheduler's driver threads make a
-    plain ``fork`` unsafe), falling back to ``spawn`` where unavailable.
-    Workers share one cross-process
-    :class:`~repro.service.artifact_cache.SharedArtifactStore` so a Gram
-    factorisation built for one shard's request serves every other worker;
-    pass ``shared_store`` to join an existing tier (or ``None`` to create
-    one owned by this backend).
-    """
-
-    name = "process"
-    remote_plans = True
-
-    def __init__(
-        self,
-        max_workers: int = 2,
-        driver_threads: int | None = None,
-        mp_context: str | None = None,
-        shared_store=None,
-    ):
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-
-        self.max_workers = max(int(max_workers), 1)
-        if mp_context is None:
-            methods = mp.get_all_start_methods()
-            mp_context = "forkserver" if "forkserver" in methods else "spawn"
-        ctx = mp.get_context(mp_context) if isinstance(mp_context, str) else mp_context
-        self._owns_store = shared_store is None
-        if shared_store is None:
-            from .artifact_cache import SharedArtifactStore
-
-            shared_store = SharedArtifactStore()
-        self.shared_store = shared_store
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=ctx,
-            initializer=_init_plan_worker,
-            initargs=(shared_store.state(),),
-        )
-        self._drivers = ThreadPoolExecutor(
-            max_workers=driver_threads if driver_threads is not None else max(self.max_workers, 4),
-            thread_name_prefix="svc-driver",
-        )
-
-    def submit(self, fn, *args) -> Future:
-        return self._drivers.submit(fn, *args)
-
-    def run_plan(self, invoke, job: PlanJob | None = None):
-        if job is None:
-            return invoke()
-        return self._pool.submit(execute_plan_job, job).result()
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._drivers.shutdown(wait=wait)
-        self._pool.shutdown(wait=wait)
-        if self._owns_store:
-            self.shared_store.close()
-
-
 def make_executor(spec, max_workers: int = 4) -> ExecutorBackend:
     """Resolve ``PlanScheduler(executor=...)``: an instance is used as-is, a
     name constructs the matching backend sized to ``max_workers``."""
@@ -435,9 +99,7 @@ def make_executor(spec, max_workers: int = 4) -> ExecutorBackend:
         return ThreadExecutor(max_workers=max_workers)
     if spec == "inline":
         return InlineExecutor()
-    if spec == "process":
-        return ProcessExecutor(max_workers=max_workers)
     raise ValueError(
-        f"unknown executor {spec!r}; expected 'inline', 'thread', 'process' "
+        f"unknown executor {spec!r}; expected 'inline', 'thread' "
         "or an ExecutorBackend instance"
     )

@@ -22,8 +22,8 @@ The locked interior is reached through
 documented seam for tests that need to stall or wrap plan execution while
 the session lock is held.
 
-Stages hold a reference to the scheduler (``svc``) for its caches, metrics,
-tracer and executor; the :class:`RequestContext` carries everything
+Stages hold a reference to the scheduler (``svc``) for its caches, metrics
+and tracer; the :class:`RequestContext` carries everything
 per-request.  The admission and breaker gates live in
 :mod:`~repro.service.robustness` next to the primitives they wrap.
 """
@@ -31,19 +31,15 @@ per-request.  The admission and breaker gates live in
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 
 from ..durability.serialize import encode
 from ..durability.snapshot import response_state
-from ..plans.base import PlanResult
 from ..plans.registry import make_plan
 from ..private.exceptions import DeadlineExceededError
-from ..telemetry.context import current_context
 from ..telemetry.spans import NOOP_SPAN, NULL_TRACER, activate
 from .api import QueryRequest, QueryResponse, RequestFailure
-from .executors import PlanJob, adopt_outcome
 from .robustness import AdmissionGate, BreakerGate, SessionClosedError
 from .session import Session, SessionEvent
 
@@ -74,8 +70,8 @@ def derive_request_seed(
     can never replay the same noise stream across distinct measurements —
     while the same (session, request id, query) triple always reproduces the
     same response.  Nothing scheduling-dependent feeds the derivation: not
-    the executor backend, not the shard, not the thread — which is what
-    makes answers byte-identical no matter where a request runs.
+    the executor backend, not the thread — which is what makes answers
+    byte-identical no matter where a request runs.
     """
     material = f"{base_seed}:{session_id}:{request_id}:{query_material}".encode()
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
@@ -287,7 +283,6 @@ class DeadlineGateStage(_Stage):
                 duration_seconds=duration,
                 queue_wait_seconds=ctx.queue_wait,
                 trace_id=ctx.root.trace_id,
-                shard_id=session.shard_id,
             )
         )
         self.svc.metrics.counter(
@@ -328,7 +323,6 @@ class CacheProbeStage(_Stage):
         # since the entry was stored).
         response.accounting = session.accounting_report()
         response.trace_id = ctx.root.trace_id
-        response.shard_id = session.shard_id
         duration = time.perf_counter() - ctx.start
         response.elapsed_seconds = duration
         session.record(
@@ -346,7 +340,6 @@ class CacheProbeStage(_Stage):
                 duration_seconds=duration,
                 queue_wait_seconds=ctx.queue_wait,
                 trace_id=ctx.root.trace_id,
-                shard_id=session.shard_id,
             )
         )
         self.svc._observe(session, request, "cached", duration, ctx.queue_wait, 0.0)
@@ -354,8 +347,8 @@ class CacheProbeStage(_Stage):
 
 
 class PlanRunStage(_Stage):
-    """Terminal stage: run the plan (locally or on the executor's workers),
-    account for it exactly, release and journal the answer."""
+    """Terminal stage: run the plan, account for it exactly, release and
+    journal the answer."""
 
     name = "plan-run"
 
@@ -385,26 +378,8 @@ class PlanRunStage(_Stage):
             # The shared artifact cache rides along so plan inference reuses
             # data-independent Gram factorisations across requests and
             # tenants, keyed by each strategy's canonical strategy_key().
-            # Every backend places plan compute under an ``executor.worker``
-            # span — locally it is opened here around the in-process run,
-            # remotely the worker's private tracer opens it and the span is
-            # adopted back — so inline/thread/process traces are structurally
-            # identical (only the pid attribute differs).
             with svc.tracer.span("plan.run", plan=request.plan):
-                if svc.executor.remote_plans:
-                    result = self._run_remote(ctx, seed, before)
-                else:
-                    with svc.tracer.span(
-                        "executor.worker",
-                        backend=svc.executor.name,
-                        pid=os.getpid(),
-                        plan=request.plan,
-                    ):
-                        result = svc.executor.run_plan(
-                            lambda: plan.run(
-                                source, request.epsilon, gram_cache=svc.artifact_cache
-                            )
-                        )
+                result = plan.run(source, request.epsilon, gram_cache=svc.artifact_cache)
             answers = (
                 result.answer(workload_matrix) if workload_matrix is not None else None
             )
@@ -439,7 +414,6 @@ class PlanRunStage(_Stage):
             elapsed_seconds=duration,
             accounting=session.accounting_report(),
             trace_id=ctx.root.trace_id,
-            shard_id=session.shard_id,
         )
         svc.measurement_cache.store(
             session, ctx.key, response, before.num_measurements, after.num_measurements
@@ -472,67 +446,12 @@ class PlanRunStage(_Stage):
                 duration_seconds=duration,
                 queue_wait_seconds=ctx.queue_wait,
                 trace_id=ctx.root.trace_id,
-                shard_id=session.shard_id,
             )
         )
         svc._observe(
             session, request, "ok", duration, ctx.queue_wait, response.epsilon_spent
         )
         return response
-
-    # ------------------------------------------------------------------
-    # Remote compute (process backend).
-    # ------------------------------------------------------------------
-    def _run_remote(self, ctx, seed: int, before) -> PlanResult:
-        """Ship the plan to a worker process and adopt its accounting.
-
-        The session lock is held for the whole round trip, so the budget
-        baseline the job carries cannot move underneath the worker; adopted
-        charges re-run the live tracker's acceptance (journaling as they go)
-        and the derived seed makes the answer byte-identical to local
-        execution.  The job carries the current trace position, and the
-        worker's spans and metrics delta are adopted *before* any error is
-        re-raised — a failed remote plan keeps its trace and its counters.
-        """
-        session, request = ctx.session, ctx.request
-        svc = self.svc
-        trace = current_context(svc.tracer)
-        spent = session.kernel.budget_spent_cost()
-        deadline_remaining = None
-        if request.deadline_seconds is not None:
-            deadline_remaining = (
-                ctx.deadline_anchor + request.deadline_seconds - time.perf_counter()
-            )
-        job = PlanJob(
-            table=session.table,
-            accountant=session.accountant.name,
-            epsilon_total=session.requested_epsilon_total,
-            delta=session.requested_delta,
-            seed=seed,
-            prior_primary=spent.primary,
-            prior_delta=spent.delta,
-            plan=request.plan,
-            plan_params=dict(request.plan_params),
-            epsilon=request.epsilon,
-            deadline_remaining=deadline_remaining,
-            trace=trace,
-        )
-        outcome = svc.executor.run_plan(None, job)
-        svc.metrics.merge_state(outcome.metrics)
-        if trace is not None and outcome.spans:
-            svc.tracer.adopt(
-                outcome.spans,
-                trace_id=trace.trace_id,
-                parent_id=trace.parent_span_id,
-            )
-        adopt_outcome(session, outcome)
-        if outcome.x_hat is None:
-            outcome.raise_error()
-        return PlanResult(
-            x_hat=outcome.x_hat,
-            budget_spent=session.kernel.budget_charged_between(before),
-            info=dict(outcome.info),
-        )
 
     # ------------------------------------------------------------------
     # Terminal error accounting.
@@ -562,7 +481,6 @@ class PlanRunStage(_Stage):
                 duration_seconds=duration,
                 queue_wait_seconds=ctx.queue_wait,
                 trace_id=ctx.root.trace_id,
-                shard_id=session.shard_id,
             )
         )
         self.svc._observe(session, request, "rejected", duration, ctx.queue_wait, 0.0)
@@ -608,7 +526,6 @@ class PlanRunStage(_Stage):
                 duration_seconds=duration,
                 queue_wait_seconds=ctx.queue_wait,
                 trace_id=ctx.root.trace_id,
-                shard_id=session.shard_id,
             )
         )
         if isinstance(exc, DeadlineExceededError):

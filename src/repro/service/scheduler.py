@@ -1,25 +1,21 @@
 """Plan scheduling: execute query requests against sessions.
 
 The :class:`PlanScheduler` is the service's **execution core**.  It composes
-three pluggable layers:
+three layers:
 
-1. a **session directory** — either a bare
-   :class:`~repro.service.session.SessionManager` or a
-   :class:`~repro.service.sharding.ShardRouter` (consistent-hash sharding;
-   the two are duck-type interchangeable);
+1. the **session directory** — a
+   :class:`~repro.service.session.SessionManager`;
 2. the **request pipeline** (:mod:`repro.service.pipeline`) — composable
    stages (guard → admission → breaker → session lock → journal commit →
    trace → deadline gate → cache probe → plan run) that carry every request
    through admission control, the measurement cache, budget accounting,
    write-ahead journaling and telemetry in a fixed, privacy-correct order;
-3. an **executor backend** (:mod:`repro.service.executors`) — where driving
-   threads run and where plan compute happens: ``inline`` (sequential,
-   deterministic baseline), ``thread`` (persistent driver pool) or
-   ``process`` (plan compute in worker processes whose budget charges and
-   measurement records are *adopted* back into the live session's ledger).
+3. an **executor backend** (:mod:`repro.service.executors`) — how many
+   threads drive requests: ``inline`` (sequential, deterministic baseline)
+   or ``thread`` (a persistent driver pool).
 
-Answers are byte-identical across all backends and shard layouts: every
-request's noise derives solely from
+Answers are byte-identical on both backends: every request's noise derives
+solely from
 :func:`~repro.service.pipeline.derive_request_seed` (session base seed,
 request id, query identity) — nothing scheduling-dependent feeds it.
 
@@ -61,19 +57,16 @@ cache hits — attaches to the request's trace; the trace id is returned on
 :class:`~repro.telemetry.MetricsRegistry` (always on; created internally
 unless injected) aggregates per-tenant request latency and queue-wait
 histograms, outcome counters, cache hit/miss/eviction counters and the
-per-tenant privacy-spend odometer; on a sharded service, outcome counters,
-latency histograms and the spend counter additionally carry a ``shard``
-label.  Failures re-raise the *original* exception with a structured
-:class:`~repro.service.api.RequestFailure` attached (request id, batch slot,
-trace id, spend), so batch callers keep their ``isinstance`` checks and
-still get the context.
+per-tenant privacy-spend odometer.  Failures re-raise the *original*
+exception with a structured :class:`~repro.service.api.RequestFailure`
+attached (request id, batch slot, trace id, spend), so batch callers keep
+their ``isinstance`` checks and still get the context.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Sequence
 
@@ -81,7 +74,7 @@ from ..durability.faults import FaultInjector, WorkerDeath
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.recorder import FlightRecorder
 from ..telemetry.slo import SloEngine
-from ..telemetry.spans import NullTracer, Tracer, NULL_TRACER, activate
+from ..telemetry.spans import NullTracer, Tracer, NULL_TRACER
 from .api import QueryRequest, QueryResponse, RequestFailure
 from .artifact_cache import ArtifactCache
 from .executors import ExecutorBackend, make_executor
@@ -122,8 +115,6 @@ class PlanScheduler:
         flight_recorder: FlightRecorder | None = None,
         slo_engine: SloEngine | None = None,
     ):
-        #: the session directory: a SessionManager or a ShardRouter (they
-        #: duck-type the same create/get/close/adopt surface).
         self.manager = manager
         self.measurement_cache = measurement_cache if measurement_cache is not None else MeasurementCache()
         self.artifact_cache = artifact_cache if artifact_cache is not None else ArtifactCache()
@@ -143,13 +134,13 @@ class PlanScheduler:
         self.breaker = breaker
         #: crash-harness seam (``scheduler.worker``); None in production.
         self.fault_injector = fault_injector
-        #: where driving threads and plan compute run ("inline", "thread",
-        #: "process" or an ExecutorBackend instance; default: thread pool).
+        #: what drives requests ("inline", "thread" or an ExecutorBackend
+        #: instance; default: a thread pool of ``max_workers``).
         self.executor = make_executor(executor, max_workers=max_workers)
         #: postmortem capture: None (the default) records nothing.  With a
-        #: recorder attached, every finished span (adopted worker spans
-        #: included) and request outcome enters its ring buffers, and request
-        #: failures / breaker opens / worker deaths trigger a bundle dump.
+        #: recorder attached, every finished span and request outcome enters
+        #: its ring buffers, and request failures / breaker opens / worker
+        #: deaths trigger a bundle dump.
         self.flight_recorder = flight_recorder
         if flight_recorder is not None and self.tracer is not NULL_TRACER:
             self.tracer.add_listener(flight_recorder.record_span)
@@ -180,7 +171,7 @@ class PlanScheduler:
         return session
 
     # ------------------------------------------------------------------
-    # Durability & sharding.
+    # Durability.
     # ------------------------------------------------------------------
     def snapshot_session(self, session_id: str) -> dict:
         """Snapshot a session, including its cached releases."""
@@ -198,9 +189,11 @@ class PlanScheduler:
 
         See :func:`repro.durability.restore_session`; the restored session
         is verified against the reconciliation oracle and adopted by the
-        manager (a :class:`~repro.service.sharding.ShardRouter` places it on
-        its ring shard), and its released answers land back in the
-        measurement cache for zero-ε replay.
+        manager, and its released answers land back in the measurement cache
+        for zero-ε replay.  This also moves a live session to another
+        scheduler: stop its traffic (``session.begin_close()``), take
+        :meth:`snapshot_session`, :meth:`close_session` it and restore the
+        snapshot on the other scheduler.
         """
         from ..durability.snapshot import restore_session as _restore_session
 
@@ -213,37 +206,6 @@ class PlanScheduler:
             strict=strict,
         )
         self.metrics.counter("service_recoveries", tenant=session.tenant).inc()
-        return session
-
-    def migrate_session(self, session_id: str, target_shard_id: str, strict: bool = True) -> Session:
-        """Move a session to another shard, carrying its cached releases.
-
-        Requires the scheduler's directory to be a
-        :class:`~repro.service.sharding.ShardRouter`; see its
-        :meth:`~repro.service.sharding.ShardRouter.migrate_session` for the
-        drain/snapshot/restore/reconcile semantics.
-        """
-        router = self.manager
-        if not hasattr(router, "migrate_session"):
-            raise TypeError(
-                "migrate_session requires the scheduler to run on a ShardRouter; "
-                f"got {type(router).__name__}"
-            )
-        # The migration runs under its own trace (drain → snapshot → restore
-        # seams inside the router attach via trace_span), so a rebalance is
-        # as observable as a request — across the same backends.
-        with activate(self.tracer), self.tracer.span(
-            "service.migrate", session=session_id, target=target_shard_id
-        ):
-            session = router.migrate_session(
-                session_id,
-                target_shard_id,
-                measurement_cache=self.measurement_cache,
-                strict=strict,
-            )
-        self.metrics.counter(
-            "service_migrations", tenant=session.tenant, shard=target_shard_id
-        ).inc()
         return session
 
     # ------------------------------------------------------------------
@@ -357,22 +319,15 @@ class PlanScheduler:
         """Fold one finished (or failed) request into the metrics registry."""
         metrics = self.metrics
         tenant = session.tenant
-        shard = session.shard_id
-        request_labels = {"tenant": tenant, "plan": request.plan, "outcome": outcome}
-        if shard is not None:
-            # Shard labels only exist on sharded services: an unsharded
-            # deployment's metric series are byte-identical to PR-1's.
-            request_labels["shard"] = shard
-            metrics.histogram(
-                "shard_request_latency_seconds", shard=shard
-            ).observe(duration)
-        metrics.counter("service_requests", **request_labels).inc()
+        metrics.counter(
+            "service_requests", tenant=tenant, plan=request.plan, outcome=outcome
+        ).inc()
         metrics.histogram("service_request_latency_seconds", tenant=tenant).observe(duration)
         metrics.histogram("service_request_queue_wait_seconds", tenant=tenant).observe(
             queue_wait
         )
         unit = "rho" if session.kernel.accountant.name == "zcdp" else "epsilon"
-        metrics.record_privacy_spend(tenant, request.plan, spent, unit=unit, shard=shard)
+        metrics.record_privacy_spend(tenant, request.plan, spent, unit=unit)
         recorder = self.flight_recorder
         if recorder is not None:
             recorder.record_outcome(
@@ -385,7 +340,6 @@ class PlanScheduler:
                     "duration_seconds": duration,
                     "queue_wait_seconds": queue_wait,
                     "epsilon_spent": spent,
-                    "shard": shard,
                 }
             )
             if outcome in ("error", "timeout"):
@@ -410,15 +364,12 @@ class PlanScheduler:
     def execute_batch(
         self,
         requests: Sequence[QueryRequest],
-        max_workers: int | None = None,
         return_exceptions: bool = False,
     ) -> list[QueryResponse | Exception]:
         """Answer a batch of requests concurrently, preserving input order.
 
-        Driving fans out over the scheduler's executor backend; passing an
-        explicit ``max_workers`` instead runs the batch on an ephemeral
-        thread pool of that size (PR-1's semantics, still the right tool for
-        a one-off differently-sized burst).  Request ids (hence noise seeds)
+        Driving fans out over the scheduler's executor backend (size it with
+        ``PlanScheduler(max_workers=...)``).  Request ids (hence noise seeds)
         are assigned in submission order *before* dispatch, so batch results
         are reproducible no matter how the pool — or backend — interleaves
         execution.  (Exception: two *identical* ``reuse=True`` requests in
@@ -451,62 +402,52 @@ class PlanScheduler:
             assigned.append(request)
         if not assigned:
             return []
-        pool = (
-            ThreadPoolExecutor(max_workers=max(max_workers, 1))
-            if max_workers is not None
-            else None
-        )
-        submit = pool.submit if pool is not None else self.executor.submit
-        try:
-            queued_at = time.perf_counter()
-            futures = [
-                submit(self._execute_assigned, request, queued_at)
-                for request in assigned
-            ]
-            results: list[QueryResponse | Exception] = []
-            for index, (request, future) in enumerate(zip(assigned, futures)):
-                try:
-                    results.append(future.result())
-                except (Exception, WorkerDeath) as exc:
-                    failure = RequestFailure.of(exc)
-                    if failure is None:
-                        # The request died before the accounting path could
-                        # run — a dead worker, an unknown session id:
-                        # synthesise the context and flag it un-ledgered.
-                        failure = RequestFailure(
-                            request_id=request.request_id,
-                            session_id=request.session_id,
-                            plan=request.plan,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            ledgered=False,
-                        )
-                    if failure.batch_index is None:
-                        failure = replace(failure, batch_index=index)
-                    if isinstance(exc, WorkerDeath):
-                        self._postmortem(
-                            "worker_death",
-                            request_id=request.request_id,
-                            plan=request.plan,
-                            error=str(exc),
-                        )
-                    if not failure.ledgered:
-                        try:
-                            orphans = self._claim_orphaned_spend(request, exc)
-                        except Exception:
-                            # A journal hiccup on the cleanup commit must not
-                            # sink the batch: the claim events are already in
-                            # the in-memory ledger, and a restore re-claims
-                            # whatever didn't reach disk.
-                            orphans = []
-                        if orphans:
-                            spent = math.fsum(o.epsilon_spent for o in orphans)
-                            failure = replace(failure, epsilon_spent=spent)
-                    _attach_failure(exc, failure)
-                    results.append(exc)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        queued_at = time.perf_counter()
+        futures = [
+            self.executor.submit(self._execute_assigned, request, queued_at)
+            for request in assigned
+        ]
+        results: list[QueryResponse | Exception] = []
+        for index, (request, future) in enumerate(zip(assigned, futures)):
+            try:
+                results.append(future.result())
+            except (Exception, WorkerDeath) as exc:
+                failure = RequestFailure.of(exc)
+                if failure is None:
+                    # The request died before the accounting path could
+                    # run — a dead worker, an unknown session id:
+                    # synthesise the context and flag it un-ledgered.
+                    failure = RequestFailure(
+                        request_id=request.request_id,
+                        session_id=request.session_id,
+                        plan=request.plan,
+                        error_type=type(exc).__name__,
+                        message=str(exc),
+                        ledgered=False,
+                    )
+                if failure.batch_index is None:
+                    failure = replace(failure, batch_index=index)
+                if isinstance(exc, WorkerDeath):
+                    self._postmortem(
+                        "worker_death",
+                        request_id=request.request_id,
+                        plan=request.plan,
+                        error=str(exc),
+                    )
+                if not failure.ledgered:
+                    try:
+                        orphans = self._claim_orphaned_spend(request, exc)
+                    except Exception:
+                        # A journal hiccup on the cleanup commit must not
+                        # sink the batch: the claim events are already in
+                        # the in-memory ledger, and a restore re-claims
+                        # whatever didn't reach disk.
+                        orphans = []
+                    if orphans:
+                        spent = math.fsum(o.epsilon_spent for o in orphans)
+                        failure = replace(failure, epsilon_spent=spent)
+                _attach_failure(exc, failure)
+                results.append(exc)
         if not return_exceptions:
             for outcome in results:
                 if isinstance(outcome, BaseException):

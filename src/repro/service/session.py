@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class SessionEvent:
     queue_wait_seconds: float = 0.0
     #: trace id of the request's span tree when tracing was enabled, else None.
     trace_id: str | None = None
-    #: id of the shard that executed the request when the service runs behind
-    #: a :class:`~repro.service.sharding.ShardRouter` (audit correlation:
-    #: which worker's journal holds the charge records); None unsharded.
-    shard_id: str | None = None
 
 
 class Session:
@@ -125,14 +121,6 @@ class Session:
         #: populated by :func:`repro.durability.restore_session` on a
         #: restored session (replayed record count, orphan event, reconcile).
         self.recovery_info: dict | None = None
-        #: stamped by the :class:`~repro.service.sharding.ShardRouter` when
-        #: the session lives on a shard; None under a bare SessionManager.
-        self.shard_id: str | None = None
-        #: the private relation this session's kernel was built around.  Held
-        #: for the *service side only* — migration and restore must supply
-        #: the original data, and the service layer (which constructed the
-        #: kernel from it) is already trusted with it.  Never serialised.
-        self._table = table
         self._closing = False
         self._closed = False
 
@@ -143,11 +131,6 @@ class Session:
     def root(self) -> ProtectedDataSource:
         """The root table handle."""
         return self._root
-
-    @property
-    def table(self) -> Relation:
-        """The private relation (service-side trusted access; see ``_table``)."""
-        return self._table
 
     def vector_source(self) -> ProtectedDataSource:
         """The session's vectorised source (built once, then shared).

@@ -14,11 +14,6 @@ the composition observable at runtime without touching plan logic:
   privacy-spend odometer (cumulative ε/ρ and burn rate per tenant per plan).
 * :mod:`~repro.telemetry.exporters` — JSON-lines span dumps, Chrome
   ``chrome://tracing`` trace-event files, Prometheus text exposition.
-* :class:`TraceContext` / :meth:`Tracer.adopt <repro.telemetry.spans.Tracer.adopt>`
-  — distributed tracing across executor worker processes: a picklable trace
-  position ships with each remote plan job, the worker records spans on a
-  private tracer, and the driver adopts them into the live trace so one span
-  tree covers every backend identically.
 * :class:`FlightRecorder` — a bounded ring of recent spans and request
   outcomes that dumps a postmortem bundle on failures and breaker trips.
 * :class:`SloEngine` / :class:`SloSpec` — declarative latency, error-rate and
@@ -40,7 +35,6 @@ Typical service usage::
 """
 
 from .clock import DEFAULT_CLOCK, Clock, ManualClock
-from .context import TraceContext, current_context
 from .exporters import (
     prometheus_text,
     spans_to_chrome_trace,
@@ -71,8 +65,6 @@ from .spans import (
 )
 
 __all__ = [
-    "TraceContext",
-    "current_context",
     "FlightRecorder",
     "SloSpec",
     "SloEngine",

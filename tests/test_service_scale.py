@@ -1,19 +1,15 @@
-"""Execution-core tests: executor backends, sharding, shared cache tiers.
+"""Execution-core tests: executor backends, bounded caches, moving sessions.
 
-The invariants of the scale-out layer:
+The invariants of the execution core:
 
 * **backend transparency** — answers (payloads, seeds, spends) are
-  byte-identical across the inline, thread and process backends, because
-  noise seeds derive only from (base seed, request id, query identity);
-* **exact adoption** — plan compute in a worker process charges the live
-  session's ledger exactly (reconciliation holds), and remote failures
-  surface as the original exception types;
-* **routing stability** — a session is never observed on two shards: the
-  directory answers every lookup, and ring changes move nothing until an
-  explicit migration, which itself reconciles exactly;
+  byte-identical across the inline and thread backends, because noise seeds
+  derive only from (base seed, request id, query identity);
 * **bounded caches** — both caches are LRU with touch-on-hit and eviction
   counters, and evicting a released answer never loses it: the journal
-  replays it at zero additional ε after a restore.
+  replays it at zero additional ε after a restore;
+* **moving a session** — snapshot plus restore carries a session to another
+  scheduler with its ledger, seed, request counter and released answers.
 """
 
 from __future__ import annotations
@@ -25,25 +21,23 @@ import numpy as np
 import pytest
 
 from repro.dataset import Attribute, Relation, Schema
-from repro.durability import PrivacyJournal
+from repro.durability import PrivacyJournal, WorkerDeath
 from repro.private import BudgetExceededError
 from repro.service import (
     ArtifactCache,
     InlineExecutor,
     MeasurementCache,
     PlanScheduler,
-    ProcessExecutor,
     QueryRequest,
     QueryResponse,
     SessionClosedError,
     SessionManager,
-    SharedArtifactStore,
-    ShardRouter,
     ThreadExecutor,
     derive_request_seed,
     make_executor,
     reconcile,
 )
+from repro.telemetry import Tracer
 from repro.telemetry.metrics import MetricsRegistry
 
 N = 64
@@ -54,14 +48,6 @@ def relation():
     rng = np.random.default_rng(0)
     schema = Schema.build([Attribute("v", N)])
     return Relation.from_histogram(schema, rng.integers(0, 50, size=N).astype(float))
-
-
-@pytest.fixture(scope="module")
-def process_executor():
-    """One process pool for the whole module — worker start-up is the cost."""
-    executor = ProcessExecutor(max_workers=2)
-    yield executor
-    executor.shutdown()
 
 
 def _requests(session_id: str) -> list[QueryRequest]:
@@ -91,8 +77,7 @@ def _run_backend(relation, executor) -> tuple[list[QueryResponse], object]:
         "acme", relation, 10.0, seed=7, session_id="acme-s1"
     )
     responses = scheduler.execute_batch(_requests("acme-s1"))
-    if not isinstance(executor, ProcessExecutor):
-        scheduler.shutdown()
+    scheduler.shutdown()
     return responses, session
 
 
@@ -103,55 +88,117 @@ class TestExecutorBackends:
         assert isinstance(make_executor("inline"), InlineExecutor)
         inline = InlineExecutor()
         assert make_executor(inline) is inline
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("bogus")
+        for name in ("bogus", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(name)
 
-    def test_answers_byte_identical_across_backends(self, relation, process_executor):
+    def test_answers_byte_identical_across_backends(self, relation):
         base, inline_session = _run_backend(relation, "inline")
-        threaded, _ = _run_backend(relation, "thread")
-        processed, process_session = _run_backend(relation, process_executor)
-        for other in (threaded, processed):
-            for expected, got in zip(base, other):
-                assert np.array_equal(expected.payload, got.payload)
-                assert np.array_equal(expected.x_hat, got.x_hat)
-                assert got.seed == expected.seed
-                assert got.epsilon_spent == expected.epsilon_spent
-        assert process_session.budget_consumed() == inline_session.budget_consumed()
+        threaded, thread_session = _run_backend(relation, "thread")
+        for expected, got in zip(base, threaded):
+            assert np.array_equal(expected.payload, got.payload)
+            assert np.array_equal(expected.x_hat, got.x_hat)
+            assert got.seed == expected.seed
+            assert got.epsilon_spent == expected.epsilon_spent
+        assert thread_session.budget_consumed() == inline_session.budget_consumed()
         assert reconcile(inline_session)["exact"]
-        assert reconcile(process_session)["exact"]
+        assert reconcile(thread_session)["exact"]
 
-    def test_process_backend_adopts_into_journaled_ledger(
-        self, relation, process_executor
-    ):
+    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    def test_backend_journals_every_charge(self, relation, backend):
         journal = PrivacyJournal(None, fsync="never")
         manager = SessionManager()
-        scheduler = PlanScheduler(manager, executor=process_executor)
+        scheduler = PlanScheduler(manager, executor=backend)
         session = manager.create_session(
             "acme", relation, 4.0, seed=3, journal=journal
         )
         response = scheduler.execute(
             QueryRequest(session.session_id, plan="Identity", epsilon=0.5)
         )
+        scheduler.shutdown()
         assert response.epsilon_spent > 0
         assert session.budget_consumed() == response.epsilon_spent
-        # The worker's charges were adopted through the normal charge path,
-        # so the write-ahead journal saw them before the ledger moved.
-        charges = [r for r in journal.records() if r.get("kind") == "charge"]
-        assert charges
+        # Every charge went through the write-ahead journal.
+        charges = [r["p"] for r in journal.records() if r.get("kind") == "charge"]
+        assert charges and sum(charges) == pytest.approx(response.epsilon_spent)
         assert reconcile(session)["exact"]
 
-    def test_process_backend_propagates_original_exception(
-        self, relation, process_executor
-    ):
+    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    def test_backend_propagates_original_exception(self, relation, backend):
         manager = SessionManager()
-        scheduler = PlanScheduler(manager, executor=process_executor)
+        scheduler = PlanScheduler(manager, executor=backend)
         session = manager.create_session("acme", relation, 0.1, seed=3)
         with pytest.raises(BudgetExceededError):
             scheduler.execute(
                 QueryRequest(session.session_id, plan="Identity", epsilon=0.5)
             )
+        scheduler.shutdown()
         assert session.events[-1].error == "BudgetExceededError"
         assert reconcile(session)["exact"]
+
+    def test_batch_drives_on_the_scheduler_pool(self, relation):
+        # execute_batch fans out over the scheduler's own executor: every
+        # request runs on one of its ``max_workers`` driver threads.
+        tracer = Tracer()
+        manager = SessionManager()
+        scheduler = PlanScheduler(
+            manager, executor="thread", max_workers=2, tracer=tracer
+        )
+        sessions = [
+            manager.create_session("acme", relation, 10.0, seed=i) for i in range(4)
+        ]
+        requests = [
+            QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
+            for session in sessions
+            for _ in range(2)
+        ]
+        responses = scheduler.execute_batch(requests)
+        scheduler.shutdown()
+        assert len(responses) == len(requests)
+        roots = [span for span in tracer.spans() if span.name == "service.request"]
+        assert len(roots) == len(requests)
+        threads = {span.thread for span in roots}
+        assert 1 <= len(threads) <= 2
+        assert all(name.startswith("svc-driver") for name in threads)
+
+    def test_inline_batch_drives_on_the_calling_thread(self, relation):
+        tracer = Tracer()
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager, executor="inline", tracer=tracer)
+        session = manager.create_session("acme", relation, 10.0, seed=1)
+        scheduler.execute_batch(_requests(session.session_id))
+        assert {span.thread for span in tracer.spans()} == {
+            threading.current_thread().name
+        }
+
+    def test_inline_executor_captures_failures_in_the_future(self):
+        executor = InlineExecutor()
+        ok = executor.submit(threading.current_thread)
+        assert ok.result() is threading.current_thread()
+
+        def fail(exc):
+            raise exc
+
+        failed = executor.submit(fail, ValueError("boom"))
+        assert isinstance(failed.exception(), ValueError)
+        # A dying worker is captured too: the batch collector claims its
+        # orphaned spend from the future.
+        died = executor.submit(fail, WorkerDeath("gone"))
+        assert isinstance(died.exception(), WorkerDeath)
+
+    def test_thread_executor_runs_on_its_own_bounded_pool(self):
+        executor = ThreadExecutor(max_workers=0)
+        assert executor.max_workers == 1
+        futures = [
+            executor.submit(lambda i: (i, threading.current_thread().name), i)
+            for i in range(6)
+        ]
+        results = [future.result(timeout=10) for future in futures]
+        executor.shutdown()
+        assert [i for i, _ in results] == list(range(6))
+        (name,) = {name for _, name in results}
+        assert name.startswith("svc-driver")
+        assert name != threading.current_thread().name
 
     def test_seed_derivation_is_scheduling_independent(self):
         seed = derive_request_seed(7, "acme-s1", "acme-s1-r1", "('query',)")
@@ -190,24 +237,26 @@ class TestArtifactCacheLRU:
         assert built == ["a", "b", "c", "b"]
         assert "a" not in cache  # "a" was then the least recently used
 
-    def test_shared_store_serves_second_cache(self):
-        store = SharedArtifactStore(max_entries=8)
-        try:
-            first = ArtifactCache(shared=store)
-            second = ArtifactCache(shared=store)
-            built = []
-
-            def build():
-                built.append(1)
-                return np.arange(4.0)
-
-            a = first.get_or_build("gram", build)
-            b = second.get_or_build("gram", build)
-            assert np.array_equal(a, b)
-            assert built == [1]  # the second cache hit the shared tier
-            assert second.stats["shared_hits"] == 1
-        finally:
-            store.close()
+    def test_one_cache_serves_two_schedulers(self, relation):
+        # Artifacts are data-independent, so schedulers in one process may
+        # share a cache: the second builds nothing the first already built.
+        cache = ArtifactCache()
+        first = PlanScheduler(SessionManager(), artifact_cache=cache, executor="inline")
+        second = PlanScheduler(SessionManager(), artifact_cache=cache, executor="inline")
+        for tenant, scheduler in (("acme", first), ("zeta", second)):
+            session = scheduler.manager.create_session(tenant, relation, 10.0, seed=1)
+            scheduler.execute(
+                QueryRequest(
+                    session.session_id,
+                    plan="Identity",
+                    epsilon=0.1,
+                    workload="prefix",
+                    workload_params={"n": N},
+                )
+            )
+        assert cache.stats["misses"] == 1
+        assert cache.stats["hits"] == 1
+        assert cache.stats["entries"] == 1
 
 
 class TestMeasurementCacheBound:
@@ -318,78 +367,38 @@ class TestDrainCloseRace:
         assert session.budget_consumed() == response.epsilon_spent
 
 
-class TestSharding:
-    def test_routing_is_stable_across_requests_and_ring_changes(self, relation):
-        router = ShardRouter(num_shards=4)
-        scheduler = PlanScheduler(router, executor="inline")
-        sessions = [
-            router.create_session("acme", relation, 10.0, seed=i) for i in range(12)
-        ]
-        owners = router.owners()
-        assert len({shard.shard_id for shard in router.shards}) == 4
-        for _ in range(2):  # repeated requests never move a session
-            for session in sessions:
-                response = scheduler.execute(
-                    QueryRequest(session.session_id, plan="Identity", epsilon=0.01)
-                )
-                assert response.shard_id == owners[session.session_id]
-                assert session.events[-1].shard_id == owners[session.session_id]
-        # A new shard changes future placements but moves nothing by itself.
-        plan = router.add_shard("shard-new")
-        assert router.owners() == owners
-        for session_id, current, target in plan:
-            assert owners[session_id] == current
-            assert target == "shard-new"
-        for session in sessions:
-            assert router.shard_for(session.session_id) == owners[session.session_id]
-        scheduler.shutdown()
-
-    def test_migrate_session_round_trip_reconciles_exactly(self, relation):
-        router = ShardRouter(num_shards=4)
-        scheduler = PlanScheduler(router, executor="inline")
-        session = router.create_session(
+class TestMovingSessions:
+    def test_snapshot_restore_moves_a_session_between_schedulers(self, relation):
+        source_manager = SessionManager()
+        source = PlanScheduler(source_manager, executor="inline")
+        session = source_manager.create_session(
             "acme", relation, 10.0, seed=7, session_id="acme-s1"
         )
-        first = scheduler.execute(
-            QueryRequest("acme-s1", plan="Identity", epsilon=0.1)
-        )
+        first = source.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.1))
         before_budget = session.budget_consumed()
-        target = next(
-            shard.shard_id
-            for shard in router.shards
-            if shard.shard_id != session.shard_id
-        )
-        moved = scheduler.migrate_session("acme-s1", target)
-        assert moved.shard_id == target
-        assert router.owners()["acme-s1"] == target
+        session.begin_close()  # no new requests; in-flight ones drain first
+        state = source.snapshot_session("acme-s1")
+        source.close_session("acme-s1")
+
+        target = PlanScheduler(SessionManager(), executor="inline")
+        moved = target.restore_session(relation, snapshot=state)
         assert moved.budget_consumed() == before_budget
         assert reconcile(moved)["exact"]
-        assert (
-            scheduler.metrics.counter(
-                "service_migrations", tenant="acme", shard=target
-            ).value
-            == 1.0
-        )
         # Released answers crossed with the session: zero-ε replay.
-        replay = scheduler.execute(
-            QueryRequest("acme-s1", plan="Identity", epsilon=0.1)
-        )
+        replay = target.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.1))
         assert replay.cached and replay.epsilon_spent == 0.0
         assert np.array_equal(replay.x_hat, first.x_hat)
-        assert replay.shard_id == target
 
-        # New work after the move is byte-identical to an unsharded control:
-        # the base seed and request counter migrated intact.
-        fresh = scheduler.execute(
-            QueryRequest("acme-s1", plan="Identity", epsilon=0.2)
-        )
+        # New work after the move is byte-identical to a control that never
+        # moved: the base seed and request counter crossed intact.
+        fresh = target.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.2))
         control_manager = SessionManager()
         control = PlanScheduler(control_manager, executor="inline")
         control_manager.create_session(
             "acme", relation, 10.0, seed=7, session_id="acme-s1"
         )
-        # Mirror the migrated session's request sequence exactly — the
-        # cached replay consumed a request id too.
+        # Mirror the moved session's request sequence exactly — the cached
+        # replay consumed a request id too.
         control.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.1))
         control.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.1))
         control_fresh = control.execute(
@@ -397,52 +406,64 @@ class TestSharding:
         )
         assert np.array_equal(fresh.x_hat, control_fresh.x_hat)
         assert fresh.seed == control_fresh.seed
-        scheduler.shutdown()
 
-    def test_remove_shard_migrates_everything_off(self, relation):
-        router = ShardRouter(num_shards=3)
-        cache = MeasurementCache()
-        for i in range(9):
-            router.create_session("acme", relation, 10.0, seed=i)
-        victim = max(router.stats["shards"], key=router.stats["shards"].get)
-        stranded = [sid for sid, owner in router.owners().items() if owner == victim]
-        moves = router.remove_shard(victim, measurement_cache=cache)
-        assert sorted(move[0] for move in moves) == sorted(stranded)
-        owners = router.owners()
-        assert len(owners) == 9
-        assert victim not in set(owners.values())
-        with pytest.raises(KeyError):
-            router.shard(victim)
-        for session in router.sessions():
+    def test_journal_moves_a_session_between_schedulers(self, relation, tmp_path):
+        # The journal alone carries a session too: ledger, released answers,
+        # base seed and request counter are all replayed from its records.
+        path = tmp_path / "acme-s1.wal"
+        source_manager = SessionManager()
+        source = PlanScheduler(source_manager, executor="inline")
+        session = source_manager.create_session(
+            "acme", relation, 10.0, seed=7, session_id="acme-s1",
+            journal=PrivacyJournal(path),
+        )
+        first = source.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.1))
+        second = source.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.2))
+        before_budget = session.budget_consumed()
+        source.close_session("acme-s1")
+        session.journal.close()
+
+        target = PlanScheduler(SessionManager(), executor="inline")
+        moved = target.restore_session(relation, journal=PrivacyJournal(path))
+        assert moved.session_id == "acme-s1"
+        assert moved.budget_consumed() == before_budget
+        assert reconcile(moved)["exact"]
+        for original in (first, second):
+            replay = target.execute(
+                QueryRequest("acme-s1", plan="Identity", epsilon=original.epsilon_spent)
+            )
+            assert replay.cached and replay.epsilon_spent == 0.0
+            assert np.array_equal(replay.x_hat, original.x_hat)
+        assert moved.budget_consumed() == before_budget
+
+    def test_moving_every_session_keeps_each_ledger(self, relation):
+        source_manager = SessionManager()
+        source = PlanScheduler(source_manager, executor="inline")
+        sessions = [
+            source_manager.create_session("acme", relation, 10.0, seed=i)
+            for i in range(6)
+        ]
+        for i, session in enumerate(sessions):
+            source.execute(
+                QueryRequest(session.session_id, plan="Identity", epsilon=0.05 * (i + 1))
+            )
+        spent = {s.session_id: s.budget_consumed() for s in sessions}
+        states = []
+        for session in sessions:
+            session.begin_close()
+            states.append(source.snapshot_session(session.session_id))
+            source.close_session(session.session_id)
+
+        target_manager = SessionManager()
+        target = PlanScheduler(target_manager, executor="inline")
+        for state in states:
+            target.restore_session(relation, snapshot=state)
+        moved = {s.session_id: s for s in target_manager.sessions()}
+        assert set(moved) == set(spent)
+        for session_id, session in moved.items():
+            assert session.budget_consumed() == spent[session_id]
             assert reconcile(session)["exact"]
-
-    def test_migrate_requires_a_router(self, relation):
-        scheduler = PlanScheduler(SessionManager(), executor="inline")
-        with pytest.raises(TypeError, match="ShardRouter"):
-            scheduler.migrate_session("nope", "shard-0")
-
-    def test_sharded_answers_match_unsharded(self, relation):
-        router = ShardRouter(num_shards=4)
-        sharded = PlanScheduler(router, executor="inline")
-        router.create_session("acme", relation, 10.0, seed=7, session_id="acme-s1")
-        manager = SessionManager()
-        plain = PlanScheduler(manager, executor="inline")
-        manager.create_session("acme", relation, 10.0, seed=7, session_id="acme-s1")
-        for request in _requests("acme-s1"):
-            a = sharded.execute(request)
-            b = plain.execute(request)
-            assert np.array_equal(a.payload, b.payload)
-            assert a.seed == b.seed
-            assert a.epsilon_spent == b.epsilon_spent
-        # Shard-labelled series exist on the sharded service only.
-        shard_counters = [
-            counter
-            for counter in sharded.metrics.instruments()[0]
-            if counter.name == "privacy_spend_shard"
-        ]
-        assert shard_counters and sum(c.value for c in shard_counters) > 0
-        assert not [
-            counter
-            for counter in plain.metrics.instruments()[0]
-            if counter.name == "privacy_spend_shard"
-        ]
+        assert (
+            target.metrics.counter("service_recoveries", tenant="acme").value
+            == len(sessions)
+        )

@@ -282,8 +282,6 @@ class TestMetricsRegistry:
 # Exporters.
 # ----------------------------------------------------------------------------
 def _sample_spans():
-    # ``process`` is pinned so golden assertions don't depend on the test
-    # runner's pid.
     return [
         Span(
             trace_id="trace-1",
@@ -294,7 +292,6 @@ def _sample_spans():
             end=2.0,
             thread="worker-0",
             attributes={"epsilon": 0.1},
-            process=1,
         ),
         Span(
             trace_id="trace-1",
@@ -305,7 +302,6 @@ def _sample_spans():
             end=3.0,
             thread="MainThread",
             status="ok",
-            process=1,
         ),
     ]
 
@@ -326,7 +322,6 @@ class TestExporters:
             "end": 2.0,
             "duration": 0.5,
             "thread": "worker-0",
-            "process": 1,
             "status": "ok",
             "attributes": {"epsilon": 0.1},
         }
