@@ -7,14 +7,17 @@ comparable across domains and dataset sizes.  Expected-error formulas from the
 matrix-mechanism literature (used by Theorem 5.3 / Theorem 8.4) are also
 provided for analytic comparisons.
 
-The expected-error functions are routed through the sparse-aware Gram engine:
-the strategy's Gram matrix is built once with
-:meth:`~repro.matrix.base.LinearQueryMatrix.gram_auto` and factorised once
-with :func:`~repro.operators.inference.build_normal_equations`, then every
-workload row is a triangular (or sparse-LU) solve inside one blocked trace
-computation ``tr(W G⁺ Wᵀ)``.  The seed recomputed ``pinv(AᵀA)`` from scratch
-for every workload row — O(m·n³) against the engine's O(n³ + m·n²) — which is
-what the ``expected_error`` section of ``BENCH_data_dependent.json`` measures.
+The expected-error functions are routed through the normal-equations
+engine: the strategy is factorised once with
+:func:`~repro.operators.inference.build_normal_equations`, in whichever of its
+four kinds fits the strategy's structure (a Cholesky-factored dense Gram, a
+sparse-LU'd CSR Gram, the orthogonal-rows closed form ``Mᵀ D⁻² M`` for Haar,
+or the sparse LU of the augmented system ``[[I, M], [Mᵀ, 0]]`` for
+hierarchies), then every workload row is one solve against that factor inside
+one blocked trace computation ``tr(W G⁺ Wᵀ)``.  The seed recomputed
+``pinv(AᵀA)`` anew for every workload row — O(m·n³) against the dense kind's
+O(n³ + m·n²) — which is what the ``expected_error`` section of
+``BENCH_data_dependent.json`` measures.
 """
 
 from __future__ import annotations
@@ -118,12 +121,11 @@ def expected_workload_error(
     Matrix-mechanism formula ``Var · tr(W (AᵀA)⁺ Wᵀ)`` where ``Var`` is the
     per-measurement noise variance of :func:`measurement_noise_variance` —
     ``2·||A||₁²/ε²`` for Laplace, ``σ²(ε, δ)`` from the L2 sensitivity for
-    Gaussian.  The Gram is built and factorised *once* through the
-    sparse-aware engine (:func:`build_normal_equations` consuming
-    ``gram_auto()``), then workload rows are materialised in blocks and each
-    block contributes ``Σᵢ qᵢ · solve(G, qᵢ)`` to the trace.  Rank-deficient
-    strategies fall back to the factorisation's minimum-norm solve, matching
-    the pseudo-inverse semantics of the analytic formula.
+    Gaussian.  The strategy is factorised *once* through
+    :func:`build_normal_equations`, then workload rows are materialised in
+    blocks and each block contributes ``Σᵢ qᵢ · G⁺qᵢ`` to the trace.
+    Rank-deficient strategies get the factorisation's minimum-norm solve,
+    matching the pseudo-inverse semantics of the analytic formula.
     """
     workload = ensure_matrix(workload)
     strategy = ensure_matrix(strategy)

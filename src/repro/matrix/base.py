@@ -47,7 +47,9 @@ _ROWS_SCRATCH_CELLS = 16_777_216
 
 #: :meth:`LinearQueryMatrix.gram_auto` returns the sparse Gram when the
 #: structural nnz estimate is at most this fraction of the full ``n * n``;
-#: above it, CSR overhead (index storage, slower BLAS) loses to dense.
+#: above it, CSR overhead (index storage, slower BLAS) loses to dense.  The
+#: normal-equations builder applies the same fraction to the Gram estimate
+#: and, when the Gram is dense, to the strategy's own non-zeros.
 GRAM_DENSITY_THRESHOLD = 0.25
 
 
@@ -299,10 +301,12 @@ class LinearQueryMatrix:
 
         Returns :meth:`gram_sparse` (CSR) when the structural nnz estimate is
         at most ``density_threshold`` of the full ``n * n``, otherwise the
-        dense :meth:`gram_dense` ndarray.  This is the entry point the
-        normal-equations inference path uses, so strategies with sparse Grams
+        dense :meth:`gram_dense` ndarray.  The normal-equations inference
+        path factorises whichever comes back, so strategies with sparse Grams
         (disjoint partitions, identity measurements, Kronecker products of
-        such) are factorised in sparse form end-to-end.
+        such) are factorised in sparse form end-to-end; where the Gram is
+        dense it first tries to factorise the sparse strategy itself (see
+        :func:`~repro.operators.inference.build_normal_equations`).
         """
         n = self.shape[1]
         if self.gram_nnz_estimate() <= density_threshold * n * n:

@@ -354,7 +354,22 @@ class HaarWavelet(LinearQueryMatrix):
         return self.matmat(np.eye(self.n))
 
     def sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.dense())
+        # Built structurally, row by row in the order of _haar_matmat: the
+        # total, then each level's 2**level rows, coarse to fine.  A level's
+        # rows tile the domain with blocks of n >> level cells, +1 on the
+        # left half of each block and -1 on the right half, so every row
+        # block (total included) holds each column exactly once.
+        n = self.n
+        levels = n.bit_length() - 1
+        data, indptr = [np.ones(n)], [np.array([0, n])]
+        for level in range(levels):
+            block = n >> level
+            data.append(np.tile(np.repeat([1.0, -1.0], block // 2), 1 << level))
+            indptr.append(n * (level + 1) + block * np.arange(1, (1 << level) + 1))
+        return sp.csr_matrix(
+            (np.concatenate(data), np.tile(np.arange(n), levels + 1), np.concatenate(indptr)),
+            shape=self.shape,
+        )
 
     def _build_strategy_key(self) -> tuple:
         return ("HaarWavelet", self.n)

@@ -13,6 +13,7 @@ Prefix))`` following the paper's recommendation.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,28 +42,35 @@ class RangeQueries(LinearQueryMatrix):
 
     def __init__(self, n: int, intervals: Iterable[tuple[int, int]]):
         self.n = int(n)
-        self.intervals = [(int(lo), int(hi)) for lo, hi in intervals]
-        for lo, hi in self.intervals:
-            if not (0 <= lo <= hi < self.n):
-                raise ValueError(f"invalid range ({lo}, {hi}) for domain size {self.n}")
-        if not self.intervals:
+        bounds = np.array(list(intervals), dtype=np.int64)
+        if not bounds.size:
             raise ValueError("RangeQueries requires at least one interval")
+        if bounds.ndim != 2 or bounds.shape[1] != 2:
+            raise ValueError("RangeQueries intervals must be (lo, hi) pairs")
+        self._lo, self._hi = bounds[:, 0], bounds[:, 1]
+        invalid = np.flatnonzero((self._lo < 0) | (self._lo > self._hi) | (self._hi >= self.n))
+        if invalid.size:
+            lo, hi = bounds[invalid[0]].tolist()
+            raise ValueError(f"invalid range ({lo}, {hi}) for domain size {self.n}")
+        self.intervals = list(zip(self._lo.tolist(), self._hi.tolist()))
         self.shape = (len(self.intervals), self.n)
         self._product = Product(self._difference_matrix(), Prefix(self.n))
 
     def _difference_matrix(self) -> SparseMatrix:
-        """Sparse factor with +1 at column ``hi`` and -1 at column ``lo - 1``."""
-        rows, cols, vals = [], [], []
-        for i, (lo, hi) in enumerate(self.intervals):
-            rows.append(i)
-            cols.append(hi)
-            vals.append(1.0)
-            if lo > 0:
-                rows.append(i)
-                cols.append(lo - 1)
-                vals.append(-1.0)
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=self.shape)
-        return SparseMatrix(mat)
+        """Sparse factor with +1 at column ``hi`` and -1 at column ``lo - 1``.
+
+        Written in CSR form directly: each row holds its -1 (when ``lo > 0``)
+        and then its +1, so column indices come out sorted.
+        """
+        inner = self._lo > 0
+        indptr = np.concatenate([[0], np.cumsum(1 + inner)])
+        starts = indptr[:-1][inner]
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        indices[indptr[1:] - 1] = self._hi
+        indices[starts] = self._lo[inner] - 1
+        data = np.ones(indptr[-1])
+        data[starts] = -1.0
+        return SparseMatrix(sp.csr_matrix((data, indices, indptr), shape=self.shape))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._product.matvec(v)
@@ -84,18 +92,20 @@ class RangeQueries(LinearQueryMatrix):
 
     def sensitivity(self) -> float:
         # Column j is covered by every interval containing j.
-        counts = np.zeros(self.n)
-        for lo, hi in self.intervals:
-            counts[lo] += 1
-            if hi + 1 < self.n:
-                counts[hi + 1] -= 1
-        return float(np.max(np.cumsum(counts)))
+        starts = np.bincount(self._lo, minlength=self.n + 1)
+        ends = np.bincount(self._hi + 1, minlength=self.n + 1)
+        return float(np.max(np.cumsum(starts - ends)[: self.n]))
 
     def dense(self) -> np.ndarray:
         return self.rows(np.arange(self.shape[0]))
 
     def sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.dense())
+        # Built structurally: row i holds ones at columns lo_i..hi_i, so the
+        # CSR arrays are written directly without an (m, n) dense intermediate.
+        lengths = self._hi - self._lo + 1
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = np.arange(indptr[-1]) + np.repeat(self._lo - indptr[:-1], lengths)
+        return sp.csr_matrix((np.ones(indptr[-1]), indices, indptr), shape=self.shape)
 
     def row(self, i: int) -> np.ndarray:
         lo, hi = self.intervals[i]
@@ -109,14 +119,13 @@ class RangeQueries(LinearQueryMatrix):
         # than routing basis vectors through Prefix.
         indices = np.atleast_1d(np.asarray(indices, dtype=np.intp))
         bounds = np.zeros((indices.size, self.n + 1))
-        for r, i in enumerate(indices):
-            lo, hi = self.intervals[i]
-            bounds[r, lo] = 1.0
-            bounds[r, hi + 1] = -1.0
+        out_rows = np.arange(indices.size)
+        bounds[out_rows, self._lo[indices]] = 1.0
+        bounds[out_rows, self._hi[indices] + 1] = -1.0
         return np.cumsum(bounds[:, :-1], axis=1)
 
     def _build_strategy_key(self) -> tuple:
-        return ("RangeQueries", self.n, _content_digest(np.asarray(self.intervals)))
+        return ("RangeQueries", self.n, _content_digest(np.stack([self._lo, self._hi], axis=1)))
 
 
 def hierarchical_intervals(n: int, branching: int = 2) -> list[tuple[int, int]]:
@@ -125,11 +134,21 @@ def hierarchical_intervals(n: int, branching: int = 2) -> list[tuple[int, int]]:
     The root covers the whole domain; each node is recursively split into
     ``branching`` nearly-equal children; unit-length leaves are excluded (they
     are supplied by the Identity part of the hierarchical matrix).
+
+    The order is the measurement row order (so it decides which noise draw
+    each row gets): a depth-first walk that visits the last child first.
+    The hierarchy is a pure function of ``(n, branching)``, so it is built
+    once per pair (in a bounded memo) and each call returns a fresh list.
     """
     if n <= 0:
         raise ValueError("domain size must be positive")
     if branching < 2:
         raise ValueError("branching factor must be at least 2")
+    return list(_hierarchy(int(n), int(branching)))
+
+
+@functools.lru_cache(maxsize=64)
+def _hierarchy(n: int, branching: int) -> tuple[tuple[int, int], ...]:
     intervals: list[tuple[int, int]] = []
     frontier = [(0, n - 1)]
     while frontier:
@@ -139,12 +158,12 @@ def hierarchical_intervals(n: int, branching: int = 2) -> list[tuple[int, int]]:
             continue
         intervals.append((lo, hi))
         # Split [lo, hi] into `branching` nearly-equal children.
-        edges = np.linspace(lo, hi + 1, branching + 1).astype(int)
+        edges = np.linspace(lo, hi + 1, branching + 1).astype(int).tolist()
         for k in range(branching):
             c_lo, c_hi = edges[k], edges[k + 1] - 1
             if c_hi >= c_lo:
                 frontier.append((c_lo, c_hi))
-    return intervals
+    return tuple(intervals)
 
 
 class HierarchicalQueries(LinearQueryMatrix):

@@ -13,15 +13,38 @@ Four solution strategies are provided:
   baseline in the Fig. 5 scalability experiment).
 * ``method="lsmr"`` (default) — scipy's iterative LSMR solver driven purely by
   matvec/rmatvec, so it runs on implicit matrices without materialisation.
-* ``method="normal"`` — solve the normal equations ``(M.T M) x = M.T y`` with
-  the blocked vectorized :meth:`~repro.matrix.base.LinearQueryMatrix.gram_dense`
-  kernel.  For the common tall-skinny measurement case (``m >> n``) this is
-  dramatically faster than both alternatives, and the ``n x n`` Gram matrix is
-  data-independent, so it can be cached and shared across requests via the
-  service's :class:`~repro.service.artifact_cache.ArtifactCache` (pass
-  ``gram_cache``/``gram_key``).
+* ``method="normal"`` — solve the normal equations ``(M.T M) x = M.T y``
+  through a factorisation built once per strategy by
+  :func:`build_normal_equations`.  The factorisation is data-independent, so
+  it can be cached and shared across requests via the service's
+  :class:`~repro.service.artifact_cache.ArtifactCache` (pass
+  ``gram_cache``/``gram_key``), after which each solve is one cheap sweep.
 * ``method="auto"`` — picks ``"normal"`` for tall-skinny problems with a
   moderate domain, ``"lsmr"`` otherwise.
+
+:func:`build_normal_equations` picks one of four kinds from the strategy's
+own structure (reported as the ``gram_kind`` attribute of its
+``solve.build_normal_equations`` span):
+
+* ``"sparse"`` — the structural estimate
+  :meth:`~repro.matrix.base.LinearQueryMatrix.gram_nnz_estimate` says the
+  Gram ``M.T M`` is sparse (disjoint partitions, identity measurements,
+  Kronecker products of such): CSR Gram plus a sparse LU.
+* ``"orthogonal_rows"`` — the Gram is dense but ``M`` is sparse and
+  ``M M.T = D`` is diagonal with no zero row (Privelet's Haar matrix):
+  ``(M.T M)^+ = M.T D^-2 M`` is applied directly in O(nnz), with no Gram
+  and no factorisation.
+* ``"augmented"`` — the Gram is dense but ``M`` is sparse (the H2 and HB
+  hierarchies): a sparse LU of ``K = [[I, M], [M.T, 0]]``, whose
+  ``x``-block of ``K^-1 [0; -rhs]`` solves the normal equations.  ``K``
+  keeps the strategy's sparsity where ``M.T M`` fills in.
+* ``"dense"`` — everything else (``Prefix``, dense matrices), and sparse
+  strategies whose ``K`` is singular: the blocked dense Gram plus Cholesky.
+
+The two sparse-strategy kinds apply when ``nnz(M)`` is at most
+:data:`~repro.matrix.base.GRAM_DENSITY_THRESHOLD` of ``n * n``, the same
+fraction that decides a sparse Gram.  Rank-deficient strategies get the
+minimum-norm (pseudo-inverse) solution from every kind.
 """
 
 from __future__ import annotations
@@ -32,9 +55,10 @@ from typing import Callable, Hashable, Protocol
 import numpy as np
 from scipy import sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import factorized, lsmr
+from scipy.sparse.linalg import factorized, lsmr, splu
 
 from ...matrix import LinearQueryMatrix, ensure_matrix
+from ...matrix.base import GRAM_DENSITY_THRESHOLD
 from ...matrix.combinators import VStack
 from ...telemetry.spans import trace_span
 
@@ -48,7 +72,10 @@ class SupportsGetOrBuild(Protocol):
 #: ``method="auto"`` switches to the normal equations when the measurement
 #: matrix has at least this many rows per column ...
 _AUTO_NORMAL_ASPECT = 2.0
-#: ... and no more than this many columns (the Gram solve is O(n^3)).
+#: ... and no more than this many columns.  The bound is set by the dense
+#: kind: its Gram takes n^2 doubles and its Cholesky factorisation O(n^3)
+#: time; the sparse, orthogonal-rows and augmented kinds scale with the
+#: strategy's non-zeros instead.
 _AUTO_NORMAL_MAX_DOMAIN = 4096
 
 
@@ -63,31 +90,42 @@ class InferenceResult:
 
 @dataclass
 class NormalEquations:
-    """Cached normal-equations artifact: the Gram matrix and its factorisation.
+    """Cached normal-equations artifact: one factorisation of ``M.T M``.
 
-    Both depend only on the (public) measurement strategy and weights, never on
-    the noisy answers, so the artifact is data-independent and safe to share
-    across requests and tenants through the service's ``ArtifactCache``.
+    It depends only on the (public) measurement strategy and weights, never
+    on the noisy answers, so the artifact is data-independent and safe to
+    share across requests and tenants through the service's
+    ``ArtifactCache``.  ``kind`` says which of the four forms
+    :func:`build_normal_equations` chose (see the module docstring):
 
-    ``gram`` is either a dense ndarray (factorised with Cholesky, ``cho``) or a
-    scipy CSR matrix (factorised with a sparse LU via
-    ``scipy.sparse.linalg.factorized``, ``lu``), whichever
-    :meth:`~repro.matrix.base.LinearQueryMatrix.gram_auto` decided fits the
-    strategy's structure.  When the Gram is singular (rank-deficient
-    measurements) both factorisations are ``None`` and solves fall back to the
-    minimum-norm pseudo-inverse solution.
+    * ``"dense"`` — ``gram`` is a dense ndarray factorised with Cholesky
+      (``cho``);
+    * ``"sparse"`` — ``gram`` is a scipy CSR matrix factorised with a sparse
+      LU (``lu``, from ``scipy.sparse.linalg.factorized``);
+    * ``"orthogonal_rows"`` and ``"augmented"`` — no Gram is formed
+      (``gram`` is ``None``); ``lu`` applies ``(M.T M)^+`` from the sparse
+      strategy itself.
+
+    When the Gram is singular (rank-deficient measurements) the dense and
+    sparse kinds keep the Gram with both factorisations ``None``, and solves
+    fall back to the minimum-norm pseudo-inverse solution.
     """
 
-    gram: np.ndarray | sp.spmatrix
+    gram: np.ndarray | sp.spmatrix | None
     cho: tuple | None
     lu: Callable[[np.ndarray], np.ndarray] | None = None
+    kind: str = ""
+
+    def __post_init__(self):
+        if not self.kind:
+            self.kind = "sparse" if sp.issparse(self.gram) else "dense"
 
     @property
     def is_sparse(self) -> bool:
         return sp.issparse(self.gram)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``gram @ x = rhs`` for a vector or a stack of columns."""
+        """``(M.T M)^+ rhs`` for a vector or a stack of columns."""
         if self.cho is not None:
             return cho_solve(self.cho, rhs)
         if self.lu is not None:
@@ -109,11 +147,11 @@ class NormalEquations:
 def build_normal_equations(
     queries: LinearQueryMatrix, prefer: str = "auto"
 ) -> NormalEquations:
-    """Materialise ``M.T M`` and factorise it, exploiting sparsity when it fits.
+    """Factorise the normal equations of ``queries`` once, in the cheapest form.
 
-    ``prefer`` is ``"auto"`` (let the strategy's structural nnz estimate pick
-    the representation), ``"sparse"`` (force CSR + sparse LU) or ``"dense"``
-    (force the blocked dense Gram kernel + Cholesky).
+    ``prefer`` is ``"auto"`` (pick the kind from the strategy's structure, as
+    the module docstring describes), ``"sparse"`` (force the CSR Gram +
+    sparse LU) or ``"dense"`` (force the blocked dense Gram + Cholesky).
     """
     with trace_span(
         "solve.build_normal_equations",
@@ -121,29 +159,93 @@ def build_normal_equations(
         rows=int(queries.shape[0]),
         cols=int(queries.shape[1]),
     ) as span:
+        n = queries.shape[1]
         if prefer == "auto":
-            gram = queries.gram_auto()
+            # Where the Gram is dense, try the sparse strategy itself first.
+            # Its CSR form is dropped on return, before any dense Gram is
+            # built, so dense strategies' peak memory stays put.
+            normal = None
+            if queries.gram_nnz_estimate() > GRAM_DENSITY_THRESHOLD * n * n:
+                normal = _factor_strategy(queries)
+            if normal is None:
+                normal = _factor_gram(queries.gram_auto())
         elif prefer == "sparse":
-            gram = queries.gram_sparse()
+            normal = _factor_gram(queries.gram_sparse())
         elif prefer == "dense":
-            gram = queries.gram_dense()
+            normal = _factor_gram(queries.gram_dense())
         else:
             raise ValueError(f"unknown Gram preference {prefer!r}")
-        if sp.issparse(gram):
-            gram = gram.tocsr()
-            try:
-                lu = factorized(gram.tocsc())
-            except RuntimeError:
-                # Exactly singular: solves fall back to the pseudo-inverse.
-                lu = None
-            span.set_attributes(gram_kind="sparse", gram_nnz=int(gram.nnz))
-            return NormalEquations(gram, cho=None, lu=lu)
+        span.set_attribute("gram_kind", normal.kind)
+        if normal.is_sparse:
+            span.set_attribute("gram_nnz", int(normal.gram.nnz))
+        return normal
+
+
+def _factor_gram(gram: np.ndarray | sp.spmatrix) -> NormalEquations:
+    """The ``"sparse"`` (CSR + sparse LU) or ``"dense"`` (Cholesky) kind."""
+    if sp.issparse(gram):
+        gram = gram.tocsr()
         try:
-            cho = cho_factor(gram)
-        except np.linalg.LinAlgError:
+            lu = factorized(gram.tocsc())
+        except RuntimeError:
+            # Exactly singular: solves fall back to the pseudo-inverse.
+            lu = None
+        return NormalEquations(gram, cho=None, lu=lu)
+    try:
+        cho = cho_factor(gram)
+    except np.linalg.LinAlgError:
+        cho = None
+    else:
+        # A singular Gram whose zero pivot rounding left slightly positive
+        # factorises "successfully", but its solve is not the minimum-norm
+        # one; treat pivots below the Cholesky backward error as zero.
+        pivots = np.diag(cho[0]) ** 2
+        if pivots.min() <= gram.shape[0] * np.finfo(np.float64).eps * np.trace(gram):
             cho = None
-        span.set_attribute("gram_kind", "dense")
-        return NormalEquations(gram, cho)
+    return NormalEquations(gram, cho)
+
+
+def _factor_strategy(queries: LinearQueryMatrix) -> NormalEquations | None:
+    """The ``"orthogonal_rows"`` or ``"augmented"`` kind, built from the
+    strategy's CSR form; ``None`` when that form is not sparse or the
+    augmented system is singular."""
+    m, n = queries.shape
+    strategy = queries.sparse().tocsr()
+    if strategy.nnz > GRAM_DENSITY_THRESHOLD * n * n:
+        return None
+    if m <= n:  # more than n non-zero rows cannot be mutually orthogonal
+        outer = strategy @ strategy.T
+        norms = outer.diagonal()
+        if np.all(norms > 0) and outer.count_nonzero() == m:
+            # M = D^(1/2) Q with orthonormal rows Q, so (M.T M)^+ = Q.T D^-1 Q
+            # = M.T D^-2 M, which is also the pseudo-inverse when m < n.
+            scale = 1.0 / norms**2
+
+            def solve_orthogonal(rhs: np.ndarray) -> np.ndarray:
+                coeffs = strategy @ rhs
+                coeffs *= scale if coeffs.ndim == 1 else scale[:, None]
+                return strategy.T @ coeffs
+
+            return NormalEquations(None, cho=None, lu=solve_orthogonal, kind="orthogonal_rows")
+    system = sp.bmat([[sp.identity(m), strategy], [strategy.T, None]], format="csc")
+    try:
+        # The symmetric ordering: splu's default COLAMD fills in 10-19x more.
+        factor = splu(system, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:
+        return None  # exactly singular: rank-deficient strategy
+    pivots = np.abs(factor.U.diagonal())
+    if pivots.min() <= pivots.max() * np.finfo(np.float64).eps * (m + n):
+        # Rank-deficient too: rounding (with non-uniform row weights, say)
+        # left a tiny pivot where exact arithmetic has a zero.
+        return None
+
+    def solve_augmented(rhs: np.ndarray) -> np.ndarray:
+        # K [r; x] = [0; -rhs] gives r = -M x and M.T M x = rhs.
+        block = np.zeros((m + n,) + rhs.shape[1:])
+        block[m:] = -rhs
+        return factor.solve(block)[m:]
+
+    return NormalEquations(None, cho=None, lu=solve_augmented, kind="augmented")
 
 
 def _apply_weights(

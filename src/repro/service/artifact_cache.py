@@ -100,7 +100,10 @@ class ArtifactCache:
         return self.get_or_build(key, lambda: build_workload(name, params))
 
     def normal_equations(self, key: Hashable, matrix: LinearQueryMatrix):
-        """Cached normal-equations artifact (Gram matrix + Cholesky factor).
+        """Cached normal-equations artifact: the strategy's factorisation in
+        whichever kind :func:`~repro.operators.inference.build_normal_equations`
+        picks for it (a Cholesky-factored dense Gram, a sparse-LU'd CSR Gram,
+        the orthogonal-rows closed form or the augmented system's sparse LU).
 
         The artifact depends only on the (public) measurement strategy, never
         on private data, so it is safe to share across sessions and tenants.
@@ -116,12 +119,6 @@ class ArtifactCache:
         return self.get_or_build(
             ("least_squares_gram", key), lambda: build_normal_equations(matrix)
         )
-
-    def gram(self, key: Hashable, matrix: LinearQueryMatrix):
-        """Cached Gram matrix ``M.T M`` (a view into the shared
-        normal-equations artifact) — a dense ndarray or CSR matrix, whichever
-        ``gram_auto`` decided fits the strategy's structure."""
-        return self.normal_equations(key, matrix).gram
 
     @property
     def stats(self) -> dict:

@@ -1,17 +1,23 @@
 """Tests of the sparse-aware Gram/solve engine and strategy-key protocol.
 
-Covers the PR-3 tentpole: ``gram_sparse``/``gram_auto``/``strategy_key``
-across the full matrix hierarchy, the sparse branch of the normal-equations
-inference artifact, and the scheduler-level Gram sharing that reuses one
-factorisation across tenants.  Also pins the satellite bugfixes: weighted
-residual-norm units, the all-zero-weights guard, the structural (dense-free)
-``sparse()`` builders, and the rejected-request audit event.
+Covers ``gram_sparse``/``gram_auto``/``strategy_key`` across the full matrix
+hierarchy, the four kinds of the normal-equations inference artifact (sparse
+Gram, orthogonal rows, augmented system, dense Gram) and the rule that picks
+them, and the scheduler-level Gram sharing that reuses one factorisation
+across tenants.  Also pins weighted residual-norm units, the all-zero-weights
+guard, the structural (dense-free) ``sparse()`` builders, and the memoised
+hierarchy intervals.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.matrix import (
@@ -35,6 +41,8 @@ from repro.matrix import (
     VStack,
     Weighted,
     all_kway_marginals,
+    hierarchical_intervals,
+    optimal_branching_factor,
 )
 from repro.operators.inference import (
     build_normal_equations,
@@ -43,6 +51,7 @@ from repro.operators.inference import (
 )
 from repro.operators.inference.least_squares import NormalEquations
 from repro.service import ArtifactCache
+from repro.telemetry import Tracer, activate
 
 
 def _rng(seed=0):
@@ -382,3 +391,207 @@ class TestAutoGramKeys:
         assert with_cache.iterations == 1  # normal path
         assert len(cache) == 1
         np.testing.assert_allclose(with_cache.x_hat, without.x_hat, atol=1e-6)
+
+
+# ----------------------------------------------------------------------------
+# The four normal-equations kinds and the rule that picks them.
+# ----------------------------------------------------------------------------
+KIND_CASES = [
+    ("haar", lambda: HaarWavelet(64), "orthogonal_rows"),
+    ("h2", lambda: HierarchicalQueries(64, 2), "augmented"),
+    ("hb", lambda: HierarchicalQueries(64, 16), "augmented"),
+    # n=1000 splits unevenly: children of one node differ in size.
+    ("h2_uneven", lambda: HierarchicalQueries(1000, 2), "augmented"),
+    ("hb_uneven", lambda: HierarchicalQueries(1000, 16), "augmented"),
+    # Square and sparse, but overlapping rows: not orthogonal.
+    (
+        "sliding_windows",
+        lambda: RangeQueries(64, [(i, min(i + 3, 63)) for i in range(64)]),
+        "augmented",
+    ),
+    ("prefix", lambda: Prefix(64), "dense"),
+    ("dense", lambda: DenseMatrix(_rng(3).normal(size=(96, 64))), "dense"),
+    ("partition", lambda: VStack([_reduction(64, 8), Identity(64)]), "sparse"),
+    ("kron_partition", lambda: Kronecker([Identity(4), _reduction(16, 4, 9)]), "sparse"),
+]
+
+
+def _relative_gap(got, want) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _unsplit_pair(n: int) -> RangeQueries:
+    """A 0/1 hierarchy that never separates cells 0 and 1: rank n - 1."""
+    return RangeQueries(n, hierarchical_intervals(n, 2) + [(i, i) for i in range(2, n)])
+
+
+@pytest.mark.parametrize("name,build,kind", KIND_CASES, ids=[c[0] for c in KIND_CASES])
+class TestNormalEquationKinds:
+    def test_auto_picks_the_kind_and_traces_it(self, name, build, kind):
+        tracer = Tracer()
+        with activate(tracer):
+            normal = build_normal_equations(build())
+        assert normal.kind == kind
+        (span,) = [s for s in tracer.drain() if s.name == "solve.build_normal_equations"]
+        assert span.attributes["gram_kind"] == kind
+        # Only the Gram kinds hold a Gram.
+        assert (normal.gram is None) == (kind in ("orthogonal_rows", "augmented"))
+
+    def test_solutions_match_the_dense_kind(self, name, build, kind):
+        strategy = build()
+        rng = _rng(17)
+        normal = build_normal_equations(strategy)
+        dense = build_normal_equations(strategy, prefer="dense")
+        vector = strategy.rmatvec(rng.normal(size=strategy.shape[0]))
+        columns = strategy.rmatmat(rng.normal(size=(strategy.shape[0], 3)))
+        assert normal.solve(vector).shape == vector.shape
+        assert normal.solve(columns).shape == columns.shape
+        assert _relative_gap(normal.solve(vector), dense.solve(vector)) <= 1e-9
+        assert _relative_gap(normal.solve(columns), dense.solve(columns)) <= 1e-9
+
+
+class TestNormalEquationKindsEdges:
+    @pytest.mark.parametrize(
+        "strategy",
+        [HaarWavelet(128), HierarchicalQueries(128, optimal_branching_factor(128)),
+         HierarchicalQueries(128, 2)],
+        ids=["privelet", "hb", "h2"],
+    )
+    def test_expected_workload_error_matches_the_dense_kind(self, monkeypatch, strategy):
+        from repro.analysis import error as error_module
+
+        pairs = _rng(23).integers(0, 128, size=(40, 2))
+        workload = RangeQueries(128, [(min(a, b), max(a, b)) for a, b in pairs])
+        fast = error_module.expected_workload_error(workload, strategy)
+        monkeypatch.setattr(
+            error_module,
+            "build_normal_equations",
+            lambda matrix: build_normal_equations(matrix, prefer="dense"),
+        )
+        assert fast == pytest.approx(
+            error_module.expected_workload_error(workload, strategy), rel=1e-9
+        )
+
+    def test_rank_deficient_hierarchy_returns_min_norm_solution(self):
+        strategy = _unsplit_pair(16)
+        dense = strategy.dense()
+        assert np.linalg.matrix_rank(dense) == 15
+        # A singular augmented system falls through to the dense kind.
+        assert build_normal_equations(strategy).kind == "dense"
+        rng = _rng(29)
+        answers = rng.normal(size=strategy.shape[0])
+        expected = np.linalg.lstsq(dense, answers, rcond=None)[0]
+        got = least_squares(strategy, answers, method="normal").x_hat
+        np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    def test_rank_deficient_hierarchy_with_nonuniform_weights(self):
+        # Row weights make a zero pivot round to a tiny non-zero in some
+        # draws (draws 1, 5, 11, 14, 17 and 23 on x86-64 scipy 1.17, where
+        # splu then does not raise); every draw must still give the
+        # minimum-norm solution.
+        strategy = _unsplit_pair(32)
+        dense = strategy.dense()
+        answers = _rng(30).normal(size=strategy.shape[0])
+        rng = _rng(31)
+        for _ in range(25):
+            weights = rng.uniform(0.1, 3.0, size=strategy.shape[0])
+            expected = np.linalg.lstsq(weights[:, None] * dense, weights * answers, rcond=None)[0]
+            got = least_squares(strategy, answers, weights=weights, method="normal").x_hat
+            np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    def test_orthogonal_rows_with_fewer_rows_than_columns(self):
+        # Total(n) is one non-zero row: its pseudo-inverse solve is the
+        # closed form, not a factorisation.
+        strategy = Total(12)
+        normal = build_normal_equations(strategy)
+        assert normal.kind == "orthogonal_rows"
+        rhs = strategy.rmatvec(np.array([6.0]))
+        np.testing.assert_allclose(normal.solve(rhs), np.full(12, 0.5), atol=1e-12)
+
+
+class TestSharedFactorAcrossThreads:
+    @pytest.mark.parametrize(
+        "strategy", [HierarchicalQueries(256, 2), HaarWavelet(256)], ids=["augmented", "orthogonal"]
+    )
+    def test_concurrent_solves_match_serial_solves(self, strategy):
+        # The service's thread backend solves many requests against one
+        # cached factor at once; every solve must equal its serial result.
+        normal = build_normal_equations(strategy)
+        rng = _rng(37)
+        rhs = [strategy.rmatvec(rng.normal(size=strategy.shape[0])) for _ in range(16)]
+        expected = [normal.solve(r) for r in rhs]
+        mismatches, done = [], []
+
+        def worker(offset: int) -> None:
+            for k in range(48):
+                j = (k + offset) % len(rhs)
+                if not np.array_equal(normal.solve(rhs[j]), expected[j]):
+                    mismatches.append(j)
+            done.append(offset)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(done) == 8 and not mismatches
+
+
+class TestStructuralSparse:
+    @pytest.mark.parametrize("n", [1 << k for k in range(13)])
+    def test_haar_sparse_equals_dense(self, n):
+        haar = HaarWavelet(n)
+        mat = haar.sparse()
+        assert mat.has_canonical_format and mat.nnz == n * n.bit_length()
+        # Column blocks keep the comparison's memory small at n=4096.
+        for lo in range(0, n, 512):
+            hi = min(lo + 512, n)
+            basis = np.zeros((n, hi - lo))
+            basis[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+            assert np.array_equal(mat[:, lo:hi].toarray(), haar.matmat(basis))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40))
+    def test_range_queries_sparse_equals_dense(self, data, n):
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = data.draw(st.lists(ends, min_size=1, max_size=12))
+        intervals = [(min(a, b), max(a, b)) for a, b in pairs]
+        ranges = RangeQueries(n, intervals)
+        expected = np.zeros((len(intervals), n))
+        for row, (lo, hi) in enumerate(intervals):
+            expected[row, lo : hi + 1] = 1.0
+        assert np.array_equal(ranges.dense(), expected)
+        assert np.array_equal(ranges.sparse().toarray(), expected)
+        assert ranges.sensitivity() == expected.sum(axis=0).max()
+        assert ranges.intervals == intervals
+
+
+class TestHierarchicalIntervals:
+    # The interval order is the row order of the hierarchy, so it decides
+    # which noise draw each row gets: pinned to the exact historical order.
+    @pytest.mark.parametrize(
+        "n,branching,expected",
+        [
+            (10, 2, [(0, 9), (5, 9), (7, 9), (8, 9), (5, 6), (0, 4), (2, 4), (3, 4), (0, 1)]),
+            (10, 3, [(0, 9), (6, 9), (8, 9), (3, 5), (0, 2)]),
+            (16, 4, [(0, 15), (12, 15), (8, 11), (4, 7), (0, 3)]),
+            (7, 2, [(0, 6), (3, 6), (5, 6), (3, 4), (0, 2), (1, 2)]),
+            (12, 5, [(0, 11), (9, 11), (7, 8), (4, 6), (2, 3), (0, 1)]),
+        ],
+    )
+    def test_order_is_pinned(self, n, branching, expected):
+        assert hierarchical_intervals(n, branching) == expected
+
+    def test_memoised_list_is_a_fresh_copy(self):
+        first = hierarchical_intervals(32, 4)
+        first.append((0, 0))
+        second = hierarchical_intervals(32, 4)
+        assert (0, 0) not in second
+        assert second == hierarchical_intervals(32, 4)
+        assert all(type(lo) is int and type(hi) is int for lo, hi in second)

@@ -328,25 +328,15 @@ class TestInferenceFastPaths:
         assert cache.stats["misses"] == 1
         assert cache.stats["hits"] == 2
 
-    def test_artifact_cache_gram_convenience(self):
-        from repro.service import ArtifactCache
-
-        cache = ArtifactCache()
-        queries = Prefix(16)
-        first = cache.gram("prefix-16", queries)
-        second = cache.gram("prefix-16", queries)
-        assert first is second
-        np.testing.assert_allclose(first, queries.dense().T @ queries.dense())
-
     def test_cache_gram_primes_least_squares_fast_path(self):
-        # ArtifactCache.gram / .normal_equations and least_squares(gram_cache=)
-        # must address one shared entry, not build the Gram twice.
+        # ArtifactCache.normal_equations and least_squares(gram_cache=) must
+        # address one shared entry, not factorise the strategy twice.
         from repro.operators.inference import least_squares
         from repro.service import ArtifactCache
 
         cache = ArtifactCache()
         queries = HierarchicalQueries(16)
-        cache.gram("h16", queries)
+        cache.normal_equations("h16", queries)
         answers = queries.matvec(np.arange(16.0))
         least_squares(queries, answers, method="normal", gram_cache=cache, gram_key="h16")
         assert cache.stats == {"entries": 1, "hits": 1, "misses": 1, "evictions": 0}

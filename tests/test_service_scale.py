@@ -67,18 +67,46 @@ def _requests(session_id: str) -> list[QueryRequest]:
             workload="all_range",
             workload_params={"n": N},
         ),
+        # Least-squares plans: each solves against the scheduler's shared
+        # normal-equations factor (augmented for H2 and HB, orthogonal rows
+        # for Privelet).
+        QueryRequest(
+            session_id,
+            plan="Hierarchical Opt (HB)",
+            epsilon=0.1,
+            workload="prefix",
+            workload_params={"n": N},
+        ),
+        QueryRequest(
+            session_id,
+            plan="Hierarchical (H2)",
+            epsilon=0.1,
+            workload="all_range",
+            workload_params={"n": N},
+        ),
+        QueryRequest(
+            session_id,
+            plan="Privelet",
+            epsilon=0.1,
+            workload="prefix",
+            workload_params={"n": N},
+        ),
     ]
 
 
-def _run_backend(relation, executor) -> tuple[list[QueryResponse], object]:
+def _run_backend(relation, executor) -> tuple[list[QueryResponse], list]:
+    # Three sessions, so the thread backend runs their requests (and their
+    # solves against one cached factor per strategy) concurrently.
     manager = SessionManager()
     scheduler = PlanScheduler(manager, executor=executor)
-    session = manager.create_session(
-        "acme", relation, 10.0, seed=7, session_id="acme-s1"
-    )
-    responses = scheduler.execute_batch(_requests("acme-s1"))
+    sessions = [
+        manager.create_session("acme", relation, 10.0, seed=7 + i, session_id=f"acme-s{i}")
+        for i in range(3)
+    ]
+    batches = [_requests(session.session_id) for session in sessions]
+    responses = scheduler.execute_batch([r for group in zip(*batches) for r in group])
     scheduler.shutdown()
-    return responses, session
+    return responses, sessions
 
 
 class TestExecutorBackends:
@@ -93,16 +121,18 @@ class TestExecutorBackends:
                 make_executor(name)
 
     def test_answers_byte_identical_across_backends(self, relation):
-        base, inline_session = _run_backend(relation, "inline")
-        threaded, thread_session = _run_backend(relation, "thread")
+        base, inline_sessions = _run_backend(relation, "inline")
+        threaded, thread_sessions = _run_backend(relation, "thread")
+        assert len(base) == len(threaded) == 3 * len(_requests("x"))
         for expected, got in zip(base, threaded):
             assert np.array_equal(expected.payload, got.payload)
             assert np.array_equal(expected.x_hat, got.x_hat)
             assert got.seed == expected.seed
             assert got.epsilon_spent == expected.epsilon_spent
-        assert thread_session.budget_consumed() == inline_session.budget_consumed()
-        assert reconcile(inline_session)["exact"]
-        assert reconcile(thread_session)["exact"]
+        for inline_session, thread_session in zip(inline_sessions, thread_sessions):
+            assert thread_session.budget_consumed() == inline_session.budget_consumed()
+            assert reconcile(inline_session)["exact"]
+            assert reconcile(thread_session)["exact"]
 
     @pytest.mark.parametrize("backend", ["inline", "thread"])
     def test_backend_journals_every_charge(self, relation, backend):
