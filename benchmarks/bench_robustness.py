@@ -1,6 +1,6 @@
 """Benchmark of the durability layer: journal overhead, snapshot, recovery.
 
-Four sections:
+Three sections:
 
 * ``journal_overhead`` — per-request service latency without a journal vs
   with a journal in each fsync mode (``never``, ``commit``, ``always``),
@@ -19,9 +19,6 @@ Four sections:
   process takes at startup).
 * ``recovery_scaling`` — journal-only restore time vs journal length, i.e.
   how replay cost grows with the number of journaled requests.
-* ``lifecycle_overhead`` — per-request cost of the request-lifecycle guards
-  (admission control + circuit breaker + deadline bookkeeping) relative to
-  the bare scheduler.
 
 Each run appends one trajectory point to ``BENCH_robustness.json`` at the
 repo root.  CI runs ``--quick`` mode with loose thresholds so slow runners
@@ -47,13 +44,7 @@ import numpy as np
 
 from repro.dataset import Attribute, Relation, Schema
 from repro.durability import PrivacyJournal
-from repro.service import (
-    AdmissionController,
-    CircuitBreaker,
-    PlanScheduler,
-    QueryRequest,
-    SessionManager,
-)
+from repro.service import PlanScheduler, QueryRequest, SessionManager
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_robustness.json"
@@ -236,47 +227,6 @@ def bench_recovery_scaling(sizes: list[int], repeats: int, tmpdir: Path) -> list
     return results
 
 
-def bench_lifecycle_overhead(num_requests: int, repeats: int) -> list[dict]:
-    """Cost of admission + breaker + deadline bookkeeping per request."""
-    bare = _time(lambda: _run_session(num_requests), repeats) / num_requests
-
-    def run_guarded():
-        manager = SessionManager()
-        scheduler = PlanScheduler(
-            manager,
-            admission=AdmissionController(
-                max_queue_depth=64, max_inflight_per_tenant=16
-            ),
-            breaker=CircuitBreaker(),
-        )
-        session = manager.create_session(
-            "bench", _relation(), epsilon_total=num_requests * 0.2, seed=0
-        )
-        for index in range(num_requests):
-            scheduler.execute(
-                QueryRequest(
-                    session.session_id,
-                    plan="Identity",
-                    epsilon=0.1 + index * 1e-6,
-                    workload="prefix",
-                    workload_params={"n": DOMAIN},
-                    reuse=False,
-                    deadline_seconds=60.0,
-                )
-            )
-
-    guarded = _time(run_guarded, repeats) / num_requests
-    return [
-        {
-            "section": "lifecycle_overhead",
-            "num_requests": num_requests,
-            "bare_request_seconds": bare,
-            "guarded_request_seconds": guarded,
-            "overhead_fraction": (guarded - bare) / bare,
-        }
-    ]
-
-
 def record_trajectory(point: dict) -> None:
     """Append this run to the BENCH_robustness.json trajectory file."""
     if TRAJECTORY_PATH.exists():
@@ -328,7 +278,6 @@ def main() -> int:
         )
         results += bench_snapshot_restore(num_requests, repeats, tmpdir)
         results += bench_recovery_scaling(recovery_sizes, repeats, tmpdir)
-        results += bench_lifecycle_overhead(num_requests, repeats)
 
     print(f"\nRobustness benchmark ({'quick' if args.quick else 'full'} mode)\n")
     for r in results:
@@ -349,12 +298,6 @@ def main() -> int:
                 f"  recovery_scaling {r['journal_records']:5d} records -> "
                 f"{r['restore_seconds'] * 1e3:7.2f} ms "
                 f"({r['records_per_second']:8.0f} records/s)"
-            )
-        else:
-            print(
-                f"  lifecycle_overhead bare {r['bare_request_seconds'] * 1e6:7.1f} us, "
-                f"guarded {r['guarded_request_seconds'] * 1e6:7.1f} us "
-                f"(+{r['overhead_fraction'] * 100:.2f}%)"
             )
 
     commit = next(

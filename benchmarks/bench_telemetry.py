@@ -1,6 +1,6 @@
 """Benchmark of the telemetry subsystem: disabled overhead and tracing cost.
 
-Four sections:
+Three sections:
 
 * ``noop_overhead`` — cost of one instrumented seam when no tracer is active
   (the ``trace_span`` thread-local read returning the shared no-op handle),
@@ -16,9 +16,6 @@ Four sections:
   but the number is recorded so the trajectory catches regressions.
 * ``exporter_throughput`` — spans/second through the JSON-lines and Chrome
   trace-event serialisers over a realistic span population.
-* ``slo_throughput`` — :meth:`SloEngine.evaluate` calls/second over a
-  populated registry (latency + availability + privacy-burn objectives),
-  so the trajectory catches the alert path getting expensive.
 
 Each run appends one trajectory point to ``BENCH_telemetry.json`` at the
 repo root.  CI runs ``--quick`` mode with loose floors so slow runners do
@@ -42,16 +39,7 @@ import numpy as np
 
 from repro.dataset import Attribute, Relation, Schema
 from repro.service import PlanScheduler, QueryRequest, SessionManager
-from repro.telemetry import (
-    MetricsRegistry,
-    SloEngine,
-    SloSpec,
-    Tracer,
-    default_slos,
-    spans_to_chrome_trace,
-    spans_to_jsonlines,
-    trace_span,
-)
+from repro.telemetry import Tracer, spans_to_chrome_trace, spans_to_jsonlines, trace_span
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_telemetry.json"
@@ -185,42 +173,6 @@ def bench_exporters(num_spans: int, repeats: int) -> list[dict]:
     return results
 
 
-def bench_slo_throughput(num_evaluations: int, repeats: int) -> dict:
-    """SLO evaluations/second over a registry with realistic instruments."""
-    registry = MetricsRegistry()
-    for index in range(200):
-        tenant = f"tenant-{index % 8}"
-        registry.counter(
-            "service_requests", tenant=tenant, plan="Identity",
-            outcome="ok" if index % 20 else "error",
-        ).inc()
-        registry.histogram("service_request_latency_seconds", tenant=tenant).observe(
-            0.001 * (1 + index % 50)
-        )
-        registry.record_privacy_spend(tenant, "Identity", 0.01)
-    specs = default_slos() + [
-        SloSpec(
-            name=f"burn-tenant-{t}", kind="privacy_burn",
-            tenant=f"tenant-{t}", budget=10.0,
-        )
-        for t in range(8)
-    ]
-    engine = SloEngine(registry, specs=specs, publish=False)
-
-    def run():
-        for _ in range(num_evaluations):
-            engine.evaluate()
-
-    seconds = _time(run, repeats)
-    return {
-        "section": "slo_throughput",
-        "num_specs": len(specs),
-        "num_evaluations": num_evaluations,
-        "seconds": seconds,
-        "evaluations_per_second": num_evaluations / max(seconds, 1e-12),
-    }
-
-
 def record_trajectory(point: dict) -> None:
     """Append this run to the BENCH_telemetry.json trajectory file."""
     if TRAJECTORY_PATH.exists():
@@ -252,13 +204,11 @@ def main() -> int:
         num_requests = 60
         noop_calls = 20_000
         num_spans = 200
-        num_evaluations = 100
     else:
         repeats = 3
         num_requests = 300
         noop_calls = 200_000
         num_spans = 1000
-        num_evaluations = 1000
 
     max_overhead = args.max_disabled_overhead if args.max_disabled_overhead is not None else (
         0.15 if args.quick else 0.02
@@ -268,7 +218,6 @@ def main() -> int:
     noop = bench_noop_overhead(results, noop_calls, repeats)
     results.append(noop)
     results += bench_exporters(num_spans, repeats)
-    results.append(bench_slo_throughput(num_evaluations, repeats))
 
     print(f"\nTelemetry benchmark ({'quick' if args.quick else 'full'} mode)\n")
     for r in results:
@@ -287,11 +236,6 @@ def main() -> int:
             print(
                 f"  exporter_throughput {r['exporter']:12s} "
                 f"{r['spans_per_second']:10.0f} spans/s over {r['num_spans']}"
-            )
-        elif r["section"] == "slo_throughput":
-            print(
-                f"  slo_throughput {r['evaluations_per_second']:10.0f} eval/s "
-                f"({r['num_specs']} specs)"
             )
 
     print(

@@ -7,9 +7,10 @@ needs between the two — sessions, scheduling, caching and auditing:
 * :class:`SessionManager` / :class:`Session` — per-tenant kernels, each with
   its own epsilon ledger, lock and audit trail;
 * :class:`QueryRequest` / :class:`QueryResponse` — the data-free wire API;
-* :class:`PlanScheduler` — the execution core: a composable request pipeline
-  (:mod:`~repro.service.pipeline`) driven by an executor backend
-  (:mod:`~repro.service.executors`: ``inline``/``thread``), with
+* :class:`PlanScheduler` — the execution core: each request runs as
+  straight-line code (closed checks, session lock, root span, deadline
+  check, cache probe, plan run, journal commit) driven by an executor
+  backend (:mod:`~repro.service.executors`: ``inline``/``thread``), with
   deterministic per-request noise seeding that makes answers byte-identical
   on either backend;
 * :class:`MeasurementCache` — budget-free replay of already-released answers
@@ -26,10 +27,7 @@ Observability: construct the scheduler with a
 solver calls, structurally identical on either backend.  Metrics
 (latency/queue-wait histograms, outcome and cache counters, the per-tenant
 privacy-spend odometer) are always collected on ``scheduler.metrics``.
-Attach a
-:class:`~repro.telemetry.FlightRecorder` for postmortem bundles on failures
-and an :class:`~repro.telemetry.SloEngine` (or call :func:`slo_report`) for
-multi-window burn-rate alerting.  See :mod:`repro.telemetry`.
+See :mod:`repro.telemetry`.
 
 Typical usage::
 
@@ -53,18 +51,10 @@ from .export import (
     reconcile,
     service_report,
     session_report,
-    slo_report,
     telemetry_report,
 )
 from .measurement_cache import CachedAnswer, MeasurementCache
-from .pipeline import RequestContext, RequestPipeline
-from .robustness import (
-    AdmissionController,
-    AdmissionError,
-    CircuitBreaker,
-    RetryPolicy,
-    SessionClosedError,
-)
+from .robustness import RetryPolicy, SessionClosedError
 from .scheduler import PlanScheduler, derive_request_seed
 from .session import Session, SessionEvent, SessionManager
 
@@ -81,14 +71,9 @@ __all__ = [
     "InlineExecutor",
     "ThreadExecutor",
     "make_executor",
-    "RequestContext",
-    "RequestPipeline",
     "MeasurementCache",
     "CachedAnswer",
     "ArtifactCache",
-    "AdmissionController",
-    "AdmissionError",
-    "CircuitBreaker",
     "RetryPolicy",
     "SessionClosedError",
     "session_report",
@@ -96,5 +81,4 @@ __all__ = [
     "reconcile",
     "export_json",
     "telemetry_report",
-    "slo_report",
 ]

@@ -1,8 +1,8 @@
 """Executor backends: how many threads drive requests.
 
-A backend runs the scheduler's request-driving calls — admission, the
-session lock, cache probes, the plan itself, budget accounting and journal
-commits — through :meth:`ExecutorBackend.submit`.  Everything stays in the
+A backend runs the scheduler's request-driving calls — the session lock,
+cache probes, the plan itself, budget accounting and journal commits —
+through :meth:`ExecutorBackend.submit`.  Everything stays in the
 scheduler's process, next to the sessions' kernels and write-ahead journals:
 
 * :class:`InlineExecutor` drives each request to completion on the calling
@@ -12,7 +12,7 @@ scheduler's process, next to the sessions' kernels and write-ahead journals:
   serialise on its lock).
 
 Answers are byte-identical on both: all noise is drawn from the derived
-request seed (see :func:`~repro.service.pipeline.derive_request_seed`), which
+request seed (see :func:`~repro.service.scheduler.derive_request_seed`), which
 nothing scheduling-dependent feeds.
 """
 

@@ -157,46 +157,6 @@ def telemetry_report(scheduler) -> dict:
     }
 
 
-def slo_report(scheduler, specs=None) -> dict:
-    """SLO / burn-rate evaluation of one scheduler's registry.
-
-    Uses the scheduler's attached :class:`~repro.telemetry.SloEngine` when it
-    has one (preserving its sampling history, which is what makes windowed
-    burn rates meaningful); otherwise builds an ephemeral engine whose
-    baseline is an empty registry stamped at the service's first recorded
-    spend, so every window reads the service's lifetime rates over real
-    elapsed time.  Pass ``specs`` to evaluate a custom objective set either
-    way.
-    """
-    from ..telemetry.clock import DEFAULT_CLOCK
-    from ..telemetry.slo import SloEngine
-
-    engine = getattr(scheduler, "slo_engine", None)
-    if engine is not None and specs is not None:
-        engine = SloEngine(
-            scheduler.metrics,
-            specs=specs,
-            windows=engine.windows,
-            clock=engine._clock,
-            publish=False,
-            baseline=engine._samples[0] if engine._samples else None,
-        )
-    elif engine is None:
-        first_times = [
-            entry[5]
-            for entry in scheduler.metrics.export_state()["spend"]
-            if entry[5] is not None
-        ]
-        baseline_time = min(first_times) if first_times else DEFAULT_CLOCK()
-        engine = SloEngine(
-            scheduler.metrics,
-            specs=specs,
-            publish=False,
-            baseline=(baseline_time, {}),
-        )
-    return engine.report()
-
-
 def export_json(session_or_manager: Session | SessionManager, indent: int = 2) -> str:
     """Serialise a session (or the whole service) report to a JSON string."""
     if isinstance(session_or_manager, SessionManager):

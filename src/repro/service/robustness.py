@@ -1,26 +1,14 @@
-"""Request-lifecycle robustness: retries, admission control, circuit breaking.
+"""Request-lifecycle robustness: retries and the closed-session rejection.
 
-The scheduler composes these around plan execution:
-
-* :class:`RetryPolicy` — bounded retries with exponential backoff and
-  deterministic jitter for *transient* faults.  Retries are budget-safe by
-  construction: the retried attempt keeps the same request id (hence the
-  same derived noise seed and cache key) and forces ``reuse=True``, so a
-  request whose answer was already journaled/cached before the fault is
-  replayed at zero additional ε instead of being re-charged.  Only a fault
-  that struck *before* any completed release re-runs the plan — and a
-  mid-plan fault's partial spend was already ledgered as an errored event
-  (charge-ahead: wasted, never leaked).
-* :class:`AdmissionController` — queue-depth backpressure plus per-tenant
-  in-flight caps.  Requests over a cap are rejected with
-  :class:`AdmissionError` *before* touching any session state (no budget, no
-  ledger entry), which is what lets a saturated service stay audit-exact.
-* :class:`CircuitBreaker` — per-plan failure tracking.  After
-  ``failure_threshold`` consecutive failures a plan's circuit opens and the
-  scheduler sheds its requests to a degraded-but-cheap fallback plan
-  (default ``"Identity"``) instead of failing the tenant; after
-  ``cooldown_seconds`` one probe request is let through (half-open) and a
-  success re-closes the circuit.
+:class:`RetryPolicy` — bounded retries with exponential backoff and
+deterministic jitter for *transient* faults.  Retries are budget-safe by
+construction: the retried attempt keeps the same request id (hence the same
+derived noise seed and cache key) and forces ``reuse=True``, so a request
+whose answer was already journaled/cached before the fault is replayed at
+zero additional ε instead of being re-charged.  Only a fault that struck
+*before* any completed release re-runs the plan — and a mid-plan fault's
+partial spend was already ledgered as an errored event (charge-ahead:
+wasted, never leaked).
 
 :class:`SessionClosedError` is the documented rejection for requests that
 race a session close — see :meth:`repro.service.SessionManager.close`.
@@ -29,35 +17,12 @@ race a session close — see :meth:`repro.service.SessionManager.close`.
 from __future__ import annotations
 
 import random
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..durability.faults import InjectedFault
 from ..private.exceptions import DeadlineExceededError
-from ..telemetry.clock import DEFAULT_CLOCK, Clock
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionError",
-    "AdmissionGate",
-    "BreakerGate",
-    "CircuitBreaker",
-    "RetryPolicy",
-    "SessionClosedError",
-]
-
-
-class AdmissionError(RuntimeError):
-    """A request rejected by admission control before touching any session.
-
-    Not ledgered: nothing was scheduled, nothing spent.  Clients should back
-    off and resubmit; ``scope`` says which cap fired ("queue" or "tenant").
-    """
-
-    def __init__(self, scope: str, limit: int):
-        self.scope = scope
-        self.limit = limit
-        super().__init__(f"admission rejected: {scope} cap of {limit} reached")
+__all__ = ["RetryPolicy", "SessionClosedError"]
 
 
 class SessionClosedError(RuntimeError):
@@ -77,10 +42,10 @@ def _default_transient(exc: BaseException) -> bool:
 class RetryPolicy:
     """Bounded exponential backoff with jitter for transient faults.
 
-    ``delay(attempt)`` for attempt ``k`` (0-based count of *failed* attempts)
-    is ``min(base_delay * backoff**k, max_delay)`` scaled by a jitter factor
-    in ``[1 - jitter, 1 + jitter]``; the jitter stream is seeded, so a test's
-    retry timing is reproducible.
+    ``delay(k, rng)`` after ``k`` failed attempts (1-based: the first retry
+    waits ``delay(1, rng)``) is ``min(base_delay * backoff**(k - 1),
+    max_delay)`` scaled by a jitter factor in ``[1 - jitter, 1 + jitter]``;
+    the jitter stream is seeded, so a test's retry timing is reproducible.
     """
 
     max_attempts: int = 3
@@ -109,257 +74,3 @@ class RetryPolicy:
             self.max_delay,
         )
         return raw * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
-
-
-class AdmissionController:
-    """Queue-depth backpressure and per-tenant in-flight caps.
-
-    ``max_queue_depth`` bounds requests admitted service-wide (executing or
-    waiting on a session lock); ``max_inflight_per_tenant`` bounds one
-    tenant's concurrent requests so a single noisy tenant cannot occupy the
-    whole pool.  ``None`` disables a cap.
-    """
-
-    def __init__(
-        self,
-        max_queue_depth: int | None = None,
-        max_inflight_per_tenant: int | None = None,
-    ):
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be at least 1")
-        if max_inflight_per_tenant is not None and max_inflight_per_tenant < 1:
-            raise ValueError("max_inflight_per_tenant must be at least 1")
-        self.max_queue_depth = max_queue_depth
-        self.max_inflight_per_tenant = max_inflight_per_tenant
-        self._lock = threading.Lock()
-        self._total = 0
-        self._per_tenant: dict[str, int] = {}
-        self.rejections = 0
-
-    def acquire(self, tenant: str) -> None:
-        """Admit one request or raise :class:`AdmissionError` (no blocking)."""
-        with self._lock:
-            if self.max_queue_depth is not None and self._total >= self.max_queue_depth:
-                self.rejections += 1
-                raise AdmissionError("queue", self.max_queue_depth)
-            tenant_count = self._per_tenant.get(tenant, 0)
-            if (
-                self.max_inflight_per_tenant is not None
-                and tenant_count >= self.max_inflight_per_tenant
-            ):
-                self.rejections += 1
-                raise AdmissionError("tenant", self.max_inflight_per_tenant)
-            self._total += 1
-            self._per_tenant[tenant] = tenant_count + 1
-
-    def release(self, tenant: str) -> None:
-        with self._lock:
-            self._total -= 1
-            remaining = self._per_tenant.get(tenant, 1) - 1
-            if remaining <= 0:
-                self._per_tenant.pop(tenant, None)
-            else:
-                self._per_tenant[tenant] = remaining
-
-    @property
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "in_flight": self._total,
-                "per_tenant": dict(self._per_tenant),
-                "rejections": self.rejections,
-            }
-
-
-#: CircuitBreaker.admit outcomes.
-ALLOW, SHED, PROBE = "allow", "shed", "probe"
-
-
-@dataclass
-class _PlanCircuit:
-    consecutive_failures: int = 0
-    opened_at: float | None = None
-    probing: bool = False
-    shed_count: int = 0
-
-
-class CircuitBreaker:
-    """Per-plan circuit breaker shedding to a cheap fallback plan.
-
-    State machine per plan name: *closed* (normal) → *open* after
-    ``failure_threshold`` consecutive failures (requests shed to
-    ``fallback_plan``) → *half-open* after ``cooldown_seconds`` (one probe
-    request runs the real plan; success closes, failure re-opens).  Responses
-    served via the fallback carry ``info["degraded_from"]`` so clients can
-    tell a degraded answer from the real one.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        cooldown_seconds: float = 30.0,
-        fallback_plan: str = "Identity",
-        clock: Clock | None = None,
-    ):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        self.failure_threshold = failure_threshold
-        self.cooldown_seconds = float(cooldown_seconds)
-        self.fallback_plan = fallback_plan
-        self._clock = clock if clock is not None else DEFAULT_CLOCK
-        self._lock = threading.Lock()
-        self._circuits: dict[str, _PlanCircuit] = {}
-
-    def _circuit(self, plan: str) -> _PlanCircuit:
-        circuit = self._circuits.get(plan)
-        if circuit is None:
-            circuit = self._circuits[plan] = _PlanCircuit()
-        return circuit
-
-    def admit(self, plan: str) -> str:
-        """Routing decision for one request of ``plan``.
-
-        Returns :data:`ALLOW` (run it), :data:`SHED` (run the fallback) or
-        :data:`PROBE` (run it, and let its outcome close or re-open the
-        circuit).
-        """
-        with self._lock:
-            circuit = self._circuit(plan)
-            if circuit.opened_at is None:
-                return ALLOW
-            if circuit.probing:
-                # One probe at a time; everyone else keeps shedding.
-                circuit.shed_count += 1
-                return SHED
-            if self._clock() - circuit.opened_at >= self.cooldown_seconds:
-                circuit.probing = True
-                return PROBE
-            circuit.shed_count += 1
-            return SHED
-
-    def record_success(self, plan: str) -> None:
-        with self._lock:
-            circuit = self._circuit(plan)
-            circuit.consecutive_failures = 0
-            circuit.opened_at = None
-            circuit.probing = False
-
-    def record_failure(self, plan: str) -> bool:
-        """Record one failure; returns True when the circuit (re)opened.
-
-        True on the closed→open transition and on a failed probe (which
-        restarts the cooldown) — the two events an operator wants a
-        postmortem bundle for; repeat failures against an already-open
-        circuit return False.
-        """
-        with self._lock:
-            circuit = self._circuit(plan)
-            circuit.consecutive_failures += 1
-            was_probing = circuit.probing
-            circuit.probing = False
-            if circuit.opened_at is not None:
-                # A failed probe re-opens the cooldown window from now.
-                circuit.opened_at = self._clock()
-                return was_probing
-            if circuit.consecutive_failures >= self.failure_threshold:
-                circuit.opened_at = self._clock()
-                return True
-            return False
-
-    def is_open(self, plan: str) -> bool:
-        with self._lock:
-            return self._circuit(plan).opened_at is not None
-
-    @property
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                plan: {
-                    "open": circuit.opened_at is not None,
-                    "consecutive_failures": circuit.consecutive_failures,
-                    "shed_count": circuit.shed_count,
-                }
-                for plan, circuit in self._circuits.items()
-            }
-
-
-# ----------------------------------------------------------------------
-# Pipeline gates: the robustness primitives as composable request stages.
-# ----------------------------------------------------------------------
-class AdmissionGate:
-    """Pipeline stage bracketing one request with admission acquire/release.
-
-    Part of the :class:`~repro.service.pipeline.RequestPipeline`; a no-op
-    when the scheduler was built without an
-    :class:`AdmissionController`.  Rejections count into
-    ``service_admission_rejections`` and never touch session state.
-    """
-
-    name = "admission"
-
-    def __init__(self, svc):
-        self.svc = svc
-
-    def run(self, ctx, proceed):
-        admission = self.svc.admission
-        if admission is None:
-            return proceed(ctx)
-        tenant = ctx.session.tenant
-        try:
-            admission.acquire(tenant)
-        except AdmissionError:
-            self.svc.metrics.counter(
-                "service_admission_rejections", tenant=tenant
-            ).inc()
-            raise
-        try:
-            return proceed(ctx)
-        finally:
-            admission.release(tenant)
-
-
-class BreakerGate:
-    """Pipeline stage routing one request through the circuit breaker.
-
-    On :data:`SHED` the request is rewritten to the breaker's fallback plan
-    (the response carries ``info["degraded_from"]``); otherwise the real
-    plan's outcome feeds the circuit — except a racing session close, which
-    says nothing about the plan's health.
-    """
-
-    name = "breaker"
-
-    def __init__(self, svc):
-        self.svc = svc
-
-    def run(self, ctx, proceed):
-        breaker = self.svc.breaker
-        if breaker is None:
-            return proceed(ctx)
-        from dataclasses import replace
-
-        plan_name = ctx.request.plan
-        decision = breaker.admit(plan_name)
-        if decision == SHED:
-            ctx.request = replace(
-                ctx.request, plan=breaker.fallback_plan, plan_params={}
-            )
-            self.svc.metrics.counter(
-                "service_shed_requests", tenant=ctx.session.tenant, plan=plan_name
-            ).inc()
-            response = proceed(ctx)
-            response.info["degraded_from"] = plan_name
-            return response
-        try:
-            response = proceed(ctx)
-        except SessionClosedError:
-            # A close racing the request says nothing about the plan.
-            raise
-        except Exception:
-            if breaker.record_failure(plan_name):
-                postmortem = getattr(self.svc, "_postmortem", None)
-                if postmortem is not None:
-                    postmortem("breaker_open", plan=plan_name)
-            raise
-        breaker.record_success(plan_name)
-        return response

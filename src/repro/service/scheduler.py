@@ -1,23 +1,31 @@
 """Plan scheduling: execute query requests against sessions.
 
 The :class:`PlanScheduler` is the service's **execution core**.  It composes
-three layers:
+two layers:
 
 1. the **session directory** — a
    :class:`~repro.service.session.SessionManager`;
-2. the **request pipeline** (:mod:`repro.service.pipeline`) — composable
-   stages (guard → admission → breaker → session lock → journal commit →
-   trace → deadline gate → cache probe → plan run) that carry every request
-   through admission control, the measurement cache, budget accounting,
-   write-ahead journaling and telemetry in a fixed, privacy-correct order;
-3. an **executor backend** (:mod:`repro.service.executors`) — how many
+2. an **executor backend** (:mod:`repro.service.executors`) — how many
    threads drive requests: ``inline`` (sequential, deterministic baseline)
    or ``thread`` (a persistent driver pool).
 
+Each request runs as straight-line code in two methods, in a fixed,
+privacy-correct order::
+
+    _execute_guarded   worker fault seam → closed check → session lock
+                       → closed re-check → root span → _run_locked
+                       → journal commit (in ``finally``, still under the lock)
+    _run_locked        deadline check → cache probe → plan run
+
+Every outcome — answered, replayed, rejected, timed out or failed — is
+accounted for by one helper, :meth:`PlanScheduler._ledger`: it records the
+:class:`~repro.service.session.SessionEvent`, folds the outcome into the
+metrics registry and, on failure, attaches a
+:class:`~repro.service.api.RequestFailure` to the exception.
+
 Answers are byte-identical on both backends: every request's noise derives
-solely from
-:func:`~repro.service.pipeline.derive_request_seed` (session base seed,
-request id, query identity) — nothing scheduling-dependent feeds it.
+solely from :func:`derive_request_seed` (session base seed, request id,
+query identity) — nothing scheduling-dependent feeds it.
 
 Requests on the *same* session serialise on its lock (sequential composition
 demands it); requests on different sessions genuinely run in parallel.
@@ -26,8 +34,7 @@ zero-spend :class:`~repro.service.session.SessionEvent` with an empty
 history span.  (Malformed requests that never resolve to a plan or workload
 — unknown names — still raise before anything touches the session ledger.)
 
-**Robustness.**  The pipeline composes the :mod:`~repro.service.robustness`
-primitives around every request:
+**Robustness.**
 
 * *Durability* — on a journal-attached session, charges/measurements/events
   stream into the write-ahead journal as they happen, the released answer is
@@ -38,11 +45,6 @@ primitives around every request:
   moment of scheduling: requests that expire while queued are rejected with
   a ledgered zero-spend event; mid-plan, the kernel refuses further charges
   past the deadline and the errored event claims the true partial spend.
-* *Admission control* — an :class:`~repro.service.robustness.AdmissionController`
-  rejects over-cap requests before they touch any session state.
-* *Circuit breaking* — a :class:`~repro.service.robustness.CircuitBreaker`
-  sheds requests for persistently-failing plans to a cheap fallback plan,
-  marking the response with ``info["degraded_from"]``.
 * *Retries* — :meth:`execute_with_retry` re-attempts transient faults under
   a :class:`~repro.service.robustness.RetryPolicy`; the retried attempt
   keeps the same request id and forces cache reuse, so a completed answer is
@@ -65,36 +67,52 @@ their ``isinstance`` checks and still get the context.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import replace
 from typing import Sequence
 
 from ..durability.faults import FaultInjector, WorkerDeath
+from ..durability.serialize import encode
+from ..durability.snapshot import response_state
+from ..plans.registry import make_plan
+from ..private.exceptions import DeadlineExceededError
 from ..telemetry.metrics import MetricsRegistry
-from ..telemetry.recorder import FlightRecorder
-from ..telemetry.slo import SloEngine
-from ..telemetry.spans import NullTracer, Tracer, NULL_TRACER
+from ..telemetry.spans import NOOP_SPAN, NULL_TRACER, NullTracer, Tracer, activate
 from .api import QueryRequest, QueryResponse, RequestFailure
 from .artifact_cache import ArtifactCache
 from .executors import ExecutorBackend, make_executor
 from .measurement_cache import MeasurementCache
-from .pipeline import (
-    RequestContext,
-    RequestPipeline,
-    _attach_failure,
-    default_stages,
-    derive_request_seed,
-    locked_stages,
-)
-from .robustness import (
-    AdmissionController,
-    CircuitBreaker,
-    RetryPolicy,
-)
+from .robustness import RetryPolicy, SessionClosedError
 from .session import Session, SessionEvent, SessionManager
 
 __all__ = ["PlanScheduler", "derive_request_seed"]
+
+
+def derive_request_seed(
+    base_seed: int, session_id: str, request_id: str, query_material: str = ""
+) -> int:
+    """Deterministic 64-bit seed for one request's noise.
+
+    ``query_material`` mixes the query's identity (the request cache key)
+    into the seed, so a client reusing a request id for a *different* query
+    can never replay the same noise stream across distinct measurements —
+    while the same (session, request id, query) triple always reproduces the
+    same response.  Nothing scheduling-dependent feeds the derivation: not
+    the executor backend, not the thread — which is what makes answers
+    byte-identical no matter where a request runs.
+    """
+    material = f"{base_seed}:{session_id}:{request_id}:{query_material}".encode()
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+
+
+def _attach_failure(exc: BaseException, failure: RequestFailure) -> None:
+    """Best-effort structured context on the original exception object."""
+    try:
+        exc.request_failure = failure  # type: ignore[attr-defined]
+    except AttributeError:  # pragma: no cover - slotted exception classes
+        pass
 
 
 class PlanScheduler:
@@ -108,12 +126,8 @@ class PlanScheduler:
         max_workers: int = 4,
         tracer: Tracer | NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
-        admission: AdmissionController | None = None,
-        breaker: CircuitBreaker | None = None,
         fault_injector: FaultInjector | None = None,
         executor: str | ExecutorBackend | None = None,
-        flight_recorder: FlightRecorder | None = None,
-        slo_engine: SloEngine | None = None,
     ):
         self.manager = manager
         self.measurement_cache = measurement_cache if measurement_cache is not None else MeasurementCache()
@@ -128,30 +142,11 @@ class PlanScheduler:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.measurement_cache.bind_metrics(self.metrics)
         self.artifact_cache.bind_metrics(self.metrics)
-        #: backpressure: None admits everything (the default).
-        self.admission = admission
-        #: per-plan failure shedding: None never sheds (the default).
-        self.breaker = breaker
         #: crash-harness seam (``scheduler.worker``); None in production.
         self.fault_injector = fault_injector
         #: what drives requests ("inline", "thread" or an ExecutorBackend
         #: instance; default: a thread pool of ``max_workers``).
         self.executor = make_executor(executor, max_workers=max_workers)
-        #: postmortem capture: None (the default) records nothing.  With a
-        #: recorder attached, every finished span and request outcome enters
-        #: its ring buffers, and request failures / breaker opens / worker
-        #: deaths trigger a bundle dump.
-        self.flight_recorder = flight_recorder
-        if flight_recorder is not None and self.tracer is not NULL_TRACER:
-            self.tracer.add_listener(flight_recorder.record_span)
-        #: burn-rate alerting over this scheduler's registry; None by default
-        #: (``export.slo_report`` builds an ephemeral engine on demand).  An
-        #: injected engine must be built over ``self.metrics``.
-        self.slo_engine = slo_engine
-        #: the outer request chain and the locked interior it hands off to
-        #: (via :meth:`_run_locked`, the documented stall/wrap seam).
-        self._pipeline = RequestPipeline(default_stages(self))
-        self._locked_pipeline = RequestPipeline(locked_stages(self))
 
     def shutdown(self, wait: bool = True) -> None:
         """Release the executor backend's pools (idempotent)."""
@@ -273,10 +268,48 @@ class PlanScheduler:
         trace_id: str | None = None,
         attempt: int = 1,
     ) -> QueryResponse:
-        """One request through the full stage chain (see the module docs)."""
-        return self._pipeline.execute(
-            session, request, queued_at, trace_id=trace_id, attempt=attempt
-        )
+        """One request, start to finish, in the order the module docs give."""
+        if self.fault_injector is not None:
+            self.fault_injector.fire("scheduler.worker", request.request_id)
+        if session.closing:
+            raise SessionClosedError(
+                f"session {session.session_id!r} is closed; "
+                f"request {request.request_id!r} rejected"
+            )
+        with session.lock:
+            # Re-checked under the lock: a drain-close marks the session
+            # closing, then waits for this lock — anything still queued
+            # behind it must reject, not execute against a closed ledger.
+            if session.closing:
+                raise SessionClosedError(
+                    f"session {session.session_id!r} closed while request "
+                    f"{request.request_id!r} was queued"
+                )
+            try:
+                tracer = self.tracer
+                if tracer is NULL_TRACER:
+                    return self._run_locked(session, request, queued_at, NOOP_SPAN)
+                with activate(tracer), tracer.span(
+                    "service.request",
+                    trace_id=trace_id,
+                    request_id=request.request_id,
+                    session=session.session_id,
+                    tenant=session.tenant,
+                    plan=request.plan,
+                    workload=request.workload,
+                    epsilon=float(request.epsilon),
+                    attempt=attempt,
+                ) as root:
+                    response = self._run_locked(session, request, queued_at, root)
+                    root.set_attributes(
+                        cached=response.cached,
+                        epsilon_spent=float(response.epsilon_spent),
+                    )
+                    return response
+            finally:
+                # After the root span closes, before the lock releases: a
+                # crash after this line loses nothing a client ever saw.
+                self._commit_journal(session)
 
     def _run_locked(
         self,
@@ -285,17 +318,206 @@ class PlanScheduler:
         queued_at: float | None,
         root,
     ) -> QueryResponse:
-        """The locked interior: deadline gate → cache probe → plan run.
+        """The locked interior: deadline check → cache probe → plan run.
 
-        Called by the outer pipeline with the session lock held and the
-        request's root span active.  This is the documented seam for tests
-        (and subclasses) that need to stall or wrap plan execution while the
-        lock is held — wrappers must preserve the signature.
+        Called with the session lock held and the request's root span
+        active.  This is the documented seam for tests (and subclasses) that
+        need to stall or wrap plan execution while the lock is held —
+        wrappers must preserve the signature.
         """
-        ctx = RequestContext(
-            session=session, request=request, queued_at=queued_at, root=root
+        start = time.perf_counter()
+        # The deadline counts from scheduling: queue wait is latency the
+        # client experiences too.
+        anchor = queued_at if queued_at is not None else start
+        queue_wait = max(start - anchor, 0.0)
+        key = request.cache_key()
+        trace_id = root.trace_id
+        kernel = session.kernel
+
+        if request.deadline_seconds is not None and start - anchor > request.deadline_seconds:
+            # Expired while queued: ledgered with zero spend.
+            exc = DeadlineExceededError(request.deadline_seconds, start - anchor)
+            mark = kernel.budget_snapshot().num_measurements
+            self._ledger(
+                session, request, "timeout", time.perf_counter() - start,
+                queue_wait, trace_id, (mark, mark), exc=exc,
+            )
+            raise exc
+
+        if request.reuse:
+            entry = self.measurement_cache.lookup(session, key)
+            if entry is not None:
+                response = self.measurement_cache.replay(entry, request.request_id)
+                # The cached response carries the accounting snapshot of the
+                # request that paid for it; refresh to the session's current
+                # state (a replay spends nothing, but spend may have moved
+                # since the entry was stored).
+                response.accounting = session.accounting_report()
+                response.trace_id = trace_id
+                response.elapsed_seconds = time.perf_counter() - start
+                self._ledger(
+                    session, request, "cached", response.elapsed_seconds,
+                    queue_wait, trace_id, (entry.history_start, entry.history_start),
+                    seed=response.seed,
+                )
+                return response
+
+        workload_matrix = (
+            self.artifact_cache.workload(request.workload, request.workload_params)
+            if request.workload is not None
+            else None
         )
-        return self._locked_pipeline.run_ctx(ctx)
+        plan = make_plan(request.plan, request.plan_params)
+        source = session.vector_source()
+        if workload_matrix is not None and workload_matrix.shape[1] != source.domain_size:
+            # Rejected before any budget is spent: a mismatched workload can
+            # only produce garbage answers (or crash after the charge).  The
+            # rejection is still ledgered, so the audit trail has one entry
+            # per scheduled request, exactly like plans that fail mid-run.
+            exc = ValueError(
+                f"workload {request.workload!r} has {workload_matrix.shape[1]} columns "
+                f"but session {session.session_id!r} has a {source.domain_size}-cell domain"
+            )
+            mark = kernel.budget_snapshot().num_measurements
+            self._ledger(
+                session, request, "rejected", time.perf_counter() - start,
+                queue_wait, trace_id, (mark, mark), exc=exc,
+            )
+            raise exc
+
+        seed = derive_request_seed(
+            session.base_seed, session.session_id, request.request_id, repr(key)
+        )
+        kernel.reseed(seed)
+        before = kernel.budget_snapshot()
+        try:
+            if request.deadline_seconds is not None:
+                kernel.deadline = anchor + request.deadline_seconds
+                kernel.deadline_started = anchor
+            # The shared artifact cache rides along so plan inference reuses
+            # data-independent Gram factorisations across requests and
+            # tenants, keyed by each strategy's canonical strategy_key().
+            with self.tracer.span("plan.run", plan=request.plan):
+                result = plan.run(source, request.epsilon, gram_cache=self.artifact_cache)
+            answers = (
+                result.answer(workload_matrix) if workload_matrix is not None else None
+            )
+            if kernel.deadline is not None:
+                now = time.perf_counter()
+                if now > kernel.deadline:
+                    # Timed out after the last charge: the answer is complete
+                    # but late; it is withheld, and the spend below is the
+                    # request's true (here: full) partial spend.
+                    raise DeadlineExceededError(request.deadline_seconds, now - anchor)
+        except Exception as exc:
+            # A request can fail after spending part (or all) of its budget —
+            # a multi-measurement plan mid-run, or answer post-processing; the
+            # ledger must still claim that spend (and its history rows) or
+            # the audit would never reconcile again.
+            after = kernel.budget_snapshot()
+            self._ledger(
+                session, request,
+                "timeout" if isinstance(exc, DeadlineExceededError) else "error",
+                time.perf_counter() - start, queue_wait, trace_id,
+                (before.num_measurements, after.num_measurements),
+                spent=kernel.budget_charged_between(before, after), seed=seed, exc=exc,
+            )
+            raise
+        finally:
+            kernel.deadline = None
+            kernel.deadline_started = None
+
+        after = kernel.budget_snapshot()
+        history = (before.num_measurements, after.num_measurements)
+        response = QueryResponse(
+            request_id=request.request_id,
+            session_id=session.session_id,
+            plan=request.plan,
+            epsilon_requested=request.epsilon,
+            epsilon_spent=kernel.budget_charged_between(before, after),
+            x_hat=result.x_hat,
+            answers=answers,
+            cached=False,
+            seed=seed,
+            info=dict(result.info),
+            elapsed_seconds=time.perf_counter() - start,
+            accounting=session.accounting_report(),
+            trace_id=trace_id,
+        )
+        self.measurement_cache.store(session, key, response, *history)
+        if session.journal is not None:
+            # Journal the release before the event that claims it: restores
+            # replay the answer byte-identical into the cache, so an
+            # identical post-crash request costs zero additional ε.
+            session.journal.append(
+                {
+                    "kind": "release",
+                    "key": encode(key),
+                    "response": encode(response_state(response)),
+                    "history_start": history[0],
+                    "history_end": history[1],
+                }
+            )
+        self._ledger(
+            session, request, "ok", response.elapsed_seconds, queue_wait, trace_id,
+            history, spent=response.epsilon_spent, seed=seed,
+        )
+        return response
+
+    def _ledger(
+        self,
+        session: Session,
+        request: QueryRequest,
+        outcome: str,
+        duration: float,
+        queue_wait: float,
+        trace_id: str | None,
+        history: tuple[int, int],
+        spent: float = 0.0,
+        seed: int | None = None,
+        exc: BaseException | None = None,
+    ) -> None:
+        """Account for one request's outcome (``ok``, ``cached``,
+        ``rejected``, ``timeout`` or ``error``): record its audit event, fold
+        it into the metrics and, on failure, attach its
+        :class:`RequestFailure` to ``exc``."""
+        error = type(exc).__name__ if exc is not None else ""
+        session.record(
+            SessionEvent(
+                request_id=request.request_id,
+                plan=request.plan,
+                workload=request.workload,
+                epsilon_requested=request.epsilon,
+                epsilon_spent=spent,
+                cached=outcome == "cached",
+                seed=seed,
+                history_start=history[0],
+                history_end=history[1],
+                tag=request.tag,
+                error=error,
+                duration_seconds=duration,
+                queue_wait_seconds=queue_wait,
+                trace_id=trace_id,
+            )
+        )
+        if outcome == "timeout":
+            self.metrics.counter(
+                "service_deadline_timeouts", tenant=session.tenant, plan=request.plan
+            ).inc()
+        self._observe(session, request, outcome, duration, queue_wait, spent)
+        if exc is not None:
+            _attach_failure(
+                exc,
+                RequestFailure(
+                    request_id=request.request_id,
+                    session_id=session.session_id,
+                    plan=request.plan,
+                    error_type=error,
+                    message=str(exc),
+                    trace_id=trace_id,
+                    epsilon_spent=spent,
+                ),
+            )
 
     def _commit_journal(self, session: Session) -> None:
         journal = session.journal
@@ -328,35 +550,6 @@ class PlanScheduler:
         )
         unit = "rho" if session.kernel.accountant.name == "zcdp" else "epsilon"
         metrics.record_privacy_spend(tenant, request.plan, spent, unit=unit)
-        recorder = self.flight_recorder
-        if recorder is not None:
-            recorder.record_outcome(
-                {
-                    "request_id": request.request_id,
-                    "session_id": session.session_id,
-                    "tenant": tenant,
-                    "plan": request.plan,
-                    "outcome": outcome,
-                    "duration_seconds": duration,
-                    "queue_wait_seconds": queue_wait,
-                    "epsilon_spent": spent,
-                }
-            )
-            if outcome in ("error", "timeout"):
-                self._postmortem(
-                    "request_failure",
-                    request_id=request.request_id,
-                    plan=request.plan,
-                    tenant=tenant,
-                    outcome=outcome,
-                )
-
-    def _postmortem(self, reason: str, **context) -> dict | None:
-        """Dump a flight-recorder bundle (no-op without a recorder)."""
-        recorder = self.flight_recorder
-        if recorder is None:
-            return None
-        return recorder.dump(reason, scheduler=self, context=context)
 
     # ------------------------------------------------------------------
     # Batched path.
@@ -427,13 +620,6 @@ class PlanScheduler:
                     )
                 if failure.batch_index is None:
                     failure = replace(failure, batch_index=index)
-                if isinstance(exc, WorkerDeath):
-                    self._postmortem(
-                        "worker_death",
-                        request_id=request.request_id,
-                        plan=request.plan,
-                        error=str(exc),
-                    )
                 if not failure.ledgered:
                     try:
                         orphans = self._claim_orphaned_spend(request, exc)

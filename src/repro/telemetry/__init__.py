@@ -14,11 +14,6 @@ the composition observable at runtime without touching plan logic:
   privacy-spend odometer (cumulative ε/ρ and burn rate per tenant per plan).
 * :mod:`~repro.telemetry.exporters` — JSON-lines span dumps, Chrome
   ``chrome://tracing`` trace-event files, Prometheus text exposition.
-* :class:`FlightRecorder` — a bounded ring of recent spans and request
-  outcomes that dumps a postmortem bundle on failures and breaker trips.
-* :class:`SloEngine` / :class:`SloSpec` — declarative latency, error-rate and
-  privacy-burn objectives with multi-window burn-rate alerting over the
-  registry.
 
 Everything is dependency-free and clock-injectable (see
 :mod:`~repro.telemetry.clock`), so tests run deterministically and the
@@ -50,8 +45,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .recorder import FlightRecorder
-from .slo import DEFAULT_WINDOWS, BurnWindow, SloEngine, SloSpec, default_slos
 from .spans import (
     NOOP_SPAN,
     NULL_TRACER,
@@ -65,12 +58,6 @@ from .spans import (
 )
 
 __all__ = [
-    "FlightRecorder",
-    "SloSpec",
-    "SloEngine",
-    "BurnWindow",
-    "DEFAULT_WINDOWS",
-    "default_slos",
     "Clock",
     "DEFAULT_CLOCK",
     "ManualClock",

@@ -15,9 +15,6 @@ The registry doubles as the service's **privacy-spend odometer**: every
 request's budget delta is recorded per (tenant, plan) together with first/last
 observation times, so operators can read cumulative ε/ρ burn and burn *rate*
 per tenant without walking session ledgers.
-
-:meth:`MetricsRegistry.export_state` captures every instrument as plain data;
-the SLO engine samples it to compute burn rates over time windows.
 """
 
 from __future__ import annotations
@@ -304,43 +301,6 @@ class MetricsRegistry:
                 list(self._gauges.values()),
                 list(self._histograms.values()),
             )
-
-    def export_state(self) -> dict:
-        """Every instrument as plain data (lists and tuples only): counter
-        values, histogram bucket vectors with sum/count/min/max, and
-        odometer entries."""
-        with self._lock:
-            return {
-                "counters": [
-                    (c.name, c.labels, c.value) for c in self._counters.values()
-                ],
-                "gauges": [(g.name, g.labels, g.value) for g in self._gauges.values()],
-                "histograms": [
-                    (
-                        h.name,
-                        h.labels,
-                        h.bounds,
-                        list(h.counts),
-                        h.total,
-                        h.count,
-                        h.minimum,
-                        h.maximum,
-                    )
-                    for h in self._histograms.values()
-                ],
-                "spend": [
-                    (
-                        e.tenant,
-                        e.plan,
-                        e.unit,
-                        e.spent,
-                        e.requests,
-                        e.first_time,
-                        e.last_time,
-                    )
-                    for e in self._spend.values()
-                ],
-            }
 
 
 def _render_key(name: str, labels: _LabelKey) -> str:

@@ -163,12 +163,6 @@ class Tracer:
         self._local = threading.local()
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
-        #: called with every finished span (the flight recorder's tap).
-        self._listeners: list = []
-
-    def add_listener(self, listener) -> None:
-        """Register ``listener(span)`` to observe every finished span."""
-        self._listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Span creation.
@@ -223,8 +217,6 @@ class Tracer:
                 overflow = len(self._spans) - self.max_spans
                 del self._spans[:overflow]
                 self._dropped += overflow
-        for listener in self._listeners:
-            listener(span)
 
     # ------------------------------------------------------------------
     # Reading the buffer.
@@ -321,9 +313,6 @@ class NullTracer:
 
     def current_span(self) -> None:
         return None
-
-    def add_listener(self, listener) -> None:
-        pass
 
     def spans(self) -> list[Span]:
         return []

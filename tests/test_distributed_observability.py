@@ -1,5 +1,4 @@
-"""Operator observability: trace parity, retry linking, flight recorder, SLO
-burn-rate engine.
+"""Operator observability: trace parity, retry linking, shared metrics.
 
 The invariants of the observability layer across the execution core:
 
@@ -7,39 +6,24 @@ The invariants of the observability layer across the execution core:
   trees (names, parentage, ε attributes) on the inline and thread backends;
 * **retry linking** — every attempt of a retried request carries the same
   trace id plus its own ``attempt`` attribute;
-* **flight recorder** — request failures, circuit-breaker opens and worker
-  deaths each freeze a postmortem bundle (spans + outcomes + metrics +
-  breaker/admission state), optionally written to disk;
-* **SLO engine** — multi-window burn rates over the registry are exact under
-  a manual clock, and only fire when the short *and* long windows burn.
+* **shared instruments** — driver threads racing a first lookup still get
+  exactly one instrument per name and label set;
+* **order-independent spend** — a request's ``epsilon_spent`` does not
+  depend on how a batch interleaved.
 """
 
 from __future__ import annotations
 
-import json
-import pickle
 import threading
 
 import numpy as np
 import pytest
 
 from repro.dataset import Attribute, Relation, Schema
-from repro.durability import FaultInjector, InjectedFault, WorkerDeath
-from repro.service import (
-    CircuitBreaker,
-    PlanScheduler,
-    QueryRequest,
-    SessionManager,
-    slo_report,
-)
+from repro.durability import FaultInjector
+from repro.service import PlanScheduler, QueryRequest, SessionManager
 from repro.telemetry import (
-    BurnWindow,
-    FlightRecorder,
-    ManualClock,
     MetricsRegistry,
-    SloEngine,
-    SloSpec,
-    Span,
     Tracer,
     prometheus_text,
     spans_to_chrome_trace,
@@ -183,27 +167,9 @@ class TestTraceParity:
 
 
 # ----------------------------------------------------------------------------
-# Metrics state: the plain-data view the SLO engine reads.
+# Metrics state: instruments shared by the driver threads.
 # ----------------------------------------------------------------------------
 class TestMetricsState:
-    def test_export_state_roundtrips_and_pickles(self):
-        registry = MetricsRegistry(clock=ManualClock(start=5.0, tick=1.0))
-        registry.counter("c", a="1").inc(3)
-        registry.gauge("g").set(7.5)
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-        registry.record_privacy_spend("acme", "DAWA", 0.25)
-        state = registry.export_state()
-        assert pickle.loads(pickle.dumps(state)) == state
-        assert state["counters"] == [("c", (("a", "1"),), 3.0)]
-        assert state["gauges"] == [("g", (), 7.5)]
-        assert state["histograms"] == [
-            ("h", (), (1.0, 2.0), [0, 1, 0], 1.5, 1, 1.5, 1.5)
-        ]
-        assert state["spend"] == [("acme", "DAWA", "epsilon", 0.25, 1, 5.0, 5.0)]
-        # A copy, not a view: later observations leave the export untouched.
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        assert state["histograms"][0][3] == [0, 1, 0]
-
     def test_concurrent_lookups_share_one_instrument(self):
         # The thread backend's driver threads all look instruments up by
         # name; racing first lookups must still create exactly one each.
@@ -226,244 +192,6 @@ class TestMetricsState:
         assert len({id(instrument) for instrument in found}) == 2
         counters, gauges, histograms = registry.instruments()
         assert (len(counters), len(gauges), len(histograms)) == (1, 0, 1)
-
-
-# ----------------------------------------------------------------------------
-# The flight recorder.
-# ----------------------------------------------------------------------------
-class TestFlightRecorder:
-    def _scheduler(self, relation, recorder, breaker=None):
-        manager = SessionManager()
-        tracer = Tracer()
-        scheduler = PlanScheduler(
-            manager,
-            tracer=tracer,
-            executor="inline",
-            flight_recorder=recorder,
-            breaker=breaker,
-        )
-        session = manager.create_session("acme", relation, 10.0, seed=7)
-        return scheduler, session
-
-    def test_ring_buffers_are_bounded(self):
-        recorder = FlightRecorder(max_spans=4, max_outcomes=2)
-        for i in range(10):
-            recorder.record_span(
-                Span("t", f"s{i}", None, "x", float(i), float(i), "main")
-            )
-            recorder.record_outcome({"request_id": i})
-        assert len(recorder.spans()) == 4
-        assert [o["request_id"] for o in recorder.outcomes()] == [8, 9]
-
-    def test_request_failure_dumps_bundle(self, relation):
-        recorder = FlightRecorder()
-        scheduler, session = self._scheduler(relation, recorder)
-        faults = FaultInjector()
-        session.kernel.fault_injector = faults
-        faults.arm("kernel.before_charge", times=1, transient=False)
-        with pytest.raises(InjectedFault):
-            scheduler.execute(
-                QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
-            )
-        assert len(recorder.bundles) == 1
-        bundle = recorder.bundles[-1]
-        assert bundle["reason"] == "request_failure"
-        assert bundle["context"]["outcome"] == "error"
-        assert bundle["outcomes"][-1]["outcome"] == "error"
-        # The failed request's inner spans are in the bundle (the tracer
-        # listener feeds the ring as each span finishes; the root span is
-        # still open at dump time), and the metrics snapshot rode along.
-        assert any(s["name"] == "plan.run" for s in bundle["spans"])
-        assert any(s["status"] == "error" for s in bundle["spans"])
-        assert "service_requests{outcome=error,plan=Identity,tenant=acme}" in (
-            bundle["metrics"]["counters"]
-        )
-        assert bundle["chrome_trace"]["traceEvents"]
-
-    def test_breaker_open_dumps_bundle(self, relation):
-        recorder = FlightRecorder()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=1000.0)
-        scheduler, session = self._scheduler(relation, recorder, breaker=breaker)
-        faults = FaultInjector()
-        session.kernel.fault_injector = faults
-        faults.arm("kernel.before_charge", times=1, transient=False)
-        with pytest.raises(InjectedFault):
-            scheduler.execute(
-                QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
-            )
-        reasons = [bundle["reason"] for bundle in recorder.bundles]
-        assert "breaker_open" in reasons
-        opened = next(b for b in recorder.bundles if b["reason"] == "breaker_open")
-        assert opened["state"]["breaker"]["Identity"]["open"] is True
-
-    def test_worker_death_dumps_bundle(self, relation):
-        recorder = FlightRecorder()
-        scheduler, session = self._scheduler(relation, recorder)
-        faults = FaultInjector()
-        scheduler.fault_injector = faults
-        faults.arm("scheduler.worker", times=1, exception=WorkerDeath("killed"))
-        [outcome] = scheduler.execute_batch(
-            [QueryRequest(session.session_id, plan="Identity", epsilon=0.1)],
-            return_exceptions=True,
-        )
-        assert isinstance(outcome, WorkerDeath)
-        assert [b["reason"] for b in recorder.bundles] == ["worker_death"]
-
-    def test_dump_writes_postmortem_directory(self, relation, tmp_path):
-        recorder = FlightRecorder(directory=tmp_path)
-        scheduler, session = self._scheduler(relation, recorder)
-        scheduler.execute(
-            QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
-        )
-        bundle = scheduler._postmortem("operator_requested", note="manual")
-        target = tmp_path / "postmortem-0001-operator_requested"
-        assert bundle["path"] == str(target)
-        spans = [
-            json.loads(line)
-            for line in (target / "spans.jsonl").read_text().splitlines()
-        ]
-        assert any(span["name"] == "service.request" for span in spans)
-        trace_doc = json.loads((target / "trace.json").read_text())
-        assert trace_doc["traceEvents"]
-        metrics = json.loads((target / "metrics.json").read_text())
-        assert "service_requests{outcome=ok,plan=Identity,tenant=acme}" in (
-            metrics["counters"]
-        )
-        state = json.loads((target / "state.json").read_text())
-        assert state["reason"] == "operator_requested"
-        assert state["context"] == {"note": "manual"}
-
-
-# ----------------------------------------------------------------------------
-# The SLO engine.
-# ----------------------------------------------------------------------------
-class TestSloEngine:
-    def _engine(self, specs):
-        clock = ManualClock()
-        registry = MetricsRegistry(clock=clock)
-        engine = SloEngine(
-            registry,
-            specs=specs,
-            windows=(BurnWindow(short_seconds=10.0, long_seconds=60.0, factor=2.0),),
-            clock=clock,
-        )
-        return clock, registry, engine
-
-    def test_error_rate_burn_and_alert(self):
-        clock, registry, engine = self._engine(
-            [SloSpec(name="avail", kind="error_rate", target=0.9)]
-        )
-        clock.advance(60.0)
-        for _ in range(5):
-            registry.counter(
-                "service_requests", tenant="acme", plan="DAWA", outcome="ok"
-            ).inc()
-        for _ in range(5):
-            registry.counter(
-                "service_requests", tenant="acme", plan="DAWA", outcome="error"
-            ).inc()
-        [report] = engine.evaluate()
-        # 50% bad against a 10% budget: burning 5× the sustainable rate in
-        # both windows (they share the t=0 baseline) — over the 2× factor.
-        assert report["sli"] == pytest.approx(0.5)
-        assert report["rules"][0]["short_burn_rate"] == pytest.approx(5.0)
-        assert report["rules"][0]["long_burn_rate"] == pytest.approx(5.0)
-        assert report["alerting"] is True
-        # Published back into the registry for the Prometheus exporter.
-        text = prometheus_text(registry)
-        assert 'slo_alerting{slo="avail"} 1.0' in text
-        assert 'slo_burn_rate{slo="avail",window="10s"} 5.0' in text
-
-    def test_latency_slo_counts_threshold_buckets(self):
-        clock, registry, engine = self._engine(
-            [
-                SloSpec(
-                    name="lat", kind="latency", target=0.9, threshold_seconds=0.1
-                )
-            ]
-        )
-        clock.advance(60.0)
-        for _ in range(8):
-            registry.histogram(
-                "service_request_latency_seconds", tenant="acme"
-            ).observe(0.01)
-        for _ in range(2):
-            registry.histogram(
-                "service_request_latency_seconds", tenant="acme"
-            ).observe(5.0)
-        [report] = engine.evaluate()
-        assert report["sli"] == pytest.approx(0.8)
-        assert report["rules"][0]["short_burn_rate"] == pytest.approx(2.0)
-        assert report["alerting"] is True
-
-    def test_privacy_burn_needs_both_windows(self):
-        clock, registry, engine = self._engine(
-            [
-                SloSpec(
-                    name="acme-burn",
-                    kind="privacy_burn",
-                    tenant="acme",
-                    plan="DAWA",
-                    budget=1.0,
-                    horizon_seconds=100.0,
-                )
-            ]
-        )
-        clock.advance(60.0)
-        registry.record_privacy_spend("acme", "DAWA", 0.5)
-        engine.sample()
-        # A sudden burst: 0.5ε in 10 seconds is 5× the sustainable rate in
-        # the short window, but the long window has only seen 1ε over 70s —
-        # 1.43×, under the factor, so the alert stays quiet.
-        clock.advance(10.0)
-        registry.record_privacy_spend("acme", "DAWA", 0.5)
-        [report] = engine.evaluate()
-        rule = report["rules"][0]
-        assert rule["short_burn_rate"] == pytest.approx(5.0)
-        assert rule["long_burn_rate"] == pytest.approx(1.0 / 0.7, rel=1e-3)
-        assert report["alerting"] is False
-        assert report["sli"] == pytest.approx(0.0)  # budget fully spent
-
-    def test_quiet_service_does_not_alert(self):
-        clock, registry, engine = self._engine(
-            [SloSpec(name="avail", kind="error_rate", target=0.99)]
-        )
-        clock.advance(30.0)
-        registry.counter(
-            "service_requests", tenant="acme", plan="Identity", outcome="ok"
-        ).inc(100)
-        [report] = engine.evaluate()
-        assert report["sli"] == 1.0
-        assert report["alerting"] is False
-        assert report["rules"][0]["short_burn_rate"] == 0.0
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="unknown SLO kind"):
-            SloSpec(name="x", kind="throughput")
-        with pytest.raises(ValueError, match="threshold_seconds"):
-            SloSpec(name="x", kind="latency")
-        with pytest.raises(ValueError, match="budget"):
-            SloSpec(name="x", kind="privacy_burn")
-
-    def test_slo_report_over_live_scheduler(self, relation):
-        manager = SessionManager()
-        scheduler = PlanScheduler(manager, executor="inline")
-        session = manager.create_session("acme", relation, 10.0, seed=7)
-        for _ in range(3):
-            scheduler.execute(
-                QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
-            )
-        report = slo_report(scheduler)
-        assert {r["name"] for r in report["results"]} == {
-            "latency-p99-1s",
-            "availability",
-        }
-        availability = next(
-            r for r in report["results"] if r["name"] == "availability"
-        )
-        assert availability["sli"] == 1.0
-        assert availability["alerting"] is False
-        scheduler.shutdown()
 
 
 # ----------------------------------------------------------------------------

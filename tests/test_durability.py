@@ -42,9 +42,6 @@ from repro.durability import (
 from repro.durability.journal import _encode_line
 from repro.private import DeadlineExceededError
 from repro.service import (
-    AdmissionController,
-    AdmissionError,
-    CircuitBreaker,
     MeasurementCache,
     PlanScheduler,
     QueryRequest,
@@ -54,7 +51,7 @@ from repro.service import (
     SessionManager,
     reconcile,
 )
-from repro.telemetry.clock import ManualClock
+from repro.telemetry import NOOP_SPAN, Tracer
 
 N = 64
 
@@ -836,128 +833,131 @@ class TestRetries:
 
 
 # ======================================================================
-# Admission control.
+# Request-path order.
 # ======================================================================
-class TestAdmission:
-    def test_queue_depth_cap_rejects_unledgered(self, manager, relation):
-        admission = AdmissionController(max_queue_depth=1)
-        scheduler = PlanScheduler(manager, admission=admission)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        admission.acquire("other")  # saturate the global queue
-        with pytest.raises(AdmissionError, match="queue"):
-            scheduler.execute(identity_request(session))
-        assert session.events == []
-        assert session.budget_consumed() == 0.0
-        admission.release("other")
-        assert scheduler.execute(identity_request(session)).epsilon_spent > 0
-        assert admission.stats["rejections"] == 1
+def _held_elsewhere(lock) -> bool:
+    """Whether ``lock`` is held, probed from a fresh thread (an RLock always
+    lets its owning thread back in)."""
+    acquired = []
 
-    def test_per_tenant_cap(self, manager, relation):
-        admission = AdmissionController(max_inflight_per_tenant=1)
-        scheduler = PlanScheduler(manager, admission=admission)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        admission.acquire("acme")
-        with pytest.raises(AdmissionError, match="tenant"):
-            scheduler.execute(identity_request(session))
-        # Another tenant is unaffected by acme's cap.
-        other = manager.create_session("beta", relation, 4.0, seed=1)
-        assert scheduler.execute(identity_request(other)).epsilon_spent > 0
-        admission.release("acme")
+    def probe():
+        got = lock.acquire(blocking=False)
+        if got:
+            lock.release()
+        acquired.append(got)
 
-    def test_inflight_counters_return_to_zero(self, manager, relation):
-        admission = AdmissionController(max_queue_depth=4)
-        scheduler = PlanScheduler(manager, admission=admission)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        scheduler.execute_batch(
-            [identity_request(session, epsilon=0.1 * (i + 1)) for i in range(3)]
-        )
-        stats = admission.stats
-        assert stats["in_flight"] == 0
-        assert stats["per_tenant"] == {}
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join(timeout=5)
+    return acquired == [False]
 
 
-# ======================================================================
-# Circuit breaker.
-# ======================================================================
-class TestCircuitBreaker:
-    def _failing_setup(self, manager, relation, clock, threshold=2):
+class TestRequestPathOrder:
+    """The fixed order of one request: worker fault seam → closed check →
+    session lock → root span → deadline check → cache probe → plan run, then
+    the journal commit after the root span closes, still under the lock."""
+
+    def test_worker_seam_fires_before_the_closed_check(self, manager, relation):
         faults = FaultInjector()
-        breaker = CircuitBreaker(
-            failure_threshold=threshold, cooldown_seconds=10.0, clock=clock
-        )
-        scheduler = PlanScheduler(manager, breaker=breaker)
-        session = manager.create_session("acme", relation, 8.0, seed=0)
-        session.kernel.fault_injector = faults
-        return faults, breaker, scheduler, session
+        scheduler = PlanScheduler(manager, fault_injector=faults)
+        session = manager.create_session("acme", relation, 4.0, seed=0)
+        session.begin_close()
+        faults.arm("scheduler.worker", times=1)
+        with pytest.raises(InjectedFault):
+            scheduler.execute(identity_request(session))
+        with pytest.raises(SessionClosedError):
+            scheduler.execute(identity_request(session))
+        assert [fired.point for fired in faults.fired] == ["scheduler.worker"]
+        assert session.events == []
 
-    def test_opens_after_threshold_and_sheds_to_fallback(self, manager, relation):
-        clock = ManualClock()
-        faults, breaker, scheduler, session = self._failing_setup(
-            manager, relation, clock
+    def test_closed_rejection_is_neither_counted_nor_committed(self, manager, relation):
+        scheduler = PlanScheduler(manager)
+        journal = PrivacyJournal(None)
+        session = manager.create_session("acme", relation, 4.0, seed=0, journal=journal)
+        records = len(journal)
+        session.begin_close()
+        with pytest.raises(SessionClosedError):
+            scheduler.execute(identity_request(session))
+        snapshot = scheduler.metrics.snapshot()
+        assert not any(key.startswith("service_requests") for key in snapshot["counters"])
+        assert not any(
+            key.startswith("service_journal_commit_seconds") for key in snapshot["histograms"]
         )
-        faults.arm("kernel.before_charge", times=2)
-        request = dawa_request(session, epsilon=0.4)
-        for _ in range(2):
-            with pytest.raises(InjectedFault):
-                scheduler.execute(replace(request, reuse=False))
-        assert breaker.is_open("DAWA")
-        # Shed: the fallback Identity plan answers, marked degraded.
-        response = scheduler.execute(replace(request, reuse=False))
-        assert response.plan == "Identity"
-        assert response.info["degraded_from"] == "DAWA"
-        shed = scheduler.metrics.counter(
-            "service_shed_requests", tenant="acme", plan="DAWA"
-        )
-        assert shed.value == 1
+        assert len(journal) == records
+        assert scheduler.metrics.privacy_odometer() == {}
+
+    def test_deadline_is_checked_before_the_cache_probe(self, manager, relation):
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session("acme", relation, 4.0, seed=0)
+        scheduler.execute(identity_request(session))
+        probes = scheduler.measurement_cache.stats
+        # Same query, so a probe would hit; the expired deadline wins first.
+        with pytest.raises(DeadlineExceededError):
+            scheduler.execute(identity_request(session, deadline_seconds=0.0))
+        stats = scheduler.measurement_cache.stats
+        assert (stats["hits"], stats["misses"]) == (probes["hits"], probes["misses"])
+        event = session.events[-1]
+        assert event.error == "DeadlineExceededError" and not event.cached
+        assert session.budget_consumed() == pytest.approx(0.1)
         assert reconcile(session)["exact"]
 
-    def test_probe_after_cooldown_closes_circuit(self, manager, relation):
-        clock = ManualClock()
-        faults, breaker, scheduler, session = self._failing_setup(
-            manager, relation, clock
-        )
-        faults.arm("kernel.before_charge", times=2)
-        request = dawa_request(session, epsilon=0.4)
-        for _ in range(2):
-            with pytest.raises(InjectedFault):
-                scheduler.execute(replace(request, reuse=False))
-        clock.advance(11.0)
-        # The probe runs the real plan (faults exhausted) and closes.
-        response = scheduler.execute(replace(request, reuse=False))
-        assert response.plan == "DAWA"
-        assert not breaker.is_open("DAWA")
+    @pytest.mark.parametrize("fails", [False, True], ids=["answered", "failed"])
+    def test_journal_commits_after_the_root_span_under_the_lock(
+        self, manager, relation, fails
+    ):
+        tracer = Tracer()
+        faults = FaultInjector()
+        scheduler = PlanScheduler(manager, tracer=tracer)
+        journal = PrivacyJournal(None)
+        session = manager.create_session("acme", relation, 4.0, seed=0, journal=journal)
+        session.kernel.fault_injector = faults
+        commits = []
+        original_commit = journal.commit
 
-    def test_failed_probe_reopens(self, manager, relation):
-        clock = ManualClock()
-        faults, breaker, scheduler, session = self._failing_setup(
-            manager, relation, clock
-        )
-        faults.arm("kernel.before_charge", times=3)
-        request = dawa_request(session, epsilon=0.4)
-        for _ in range(2):
-            with pytest.raises(InjectedFault):
-                scheduler.execute(replace(request, reuse=False))
-        clock.advance(11.0)
-        with pytest.raises(InjectedFault):
-            scheduler.execute(replace(request, reuse=False))
-        assert breaker.is_open("DAWA")
-        # Still shedding inside the new cooldown window.
-        response = scheduler.execute(replace(request, reuse=False))
-        assert response.info["degraded_from"] == "DAWA"
+        def commit():
+            finished = [span for span in tracer.spans() if span.name == "service.request"]
+            commits.append((tracer.current_span(), finished, _held_elsewhere(session.lock)))
+            original_commit()
 
-    def test_breaker_isolated_per_plan(self, manager, relation):
-        clock = ManualClock()
-        faults, breaker, scheduler, session = self._failing_setup(
-            manager, relation, clock
-        )
-        faults.arm("kernel.before_charge", times=2)
-        request = dawa_request(session, epsilon=0.4)
-        for _ in range(2):
+        journal.commit = commit
+        if fails:
+            faults.arm("kernel.before_charge", times=1)
             with pytest.raises(InjectedFault):
-                scheduler.execute(replace(request, reuse=False))
-        assert breaker.is_open("DAWA")
+                scheduler.execute(identity_request(session))
+        else:
+            scheduler.execute(identity_request(session))
+        ((open_span, finished, held),) = commits
+        assert open_span is None  # the root span had closed ...
+        (root,) = finished  # ... and was recorded, with its final status
+        assert root.status == ("error" if fails else "ok")
+        assert root.trace_id == session.events[-1].trace_id
+        assert held  # ... while the session lock was still held
+
+    @pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+    def test_run_locked_runs_under_the_lock_inside_the_root_span(
+        self, manager, relation, traced
+    ):
+        tracer = Tracer() if traced else None
+        scheduler = PlanScheduler(manager, tracer=tracer)
+        session = manager.create_session("acme", relation, 4.0, seed=0)
+        calls = []
+        original_run = scheduler._run_locked
+
+        def spy(session_, request, queued_at, root):
+            active = tracer.current_span() if traced else None
+            calls.append((root, active, _held_elsewhere(session_.lock)))
+            return original_run(session_, request, queued_at, root)
+
+        scheduler._run_locked = spy
         response = scheduler.execute(identity_request(session))
-        assert not response.cached and "degraded_from" not in response.info
+        ((root, active, held),) = calls
+        assert held
+        if traced:
+            assert root is active and root.name == "service.request"
+            assert response.trace_id == root.trace_id == session.events[-1].trace_id
+        else:
+            assert root is NOOP_SPAN
+            assert response.trace_id is None and session.events[-1].trace_id is None
 
 
 # ======================================================================

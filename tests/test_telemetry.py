@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from repro.dataset import Attribute, Relation, Schema
+from repro.durability import FaultInjector, InjectedFault
 from repro.operators.inference import least_squares
-from repro.private import BudgetExceededError
+from repro.private import BudgetExceededError, DeadlineExceededError
 from repro.service import (
     ArtifactCache,
     PlanScheduler,
@@ -525,6 +526,181 @@ class TestStructuredFailures:
             scheduler.execute(bad)
         failure = RequestFailure.of(excinfo.value)
         assert failure.error_type == "ValueError" and failure.epsilon_spent == 0.0
+
+
+#: (case, outcome label, plan, exception type) — one row per request outcome.
+OUTCOME_CASES = [
+    ("answered", "ok", "Identity", None),
+    ("replayed", "cached", "Identity", None),
+    ("domain_mismatch", "rejected", "Identity", ValueError),
+    ("expired_while_queued", "timeout", "Identity", DeadlineExceededError),
+    ("expired_mid_plan", "timeout", "DAWA", DeadlineExceededError),
+    ("plan_error", "error", "Identity", InjectedFault),
+]
+
+
+def arrange_outcome(scheduler, session, faults, case):
+    """The request that ends in ``case``'s outcome on ``session``."""
+    request = identity_request(session)
+    if case == "replayed":
+        scheduler.execute(request)  # pays for the answer the replay reuses
+    elif case == "domain_mismatch":
+        request = identity_request(session, workload_params={"n": N // 2})
+    elif case == "expired_while_queued":
+        request = identity_request(session, deadline_seconds=0.0)
+    elif case == "expired_mid_plan":
+        # Both DAWA charges are slowed; the deadline passes during the
+        # first, so the kernel refuses the second before it spends.
+        faults.arm("kernel.before_charge", times=2, delay=0.05)
+        request = replace(
+            identity_request(session, epsilon=0.4), plan="DAWA", deadline_seconds=0.03
+        )
+    elif case == "plan_error":
+        faults.arm("kernel.before_charge", times=1)
+    return request
+
+
+class TestOutcomeLedger:
+    """Every request outcome leaves the same three traces behind: one audit
+    event, one ``service_requests`` tick under its outcome label and, on
+    failure, the original exception carrying its ``RequestFailure``."""
+
+    @pytest.mark.parametrize("case, outcome, plan, error", OUTCOME_CASES)
+    def test_outcome_is_ledgered_counted_and_attached(
+        self, manager, relation, case, outcome, plan, error
+    ):
+        faults = FaultInjector()
+        scheduler = PlanScheduler(manager, tracer=Tracer(), executor="inline")
+        session = open_session(manager, relation)
+        session.kernel.fault_injector = faults
+        request = arrange_outcome(scheduler, session, faults, case)
+        mark = session.kernel.budget_snapshot().num_measurements
+        consumed = session.budget_consumed()
+
+        response = exc = None
+        if error is None:
+            response = scheduler.execute(request)
+        else:
+            with pytest.raises(error) as excinfo:
+                scheduler.execute(request)
+            exc = excinfo.value
+        end = session.kernel.budget_snapshot().num_measurements
+        spent = session.budget_consumed() - consumed
+
+        event = session.events[-1]
+        assert event.cached is (outcome == "cached")
+        assert event.error == ("" if error is None else error.__name__)
+        assert event.trace_id is not None
+        if case in ("answered", "expired_mid_plan"):
+            assert end > mark
+            assert (event.history_start, event.history_end) == (mark, end)
+            assert event.epsilon_spent == pytest.approx(spent) and spent > 0
+        else:
+            assert end == mark and spent == 0.0 and event.epsilon_spent == 0.0
+            start = session.events[0].history_start if case == "replayed" else mark
+            assert (event.history_start, event.history_end) == (start, start)
+        if case == "expired_mid_plan":
+            assert event.epsilon_spent < request.epsilon
+        # Only requests that reached the plan carry a noise seed.
+        assert (event.seed is None) is (case in ("domain_mismatch", "expired_while_queued"))
+
+        counters = scheduler.metrics.snapshot()["counters"]
+        assert counters[f"service_requests{{outcome={outcome},plan={plan},tenant=acme}}"] == 1
+        timeouts = counters.get(f"service_deadline_timeouts{{plan={plan},tenant=acme}}", 0)
+        assert timeouts == (1 if outcome == "timeout" else 0)
+
+        if error is None:
+            assert response.cached is event.cached
+            assert response.seed == event.seed
+            assert response.epsilon_spent == event.epsilon_spent
+            assert response.trace_id == event.trace_id
+            assert event.duration_seconds == response.elapsed_seconds
+        else:
+            failure = RequestFailure.of(exc)
+            assert failure is not None
+            assert failure.error_type == error.__name__
+            assert failure.epsilon_spent == event.epsilon_spent
+            assert failure.trace_id == event.trace_id
+
+    @pytest.mark.parametrize("case, outcome, plan, error", OUTCOME_CASES)
+    def test_outcome_feeds_latency_queue_wait_and_odometer(
+        self, manager, relation, case, outcome, plan, error
+    ):
+        """The metrics see the same duration, queue wait and spend the audit
+        event records — once per request, whatever its outcome."""
+        faults = FaultInjector()
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = open_session(manager, relation)
+        session.kernel.fault_injector = faults
+        request = arrange_outcome(scheduler, session, faults, case)
+        metrics = scheduler.metrics
+        latency = metrics.histogram("service_request_latency_seconds", tenant="acme")
+        queue_wait = metrics.histogram("service_request_queue_wait_seconds", tenant="acme")
+        before = (latency.count, latency.total, queue_wait.count, queue_wait.total)
+        odometer = metrics.privacy_odometer().get("acme", {"requests": 0, "total_spent": 0.0})
+
+        if error is None:
+            scheduler.execute(request)
+        else:
+            with pytest.raises(error):
+                scheduler.execute(request)
+
+        event = session.events[-1]
+        assert latency.count == before[0] + 1
+        assert latency.total - before[1] == pytest.approx(event.duration_seconds, abs=1e-12)
+        assert queue_wait.count == before[2] + 1
+        assert queue_wait.total - before[3] == pytest.approx(
+            event.queue_wait_seconds, abs=1e-12
+        )
+        after = metrics.privacy_odometer()["acme"]
+        assert after["requests"] == odometer["requests"] + 1
+        assert after["total_spent"] - odometer["total_spent"] == pytest.approx(
+            event.epsilon_spent, abs=1e-12
+        )
+        assert after["unit"] == "epsilon"
+
+    @pytest.mark.parametrize("case, outcome, plan, error", OUTCOME_CASES)
+    def test_batch_slot_carries_the_same_outcome(
+        self, manager, relation, case, outcome, plan, error
+    ):
+        """On the thread backend a batch slot ends exactly as ``execute``
+        would: same ledger entry and counter, and a failed slot holds the
+        original exception with its ledgered ``RequestFailure``."""
+        faults = FaultInjector()
+        scheduler = PlanScheduler(manager, tracer=Tracer(), executor="thread", max_workers=2)
+        try:
+            session = open_session(manager, relation)
+            session.kernel.fault_injector = faults
+            request = arrange_outcome(scheduler, session, faults, case)
+            events_before = len(session.events)
+            (result,) = scheduler.execute_batch([request], return_exceptions=True)
+        finally:
+            scheduler.shutdown()
+
+        assert len(session.events) == events_before + 1
+        event = session.events[-1]
+        assert event.cached is (outcome == "cached")
+        assert event.error == ("" if error is None else error.__name__)
+        assert event.trace_id is not None
+        counters = scheduler.metrics.snapshot()["counters"]
+        assert counters[f"service_requests{{outcome={outcome},plan={plan},tenant=acme}}"] == 1
+        timeouts = counters.get(f"service_deadline_timeouts{{plan={plan},tenant=acme}}", 0)
+        assert timeouts == (1 if outcome == "timeout" else 0)
+
+        if error is None:
+            assert not isinstance(result, Exception)
+            assert result.cached is event.cached
+            assert result.trace_id == event.trace_id
+            assert event.duration_seconds == result.elapsed_seconds
+        else:
+            assert isinstance(result, error)
+            failure = RequestFailure.of(result)
+            assert failure is not None
+            assert failure.batch_index == 0 and failure.ledgered
+            assert failure.request_id == event.request_id
+            assert failure.error_type == error.__name__
+            assert failure.epsilon_spent == event.epsilon_spent
+            assert failure.trace_id == event.trace_id
 
 
 class TestTelemetryReport:
