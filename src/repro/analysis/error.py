@@ -10,10 +10,10 @@ provided for analytic comparisons.
 The expected-error functions are routed through the normal-equations
 engine: the strategy is factorised once with
 :func:`~repro.operators.inference.build_normal_equations`, in whichever of its
-four kinds fits the strategy's structure (a Cholesky-factored dense Gram, a
-sparse-LU'd CSR Gram, the orthogonal-rows closed form ``Mᵀ D⁻² M`` for Haar,
-or the sparse LU of the augmented system ``[[I, M], [Mᵀ, 0]]`` for
-hierarchies), then every workload row is one solve against that factor inside
+three kinds its CSR form allows (the orthogonal-rows closed form
+``Mᵀ D⁻² M`` for Haar and partitions, the sparse LU of the augmented system
+``[[I, M], [Mᵀ, 0]]`` for hierarchies, or a Cholesky-factored dense Gram),
+then every workload row is one solve against that factor inside
 one blocked trace computation ``tr(W G⁺ Wᵀ)``.  The seed recomputed
 ``pinv(AᵀA)`` anew for every workload row — O(m·n³) against the dense kind's
 O(n³ + m·n²) — which is what the ``expected_error`` section of

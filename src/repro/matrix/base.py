@@ -45,14 +45,6 @@ MATERIALISE_BLOCK = 4096
 #: under it for matrices with very many rows.
 _ROWS_SCRATCH_CELLS = 16_777_216
 
-#: :meth:`LinearQueryMatrix.gram_auto` returns the sparse Gram when the
-#: structural nnz estimate is at most this fraction of the full ``n * n``;
-#: above it, CSR overhead (index storage, slower BLAS) loses to dense.  The
-#: normal-equations builder applies the same fraction to the Gram estimate
-#: and, when the Gram is dense, to the strategy's own non-zeros.
-GRAM_DENSITY_THRESHOLD = 0.25
-
-
 def _content_digest(*parts) -> str:
     """Short stable digest of ndarrays/values, for canonical strategy keys."""
     digest = hashlib.sha256()
@@ -260,8 +252,8 @@ class LinearQueryMatrix:
 
         Computed block-wise as ``A.T @ (A @ E)`` over column blocks of the
         identity, so scratch memory stays at ``m * block_size`` doubles even
-        for tall-skinny measurement matrices.  This is the artifact the
-        normal-equations least-squares fast path caches and shares.
+        for tall-skinny measurement matrices.  This is the Gram that the dense
+        kind of the normal-equations least-squares fast path factorises.
         """
         n = self.shape[1]
         out = np.empty((n, n), dtype=np.float64)
@@ -271,47 +263,6 @@ class LinearQueryMatrix:
             basis[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
             out[:, lo:hi] = self.rmatmat(self.matmat(basis))
         return out
-
-    def gram_sparse(self) -> sp.csr_matrix:
-        """The Gram matrix ``A.T @ A`` in CSR form.
-
-        The generic fallback materialises the matrix (block-wise, through
-        :meth:`sparse`) and multiplies in scipy's native CSR kernels.
-        Structured subclasses override with closed forms that never touch an
-        ``(m, n)`` scratch array: disjoint partitions sum to (scaled)
-        diagonals, unions block-sum their children's Grams, Kronecker
-        products factorise (``(A ⊗ B).T (A ⊗ B) = A.T A ⊗ B.T B``).
-        """
-        mat = self.sparse()
-        return (mat.T @ mat).tocsr()
-
-    def gram_nnz_estimate(self) -> int:
-        """Cheap structural upper bound on ``nnz(A.T @ A)``.
-
-        Used by :meth:`gram_auto` to decide sparse versus dense without
-        building either.  The base class assumes the worst (a full ``n x n``
-        Gram); structured subclasses tighten the bound from their metadata
-        alone (group sizes, child estimates, factor products).
-        """
-        n = self.shape[1]
-        return n * n
-
-    def gram_auto(self, density_threshold: float = GRAM_DENSITY_THRESHOLD):
-        """The Gram matrix in whichever representation fits its structure.
-
-        Returns :meth:`gram_sparse` (CSR) when the structural nnz estimate is
-        at most ``density_threshold`` of the full ``n * n``, otherwise the
-        dense :meth:`gram_dense` ndarray.  The normal-equations inference
-        path factorises whichever comes back, so strategies with sparse Grams
-        (disjoint partitions, identity measurements, Kronecker products of
-        such) are factorised in sparse form end-to-end; where the Gram is
-        dense it first tries to factorise the sparse strategy itself (see
-        :func:`~repro.operators.inference.build_normal_equations`).
-        """
-        n = self.shape[1]
-        if self.gram_nnz_estimate() <= density_threshold * n * n:
-            return self.gram_sparse()
-        return self.gram_dense()
 
     def strategy_key(self) -> tuple:
         """Canonical hashable key identifying this matrix's *content*.

@@ -103,16 +103,6 @@ class VStack(LinearQueryMatrix):
             out += m.gram_dense()
         return out
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        out = self.matrices[0].gram_sparse()
-        for m in self.matrices[1:]:
-            out = out + m.gram_sparse()
-        return out.tocsr()
-
-    def gram_nnz_estimate(self) -> int:
-        n = self.shape[1]
-        return int(min(n * n, sum(m.gram_nnz_estimate() for m in self.matrices)))
-
     def _build_strategy_key(self) -> tuple:
         return ("VStack", tuple(m.strategy_key() for m in self.matrices))
 
@@ -237,21 +227,6 @@ class Product(LinearQueryMatrix):
     def sparse(self) -> sp.csr_matrix:
         return (self.left.sparse() @ self.right.sparse()).tocsr()
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        # (AB).T (AB) = B.T (A.T A) B: reuse the left factor's (possibly
-        # closed-form) Gram instead of materialising the product itself.
-        right = self.right.sparse()
-        return (right.T @ self.left.gram_sparse() @ right).tocsr()
-
-    def gram_nnz_estimate(self) -> int:
-        # A diagonal left factor (the row-weighting Product that
-        # least-squares builds for non-uniform weights) rescales rows without
-        # changing the Gram's sparsity pattern, so the right factor's bound
-        # carries over — weighted solves keep the sparse fast path.
-        if _is_diagonal(self.left):
-            return self.right.gram_nnz_estimate()
-        return super().gram_nnz_estimate()
-
     def _build_strategy_key(self) -> tuple:
         return ("Product", self.left.strategy_key(), self.right.strategy_key())
 
@@ -300,12 +275,6 @@ class Weighted(LinearQueryMatrix):
 
     def gram_dense(self, block_size: int | None = None) -> np.ndarray:
         return self.weight**2 * self.base.gram_dense()
-
-    def gram_sparse(self) -> sp.csr_matrix:
-        return (self.weight**2 * self.base.gram_sparse()).tocsr()
-
-    def gram_nnz_estimate(self) -> int:
-        return self.base.gram_nnz_estimate()
 
     def _build_strategy_key(self) -> tuple:
         return ("Weighted", self.weight, self.base.strategy_key())
@@ -436,36 +405,8 @@ class Kronecker(LinearQueryMatrix):
             out = np.kron(out, f.gram_dense())
         return out
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        out = self.factors[0].gram_sparse()
-        for f in self.factors[1:]:
-            out = sp.kron(out, f.gram_sparse(), format="csr")
-        return out.tocsr()
-
-    def gram_nnz_estimate(self) -> int:
-        n = self.shape[1]
-        estimate = 1
-        for f in self.factors:
-            estimate *= f.gram_nnz_estimate()
-        return int(min(n * n, estimate))
-
     def _build_strategy_key(self) -> tuple:
         return ("Kronecker", tuple(f.strategy_key() for f in self.factors))
-
-
-def _is_diagonal(matrix: LinearQueryMatrix) -> bool:
-    """Structural check that a matrix is square diagonal."""
-    from .core import Identity
-    from .dense import SparseMatrix
-
-    if isinstance(matrix, Identity):
-        return True
-    if isinstance(matrix, Weighted):
-        return _is_diagonal(matrix.base)
-    if isinstance(matrix, SparseMatrix) and matrix.shape[0] == matrix.shape[1]:
-        mat = matrix.matrix
-        return mat.nnz <= mat.shape[0] and (mat - sp.diags(mat.diagonal())).nnz == 0
-    return False
 
 
 def _is_nonnegative(matrix: LinearQueryMatrix) -> bool:
@@ -483,7 +424,7 @@ def _is_nonnegative(matrix: LinearQueryMatrix) -> bool:
     if isinstance(matrix, Product):
         return _is_nonnegative(matrix.left) and _is_nonnegative(matrix.right)
     if hasattr(matrix, "matrix"):
-        return bool((matrix.matrix >= 0).sum() == np.prod(matrix.shape))
+        return bool(np.all(matrix.matrix.data >= 0))  # implicit zeros are >= 0
     if hasattr(matrix, "array"):
         return bool(np.all(matrix.array >= 0))
     return False

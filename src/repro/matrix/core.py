@@ -69,12 +69,6 @@ class Identity(LinearQueryMatrix):
     def gram_dense(self, block_size: int | None = None) -> np.ndarray:
         return np.eye(self.n)
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        return sp.identity(self.n, format="csr")
-
-    def gram_nnz_estimate(self) -> int:
-        return self.n
-
     def _build_strategy_key(self) -> tuple:
         return ("Identity", self.n)
 
@@ -136,9 +130,6 @@ class Ones(LinearQueryMatrix):
     def gram_dense(self, block_size: int | None = None) -> np.ndarray:
         # (Ones.T @ Ones)[i, j] = m for every i, j.
         return np.full((self.shape[1], self.shape[1]), float(self.shape[0]))
-
-    def gram_sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.gram_dense())
 
     def _build_strategy_key(self) -> tuple:
         return ("Ones", self.shape)

@@ -40,9 +40,6 @@ class DenseMatrix(LinearQueryMatrix):
     def gram_dense(self, block_size: int | None = None) -> np.ndarray:
         return self.array.T @ self.array
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.array.T @ self.array)
-
     def sensitivity_l2(self) -> float:
         return float(np.sqrt(np.max(np.einsum("ij,ij->j", self.array, self.array))))
 
@@ -96,19 +93,9 @@ class SparseMatrix(LinearQueryMatrix):
     def gram_dense(self, block_size: int | None = None) -> np.ndarray:
         return np.asarray((self.matrix.T @ self.matrix).todense())
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        # A.T @ A natively in CSR — the structure never leaves sparse land.
-        return (self.matrix.T @ self.matrix).tocsr()
-
     def sensitivity_l2(self) -> float:
         squared = self.matrix.multiply(self.matrix)
         return float(np.sqrt(np.max(np.asarray(squared.sum(axis=0)))))
-
-    def gram_nnz_estimate(self) -> int:
-        # Row i contributes at most nnz(row_i)^2 index pairs to the Gram.
-        n = self.shape[1]
-        row_nnz = np.diff(self.matrix.indptr)
-        return int(min(n * n, np.sum(row_nnz.astype(np.int64) ** 2)))
 
     def _build_strategy_key(self) -> tuple:
         mat = self.matrix

@@ -103,16 +103,6 @@ class ReductionMatrix(LinearQueryMatrix):
         data = np.ones(self.n)
         return sp.csr_matrix((data, (self.groups, np.arange(self.n))), shape=self.shape)
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        # (P.T P)[i, j] = 1 iff cells i and j share a group: a block-ones
-        # matrix with sum(|g|^2) entries, built natively from the cached
-        # n-nnz CSR (shared with the _group_sum matmat kernel).
-        mat = self._csr()
-        return (mat.T @ mat).tocsr()
-
-    def gram_nnz_estimate(self) -> int:
-        return int(np.sum(self.group_sizes.astype(np.int64) ** 2))
-
     def _build_strategy_key(self) -> tuple:
         return ("Reduction", self.n, _content_digest(self.groups))
 
@@ -212,14 +202,6 @@ class ExpansionMatrix(LinearQueryMatrix):
     def gram_dense(self, block_size: int | None = None) -> np.ndarray:
         return np.diag(1.0 / self.reduction.group_sizes)
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        # Columns are disjoint group indicators scaled by 1/|g|, so the Gram
-        # is exactly diag(1/|g|).
-        return sp.diags(1.0 / self.reduction.group_sizes, format="csr")
-
-    def gram_nnz_estimate(self) -> int:
-        return self.reduction.num_groups
-
     def _build_strategy_key(self) -> tuple:
         return ("Expansion", self.reduction.strategy_key())
 
@@ -260,13 +242,6 @@ class _SquaredExpansionMatrix(LinearQueryMatrix):
         return sp.csr_matrix(
             (data, red.groups.copy(), np.arange(red.n + 1)), shape=self.shape
         )
-
-    def gram_sparse(self) -> sp.csr_matrix:
-        # Entries 1/|g|^2 on disjoint columns: Gram = diag(|g| / |g|^4).
-        return sp.diags(1.0 / self.reduction.group_sizes**3, format="csr")
-
-    def gram_nnz_estimate(self) -> int:
-        return self.reduction.num_groups
 
     def _build_strategy_key(self) -> tuple:
         return ("SquaredExpansion", self.reduction.strategy_key())

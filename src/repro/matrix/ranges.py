@@ -215,12 +215,6 @@ class HierarchicalQueries(LinearQueryMatrix):
     def rows(self, indices, block_size: int = 256) -> np.ndarray:
         return self._union.rows(indices, block_size=block_size)
 
-    def gram_sparse(self) -> sp.csr_matrix:
-        return self._union.gram_sparse()
-
-    def gram_nnz_estimate(self) -> int:
-        return self._union.gram_nnz_estimate()
-
     def _build_strategy_key(self) -> tuple:
         return ("Hierarchical", self.n, self.branching)
 
@@ -323,7 +317,18 @@ class RangeQueries2D(LinearQueryMatrix):
         return self.rows(np.arange(self.shape[0]))
 
     def sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(self.dense())
+        # Rectangle-indicator rows written from the corner coordinates: entry
+        # t of row i is cell (r_lo + t // width, c_lo + t % width), already in
+        # ascending column order, so no dense scratch and no sort.
+        rects = np.asarray(self.rects, dtype=np.int64)
+        widths = rects[:, 3] - rects[:, 2] + 1
+        sizes = (rects[:, 1] - rects[:, 0] + 1) * widths
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        owner = np.repeat(np.arange(len(rects)), sizes)
+        offset = np.arange(indptr[-1]) - indptr[owner]
+        cells = (rects[owner, 0] + offset // widths[owner]) * self.grid_cols
+        cells += rects[owner, 2] + offset % widths[owner]
+        return sp.csr_matrix((np.ones(cells.size), cells, indptr), shape=self.shape)
 
     def row(self, i: int) -> np.ndarray:
         r_lo, r_hi, c_lo, c_hi = self.rects[i]

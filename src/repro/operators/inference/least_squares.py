@@ -22,29 +22,25 @@ Four solution strategies are provided:
 * ``method="auto"`` — picks ``"normal"`` for tall-skinny problems with a
   moderate domain, ``"lsmr"`` otherwise.
 
-:func:`build_normal_equations` picks one of four kinds from the strategy's
-own structure (reported as the ``gram_kind`` attribute of its
-``solve.build_normal_equations`` span):
+:func:`build_normal_equations` picks one of three kinds from one input, the
+strategy's CSR form ``S = M.sparse()`` (reported as the ``gram_kind``
+attribute of its ``solve.build_normal_equations`` span):
 
-* ``"sparse"`` — the structural estimate
-  :meth:`~repro.matrix.base.LinearQueryMatrix.gram_nnz_estimate` says the
-  Gram ``M.T M`` is sparse (disjoint partitions, identity measurements,
-  Kronecker products of such): CSR Gram plus a sparse LU.
-* ``"orthogonal_rows"`` — the Gram is dense but ``M`` is sparse and
-  ``M M.T = D`` is diagonal with no zero row (Privelet's Haar matrix):
-  ``(M.T M)^+ = M.T D^-2 M`` is applied directly in O(nnz), with no Gram
-  and no factorisation.
-* ``"augmented"`` — the Gram is dense but ``M`` is sparse (the H2 and HB
-  hierarchies): a sparse LU of ``K = [[I, M], [M.T, 0]]``, whose
-  ``x``-block of ``K^-1 [0; -rhs]`` solves the normal equations.  ``K``
-  keeps the strategy's sparsity where ``M.T M`` fills in.
-* ``"dense"`` — everything else (``Prefix``, dense matrices), and sparse
-  strategies whose ``K`` is singular: the blocked dense Gram plus Cholesky.
+* ``"orthogonal_rows"`` — ``S S.T = D`` is diagonal with no zero row (Haar
+  wavelets, disjoint partitions, identity measurements): ``(M.T M)^+ =
+  M.T D^-2 M`` is applied directly in O(nnz), with no Gram and no
+  factorisation.
+* ``"augmented"`` — any other sparse ``S`` (the H2 and HB hierarchies,
+  partitions stacked on an identity): a sparse LU of ``K = [[I, M], [M.T,
+  0]]``, whose ``x``-block of ``K^-1 [0; -rhs]`` solves the normal
+  equations.  ``K`` keeps the strategy's sparsity where ``M.T M`` fills in.
+* ``"dense"`` — ``S`` holds more than :data:`STRATEGY_DENSITY_THRESHOLD` of
+  ``n * n`` non-zeros (``Prefix``, dense matrices), or ``K`` is singular:
+  the blocked dense Gram plus Cholesky.
 
-The two sparse-strategy kinds apply when ``nnz(M)`` is at most
-:data:`~repro.matrix.base.GRAM_DENSITY_THRESHOLD` of ``n * n``, the same
-fraction that decides a sparse Gram.  Rank-deficient strategies get the
-minimum-norm (pseudo-inverse) solution from every kind.
+Rank-deficient strategies get the minimum-norm (pseudo-inverse) solution
+from every kind: a singular ``K`` falls through to the dense kind, which
+solves with ``lstsq`` when a Cholesky pivot is (near) zero.
 """
 
 from __future__ import annotations
@@ -55,10 +51,9 @@ from typing import Callable, Hashable, Protocol
 import numpy as np
 from scipy import sparse as sp
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse.linalg import factorized, lsmr, splu
+from scipy.sparse.linalg import lsmr, splu
 
 from ...matrix import LinearQueryMatrix, ensure_matrix
-from ...matrix.base import GRAM_DENSITY_THRESHOLD
 from ...matrix.combinators import VStack
 from ...telemetry.spans import trace_span
 
@@ -69,13 +64,18 @@ class SupportsGetOrBuild(Protocol):
     def get_or_build(self, key: Hashable, builder): ...
 
 
+#: The orthogonal-rows and augmented kinds apply when the strategy's CSR form
+#: holds at most this fraction of the full ``n * n``; above it, CSR overhead
+#: (index storage, slower kernels) loses to the dense Gram and Cholesky.
+STRATEGY_DENSITY_THRESHOLD = 0.25
+
 #: ``method="auto"`` switches to the normal equations when the measurement
 #: matrix has at least this many rows per column ...
 _AUTO_NORMAL_ASPECT = 2.0
 #: ... and no more than this many columns.  The bound is set by the dense
 #: kind: its Gram takes n^2 doubles and its Cholesky factorisation O(n^3)
-#: time; the sparse, orthogonal-rows and augmented kinds scale with the
-#: strategy's non-zeros instead.
+#: time; the orthogonal-rows and augmented kinds scale with the strategy's
+#: non-zeros instead.
 _AUTO_NORMAL_MAX_DOMAIN = 4096
 
 
@@ -95,102 +95,53 @@ class NormalEquations:
     It depends only on the (public) measurement strategy and weights, never
     on the noisy answers, so the artifact is data-independent and safe to
     share across requests and tenants through the service's
-    ``ArtifactCache``.  ``kind`` says which of the four forms
+    ``ArtifactCache``.  ``kind`` says which of the three forms
     :func:`build_normal_equations` chose (see the module docstring):
 
     * ``"dense"`` — ``gram`` is a dense ndarray factorised with Cholesky
       (``cho``);
-    * ``"sparse"`` — ``gram`` is a scipy CSR matrix factorised with a sparse
-      LU (``lu``, from ``scipy.sparse.linalg.factorized``);
     * ``"orthogonal_rows"`` and ``"augmented"`` — no Gram is formed
       (``gram`` is ``None``); ``lu`` applies ``(M.T M)^+`` from the sparse
       strategy itself.
 
-    When the Gram is singular (rank-deficient measurements) the dense and
-    sparse kinds keep the Gram with both factorisations ``None``, and solves
-    fall back to the minimum-norm pseudo-inverse solution.
+    When the Gram is singular (rank-deficient measurements) the dense kind
+    keeps the Gram with ``cho=None``, and solves fall back to the
+    minimum-norm pseudo-inverse solution.
     """
 
-    gram: np.ndarray | sp.spmatrix | None
+    gram: np.ndarray | None
     cho: tuple | None
     lu: Callable[[np.ndarray], np.ndarray] | None = None
-    kind: str = ""
-
-    def __post_init__(self):
-        if not self.kind:
-            self.kind = "sparse" if sp.issparse(self.gram) else "dense"
-
-    @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.gram)
+    kind: str = "dense"
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``(M.T M)^+ rhs`` for a vector or a stack of columns."""
         if self.cho is not None:
             return cho_solve(self.cho, rhs)
         if self.lu is not None:
-            rhs = np.asarray(rhs)
-            if rhs.ndim == 2:
-                try:
-                    return np.asarray(self.lu(rhs))
-                except Exception:
-                    # umfpack-backed factorized() solves only accept 1-D
-                    # right-hand sides; fall back to one solve per column.
-                    return np.stack(
-                        [self.lu(rhs[:, j]) for j in range(rhs.shape[1])], axis=1
-                    )
-            return self.lu(rhs)
-        gram = self.gram.toarray() if sp.issparse(self.gram) else self.gram
-        return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            return self.lu(np.asarray(rhs))
+        return np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
 
 
-def build_normal_equations(
-    queries: LinearQueryMatrix, prefer: str = "auto"
-) -> NormalEquations:
-    """Factorise the normal equations of ``queries`` once, in the cheapest form.
-
-    ``prefer`` is ``"auto"`` (pick the kind from the strategy's structure, as
-    the module docstring describes), ``"sparse"`` (force the CSR Gram +
-    sparse LU) or ``"dense"`` (force the blocked dense Gram + Cholesky).
-    """
+def build_normal_equations(queries: LinearQueryMatrix) -> NormalEquations:
+    """Factorise the normal equations of ``queries`` once, in the kind its
+    CSR form allows (see the module docstring)."""
     with trace_span(
         "solve.build_normal_equations",
-        prefer=prefer,
         rows=int(queries.shape[0]),
         cols=int(queries.shape[1]),
     ) as span:
-        n = queries.shape[1]
-        if prefer == "auto":
-            # Where the Gram is dense, try the sparse strategy itself first.
-            # Its CSR form is dropped on return, before any dense Gram is
-            # built, so dense strategies' peak memory stays put.
-            normal = None
-            if queries.gram_nnz_estimate() > GRAM_DENSITY_THRESHOLD * n * n:
-                normal = _factor_strategy(queries)
-            if normal is None:
-                normal = _factor_gram(queries.gram_auto())
-        elif prefer == "sparse":
-            normal = _factor_gram(queries.gram_sparse())
-        elif prefer == "dense":
-            normal = _factor_gram(queries.gram_dense())
-        else:
-            raise ValueError(f"unknown Gram preference {prefer!r}")
+        # The CSR form is dropped when _factor_strategy returns, before any
+        # dense Gram is built, so dense strategies' peak memory stays put.
+        normal = _factor_strategy(queries)
+        if normal is None:
+            normal = _factor_dense(queries.gram_dense())
         span.set_attribute("gram_kind", normal.kind)
-        if normal.is_sparse:
-            span.set_attribute("gram_nnz", int(normal.gram.nnz))
         return normal
 
 
-def _factor_gram(gram: np.ndarray | sp.spmatrix) -> NormalEquations:
-    """The ``"sparse"`` (CSR + sparse LU) or ``"dense"`` (Cholesky) kind."""
-    if sp.issparse(gram):
-        gram = gram.tocsr()
-        try:
-            lu = factorized(gram.tocsc())
-        except RuntimeError:
-            # Exactly singular: solves fall back to the pseudo-inverse.
-            lu = None
-        return NormalEquations(gram, cho=None, lu=lu)
+def _factor_dense(gram: np.ndarray) -> NormalEquations:
+    """The ``"dense"`` kind: Cholesky, or the pseudo-inverse on a tiny pivot."""
     try:
         cho = cho_factor(gram)
     except np.linalg.LinAlgError:
@@ -211,7 +162,7 @@ def _factor_strategy(queries: LinearQueryMatrix) -> NormalEquations | None:
     augmented system is singular."""
     m, n = queries.shape
     strategy = queries.sparse().tocsr()
-    if strategy.nnz > GRAM_DENSITY_THRESHOLD * n * n:
+    if strategy.nnz > STRATEGY_DENSITY_THRESHOLD * n * n:
         return None
     if m <= n:  # more than n non-zero rows cannot be mutually orthogonal
         outer = strategy @ strategy.T

@@ -102,8 +102,8 @@ class ArtifactCache:
     def normal_equations(self, key: Hashable, matrix: LinearQueryMatrix):
         """Cached normal-equations artifact: the strategy's factorisation in
         whichever kind :func:`~repro.operators.inference.build_normal_equations`
-        picks for it (a Cholesky-factored dense Gram, a sparse-LU'd CSR Gram,
-        the orthogonal-rows closed form or the augmented system's sparse LU).
+        picks for it (the orthogonal-rows closed form, the augmented system's
+        sparse LU or a Cholesky-factored dense Gram).
 
         The artifact depends only on the (public) measurement strategy, never
         on private data, so it is safe to share across sessions and tenants.

@@ -318,8 +318,9 @@ class TestExpectedErrorEngine:
             expected_workload_error(Prefix(8), Identity(9))
 
     def test_sparse_gram_route(self):
-        # A disjoint-partition strategy keeps a sparse Gram end-to-end; the
-        # result must still match the dense pinv formula.
+        # A disjoint partition stacked on an identity has a sparse Gram; it
+        # takes the augmented kind, and the result must still match the
+        # dense pinv formula.
         from repro.matrix import ReductionMatrix
 
         strategy = VStack([ReductionMatrix(np.arange(24) // 4), Identity(24)])
@@ -327,26 +328,6 @@ class TestExpectedErrorEngine:
         assert expected_workload_error(workload, strategy) == pytest.approx(
             self._per_row_pinv(workload, strategy), rel=1e-8
         )
-
-    def test_solve_falls_back_to_columns_for_1d_only_lu(self):
-        # umfpack-backed factorized() solves reject 2-D right-hand sides;
-        # NormalEquations.solve must fall back to one solve per column.
-        from scipy import sparse as sp
-        from scipy.sparse.linalg import factorized
-
-        from repro.operators.inference import NormalEquations
-
-        gram = sp.identity(5, format="csc") * 2.0
-        dense_lu = factorized(gram)
-
-        def one_dimensional_lu(rhs):
-            if np.asarray(rhs).ndim != 1:
-                raise ValueError("only 1-D right-hand sides supported")
-            return dense_lu(rhs)
-
-        normal = NormalEquations(gram.tocsr(), cho=None, lu=one_dimensional_lu)
-        rhs = np.arange(15.0).reshape(5, 3)
-        assert np.allclose(normal.solve(rhs), rhs / 2.0)
 
     def test_blocked_trace_covers_all_rows(self, monkeypatch):
         from repro.analysis import error as error_module

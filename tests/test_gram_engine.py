@@ -1,12 +1,14 @@
-"""Tests of the sparse-aware Gram/solve engine and strategy-key protocol.
+"""Tests of the normal-equations solve engine and strategy-key protocol.
 
-Covers ``gram_sparse``/``gram_auto``/``strategy_key`` across the full matrix
-hierarchy, the four kinds of the normal-equations inference artifact (sparse
-Gram, orthogonal rows, augmented system, dense Gram) and the rule that picks
-them, and the scheduler-level Gram sharing that reuses one factorisation
-across tenants.  Also pins weighted residual-norm units, the all-zero-weights
-guard, the structural (dense-free) ``sparse()`` builders, and the memoised
-hierarchy intervals.
+Covers ``gram_dense``/``sparse``/``strategy_key``, the minimum-norm
+normal-equations solve (plain and row-weighted), the kind rule and the
+expected workload error across the full matrix hierarchy, the three kinds of
+the normal-equations inference artifact (orthogonal rows, augmented system,
+dense Gram) and the rule that picks them from the strategy's CSR form, the
+paper's predictable-error claim on every kind, and the scheduler-level Gram
+sharing that reuses one factorisation across tenants.  Also pins weighted
+residual-norm units, the all-zero-weights guard, the structural (dense-free)
+``sparse()`` builders, and the memoised hierarchy intervals.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse as sp
 
+from repro.accounting import ApproxDPAccountant
+from repro.analysis import expected_workload_error
+from repro.dataset import Attribute, Relation, Schema
 from repro.matrix import (
     DenseMatrix,
     ExpansionMatrix,
@@ -49,7 +54,8 @@ from repro.operators.inference import (
     least_squares,
     least_squares_from_parts,
 )
-from repro.operators.inference.least_squares import NormalEquations
+from repro.operators.inference.least_squares import NormalEquations, _factor_dense
+from repro.private import ProtectedKernel
 from repro.service import ArtifactCache
 from repro.telemetry import Tracer, activate
 
@@ -108,27 +114,66 @@ def _catalog() -> list[tuple[str, LinearQueryMatrix]]:
 
 @pytest.mark.parametrize("name,matrix", _catalog(), ids=[n for n, _ in _catalog()])
 class TestGramProtocol:
-    def test_gram_sparse_matches_dense(self, name, matrix):
-        dense = matrix.dense()
-        expected = dense.T @ dense
-        got = matrix.gram_sparse()
-        assert sp.issparse(got)
-        np.testing.assert_allclose(got.toarray(), expected, atol=1e-9)
-
     def test_gram_dense_matches_explicit(self, name, matrix):
         dense = matrix.dense()
         np.testing.assert_allclose(matrix.gram_dense(), dense.T @ dense, atol=1e-9)
 
-    def test_gram_nnz_estimate_is_an_upper_bound(self, name, matrix):
-        gram = matrix.gram_sparse()
-        gram.eliminate_zeros()
-        assert matrix.gram_nnz_estimate() >= gram.nnz
-
-    def test_gram_auto_matches_dense_either_way(self, name, matrix):
-        gram = matrix.gram_auto()
+    def test_normal_equations_solve_like_lstsq(self, name, matrix):
+        # Every kind, rank-deficient classes included, must give the
+        # minimum-norm least-squares solution of M x = b.
         dense = matrix.dense()
-        arr = gram.toarray() if sp.issparse(gram) else gram
-        np.testing.assert_allclose(arr, dense.T @ dense, atol=1e-9)
+        normal = build_normal_equations(matrix)
+        assert normal.kind in ("orthogonal_rows", "augmented", "dense")
+        rng = _rng(19)
+        for answers in (rng.normal(size=dense.shape[0]), rng.normal(size=(dense.shape[0], 3))):
+            expected = np.linalg.lstsq(dense, answers, rcond=None)[0]
+            got = normal.solve(dense.T @ answers)
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=1e-7, atol=1e-9)
+
+    def test_kind_follows_the_csr_rule(self, name, matrix):
+        # The rule, restated from the dense matrix: a dense CSR form takes
+        # the dense kind; a sparse one with mutually orthogonal non-zero rows
+        # the closed form; any other sparse one the augmented system, unless
+        # that system is singular (rank-deficient columns).
+        dense = matrix.dense()
+        n = dense.shape[1]
+        outer = dense @ dense.T
+        norms = np.diag(outer)
+        if np.count_nonzero(dense) > n * n / 4:
+            expected = "dense"
+        elif np.all(norms > 0) and not np.any(outer - np.diag(norms)):
+            expected = "orthogonal_rows"
+        elif np.linalg.matrix_rank(dense) < n:
+            expected = "dense"
+        else:
+            expected = "augmented"
+        assert build_normal_equations(matrix).kind == expected
+
+    def test_weighted_solve_like_lstsq(self, name, matrix):
+        # Non-uniform row weights factorise diag(w) M, rank-deficient classes
+        # included: the estimate is the minimum-norm weighted solution and the
+        # residual is reported in weighted units.
+        dense = matrix.dense()
+        rng = _rng(27)
+        answers = rng.normal(size=dense.shape[0])
+        weights = rng.uniform(0.5, 2.0, size=dense.shape[0])
+        expected = np.linalg.lstsq(weights[:, None] * dense, weights * answers, rcond=None)[0]
+        result = least_squares(matrix, answers, weights=weights, method="normal")
+        np.testing.assert_allclose(result.x_hat, expected, rtol=1e-7, atol=1e-9)
+        residual = np.linalg.norm(weights * (dense @ expected - answers))
+        assert result.residual_norm == pytest.approx(residual, rel=1e-7, abs=1e-9)
+
+    def test_expected_workload_error_matches_pinv(self, name, matrix):
+        # Var · tr(W (MᵀM)⁺ Wᵀ) with Laplace's Var = 2·(||M||₁/ε)², against the
+        # pseudo-inverse of the explicit Gram.
+        dense = matrix.dense()
+        workload = _rng(23).normal(size=(5, dense.shape[1]))
+        epsilon = 0.5
+        variance = 2.0 * (np.abs(dense).sum(axis=0).max() / epsilon) ** 2
+        expected = variance * np.trace(workload @ np.linalg.pinv(dense.T @ dense) @ workload.T)
+        got = expected_workload_error(DenseMatrix(workload), matrix, epsilon)
+        assert got == pytest.approx(expected, rel=1e-7)
 
     def test_strategy_key_is_hashable_and_stable(self, name, matrix):
         key = matrix.strategy_key()
@@ -138,32 +183,6 @@ class TestGramProtocol:
     def test_sparse_matches_dense(self, name, matrix):
         # The structural sparse() builders must agree with dense().
         np.testing.assert_allclose(matrix.sparse().toarray(), matrix.dense(), atol=1e-12)
-
-
-class TestGramAutoSelection:
-    def test_disjoint_partition_strategy_is_sparse(self):
-        strategy = VStack([_reduction(64, 8), Identity(64)])
-        assert strategy.gram_nnz_estimate() < 0.25 * 64 * 64
-        assert sp.issparse(strategy.gram_auto())
-
-    def test_dense_structures_stay_dense(self):
-        assert isinstance(Prefix(16).gram_auto(), np.ndarray)
-        assert isinstance(HierarchicalQueries(16).gram_auto(), np.ndarray)
-
-    def test_identity_and_expansion_closed_forms(self):
-        assert Identity(10).gram_sparse().nnz == 10
-        red = _reduction()
-        expansion = red.pseudo_inverse()
-        gram = expansion.gram_sparse()
-        # diag(1/|g|): exactly p entries.
-        assert gram.nnz == red.num_groups
-        np.testing.assert_allclose(gram.diagonal(), 1.0 / red.group_sizes)
-
-    def test_kronecker_gram_factorises(self):
-        kron = Kronecker([Identity(4), _reduction(6, 2, 9)])
-        assert sp.issparse(kron.gram_auto())
-        dense = kron.dense()
-        np.testing.assert_allclose(kron.gram_sparse().toarray(), dense.T @ dense, atol=1e-9)
 
 
 class TestStrategyKeys:
@@ -218,32 +237,19 @@ class TestStrategyKeys:
 
 
 class TestNormalEquationsSparse:
-    def test_sparse_branch_solves_like_dense(self):
-        strategy = VStack([_reduction(32, 4, 1), Identity(32)])
-        rng = _rng(11)
-        answers = strategy.matvec(rng.normal(size=32)) + rng.normal(size=strategy.shape[0])
-        sparse_ne = build_normal_equations(strategy, prefer="sparse")
-        dense_ne = build_normal_equations(strategy, prefer="dense")
-        assert sparse_ne.is_sparse and not dense_ne.is_sparse
-        rhs = strategy.rmatvec(answers)
-        np.testing.assert_allclose(sparse_ne.solve(rhs), dense_ne.solve(rhs), atol=1e-8)
-
-    def test_auto_prefers_sparse_for_partition_strategy(self):
-        strategy = VStack([_reduction(32, 4, 2), Identity(32)])
-        assert build_normal_equations(strategy).is_sparse
-
     def test_singular_sparse_gram_falls_back_to_pseudo_inverse(self):
         # A measurement matrix with an unmeasured cell: the Gram has a zero
-        # row/column, the sparse LU is singular, and solves fall back to the
-        # minimum-norm least-squares solution.
+        # row/column, so the augmented system is singular, the dense kind's
+        # Cholesky fails, and solves fall back to the minimum-norm
+        # least-squares solution.
         mat = sp.diags(np.array([1.0, 2.0, 0.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
         strategy = SparseMatrix(mat.tocsr())
-        ne = build_normal_equations(strategy, prefer="sparse")
-        assert ne.is_sparse and ne.lu is None and ne.cho is None
+        ne = build_normal_equations(strategy)
+        assert ne.kind == "dense" and ne.lu is None and ne.cho is None
         answers = np.ones(10)
         x_hat = ne.solve(strategy.rmatvec(answers))
-        gram = ne.gram.toarray()
-        np.testing.assert_allclose(gram @ x_hat, strategy.rmatvec(answers), atol=1e-9)
+        np.testing.assert_allclose(ne.gram @ x_hat, strategy.rmatvec(answers), atol=1e-9)
+        assert x_hat[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_least_squares_normal_on_sparse_gram_strategy(self):
         strategy = VStack([_reduction(64, 8, 4), Identity(64)])
@@ -314,16 +320,16 @@ class TestWeightedResidualUnits:
         assert negative.residual_norm == pytest.approx(positive.residual_norm, rel=1e-9)
         np.testing.assert_allclose(negative.x_hat, positive.x_hat, atol=1e-9)
 
-    def test_nonuniform_weights_keep_the_sparse_gram_path(self):
-        # Row weighting is a diagonal left factor: the Gram's sparsity
+    def test_nonuniform_weights_keep_the_sparse_strategy_kind(self):
+        # Row weighting is a diagonal left factor: the strategy's sparsity
         # pattern is unchanged, so the weighted system must still factorise
-        # sparse (Product.gram_nnz_estimate sees through the diagonal).
+        # from its CSR form.
         strategy = VStack([_reduction(64, 8, 6), Identity(64)])
         rng = _rng(14)
         weights = rng.uniform(0.5, 2.0, size=strategy.shape[0])
         weighted = Product(SparseMatrix(sp.diags(weights)), strategy)
-        assert weighted.gram_nnz_estimate() == strategy.gram_nnz_estimate()
-        assert build_normal_equations(weighted).is_sparse
+        assert weighted.sparse().nnz == strategy.sparse().nnz
+        assert build_normal_equations(weighted).kind == "augmented"
         x_true = rng.normal(size=64)
         answers = strategy.matvec(x_true)
         result = least_squares(strategy, answers, weights=weights, method="normal")
@@ -394,7 +400,7 @@ class TestAutoGramKeys:
 
 
 # ----------------------------------------------------------------------------
-# The four normal-equations kinds and the rule that picks them.
+# The three normal-equations kinds and the rule that picks them.
 # ----------------------------------------------------------------------------
 KIND_CASES = [
     ("haar", lambda: HaarWavelet(64), "orthogonal_rows"),
@@ -411,8 +417,10 @@ KIND_CASES = [
     ),
     ("prefix", lambda: Prefix(64), "dense"),
     ("dense", lambda: DenseMatrix(_rng(3).normal(size=(96, 64))), "dense"),
-    ("partition", lambda: VStack([_reduction(64, 8), Identity(64)]), "sparse"),
-    ("kron_partition", lambda: Kronecker([Identity(4), _reduction(16, 4, 9)]), "sparse"),
+    # Disjoint groups stacked on an identity: m > n, so not orthogonal.
+    ("partition", lambda: VStack([_reduction(64, 8), Identity(64)]), "augmented"),
+    # Disjoint non-empty groups: mutually orthogonal rows.
+    ("kron_partition", lambda: Kronecker([Identity(4), _reduction(16, 4, 9)]), "orthogonal_rows"),
 ]
 
 
@@ -441,7 +449,7 @@ class TestNormalEquationKinds:
         strategy = build()
         rng = _rng(17)
         normal = build_normal_equations(strategy)
-        dense = build_normal_equations(strategy, prefer="dense")
+        dense = _factor_dense(strategy.gram_dense())
         vector = strategy.rmatvec(rng.normal(size=strategy.shape[0]))
         columns = strategy.rmatmat(rng.normal(size=(strategy.shape[0], 3)))
         assert normal.solve(vector).shape == vector.shape
@@ -466,7 +474,7 @@ class TestNormalEquationKindsEdges:
         monkeypatch.setattr(
             error_module,
             "build_normal_equations",
-            lambda matrix: build_normal_equations(matrix, prefer="dense"),
+            lambda matrix: _factor_dense(matrix.gram_dense()),
         )
         assert fast == pytest.approx(
             error_module.expected_workload_error(workload, strategy), rel=1e-9
@@ -484,12 +492,22 @@ class TestNormalEquationKindsEdges:
         got = least_squares(strategy, answers, method="normal").x_hat
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
-    def test_rank_deficient_hierarchy_with_nonuniform_weights(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _unsplit_pair(32),
+            # A sparse Gram: cells 0 and 1 are only ever measured together.
+            lambda: VStack([ReductionMatrix([0, 0, *range(1, 31)])] * 2),
+        ],
+        ids=["hierarchy", "stacked_partitions"],
+    )
+    def test_rank_deficient_hierarchy_with_nonuniform_weights(self, build):
         # Row weights make a zero pivot round to a tiny non-zero in some
-        # draws (draws 1, 5, 11, 14, 17 and 23 on x86-64 scipy 1.17, where
-        # splu then does not raise); every draw must still give the
-        # minimum-norm solution.
-        strategy = _unsplit_pair(32)
+        # draws (draws 1, 5, 11, 14, 17 and 23 of the hierarchy on x86-64
+        # scipy 1.17, where splu then does not raise); every draw must still
+        # give the minimum-norm solution.
+        strategy = build()
+        assert np.linalg.matrix_rank(strategy.dense()) == 31
         dense = strategy.dense()
         answers = _rng(30).normal(size=strategy.shape[0])
         rng = _rng(31)
@@ -507,6 +525,53 @@ class TestNormalEquationKindsEdges:
         assert normal.kind == "orthogonal_rows"
         rhs = strategy.rmatvec(np.array([6.0]))
         np.testing.assert_allclose(normal.solve(rhs), np.full(12, 0.5), atol=1e-12)
+
+
+PREDICTABLE_ERROR_CASES = [
+    ("identity", lambda n: Identity(n), "orthogonal_rows"),
+    ("haar", lambda n: HaarWavelet(n), "orthogonal_rows"),
+    ("h2", lambda n: HierarchicalQueries(n, 2), "augmented"),
+    ("hb", lambda n: HierarchicalQueries(n, optimal_branching_factor(n)), "augmented"),
+    ("prefix", lambda n: Prefix(n), "dense"),
+]
+
+
+class TestPredictableError:
+    """The paper's central claim: a plan's error is predictable.  Realised
+    workload error of kernel measurements plus least squares must match
+    ``expected_workload_error`` on every normal-equations kind."""
+
+    @pytest.mark.parametrize("noise", ["laplace", "gaussian"])
+    @pytest.mark.parametrize(
+        "name,build,kind", PREDICTABLE_ERROR_CASES, ids=[c[0] for c in PREDICTABLE_ERROR_CASES]
+    )
+    def test_mean_squared_error_matches_expected(self, name, build, kind, noise):
+        n, trials, delta = 256, 200, 1e-6
+        strategy = build(n)
+        assert build_normal_equations(strategy).kind == kind
+        rng = _rng(41)
+        pairs = rng.integers(0, n, size=(128, 2))
+        workload = RangeQueries(n, [(min(a, b), max(a, b)) for a, b in pairs])
+        histogram = rng.integers(0, 50, size=n)
+        relation = Relation.from_histogram(Schema.build([Attribute("x", n)]), histogram)
+        if noise == "laplace":
+            kernel = ProtectedKernel(relation, epsilon_total=trials + 1, seed=43)
+            measure = kernel.measure_vector_laplace
+        else:
+            accountant = ApproxDPAccountant(trials + 1, delta_total=0.01, measurement_delta=delta)
+            kernel = ProtectedKernel(relation, seed=43, accountant=accountant)
+            measure = kernel.measure_vector_gaussian
+        vector = kernel.transform_vectorize("root")
+        truth = workload.matvec(histogram.astype(np.float64))
+        cache = ArtifactCache()
+        errors = np.empty(trials)
+        for t in range(trials):
+            answers = measure(vector, strategy, 1.0)
+            x_hat = least_squares(strategy, answers, method="normal", gram_cache=cache).x_hat
+            errors[t] = np.sum((workload.matvec(x_hat) - truth) ** 2)
+        expected = expected_workload_error(workload, strategy, 1.0, noise=noise, delta=delta)
+        standard_error = errors.std(ddof=1) / np.sqrt(trials)
+        assert abs(errors.mean() - expected) <= 4.0 * standard_error
 
 
 class TestSharedFactorAcrossThreads:
@@ -570,6 +635,29 @@ class TestStructuralSparse:
         assert np.array_equal(ranges.sparse().toarray(), expected)
         assert ranges.sensitivity() == expected.sum(axis=0).max()
         assert ranges.intervals == intervals
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 12))
+    def test_range_queries_2d_sparse_equals_indicators(self, data, rows, cols):
+        def span(size):
+            return st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).map(sorted)
+
+        pairs = data.draw(st.lists(st.tuples(span(rows), span(cols)), min_size=1, max_size=12))
+        rects = [(r_lo, r_hi, c_lo, c_hi) for (r_lo, r_hi), (c_lo, c_hi) in pairs]
+        expected = np.zeros((len(rects), rows, cols))
+        for i, (r_lo, r_hi, c_lo, c_hi) in enumerate(rects):
+            expected[i, r_lo : r_hi + 1, c_lo : c_hi + 1] = 1.0
+        ranges = RangeQueries2D(rows, cols, rects)
+
+        def no_dense_detour(*args, **kwargs):
+            raise AssertionError("sparse() materialised the matrix densely")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("dense", "rows"):
+                patch.setattr(RangeQueries2D, name, no_dense_detour)
+            mat = ranges.sparse()
+        assert mat.has_canonical_format
+        assert np.array_equal(mat.toarray(), expected.reshape(len(rects), -1))
 
 
 class TestHierarchicalIntervals:
