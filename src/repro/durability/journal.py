@@ -12,11 +12,17 @@ payload::
 
     3f91a2c4 {"seq":1,"kind":"charge","p":0.1,"d":0.0}
 
-``seq`` is a strictly sequential record number.  On open, the journal scans
-existing content and validates CRC, JSON shape and sequence continuity; the
-first torn or corrupt record (a half-written line from a crash mid-append, a
-flipped bit) truncates the file at the last good byte — the journal's
-contract is *prefix durability*, never a gap.
+``seq`` is a strictly sequential record number, always the first key.  On
+open, the journal scans existing content and validates each line's CRC and
+its ``{"seq":N,`` prefix for sequence continuity, without decoding the JSON;
+the first torn or corrupt record (a half-written line from a crash
+mid-append, a flipped bit) truncates the file at the last good byte — the
+journal's contract is *prefix durability*, never a gap.
+
+The journal keeps no copy of its records in memory, so a long-lived session
+does not grow with its journal: :meth:`PrivacyJournal.iter_records` decodes
+the file (or the in-memory buffer) one line at a time on each call, which
+only restore and forensics do.
 
 Durability modes (``fsync=``):
 
@@ -40,6 +46,7 @@ import os
 import threading
 import zlib
 from pathlib import Path
+from typing import Iterator
 
 from .faults import FaultInjector
 
@@ -57,22 +64,21 @@ def _encode_line(record: dict) -> bytes:
     return b"%08x " % zlib.crc32(payload) + payload + b"\n"
 
 
-def _decode_line(line: bytes) -> dict | None:
-    """The record in ``line``, or None if the line is torn/corrupt."""
-    if len(line) < 10 or line[8:9] != b" ":
-        return None
-    try:
-        crc = int(line[:8], 16)
-    except ValueError:
-        return None
-    payload = line[9:]
-    if zlib.crc32(payload) != crc:
-        return None
-    try:
-        record = json.loads(payload)
-    except json.JSONDecodeError:
-        return None
-    return record if isinstance(record, dict) else None
+def _intact(raw: bytes, start: int, end: int, seq: int) -> bool:
+    """Whether the line ``raw[start:end]`` is an undamaged record numbered ``seq``.
+
+    The line must start with its payload's CRC as :func:`_encode_line`
+    writes it, and the payload with the fixed ``{"seq":N,`` prefix (``seq``
+    is always the first key).  The JSON is not decoded and the payload is
+    not copied.
+    """
+    payload = start + 9
+    head = b'{"seq":%d' % seq
+    return (
+        raw[start:payload] == b"%08x " % zlib.crc32(memoryview(raw)[payload:end])
+        and raw.startswith(head, payload)
+        and raw[payload + len(head):payload + len(head) + 1] in (b",", b"}")
+    )
 
 
 class PrivacyJournal:
@@ -90,7 +96,6 @@ class PrivacyJournal:
         self.fsync_mode = fsync
         self.faults = fault_injector
         self._lock = threading.RLock()
-        self._records: list[dict] = []
         self.seq = 0
         #: bytes discarded from a torn/corrupt tail at open time (0 = clean).
         self.truncated_bytes = 0
@@ -106,7 +111,7 @@ class PrivacyJournal:
     # Open-time recovery.
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        """Load existing records, truncating a torn or corrupt tail."""
+        """Count the intact records, truncating a torn or corrupt tail."""
         if not self.path.exists():
             return
         raw = self.path.read_bytes()
@@ -115,10 +120,8 @@ class PrivacyJournal:
             end = raw.find(b"\n", offset)
             if end < 0:
                 break  # torn tail: no newline ever made it to disk
-            record = _decode_line(raw[offset:end])
-            if record is None or record.get("seq") != self.seq + 1:
+            if not _intact(raw, offset, end, self.seq + 1):
                 break  # corrupt line, or a gap in the sequence
-            self._records.append(record)
             self.seq += 1
             offset = end + 1
         if offset < len(raw):
@@ -148,7 +151,6 @@ class PrivacyJournal:
             stamped = {"seq": seq, **record}
             self._file.write(_encode_line(stamped))
             self.seq = seq
-            self._records.append(stamped)
             return seq
 
     def commit(self) -> None:
@@ -172,13 +174,30 @@ class PrivacyJournal:
     # ------------------------------------------------------------------
     def records(self, after_seq: int = 0) -> list[dict]:
         """All records with ``seq > after_seq``, in order."""
+        return list(self.iter_records(after_seq))
+
+    def iter_records(self, after_seq: int = 0) -> Iterator[dict]:
+        """Decode the records with ``seq > after_seq``, one at a time.
+
+        Read from the file (or the in-memory buffer) on every call: the
+        journal keeps no decoded copy of its records, and a restore holds
+        the raw bytes and one decoded record at a time.
+        """
         with self._lock:
-            # seq numbers are 1-based and dense: records[i] has seq i+1.
-            return list(self._records[max(int(after_seq), 0):])
+            if not self._closed:
+                self._file.flush()
+            raw = self._file.getvalue() if self.path is None else self.path.read_bytes()
+        # seq numbers are 1-based and dense: the n-th line holds seq n.  A
+        # torn tail has no newline and is never a record.
+        start, seq = 0, 0
+        while (end := raw.find(b"\n", start)) >= 0:
+            seq += 1
+            if seq > after_seq:
+                yield json.loads(raw[start + 9:end])
+            start = end + 1
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return self.seq
 
     @property
     def stats(self) -> dict:
@@ -186,7 +205,7 @@ class PrivacyJournal:
             return {
                 "path": str(self.path) if self.path is not None else None,
                 "fsync_mode": self.fsync_mode,
-                "records": len(self._records),
+                "records": self.seq,
                 "seq": self.seq,
                 "truncated_bytes": self.truncated_bytes,
                 "truncated_records": self.truncated_records,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, fields as dataclass_fields
+from typing import Iterable
 
 from ..accounting.base import Cost
 from ..private.kernel import MeasurementRecord
@@ -159,16 +160,15 @@ def _build_from_snapshot(table, snapshot: dict, strict: bool):
     return session, int(snapshot["journal_seq"])
 
 
-def _build_from_journal(table, journal: PrivacyJournal, strict: bool):
+def _build_from_journal(table, head: dict | None, strict: bool):
+    """A session built from the journal's first record, its ``open`` record."""
     from ..service.session import Session
 
-    records = journal.records()
-    if not records or records[0].get("kind") != "open":
+    if head is None or head.get("kind") != "open":
         raise RecoveryError(
             "journal has no 'open' record; restoring without a snapshot "
             "needs the session's opening metadata"
         )
-    head = records[0]
     session = Session(
         head["session_id"],
         head["tenant"],
@@ -182,15 +182,15 @@ def _build_from_journal(table, journal: PrivacyJournal, strict: bool):
         raise RecoveryError(
             "reconstructed accountant does not match the journal's open record"
         )
-    return session, int(head["seq"])
+    return session
 
 
-def _replay(session, journal: PrivacyJournal, after_seq: int, measurement_cache) -> int:
-    """Apply the journal suffix past ``after_seq`` to a detached session."""
+def _replay(session, records: Iterable[dict], measurement_cache) -> int:
+    """Apply journal records (the suffix past the restore point) to a detached session."""
     from ..service.session import SessionEvent
 
     replayed = 0
-    for record in journal.records(after_seq):
+    for record in records:
         kind = record.get("kind")
         if kind == "charge":
             session.kernel.budget_tracker.apply_restored_charge(
@@ -274,11 +274,15 @@ def restore_session(
                     int(entry["history_start"]),
                     int(entry["history_end"]),
                 )
+        records = journal.iter_records(after_seq) if journal is not None else None
     else:
-        session, after_seq = _build_from_journal(table, journal, strict)
+        # One pass over the journal decodes each line once: the open record
+        # first, then the replay.
+        records = journal.iter_records()
+        session = _build_from_journal(table, next(records, None), strict)
     replayed = 0
     if journal is not None:
-        replayed = _replay(session, journal, after_seq, measurement_cache)
+        replayed = _replay(session, records, measurement_cache)
         # Attach for future requests; the journal already has the session's
         # open record (or a snapshot supersedes it), so don't write another.
         session.attach_journal(journal, write_open=False)

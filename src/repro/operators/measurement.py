@@ -1,4 +1,4 @@
-"""Measurement (query) operators — thin functional wrappers over the kernel.
+"""Public noise-scale helpers for planning measurements.
 
 EKTELO's paper has exactly two budget-spending query operators (Sec. 5.2):
 Vector Laplace for vector sources and NoisyCount for table sources.  This
@@ -6,44 +6,16 @@ reproduction adds a third, Vector Gaussian, whose noise is calibrated to the
 query matrix's **L2** sensitivity and charged through the kernel's pluggable
 accountant (unavailable under pure ε-DP accounting — the Gaussian mechanism
 only gives ``(ε, δ)`` / zCDP guarantees).  All three live inside the
-protected kernel; these wrappers exist so plan code reads like the paper's
-pseudocode (``vector_laplace(x, M, eps)``) while all privacy enforcement
-stays in the kernel.
+protected kernel and are called through
+:class:`~repro.private.protected.ProtectedDataSource` handles
+(``source.vector_laplace(M, eps)``).  This module holds only the public,
+data-independent planning helpers: the noise scale a measurement will use.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..accounting.base import gaussian_analytic_sigma
 from ..matrix import LinearQueryMatrix, ensure_matrix
-from ..private.protected import ProtectedDataSource
-
-
-def vector_laplace(
-    source: ProtectedDataSource, queries: LinearQueryMatrix, epsilon: float
-) -> np.ndarray:
-    """Noisy answers ``M x + (||M||_1 / eps) * Lap(1)^m`` on a vector source."""
-    return source.vector_laplace(ensure_matrix(queries), epsilon)
-
-
-def vector_gaussian(
-    source: ProtectedDataSource,
-    queries: LinearQueryMatrix,
-    epsilon: float,
-    delta: float | None = None,
-) -> np.ndarray:
-    """Noisy answers ``M x + N(0, σ²)^m`` with σ from the kernel's accountant.
-
-    The per-call privacy target is ``(epsilon, delta)``; ``delta=None``
-    resolves to the accountant's per-measurement default.
-    """
-    return source.vector_gaussian(ensure_matrix(queries), epsilon, delta=delta)
-
-
-def noisy_count(source: ProtectedDataSource, epsilon: float) -> float:
-    """Noisy cardinality ``|D| + Lap(1/eps)`` of a table source."""
-    return source.noisy_count(epsilon)
 
 
 def laplace_noise_scale(queries: LinearQueryMatrix, epsilon: float) -> float:

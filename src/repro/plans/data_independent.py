@@ -33,9 +33,9 @@ from .base import (
 class _SelectMeasureInferPlan(Plan):
     """Shared implementation of the select → measure → least-squares idiom.
 
-    ``inference_method=None`` (the default) defers to the service policy:
+    Inference follows the service policy of :func:`infer_least_squares`:
     LSMR stand-alone, shared normal equations when the scheduler provides its
-    Gram cache.  Pass an explicit method to pin the solver either way.
+    Gram cache.
 
     ``noise`` picks the measurement mechanism: the paper's Vector Laplace
     (default) or the Gaussian mechanism (L2-calibrated, charged through the
@@ -46,12 +46,10 @@ class _SelectMeasureInferPlan(Plan):
     def __init__(
         self,
         representation: str = "implicit",
-        inference_method: str | None = None,
         noise: str = "laplace",
         delta: float | None = None,
     ):
         self.representation = representation
-        self.inference_method = inference_method
         self.noise = noise
         self.delta = delta
 
@@ -69,10 +67,7 @@ class _SelectMeasureInferPlan(Plan):
             source, measurements, epsilon, noise=self.noise, delta=self.delta
         )
         estimate = infer_least_squares(
-            measurements,
-            answers,
-            method=self.inference_method,
-            gram_cache=kwargs.get("gram_cache"),
+            measurements, answers, gram_cache=kwargs.get("gram_cache")
         )
         return self._wrap(
             source,

@@ -8,17 +8,22 @@ variables.  Each node is one of:
 * a **partition** dummy node, whose children are the disjoint pieces produced
   by a SplitByPartition transformation.
 
-A measurement of a source ``sv`` with cost ``c`` triggers a recursive budget
-*request*:
+A measurement of a source ``sv`` with cost ``c`` walks the graph upward
+once, read-only, collecting what each node would add:
 
-* at the root, the request succeeds iff the per-charge ledger plus ``c``
-  stays within the accountant's total budget;
-* at a derived node with stability factor ``s``, the request forwards
-  ``accountant.scale(c, s)`` to the parent (sequential composition through
+* a derived node with stability factor ``s`` forwards
+  ``accountant.scale(c, s)`` to its parent (sequential composition through
   stability — ``s·ε`` for pure/(ε, δ) accounting, ``s²·ρ`` for zCDP);
-* at a partition node, only the *increase of the maximum* over children is
-  forwarded (parallel composition): ``r = max(B(child) + c - B(node), 0)``,
-  componentwise over the cost vector.
+* a child of a partition node forwards only the *increase of the maximum*
+  over the partition's children (parallel composition):
+  ``r = max(B(child) + c - B(node), 0)``, componentwise over the cost
+  vector; a zero increase stops the walk below the root;
+* at the root, the request succeeds iff the per-charge ledger plus the cost
+  that arrives stays within the accountant's total budget.
+
+:meth:`BudgetTracker.charge` applies the walk's increases when the root
+accepts; :meth:`BudgetTracker.would_accept` only reads it, so the charge and
+the odometer's filter cannot disagree.
 
 This module owns the lineage-stability bookkeeping only; *what* a mechanism
 costs, how costs scale through stability, and what the total budget is are
@@ -201,66 +206,56 @@ class BudgetTracker:
     def charge(self, name: str, cost: Cost) -> bool:
         """Attempt to consume ``cost`` (native units) on source ``name``.
 
-        Mirrors Algorithm 2 exactly, including the parallel-composition
-        treatment of partition nodes, with all arithmetic componentwise over
-        the accountant's cost vector.
+        Applies :meth:`_walk`'s increases if the cost reaching the root fits
+        the ledger; otherwise returns ``False`` and changes nothing.
         """
-        if cost.primary < 0 or cost.delta < 0:
-            raise ValueError("budget requests must be non-negative")
-        node = self.node(name)
-        if node.kind is NodeKind.ROOT:
-            if not self._ledger_accepts(cost):
+        steps, root_cost = self._walk(name, cost)
+        if root_cost is not None:
+            if not self._ledger_accepts(root_cost):
                 return False
             # Write-ahead ordering: the journal listener runs *before* any
             # in-memory state mutates.  If the append fails, the charge never
             # happened anywhere; if we crash right after it, the journaled
             # charge is merely wasted budget (nothing was released).
             if self.charge_listener is not None:
-                self.charge_listener(cost)
-            self._ledger.append(cost)
-            self._ledger_primary.add(cost.primary)
-            self._ledger_delta.add(cost.delta)
-            node._accumulate(cost)
-            return True
+                self.charge_listener(root_cost)
+            self._append_ledger(root_cost)
+            self._nodes[self.root_name]._accumulate(root_cost)
+        for node, increase in steps:
+            node._accumulate(increase)
+        return True
+
+    def _walk(self, name: str, cost: Cost) -> tuple[list[tuple[BudgetNode, Cost]], Cost | None]:
+        """Algorithm 2's upward propagation of ``cost`` from ``name``, read-only.
+
+        Returns each non-root ``(node, increase)`` pair a charge adds, from
+        ``name`` up, and the cost that reaches the root — ``None`` when a
+        partition node absorbs the increase (parallel composition).  A derived
+        node forwards its cost scaled by its stability; a child of a
+        partition forwards only the increase of the partition's maximum.  A
+        partition node nested under another partition is that partition's
+        child.
+        """
+        if cost.primary < 0 or cost.delta < 0:
+            raise ValueError("budget requests must be non-negative")
+        node = self.node(name)
         if node.kind is NodeKind.PARTITION:
             raise RuntimeError(
                 "requests are never issued directly against a partition node; "
                 "they are forwarded from its children"
             )
-        # DERIVED node.
-        parent = self._nodes[node.parent]
-        if parent.kind is NodeKind.PARTITION:
-            increase = (node.spent + cost).increase_over(parent.spent)
-            ok = self._forward_from_partition(parent, increase)
-            if not ok:
-                return False
-            node._accumulate(cost)
-            return True
-        ok = self.charge(node.parent, self.accountant.scale(cost, node.stability))
-        if not ok:
-            return False
-        node._accumulate(cost)
-        return True
-
-    def _forward_from_partition(self, partition: BudgetNode, increase: Cost) -> bool:
-        """Forward a child's budget increase through a partition dummy node."""
-        if increase.is_zero:
-            return True
-        grandparent_name = partition.parent
-        grandparent = self._nodes[grandparent_name]
-        if grandparent.kind is NodeKind.PARTITION:
-            # Nested partitions: the partition node itself behaves like a child.
-            nested_increase = (partition.spent + increase).increase_over(grandparent.spent)
-            ok = self._forward_from_partition(grandparent, nested_increase)
-        else:
-            # The partition transformation itself is 1-stable.
-            ok = self.charge(
-                grandparent_name, self.accountant.scale(increase, partition.stability)
-            )
-        if not ok:
-            return False
-        partition._accumulate(increase)
-        return True
+        steps = []
+        while node.kind is not NodeKind.ROOT:
+            steps.append((node, cost))
+            parent = self._nodes[node.parent]
+            if parent.kind is NodeKind.PARTITION:
+                cost = (node.spent + cost).increase_over(parent.spent)
+                if cost.is_zero:
+                    return steps, None
+            else:
+                cost = self.accountant.scale(cost, node.stability)
+            node = parent
+        return steps, cost
 
     def _ledger_accepts(self, cost: Cost) -> bool:
         """Would the root-level ledger stay within budget after ``cost``?
@@ -295,10 +290,14 @@ class BudgetTracker:
         """
         if cost.primary < 0 or cost.delta < 0:
             raise ValueError("restored charges must be non-negative")
+        self._append_ledger(cost)
+        self._nodes[self.root_name]._accumulate(cost)
+
+    def _append_ledger(self, cost: Cost) -> None:
+        """Append one root-level charge to the ledger and its acceptance sums."""
         self._ledger.append(cost)
         self._ledger_primary.add(cost.primary)
         self._ledger_delta.add(cost.delta)
-        self._nodes[self.root_name]._accumulate(cost)
 
     def state_dict(self) -> dict:
         """JSON-ready serialisation of the graph and the root ledger."""
@@ -348,10 +347,7 @@ class BudgetTracker:
         self._ledger_primary = _CompensatedSum()
         self._ledger_delta = _CompensatedSum()
         for primary, delta in state["ledger"]:
-            cost = Cost(float(primary), float(delta))
-            self._ledger.append(cost)
-            self._ledger_primary.add(cost.primary)
-            self._ledger_delta.add(cost.delta)
+            self._append_ledger(Cost(float(primary), float(delta)))
 
     # ------------------------------------------------------------------
     # Dry-run (the odometer's filter view).
@@ -359,31 +355,12 @@ class BudgetTracker:
     def would_accept(self, name: str, cost: Cost) -> bool:
         """Whether :meth:`charge` would succeed, without mutating any state.
 
-        Adaptive plans use this (through the odometer) to test a candidate
-        measurement against the remaining budget before committing to it.
+        Reads the same :meth:`_walk` the charge applies.  Only the
+        odometer's filter (:meth:`~repro.accounting.PrivacyOdometer.can_measure`
+        and ``headroom``) calls it.
         """
-        if cost.primary < 0 or cost.delta < 0:
-            raise ValueError("budget requests must be non-negative")
-        node = self.node(name)
-        if node.kind is NodeKind.PARTITION:
-            raise RuntimeError(
-                "requests are never issued directly against a partition node; "
-                "they are forwarded from its children"
-            )
-        # Walk upward carrying the cost the next level up would receive,
-        # replicating charge()'s propagation read-only.  ``node`` may itself
-        # become a partition node along the way (a nested partition behaves
-        # like a child of its parent partition).
-        while node.kind is not NodeKind.ROOT:
-            parent = self._nodes[node.parent]
-            if parent.kind is NodeKind.PARTITION:
-                cost = (node.spent + cost).increase_over(parent.spent)
-                if cost.is_zero:
-                    return True
-            else:
-                cost = self.accountant.scale(cost, node.stability)
-            node = parent
-        return self._ledger_accepts(cost)
+        _, root_cost = self._walk(name, cost)
+        return root_cost is None or self._ledger_accepts(root_cost)
 
     # ------------------------------------------------------------------
     # Introspection.

@@ -15,12 +15,20 @@ with the kernel through:
 * *Private→Public* requests — measurements (Laplace queries, exponential-
   mechanism selections), which spend budget and return noisy answers,
 * *Public* metadata — schema and domain sizes, which are data-independent.
+
+Each operator class has one path.  Every transformation registers its
+result through ``_derive`` (the derived source and its stability; the two
+SplitByPartitions add their partition node through ``_split``).  Every
+measurement runs through ``_measure`` in one order: validate ε, compute the
+public sensitivity, noise scale and cost, check the deadline, charge the
+budget, then draw the noise and record the history row.  No private data is
+read and no noise is drawn before the charge is accepted.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,10 +89,8 @@ class BudgetSnapshot:
 class _Source:
     """Internal storage of a data source (table or vector)."""
 
-    name: str
-    data: object  # Relation | np.ndarray | None (partition dummy)
+    data: object  # Relation | np.ndarray | None (partition dummy, restored stub)
     kind: str  # "table" | "vector" | "partition"
-    metadata: dict = field(default_factory=dict)
 
 
 class ProtectedKernel:
@@ -110,9 +116,7 @@ class ProtectedKernel:
             accountant = PureDPAccountant(epsilon_total)
         self._accountant = accountant
         self._budget = BudgetTracker(accountant=accountant)
-        self._sources: dict[str, _Source] = {
-            "root": _Source("root", table, "table", {"schema": table.schema})
-        }
+        self._sources: dict[str, _Source] = {"root": _Source(table, "table")}
         self._seed = seed
         self._rng = np.random.default_rng(seed)
         self._history: list[MeasurementRecord] = []
@@ -143,33 +147,26 @@ class ProtectedKernel:
             raise UnknownSourceError(f"unknown data-source variable {name!r}")
         return self._sources[name]
 
-    def _table(self, name: str) -> Relation:
+    def _data(self, name: str, kind: str, operator: LinearQueryMatrix | None = None):
+        """The data of source ``name``, which must be a ``kind``.
+
+        ``operator`` (a vector operator's matrix) must have one column per
+        cell of the vector.
+        """
         source = self._get(name)
-        if source.kind != "table":
-            raise InvalidTransformationError(f"source {name!r} is not a table")
+        if source.kind != kind:
+            raise InvalidTransformationError(f"source {name!r} is not a {kind}")
         if source.data is None:
             raise InvalidTransformationError(
                 f"source {name!r} was restored without data; derive a fresh "
                 "source from the root instead of reusing pre-crash handles"
             )
-        return source.data
-
-    def _vector(self, name: str) -> np.ndarray:
-        source = self._get(name)
-        if source.kind != "vector":
-            raise InvalidTransformationError(f"source {name!r} is not a vector")
-        if source.data is None:
+        if operator is not None and operator.shape[1] != source.data.size:
             raise InvalidTransformationError(
-                f"source {name!r} was restored without data; derive a fresh "
-                "source from the root instead of reusing pre-crash handles"
+                f"operator has {operator.shape[1]} columns but the vector has "
+                f"{source.data.size} cells"
             )
         return source.data
-
-    def _record(self, record: MeasurementRecord) -> None:
-        """Append one history record, mirroring it to the durable journal."""
-        if self.measurement_listener is not None:
-            self.measurement_listener(record)
-        self._history.append(record)
 
     # ------------------------------------------------------------------
     # Public (non-private) metadata.
@@ -275,7 +272,7 @@ class ProtectedKernel:
 
     def schema(self, name: str):
         """Schema of a table source (data-independent metadata)."""
-        return self._table(name).schema
+        return self._data(name, "table").schema
 
     def domain_size(self, name: str) -> int:
         """Length of a vector source / vectorised domain size of a table source."""
@@ -287,99 +284,115 @@ class ProtectedKernel:
         raise InvalidTransformationError("partition dummy sources have no domain size")
 
     # ------------------------------------------------------------------
-    # Private operators: table transformations.
+    # Private operators: transformations.
     # ------------------------------------------------------------------
+    def _derive(self, prefix: str, parent: str, data, kind: str, stability: float) -> str:
+        """Register ``data`` as a new source derived from ``parent``.
+
+        Every transformation ends here: the new variable joins the
+        environment and the budget graph with its transformation's stability.
+        """
+        new = self._fresh_name(prefix)
+        self._sources[new] = _Source(data, kind)
+        self._budget.add_derived(new, parent, stability)
+        return new
+
+    def _split(self, prefix: str, parent: str, kind: str, pieces) -> tuple[str, list[str]]:
+        """SplitByPartition: a partition dummy node over 1-stable children.
+
+        ``pieces`` yields ``(name prefix, data)`` per disjoint piece; the
+        children compose in parallel (Algorithm 2, partition case).
+        """
+        dummy = self._fresh_name(prefix)
+        self._sources[dummy] = _Source(None, "partition")
+        self._budget.add_partition(dummy, parent)
+        return dummy, [self._derive(child, dummy, data, kind, 1.0) for child, data in pieces]
+
     def transform_where(self, name: str, predicate) -> str:
         """Filter records (1-stable)."""
-        table = self._table(name)
+        table = self._data(name, "table")
         with trace_span(
             "kernel.transform.where", source=name, stability=STABILITY["where"]
         ):
-            new = self._fresh_name("where")
-            self._sources[new] = _Source(new, table.where(predicate), "table")
-            self._budget.add_derived(new, name, STABILITY["where"])
-            return new
+            return self._derive(
+                "where", name, table.where(predicate), "table", STABILITY["where"]
+            )
 
     def transform_select(self, name: str, attributes: Sequence[str]) -> str:
         """Project onto a subset of attributes (1-stable)."""
-        table = self._table(name)
+        table = self._data(name, "table")
         with trace_span(
             "kernel.transform.select", source=name, stability=STABILITY["select"]
         ):
-            new = self._fresh_name("select")
-            self._sources[new] = _Source(new, table.select(attributes), "table")
-            self._budget.add_derived(new, name, STABILITY["select"])
-            return new
+            return self._derive(
+                "select", name, table.select(attributes), "table", STABILITY["select"]
+            )
 
     def transform_vectorize(self, name: str) -> str:
         """T-Vectorize: turn a table into its histogram vector (1-stable)."""
-        table = self._table(name)
+        table = self._data(name, "table")
         with trace_span(
             "kernel.transform.vectorize",
             source=name,
             stability=STABILITY["vectorize"],
             domain_size=int(table.domain_size),
         ):
-            new = self._fresh_name("vector")
-            self._sources[new] = _Source(
-                new, table.vectorize(), "vector", {"domain": table.schema.domain}
+            return self._derive(
+                "vector", name, table.vectorize(), "vector", STABILITY["vectorize"]
             )
-            self._budget.add_derived(new, name, STABILITY["vectorize"])
-            return new
 
     def transform_group_by(self, name: str, attribute: str) -> dict[int, str]:
         """GroupBy an attribute (2-stable); returns value → new source variable."""
-        table = self._table(name)
-        result = {}
-        for value, group in table.group_by(attribute).items():
-            new = self._fresh_name(f"group_{attribute}")
-            self._sources[new] = _Source(new, group, "table")
-            self._budget.add_derived(new, name, STABILITY["group_by"])
-            result[value] = new
-        return result
+        table = self._data(name, "table")
+        return {
+            value: self._derive(
+                f"group_{attribute}", name, group, "table", STABILITY["group_by"]
+            )
+            for value, group in table.group_by(attribute).items()
+        }
 
-    # ------------------------------------------------------------------
-    # Private operators: vector transformations.
-    # ------------------------------------------------------------------
+    def transform_table_split(self, name: str, attribute: str) -> tuple[str, dict[int, str]]:
+        """SplitByPartition on a table keyed by an attribute's value (1-stable)."""
+        groups = self._data(name, "table").group_by(attribute)
+        dummy, children = self._split(
+            "tpartition",
+            name,
+            "table",
+            ((f"tsplit_{attribute}_{value}", group) for value, group in groups.items()),
+        )
+        return dummy, dict(zip(groups, children))
+
     def transform_reduce_by_partition(self, name: str, partition: ReductionMatrix) -> str:
         """V-ReduceByPartition: ``x' = P x`` (1-stable)."""
-        vector = self._vector(name)
-        if partition.shape[1] != vector.size:
-            raise InvalidTransformationError(
-                f"partition has {partition.shape[1]} columns but the vector has {vector.size} cells"
-            )
+        vector = self._data(name, "vector", partition)
+        stability = partition.sensitivity()
         with trace_span(
             "kernel.transform.reduce_by_partition",
             source=name,
             input_size=int(vector.size),
             output_size=int(partition.shape[0]),
-            stability=float(partition.sensitivity()),
+            stability=float(stability),
         ):
-            new = self._fresh_name("reduce")
-            self._sources[new] = _Source(new, partition.reduce_vector(vector), "vector")
-            self._budget.add_derived(new, name, partition.sensitivity())
-            return new
+            return self._derive(
+                "reduce", name, partition.reduce_vector(vector), "vector", stability
+            )
 
     def transform_linear(self, name: str, matrix: LinearQueryMatrix) -> str:
         """Generic linear vector transformation ``x' = M x``.
 
         Stability equals the maximum L1 column norm of ``M`` (Sec. 5.1).
         """
-        vector = self._vector(name)
         matrix = ensure_matrix(matrix)
-        if matrix.shape[1] != vector.size:
-            raise InvalidTransformationError("matrix column count does not match the vector")
+        vector = self._data(name, "vector", matrix)
+        stability = matrix.sensitivity()
         with trace_span(
             "kernel.transform.linear",
             source=name,
             input_size=int(vector.size),
             output_size=int(matrix.shape[0]),
-            stability=float(matrix.sensitivity()),
+            stability=float(stability),
         ):
-            new = self._fresh_name("linear")
-            self._sources[new] = _Source(new, matrix.matvec(vector), "vector")
-            self._budget.add_derived(new, name, matrix.sensitivity())
-            return new
+            return self._derive("linear", name, matrix.matvec(vector), "vector", stability)
 
     def transform_split_by_partition(
         self, name: str, partition: ReductionMatrix
@@ -389,61 +402,79 @@ class ProtectedKernel:
         Returns the dummy partition variable and one child variable per group,
         enabling parallel composition across the children.
         """
-        vector = self._vector(name)
-        if partition.shape[1] != vector.size:
-            raise InvalidTransformationError("partition does not match the vector size")
+        vector = self._data(name, "vector", partition)
         with trace_span(
             "kernel.transform.split_by_partition",
             source=name,
             input_size=int(vector.size),
             num_groups=int(partition.shape[0]),
         ):
-            dummy = self._fresh_name("partition")
-            self._sources[dummy] = _Source(dummy, None, "partition")
-            self._budget.add_partition(dummy, name)
-            children = []
-            for g, idx in enumerate(partition.split_indices()):
-                child = self._fresh_name(f"split{g}")
-                self._sources[child] = _Source(child, vector[idx], "vector", {"indices": idx})
-                self._budget.add_derived(child, dummy, 1.0)
-                children.append(child)
-            return dummy, children
-
-    def transform_table_split(self, name: str, attribute: str) -> tuple[str, dict[int, str]]:
-        """SplitByPartition on a table keyed by an attribute's value (1-stable)."""
-        table = self._table(name)
-        dummy = self._fresh_name("tpartition")
-        self._sources[dummy] = _Source(dummy, None, "partition")
-        self._budget.add_partition(dummy, name)
-        children = {}
-        for value, group in table.group_by(attribute).items():
-            child = self._fresh_name(f"tsplit_{attribute}_{value}")
-            self._sources[child] = _Source(child, group, "table")
-            self._budget.add_derived(child, dummy, 1.0)
-            children[value] = child
-        return dummy, children
+            return self._split(
+                "partition",
+                name,
+                "vector",
+                ((f"split{g}", vector[idx]) for g, idx in enumerate(partition.split_indices())),
+            )
 
     # ------------------------------------------------------------------
     # Private -> Public operators: measurements.
     # ------------------------------------------------------------------
-    def _charge(self, name: str, epsilon: float, cost: Cost) -> None:
-        if epsilon <= 0:
-            raise ValueError("the privacy parameter of a measurement must be positive")
-        if self.deadline is not None:
-            now = time.perf_counter()
-            if now > self.deadline:
-                # Checked before spending: a timed-out plan stops charging,
-                # and whatever it charged earlier is its true partial spend.
-                anchor = self.deadline_started if self.deadline_started is not None else self.deadline
-                raise DeadlineExceededError(self.deadline - anchor, now - anchor)
-        if self.fault_injector is not None:
-            self.fault_injector.fire("kernel.before_charge", name, epsilon)
-        if not self._budget.charge(name, cost):
-            raise BudgetExceededError(cost.primary, self._budget.remaining())
-        if self.fault_injector is not None:
-            # The charge-ahead crash window: budget charged (and journaled),
-            # noisy answer not yet computed or released.
-            self.fault_injector.fire("kernel.after_charge", name, epsilon)
+    def _measure(
+        self,
+        operator: str,
+        name: str,
+        epsilon: float,
+        calibrate: Callable[[], tuple[float, Cost, dict]],
+        draw: Callable[[float], object],
+        span: str,
+        attributes: dict,
+        num_queries: int = 1,
+        delta: float = 0.0,
+    ):
+        """Run one Private→Public operator in the kernel's one fixed order.
+
+        1. validate ε;
+        2. ``calibrate()`` the public noise scale, cost and the sensitivity
+           attributes of the span;
+        3. check the deadline and fire ``kernel.before_charge``;
+        4. charge the budget and fire ``kernel.after_charge``;
+        5. ``draw(scale)`` the noisy answer, then record the history row.
+
+        Only step 5 reads the private data.  A refused or failed charge
+        spends nothing and draws nothing; a crash between steps 4 and 5
+        wastes the charge but releases and records nothing.
+        """
+        with trace_span(span, source=name, epsilon=float(epsilon), **attributes) as handle:
+            if epsilon <= 0:
+                raise ValueError("the privacy parameter of a measurement must be positive")
+            scale, cost, public = calibrate()
+            if self.deadline is not None:
+                now = time.perf_counter()
+                if now > self.deadline:
+                    # Checked before spending: a timed-out plan stops charging,
+                    # and whatever it charged earlier is its true partial spend.
+                    anchor = self.deadline_started
+                    if anchor is None:
+                        anchor = self.deadline
+                    raise DeadlineExceededError(self.deadline - anchor, now - anchor)
+            if self.fault_injector is not None:
+                self.fault_injector.fire("kernel.before_charge", name, epsilon)
+            if not self._budget.charge(name, cost):
+                raise BudgetExceededError(cost.primary, self._budget.remaining())
+            if self.fault_injector is not None:
+                # The charge-ahead crash window: budget charged (and journaled),
+                # noisy answer not yet computed or released.
+                self.fault_injector.fire("kernel.after_charge", name, epsilon)
+            handle.set_attributes(cost=float(cost.primary), **public, noise_scale=float(scale))
+            answer = draw(scale)
+            record = MeasurementRecord(
+                name, operator, epsilon, scale, num_queries, delta=delta, cost=cost.primary
+            )
+            # The durable journal sees the record before the answer is returned.
+            if self.measurement_listener is not None:
+                self.measurement_listener(record)
+            self._history.append(record)
+            return answer
 
     def measure_vector_laplace(
         self, name: str, queries: LinearQueryMatrix, epsilon: float
@@ -454,36 +485,25 @@ class ProtectedKernel:
         budget charged on the source is ``epsilon`` and the kernel's budget
         tracker converts it to root-level cost through the lineage stabilities.
         """
-        vector = self._vector(name)
         queries = ensure_matrix(queries)
-        if queries.shape[1] != vector.size:
-            raise InvalidTransformationError(
-                f"query matrix has {queries.shape[1]} columns but the vector has {vector.size} cells"
-            )
-        with trace_span(
-            "kernel.measure.laplace",
-            source=name,
-            epsilon=float(epsilon),
-            num_queries=int(queries.shape[0]),
-            domain_size=int(vector.size),
-        ) as span:
-            cost = self._accountant.laplace_cost(epsilon)
-            self._charge(name, epsilon, cost)
+        vector = self._data(name, "vector", queries)
+        m = queries.shape[0]
+
+        def calibrate():
             sensitivity = queries.sensitivity()
-            scale = sensitivity / epsilon
-            span.set_attributes(
-                cost=float(cost.primary),
-                sensitivity=float(sensitivity),
-                noise_scale=float(scale),
-            )
-            answers = queries.matvec(vector)
-            noise = self._rng.laplace(0.0, scale, size=queries.shape[0])
-            self._record(
-                MeasurementRecord(
-                    name, "VectorLaplace", epsilon, scale, queries.shape[0], cost=cost.primary
-                )
-            )
-            return answers + noise
+            cost = self._accountant.laplace_cost(epsilon)
+            return sensitivity / epsilon, cost, {"sensitivity": float(sensitivity)}
+
+        return self._measure(
+            "VectorLaplace",
+            name,
+            epsilon,
+            calibrate,
+            lambda scale: queries.matvec(vector) + self._rng.laplace(0.0, scale, size=m),
+            "kernel.measure.laplace",
+            {"num_queries": int(m), "domain_size": int(vector.size)},
+            num_queries=m,
+        )
 
     def measure_vector_gaussian(
         self,
@@ -503,60 +523,41 @@ class ProtectedKernel:
         :class:`~repro.private.exceptions.UnsupportedMechanismError`) under
         pure ε-DP, which the Gaussian mechanism cannot satisfy.
         """
-        vector = self._vector(name)
         queries = ensure_matrix(queries)
-        if queries.shape[1] != vector.size:
-            raise InvalidTransformationError(
-                f"query matrix has {queries.shape[1]} columns but the vector has {vector.size} cells"
-            )
-        if epsilon <= 0:
-            raise ValueError("the privacy parameter of a measurement must be positive")
+        vector = self._data(name, "vector", queries)
+        m = queries.shape[0]
         if delta is None:
             delta = self._accountant.default_delta
-        with trace_span(
-            "kernel.measure.gaussian",
-            source=name,
-            epsilon=float(epsilon),
-            delta=float(delta),
-            num_queries=int(queries.shape[0]),
-            domain_size=int(vector.size),
-        ) as span:
+
+        def calibrate():
             sensitivity = queries.sensitivity_l2()
             sigma, cost = self._accountant.gaussian_mechanism(sensitivity, epsilon, delta)
-            self._charge(name, epsilon, cost)
-            span.set_attributes(
-                cost=float(cost.primary),
-                sensitivity_l2=float(sensitivity),
-                noise_scale=float(sigma),
-            )
-            answers = queries.matvec(vector)
-            noise = self._rng.normal(0.0, sigma, size=queries.shape[0])
-            self._record(
-                MeasurementRecord(
-                    name,
-                    "VectorGaussian",
-                    epsilon,
-                    sigma,
-                    queries.shape[0],
-                    delta=float(delta),
-                    cost=cost.primary,
-                )
-            )
-            return answers + noise
+            return sigma, cost, {"sensitivity_l2": float(sensitivity)}
+
+        return self._measure(
+            "VectorGaussian",
+            name,
+            epsilon,
+            calibrate,
+            lambda sigma: queries.matvec(vector) + self._rng.normal(0.0, sigma, size=m),
+            "kernel.measure.gaussian",
+            {"delta": float(delta), "num_queries": int(m), "domain_size": int(vector.size)},
+            num_queries=m,
+            delta=float(delta),
+        )
 
     def measure_noisy_count(self, name: str, epsilon: float) -> float:
         """NoisyCount on a table source: ``|D| + Lap(1/eps)``."""
-        table = self._table(name)
-        with trace_span(
-            "kernel.measure.noisy_count", source=name, epsilon=float(epsilon)
-        ) as span:
-            cost = self._accountant.laplace_cost(epsilon)
-            self._charge(name, epsilon, cost)
-            span.set_attributes(cost=float(cost.primary), noise_scale=1.0 / epsilon)
-            self._record(
-                MeasurementRecord(name, "NoisyCount", epsilon, 1.0 / epsilon, 1, cost=cost.primary)
-            )
-            return float(len(table) + self._rng.laplace(0.0, 1.0 / epsilon))
+        table = self._data(name, "table")
+        return self._measure(
+            "NoisyCount",
+            name,
+            epsilon,
+            lambda: (1.0 / epsilon, self._accountant.laplace_cost(epsilon), {}),
+            lambda scale: float(len(table) + self._rng.laplace(0.0, scale)),
+            "kernel.measure.noisy_count",
+            {},
+        )
 
     def select_exponential_mechanism(
         self,
@@ -570,51 +571,34 @@ class ProtectedKernel:
 
         ``scores(x)`` maps the private vector to a score per candidate (higher
         is better).  Used by the MWEM worst-approximated query selection and by
-        PrivBayes network selection.
+        PrivBayes network selection.  The recorded noise scale is the
+        mechanism's temperature ``2·Δu/ε``, on which the scores are perturbed.
         """
-        vector = self._vector(name)
-        with trace_span(
-            "kernel.select.exponential",
-            source=name,
-            epsilon=float(epsilon),
-            num_candidates=int(num_candidates),
-            domain_size=int(vector.size),
-        ) as span:
-            return self._select_exponential(
-                name, scores, num_candidates, epsilon, score_sensitivity, vector, span
-            )
+        vector = self._data(name, "vector")
 
-    def _select_exponential(
-        self, name, scores, num_candidates, epsilon, score_sensitivity, vector, span
-    ) -> int:
-        cost = self._accountant.exponential_cost(epsilon)
-        self._charge(name, epsilon, cost)
-        span.set_attributes(
-            cost=float(cost.primary),
-            noise_scale=2.0 * score_sensitivity / epsilon,
-        )
-        utility = np.asarray(scores(vector), dtype=np.float64)
-        if utility.shape != (num_candidates,):
-            raise ValueError("score function returned the wrong number of candidates")
-        logits = epsilon * utility / (2.0 * score_sensitivity)
-        logits -= logits.max()
-        probabilities = np.exp(logits)
-        probabilities /= probabilities.sum()
-        choice = int(self._rng.choice(num_candidates, p=probabilities))
-        # The record's noise_scale is the mechanism's actual scale — scores
-        # are perturbed on the 2·Δu/ε temperature — not the bare score
-        # sensitivity an earlier revision stored there.
-        self._record(
-            MeasurementRecord(
-                name,
-                "ExponentialMechanism",
-                epsilon,
+        def choose(_scale: float) -> int:
+            utility = np.asarray(scores(vector), dtype=np.float64)
+            if utility.shape != (num_candidates,):
+                raise ValueError("score function returned the wrong number of candidates")
+            logits = epsilon * utility / (2.0 * score_sensitivity)
+            logits -= logits.max()
+            probabilities = np.exp(logits)
+            probabilities /= probabilities.sum()
+            return int(self._rng.choice(num_candidates, p=probabilities))
+
+        return self._measure(
+            "ExponentialMechanism",
+            name,
+            epsilon,
+            lambda: (
                 2.0 * score_sensitivity / epsilon,
-                1,
-                cost=cost.primary,
-            )
+                self._accountant.exponential_cost(epsilon),
+                {},
+            ),
+            choose,
+            "kernel.select.exponential",
+            {"num_candidates": int(num_candidates), "domain_size": int(vector.size)},
         )
-        return choice
 
     def measure_laplace_scalar(
         self, name: str, statistic: Callable[[np.ndarray], float], sensitivity: float, epsilon: float
@@ -624,23 +608,16 @@ class ProtectedKernel:
         The caller declares the statistic's sensitivity; this primitive is used
         by vetted Private→Public operators such as the DAWA partition scoring.
         """
-        vector = self._vector(name)
-        with trace_span(
+        vector = self._data(name, "vector")
+        return self._measure(
+            "LaplaceScalar",
+            name,
+            epsilon,
+            lambda: (sensitivity / epsilon, self._accountant.laplace_cost(epsilon), {}),
+            lambda scale: float(statistic(vector)) + float(self._rng.laplace(0.0, scale)),
             "kernel.measure.laplace_scalar",
-            source=name,
-            epsilon=float(epsilon),
-            sensitivity=float(sensitivity),
-            domain_size=int(vector.size),
-        ) as span:
-            cost = self._accountant.laplace_cost(epsilon)
-            self._charge(name, epsilon, cost)
-            value = float(statistic(vector))
-            scale = sensitivity / epsilon
-            span.set_attributes(cost=float(cost.primary), noise_scale=float(scale))
-            self._record(
-                MeasurementRecord(name, "LaplaceScalar", epsilon, scale, 1, cost=cost.primary)
-            )
-            return value + float(self._rng.laplace(0.0, scale))
+            {"sensitivity": float(sensitivity), "domain_size": int(vector.size)},
+        )
 
     # ------------------------------------------------------------------
     # Durable state (snapshot/restore).
@@ -681,7 +658,7 @@ class ProtectedKernel:
         self._budget.load_state(state["budget"])
         for name, kind in state["source_kinds"].items():
             if name != "root":
-                self._sources[name] = _Source(name, None, kind, {"restored": True})
+                self._sources[name] = _Source(None, kind)
 
     def restore_measurement(self, record: MeasurementRecord) -> None:
         """Append a journal-recovered history record (replay path only).

@@ -17,7 +17,10 @@ never loses the release itself: on a journal-attached session the ``release``
 record is durable, so a restore replays the evicted answer back into the
 cache byte-identically (and a non-durable session can simply re-run the
 request — same derived seed, same noise, same answer, though it pays the ε
-again).
+again).  The journal keeps its records in its file, not in RAM, so this
+cache also bounds the released answers a journaled session holds in memory;
+what still grows per request is small bookkeeping (history rows, budget
+graph nodes, audit events).
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.accounting import ApproxDPAccountant, Cost, PureDPAccountant, ZCDPAccountant
 from repro.private.budget import BudgetTracker
 
 
@@ -120,3 +121,64 @@ def test_stability_scales_root_cost(epsilon_total, stability, sigma):
     else:
         assert not granted
         assert tracker.consumed("root") == 0.0
+
+
+@st.composite
+def charge_trees(draw):
+    """A random graph of derived and (possibly nested) partition nodes, an
+    accountant, and a sequence of charges against its non-partition nodes."""
+    accountant = draw(
+        st.sampled_from(
+            [
+                PureDPAccountant(1.0),
+                ApproxDPAccountant(1.0, delta_total=1e-6),
+                ZCDPAccountant(rho=0.5),
+            ]
+        )
+    )
+    nodes = [("root", "root", None, 1.0)]  # (name, kind, parent, stability)
+    for i in range(draw(st.integers(min_value=0, max_value=8))):
+        parent = draw(st.sampled_from(nodes))[0]
+        kind = draw(st.sampled_from(["derived", "derived", "partition"]))
+        stability = draw(st.sampled_from([0.5, 1.0, 1.0, 2.0]))
+        nodes.append((f"n{i}", kind, parent, stability))
+    delta = 1e-8 if accountant.name == "approx" else 0.0
+    charges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=50),
+                st.floats(min_value=0.0, max_value=0.6),
+                st.sampled_from([0.0, delta]),
+            ),
+            max_size=15,
+        )
+    )
+    return accountant, nodes, charges
+
+
+def _state(tracker, names):
+    return [tracker.spent(name) for name in names], tracker.ledger()
+
+
+@given(charge_trees())
+@settings(max_examples=300, deadline=None)
+def test_would_accept_predicts_charge_and_rejection_changes_nothing(params):
+    accountant, nodes, charges = params
+    tracker = BudgetTracker(accountant=accountant)
+    for name, kind, parent, stability in nodes[1:]:
+        if kind == "partition":
+            tracker.add_partition(name, parent)
+        else:
+            tracker.add_derived(name, parent, stability)
+    names = [node[0] for node in nodes]
+    targets = ["root"] + [node[0] for node in nodes[1:] if node[1] == "derived"]
+    for index, primary, delta in charges:
+        target = targets[index % len(targets)]
+        cost = Cost(primary, delta)
+        before = _state(tracker, names)
+        predicted = tracker.would_accept(target, cost)
+        assert _state(tracker, names) == before
+        granted = tracker.charge(target, cost)
+        assert granted == predicted
+        if not granted:
+            assert _state(tracker, names) == before

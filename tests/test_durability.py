@@ -15,9 +15,11 @@ schedules (hypothesis):
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -214,6 +216,47 @@ class TestJournal:
         with pytest.raises(InjectedFault):
             journal.append({"kind": "charge", "p": 0.2, "d": 0.0})
         assert journal.seq == 1
+
+    def test_journaled_session_keeps_no_copy_of_its_releases(self, tmp_path):
+        """A journaled session's memory is bounded by its measurement cache.
+
+        200 fresh Identity releases at n=4096 write ~18 MB of journal; with
+        one cache slot, what the session retains must be a small fraction
+        of that (an in-memory mirror of the journal retains all of it).
+        """
+        n = 4096
+        values = np.random.default_rng(0).integers(0, 20, n).astype(float)
+        relation = Relation.from_histogram(Schema.build([Attribute("v", n)]), values)
+        manager = SessionManager()
+        path = tmp_path / "j.wal"
+        session = manager.create_session(
+            "t", relation, 1e3, seed=0, journal=PrivacyJournal(path, fsync="never")
+        )
+        scheduler = PlanScheduler(
+            manager, measurement_cache=MeasurementCache(max_entries=1), executor="inline"
+        )
+        request = QueryRequest(
+            session.session_id,
+            plan="Identity",
+            epsilon=1.0,
+            workload="prefix",
+            workload_params={"n": n},
+            reuse=False,
+        )
+        tracemalloc.start()
+        try:
+            scheduler.execute(request)
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                scheduler.execute(request)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        written = path.stat().st_size
+        assert written > 200 * 80_000
+        assert grown < written / 10
 
 
 # ======================================================================

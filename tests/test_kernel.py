@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.accounting import ApproxDPAccountant
 from repro.dataset import Attribute, Relation, Schema
+from repro.durability import FaultInjector, InjectedFault, PrivacyJournal
 from repro.matrix import Identity, ReductionMatrix, Total
 from repro.private import (
     BudgetExceededError,
@@ -187,3 +189,57 @@ class TestProtectedDataSource:
         source = protect(relation, 1.0)
         assert source.schema.names == ("a", "b")
         assert source.kind == "table"
+
+
+#: The five Private→Public operators, each spending ε = 0.5 on a fresh kernel.
+MEASUREMENTS = {
+    "laplace": lambda kernel, vec: kernel.measure_vector_laplace(vec, Identity(12), 0.5),
+    "gaussian": lambda kernel, vec: kernel.measure_vector_gaussian(vec, Identity(12), 0.5),
+    "noisy_count": lambda kernel, vec: kernel.measure_noisy_count("root", 0.5),
+    "exponential": lambda kernel, vec: kernel.select_exponential_mechanism(
+        vec, lambda x: x, 12, 0.5, 1.0
+    ),
+    "laplace_scalar": lambda kernel, vec: kernel.measure_laplace_scalar(vec, np.sum, 1.0, 0.5),
+}
+
+
+class TestMeasurementOrder:
+    """Every measurement charges before it draws noise or records history."""
+
+    @staticmethod
+    def _kernel(relation):
+        kernel = ProtectedKernel(relation, seed=0, accountant=ApproxDPAccountant(10.0))
+        return kernel, kernel.transform_vectorize("root")
+
+    @pytest.mark.parametrize("operator", sorted(MEASUREMENTS))
+    def test_crash_after_charge_ledgers_but_draws_and_records_nothing(
+        self, relation, operator
+    ):
+        kernel, vec = self._kernel(relation)
+        kernel.fault_injector = FaultInjector()
+        kernel.fault_injector.arm("kernel.after_charge")
+        rng_state = kernel._rng.bit_generator.state
+        with pytest.raises(InjectedFault):
+            MEASUREMENTS[operator](kernel, vec)
+        assert kernel.budget_snapshot().num_charges == 1
+        assert kernel.budget_consumed() > 0.0
+        assert kernel.history() == []
+        assert kernel._rng.bit_generator.state == rng_state
+
+    @pytest.mark.parametrize("operator", sorted(MEASUREMENTS))
+    def test_failed_journal_append_spends_nothing(self, relation, operator):
+        kernel, vec = self._kernel(relation)
+        faults = FaultInjector()
+        faults.arm("journal.append")
+        journal = PrivacyJournal(None, fsync="never", fault_injector=faults)
+        kernel.budget_tracker.charge_listener = lambda cost: journal.append(
+            {"kind": "charge", "p": cost.primary, "d": cost.delta}
+        )
+        rng_state = kernel._rng.bit_generator.state
+        with pytest.raises(InjectedFault):
+            MEASUREMENTS[operator](kernel, vec)
+        assert kernel.budget_snapshot().num_charges == 0
+        assert kernel.budget_spent_cost().is_zero
+        assert kernel.history() == []
+        assert kernel._rng.bit_generator.state == rng_state
+        assert len(journal) == 0

@@ -1,65 +1,13 @@
-"""Tests for the functional operator wrappers and measurement helpers."""
+"""Tests for the public measurement helpers."""
 
-import numpy as np
 import pytest
 
-from repro.matrix import Identity, Prefix, ReductionMatrix, Total
-from repro.operators import (
-    laplace_noise_scale,
-    noisy_count,
-    select,
-    t_vectorize,
-    v_reduce_by_partition,
-    v_split_by_partition,
-    vector_laplace,
-    where,
-)
-from repro.private import protect
-from tests.conftest import make_vector_relation
-
-from repro.dataset import small_census
+from repro.matrix import Identity, Prefix, Total
+from repro.operators import laplace_noise_scale
 
 
 class TestMeasurementWrappers:
-    def test_vector_laplace_matches_handle_method(self):
-        x = np.arange(16.0)
-        source_a = protect(make_vector_relation(x), 1.0, seed=5).vectorize()
-        source_b = protect(make_vector_relation(x), 1.0, seed=5).vectorize()
-        ya = vector_laplace(source_a, Identity(16), 0.5)
-        yb = source_b.vector_laplace(Identity(16), 0.5)
-        assert np.array_equal(ya, yb)
-
-    def test_noisy_count_wrapper(self):
-        relation = small_census(1000, seed=1)
-        source = protect(relation, 1.0, seed=2)
-        value = noisy_count(source, 0.5)
-        assert abs(value - 1000) < 100
-        assert source.budget_consumed() == pytest.approx(0.5)
-
     def test_laplace_noise_scale_is_public(self):
         assert laplace_noise_scale(Identity(10), 0.5) == pytest.approx(2.0)
         assert laplace_noise_scale(Prefix(10), 1.0) == pytest.approx(10.0)
         assert laplace_noise_scale(Total(10), 2.0) == pytest.approx(0.5)
-
-
-class TestTransformationWrappers:
-    def test_pipeline_matches_method_chaining(self):
-        relation = small_census(2000, seed=3)
-        source_a = protect(relation, 1.0, seed=0)
-        source_b = protect(relation, 1.0, seed=0)
-
-        chained = source_a.where({"gender": 0}).select(["income"]).vectorize()
-        wrapped = t_vectorize(select(where(source_b, {"gender": 0}), ["income"]))
-        ya = chained.vector_laplace(Identity(chained.domain_size), 0.5)
-        yb = wrapped.vector_laplace(Identity(wrapped.domain_size), 0.5)
-        assert np.array_equal(ya, yb)
-
-    def test_reduce_and_split_wrappers(self):
-        x = np.arange(12.0)
-        source = protect(make_vector_relation(x), 1.0, seed=1).vectorize()
-        partition = ReductionMatrix(np.arange(12) % 3)
-        reduced = v_reduce_by_partition(source, partition)
-        assert reduced.domain_size == 3
-        pieces = v_split_by_partition(source, partition)
-        assert len(pieces) == 3
-        assert sum(p.domain_size for p in pieces) == 12
