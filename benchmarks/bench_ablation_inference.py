@@ -1,9 +1,9 @@
 """Ablation — inference operators compared on identical measurements.
 
-DESIGN.md calls out the inference operator as a key design choice: EKTELO's
-claim is that a single generic, iterative inference engine (least squares /
-NNLS on implicit matrices) can replace the custom routines of prior work
-without losing accuracy.  This ablation measures, on the same set of noisy
+The inference operator is a key design choice: EKTELO's claim is that a
+single generic, iterative inference engine (least squares / NNLS on implicit
+matrices) can replace the custom routines of prior work without losing
+accuracy.  This ablation measures, on the same set of noisy
 hierarchical measurements:
 
 * ordinary least squares (iterative LSMR),

@@ -1,8 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Each ``bench_*.py`` module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md, "Per-experiment index").  Every module can be used
-two ways:
+evaluation.  Every module can be used two ways:
 
 * ``pytest benchmarks/ --benchmark-only`` — runs scaled-down pytest-benchmark
   timings so the whole harness finishes in minutes;

@@ -8,7 +8,8 @@ still shows the charge, the answer was never released), never leak it (no
 answer is released whose charges are not journaled).
 
 Format: JSON lines, one record per line, each prefixed with the CRC32 of its
-payload::
+payload.  The records themselves (their five kinds and their fields) are
+built in :mod:`repro.durability.snapshot`; the journal only frames them::
 
     3f91a2c4 {"seq":1,"kind":"charge","p":0.1,"d":0.0}
 

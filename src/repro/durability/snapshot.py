@@ -1,32 +1,46 @@
-"""Snapshot and restore of service sessions, reconciled against the journal.
+"""A session's durable records, its snapshot and its restore.
 
-A **snapshot** is a JSON-ready dict capturing everything the service needs to
-resume a session's *accounting* exactly — kernel bookkeeping (budget graph,
-root ledger, measurement history, noise seed, name counter), the audit-trail
-events, the accountant's configuration, the request counter, the session's
-cached releases and the journal sequence number it was taken at.  It never
-contains the private table: restoring requires the deployment to supply the
-original data, which stays the operator's.
+A session's durable state is one stream of **records**: JSON-ready dicts,
+each with a ``kind``.  This module builds all five kinds:
 
-**Restore** rebuilds a session from a snapshot and/or a
-:class:`~repro.durability.journal.PrivacyJournal`:
+* ``open`` — the session's opening metadata: id, tenant, base seed and the
+  accountant's configuration;
+* ``charge`` — one accepted root-level budget charge;
+* ``measurement`` — one kernel history row;
+* ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`;
+* ``release`` — one released answer with its request key and the history
+  span that paid for it (arrays as base64 of their raw buffer).
 
-1. construct a fresh session around the supplied table (from the snapshot,
-   or from the journal's ``open`` record when no snapshot exists), verifying
-   the reconstructed accountant matches the recorded configuration;
-2. replay the journal suffix past the snapshot's sequence number — charges
-   into the root ledger, measurement records into the kernel history, events
-   into the audit trail, released answers back into the measurement cache
-   (byte-identical: arrays round-trip through base64 of their raw buffer);
-3. attach the journal (without a second ``open`` record) and *claim
+A journaled session appends them to its
+:class:`~repro.durability.journal.PrivacyJournal` as they happen.  A
+**snapshot** is the same records built from a live session's ledger,
+history, audit trail and cached releases, as
+``{"journal_seq": N, "records": [...]}`` taken at journal sequence number
+``N``.  Neither ever contains the private table: restoring requires the
+deployment to supply the original data, which stays the operator's.
+
+**Restore** takes one path for a snapshot, a journal or both:
+
+1. chain the snapshot's records and the journal's records past
+   ``journal_seq`` into one stream;
+2. build a fresh session around the supplied table from the stream's first
+   record, its ``open`` record, verifying the reconstructed accountant
+   matches the recorded configuration;
+3. replay the rest — charges into the root ledger, measurement rows into the
+   kernel history, events into the audit trail and the request counter,
+   released answers back into the measurement cache (byte-identical);
+4. attach the journal (without a second ``open`` record) and *claim
    orphans*: budget that was charged-ahead but whose request never recorded
    an event (the crash window) is claimed by one synthesized errored event,
    so the audit trail still covers every charge and every history row;
-4. run the PR-1 :func:`~repro.service.export.reconcile` oracle — the
-   restored session's event ledger must match its kernel ledger *exactly*,
-   or :class:`RecoveryError` is raised (``strict=False`` downgrades both
-   this and the accountant check to best-effort for forensics on a journal
-   you already know is damaged).
+5. run the :func:`~repro.service.export.reconcile` oracle — the restored
+   session's event ledger must match its kernel ledger *exactly*, or
+   :class:`RecoveryError` is raised (``strict=False`` downgrades both this
+   and the accountant check to best-effort for forensics on a journal you
+   already know is damaged).
+
+A restore rebuilds the root ledger, not the sources a plan derived before
+it: the kernel's audit reports those by the history rows that name them.
 
 The module imports the service layer lazily inside functions:
 ``repro.service`` imports ``repro.durability`` at module level, and this is
@@ -36,6 +50,7 @@ the edge that would otherwise close the cycle.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import asdict, fields as dataclass_fields
 from typing import Iterable
 
@@ -46,14 +61,16 @@ from .serialize import decode, encode
 
 __all__ = [
     "RecoveryError",
-    "SNAPSHOT_VERSION",
+    "charge_record",
+    "event_record",
+    "measurement_record",
+    "open_record",
+    "release_record",
     "response_from_state",
     "response_state",
     "restore_session",
     "snapshot_session",
 ]
-
-SNAPSHOT_VERSION = 1
 
 
 class RecoveryError(Exception):
@@ -87,87 +104,90 @@ def _from_record(cls, record: dict):
 
 
 # ----------------------------------------------------------------------
+# Records.
+# ----------------------------------------------------------------------
+def open_record(session) -> dict:
+    """The session's opening metadata: enough to rebuild it around its table."""
+    return {
+        "kind": "open",
+        "session_id": session.session_id,
+        "tenant": session.tenant,
+        "base_seed": session.base_seed,
+        "epsilon_total": session.requested_epsilon_total,
+        "delta": session.requested_delta,
+        "accountant": session.accountant.name,
+        "describe": session.accountant.describe(),
+    }
+
+
+def charge_record(cost: Cost) -> dict:
+    """One accepted root-level charge, in native units."""
+    return {"kind": "charge", "p": cost.primary, "d": cost.delta}
+
+
+def measurement_record(record: MeasurementRecord) -> dict:
+    """One kernel history row."""
+    return {"kind": "measurement", **vars(record)}
+
+
+def event_record(event) -> dict:
+    """One audit-trail event."""
+    # vars(), not asdict(): SessionEvent is flat scalars, and asdict's
+    # recursive copying is measurable on the hot path.
+    return {"kind": "event", **vars(event)}
+
+
+def release_record(key: tuple, response, history_start: int, history_end: int) -> dict:
+    """One released answer under its request key, with the history span
+    [start, end) that paid for it."""
+    return {
+        "kind": "release",
+        "key": encode(key),
+        "response": encode(response_state(response)),
+        "history_start": history_start,
+        "history_end": history_end,
+    }
+
+
+# ----------------------------------------------------------------------
 # Snapshot.
 # ----------------------------------------------------------------------
 def snapshot_session(session, measurement_cache=None) -> dict:
-    """Serialise one session's durable state to a JSON-ready dict.
+    """The session's durable state as records: ``{"journal_seq", "records"}``.
 
-    Taken under the session lock, so the kernel state, event ledger, cache
+    Taken under the session lock, so the ledger, history, audit trail, cache
     contents and journal sequence number are one consistent cut.  Pass the
     scheduler's ``measurement_cache`` to include the session's released
     answers (restores replay them budget-free); without it the snapshot
     still reconciles, it just cannot serve pre-crash answers from cache.
     """
     with session.lock:
-        cache_entries = []
+        records = [open_record(session)]
+        records += map(charge_record, session.kernel.budget_tracker.ledger())
+        records += map(measurement_record, session.kernel.history())
+        records += map(event_record, session.events)
         if measurement_cache is not None:
-            for entry in measurement_cache.export_session(session):
-                cache_entries.append(
-                    {
-                        "key": encode(entry["key"]),
-                        "response": encode(response_state(entry["response"])),
-                        "history_start": entry["history_start"],
-                        "history_end": entry["history_end"],
-                    }
-                )
+            records += (
+                release_record(**entry)
+                for entry in measurement_cache.export_session(session)
+            )
         return {
-            "version": SNAPSHOT_VERSION,
-            "session_id": session.session_id,
-            "tenant": session.tenant,
-            "base_seed": session.base_seed,
-            "accountant": {
-                "name": session.accountant.name,
-                "epsilon_total": session.requested_epsilon_total,
-                "delta": session.requested_delta,
-                "describe": session.accountant.describe(),
-            },
-            "request_counter": session.request_counter,
             "journal_seq": session.journal.seq if session.journal is not None else 0,
-            "kernel": session.kernel.state_dict(),
-            "events": [asdict(event) for event in session.events],
-            "cache": cache_entries,
+            "records": records,
         }
 
 
 # ----------------------------------------------------------------------
 # Restore.
 # ----------------------------------------------------------------------
-def _build_from_snapshot(table, snapshot: dict, strict: bool):
-    from ..service.session import Session, SessionEvent
-
-    if snapshot.get("version") != SNAPSHOT_VERSION:
-        raise RecoveryError(
-            f"unsupported snapshot version {snapshot.get('version')!r}"
-        )
-    meta = snapshot["accountant"]
-    session = Session(
-        snapshot["session_id"],
-        snapshot["tenant"],
-        table,
-        meta["epsilon_total"],
-        seed=snapshot["base_seed"],
-        accountant=meta["name"],
-        delta=meta["delta"],
-    )
-    if strict and session.accountant.describe() != decode(meta["describe"]):
-        raise RecoveryError(
-            "reconstructed accountant does not match the snapshot: "
-            f"{session.accountant.describe()} != {meta['describe']}"
-        )
-    session.kernel.load_state(snapshot["kernel"])
-    session.request_counter = int(snapshot["request_counter"])
-    session.events = [_from_record(SessionEvent, record) for record in snapshot["events"]]
-    return session, int(snapshot["journal_seq"])
-
-
-def _build_from_journal(table, head: dict | None, strict: bool):
-    """A session built from the journal's first record, its ``open`` record."""
+def _open_session(table, head: dict | None, strict: bool):
+    """A session built from the record stream's first record, its ``open`` record."""
     from ..service.session import Session
 
     if head is None or head.get("kind") != "open":
         raise RecoveryError(
-            "journal has no 'open' record; restoring without a snapshot "
-            "needs the session's opening metadata"
+            "durable state has no 'open' record; restoring needs the "
+            "session's opening metadata"
         )
     session = Session(
         head["session_id"],
@@ -180,13 +200,14 @@ def _build_from_journal(table, head: dict | None, strict: bool):
     )
     if strict and session.accountant.describe() != decode(head["describe"]):
         raise RecoveryError(
-            "reconstructed accountant does not match the journal's open record"
+            "reconstructed accountant does not match the 'open' record: "
+            f"{session.accountant.describe()} != {head['describe']}"
         )
     return session
 
 
 def _replay(session, records: Iterable[dict], measurement_cache) -> int:
-    """Apply journal records (the suffix past the restore point) to a detached session."""
+    """Apply the records after the ``open`` record to a detached session."""
     from ..service.session import SessionEvent
 
     replayed = 0
@@ -219,7 +240,7 @@ def _replay(session, records: Iterable[dict], measurement_cache) -> int:
                 f"unexpected 'open' record at seq {record.get('seq')}"
             )
         else:
-            raise RecoveryError(f"unknown journal record kind {kind!r}")
+            raise RecoveryError(f"unknown record kind {kind!r}")
         replayed += 1
     return replayed
 
@@ -246,43 +267,40 @@ def restore_session(
     measurement_cache=None,
     strict: bool = True,
 ):
-    """Rebuild a session from durable state and verify it reconciles.
+    """Rebuild a session from durable records and verify it reconciles.
 
     ``table`` is the original private relation (never part of the durable
     state).  Provide a ``snapshot``, a ``journal``, or both — with both, the
-    journal suffix past the snapshot's sequence number is replayed on top.
-    ``manager`` adopts the restored session; ``measurement_cache`` receives
-    the session's released answers so identical requests replay at zero ε.
+    journal's records past the snapshot's sequence number follow the
+    snapshot's records.  ``manager`` adopts the restored session;
+    ``measurement_cache`` receives the session's released answers so
+    identical requests replay at zero ε.
 
-    Raises :class:`RecoveryError` when ``strict`` (the default) and the
-    restored state fails verification: accountant mismatch, or the
-    :func:`~repro.service.export.reconcile` oracle reporting anything but an
-    exact match between the event ledger and the kernel ledger.
+    Raises :class:`RecoveryError` for a snapshot without records, and, when
+    ``strict`` (the default), when the restored state fails verification:
+    accountant mismatch, or the :func:`~repro.service.export.reconcile`
+    oracle reporting anything but an exact match between the event ledger
+    and the kernel ledger.
     """
     from ..service.export import reconcile
 
     if snapshot is None and journal is None:
         raise ValueError("restore needs a snapshot, a journal, or both")
+    records, after_seq = iter(()), 0
     if snapshot is not None:
-        session, after_seq = _build_from_snapshot(table, snapshot, strict)
-        if measurement_cache is not None:
-            for entry in snapshot.get("cache", []):
-                measurement_cache.store(
-                    session,
-                    decode(entry["key"]),
-                    response_from_state(decode(entry["response"])),
-                    int(entry["history_start"]),
-                    int(entry["history_end"]),
-                )
-        records = journal.iter_records(after_seq) if journal is not None else None
-    else:
-        # One pass over the journal decodes each line once: the open record
-        # first, then the replay.
-        records = journal.iter_records()
-        session = _build_from_journal(table, next(records, None), strict)
-    replayed = 0
+        try:
+            records, after_seq = iter(snapshot["records"]), int(snapshot["journal_seq"])
+        except KeyError as missing:
+            raise RecoveryError(
+                f"snapshot has no {missing} field: a snapshot is "
+                "{'journal_seq': N, 'records': [...]}"
+            ) from None
     if journal is not None:
-        replayed = _replay(session, records, measurement_cache)
+        # One pass over the journal decodes each line once.
+        records = itertools.chain(records, journal.iter_records(after_seq))
+    session = _open_session(table, next(records, None), strict)
+    replayed = _replay(session, records, measurement_cache)
+    if journal is not None:
         # Attach for future requests; the journal already has the session's
         # open record (or a snapshot supersedes it), so don't write another.
         session.attach_journal(journal, write_open=False)

@@ -11,9 +11,8 @@ strategy choice, Kronecker combination, sensitivity-aware scoring — but
 selects each dimension's strategy from a small candidate set (Identity,
 Total+Identity, H2, HB, Wavelet) by exact expected-error computation when the
 per-dimension domain is small and by structural heuristics otherwise.  The
-substitution is documented in DESIGN.md; the operator still adapts to the
-workload and scales through implicit matrices, which is what the paper's
-evaluation exercises.
+operator still adapts to the workload and scales through implicit matrices,
+which is what the paper's evaluation exercises.
 """
 
 from __future__ import annotations

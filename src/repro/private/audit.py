@@ -11,6 +11,7 @@ This is public information: it never includes query answers or data values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .kernel import MeasurementRecord, ProtectedKernel
@@ -19,12 +20,18 @@ from .protected import ProtectedDataSource
 
 @dataclass
 class SourceReport:
-    """Per-source accounting entry."""
+    """Per-source accounting entry.
+
+    A source of ``kind`` ``"restored"`` was derived before its kernel was
+    restored from durable records: it is known by its history rows alone, so
+    its lineage is empty, its stability ``None`` and ``consumed`` the sum of
+    its rows' cost.
+    """
 
     name: str
     kind: str
     lineage: list[str]
-    cumulative_stability: float
+    cumulative_stability: float | None
     consumed: float
     measurements: list[MeasurementRecord] = field(default_factory=list)
 
@@ -68,9 +75,11 @@ class BudgetAudit:
             ops = ", ".join(
                 f"{record.operator}(eps={record.epsilon:g})" for record in source.measurements
             )
+            stability = source.cumulative_stability
+            stability = "-" if stability is None else f"{stability:.3g}"
             lines.append(
                 f"{source.name:<22} {source.kind:<10} "
-                f"{source.cumulative_stability:>9.3g} {source.consumed:>9.3g}  {ops}"
+                f"{stability:>9} {source.consumed:>9.3g}  {ops}"
             )
         return "\n".join(lines)
 
@@ -83,22 +92,37 @@ def audit_kernel(kernel: ProtectedKernel) -> BudgetAudit:
         by_source.setdefault(record.source, []).append(record)
 
     sources = []
-    # Collect every source that either spent budget or appears in a lineage of one.
-    names = set(by_source)
-    for name in list(names):
-        names.update(kernel.lineage(name))
-    names.add("root")
+    # Collect every source that either spent budget or appears in a lineage
+    # of one.  A measured source the kernel has no lineage for predates a
+    # restore: it is reported as restored, from its history rows alone.
+    known = kernel.budget_tracker
+    names = {"root"}
+    for name in by_source:
+        names.update(kernel.lineage(name) if name in known else [name])
     for name in sorted(names):
-        sources.append(
-            SourceReport(
-                name=name,
-                kind=kernel.source_kind(name),
-                lineage=kernel.lineage(name),
-                cumulative_stability=kernel.cumulative_stability(name),
-                consumed=kernel.source_consumed(name),
-                measurements=by_source.get(name, []),
+        measurements = by_source.get(name, [])
+        if name in known:
+            sources.append(
+                SourceReport(
+                    name=name,
+                    kind=kernel.source_kind(name),
+                    lineage=kernel.lineage(name),
+                    cumulative_stability=kernel.cumulative_stability(name),
+                    consumed=kernel.source_consumed(name),
+                    measurements=measurements,
+                )
             )
-        )
+        else:
+            sources.append(
+                SourceReport(
+                    name=name,
+                    kind="restored",
+                    lineage=[],
+                    cumulative_stability=None,
+                    consumed=math.fsum(record.cost for record in measurements),
+                    measurements=measurements,
+                )
+            )
     epsilon_reported, delta_reported = kernel.accountant.epsilon_delta(
         kernel.budget_spent_cost()
     )

@@ -276,15 +276,15 @@ class BudgetTracker:
         return True
 
     # ------------------------------------------------------------------
-    # Durable-state support (snapshot/restore, journal replay).
+    # Durable-state support (replay of durable records).
     # ------------------------------------------------------------------
     def apply_restored_charge(self, cost: Cost) -> None:
-        """Re-apply a root-level charge recovered from the durable journal.
+        """Re-apply a root-level charge replayed from durable records.
 
         Replay bypasses both the acceptance check (the charge was accepted
         before the crash — re-deciding it against tolerance drift could
         reject an exact replay) and the ``charge_listener`` (the record is
-        already in the journal).  Per-source counters of plan-internal
+        already durable).  Per-source counters of plan-internal
         derived nodes are *not* reconstructed — only the root ledger, which
         is what reconciliation and future acceptance decisions read.
         """
@@ -298,56 +298,6 @@ class BudgetTracker:
         self._ledger.append(cost)
         self._ledger_primary.add(cost.primary)
         self._ledger_delta.add(cost.delta)
-
-    def state_dict(self) -> dict:
-        """JSON-ready serialisation of the graph and the root ledger."""
-        return {
-            "root_name": self.root_name,
-            "nodes": [
-                {
-                    "name": node.name,
-                    "kind": node.kind.value,
-                    "parent": node.parent,
-                    "stability": node.stability,
-                    "consumed": node.consumed,
-                    "consumed_delta": node.consumed_delta,
-                }
-                for node in self._nodes.values()
-            ],
-            "ledger": [[cost.primary, cost.delta] for cost in self._ledger],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Rebuild the graph and ledger saved by :meth:`state_dict`.
-
-        Must be called on a freshly-constructed tracker with the same
-        accountant.  The compensated acceptance sums are rebuilt by re-adding
-        the ledger in order, which reproduces them bit-identically.
-        """
-        if state["root_name"] != self.root_name:
-            raise ValueError("snapshot root name does not match this tracker")
-        nodes: dict[str, BudgetNode] = {}
-        for entry in state["nodes"]:
-            node = BudgetNode(
-                entry["name"],
-                NodeKind(entry["kind"]),
-                entry["parent"],
-                float(entry["stability"]),
-            )
-            node.consumed = float(entry["consumed"])
-            node.consumed_delta = float(entry["consumed_delta"])
-            nodes[node.name] = node
-        for node in nodes.values():
-            if node.parent is not None:
-                nodes[node.parent].children.append(node.name)
-        if self.root_name not in nodes:
-            raise ValueError("snapshot has no root node")
-        self._nodes = nodes
-        self._ledger = []
-        self._ledger_primary = _CompensatedSum()
-        self._ledger_delta = _CompensatedSum()
-        for primary, delta in state["ledger"]:
-            self._append_ledger(Cost(float(primary), float(delta)))
 
     # ------------------------------------------------------------------
     # Dry-run (the odometer's filter view).

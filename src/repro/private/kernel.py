@@ -28,7 +28,7 @@ read and no noise is drawn before the charge is accepted.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,7 +89,7 @@ class BudgetSnapshot:
 class _Source:
     """Internal storage of a data source (table or vector)."""
 
-    data: object  # Relation | np.ndarray | None (partition dummy, restored stub)
+    data: object  # Relation | np.ndarray | None (partition dummy)
     kind: str  # "table" | "vector" | "partition"
 
 
@@ -142,6 +142,19 @@ class ProtectedKernel:
         self._name_counter += 1
         return f"{prefix}_{self._name_counter}"
 
+    def restore_measurement(self, record: MeasurementRecord) -> None:
+        """Append a history row replayed from durable records.
+
+        Bypasses the ``measurement_listener`` (the row is already durable).
+        A restored kernel holds the root alone, so the name counter moves
+        past the ``_N`` suffix of the row's source: :meth:`_fresh_name`
+        never hands a pre-restore name to a post-restore source.
+        """
+        _, _, suffix = record.source.rpartition("_")
+        if suffix.isdigit():
+            self._name_counter = max(self._name_counter, int(suffix))
+        self._history.append(record)
+
     def _get(self, name: str) -> _Source:
         if name not in self._sources:
             raise UnknownSourceError(f"unknown data-source variable {name!r}")
@@ -156,11 +169,6 @@ class ProtectedKernel:
         source = self._get(name)
         if source.kind != kind:
             raise InvalidTransformationError(f"source {name!r} is not a {kind}")
-        if source.data is None:
-            raise InvalidTransformationError(
-                f"source {name!r} was restored without data; derive a fresh "
-                "source from the root instead of reusing pre-crash handles"
-            )
         if operator is not None and operator.shape[1] != source.data.size:
             raise InvalidTransformationError(
                 f"operator has {operator.shape[1]} columns but the vector has "
@@ -618,55 +626,6 @@ class ProtectedKernel:
             "kernel.measure.laplace_scalar",
             {"sensitivity": float(sensitivity), "domain_size": int(vector.size)},
         )
-
-    # ------------------------------------------------------------------
-    # Durable state (snapshot/restore).
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-ready serialisation of the kernel's *bookkeeping* state.
-
-        Contains the budget graph, the root ledger, the measurement history,
-        the noise seed and the name counter — everything needed to resume
-        exact accounting — but never the private data itself: sources other
-        than the root are recorded by name and kind only.  Restoring requires
-        the deployment to supply the original table (the private data is the
-        operator's, not the snapshot's).
-        """
-        return {
-            "seed": self._seed,
-            "name_counter": self._name_counter,
-            "history": [asdict(record) for record in self._history],
-            "source_kinds": {
-                name: source.kind for name, source in self._sources.items()
-            },
-            "budget": self._budget.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore the bookkeeping saved by :meth:`state_dict`.
-
-        Must be called on a freshly-built kernel wrapping the original table
-        with an equivalent accountant.  Non-root sources come back as *data
-        stubs*: their lineage, kind and budget counters are exact (audits
-        keep working), but measuring or transforming them raises — post-crash
-        work derives fresh sources from the root.
-        """
-        self._seed = state["seed"]
-        self._rng = np.random.default_rng(self._seed)
-        self._name_counter = int(state["name_counter"])
-        self._history = [MeasurementRecord(**record) for record in state["history"]]
-        self._budget.load_state(state["budget"])
-        for name, kind in state["source_kinds"].items():
-            if name != "root":
-                self._sources[name] = _Source(None, kind)
-
-    def restore_measurement(self, record: MeasurementRecord) -> None:
-        """Append a journal-recovered history record (replay path only).
-
-        Bypasses the ``measurement_listener`` — the record is already in the
-        journal being replayed.
-        """
-        self._history.append(record)
 
     # ------------------------------------------------------------------
     # Lineage introspection (public).

@@ -74,8 +74,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from ..durability.faults import FaultInjector, WorkerDeath
-from ..durability.serialize import encode
-from ..durability.snapshot import response_state
+from ..durability.snapshot import release_record, snapshot_session
 from ..plans.registry import make_plan
 from ..private.exceptions import DeadlineExceededError
 from ..telemetry.metrics import MetricsRegistry
@@ -169,9 +168,10 @@ class PlanScheduler:
     # Durability.
     # ------------------------------------------------------------------
     def snapshot_session(self, session_id: str) -> dict:
-        """Snapshot a session, including its cached releases."""
-        session = self.manager.get(session_id)
-        return session.snapshot(measurement_cache=self.measurement_cache)
+        """Snapshot a session's records, including its cached releases."""
+        return snapshot_session(
+            self.manager.get(session_id), measurement_cache=self.measurement_cache
+        )
 
     def restore_session(
         self,
@@ -449,15 +449,7 @@ class PlanScheduler:
             # Journal the release before the event that claims it: restores
             # replay the answer byte-identical into the cache, so an
             # identical post-crash request costs zero additional ε.
-            session.journal.append(
-                {
-                    "kind": "release",
-                    "key": encode(key),
-                    "response": encode(response_state(response)),
-                    "history_start": history[0],
-                    "history_end": history[1],
-                }
-            )
+            session.journal.append(release_record(key, response, *history))
         self._ledger(
             session, request, "ok", response.elapsed_seconds, queue_wait, trace_id,
             history, spent=response.epsilon_spent, seed=seed,

@@ -11,8 +11,9 @@ Sessions can be made **durable** by attaching a
 every kernel measurement record and every audit-trail event is appended to
 the journal the instant it happens — charges *before* the in-memory ledger
 mutates — so a crash at any instruction loses at most budget, never
-accounting integrity.  :meth:`Session.snapshot` and
-:func:`repro.durability.restore_session` round-trip the whole state.
+accounting integrity.  The records are built in
+:mod:`repro.durability.snapshot`, whose ``snapshot_session`` builds the same
+records from a live session and whose ``restore_session`` replays either.
 
 The :class:`SessionManager` creates and tracks sessions.  Isolation is
 structural: every session has its own kernel, its own budget tracker and its
@@ -30,6 +31,12 @@ import numpy as np
 
 from ..accounting import Accountant, make_accountant
 from ..dataset.relation import Relation
+from ..durability.snapshot import (
+    charge_record,
+    event_record,
+    measurement_record,
+    open_record,
+)
 from ..private.budget import LEDGER_TOLERANCE
 from ..private.kernel import BudgetSnapshot, MeasurementRecord, ProtectedKernel
 from ..private.protected import ProtectedDataSource
@@ -93,9 +100,10 @@ class Session:
             int(np.random.SeedSequence().entropy) if seed is None else int(seed)
         )
         #: the (ε, δ) target the session was *requested* with — the
-        #: accountant's constructor arguments, which a snapshot records so a
-        #: restore can rebuild an identical accountant (``epsilon_total`` is
-        #: ε even for a zCDP session whose native budget is ρ).
+        #: accountant's constructor arguments, which the ``open`` record holds
+        #: so a restore can rebuild an identical accountant
+        #: (``epsilon_total`` is ε even for a zCDP session whose native
+        #: budget is ρ).
         self.requested_epsilon_total = float(epsilon_total)
         self.requested_delta = float(delta)
         #: per-tenant privacy calculus: ``None``/``"pure"`` is the paper's
@@ -113,8 +121,8 @@ class Session:
         self.events: list[SessionEvent] = []
         self._root = ProtectedDataSource(self.kernel, "root")
         self._vector: ProtectedDataSource | None = None
-        #: number of request ids handed out so far (a plain int so snapshots
-        #: can record and restore it; mutated only under the session lock).
+        #: number of request ids handed out so far (mutated only under the
+        #: session lock; a restore takes it from the replayed events).
         self.request_counter = 0
         #: durable write-ahead journal; None until :meth:`attach_journal`.
         self.journal = None
@@ -179,9 +187,7 @@ class Session:
         """Append one audit-trail event, journal-first when durable."""
         with self.lock:
             if self.journal is not None:
-                # vars(), not asdict(): SessionEvent is flat scalars, and
-                # asdict's recursive copying is measurable on the hot path.
-                self.journal.append({"kind": "event", **vars(event)})
+                self.journal.append(event_record(event))
             self.events.append(event)
 
     def measurements_for(self, event: SessionEvent) -> list[MeasurementRecord]:
@@ -206,25 +212,12 @@ class Session:
         with self.lock:
             self.journal = journal
             tracker = self.kernel.budget_tracker
-            tracker.charge_listener = lambda cost: journal.append(
-                {"kind": "charge", "p": cost.primary, "d": cost.delta}
-            )
+            tracker.charge_listener = lambda cost: journal.append(charge_record(cost))
             self.kernel.measurement_listener = lambda record: journal.append(
-                {"kind": "measurement", **vars(record)}
+                measurement_record(record)
             )
             if write_open:
-                journal.append(
-                    {
-                        "kind": "open",
-                        "session_id": self.session_id,
-                        "tenant": self.tenant,
-                        "base_seed": self.base_seed,
-                        "epsilon_total": self.requested_epsilon_total,
-                        "delta": self.requested_delta,
-                        "accountant": self.accountant.name,
-                        "describe": self.accountant.describe(),
-                    }
-                )
+                journal.append(open_record(self))
                 journal.commit()
 
     def detach_journal(self) -> None:
@@ -233,16 +226,6 @@ class Session:
             self.kernel.budget_tracker.charge_listener = None
             self.kernel.measurement_listener = None
             self.journal = None
-
-    def snapshot(self, measurement_cache=None) -> dict:
-        """JSON-ready snapshot of the session's durable state.
-
-        Delegates to :func:`repro.durability.snapshot_session`; pass the
-        scheduler's measurement cache to include released answers.
-        """
-        from ..durability.snapshot import snapshot_session
-
-        return snapshot_session(self, measurement_cache=measurement_cache)
 
     def claim_orphans(self, error: str = "WorkerDeath") -> list[SessionEvent]:
         """Ledger budget/history a dead request charged but never recorded.

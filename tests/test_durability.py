@@ -16,6 +16,7 @@ schedules (hypothesis):
 from __future__ import annotations
 
 import gc
+import json
 import math
 import threading
 import time
@@ -42,7 +43,7 @@ from repro.durability import (
     snapshot_session,
 )
 from repro.durability.journal import _encode_line
-from repro.private import DeadlineExceededError
+from repro.private import DeadlineExceededError, audit
 from repro.service import (
     MeasurementCache,
     PlanScheduler,
@@ -51,7 +52,10 @@ from repro.service import (
     RetryPolicy,
     SessionClosedError,
     SessionManager,
+    export_json,
     reconcile,
+    service_report,
+    session_report,
 )
 from repro.telemetry import NOOP_SPAN, Tracer
 
@@ -438,10 +442,11 @@ class TestSnapshotRestore:
     def test_snapshot_with_legacy_fields_restores(self, manager, relation):
         scheduler, session, responses = self._run_session(manager, relation, None, 1)
         snap = scheduler.snapshot_session(session.session_id)
-        for event in snap["events"]:
-            event[self.LEGACY_FIELD] = None
-        for entry in snap["cache"]:
-            entry["response"] = self._with_legacy_field(entry["response"])
+        for record in snap["records"]:
+            if record["kind"] == "event":
+                record[self.LEGACY_FIELD] = None
+            elif record["kind"] == "release":
+                record["response"] = self._with_legacy_field(record["response"])
         fresh = PlanScheduler(SessionManager())
         restored = fresh.restore_session(relation, snapshot=snap)
         self._assert_replays_free(fresh, restored, responses[0])
@@ -532,7 +537,9 @@ class TestSnapshotRestore:
         session = manager.create_session("acme", relation, 4.0, seed=7)
         scheduler.execute(identity_request(session))
         snap = scheduler.snapshot_session(session.session_id)
-        snap["accountant"]["describe"]["epsilon_budget"] = 99.0
+        opening = snap["records"][0]
+        assert opening["kind"] == "open"
+        opening["describe"]["epsilon_budget"] = 99.0
         with pytest.raises(RecoveryError):
             restore_session(relation, snapshot=snap)
         restored = restore_session(relation, snapshot=snap, strict=False)
@@ -566,19 +573,132 @@ class TestSnapshotRestore:
         scheduler.execute(identity_request(session))
         snap = scheduler.snapshot_session(session.session_id)
         restored = restore_session(relation, snapshot=snap)
-        from repro.private import InvalidTransformationError
+        from repro.private import UnknownSourceError
         from repro.workload.builders import identity_workload
 
-        stub_names = [
-            name
-            for name, kind in snap["kernel"]["source_kinds"].items()
-            if name != "root" and kind == "vector"
+        # A restore rebuilds no pre-restore source: their names are history.
+        pre_restore = [
+            record["source"]
+            for record in snap["records"]
+            if record["kind"] == "measurement" and record["source"] != "root"
         ]
-        assert stub_names
-        with pytest.raises(InvalidTransformationError, match="restored without data"):
+        assert pre_restore
+        with pytest.raises(UnknownSourceError):
             restored.kernel.measure_vector_laplace(
-                stub_names[0], identity_workload(N), 0.1
+                pre_restore[0], identity_workload(N), 0.1
             )
+
+
+class TestOneRestorePath:
+    """A snapshot and a journal are one record stream, restored one way."""
+
+    def _journaled(self, relation, path):
+        """A journaled session with Identity and DAWA history and one cached
+        replay; returns its scheduler, session and snapshot."""
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=7, journal=PrivacyJournal(path)
+        )
+        scheduler.execute(identity_request(session))
+        scheduler.execute(dawa_request(session))
+        assert scheduler.execute(identity_request(session)).cached
+        snap = scheduler.snapshot_session(session.session_id)
+        session.journal.close()
+        return scheduler, session, snap
+
+    def _restore(self, relation, path, snap, source):
+        fresh = PlanScheduler(SessionManager())
+        if source == "snapshot":
+            return fresh, fresh.restore_session(relation, snapshot=snap)
+        return fresh, fresh.restore_session(relation, journal=PrivacyJournal(path))
+
+    @pytest.mark.parametrize("source", ["snapshot", "journal"])
+    def test_reports_work_on_a_restored_session(self, relation, tmp_path, source):
+        path = tmp_path / "j.wal"
+        _, session, snap = self._journaled(relation, path)
+        fresh, restored = self._restore(relation, path, snap, source)
+        report = session_report(restored)
+        assert json.loads(export_json(restored)) == json.loads(json.dumps(report))
+        assert service_report(fresh.manager)["num_sessions"] == 1
+        assert "restored" in audit(restored.root).to_text()
+        # Each pre-restore source is reported under its own name, priced by
+        # its own history rows, with no lineage or stability invented.
+        history = restored.kernel.history()
+        sources = {entry["name"]: entry for entry in report["kernel_audit"]["sources"]}
+        measured = {record.source for record in history}
+        assert len(measured) > 1
+        for name in measured:
+            entry = sources[name]
+            assert entry["kind"] == "restored"
+            assert entry["lineage"] == [] and entry["cumulative_stability"] is None
+            assert entry["consumed"] == math.fsum(
+                record.cost for record in history if record.source == name
+            )
+        assert sources["root"]["consumed"] == session.budget_consumed()
+
+    @pytest.mark.parametrize("source", ["snapshot", "journal"])
+    def test_post_restore_sources_never_reuse_a_pre_restore_name(
+        self, relation, tmp_path, source
+    ):
+        path = tmp_path / "j.wal"
+        _, _, snap = self._journaled(relation, path)
+        fresh, restored = self._restore(relation, path, snap, source)
+        before = len(restored.kernel.history())
+        fresh.execute(identity_request(restored, epsilon=0.2, reuse=False))
+        history = restored.kernel.history()
+        pre = {record.source for record in history[:before]}
+        post = {record.source for record in history[before:]}
+        assert post and pre.isdisjoint(post)
+        kinds = {
+            entry["name"]: entry["kind"]
+            for entry in session_report(restored)["kernel_audit"]["sources"]
+        }
+        assert {kinds[name] for name in pre} == {"restored"}
+        assert {kinds[name] for name in post} == {"vector"}
+
+    def test_snapshot_and_journal_restore_the_same_session(self, relation, tmp_path):
+        path = tmp_path / "j.wal"
+        _, session, snap = self._journaled(relation, path)
+        (by_snapshot, a), (by_journal, b) = (
+            self._restore(relation, path, snap, source)
+            for source in ("snapshot", "journal")
+        )
+
+        def cache_entries(scheduler, restored):
+            return {
+                entry["key"]: (
+                    entry["history_start"],
+                    entry["history_end"],
+                    entry["response"].x_hat.tobytes(),
+                )
+                for entry in scheduler.measurement_cache.export_session(restored)
+            }
+
+        assert a.kernel.budget_tracker.ledger() == b.kernel.budget_tracker.ledger()
+        assert a.kernel.history() == b.kernel.history() == session.kernel.history()
+        assert a.events == b.events == session.events
+        assert a.request_counter == b.request_counter == session.request_counter
+        assert cache_entries(by_snapshot, a) == cache_entries(by_journal, b)
+        assert len(cache_entries(by_snapshot, a)) == 2
+        assert session_report(a) == session_report(b)
+
+    def test_snapshot_in_the_old_format_raises_recovery_error(self, relation):
+        # The layout snapshots had before they became records.
+        old = {
+            "version": 1,
+            "session_id": "acme-s1",
+            "tenant": "acme",
+            "base_seed": 7,
+            "accountant": {"name": "pure", "epsilon_total": 4.0, "delta": 1e-6},
+            "request_counter": 0,
+            "journal_seq": 0,
+            "kernel": {"seed": 7, "name_counter": 0, "history": []},
+            "events": [],
+            "cache": [],
+        }
+        with pytest.raises(RecoveryError, match="records"):
+            restore_session(relation, snapshot=old)
 
 
 # ======================================================================
@@ -1076,6 +1196,8 @@ class TestCrashRecoveryProperties:
         restored = fresh.restore_session(relation, journal=PrivacyJournal(path))
         assert reconcile(restored)["exact"]
         assert restored.budget_consumed() == pytest.approx(live_consumed, abs=1e-9)
+        # The audit covers the sources DAWA derived before the crash.
+        assert json.loads(export_json(restored))["num_requests"] == len(restored.events)
 
         # Every answer released pre-crash replays byte-identical at zero ε.
         spent_before = restored.budget_consumed()
