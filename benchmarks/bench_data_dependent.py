@@ -69,18 +69,10 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def _quantize(values: np.ndarray) -> np.ndarray:
-    """Snap to a 2^-20 grid: dyadic-rational cells make every interval cost
-    exactly representable, so the vectorized-vs-reference equality asserts
-    below are guaranteed (not at the mercy of final-ulp summation-order
-    rounding on arbitrary floats).  Timing is unaffected."""
-    return np.round(values * 2.0**20) / 2.0**20
-
-
 def _plateau_histogram(rng, n: int, noise_scale: float) -> np.ndarray:
     """A piecewise-constant histogram with Laplace noise (DAWA's target shape)."""
     plateau = np.repeat(rng.integers(0, 100, n // 16 + 1), 16)[:n].astype(np.float64)
-    return _quantize(plateau + rng.laplace(0.0, noise_scale, n))
+    return plateau + rng.laplace(0.0, noise_scale, n)
 
 
 def bench_dawa_dp(sizes, repeats):
@@ -112,7 +104,7 @@ def bench_dawa_dp_striped(stripe_shapes, repeats):
     noise_scale = 1.5
     for num_stripes, stripe_length in stripe_shapes:
         blocks = rng.integers(0, 60, size=(num_stripes, stripe_length)).astype(np.float64)
-        blocks = _quantize(blocks + rng.laplace(0.0, noise_scale, size=blocks.shape))
+        blocks = blocks + rng.laplace(0.0, noise_scale, size=blocks.shape)
 
         def per_stripe_reference():
             return [_reference_l1_partition(row, noise_scale) for row in blocks]
@@ -295,7 +287,7 @@ def main() -> int:
 
     if args.quick:
         repeats = 1
-        dawa_sizes = [1024]
+        dawa_sizes = [1024, 4096]  # 4096: paper-1d's domain
         ahp_sizes = [4096]
         stripe_shapes = [GATE_STRIPES]
         mw_config = (512, 256)

@@ -77,18 +77,30 @@ class SparseMatrix(LinearQueryMatrix):
             matrix = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
         self.matrix = matrix.tocsr().astype(np.float64)
         self.shape = self.matrix.shape
+        self._transpose = None
+
+    def _transposed(self) -> sp.csc_matrix:
+        """``self.matrix.T``, built on the first transposed product and reused.
+
+        The CSC transpose shares the CSR's arrays, and the product is the one
+        a fresh ``self.matrix.T`` gives, bit for bit.  Two threads racing on
+        the first call both build the same value, so the race is harmless.
+        """
+        if self._transpose is None:
+            self._transpose = self.matrix.T
+        return self._transpose
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.matrix @ np.asarray(v, dtype=np.float64)).ravel()
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matrix.T @ np.asarray(v, dtype=np.float64)).ravel()
+        return np.asarray(self._transposed() @ np.asarray(v, dtype=np.float64)).ravel()
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return np.asarray(self.matrix @ B)
 
     def _rmatmat(self, B: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matrix.T @ B)
+        return np.asarray(self._transposed() @ B)
 
     def gram_dense(self, block_size: int | None = None) -> np.ndarray:
         return np.asarray((self.matrix.T @ self.matrix).todense())

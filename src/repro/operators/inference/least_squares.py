@@ -164,8 +164,9 @@ def _factor_strategy(queries: LinearQueryMatrix) -> NormalEquations | None:
     strategy = queries.sparse().tocsr()
     if strategy.nnz > STRATEGY_DENSITY_THRESHOLD * n * n:
         return None
+    transpose = strategy.T
     if m <= n:  # more than n non-zero rows cannot be mutually orthogonal
-        outer = strategy @ strategy.T
+        outer = strategy @ transpose
         norms = outer.diagonal()
         if np.all(norms > 0) and outer.count_nonzero() == m:
             # M = D^(1/2) Q with orthonormal rows Q, so (M.T M)^+ = Q.T D^-1 Q
@@ -175,10 +176,10 @@ def _factor_strategy(queries: LinearQueryMatrix) -> NormalEquations | None:
             def solve_orthogonal(rhs: np.ndarray) -> np.ndarray:
                 coeffs = strategy @ rhs
                 coeffs *= scale if coeffs.ndim == 1 else scale[:, None]
-                return strategy.T @ coeffs
+                return transpose @ coeffs
 
             return NormalEquations(None, cho=None, lu=solve_orthogonal, kind="orthogonal_rows")
-    system = sp.bmat([[sp.identity(m), strategy], [strategy.T, None]], format="csc")
+    system = sp.bmat([[sp.identity(m), strategy], [transpose, None]], format="csc")
     try:
         # The symmetric ordering: splu's default COLAMD fills in 10-19x more.
         factor = splu(system, permc_spec="MMD_AT_PLUS_A")

@@ -22,18 +22,22 @@ with cost exactly ``epsilon``; steps 2-3 are post-processing.
 **Vectorized engine.**  The seed implementation issued one Python-level
 ``interval_cost`` call per (end point, dyadic length) pair — O(n log n) calls,
 each slicing O(length) cells.  :func:`l1_partition` now precomputes every
-dyadic-length interval cost with prefix sums and a vectorized accumulation
-over window offsets, leaving only the O(n) DP recurrence, and
+dyadic-length interval cost with prefix sums, each deviation sum added in
+the reference's own order (left to right below 8 cells, one ``np.add.reduce``
+per chunk of windows from there on), leaving only the O(n) DP recurrence,
+run on plain Python lists, and
 :func:`l1_partition_batch` additionally vectorizes the DP *across* equal-length
 histograms (the striped-plan hot path: one DAWA stage one per stripe), so k
 stripes cost one pass of k-wide NumPy ops instead of k scalar DPs.  The
 original scalar implementation is retained as :func:`_reference_l1_partition`;
-property tests assert the vectorized assignments are identical to it.
+the vectorized costs equal its costs bit for bit, so the assignments are
+identical to it on every histogram, and property tests assert so.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ...matrix import Identity, ReductionMatrix
 from ...private.protected import ProtectedDataSource
@@ -95,6 +99,16 @@ def _reference_l1_partition(noisy: np.ndarray, noise_scale: float) -> np.ndarray
     return assignment
 
 
+#: The cost pass forms its windows in chunks of about this many elements
+#: (``k * length`` per window), small enough to stay in cache.
+_COST_CHUNK_ELEMENTS = 1 << 15
+
+#: numpy's ``sum`` adds fewer than this many numbers left to right (its
+#: pairwise summation starts at 8), so a shorter interval's deviations can be
+#: accumulated one window offset at a time, across all windows, in its order.
+_PAIRWISE_MIN_LENGTH = 8
+
+
 def _dyadic_interval_costs(
     blocks: np.ndarray, noise_scale: float
 ) -> list[np.ndarray]:
@@ -102,11 +116,17 @@ def _dyadic_interval_costs(
 
     ``blocks`` is a ``(k, m)`` stack of histograms.  Returns one ``(k, m-l+1)``
     array per dyadic length ``l``; entry ``[:, s]`` is the cost of the interval
-    ``[s, s+l)`` in each histogram.  Interval means come from prefix sums; the
-    deviation sum accumulates over the ``l`` window offsets (one vectorized op
-    per offset across all start positions and histograms) — or, when there are
-    fewer windows than offsets, over the windows instead — so no cost is ever
-    computed by a per-interval Python call.
+    ``[s, s+l)`` in each histogram.  Interval means come from prefix sums.
+    Every deviation sum is added in the order of the reference's per-interval
+    ``sum``, so the costs equal the reference's bit for bit:
+
+    * below :data:`_PAIRWISE_MIN_LENGTH` cells, left to right — one
+      vectorized add per window offset across all windows and histograms;
+    * from there on, pairwise — each chunk of windows is formed as contiguous
+      ``(k, windows, l)`` rows of deviations and each row is summed by one
+      ``np.add.reduce`` along it, the reference's own summation.
+
+    No cost is ever computed by a per-interval Python call.
     """
     k, m = blocks.shape
     prefix = np.zeros((k, m + 1))
@@ -115,38 +135,42 @@ def _dyadic_interval_costs(
     for length in _dyadic_lengths(m):
         num_windows = m - length + 1
         means = (prefix[:, length:] - prefix[:, :-length]) / length
-        if length <= num_windows:
+        if length < _PAIRWISE_MIN_LENGTH:
             deviations = np.abs(blocks[:, :num_windows] - means)
             for offset in range(1, length):
                 deviations += np.abs(blocks[:, offset : offset + num_windows] - means)
         else:
+            windows = sliding_window_view(blocks, length, axis=1)
             deviations = np.empty((k, num_windows))
-            for start in range(num_windows):
-                segment = blocks[:, start : start + length]
-                deviations[:, start] = np.abs(segment - means[:, start, None]).sum(axis=1)
+            step = max(1, _COST_CHUNK_ELEMENTS // (k * length))
+            for start in range(0, num_windows, step):
+                chunk = windows[:, start : start + step] - means[:, start : start + step, None]
+                np.abs(chunk, out=chunk)
+                deviations[:, start : start + step] = np.add.reduce(chunk, axis=-1)
         costs.append(np.maximum(deviations - noise_scale * length, 0.0) + noise_scale)
     return costs
 
 
-def _dp_single(costs: list[np.ndarray], lengths: list[int], m: int) -> np.ndarray:
+def _dp_single(costs: list[np.ndarray], lengths: list[int], m: int) -> list[int]:
     """O(m) DP over one histogram's precomputed interval costs.
 
-    Plain-float inner loop (the ~log m candidate lengths per end point):
-    for a single histogram the constant factor of per-end NumPy dispatch
-    exceeds the arithmetic, so Python floats are the fastest exact evaluator.
-    Returns the ``(m+1,)`` back-pointer array.
+    Plain-float inner loop over ``(length, cost row)`` pairs in ascending
+    length, on Python lists: for a single histogram the constant factor of
+    per-end NumPy dispatch exceeds the arithmetic, so Python floats are the
+    fastest exact evaluator.  The strict ``<`` keeps the shortest of tied
+    candidates, the reference's tie-break.  Returns the ``m+1`` back pointers.
     """
-    cost_rows = [cost[0].tolist() for cost in costs]
-    best = [0.0] + [np.inf] * m
-    back = np.zeros(m + 1, dtype=np.intp)
-    num_lengths = len(lengths)
+    candidates = [(length, cost[0].tolist()) for length, cost in zip(lengths, costs)]
+    best = [0.0] * (m + 1)
+    back = [0] * (m + 1)
     for end in range(1, m + 1):
-        reachable = min(end.bit_length(), num_lengths)
         best_value = np.inf
         best_start = 0
-        for j in range(reachable):
-            start = end - lengths[j]
-            value = best[start] + cost_rows[j][start]
+        for length, row in candidates:
+            start = end - length
+            if start < 0:
+                break
+            value = best[start] + row[start]
             if value < best_value:
                 best_value = value
                 best_start = start
@@ -159,8 +183,9 @@ def _dp_batch(costs: list[np.ndarray], lengths: list[int], k: int, m: int) -> np
     """O(m) DP vectorized across ``k`` histograms; returns ``(m+1, k)`` back pointers.
 
     Interval costs are re-laid-out end-indexed once, so each DP step is a
-    single fancy gather of the reachable ``best`` states plus one add and one
-    argmin over the ~log m candidate lengths — all k-wide.
+    single fancy gather of the reachable ``best`` states plus one add, one
+    argmin and one min over the ~log m candidate lengths — all k-wide.  The
+    chosen lengths become back pointers in one op after the loop.
     """
     num_lengths = len(lengths)
     lengths_arr = np.asarray(lengths, dtype=np.intp)
@@ -170,39 +195,34 @@ def _dp_batch(costs: list[np.ndarray], lengths: list[int], k: int, m: int) -> np
         end_costs[j, length:, :] = cost.T
     best = np.full((m + 1, k), np.inf)
     best[0] = 0.0
-    back = np.zeros((m + 1, k), dtype=np.intp)
-    rows = np.arange(k)
+    choices = np.zeros((m + 1, k), dtype=np.intp)
     for end in range(1, m + 1):
         reachable = min(end.bit_length(), num_lengths)
-        starts = end - lengths_arr[:reachable]
-        candidates = best[starts] + end_costs[:reachable, end]
+        candidates = best[end - lengths_arr[:reachable]] + end_costs[:reachable, end]
         # First minimum wins, i.e. the shortest candidate interval — the same
         # tie-break as the reference's strict-< update over ascending lengths.
-        choice = np.argmin(candidates, axis=0)
-        best[end] = candidates[choice, rows]
-        back[end] = end - lengths_arr[choice]
+        choices[end] = candidates.argmin(axis=0)
+        best[end] = candidates.min(axis=0)
+    back = np.arange(m + 1)[:, None] - lengths_arr[choices]
+    back[0] = 0
     return back
 
 
 def _assignments_from_back_pointers(back: np.ndarray, k: int, m: int) -> np.ndarray:
     """Walk ``(m+1, k)`` back pointers to per-cell group ids, k-wide.
 
-    Marks every interval start while following all k pointer chains in
-    lock-step; group ids are then one cumulative sum (groups numbered left to
-    right, exactly like the reference's backtrack).
+    Follows all k pointer chains in lock-step (a chain that reached 0 stays
+    there, as ``back[0]`` is 0) and marks every interval start; group ids are
+    then one cumulative sum (groups numbered left to right, exactly like the
+    reference's backtrack).
     """
-    starts_mask = np.zeros((k, m), dtype=np.int64)
+    starts = np.zeros((k, m), dtype=int)
     positions = np.full(k, m, dtype=np.intp)
     rows = np.arange(k)
-    while True:
-        active = positions > 0
-        if not active.any():
-            break
-        active_rows = rows[active]
-        new_positions = back[positions[active], active_rows]
-        starts_mask[active_rows, new_positions] = 1
-        positions[active] = new_positions
-    return np.cumsum(starts_mask, axis=1) - 1
+    while positions.any():
+        positions = back[positions, rows]
+        starts[rows, positions] = 1
+    return np.cumsum(starts, axis=1) - 1
 
 
 def l1_partition_batch(blocks: np.ndarray, noise_scale: float) -> np.ndarray:
@@ -223,10 +243,10 @@ def l1_partition_batch(blocks: np.ndarray, noise_scale: float) -> np.ndarray:
     lengths = _dyadic_lengths(m)
     costs = _dyadic_interval_costs(blocks, noise_scale)
     if k == 1:
-        back = _dp_single(costs, lengths, m)[:, None]
+        back = np.asarray(_dp_single(costs, lengths, m))[:, None]
     else:
         back = _dp_batch(costs, lengths, k, m)
-    return _assignments_from_back_pointers(back, k, m).astype(int)
+    return _assignments_from_back_pointers(back, k, m)
 
 
 def l1_partition(noisy: np.ndarray, noise_scale: float) -> np.ndarray:
@@ -238,12 +258,10 @@ def l1_partition(noisy: np.ndarray, noise_scale: float) -> np.ndarray:
     noise scale — the same bias correction DAWA applies so that pure-noise
     regions are merged rather than split.
 
-    Returns the per-cell group assignment.  Assignments are identical to the
-    retained scalar :func:`_reference_l1_partition`: guaranteed bit-exact
-    whenever the interval costs are exactly representable (integer or
-    dyadic-rational histograms — the vectorized accumulation and the
-    reference's pairwise sums then agree exactly), and matching on arbitrary
-    float histograms unless two DP candidates tie within the final ulp.  The
+    Returns the per-cell group assignment, identical to the retained scalar
+    :func:`_reference_l1_partition` on every float histogram: each interval
+    cost is summed in the order of the reference's ``sum``, so the costs, the
+    DP sums and the shortest-first tie-break all agree bit for bit.  The
     interval costs are precomputed with vectorized prefix-sum/window kernels
     and only the O(n) DP recurrence remains a loop.
     """

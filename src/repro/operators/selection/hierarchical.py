@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...matrix import (
+    HierarchicalQueries,
     Identity,
     LinearQueryMatrix,
     RangeQueries,
@@ -53,27 +54,28 @@ def greedy_h_select(
     n:
         Domain size.
     workload_intervals:
-        The ``(lo, hi)`` ranges of the target workload.  If omitted, all range
-        queries are assumed equally likely and the weights fall back to the
-        H2-style uniform allocation.
+        The ``(lo, hi)`` ranges of the target workload.  If omitted (or
+        empty), all range queries are assumed equally likely: every level
+        then has usage 1, so every weight is exactly ``1 ** (1/3) / 1 = 1``
+        and the strategy is H2's hierarchy itself, returned as
+        ``HierarchicalQueries(n, 2)`` (the same rows, in H2's depth-first
+        order instead of grouped by level, with the same sensitivity).
     """
+    if not workload_intervals:
+        return HierarchicalQueries(n, 2)
     levels: dict[int, list[tuple[int, int]]] = {}
     for lo, hi in hierarchical_intervals(n, branching=2):
         length = hi - lo + 1
         levels.setdefault(length, []).append((lo, hi))
 
     level_sizes = sorted(levels, reverse=True)
-    usage = {size: 1.0 for size in level_sizes}
-    usage[1] = 1.0  # unit-count level (the Identity part)
-
-    if workload_intervals:
-        for size in usage:
-            usage[size] = 0.0
-        for lo, hi in workload_intervals:
-            for d_lo, d_hi in _dyadic_decomposition(lo, hi, n):
-                usage[d_hi - d_lo + 1] = usage.get(d_hi - d_lo + 1, 0.0) + 1.0
-        for size in list(usage):
-            usage[size] = max(usage[size], 1e-3)
+    # One usage count per level, the unit-count level (the Identity part) last.
+    usage = dict.fromkeys([*level_sizes, 1], 0.0)
+    for lo, hi in workload_intervals:
+        for d_lo, d_hi in _dyadic_decomposition(lo, hi, n):
+            usage[d_hi - d_lo + 1] = usage.get(d_hi - d_lo + 1, 0.0) + 1.0
+    for size in list(usage):
+        usage[size] = max(usage[size], 1e-3)
 
     # Optimal budget split across independent levels ~ usage^(1/3); weights are
     # normalised so the strategy's sensitivity stays comparable to H2's.
@@ -81,10 +83,9 @@ def greedy_h_select(
     mean_weight = np.mean(list(weights.values()))
     weights = {size: value / mean_weight for size, value in weights.items()}
 
-    parts: list[LinearQueryMatrix] = [Weighted(Identity(n), weights.get(1, 1.0))]
+    parts: list[LinearQueryMatrix] = [Weighted(Identity(n), weights[1])]
     for size in level_sizes:
-        intervals = levels[size]
-        parts.append(Weighted(RangeQueries(n, intervals), weights.get(size, 1.0)))
+        parts.append(Weighted(RangeQueries(n, levels[size]), weights[size]))
     return VStack(parts)
 
 

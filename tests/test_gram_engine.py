@@ -527,6 +527,53 @@ class TestNormalEquationKindsEdges:
         np.testing.assert_allclose(normal.solve(rhs), np.full(12, 0.5), atol=1e-12)
 
 
+class TestTransposeBuiltOnce:
+    """Each sparse transpose is built once and reused, with the same results."""
+
+    @staticmethod
+    def _count_transposes(monkeypatch) -> list:
+        calls = []
+        original = sp.csr_matrix.transpose
+
+        def counting(self, *args, **kwargs):
+            calls.append(self.shape)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.csr_matrix, "transpose", counting)
+        return calls
+
+    def test_sparse_matrix_transposed_products(self, monkeypatch):
+        rng = _rng(41)
+        csr = sp.random(30, 20, density=0.2, random_state=5, format="csr")
+        vectors = [rng.normal(size=30) for _ in range(3)]
+        columns = rng.normal(size=(30, 4))
+        expected = [csr.T @ v for v in vectors] + [csr.T @ columns]
+        matrix = SparseMatrix(csr)
+        calls = self._count_transposes(monkeypatch)
+        got = [matrix.rmatvec(v) for v in vectors] + [matrix.rmatmat(columns)]
+        assert len(calls) == 1
+        for result, want in zip(got, expected):
+            assert np.array_equal(result, want)
+
+    def test_orthogonal_rows_factor_and_solves(self, monkeypatch):
+        strategy = _reduction(40, 4, 11)
+        csr = strategy.sparse()
+        rng = _rng(43)
+        rhs = [rng.normal(size=40), rng.normal(size=(40, 3))]
+        scale = 1.0 / (csr @ csr.T).diagonal() ** 2
+        expected = [
+            csr.T @ ((csr @ rhs[0]) * scale),
+            csr.T @ ((csr @ rhs[1]) * scale[:, None]),
+        ]
+        calls = self._count_transposes(monkeypatch)
+        normal = build_normal_equations(strategy)
+        got = [normal.solve(b) for b in rhs]
+        assert normal.kind == "orthogonal_rows"
+        assert len(calls) == 1
+        for result, want in zip(got, expected):
+            assert np.array_equal(result, want)
+
+
 PREDICTABLE_ERROR_CASES = [
     ("identity", lambda n: Identity(n), "orthogonal_rows"),
     ("haar", lambda n: HaarWavelet(n), "orthogonal_rows"),

@@ -55,6 +55,13 @@ class TestGreedyH:
         g = greedy_h_select(32, [(0, 15), (16, 31)])
         assert np.linalg.matrix_rank(g.dense()) == 32
 
+    @pytest.mark.parametrize("n", [5, 17, 32, 33, 100])
+    def test_no_workload_is_h2(self, n):
+        h2 = h2_select(n)
+        for strategy in (greedy_h_select(n), greedy_h_select(n, [])):
+            assert strategy.strategy_key() == h2.strategy_key()
+            assert np.array_equal(strategy.dense(), h2.dense())
+
     def test_workload_changes_weights(self):
         uniform = greedy_h_select(32)
         adapted = greedy_h_select(32, [(0, 31)] * 10)
