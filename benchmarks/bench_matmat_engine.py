@@ -193,9 +193,7 @@ def bench_inference(domain, repeats):
 
     ls_lsmr = _time(lambda: least_squares(ls_queries, ls_answers, method="lsmr"), repeats)
     ls_normal = _time(
-        lambda: least_squares(
-            ls_queries, ls_answers, method="normal", gram_cache=_Warm(), gram_key="warm"
-        ),
+        lambda: least_squares(ls_queries, ls_answers, method="normal", gram_cache=_Warm()),
         repeats,
     )
     return [

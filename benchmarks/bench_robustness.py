@@ -323,7 +323,10 @@ def main() -> int:
         print(f"Trajectory point appended to {TRAJECTORY_PATH.name}")
 
     if commit["overhead_fraction"] > max_overhead:
-        print("FAIL: write-ahead journal is no longer cheap in its default mode", file=sys.stderr)
+        print(
+            "FAIL: the per-request journal commit is no longer cheap in its default mode",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

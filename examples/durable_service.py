@@ -2,12 +2,15 @@
 
 This example walks the crash-safety path end to end:
 
-1. open a session with a write-ahead :class:`~repro.durability.PrivacyJournal`
-   attached, and answer a couple of requests normally,
+1. open a session with a :class:`~repro.durability.PrivacyJournal`
+   attached, and answer a couple of requests normally — each one appends
+   one ``commit`` record (its charges, measurement rows, release and audit
+   event) before its response leaves the service,
 2. kill the process mid-request with the fault-injection harness — a
    ``WorkerDeath`` fired *between* a budget charge and the measurement that
-   would have recorded it (the charge-ahead window: the journal already holds
-   the charge, the in-memory state dies with the process),
+   would have recorded it.  The dying request's commit still runs on its
+   way out, so the journal holds the charge with no event behind it; the
+   rest of the in-memory state dies with the process,
 3. throw the live objects away — only the journal file survives — and
    restore the session into a fresh scheduler from the journal alone,
 4. verify the recovered state: the orphaned charge is claimed by a
@@ -72,7 +75,8 @@ def main() -> None:
     # 2. Kill the worker mid-request.  DAWA charges the budget twice (once
     #    for its private partition selection, once for the measurement);
     #    dying after the second charge is accepted leaves epsilon charged
-    #    in the journal with no measurement or audit event behind it.
+    #    with no measurement or audit event behind it, and the request's
+    #    commit journals exactly that on the way out.
     # ------------------------------------------------------------------
     faults = FaultInjector()
     session.kernel.fault_injector = faults
@@ -102,7 +106,8 @@ def main() -> None:
     restored = fresh.restore_session(relation, journal=PrivacyJournal(wal))
     info = restored.recovery_info
     print(
-        f"\nrestored from {info['replayed_records']} journal records; "
+        f"\nrestored {info['replayed_records']} charge, measurement, release and "
+        f"event records from the journal alone; "
         f"reconcile exact={info['reconcile']['exact']}"
     )
 

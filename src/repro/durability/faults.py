@@ -12,10 +12,12 @@ Fault points (the seams instrumented in this repo):
 
 * ``kernel.before_charge`` — before a measurement's budget charge: the
   request dies having spent nothing.
-* ``kernel.after_charge`` — after the charge is accepted (and journaled) but
-  before the noisy answer is computed: the charge-ahead window where budget
-  is wasted but nothing leaks.
-* ``journal.append`` — before a journal record is written (I/O error).
+* ``kernel.after_charge`` — after the charge is accepted but before the
+  noisy answer is computed: the request dies with budget charged and
+  nothing released, so budget is wasted but nothing leaks (its commit
+  journals the charge with no event, and a restore claims it).
+* ``journal.append`` — before a journal record is written (I/O error): a
+  failed commit, whose request raises without a response.
 * ``journal.fsync`` — inside the journal's fsync (``OSError``, the classic
   torn-durability failure).
 * ``scheduler.worker`` — at a batch worker's entry: :class:`WorkerDeath`

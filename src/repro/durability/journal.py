@@ -1,17 +1,18 @@
-"""Write-ahead privacy journal: the durable record of everything that spends ε.
+"""Privacy journal: the durable record of everything that spends ε.
 
 Every budget charge accepted at the root ledger, every kernel measurement
-record, every audit-trail session event and every released answer is appended
-here *before* the response leaves the service — charge-ahead semantics: a
-crash between charge and release can only waste budget (the restored ledger
-still shows the charge, the answer was never released), never leak it (no
-answer is released whose charges are not journaled).
+record, every released answer and every audit-trail session event reaches
+the journal in its request's one ``commit`` record, which the session
+writes *before* the response (or a replayed answer) leaves the service.  A
+crash before the commit can only waste budget (the charges of a request
+whose answer nobody saw), never leak it: no answer is released whose
+charges are not journaled.
 
 Format: JSON lines, one record per line, each prefixed with the CRC32 of its
-payload.  The records themselves (their five kinds and their fields) are
+payload.  The records themselves (their six kinds and their fields) are
 built in :mod:`repro.durability.snapshot`; the journal only frames them::
 
-    3f91a2c4 {"seq":1,"kind":"charge","p":0.1,"d":0.0}
+    0e5b2f71 {"seq":2,"kind":"commit","records":[{"kind":"charge","p":0.1,"d":0.0},...]}
 
 ``seq`` is a strictly sequential record number, always the first key.  On
 open, the journal scans existing content and validates each line's CRC and
@@ -28,7 +29,7 @@ only restore and forensics do.
 Durability modes (``fsync=``):
 
 * ``"commit"`` (default) — records are buffered per append and flushed to the
-  OS at every :meth:`commit` (the scheduler commits once per request, before
+  OS at every :meth:`commit` (the session commits once per request, before
   the response is returned).  Survives process death — the fault model of
   this repo's crash harness — at ~µs cost.
 * ``"always"`` — additionally ``os.fsync`` on every commit: survives OS/power

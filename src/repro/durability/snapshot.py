@@ -1,23 +1,26 @@
 """A session's durable records, its snapshot and its restore.
 
 A session's durable state is one stream of **records**: JSON-ready dicts,
-each with a ``kind``.  This module builds all five kinds:
+each with a ``kind``.  This module builds all six kinds:
 
 * ``open`` — the session's opening metadata: id, tenant, base seed and the
   accountant's configuration;
 * ``charge`` — one accepted root-level budget charge;
 * ``measurement`` — one kernel history row;
-* ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`;
 * ``release`` — one released answer with its request key and the history
-  span that paid for it (arrays as base64 of their raw buffer).
+  span that paid for it (arrays as base64 of their raw buffer);
+* ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`;
+* ``commit`` — ``{"kind": "commit", "records": [...]}``: what one commit
+  made durable, as charges, then measurement rows, releases and events.
 
-A journaled session appends them to its
-:class:`~repro.durability.journal.PrivacyJournal` as they happen.  A
-**snapshot** is the same records built from a live session's ledger,
-history, audit trail and cached releases, as
-``{"journal_seq": N, "records": [...]}`` taken at journal sequence number
-``N``.  Neither ever contains the private table: restoring requires the
-deployment to supply the original data, which stays the operator's.
+A journaled session appends its ``open`` record, then one ``commit`` record
+per request, built by :func:`commit_record`.  (Journals written before
+commit records held the four per-kind records one per line; restore reads
+both.)  A **snapshot** is ``{"journal_seq": N, "records": [open, commit]}``,
+its commit holding the whole ledger, history, cached releases and audit
+trail, taken at journal sequence number ``N``.  Neither ever contains the
+private table: restoring requires the deployment to supply the original
+data, which stays the operator's.
 
 **Restore** takes one path for a snapshot, a journal or both:
 
@@ -26,13 +29,14 @@ deployment to supply the original data, which stays the operator's.
 2. build a fresh session around the supplied table from the stream's first
    record, its ``open`` record, verifying the reconstructed accountant
    matches the recorded configuration;
-3. replay the rest — charges into the root ledger, measurement rows into the
-   kernel history, events into the audit trail and the request counter,
-   released answers back into the measurement cache (byte-identical);
+3. replay the rest, a commit record part by part — charges into the root
+   ledger, measurement rows into the kernel history, events into the audit
+   trail and the request counter, released answers back into the
+   measurement cache (byte-identical);
 4. attach the journal (without a second ``open`` record) and *claim
-   orphans*: budget that was charged-ahead but whose request never recorded
-   an event (the crash window) is claimed by one synthesized errored event,
-   so the audit trail still covers every charge and every history row;
+   orphans*: budget whose request died before recording an event is
+   claimed by one synthesized, committed errored event, so the audit trail
+   still covers every charge and every history row;
 5. run the :func:`~repro.service.export.reconcile` oracle — the restored
    session's event ledger must match its kernel ledger *exactly*, or
    :class:`RecoveryError` is raised (``strict=False`` downgrades both this
@@ -62,6 +66,7 @@ from .serialize import decode, encode
 __all__ = [
     "RecoveryError",
     "charge_record",
+    "commit_record",
     "event_record",
     "measurement_record",
     "open_record",
@@ -149,31 +154,42 @@ def release_record(key: tuple, response, history_start: int, history_end: int) -
     }
 
 
+def commit_record(session, since: tuple[int, int, int], releases: list[dict]) -> dict:
+    """Everything ``session`` changed past ``since`` — its (root-ledger
+    length, history length, event count) marks — plus the ``releases``, as
+    one ``commit`` record: charges, measurement rows, releases, events."""
+    charges, rows, events = since
+    kernel = session.kernel
+    parts = [charge_record(cost) for cost in kernel.budget_tracker.ledger(charges)]
+    parts += map(measurement_record, kernel.history_query(since=rows))
+    parts += releases
+    parts += map(event_record, session.events[events:])
+    return {"kind": "commit", "records": parts}
+
+
 # ----------------------------------------------------------------------
 # Snapshot.
 # ----------------------------------------------------------------------
 def snapshot_session(session, measurement_cache=None) -> dict:
-    """The session's durable state as records: ``{"journal_seq", "records"}``.
+    """The session's durable state as ``{"journal_seq", "records": [open, commit]}``.
 
-    Taken under the session lock, so the ledger, history, audit trail, cache
-    contents and journal sequence number are one consistent cut.  Pass the
-    scheduler's ``measurement_cache`` to include the session's released
-    answers (restores replay them budget-free); without it the snapshot
-    still reconciles, it just cannot serve pre-crash answers from cache.
+    Taken under the session lock after a commit, so the ledger, history,
+    audit trail, cache contents and ``journal_seq`` are one consistent cut.
+    Pass the scheduler's ``measurement_cache`` to include the session's
+    released answers (restores replay them budget-free); without it the
+    snapshot still reconciles, it just cannot serve pre-crash answers from
+    cache.
     """
     with session.lock:
-        records = [open_record(session)]
-        records += map(charge_record, session.kernel.budget_tracker.ledger())
-        records += map(measurement_record, session.kernel.history())
-        records += map(event_record, session.events)
-        if measurement_cache is not None:
-            records += (
-                release_record(**entry)
-                for entry in measurement_cache.export_session(session)
-            )
+        session.commit()
+        releases = (
+            [release_record(**entry) for entry in measurement_cache.export_session(session)]
+            if measurement_cache is not None
+            else []
+        )
         return {
             "journal_seq": session.journal.seq if session.journal is not None else 0,
-            "records": records,
+            "records": [open_record(session), commit_record(session, (0, 0, 0), releases)],
         }
 
 
@@ -207,41 +223,49 @@ def _open_session(table, head: dict | None, strict: bool):
 
 
 def _replay(session, records: Iterable[dict], measurement_cache) -> int:
-    """Apply the records after the ``open`` record to a detached session."""
+    """Apply the records after the ``open`` record to a detached session.
+
+    A ``commit`` record's parts take the same per-kind paths as the records
+    of journals written before commit records.  Returns how many per-kind
+    records were applied.
+    """
     from ..service.session import SessionEvent
 
     replayed = 0
     for record in records:
-        kind = record.get("kind")
-        if kind == "charge":
-            session.kernel.budget_tracker.apply_restored_charge(
-                Cost(float(record["p"]), float(record["d"]))
-            )
-        elif kind == "measurement":
-            session.kernel.restore_measurement(_from_record(MeasurementRecord, record))
-        elif kind == "event":
-            session.events.append(_from_record(SessionEvent, record))
-            request_number = _request_number(session.session_id, record.get("request_id"))
-            if request_number is not None:
-                session.request_counter = max(session.request_counter, request_number)
-        elif kind == "release":
-            if measurement_cache is not None:
-                response = response_from_state(decode(record["response"]))
-                measurement_cache.store(
-                    session,
-                    decode(record["key"]),
-                    response,
-                    int(record["history_start"]),
-                    int(record["history_end"]),
+        parts = [record]
+        if record.get("kind") == "commit":
+            parts = record.get("records")
+            if not isinstance(parts, list):
+                raise RecoveryError(f"'commit' record at seq {record.get('seq')} has no records")
+        for part in parts:
+            kind = part.get("kind")
+            if kind == "charge":
+                session.kernel.budget_tracker.apply_restored_charge(
+                    Cost(float(part["p"]), float(part["d"]))
                 )
-        elif kind == "open":
-            # A second open record would mean two sessions shared one journal.
-            raise RecoveryError(
-                f"unexpected 'open' record at seq {record.get('seq')}"
-            )
-        else:
-            raise RecoveryError(f"unknown record kind {kind!r}")
-        replayed += 1
+            elif kind == "measurement":
+                session.kernel.restore_measurement(_from_record(MeasurementRecord, part))
+            elif kind == "event":
+                session.events.append(_from_record(SessionEvent, part))
+                number = _request_number(session.session_id, part.get("request_id"))
+                if number is not None:
+                    session.request_counter = max(session.request_counter, number)
+            elif kind == "release":
+                if measurement_cache is not None:
+                    measurement_cache.store(
+                        session,
+                        decode(part["key"]),
+                        response_from_state(decode(part["response"])),
+                        int(part["history_start"]),
+                        int(part["history_end"]),
+                    )
+            elif kind == "open":
+                # A second open record would mean two sessions shared one journal.
+                raise RecoveryError(f"unexpected 'open' record at seq {record.get('seq')}")
+            else:
+                raise RecoveryError(f"unknown record kind {kind!r}")
+        replayed += len(parts)
     return replayed
 
 
@@ -305,8 +329,7 @@ def restore_session(
         # open record (or a snapshot supersedes it), so don't write another.
         session.attach_journal(journal, write_open=False)
     orphans = session.claim_orphans(error="CrashRecovery")
-    if journal is not None:
-        journal.commit()
+    session.commit()
     report = reconcile(session)
     if strict and not report["exact"]:
         raise RecoveryError(

@@ -18,7 +18,7 @@ Four solution strategies are provided:
   :func:`build_normal_equations`.  The factorisation is data-independent, so
   it can be cached and shared across requests via the service's
   :class:`~repro.service.artifact_cache.ArtifactCache` (pass
-  ``gram_cache``/``gram_key``), after which each solve is one cheap sweep.
+  ``gram_cache``), after which each solve is one cheap sweep.
 * ``method="auto"`` — picks ``"normal"`` for tall-skinny problems with a
   moderate domain, ``"lsmr"`` otherwise.
 
@@ -243,7 +243,6 @@ def least_squares(
     max_iterations: int | None = None,
     tolerance: float = 1e-8,
     gram_cache: SupportsGetOrBuild | None = None,
-    gram_key: Hashable | None = None,
 ) -> InferenceResult:
     """Ordinary least-squares estimate of the data vector.
 
@@ -264,16 +263,14 @@ def least_squares(
         Iteration cap for the lsmr solver.  ``None`` (the only sentinel) means
         "use the default of ``max(2n, 100)``"; an explicit ``0`` is honoured
         and returns the zero vector after no iterations.
-    gram_cache / gram_key:
+    gram_cache:
         Optional cache (anything with an ``ArtifactCache``-style
-        ``get_or_build``) for the ``method="normal"`` Gram matrix.  The key
-        must uniquely identify the *weighted* measurement matrix — the Gram is
-        data-independent but does depend on the weights, so include them (or a
-        digest of them) in the key when they vary.  When ``gram_cache`` is
-        given and ``gram_key`` is ``None``, the key is derived automatically
-        from the weighted matrix's canonical
-        :meth:`~repro.matrix.base.LinearQueryMatrix.strategy_key`, so equal
-        strategies share one factorisation without the caller inventing keys.
+        ``get_or_build``) for the ``method="normal"`` factorisation.  The
+        entry is keyed by the *weighted* matrix's canonical
+        :meth:`~repro.matrix.base.LinearQueryMatrix.strategy_key` (the
+        factorisation is data-independent but depends on the weights), so
+        equal strategies share one factorisation and distinct ones never
+        share an entry.
     """
     queries = ensure_matrix(queries)
     answers = np.asarray(answers, dtype=np.float64)
@@ -311,8 +308,6 @@ def least_squares(
             return InferenceResult(x_hat, iterations=1, residual_norm=residual)
         if method == "normal":
             if gram_cache is not None:
-                if gram_key is None:
-                    gram_key = queries.strategy_key()
                 # The builder only runs on a miss, so an empty flag list after
                 # get_or_build means the factorisation came from the cache —
                 # works for any SupportsGetOrBuild, not just ArtifactCache.
@@ -322,7 +317,9 @@ def least_squares(
                     built.append(True)
                     return build_normal_equations(queries)
 
-                normal = gram_cache.get_or_build(("least_squares_gram", gram_key), _build)
+                normal = gram_cache.get_or_build(
+                    ("least_squares_gram", queries.strategy_key()), _build
+                )
                 span.set_attribute("gram_cache_hit", not built)
             else:
                 normal = build_normal_equations(queries)
@@ -348,7 +345,6 @@ def least_squares_from_parts(
     parts: list[tuple[LinearQueryMatrix, np.ndarray, float]],
     method: str = "lsmr",
     gram_cache: SupportsGetOrBuild | None = None,
-    gram_key: Hashable | None = None,
 ) -> InferenceResult:
     """Global least squares over measurements collected from different plan steps.
 
@@ -357,10 +353,9 @@ def least_squares_from_parts(
     reduced domains back to the original domain first).  Each part is weighted
     by the inverse of its noise scale so noisier measurements count less.
 
-    ``gram_cache``/``gram_key`` are forwarded to :func:`least_squares`; with a
-    cache and no explicit key, the key derives from the *weighted* stack's
-    canonical strategy key, so repeated multi-step plans on the same strategy
-    and noise split share one normal-equations factorisation.
+    ``gram_cache`` is forwarded to :func:`least_squares`, which keys its
+    entry by the *weighted* stack's strategy key, so multi-step plans on the
+    same strategy and noise split share one factorisation.
     """
     if not parts:
         raise ValueError("at least one measurement part is required")
@@ -382,5 +377,4 @@ def least_squares_from_parts(
         weights=np.concatenate(weights),
         method=method,
         gram_cache=gram_cache,
-        gram_key=gram_key,
     )

@@ -32,14 +32,15 @@ default :class:`~repro.accounting.PureDPAccountant` the float trajectory is
 bit-identical to the original hard-coded ε tracker.
 
 Root-level acceptance is decided against an explicit per-charge ledger with
-a small absolute tolerance, rather than against a naive running float
-accumulator: a long sequence of small charges can no longer drift past
+a slack that only absorbs rounding, rather than against a naive running
+float accumulator: a long sequence of small charges can no longer drift past
 ``epsilon_total`` through accumulated rounding, and a charge that *exactly*
 exhausts the budget is no longer spuriously rejected because earlier
 additions rounded up.  The decision sum is maintained incrementally with
 Neumaier compensation — accurate to one rounding of the exact sum, like
 ``math.fsum`` over the whole ledger, but O(1) per charge so service-rate
-bursts do not degrade quadratically.
+bursts do not degrade quadratically.  The tracker knows nothing of
+durability: a journaled session reads the ledger's new charges at each commit.
 """
 
 from __future__ import annotations
@@ -47,14 +48,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from ..accounting.accountants import PureDPAccountant
 from ..accounting.base import Accountant, Cost
 
-#: Absolute tolerance of the root-level ledger check on the primary (ε or ρ)
-#: component.  The δ component uses the same tolerance scaled by the δ budget
-#: (δ totals are ~1e-6, so an absolute 1e-9 would be far too loose there).
+#: Relative tolerance of the root-level ledger check on the δ component (δ
+#: totals are ~1e-6, so an absolute 1e-9 would be far too loose there).  The
+#: primary (ε or ρ) component's slack is far smaller: see ``_ledger_accepts``.
 LEDGER_TOLERANCE = 1e-9
 
 
@@ -151,10 +152,6 @@ class BudgetTracker:
         self._ledger: list[Cost] = []
         self._ledger_primary = _CompensatedSum()
         self._ledger_delta = _CompensatedSum()
-        #: write-ahead hook: called with each root-level charge the instant
-        #: it is accepted — before the measurement's noise is ever computed —
-        #: so a durable journal sees the charge ahead of any release.
-        self.charge_listener: Callable[[Cost], None] | None = None
 
     # ------------------------------------------------------------------
     # Graph construction.
@@ -213,12 +210,6 @@ class BudgetTracker:
         if root_cost is not None:
             if not self._ledger_accepts(root_cost):
                 return False
-            # Write-ahead ordering: the journal listener runs *before* any
-            # in-memory state mutates.  If the append fails, the charge never
-            # happened anywhere; if we crash right after it, the journaled
-            # charge is merely wasted budget (nothing was released).
-            if self.charge_listener is not None:
-                self.charge_listener(root_cost)
             self._append_ledger(root_cost)
             self._nodes[self.root_name]._accumulate(root_cost)
         for node, increase in steps:
@@ -262,12 +253,16 @@ class BudgetTracker:
 
         The decision uses the compensated sum of the explicit per-charge
         ledger — immune to the drift a naive running accumulator picks up
-        over many small charges — with :data:`LEDGER_TOLERANCE` slack so an
-        exactly budget-exhausting charge is accepted in the face of last-ulp
-        rounding.
+        over many small charges — with a slack that only absorbs the last-ulp
+        rounding of an exactly budget-exhausting charge, never a real
+        overspend.  On the primary component it is the seed tracker's
+        absolute 1e-12, shrunk to a millionth of budgets below 1e-6 (a zCDP ρ
+        budget can be ~1e-8); on δ it is :data:`LEDGER_TOLERANCE` times the
+        δ budget.
         """
         budget = self.accountant.budget
-        if self._ledger_primary.peek(cost.primary) > budget.primary + LEDGER_TOLERANCE:
+        slack = min(1e-12, 1e-6 * budget.primary)
+        if self._ledger_primary.peek(cost.primary) > budget.primary + slack:
             return False
         if cost.delta or budget.delta:
             delta = self._ledger_delta.peek(cost.delta)
@@ -281,10 +276,9 @@ class BudgetTracker:
     def apply_restored_charge(self, cost: Cost) -> None:
         """Re-apply a root-level charge replayed from durable records.
 
-        Replay bypasses both the acceptance check (the charge was accepted
+        Replay bypasses the acceptance check (the charge was accepted
         before the crash — re-deciding it against tolerance drift could
-        reject an exact replay) and the ``charge_listener`` (the record is
-        already durable).  Per-source counters of plan-internal
+        reject an exact replay).  Per-source counters of plan-internal
         derived nodes are *not* reconstructed — only the root ledger, which
         is what reconciliation and future acceptance decisions read.
         """
@@ -338,9 +332,9 @@ class BudgetTracker:
         budget = self.accountant.budget
         return budget.increase_over(self.spent())
 
-    def ledger(self) -> list[Cost]:
-        """A copy of the accepted root-level charges, in order."""
-        return list(self._ledger)
+    def ledger(self, since: int = 0) -> list[Cost]:
+        """A copy of the accepted root-level charges from index ``since`` on."""
+        return self._ledger[since:]
 
     @property
     def num_charges(self) -> int:

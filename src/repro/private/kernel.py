@@ -23,6 +23,8 @@ measurement runs through ``_measure`` in one order: validate ε, compute the
 public sensitivity, noise scale and cost, check the deadline, charge the
 budget, then draw the noise and record the history row.  No private data is
 read and no noise is drawn before the charge is accepted.
+The kernel knows nothing of durability: a journaled session reads its new
+history rows at each commit (:meth:`repro.service.session.Session.commit`).
 """
 
 from __future__ import annotations
@@ -121,9 +123,6 @@ class ProtectedKernel:
         self._rng = np.random.default_rng(seed)
         self._history: list[MeasurementRecord] = []
         self._name_counter = 0
-        #: durability hook: called with every history record the moment it is
-        #: appended (still before the noisy answer is returned to the caller).
-        self.measurement_listener: Callable[[MeasurementRecord], None] | None = None
         #: fault-injection seams (``kernel.before_charge`` /
         #: ``kernel.after_charge``); None in production — one attribute check
         #: per measurement.
@@ -145,7 +144,6 @@ class ProtectedKernel:
     def restore_measurement(self, record: MeasurementRecord) -> None:
         """Append a history row replayed from durable records.
 
-        Bypasses the ``measurement_listener`` (the row is already durable).
         A restored kernel holds the root alone, so the name counter moves
         past the ``_N`` suffix of the row's source: :meth:`_fresh_name`
         never hands a pre-restore name to a post-restore source.
@@ -231,6 +229,11 @@ class ProtectedKernel:
     def history(self) -> list[MeasurementRecord]:
         """A copy of the measurement history (public: contains no raw data)."""
         return list(self._history)
+
+    @property
+    def num_measurements(self) -> int:
+        """Number of measurements answered (the history's length)."""
+        return len(self._history)
 
     def history_query(
         self,
@@ -470,17 +473,14 @@ class ProtectedKernel:
             if not self._budget.charge(name, cost):
                 raise BudgetExceededError(cost.primary, self._budget.remaining())
             if self.fault_injector is not None:
-                # The charge-ahead crash window: budget charged (and journaled),
-                # noisy answer not yet computed or released.
+                # The crash window after the charge: budget charged, noisy
+                # answer not yet computed or released.
                 self.fault_injector.fire("kernel.after_charge", name, epsilon)
             handle.set_attributes(cost=float(cost.primary), **public, noise_scale=float(scale))
             answer = draw(scale)
             record = MeasurementRecord(
                 name, operator, epsilon, scale, num_queries, delta=delta, cost=cost.primary
             )
-            # The durable journal sees the record before the answer is returned.
-            if self.measurement_listener is not None:
-                self.measurement_listener(record)
             self._history.append(record)
             return answer
 

@@ -99,27 +99,6 @@ class ArtifactCache:
         key = workload_cache_key(name, params)
         return self.get_or_build(key, lambda: build_workload(name, params))
 
-    def normal_equations(self, key: Hashable, matrix: LinearQueryMatrix):
-        """Cached normal-equations artifact: the strategy's factorisation in
-        whichever kind :func:`~repro.operators.inference.build_normal_equations`
-        picks for it (the orthogonal-rows closed form, the augmented system's
-        sparse LU or a Cholesky-factored dense Gram).
-
-        The artifact depends only on the (public) measurement strategy, never
-        on private data, so it is safe to share across sessions and tenants.
-        ``key`` must uniquely identify the strategy — e.g. the workload cache
-        key of the matrix it was built from.  Stored under the *same* cache
-        key that the ``method="normal"`` fast path of
-        :func:`repro.operators.inference.least_squares` uses for its
-        ``gram_cache``/``gram_key`` parameters, so priming here (or solving
-        there) populates one shared entry.
-        """
-        from ..operators.inference.least_squares import build_normal_equations
-
-        return self.get_or_build(
-            ("least_squares_gram", key), lambda: build_normal_equations(matrix)
-        )
-
     @property
     def stats(self) -> dict:
         with self._lock:

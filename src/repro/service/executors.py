@@ -3,7 +3,7 @@
 A backend runs the scheduler's request-driving calls — the session lock,
 cache probes, the plan itself, budget accounting and journal commits —
 through :meth:`ExecutorBackend.submit`.  Everything stays in the
-scheduler's process, next to the sessions' kernels and write-ahead journals:
+scheduler's process, next to the sessions' kernels and journals:
 
 * :class:`InlineExecutor` drives each request to completion on the calling
   thread — the sequential, deterministic baseline;

@@ -14,7 +14,8 @@ Entries are strictly per-session: tenants never see each other's releases.
 ``max_entries`` bounds the cache LRU-style (a lookup hit refreshes recency),
 so long-lived sessions cannot grow it without bound.  Evicting an entry
 never loses the release itself: on a journal-attached session the ``release``
-record is durable, so a restore replays the evicted answer back into the
+record is durable (its request's commit record holds it), so a restore
+replays the evicted answer back into the
 cache byte-identically (and a non-durable session can simply re-run the
 request — same derived seed, same noise, same answer, though it pays the ε
 again).  The journal keeps its records in its file, not in RAM, so this

@@ -4,11 +4,12 @@
 deterministic jitter for *transient* faults.  Retries are budget-safe by
 construction: the retried attempt keeps the same request id (hence the same
 derived noise seed and cache key) and forces ``reuse=True``, so a request
-whose answer was already journaled/cached before the fault is replayed at
-zero additional ε instead of being re-charged.  Only a fault that struck
-*before* any completed release re-runs the plan — and a mid-plan fault's
-partial spend was already ledgered as an errored event (charge-ahead:
-wasted, never leaked).
+whose answer was already cached before the fault (a failed journal commit,
+say) is replayed at zero additional ε instead of being re-charged, and the
+replay's commit journals the failed attempt's parts too.  Only a fault that
+struck *before* any completed release re-runs the plan — and a mid-plan
+fault's partial spend was already ledgered as an errored event, which the
+attempt's commit journals (wasted, never leaked).
 
 :class:`SessionClosedError` is the documented rejection for requests that
 race a session close — see :meth:`repro.service.SessionManager.close`.

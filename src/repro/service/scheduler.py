@@ -36,11 +36,10 @@ history span.  (Malformed requests that never resolve to a plan or workload
 
 **Robustness.**
 
-* *Durability* — on a journal-attached session, charges/measurements/events
-  stream into the write-ahead journal as they happen, the released answer is
-  journaled right after it enters the measurement cache, and the journal is
-  committed before the response (or exception) leaves the lock — so nothing
-  a client ever saw can be lost, and nothing lost was ever seen.
+* *Durability* — on a journal-attached session, the request's charges,
+  measurement rows, release and event reach the journal as one record,
+  committed before the response (or exception) leaves the lock — so
+  nothing a client ever saw can be lost, and nothing lost was ever seen.
 * *Deadlines* — ``QueryRequest.deadline_seconds`` is enforced from the
   moment of scheduling: requests that expire while queued are rejected with
   a ledgered zero-spend event; mid-plan, the kernel refuses further charges
@@ -337,7 +336,7 @@ class PlanScheduler:
         if request.deadline_seconds is not None and start - anchor > request.deadline_seconds:
             # Expired while queued: ledgered with zero spend.
             exc = DeadlineExceededError(request.deadline_seconds, start - anchor)
-            mark = kernel.budget_snapshot().num_measurements
+            mark = kernel.num_measurements
             self._ledger(
                 session, request, "timeout", time.perf_counter() - start,
                 queue_wait, trace_id, (mark, mark), exc=exc,
@@ -378,7 +377,7 @@ class PlanScheduler:
                 f"workload {request.workload!r} has {workload_matrix.shape[1]} columns "
                 f"but session {session.session_id!r} has a {source.domain_size}-cell domain"
             )
-            mark = kernel.budget_snapshot().num_measurements
+            mark = kernel.num_measurements
             self._ledger(
                 session, request, "rejected", time.perf_counter() - start,
                 queue_wait, trace_id, (mark, mark), exc=exc,
@@ -446,10 +445,10 @@ class PlanScheduler:
         )
         self.measurement_cache.store(session, key, response, *history)
         if session.journal is not None:
-            # Journal the release before the event that claims it: restores
-            # replay the answer byte-identical into the cache, so an
-            # identical post-crash request costs zero additional ε.
-            session.journal.append(release_record(key, response, *history))
+            # The request's commit journals the release: restores replay the
+            # answer byte-identical into the cache, so an identical
+            # post-crash request costs zero additional ε.
+            session.pending_releases.append(release_record(key, response, *history))
         self._ledger(
             session, request, "ok", response.elapsed_seconds, queue_wait, trace_id,
             history, spent=response.epsilon_spent, seed=seed,
@@ -512,11 +511,10 @@ class PlanScheduler:
             )
 
     def _commit_journal(self, session: Session) -> None:
-        journal = session.journal
-        if journal is None:
+        if session.journal is None:
             return
         started = time.perf_counter()
-        journal.commit()
+        session.commit()
         self.metrics.histogram(
             "service_journal_commit_seconds", tenant=session.tenant
         ).observe(time.perf_counter() - started)

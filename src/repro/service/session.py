@@ -7,13 +7,12 @@ serialises all budget-spending work on the kernel, and an append-only audit
 trail of :class:`SessionEvent` records (one per scheduled request).
 
 Sessions can be made **durable** by attaching a
-:class:`~repro.durability.PrivacyJournal`: every accepted budget charge,
-every kernel measurement record and every audit-trail event is appended to
-the journal the instant it happens — charges *before* the in-memory ledger
-mutates — so a crash at any instruction loses at most budget, never
-accounting integrity.  The records are built in
-:mod:`repro.durability.snapshot`, whose ``snapshot_session`` builds the same
-records from a live session and whose ``restore_session`` replays either.
+:class:`~repro.durability.PrivacyJournal`, whose one writer is
+:meth:`Session.commit`: one ``commit`` record per request, holding its
+charges, history rows, release and audit event, written before its response
+or a replayed answer leaves the session lock.  A crash before the commit
+loses only charges whose answer nobody saw.  The records are built in
+:mod:`repro.durability.snapshot`, which also snapshots and restores them.
 
 The :class:`SessionManager` creates and tracks sessions.  Isolation is
 structural: every session has its own kernel, its own budget tracker and its
@@ -31,12 +30,7 @@ import numpy as np
 
 from ..accounting import Accountant, make_accountant
 from ..dataset.relation import Relation
-from ..durability.snapshot import (
-    charge_record,
-    event_record,
-    measurement_record,
-    open_record,
-)
+from ..durability.snapshot import commit_record, open_record
 from ..private.budget import LEDGER_TOLERANCE
 from ..private.kernel import BudgetSnapshot, MeasurementRecord, ProtectedKernel
 from ..private.protected import ProtectedDataSource
@@ -124,8 +118,12 @@ class Session:
         #: number of request ids handed out so far (mutated only under the
         #: session lock; a restore takes it from the replayed events).
         self.request_counter = 0
-        #: durable write-ahead journal; None until :meth:`attach_journal`.
+        #: durable journal; None until :meth:`attach_journal`.
         self.journal = None
+        #: (root-ledger length, history length, event count) the last
+        #: commit covered, and the ``release`` records made since.
+        self._committed = (0, 0, 0)
+        self.pending_releases: list[dict] = []
         #: populated by :func:`repro.durability.restore_session` on a
         #: restored session (replayed record count, orphan event, reconcile).
         self.recovery_info: dict | None = None
@@ -184,10 +182,8 @@ class Session:
             return f"{self.session_id}-r{self.request_counter}"
 
     def record(self, event: SessionEvent) -> None:
-        """Append one audit-trail event, journal-first when durable."""
+        """Append one audit-trail event (the next commit journals it)."""
         with self.lock:
-            if self.journal is not None:
-                self.journal.append(event_record(event))
             self.events.append(event)
 
     def measurements_for(self, event: SessionEvent) -> list[MeasurementRecord]:
@@ -198,40 +194,47 @@ class Session:
     # Durability.
     # ------------------------------------------------------------------
     def attach_journal(self, journal, write_open: bool = True) -> None:
-        """Mirror all privacy-relevant state changes into ``journal``.
+        """Journal this session's changes from now on into ``journal``.
 
-        Wires the write-ahead hooks: accepted root-level budget charges are
-        appended *before* the in-memory ledger mutates (an append failure
-        aborts the charge; a crash right after it merely wastes the charged
-        budget), measurement records before the noisy answer is returned,
-        audit events before they land on :attr:`events`.  ``write_open``
-        stamps the session's opening metadata so the journal alone suffices
-        to rebuild the session (restores pass ``False``: their journal
-        already has it).
+        ``write_open`` stamps the session's opening metadata so the journal
+        alone suffices to rebuild the session (restores pass ``False``:
+        their journal already has it).
         """
         with self.lock:
             self.journal = journal
-            tracker = self.kernel.budget_tracker
-            tracker.charge_listener = lambda cost: journal.append(charge_record(cost))
-            self.kernel.measurement_listener = lambda record: journal.append(
-                measurement_record(record)
-            )
+            self._committed = self._marks()
+            self.pending_releases = []
             if write_open:
                 journal.append(open_record(self))
                 journal.commit()
 
-    def detach_journal(self) -> None:
-        """Stop journaling (the journal itself is left to the caller)."""
+    def _marks(self) -> tuple[int, int, int]:
+        kernel = self.kernel
+        return (kernel.budget_tracker.num_charges, kernel.num_measurements, len(self.events))
+
+    def commit(self) -> None:
+        """Append one ``commit`` record of everything changed since the last
+        commit (if anything did), then flush per the journal's fsync mode.
+
+        The marks advance only once the append succeeds, so a failed
+        append's parts ride in the next commit, once.
+        """
         with self.lock:
-            self.kernel.budget_tracker.charge_listener = None
-            self.kernel.measurement_listener = None
-            self.journal = None
+            journal = self.journal
+            if journal is None:
+                return
+            marks = self._marks()
+            if marks != self._committed or self.pending_releases:
+                journal.append(commit_record(self, self._committed, self.pending_releases))
+                self._committed = marks
+                self.pending_releases = []
+            journal.commit()
 
     def claim_orphans(self, error: str = "WorkerDeath") -> list[SessionEvent]:
         """Ledger budget/history a dead request charged but never recorded.
 
-        A worker that dies mid-request (or a crash inside the charge-ahead
-        window) leaves kernel-side spend and history rows no audit event
+        A worker that dies mid-request (or a crash between a charge and its
+        event) leaves kernel-side spend and history rows no audit event
         claims, so :func:`~repro.service.export.reconcile` would flag the
         session forever.  This synthesizes errored events claiming exactly
         the unclaimed history rows — one event per contiguous run, since a
@@ -239,8 +242,8 @@ class Session:
         after it — restoring the one-event-per-charge invariant.  Each run
         is priced from the kernel's own per-record costs; any residual
         spend with no history row at all (a death between charge and
-        record, the charge-ahead window) rides on the last event.  Returns
-        the synthesized events (empty when the ledgers already balance).
+        record) rides on the last event.  Returns the synthesized events
+        (empty when the ledgers already balance).
         """
         with self.lock:
             history = self.kernel.history()
@@ -307,6 +310,8 @@ class Session:
         self._closing = True
 
     def close(self) -> None:
+        """Mark the session closed and flush its journal, taking no lock: a
+        request still in flight commits its own record when it finishes."""
         self._closing = True
         self._closed = True
         if self.journal is not None:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accounting import (
@@ -196,6 +196,9 @@ def _run_scenario(tracker_cls_new: bool, epsilon_total, actions):
 
 class TestPureSeedCompatibility:
     @given(lineage_scenarios())
+    # A charge past an exactly exhausted budget: the seed refuses it, and so
+    # must the ledger (its slack absorbs rounding, not real spend).
+    @example(scenario=(0.5, [("charge", 0, 1.0, 0.5), ("charge", 0, 1.0, 1e-09)]))
     @settings(max_examples=250, deadline=None)
     def test_decisions_and_trajectories_match_seed(self, scenario):
         epsilon_total, actions = scenario
@@ -257,6 +260,22 @@ class TestHardenedLedger:
         for _ in range(1000):
             assert tracker.request("root", 0.7)
         assert tracker.remaining() == 0.0
+
+    def test_tiny_zcdp_budget_refuses_overspend(self):
+        # (ε=0.001, δ=1e-6) resolves to ρ ≈ 1.81e-8: a further ρ of 1e-9
+        # past its exhaustion would overspend it by 5.5%.
+        tracker = BudgetTracker(accountant=ZCDPAccountant(0.001, 1e-6))
+        rho = tracker.accountant.budget.primary
+        assert rho == pytest.approx(1.81e-8, rel=1e-2)
+        assert tracker.charge("root", Cost(rho))
+        assert not tracker.charge("root", Cost(1e-9))
+        assert [c.primary for c in tracker.ledger()] == [rho]
+
+    def test_budget_below_the_rounding_slack_refuses_overspend(self):
+        tracker = BudgetTracker(1e-10)
+        assert not tracker.request("root", 1e-9)
+        assert tracker.request("root", 1e-10)
+        assert not tracker.request("root", 1e-12)
 
     def test_ledger_records_every_accepted_charge(self):
         tracker = BudgetTracker(1.0)

@@ -9,19 +9,30 @@ schedules (hypothesis):
   claimed by a synthesized errored event);
 * **byte identity** — answers released before the crash replay after restore
   with bit-for-bit identical arrays, at zero additional ε;
-* **charge-ahead** — no fault schedule can release an answer whose charges
-  are not journaled; faults can only *waste* budget.
+* **commit before release** — each request's charges, measurement rows,
+  release and event reach the journal as one ``commit`` record before its
+  response or replayed answer leaves the service, so no fault schedule can
+  release an answer whose charges are not journaled; faults can only
+  *waste* budget.
+
+Journals and snapshots written before commit records (one record per
+charge, measurement, release and event) still restore: ``tests/data`` keeps
+one of each.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
+import shutil
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,8 +69,10 @@ from repro.service import (
     session_report,
 )
 from repro.telemetry import NOOP_SPAN, Tracer
+from tests.test_telemetry import OUTCOME_CASES, arrange_outcome
 
 N = 64
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -94,6 +107,16 @@ def dawa_request(session, epsilon=0.4, **overrides):
         workload_params={"n": N},
     )
     return replace(request, **overrides) if overrides else request
+
+
+def commit_parts(records):
+    """The per-kind records inside the ``commit`` records among ``records``."""
+    return [
+        part
+        for record in records
+        if record["kind"] == "commit"
+        for part in record["records"]
+    ]
 
 
 # ======================================================================
@@ -305,8 +328,11 @@ class TestJournaledSession:
             "acme", relation, 4.0, seed=0, journal=journal
         )
         scheduler.execute(identity_request(session))
-        kinds = [record["kind"] for record in journal.records()]
-        assert kinds == ["open", "charge", "measurement", "release", "event"]
+        records = journal.records()
+        assert [record["kind"] for record in records] == ["open", "commit"]
+        assert [part["kind"] for part in records[1]["records"]] == [
+            "charge", "measurement", "release", "event",
+        ]
 
     def test_journal_append_failure_aborts_charge_cleanly(self, manager, relation):
         faults = FaultInjector()
@@ -315,16 +341,34 @@ class TestJournaledSession:
         session = manager.create_session(
             "acme", relation, 4.0, seed=0, journal=journal
         )
-        faults.arm("journal.append", after=0, times=1)  # first post-open append
+        faults.arm("journal.append", after=0, times=1)  # the first commit
         with pytest.raises(InjectedFault):
             scheduler.execute(identity_request(session))
-        # WAL ordering: the failed append aborted the charge entirely.
-        assert session.budget_consumed() == 0.0
+        # No response left the service, and the journal holds the open record
+        # alone; the live session ledgered the request and still reconciles.
+        assert len(journal) == 1
+        assert session.budget_consumed() == pytest.approx(0.1)
         assert reconcile(session)["exact"]
-        # The session keeps working afterwards.
-        response = scheduler.execute(identity_request(session))
-        assert response.epsilon_spent == pytest.approx(0.1)
-        assert reconcile(session)["exact"]
+        # The next commit writes both requests' parts, once.
+        response = scheduler.execute(identity_request(session, epsilon=0.2))
+        assert response.epsilon_spent == pytest.approx(0.2)
+        (record,) = journal.records(after_seq=1)
+        assert [part["kind"] for part in record["records"]] == [
+            "charge", "charge", "measurement", "measurement",
+            "release", "release", "event", "event",
+        ]
+        # A restore from the journal equals the live session.
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, journal=journal)
+        assert restored.recovery_info["orphaned_event"] is None
+        assert (
+            restored.kernel.budget_tracker.ledger()
+            == session.kernel.budget_tracker.ledger()
+        )
+        assert restored.kernel.history() == session.kernel.history()
+        assert restored.events == session.events
+        replay = fresh.execute(identity_request(restored, epsilon=0.2))
+        assert replay.cached and replay.x_hat.tobytes() == response.x_hat.tobytes()
 
     def test_cached_replay_appends_event_only(self, manager, relation):
         journal = PrivacyJournal(None, fsync="never")
@@ -335,9 +379,63 @@ class TestJournaledSession:
         scheduler.execute(identity_request(session))
         before = len(journal)
         scheduler.execute(identity_request(session))
-        new = journal.records(after_seq=before)
-        assert [record["kind"] for record in new] == ["event"]
-        assert new[0]["cached"] is True
+        (record,) = journal.records(after_seq=before)
+        assert record["kind"] == "commit"
+        (part,) = record["records"]
+        assert part["kind"] == "event" and part["cached"] is True
+
+    @pytest.mark.parametrize("case, outcome, plan, error", OUTCOME_CASES)
+    def test_each_request_appends_one_commit_record(
+        self, manager, relation, case, outcome, plan, error
+    ):
+        """Whatever its outcome, a request appends exactly one record: its
+        ledger and history bracket, its release when answered, its event."""
+        faults = FaultInjector()
+        journal = PrivacyJournal(None, fsync="never")
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=0, journal=journal
+        )
+        session.kernel.fault_injector = faults
+        request = arrange_outcome(scheduler, session, faults, case)
+        kernel = session.kernel
+        seq = len(journal)
+        charges, rows = kernel.budget_tracker.num_charges, kernel.num_measurements
+        response = None
+        if error is None:
+            response = scheduler.execute(request)
+        else:
+            with pytest.raises(error):
+                scheduler.execute(request)
+
+        (record,) = journal.records(after_seq=seq)
+        assert record["kind"] == "commit"
+        parts = record["records"]
+        order = ["charge", "measurement", "release", "event"]
+        kinds = [part["kind"] for part in parts]
+        assert kinds == sorted(kinds, key=order.index)
+        by_kind = {kind: [part for part in parts if part["kind"] == kind] for kind in order}
+        assert [(part["p"], part["d"]) for part in by_kind["charge"]] == [
+            (cost.primary, cost.delta) for cost in kernel.budget_tracker.ledger()[charges:]
+        ]
+        assert [
+            {key: value for key, value in part.items() if key != "kind"}
+            for part in by_kind["measurement"]
+        ] == [vars(row) for row in kernel.history()[rows:]]
+        (event,) = by_kind["event"]
+        assert {key: value for key, value in event.items() if key != "kind"} == vars(
+            session.events[-1]
+        )
+        if outcome == "ok":
+            (release,) = by_kind["release"]
+            assert decode(release["key"]) == request.cache_key()
+            assert (release["history_start"], release["history_end"]) == (
+                rows, len(kernel.history())
+            )
+            state = decode(release["response"])
+            assert state["x_hat"].tobytes() == response.x_hat.tobytes()
+        else:
+            assert by_kind["release"] == []
 
 
 # ======================================================================
@@ -424,29 +522,41 @@ class TestSnapshotRestore:
         assert replay.answers.tobytes() == original.answers.tobytes()
         assert restored.budget_consumed() == spent
 
+    def _add_legacy_fields(self, records) -> Counter:
+        """Edit the events and releases inside ``records``' commit records
+        as older versions wrote them; returns the edits per kind."""
+        edited = Counter()
+        for part in commit_parts(records):
+            if part["kind"] == "event":
+                part[self.LEGACY_FIELD] = None
+            elif part["kind"] == "release":
+                part["response"] = self._with_legacy_field(part["response"])
+            else:
+                continue
+            edited[part["kind"]] += 1
+        return edited
+
+    @staticmethod
+    def _rewritten(records) -> PrivacyJournal:
+        """A fresh in-memory journal holding ``records`` (their ``seq`` restamped)."""
+        journal = PrivacyJournal(None)
+        for record in records:
+            journal.append({key: value for key, value in record.items() if key != "seq"})
+        return journal
+
     def test_journal_with_legacy_fields_restores(self, manager, relation):
         journal = PrivacyJournal(None)
         _, _, responses = self._run_session(manager, relation, journal, 1)
-        legacy = PrivacyJournal(None)
-        for record in journal.records():
-            record = {key: value for key, value in record.items() if key != "seq"}
-            if record["kind"] == "event":
-                record[self.LEGACY_FIELD] = None
-            elif record["kind"] == "release":
-                record["response"] = self._with_legacy_field(record["response"])
-            legacy.append(record)
+        records = journal.records()
+        assert self._add_legacy_fields(records) == {"event": 1, "release": 1}
         fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, journal=legacy)
+        restored = fresh.restore_session(relation, journal=self._rewritten(records))
         self._assert_replays_free(fresh, restored, responses[0])
 
     def test_snapshot_with_legacy_fields_restores(self, manager, relation):
         scheduler, session, responses = self._run_session(manager, relation, None, 1)
         snap = scheduler.snapshot_session(session.session_id)
-        for record in snap["records"]:
-            if record["kind"] == "event":
-                record[self.LEGACY_FIELD] = None
-            elif record["kind"] == "release":
-                record["response"] = self._with_legacy_field(record["response"])
+        assert self._add_legacy_fields(snap["records"]) == {"event": 1, "release": 1}
         fresh = PlanScheduler(SessionManager())
         restored = fresh.restore_session(relation, snapshot=snap)
         self._assert_replays_free(fresh, restored, responses[0])
@@ -454,16 +564,26 @@ class TestSnapshotRestore:
     def test_journal_with_unknown_measurement_fields_restores(self, manager, relation):
         journal = PrivacyJournal(None)
         _, session, responses = self._run_session(manager, relation, journal, 2)
-        extended = PrivacyJournal(None)
-        for record in journal.records():
-            record = {key: value for key, value in record.items() if key != "seq"}
-            if record["kind"] == "measurement":
-                record["written_by"] = "a later version"
-            extended.append(record)
+        records = journal.records()
+        measurements = [
+            part for part in commit_parts(records) if part["kind"] == "measurement"
+        ]
+        assert len(measurements) == 2
+        for part in measurements:
+            part["written_by"] = "a later version"
         fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, journal=extended)
+        restored = fresh.restore_session(relation, journal=self._rewritten(records))
         assert restored.kernel.history() == session.kernel.history()
         self._assert_replays_free(fresh, restored, responses[0])
+
+    def test_commit_record_without_records_raises_recovery_error(self, manager, relation):
+        scheduler, session, _ = self._run_session(manager, relation, None, 1)
+        snap = scheduler.snapshot_session(session.session_id)
+        _, commit = snap["records"]
+        assert commit["kind"] == "commit"
+        del commit["records"]
+        with pytest.raises(RecoveryError, match="'commit' record"):
+            restore_session(relation, snapshot=snap)
 
     def test_response_from_state_keeps_only_response_fields(self, manager, relation):
         scheduler = PlanScheduler(manager)
@@ -578,9 +698,9 @@ class TestSnapshotRestore:
 
         # A restore rebuilds no pre-restore source: their names are history.
         pre_restore = [
-            record["source"]
-            for record in snap["records"]
-            if record["kind"] == "measurement" and record["source"] != "root"
+            part["source"]
+            for part in commit_parts(snap["records"])
+            if part["kind"] == "measurement" and part["source"] != "root"
         ]
         assert pre_restore
         with pytest.raises(UnknownSourceError):
@@ -699,6 +819,56 @@ class TestOneRestorePath:
         }
         with pytest.raises(RecoveryError, match="records"):
             restore_session(relation, snapshot=old)
+
+
+class TestPerKindRecordsRestore:
+    """Durable state written before commit records still restores.
+
+    ``tests/data`` holds a journal and a snapshot in that format — one
+    record per charge, measurement, release and event — written from an
+    n=64 pure-DP session (ε total 4.0, seed 7): an Identity request (ε 0.1),
+    a DAWA request (ε 0.4), a replay of the first, then an Identity request
+    (ε 0.2, no reuse) killed by a ``WorkerDeath`` at ``kernel.after_charge``,
+    which left a charge with no event.  The snapshot was taken last, at the
+    journal's end.  The pinned values are what restoring either gave under
+    the code that wrote them.
+    """
+
+    CONSUMED = 0.7
+    #: the three requests' events plus the restore's orphan claim
+    EVENTS = 4
+    #: SHA-256 of the Identity and DAWA replays' x_hat and answers bytes
+    DIGEST = "8b04f7d38e5c4ac85700ef935cb345d873bb15b98fec31d505cff81e38deb545"
+
+    @pytest.mark.parametrize("source", ["journal", "snapshot", "both"])
+    def test_restores_reconciles_and_replays_byte_identically(
+        self, relation, tmp_path, source
+    ):
+        path = tmp_path / "j.wal"
+        shutil.copyfile(DATA / "per_kind_journal.wal", path)  # a restore appends
+        journal = PrivacyJournal(path) if source != "snapshot" else None
+        snap = None
+        if source != "journal":
+            snap = json.loads((DATA / "per_kind_snapshot.json").read_text())
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, snapshot=snap, journal=journal)
+        assert restored.budget_consumed() == self.CONSUMED
+        assert len(restored.events) == self.EVENTS
+        assert restored.events[-1].error == "CrashRecovery"
+        assert reconcile(restored)["exact"]
+        replays = [
+            fresh.execute(identity_request(restored)),
+            fresh.execute(dawa_request(restored)),
+        ]
+        assert all(replay.cached and replay.epsilon_spent == 0.0 for replay in replays)
+        assert restored.budget_consumed() == self.CONSUMED
+        payload = b"".join(r.x_hat.tobytes() + r.answers.tobytes() for r in replays)
+        assert hashlib.sha256(payload).hexdigest() == self.DIGEST
+        if journal is not None:
+            # The restored session goes on with commit records: the orphan
+            # claim, then one per replay.
+            assert [r["kind"] for r in journal.records(after_seq=13)] == ["commit"] * 3
+            journal.close()
 
 
 # ======================================================================
@@ -853,6 +1023,43 @@ class TestCloseSemantics:
             session.begin_close()
         with pytest.raises(SessionClosedError):
             scheduler.execute(identity_request(session))
+
+    @pytest.mark.parametrize("drain", [False, True], ids=["no_drain", "drain_timeout"])
+    def test_close_never_waits_past_its_bound(self, manager, relation, drain):
+        journal = PrivacyJournal(None, fsync="never")
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=0, journal=journal
+        )
+        release = threading.Event()
+        entered = threading.Event()
+        original_run = scheduler._run_locked
+
+        def stalled_run(session_, request, queued_at, root):
+            entered.set()
+            release.wait(timeout=10)
+            return original_run(session_, request, queued_at, root)
+
+        scheduler._run_locked = stalled_run
+        responses = []
+        worker = threading.Thread(
+            target=lambda: responses.append(scheduler.execute(identity_request(session)))
+        )
+        worker.start()
+        try:
+            assert entered.wait(timeout=5)
+            started = time.perf_counter()
+            closed = manager.close(session.session_id, drain=drain, timeout=0.2)
+            assert time.perf_counter() - started < 2
+            assert closed.closed
+        finally:
+            release.set()
+            worker.join(timeout=5)
+        # The stalled request finished, ledgered and committed its own record.
+        assert len(responses) == 1
+        assert [event.error for event in closed.events] == [""]
+        assert reconcile(closed)["exact"]
+        assert journal.records()[-1]["kind"] == "commit"
 
     def test_non_drain_close_returns_immediately(self, manager, relation):
         scheduler = PlanScheduler(manager)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.accounting import ApproxDPAccountant
 from repro.dataset import Attribute, Relation, Schema
-from repro.durability import FaultInjector, InjectedFault, PrivacyJournal
+from repro.durability import FaultInjector, InjectedFault
 from repro.matrix import Identity, ReductionMatrix, Total
 from repro.private import (
     BudgetExceededError,
@@ -225,21 +225,3 @@ class TestMeasurementOrder:
         assert kernel.budget_consumed() > 0.0
         assert kernel.history() == []
         assert kernel._rng.bit_generator.state == rng_state
-
-    @pytest.mark.parametrize("operator", sorted(MEASUREMENTS))
-    def test_failed_journal_append_spends_nothing(self, relation, operator):
-        kernel, vec = self._kernel(relation)
-        faults = FaultInjector()
-        faults.arm("journal.append")
-        journal = PrivacyJournal(None, fsync="never", fault_injector=faults)
-        kernel.budget_tracker.charge_listener = lambda cost: journal.append(
-            {"kind": "charge", "p": cost.primary, "d": cost.delta}
-        )
-        rng_state = kernel._rng.bit_generator.state
-        with pytest.raises(InjectedFault):
-            MEASUREMENTS[operator](kernel, vec)
-        assert kernel.budget_snapshot().num_charges == 0
-        assert kernel.budget_spent_cost().is_zero
-        assert kernel.history() == []
-        assert kernel._rng.bit_generator.state == rng_state
-        assert len(journal) == 0

@@ -318,28 +318,12 @@ class TestInferenceFastPaths:
         rng = _rng(47)
         cache = ArtifactCache()
         queries = HierarchicalQueries(32)
-        key = ("hierarchical", 32, 2)
         for trial in range(3):
             answers = queries.matvec(rng.normal(size=32))
-            result = least_squares(
-                queries, answers, method="normal", gram_cache=cache, gram_key=key
-            )
+            result = least_squares(queries, answers, method="normal", gram_cache=cache)
             assert result.x_hat.shape == (32,)
         assert cache.stats["misses"] == 1
         assert cache.stats["hits"] == 2
-
-    def test_cache_gram_primes_least_squares_fast_path(self):
-        # ArtifactCache.normal_equations and least_squares(gram_cache=) must
-        # address one shared entry, not factorise the strategy twice.
-        from repro.operators.inference import least_squares
-        from repro.service import ArtifactCache
-
-        cache = ArtifactCache()
-        queries = HierarchicalQueries(16)
-        cache.normal_equations("h16", queries)
-        answers = queries.matvec(np.arange(16.0))
-        least_squares(queries, answers, method="normal", gram_cache=cache, gram_key="h16")
-        assert cache.stats == {"entries": 1, "hits": 1, "misses": 1, "evictions": 0}
 
     def test_least_squares_max_iterations_zero_is_honoured(self):
         from repro.operators.inference import least_squares

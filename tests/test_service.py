@@ -475,16 +475,28 @@ class TestArtifactCache:
             session = open_session(local_manager, relation, tenant="t", seed=123)
             if trial == 1:
                 from repro.matrix import HierarchicalQueries
+                from repro.operators.inference import least_squares
 
                 strategy = HierarchicalQueries(N)
-                scheduler.artifact_cache.normal_equations(
-                    strategy.strategy_key(), strategy
+                least_squares(
+                    strategy,
+                    np.zeros(strategy.shape[0]),
+                    method="normal",
+                    gram_cache=scheduler.artifact_cache,
                 )
             responses.append(
                 scheduler.execute(
                     QueryRequest(session.session_id, plan="Hierarchical (H2)", epsilon=0.5)
                 )
             )
+            if trial == 1:
+                # The plan's solve found the primed factorisation.
+                gram_keys = [
+                    key
+                    for key in scheduler.artifact_cache._entries
+                    if isinstance(key, tuple) and key and key[0] == "least_squares_gram"
+                ]
+                assert len(gram_keys) == 1
         np.testing.assert_allclose(responses[0].x_hat, responses[1].x_hat)
 
 

@@ -148,8 +148,14 @@ class TestExecutorBackends:
         scheduler.shutdown()
         assert response.epsilon_spent > 0
         assert session.budget_consumed() == response.epsilon_spent
-        # Every charge went through the write-ahead journal.
-        charges = [r["p"] for r in journal.records() if r.get("kind") == "charge"]
+        # Every charge reached the journal, inside the request's commit record.
+        charges = [
+            part["p"]
+            for record in journal.records()
+            if record["kind"] == "commit"
+            for part in record["records"]
+            if part["kind"] == "charge"
+        ]
         assert charges and sum(charges) == pytest.approx(response.epsilon_spent)
         assert reconcile(session)["exact"]
 

@@ -447,8 +447,8 @@ class TestSchedulerTracing:
         cache = ArtifactCache()
         tracer = Tracer()
         with activate(tracer):
-            least_squares(queries, answers, method="normal", gram_cache=cache, gram_key="k")
-            least_squares(queries, answers, method="normal", gram_cache=cache, gram_key="k")
+            least_squares(queries, answers, method="normal", gram_cache=cache)
+            least_squares(queries, answers, method="normal", gram_cache=cache)
         solves = [s for s in tracer.spans() if s.name == "solve.least_squares"]
         assert [span.attributes["gram_cache_hit"] for span in solves] == [False, True]
 
