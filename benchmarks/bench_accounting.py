@@ -29,10 +29,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -47,19 +44,12 @@ from repro.matrix import Prefix, RangeQueries
 from repro.matrix.ranges import HierarchicalQueries
 from repro.private.budget import BudgetTracker
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY_PATH = REPO_ROOT / "BENCH_accounting.json"
+try:
+    from .conftest import _time, record_trajectory
+except ImportError:  # pragma: no cover
+    from conftest import _time, record_trajectory
 
 DELTA = 1e-6
-
-
-def _time(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _accountants(num_charges: int):
@@ -155,16 +145,6 @@ def bench_zcdp_composition(rounds_grid) -> list[dict]:
     return results
 
 
-def record_trajectory(point: dict) -> None:
-    """Append this run to the BENCH_accounting.json trajectory file."""
-    if TRAJECTORY_PATH.exists():
-        data = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        data = {"benchmark": "accounting", "trajectory": []}
-    data["trajectory"].append(point)
-    TRAJECTORY_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke mode: fewer sizes/repeats")
@@ -246,14 +226,7 @@ def main() -> int:
     )
 
     if not args.no_record:
-        record_trajectory(
-            {
-                "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "mode": "quick" if args.quick else "full",
-                "results": results,
-            }
-        )
-        print(f"Trajectory point appended to {TRAJECTORY_PATH.name}")
+        record_trajectory("accounting", "quick" if args.quick else "full", results)
 
     if rate_gate["charges_per_second"] < min_rate:
         print("FAIL: accountant charge-overhead regression", file=sys.stderr)

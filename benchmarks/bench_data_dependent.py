@@ -37,10 +37,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -51,22 +48,15 @@ from repro.operators.partition import cluster_sorted_counts, l1_partition, l1_pa
 from repro.operators.partition.ahp import _reference_cluster_sorted_counts
 from repro.operators.partition.dawa import _reference_l1_partition
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY_PATH = REPO_ROOT / "BENCH_data_dependent.json"
+try:
+    from .conftest import _time, record_trajectory
+except ImportError:  # pragma: no cover
+    from conftest import _time, record_trajectory
 
 #: Stripe layout of the gated striped-DP measurement: 256 stripes of 16 cells,
 #: a 4096-cell total domain (e.g. a coarse attribute striped over a 2-D census
 #: product domain).
 GATE_STRIPES = (256, 16)
-
-
-def _time(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _plateau_histogram(rng, n: int, noise_scale: float) -> np.ndarray:
@@ -253,16 +243,6 @@ def bench_expected_error(sizes, num_queries, repeats, baseline_rows_by_n):
     return results
 
 
-def record_trajectory(point: dict) -> None:
-    """Append this run to the BENCH_data_dependent.json trajectory file."""
-    if TRAJECTORY_PATH.exists():
-        data = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        data = {"benchmark": "data_dependent_engine", "trajectory": []}
-    data["trajectory"].append(point)
-    TRAJECTORY_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke mode: fewer sizes/repeats")
@@ -342,14 +322,7 @@ def main() -> int:
     )
 
     if not args.no_record:
-        record_trajectory(
-            {
-                "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "mode": "quick" if args.quick else "full",
-                "results": results,
-            }
-        )
-        print(f"Trajectory point appended to {TRAJECTORY_PATH.name}")
+        record_trajectory("data_dependent", "quick" if args.quick else "full", results)
 
     if dawa_gate["speedup"] < min_dawa:
         print("FAIL: striped DAWA DP regression", file=sys.stderr)

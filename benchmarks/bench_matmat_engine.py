@@ -30,10 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -55,8 +52,10 @@ from repro.operators.inference import (
     multiplicative_weights,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY_PATH = REPO_ROOT / "BENCH_matmat.json"
+try:
+    from .conftest import _time, record_trajectory
+except ImportError:  # pragma: no cover
+    from conftest import _time, record_trajectory
 
 #: The gate family: the tensor-contraction kernel gives Kronecker matrices the
 #: largest win, and multi-dimensional domains are where the paper's implicit
@@ -93,15 +92,6 @@ def _percol_matmat(matrix: LinearQueryMatrix, B: np.ndarray) -> np.ndarray:
 def _percol_dense(matrix: LinearQueryMatrix) -> np.ndarray:
     """The seed's dense(): the per-column loop over np.eye(n)."""
     return _percol_matmat(matrix, np.eye(matrix.shape[1]))
-
-
-def _time(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def bench_dense_materialisation(families, sizes, repeats):
@@ -299,16 +289,6 @@ def bench_sparse_strategy(sizes, repeats, group_width: int = 8):
     return results
 
 
-def record_trajectory(point: dict) -> None:
-    """Append this run to the BENCH_matmat.json trajectory file."""
-    if TRAJECTORY_PATH.exists():
-        data = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        data = {"benchmark": "matmat_engine", "trajectory": []}
-    data["trajectory"].append(point)
-    TRAJECTORY_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke mode: fewer sizes/repeats")
@@ -377,14 +357,7 @@ def main() -> int:
     )
 
     if not args.no_record:
-        record_trajectory(
-            {
-                "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "mode": "quick" if args.quick else "full",
-                "results": results,
-            }
-        )
-        print(f"Trajectory point appended to {TRAJECTORY_PATH.name}")
+        record_trajectory("matmat", "quick" if args.quick else "full", results)
 
     if gate["speedup"] < min_speedup:
         print("FAIL: vectorized engine regression", file=sys.stderr)

@@ -32,8 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -41,19 +39,12 @@ from repro.dataset import Attribute, Relation, Schema
 from repro.service import PlanScheduler, QueryRequest, SessionManager
 from repro.telemetry import Tracer, spans_to_chrome_trace, spans_to_jsonlines, trace_span
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-TRAJECTORY_PATH = REPO_ROOT / "BENCH_telemetry.json"
+try:
+    from .conftest import _time, record_trajectory
+except ImportError:  # pragma: no cover
+    from conftest import _time, record_trajectory
 
 DOMAIN = 64
-
-
-def _time(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _relation() -> Relation:
@@ -173,16 +164,6 @@ def bench_exporters(num_spans: int, repeats: int) -> list[dict]:
     return results
 
 
-def record_trajectory(point: dict) -> None:
-    """Append this run to the BENCH_telemetry.json trajectory file."""
-    if TRAJECTORY_PATH.exists():
-        data = json.loads(TRAJECTORY_PATH.read_text())
-    else:
-        data = {"benchmark": "telemetry", "trajectory": []}
-    data["trajectory"].append(point)
-    TRAJECTORY_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke mode: fewer sizes/repeats")
@@ -244,14 +225,7 @@ def main() -> int:
     )
 
     if not args.no_record:
-        record_trajectory(
-            {
-                "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "mode": "quick" if args.quick else "full",
-                "results": results,
-            }
-        )
-        print(f"Trajectory point appended to {TRAJECTORY_PATH.name}")
+        record_trajectory("telemetry", "quick" if args.quick else "full", results)
 
     if noop["overhead_fraction"] > max_overhead:
         print("FAIL: dormant telemetry instrumentation is no longer free", file=sys.stderr)

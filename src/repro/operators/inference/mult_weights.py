@@ -108,7 +108,6 @@ def multiplicative_weights(
     total: float | None = None,
     x0: np.ndarray | None = None,
     iterations: int = 50,
-    update_rounds: int = 1,
     mode: str = "sequential",
     support_sparse: bool | None = None,
     row_cache: np.ndarray | None = None,
@@ -131,8 +130,6 @@ def multiplicative_weights(
         scaled to ``total``.
     iterations:
         Number of passes over the query set.
-    update_rounds:
-        Extra inner repetitions per query within a pass.
     mode:
         ``"sequential"`` (default) applies the classic one-query-at-a-time
         Gauss–Seidel update and is numerically identical to the seed
@@ -175,10 +172,9 @@ def multiplicative_weights(
     num_queries = queries.shape[0]
     if mode == "batched":
         for _ in range(iterations):
-            for _ in range(update_rounds):
-                errors = answers - queries.matvec(x_hat)
-                x_hat = x_hat * np.exp(queries.rmatvec(errors) / (2.0 * total))
-                x_hat *= total / x_hat.sum()
+            errors = answers - queries.matvec(x_hat)
+            x_hat = x_hat * np.exp(queries.rmatvec(errors) / (2.0 * total))
+            x_hat *= total / x_hat.sum()
     else:
         cached = None
         cached_supports = None
@@ -197,18 +193,17 @@ def multiplicative_weights(
             cached_supports = _row_supports(cached, support_sparse)
         for _ in range(iterations):
             for i, row, support in _pass_rows(queries, cached, cached_supports, support_sparse):
-                for _ in range(update_rounds):
-                    estimate = float(row @ x_hat)
-                    error = answers[i] - estimate
-                    # Standard MW step size from Hardt-Ligett-McSherry.
-                    if support is None:
-                        x_hat = x_hat * np.exp(row * error / (2.0 * total))
-                    else:
-                        indices, values = support
-                        x_hat[indices] = x_hat[indices] * np.exp(
-                            values * error / (2.0 * total)
-                        )
-                    x_hat *= total / x_hat.sum()
+                estimate = float(row @ x_hat)
+                error = answers[i] - estimate
+                # Standard MW step size from Hardt-Ligett-McSherry.
+                if support is None:
+                    x_hat = x_hat * np.exp(row * error / (2.0 * total))
+                else:
+                    indices, values = support
+                    x_hat[indices] = x_hat[indices] * np.exp(
+                        values * error / (2.0 * total)
+                    )
+                x_hat *= total / x_hat.sum()
 
     residual = float(np.linalg.norm(queries.matvec(x_hat) - answers))
     return InferenceResult(x_hat, iterations=iterations, residual_norm=residual)

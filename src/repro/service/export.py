@@ -17,9 +17,6 @@ from dataclasses import asdict
 from ..private.audit import audit_kernel
 from .session import Session, SessionManager
 
-#: Tolerance used when comparing two float ledgers that should be identical.
-RECONCILE_TOLERANCE = 1e-9
-
 
 def session_report(session: Session) -> dict:
     """JSON-ready accounting of one session.
@@ -101,8 +98,9 @@ def reconcile(session: Session) -> dict:
 
     Returns a report with ``exact`` True iff the sum of the events'
     ``epsilon_spent`` equals the kernel's root-level consumption (within
-    float tolerance) *and* every measurement record is claimed by exactly one
-    non-cached event's history span.
+    :attr:`~repro.service.session.Session.ledger_slack`) *and* every
+    measurement record is claimed by exactly one non-cached event's history
+    span.
     """
     with session.lock:  # events and kernel counters must be read atomically
         events = list(session.events)
@@ -121,7 +119,7 @@ def reconcile(session: Session) -> dict:
         "difference": service_total - kernel_total,
         "history_records": num_records,
         "history_claimed": len(claimed),
-        "exact": abs(service_total - kernel_total) <= RECONCILE_TOLERANCE and spans_exact,
+        "exact": abs(service_total - kernel_total) <= session.ledger_slack and spans_exact,
     }
 
 

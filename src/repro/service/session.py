@@ -31,7 +31,6 @@ import numpy as np
 from ..accounting import Accountant, make_accountant
 from ..dataset.relation import Relation
 from ..durability.snapshot import commit_record, open_record
-from ..private.budget import LEDGER_TOLERANCE
 from ..private.kernel import BudgetSnapshot, MeasurementRecord, ProtectedKernel
 from ..private.protected import ProtectedDataSource
 
@@ -165,6 +164,14 @@ class Session:
     def budget_snapshot(self) -> BudgetSnapshot:
         return self.kernel.budget_snapshot()
 
+    @property
+    def ledger_slack(self) -> float:
+        """Largest gap between the event ledger and the kernel's spend that
+        counts as float rounding: 1e-9, scaled down with budgets below 1 (a
+        zCDP ρ budget can be ~1e-8, where an absolute 1e-9 would hide a
+        request's whole charge).  Orphan claims and ``reconcile`` share it."""
+        return 1e-9 * min(1.0, self.epsilon_total)
+
     def accounting_report(self) -> dict:
         """Spend in the accountant's native units plus converted ``(ε, δ)``.
 
@@ -256,7 +263,7 @@ class Session:
             orphan_spend = self.kernel.budget_consumed() - math.fsum(
                 event.epsilon_spent for event in self.events
             )
-            if orphan_spend <= LEDGER_TOLERANCE and not unclaimed:
+            if orphan_spend <= self.ledger_slack and not unclaimed:
                 return []
             # Contiguous runs of unclaimed indices, e.g. [1, 2, 5] -> [1,3), [5,6).
             runs: list[list[int]] = []

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 import shutil
+import statistics
 import threading
 import time
 import tracemalloc
@@ -107,6 +108,20 @@ def dawa_request(session, epsilon=0.4, **overrides):
         workload_params={"n": N},
     )
     return replace(request, **overrides) if overrides else request
+
+
+def dying_tiny_zcdp_session(manager, relation, journal=None):
+    """A zCDP session whose whole ρ budget is ~1.81e-8, armed so that its next
+    request dies right after its first charge.  An Identity request at ε=4e-5
+    then leaves ρ 8e-10 charged and unrecorded: 4.4% of the budget, yet
+    below an absolute 1e-9 slack."""
+    faults = FaultInjector()
+    faults.arm("kernel.after_charge", exception=WorkerDeath())
+    session = manager.create_session(
+        "acme", relation, 1e-3, seed=0, accountant="zcdp", delta=1e-6, journal=journal
+    )
+    session.kernel.fault_injector = faults
+    return session
 
 
 def commit_parts(records):
@@ -369,6 +384,45 @@ class TestJournaledSession:
         assert restored.events == session.events
         replay = fresh.execute(identity_request(restored, epsilon=0.2))
         assert replay.cached and replay.x_hat.tobytes() == response.x_hat.tobytes()
+
+    def test_commit_journal_costs_under_a_tenth_of_a_dawa_request(self, tmp_path):
+        """The default ``fsync="commit"`` journal adds at most 10% to a
+        paper-scale request: DAWA at n=1024.  Paired design: in each of
+        three rounds, every request index runs on a journal-free session and
+        then on a journaled one, so a slow spell of the machine slows both
+        alike; the overhead is the median paired difference over the
+        journal-free median, pooled over the rounds."""
+        n = 1024
+        relation = Relation.from_histogram(
+            Schema.build([Attribute("v", n)]),
+            np.random.default_rng(0).integers(0, 50, size=n),
+        )
+
+        def lane(journal=None):
+            manager = SessionManager()
+            session = manager.create_session("bench", relation, 3.0, seed=0, journal=journal)
+            return PlanScheduler(manager), session
+
+        def request(session, index):
+            return dawa_request(
+                session, epsilon=0.1 + index * 1e-6, workload_params={"n": n}, reuse=False
+            )
+
+        scheduler, session = lane()
+        for index in range(5):  # warm-up
+            scheduler.execute(request(session, index))
+        bare, journaled = [], []
+        for round_ in range(3):
+            journal = PrivacyJournal(tmp_path / f"round{round_}.wal", fsync="commit")
+            lanes = ((lane(), bare), (lane(journal), journaled))
+            for index in range(15):
+                for (scheduler, session), samples in lanes:
+                    start = time.perf_counter()
+                    scheduler.execute(request(session, index))
+                    samples.append(time.perf_counter() - start)
+            journal.close()
+        paired = statistics.median(j - b for j, b in zip(journaled, bare))
+        assert paired / statistics.median(bare) <= 0.10
 
     def test_cached_replay_appends_event_only(self, manager, relation):
         journal = PrivacyJournal(None, fsync="never")
@@ -962,6 +1016,44 @@ class TestOrphanClaiming:
         assert orphan is not None
         assert orphan["epsilon_spent"] == pytest.approx(0.2)
         assert orphan["error"] == "CrashRecovery"
+
+    def test_tiny_budget_orphan_is_claimed_in_batch(self, manager, relation):
+        session = dying_tiny_zcdp_session(manager, relation)
+        results = PlanScheduler(manager).execute_batch(
+            [identity_request(session, epsilon=4e-5)], return_exceptions=True
+        )
+        assert isinstance(results[0], WorkerDeath)
+        charged = session.budget_consumed()
+        assert charged == pytest.approx(8e-10)
+        (orphan,) = session.events
+        assert orphan.error == "WorkerDeath" and orphan.epsilon_spent == charged
+        assert reconcile(session)["exact"]
+
+    def test_tiny_budget_orphan_is_claimed_on_restore(self, manager, relation, tmp_path):
+        path = tmp_path / "j.wal"
+        session = dying_tiny_zcdp_session(manager, relation, journal=PrivacyJournal(path))
+        with pytest.raises(WorkerDeath):
+            PlanScheduler(manager).execute(identity_request(session, epsilon=4e-5))
+        session.journal.close()
+
+        restored = PlanScheduler(SessionManager()).restore_session(
+            relation, journal=PrivacyJournal(path)
+        )
+        orphan = restored.recovery_info["orphaned_event"]
+        assert orphan is not None and orphan["error"] == "CrashRecovery"
+        assert orphan["epsilon_spent"] == restored.budget_consumed()
+        assert restored.budget_consumed() == pytest.approx(8e-10)
+        assert reconcile(restored)["exact"]
+        restored.journal.close()
+
+    def test_unclaimed_tiny_spend_does_not_reconcile(self, manager, relation):
+        # ``execute`` lets a dead worker's exception through and claims
+        # nothing, so the charge stays unclaimed until a restore.
+        session = dying_tiny_zcdp_session(manager, relation)
+        with pytest.raises(WorkerDeath):
+            PlanScheduler(manager).execute(identity_request(session, epsilon=4e-5))
+        assert session.events == [] and session.budget_consumed() > 0.0
+        assert not reconcile(session)["exact"]
 
 
 # ======================================================================

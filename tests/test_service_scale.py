@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.dataset import Attribute, Relation, Schema
-from repro.durability import PrivacyJournal, WorkerDeath
+from repro.durability import FaultInjector, PrivacyJournal, WorkerDeath
 from repro.private import BudgetExceededError
 from repro.service import (
     ArtifactCache,
@@ -94,9 +95,14 @@ def _requests(session_id: str) -> list[QueryRequest]:
     ]
 
 
-def _run_backend(relation, executor) -> tuple[list[QueryResponse], list]:
-    # Three sessions, so the thread backend runs their requests (and their
-    # solves against one cached factor per strategy) concurrently.
+def _run_backend(relation, executor):
+    """Run every session's requests as one batch, then replay that batch.
+
+    Three sessions, so the thread backend runs their requests (and their
+    solves against one cached factor per strategy) concurrently.  Returns
+    the first batch's responses, the replays' responses, the sessions and
+    their spend between the two batches.
+    """
     manager = SessionManager()
     scheduler = PlanScheduler(manager, executor=executor)
     sessions = [
@@ -104,9 +110,12 @@ def _run_backend(relation, executor) -> tuple[list[QueryResponse], list]:
         for i in range(3)
     ]
     batches = [_requests(session.session_id) for session in sessions]
-    responses = scheduler.execute_batch([r for group in zip(*batches) for r in group])
+    requests = [r for group in zip(*batches) for r in group]
+    responses = scheduler.execute_batch(requests)
+    spent = [session.budget_consumed() for session in sessions]
+    replays = scheduler.execute_batch([replace(r, reuse=True) for r in requests])
     scheduler.shutdown()
-    return responses, sessions
+    return responses, replays, sessions, spent
 
 
 class TestExecutorBackends:
@@ -121,18 +130,60 @@ class TestExecutorBackends:
                 make_executor(name)
 
     def test_answers_byte_identical_across_backends(self, relation):
-        base, inline_sessions = _run_backend(relation, "inline")
-        threaded, thread_sessions = _run_backend(relation, "thread")
+        base, base_replays, inline_sessions, inline_spent = _run_backend(relation, "inline")
+        threaded, thread_replays, thread_sessions, thread_spent = _run_backend(
+            relation, "thread"
+        )
         assert len(base) == len(threaded) == 3 * len(_requests("x"))
         for expected, got in zip(base, threaded):
             assert np.array_equal(expected.payload, got.payload)
             assert np.array_equal(expected.x_hat, got.x_hat)
             assert got.seed == expected.seed
             assert got.epsilon_spent == expected.epsilon_spent
+        # Every replay is answered from the measurement cache: the same bytes
+        # as the first batch's answer, on both backends, at zero ε.
+        for first, expected, got in zip(base, base_replays, thread_replays):
+            assert expected.cached and got.cached
+            assert got.payload.tobytes() == expected.payload.tobytes()
+            assert expected.payload.tobytes() == first.payload.tobytes()
+        for sessions, spent in ((inline_sessions, inline_spent), (thread_sessions, thread_spent)):
+            assert [session.budget_consumed() for session in sessions] == spent
         for inline_session, thread_session in zip(inline_sessions, thread_sessions):
             assert thread_session.budget_consumed() == inline_session.budget_consumed()
             assert reconcile(inline_session)["exact"]
             assert reconcile(thread_session)["exact"]
+        # A loose latency ceiling on every request, fresh or replayed.
+        responses = base + base_replays + threaded + thread_replays
+        assert max(response.elapsed_seconds for response in responses) <= 1.0
+
+    def test_thread_backend_overlaps_an_injected_stall(self, relation):
+        """Eight requests on eight sessions each pay a 50 ms pure-delay fault
+        at the worker seam; eight driver threads wait those out together.
+        This is overlap of an injected stall, not compute speed: plan
+        compute runs no faster on threads."""
+
+        def wall_seconds(backend):
+            faults = FaultInjector()
+            faults.arm("scheduler.worker", delay=0.05, times=8)
+            manager = SessionManager()
+            scheduler = PlanScheduler(
+                manager, executor=backend, max_workers=8, fault_injector=faults
+            )
+            sessions = [
+                manager.create_session("acme", relation, 10.0, seed=i) for i in range(8)
+            ]
+            requests = [
+                QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
+                for session in sessions
+            ]
+            start = time.perf_counter()
+            scheduler.execute_batch(requests)
+            elapsed = time.perf_counter() - start
+            scheduler.shutdown()
+            assert len(faults.fired) == 8
+            return elapsed
+
+        assert wall_seconds("thread") <= 0.5 * wall_seconds("inline")
 
     @pytest.mark.parametrize("backend", ["inline", "thread"])
     def test_backend_journals_every_charge(self, relation, backend):
