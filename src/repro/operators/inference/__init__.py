@@ -7,7 +7,7 @@ from .least_squares import (
     least_squares,
     least_squares_from_parts,
 )
-from .mult_weights import estimate_total, multiplicative_weights, mwem_update
+from .mult_weights import estimate_total, multiplicative_weights
 from .nnls import nnls, nnls_with_total
 from .thresholding import threshold
 from .tree_based import hierarchical_measurements, tree_based_least_squares
@@ -22,7 +22,6 @@ __all__ = [
     "nnls_with_total",
     "estimate_total",
     "multiplicative_weights",
-    "mwem_update",
     "threshold",
     "tree_based_least_squares",
     "hierarchical_measurements",

@@ -1,4 +1,4 @@
-"""Multiplicative-weights inference (used by MWEM, Sec. 5.5).
+"""Multiplicative-weights inference (MWEM's ``MW`` operator, Sec. 5.5).
 
 The multiplicative-weights update maintains a non-negative estimate ``x̂`` of
 the data vector with a fixed total and repeatedly reweights cells according to
@@ -10,14 +10,13 @@ followed by renormalisation to the total.  This is closely related to
 maximum-entropy inference and is most effective when the measured query set is
 incomplete.  Only matvec/rmatvec are needed, so implicit matrices work.
 
-**Support-sparse sequential updates.**  A counting-query row is typically
-non-zero on a short range of the domain, yet the textbook update exponentiates
-every cell — ``exp(0) = 1`` everywhere outside the support.  The sequential
-mode therefore extracts each row's non-zero support once (reused across all
-passes for cached rows) and applies the exponential only on the support,
-leaving off-support cells untouched.  Because the off-support factor is
-*exactly* 1, the trajectory is bit-identical to the dense update; only the
-wasted ``exp`` calls disappear.
+**Support-sparse updates.**  A counting-query row is typically non-zero on a
+short range of the domain, yet the textbook update exponentiates every cell —
+``exp(0) = 1`` everywhere outside the support.  The update therefore extracts
+each row's non-zero support once (reused across all passes for cached rows)
+and applies the exponential only on the support, leaving off-support cells
+untouched.  Because the off-support factor is *exactly* 1, the trajectory is
+bit-identical to the dense update; only the wasted ``exp`` calls disappear.
 """
 
 from __future__ import annotations
@@ -108,7 +107,6 @@ def multiplicative_weights(
     total: float | None = None,
     x0: np.ndarray | None = None,
     iterations: int = 50,
-    mode: str = "sequential",
     support_sparse: bool | None = None,
     row_cache: np.ndarray | None = None,
 ) -> InferenceResult:
@@ -129,34 +127,27 @@ def multiplicative_weights(
         Starting estimate; defaults to the uniform distribution over the domain
         scaled to ``total``.
     iterations:
-        Number of passes over the query set.
-    mode:
-        ``"sequential"`` (default) applies the classic one-query-at-a-time
-        Gauss–Seidel update and is numerically identical to the seed
-        implementation, but pre-extracts all query rows through the blocked
+        Number of passes over the query set.  Each pass applies the classic
+        one-query-at-a-time (Gauss–Seidel) update, numerically identical to
+        the seed implementation, but takes the query rows from the blocked
         :meth:`~repro.matrix.base.LinearQueryMatrix.rows` kernel instead of
-        issuing one rmatvec per query per pass.  ``"batched"`` applies the
-        Jacobi-style whole-pass update — one matvec for all estimates and one
-        rmatvec to fold every error back into the exponent — which is much
-        faster on large query sets but follows a (slightly) different
-        optimisation trajectory.
+        issuing one rmatvec per query per pass.
     support_sparse:
-        Sequential-mode exponential policy.  ``None`` (default) applies the
-        exponential only on a row's non-zero support whenever the support is
-        small enough to win; ``True``/``False`` force the support-sparse or
-        dense update.  All three settings produce bit-identical trajectories
-        (``exp(0) = 1`` exactly); the flag exists for benchmarks and tests.
+        Exponential policy.  ``None`` (default) applies the exponential only
+        on a row's non-zero support whenever the support is small enough to
+        win; ``True``/``False`` force the support-sparse or dense update.  All
+        three settings produce bit-identical trajectories (``exp(0) = 1``
+        exactly); the flag exists for benchmarks and tests.
     row_cache:
         Optional pre-extracted dense rows of ``queries`` (shape ``(m, n)``).
-        Callers that grow a measurement set incrementally (the MWEM plan
-        family) pass the rows they already hold, skipping re-extraction.
+        Callers that grow a measurement set incrementally (the MWEM loop of
+        :class:`~repro.plans.data_dependent.MwemPlan`) pass the rows they
+        already hold, skipping re-extraction.
     """
     queries = ensure_matrix(queries)
     answers = np.asarray(answers, dtype=np.float64)
     if answers.shape != (queries.shape[0],):
         raise ValueError("answers do not match the number of queries")
-    if mode not in ("sequential", "batched"):
-        raise ValueError(f"unknown multiplicative-weights mode {mode!r}")
     n = queries.shape[1]
 
     if total is None:
@@ -170,71 +161,33 @@ def multiplicative_weights(
         x_hat *= total / x_hat.sum()
 
     num_queries = queries.shape[0]
-    if mode == "batched":
-        for _ in range(iterations):
-            errors = answers - queries.matvec(x_hat)
-            x_hat = x_hat * np.exp(queries.rmatvec(errors) / (2.0 * total))
+    cached = None
+    cached_supports = None
+    if row_cache is not None:
+        row_cache = np.asarray(row_cache, dtype=np.float64)
+        if row_cache.shape != queries.shape:
+            raise ValueError(
+                f"row_cache of shape {row_cache.shape} does not match the "
+                f"{queries.shape} query matrix"
+            )
+        cached = row_cache
+    elif num_queries * n <= _ROW_CACHE_CELLS:
+        cached = queries.rows(np.arange(num_queries))
+    if cached is not None:
+        # Supports are extracted once and reused by every pass.
+        cached_supports = _row_supports(cached, support_sparse)
+    for _ in range(iterations):
+        for i, row, support in _pass_rows(queries, cached, cached_supports, support_sparse):
+            estimate = float(row @ x_hat)
+            error = answers[i] - estimate
+            # Standard MW step size from Hardt-Ligett-McSherry.
+            if support is None:
+                x_hat = x_hat * np.exp(row * error / (2.0 * total))
+            else:
+                indices, values = support
+                x_hat[indices] = x_hat[indices] * np.exp(values * error / (2.0 * total))
             x_hat *= total / x_hat.sum()
-    else:
-        cached = None
-        cached_supports = None
-        if row_cache is not None:
-            row_cache = np.asarray(row_cache, dtype=np.float64)
-            if row_cache.shape != queries.shape:
-                raise ValueError(
-                    f"row_cache of shape {row_cache.shape} does not match the "
-                    f"{queries.shape} query matrix"
-                )
-            cached = row_cache
-        elif num_queries * n <= _ROW_CACHE_CELLS:
-            cached = queries.rows(np.arange(num_queries))
-        if cached is not None:
-            # Supports are extracted once and reused by every pass.
-            cached_supports = _row_supports(cached, support_sparse)
-        for _ in range(iterations):
-            for i, row, support in _pass_rows(queries, cached, cached_supports, support_sparse):
-                estimate = float(row @ x_hat)
-                error = answers[i] - estimate
-                # Standard MW step size from Hardt-Ligett-McSherry.
-                if support is None:
-                    x_hat = x_hat * np.exp(row * error / (2.0 * total))
-                else:
-                    indices, values = support
-                    x_hat[indices] = x_hat[indices] * np.exp(
-                        values * error / (2.0 * total)
-                    )
-                x_hat *= total / x_hat.sum()
 
     residual = float(np.linalg.norm(queries.matvec(x_hat) - answers))
     return InferenceResult(x_hat, iterations=iterations, residual_norm=residual)
 
-
-def mwem_update(
-    x_hat: np.ndarray,
-    query_row: np.ndarray,
-    noisy_answer: float,
-    total: float,
-    support: np.ndarray | None = None,
-) -> np.ndarray:
-    """A single multiplicative-weights update (used inside the MWEM plan loop).
-
-    ``support`` optionally carries the row's precomputed non-zero indices
-    (``np.flatnonzero(query_row)``); the exponential is then applied only on
-    the support, which is bit-identical to the dense update (``exp(0) = 1``)
-    but skips the full-domain exponentiation.  Plans that replay a measurement
-    history every round extract each row's support once at measurement time.
-    """
-    x_hat = np.clip(np.asarray(x_hat, dtype=np.float64), 1e-12, None)
-    estimate = float(query_row @ x_hat)
-    error = noisy_answer - estimate
-    if support is None:
-        updated = x_hat * np.exp(query_row * error / (2.0 * max(total, 1e-9)))
-        updated *= x_hat.sum() / updated.sum()
-        return updated
-    prior_sum = x_hat.sum()
-    updated = x_hat  # np.clip returned a fresh array we own
-    updated[support] = updated[support] * np.exp(
-        query_row[support] * error / (2.0 * max(total, 1e-9))
-    )
-    updated *= prior_sum / updated.sum()
-    return updated

@@ -43,6 +43,19 @@ def plan_stage(name: str, **attributes):
     return trace_span(f"plan.stage.{name}", **attributes)
 
 
+def split_budget(epsilon: float, share: float) -> tuple[float, float]:
+    """Split a two-stage plan's budget into ``(share * epsilon, the rest)``.
+
+    A share outside (0, 1) would leave one stage a non-positive budget and
+    let the other spend more than ``epsilon``, so it is rejected here, before
+    the plan's first charge.
+    """
+    if not 0.0 < share < 1.0:
+        raise ValueError(f"a budget share must lie in (0, 1), got {share!r}")
+    first = share * epsilon
+    return first, epsilon - first
+
+
 def measure_vector(
     source: ProtectedDataSource,
     queries: LinearQueryMatrix,

@@ -20,6 +20,7 @@ from ..matrix import Identity, Prefix
 from ..operators.inference import nnls
 from ..operators.partition import ahp_partition
 from ..private.protected import ProtectedDataSource
+from .base import split_budget
 
 
 def cdf_estimator(
@@ -46,13 +47,11 @@ def cdf_estimator(
     partition_share:
         Fraction of the budget given to AHPpartition (0.5 in Algorithm 1).
     """
+    partition_epsilon, measure_epsilon = split_budget(epsilon, partition_share)
     filtered = table_source.where(where) if where else table_source
     projected = filtered.select([value_attribute])
     vector = projected.vectorize()
     n = vector.domain_size
-
-    partition_epsilon = partition_share * epsilon
-    measure_epsilon = epsilon - partition_epsilon
 
     partition = ahp_partition(vector, partition_epsilon)
     reduced = vector.reduce_by_partition(partition)

@@ -2,18 +2,21 @@
 
 These plans adapt to the input data, either through a data-dependent partition
 (AHP, DAWA), through iterative selection (MWEM) or through a two-level grid
-whose granularity reacts to observed counts (AdaptiveGrid).
+whose granularity reacts to observed counts (AdaptiveGrid).  MWEM's loop is
+also the loop of its Sec. 9.1 variants (#18-#20 in
+:mod:`repro.plans.mwem_variants`), which only switch its selection or
+inference operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..matrix import Identity, LinearQueryMatrix, Total, ensure_matrix
-from ..operators.inference import mwem_update
+from ..matrix import DenseMatrix, Identity, LinearQueryMatrix, Total, VStack, ensure_matrix
+from ..operators.inference import mult_weights, multiplicative_weights, nnls_with_total
 from ..operators.partition import ahp_partition, dawa_partition
 from ..operators.selection import adaptive_grid_select, greedy_h_select, uniform_grid_select
-from ..operators.selection.worst_approx import worst_approximated
+from ..operators.selection.worst_approx import augment_with_hierarchy, worst_approximated
 from ..private.protected import ProtectedDataSource
 from .base import (
     Plan,
@@ -21,6 +24,7 @@ from .base import (
     infer_least_squares,
     measure_vector,
     plan_stage,
+    split_budget,
     with_representation,
 )
 
@@ -29,9 +33,17 @@ class MwemPlan(Plan):
     """Plan #7 — Multiplicative Weights Exponential Mechanism (Hardt et al. 2012).
 
     Each round selects the worst-approximated workload query with the
-    exponential mechanism (half the per-round budget), measures it with
-    Laplace noise (the other half), and applies the multiplicative-weights
-    update using the full measurement history.
+    exponential mechanism (half the per-round budget), measures it (the other
+    half) and re-infers the estimate from the whole measurement history with
+    ``history_passes`` multiplicative-weights passes, starting from the last
+    estimate.  A noisy total takes 5% of the budget unless ``total_records``
+    is given.
+
+    This is the one MWEM loop: the Sec. 9.1 variants #18-#20
+    (:mod:`repro.plans.mwem_variants`) swap one operator each through two
+    class switches.  ``augment_selection`` pads each round's query with
+    disjoint intervals (``SW`` → ``SW SH2``) and ``use_nnls`` infers with
+    non-negative least squares under the known total (``MW`` → ``NLS``).
 
     ``noise="gaussian"`` switches the per-round measurement to the Gaussian
     mechanism.  Under a zCDP accountant this is where MWEM's many small
@@ -43,6 +55,10 @@ class MwemPlan(Plan):
     name = "MWEM"
     signature = "I:( SW LM MW )"
     plan_id = 7
+    #: pad each selected query with disjoint interval queries (``SW SH2``)
+    augment_selection = False
+    #: infer with NNLS and the known total instead of multiplicative weights
+    use_nnls = False
 
     def __init__(
         self,
@@ -65,6 +81,8 @@ class MwemPlan(Plan):
         n = source.domain_size
         if self.workload.shape[1] != n:
             raise ValueError("workload does not match the vector's domain size")
+        if self.rounds < 1:
+            raise ValueError(f"MWEM needs at least one round, got rounds={self.rounds!r}")
 
         if self.total_records is None:
             # MWEM assumes a known total; estimate it with 5% of the budget.
@@ -77,39 +95,54 @@ class MwemPlan(Plan):
 
         x_hat = np.full(n, total / n)
         per_round = remaining / self.rounds
-        history: list[tuple[np.ndarray, np.ndarray, float]] = []
+        matrices: list[LinearQueryMatrix] = []
+        answers: list[np.ndarray] = []
+        # Dense rows of the history, grown one block per round so each MW
+        # inference extracts only the new rows; emptied for good once they
+        # outgrow the cap of the row cache multiplicative_weights builds.
+        rows: list[np.ndarray] = []
 
         for round_index in range(self.rounds):
             with plan_stage(
                 "mwem_round", plan=self.name, round=round_index, epsilon=per_round
             ):
-                x_hat = self._round(source, x_hat, total, per_round, history, n)
-
-        return self._wrap(source, before, x_hat, rounds=self.rounds, total_estimate=total)
-
-    def _round(self, source, x_hat, total, per_round, history, n):
-        """One MWEM round: select worst query, measure it, replay history."""
-        _, row = worst_approximated(source, self.workload, x_hat, per_round / 2.0)
-        from ..matrix.dense import DenseMatrix
-
-        measurement = DenseMatrix(row.reshape(1, -1))
-        noisy = measure_vector(
-            source, measurement, per_round / 2.0, noise=self.noise, delta=self.delta
-        )[0]
-        # The row's support is extracted once here; every later history
-        # replay exponentiates only on it (bit-identical to the dense
-        # update — exp(0) = 1 — but free of full-domain exp calls).
-        # Near-dense rows keep the plain update: the gather would cost
-        # more than the exps it saves.
-        support = np.flatnonzero(row)
-        history.append((row, support if 2 * support.size <= n else None, noisy))
-        # Multiplicative-weights update over the full history (several passes).
-        for _ in range(self.history_passes):
-            for past_row, past_support, past_answer in history:
-                x_hat = mwem_update(
-                    x_hat, past_row, past_answer, total, support=past_support
+                _, row = worst_approximated(source, self.workload, x_hat, per_round / 2.0)
+                if self.augment_selection:
+                    measurement = augment_with_hierarchy(row, round_index, n)
+                else:
+                    measurement = DenseMatrix(row.reshape(1, -1))
+                answers.append(
+                    measure_vector(
+                        source, measurement, per_round / 2.0, noise=self.noise, delta=self.delta
+                    )
                 )
-        return x_hat
+                matrices.append(measurement)
+                stacked = matrices[0] if len(matrices) == 1 else VStack(matrices)
+                noisy = np.concatenate(answers)
+                if self.use_nnls:
+                    x_hat = nnls_with_total(stacked, noisy, total=total).x_hat
+                    continue
+                if stacked.shape[0] * n > mult_weights._ROW_CACHE_CELLS:
+                    rows.clear()
+                else:
+                    rows.append(measurement.rows(np.arange(measurement.shape[0])))
+                x_hat = multiplicative_weights(
+                    stacked,
+                    noisy,
+                    total=total,
+                    x0=x_hat,
+                    iterations=self.history_passes,
+                    row_cache=np.concatenate(rows) if rows else None,
+                ).x_hat
+
+        return self._wrap(
+            source,
+            before,
+            x_hat,
+            rounds=self.rounds,
+            total_estimate=total,
+            measured_queries=sum(m.shape[0] for m in matrices),
+        )
 
 
 class AhpPlan(Plan):
@@ -133,8 +166,7 @@ class AhpPlan(Plan):
 
     def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
         before = source.budget_consumed()
-        partition_epsilon = self.partition_share * epsilon
-        measure_epsilon = epsilon - partition_epsilon
+        partition_epsilon, measure_epsilon = split_budget(epsilon, self.partition_share)
         with plan_stage("partition", plan=self.name, epsilon=partition_epsilon) as span:
             partition = ahp_partition(
                 source, partition_epsilon, eta=self.eta, gap_ratio=self.gap_ratio
@@ -184,8 +216,7 @@ class DawaPlan(Plan):
 
     def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
         before = source.budget_consumed()
-        partition_epsilon = self.partition_share * epsilon
-        measure_epsilon = epsilon - partition_epsilon
+        partition_epsilon, measure_epsilon = split_budget(epsilon, self.partition_share)
         with plan_stage("partition", plan=self.name, epsilon=partition_epsilon) as span:
             partition = dawa_partition(source, partition_epsilon)
             span.set_attribute("num_groups", int(partition.num_groups))
@@ -241,8 +272,7 @@ class AdaptiveGridPlan(Plan):
         if rows * cols != n:
             raise ValueError("2-D shape does not match the vector's domain size")
 
-        first_epsilon = self.first_level_share * epsilon
-        second_epsilon = epsilon - first_epsilon
+        first_epsilon, second_epsilon = split_budget(epsilon, self.first_level_share)
 
         # Level 1: coarse uniform grid.
         total_epsilon = 0.1 * first_epsilon
@@ -264,13 +294,9 @@ class AdaptiveGridPlan(Plan):
         matrices: list[LinearQueryMatrix] = [level1]
         answers = [level1_answers]
         if second_parts:
-            from ..matrix.combinators import VStack
-
             level2 = with_representation(VStack(second_parts), self.representation)
             answers.append(source.vector_laplace(level2, second_epsilon))
             matrices.append(level2)
-
-        from ..matrix.combinators import VStack
 
         all_measurements = matrices[0] if len(matrices) == 1 else VStack(matrices)
         # The level-2 grid adapts to noisy level-1 counts, so the stacked

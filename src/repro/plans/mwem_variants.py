@@ -9,124 +9,18 @@ The three variants modify the original MWEM plan (#7) along two axes:
   a high-confidence total replaces the multiplicative-weights update;
 * **variant d** (#20) — both changes together, which the paper reports as the
   sweet spot (large error improvement at a fraction of variant b's runtime).
+
+Each variant is :class:`~repro.plans.data_dependent.MwemPlan` with one or both
+of its operator switches (``augment_selection``, ``use_nnls``) turned on, so
+all four plans run the same loop and take the same parameters.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..matrix import LinearQueryMatrix, Total, ensure_matrix
-from ..matrix.combinators import VStack
-from ..operators.inference import multiplicative_weights, nnls_with_total
-from ..operators.selection.worst_approx import augment_with_hierarchy, worst_approximated
-from ..private.protected import ProtectedDataSource
-from .base import Plan, PlanResult
-
-#: Cap (in ``rows * domain_size`` doubles) on the measurement-row cache the
-#: MWEM variants grow across rounds for multiplicative-weights inference.
-#: Beyond it the cache is dropped and inference falls back to blocked row
-#: extraction inside :func:`multiplicative_weights`.
-_HISTORY_ROW_CACHE_CELLS = 16_777_216
+from .data_dependent import MwemPlan
 
 
-class _MwemVariantBase(Plan):
-    """Shared loop of the MWEM variants (selection / measurement / inference hooks)."""
-
-    augment_selection = False
-    use_nnls = False
-
-    def __init__(
-        self,
-        workload: LinearQueryMatrix,
-        rounds: int = 10,
-        total_records: float | None = None,
-        history_passes: int = 10,
-    ):
-        self.workload = ensure_matrix(workload)
-        self.rounds = rounds
-        self.total_records = total_records
-        self.history_passes = history_passes
-
-    def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
-        before = source.budget_consumed()
-        n = source.domain_size
-        if self.workload.shape[1] != n:
-            raise ValueError("workload does not match the vector's domain size")
-
-        if self.total_records is None:
-            total_epsilon = 0.05 * epsilon
-            total = max(source.vector_laplace(Total(n), total_epsilon)[0], 1.0)
-            remaining = epsilon - total_epsilon
-        else:
-            total = float(self.total_records)
-            remaining = epsilon
-
-        x_hat = np.full(n, total / n)
-        per_round = remaining / self.rounds
-        measured: list[tuple[LinearQueryMatrix, np.ndarray]] = []
-        # Dense rows of every measurement so far, grown one block per round:
-        # each round's MW inference reuses them (and their supports) instead
-        # of re-extracting the whole history from the stacked matrix.  None
-        # once the cache outgrows its memory budget (it cannot be partially
-        # used, so it is dropped for the remaining rounds).
-        row_blocks: list[np.ndarray] | None = [] if not self.use_nnls else None
-        cached_rows = 0
-
-        for round_index in range(self.rounds):
-            _, row = worst_approximated(source, self.workload, x_hat, per_round / 2.0)
-            if self.augment_selection:
-                measurement = augment_with_hierarchy(row, round_index, n)
-            else:
-                from ..matrix.dense import DenseMatrix
-
-                measurement = DenseMatrix(row.reshape(1, -1))
-            answers = source.vector_laplace(measurement, per_round / 2.0)
-            measured.append((measurement, answers))
-            if row_blocks is not None:
-                cached_rows += measurement.shape[0]
-                if cached_rows * n > _HISTORY_ROW_CACHE_CELLS:
-                    row_blocks = None
-                else:
-                    row_blocks.append(measurement.rows(np.arange(measurement.shape[0])))
-            x_hat = self._infer(measured, total, n, x_hat, row_blocks)
-
-        return self._wrap(
-            source,
-            before,
-            x_hat,
-            rounds=self.rounds,
-            total_estimate=total,
-            measured_queries=int(sum(m.shape[0] for m, _ in measured)),
-        )
-
-    # ------------------------------------------------------------------
-    def _infer(
-        self,
-        measured: list[tuple[LinearQueryMatrix, np.ndarray]],
-        total: float,
-        n: int,
-        x_hat: np.ndarray,
-        row_blocks: list[np.ndarray] | None = None,
-    ) -> np.ndarray:
-        matrices = [m for m, _ in measured]
-        answers = np.concatenate([y for _, y in measured])
-        stacked = matrices[0] if len(matrices) == 1 else VStack(matrices)
-        if self.use_nnls:
-            estimate = nnls_with_total(stacked, answers, total=total)
-            return estimate.x_hat
-        row_cache = np.concatenate(row_blocks) if row_blocks else None
-        estimate = multiplicative_weights(
-            stacked,
-            answers,
-            total=total,
-            x0=x_hat,
-            iterations=self.history_passes,
-            row_cache=row_cache,
-        )
-        return estimate.x_hat
-
-
-class MwemVariantB(_MwemVariantBase):
+class MwemVariantB(MwemPlan):
     """Plan #18 — worst-approx + H2-style augmentation, multiplicative weights."""
 
     name = "MWEM variant b"
@@ -136,7 +30,7 @@ class MwemVariantB(_MwemVariantBase):
     use_nnls = False
 
 
-class MwemVariantC(_MwemVariantBase):
+class MwemVariantC(MwemPlan):
     """Plan #19 — original selection, NNLS inference with a known total."""
 
     name = "MWEM variant c"
@@ -146,7 +40,7 @@ class MwemVariantC(_MwemVariantBase):
     use_nnls = True
 
 
-class MwemVariantD(_MwemVariantBase):
+class MwemVariantD(MwemPlan):
     """Plan #20 — augmented selection and NNLS inference together."""
 
     name = "MWEM variant d"

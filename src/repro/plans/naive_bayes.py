@@ -34,6 +34,7 @@ from ..operators.inference import least_squares
 from ..operators.partition import dawa_partition, marginal_partition
 from ..private.protected import protect
 from ..workload import naive_bayes_workload
+from .base import split_budget
 
 
 def _histogram_shapes(
@@ -128,12 +129,12 @@ def nb_select_ls(
     are mapped back to the full domain and combined with least squares.
     """
     domain, label_axis, predictor_axes = _histogram_shapes(train, label, predictors)
-    source = protect(train, epsilon, seed=seed).vectorize()
-
     histogram_axes: list[list[int]] = [[label_axis]] + [
         [label_axis, axis] for axis in predictor_axes
     ]
     per_histogram_epsilon = epsilon / len(histogram_axes)
+    dawa_epsilon, dawa_measure_epsilon = split_budget(per_histogram_epsilon, dawa_share)
+    source = protect(train, epsilon, seed=seed).vectorize()
 
     measurement_parts: list[LinearQueryMatrix] = []
     answer_parts: list[np.ndarray] = []
@@ -144,11 +145,9 @@ def nb_select_ls(
         # The reduced vector's queries act on the full domain through the
         # partition matrix: a measurement M on x' equals (M P) on x.
         if marginal_size > large_domain_threshold:
-            dawa_epsilon = dawa_share * per_histogram_epsilon
-            measure_epsilon = per_histogram_epsilon - dawa_epsilon
             group_partition = dawa_partition(reduced, dawa_epsilon)
             grouped = reduced.reduce_by_partition(group_partition)
-            answers = grouped.vector_laplace(Identity(grouped.domain_size), measure_epsilon)
+            answers = grouped.vector_laplace(Identity(grouped.domain_size), dawa_measure_epsilon)
             full_domain_queries = Product(group_partition, reduction)
         else:
             answers = reduced.vector_laplace(Identity(marginal_size), per_histogram_epsilon)

@@ -44,6 +44,11 @@ class _PrivBayesBase(Plan):
         n = source.domain_size
         if int(np.prod(self.domain)) != n:
             raise ValueError("domain does not match the vector source")
+        if not 0.0 < self.select_share < 0.95:
+            # 5% of the budget goes to the noisy total.
+            raise ValueError(
+                f"select_share must lie in (0, 0.95), got {self.select_share!r}"
+            )
         total_epsilon = 0.05 * epsilon
         select_epsilon = self.select_share * epsilon
         measure_epsilon = epsilon - select_epsilon - total_epsilon

@@ -24,7 +24,7 @@ from ..operators.partition import l1_partition_batch, stripe_partition
 from ..operators.selection import greedy_h_select, hb_select
 from ..operators.selection.stripe import stripe_kron_select
 from ..private.protected import ProtectedDataSource
-from .base import Plan, PlanResult, infer_least_squares, with_representation
+from .base import Plan, PlanResult, infer_least_squares, split_budget, with_representation
 
 
 class HbStripedPlan(Plan):
@@ -85,12 +85,10 @@ class DawaStripedPlan(Plan):
         before = source.budget_consumed()
         if int(np.prod(self.domain)) != source.domain_size:
             raise ValueError("domain does not match the vector source")
+        partition_epsilon, measure_epsilon = split_budget(epsilon, self.partition_share)
         partition = stripe_partition(self.domain, self.stripe_axis)
         stripes = source.split_by_partition(partition)
         split_indices = partition.split_indices()
-
-        partition_epsilon = self.partition_share * epsilon
-        measure_epsilon = epsilon - partition_epsilon
 
         # Stage one of every stripe's DAWA first: the noisy histograms are
         # collected stripe by stripe (budget accounting is unchanged — the

@@ -113,6 +113,11 @@ def _attach_failure(exc: BaseException, failure: RequestFailure) -> None:
         pass
 
 
+def _spend_unit(session: Session) -> str:
+    """The native unit of a session's budget, as the odometer labels it."""
+    return "rho" if session.kernel.accountant.name == "zcdp" else "epsilon"
+
+
 class PlanScheduler:
     """Executes :class:`QueryRequest`\\ s synchronously or in batches."""
 
@@ -538,8 +543,7 @@ class PlanScheduler:
         metrics.histogram("service_request_queue_wait_seconds", tenant=tenant).observe(
             queue_wait
         )
-        unit = "rho" if session.kernel.accountant.name == "zcdp" else "epsilon"
-        metrics.record_privacy_spend(tenant, request.plan, spent, unit=unit)
+        metrics.record_privacy_spend(tenant, request.plan, spent, unit=_spend_unit(session))
 
     # ------------------------------------------------------------------
     # Batched path.
@@ -644,6 +648,11 @@ class PlanScheduler:
             self.metrics.counter(
                 "service_orphaned_requests", tenant=session.tenant
             ).inc()
+            # The odometer counts every ledgered event, claimed ones included.
+            for event in orphans:
+                self.metrics.record_privacy_spend(
+                    session.tenant, event.plan, event.epsilon_spent, unit=_spend_unit(session)
+                )
         return orphans
 
     def _execute_assigned(

@@ -7,9 +7,10 @@ Three families of guarantees:
   (:func:`cluster_sorted_counts`) return assignments *identical* to the
   retained scalar references, on randomized histograms including the n=0,
   n=1, all-zero and non-power-of-two edge cases;
-* the support-sparse sequential multiplicative-weights update is bit-identical
-  to the dense sequential update (``exp(0) = 1`` exactly), in both the
-  function-level and the single-update (:func:`mwem_update`) forms;
+* the support-sparse multiplicative-weights update is bit-identical to the
+  dense update (``exp(0) = 1`` exactly), on the cached and the blocked
+  uncached row paths and with a caller-supplied ``row_cache`` (the form the
+  MWEM loop uses);
 * the Gram-engine expected-error analysis matches the per-query
   pseudo-inverse formula it replaced, and :func:`multiplicative_weights`
   implements its documented total estimation (mean of total-like rows).
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.analysis import expected_query_error, expected_workload_error
 from repro.matrix import HierarchicalQueries, Identity, Prefix, RangeQueries, Total, VStack
 from repro.matrix.dense import DenseMatrix
-from repro.operators.inference import estimate_total, multiplicative_weights, mwem_update
+from repro.operators.inference import estimate_total, multiplicative_weights
 from repro.operators.inference import mult_weights
 from repro.operators.partition import cluster_sorted_counts, l1_partition, l1_partition_batch
 from repro.operators.partition.ahp import _reference_cluster_sorted_counts
@@ -238,23 +239,6 @@ class TestSupportSparseMultiplicativeWeights:
         queries, answers, total = self._range_setup(6)
         with pytest.raises(ValueError, match="row_cache"):
             multiplicative_weights(queries, answers, row_cache=np.zeros((2, 2)))
-
-    def test_mwem_update_support_bit_identical(self):
-        rng = np.random.default_rng(8)
-        n = 64
-        x_hat = rng.random(n) * 10.0
-        row = np.zeros(n)
-        row[10:23] = 1.0
-        dense = mwem_update(x_hat, row, 57.0, total=500.0)
-        sparse = mwem_update(x_hat, row, 57.0, total=500.0, support=np.flatnonzero(row))
-        assert np.array_equal(dense, sparse)
-
-    def test_mwem_update_empty_support(self):
-        x_hat = np.full(8, 2.0)
-        row = np.zeros(8)
-        dense = mwem_update(x_hat, row, 3.0, total=16.0)
-        sparse = mwem_update(x_hat, row, 3.0, total=16.0, support=np.flatnonzero(row))
-        assert np.array_equal(dense, sparse)
 
 
 class TestTotalEstimation:

@@ -949,6 +949,12 @@ class TestOrphanClaiming:
         orphan = session.events[-1]
         assert orphan.error == "WorkerDeath"
         assert orphan.epsilon_spent == pytest.approx(failure.epsilon_spent)
+        # The metrics odometer agrees with the audit trail, claims included.
+        odometer = scheduler.metrics.privacy_odometer()["acme"]
+        assert odometer["total_spent"] == pytest.approx(
+            math.fsum(event.epsilon_spent for event in session.events), abs=1e-12
+        )
+        assert odometer["requests"] == len(session.events)
 
     def test_worker_death_at_entry_spends_nothing(self, manager, relation):
         faults = FaultInjector()

@@ -264,24 +264,6 @@ class TestInferenceFastPaths:
         expected = self._reference_mw(queries, answers, total, iterations=5)
         np.testing.assert_allclose(result.x_hat, expected, rtol=1e-9)
 
-    def test_mw_batched_mode_converges(self):
-        from repro.operators.inference import multiplicative_weights
-
-        rng = _rng(44)
-        queries = HierarchicalQueries(32)
-        x_true = rng.integers(0, 30, size=32).astype(np.float64)
-        answers = queries.matvec(x_true)
-        result = multiplicative_weights(
-            queries, answers, total=float(x_true.sum()), iterations=60, mode="batched"
-        )
-        assert result.residual_norm < 0.05 * np.linalg.norm(answers)
-
-    def test_mw_unknown_mode_rejected(self):
-        from repro.operators.inference import multiplicative_weights
-
-        with pytest.raises(ValueError, match="mode"):
-            multiplicative_weights(Identity(4), np.ones(4), mode="nope")
-
     def test_least_squares_normal_matches_lsmr(self):
         from repro.operators.inference import least_squares
 

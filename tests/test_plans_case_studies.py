@@ -1,11 +1,17 @@
 """Tests for the case-study plans: MWEM variants, striped census plans, PrivBayes,
 the CDF estimator and the Naive Bayes plans (Sec. 9)."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.accounting import ZCDPAccountant, zcdp_rho_for_epsilon_delta
 from repro.analysis import per_query_l2_error, roc_auc
 from repro.dataset import load_1d, small_census, synthetic_credit_default
+from repro.matrix import DenseMatrix, VStack
+from repro.operators.inference import multiplicative_weights, nnls_with_total
+from repro.operators.selection.worst_approx import augment_with_hierarchy, worst_approximated
 from repro.plans import (
     DawaStripedPlan,
     HbStripedKronPlan,
@@ -47,6 +53,53 @@ class TestMwemVariants:
         result = plan.run(source, 0.5)
         assert result.budget_spent == pytest.approx(0.5, abs=1e-9)
         assert np.all(np.isfinite(result.x_hat))
+
+    @pytest.mark.parametrize(
+        "plan_class", [MwemPlan, MwemVariantB, MwemVariantC, MwemVariantD]
+    )
+    def test_rounds_are_the_operator_sequence(self, plan_class, setup):
+        """Each plan is SW, optionally SH2, LM, then MW or NLS, round by round."""
+        x, workload = setup
+        n, total, epsilon = x.size, float(x.sum()), 0.5
+        plan = plan_class(workload, rounds=2, total_records=total)
+        result = plan.run(_source(x, epsilon, seed=3), epsilon)
+
+        source = _source(x, epsilon, seed=3)
+        per_round = epsilon / 2
+        x_hat = np.full(n, total / n)
+        matrices, answers = [], []
+        for round_index in range(2):
+            _, row = worst_approximated(source, workload, x_hat, per_round / 2)
+            if plan_class in (MwemVariantB, MwemVariantD):
+                measurement = augment_with_hierarchy(row, round_index, n)
+            else:
+                measurement = DenseMatrix(row.reshape(1, -1))
+            matrices.append(measurement)
+            answers.append(source.vector_laplace(measurement, per_round / 2))
+            stacked = matrices[0] if len(matrices) == 1 else VStack(matrices)
+            if plan_class in (MwemVariantC, MwemVariantD):
+                x_hat = nnls_with_total(stacked, np.concatenate(answers), total=total).x_hat
+            else:
+                x_hat = multiplicative_weights(
+                    stacked, np.concatenate(answers), total=total, x0=x_hat, iterations=10
+                ).x_hat
+        assert result.x_hat.tobytes() == x_hat.tobytes()
+        assert result.budget_spent == source.budget_consumed()
+
+    def test_variant_takes_gaussian_noise_under_zcdp(self, setup):
+        x, workload = setup
+        relation = make_vector_relation(np.asarray(x, dtype=float))
+        source = protect(
+            relation, seed=4, accountant=ZCDPAccountant(epsilon=5.0, delta=1e-6)
+        ).vectorize()
+        plan = MwemVariantD(workload, rounds=3, total_records=float(x.sum()), noise="gaussian")
+        result = plan.run(source, 0.6)
+        history = source.kernel.history()
+        assert [r.operator for r in history] == ["ExponentialMechanism", "VectorGaussian"] * 3
+        half_round = 0.6 / 3 / 2
+        rho = 3 * (half_round**2 / 8 + zcdp_rho_for_epsilon_delta(half_round, 1e-6))
+        assert result.budget_spent == pytest.approx(rho, rel=1e-12)
+        assert result.budget_spent == pytest.approx(math.fsum(r.cost for r in history))
 
     def test_variant_b_measures_more_queries_per_round(self, setup):
         x, workload = setup

@@ -3,19 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.dataset import load_1d, load_2d
+from repro.dataset import Attribute, Relation, Schema, load_1d, load_2d
 from repro.matrix import Identity, Kronecker, Prefix, Total, VStack
 from repro.plans import (
+    AdaptiveGridPlan,
     AhpPlan,
     DawaPlan,
+    DawaStripedPlan,
     GreedyHPlan,
     HdmmPlan,
     IdentityPlan,
     MwemPlan,
+    MwemVariantB,
+    MwemVariantC,
+    MwemVariantD,
     PriveletPlan,
+    PrivBayesLsPlan,
     UniformGridPlan,
     UniformPlan,
+    cdf_estimator,
+    naive_bayes,
+    nb_select_ls,
 )
+from repro.plans.base import split_budget
 from repro.private import protect
 from repro.workload import random_range_workload
 from tests.conftest import make_vector_relation
@@ -55,6 +65,84 @@ class TestErrorPaths:
         source = _source(x)
         with pytest.raises(ValueError):
             IdentityPlan().run(source, 0.0)
+
+
+def _nb_select_ls(table, relation, monkeypatch):
+    # SelectLS protects its training relation itself; hand it the test's kernel.
+    monkeypatch.setattr(naive_bayes, "protect", lambda *args, **kwargs: table)
+    nb_select_ls(relation, "label", ["x"], 0.5, dawa_share=1.5)
+
+
+def _mwem_without_rounds(plan_class):
+    def run(table, relation, monkeypatch):
+        workload = random_range_workload(128, 10, seed=0)
+        plan_class(workload, rounds=0).run(table.vectorize(), 0.5)
+
+    return run
+
+
+class TestBudgetSplitParameters:
+    """An out-of-range budget split is rejected before the plan's first charge."""
+
+    @pytest.fixture
+    def relation(self):
+        # label x 64 cells: SelectLS's joint histogram (128 cells) takes the
+        # DAWA subplan, and the 128-cell vector fits every plan below.
+        counts = np.random.default_rng(3).integers(0, 30, size=128)
+        schema = Schema.build([Attribute("label", 2), Attribute("x", 64)])
+        return Relation.from_histogram(schema, counts)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(
+                lambda t, r, m: AhpPlan(partition_share=1.5).run(t.vectorize(), 0.5),
+                id="AHP",
+            ),
+            pytest.param(
+                lambda t, r, m: DawaPlan(partition_share=2.0).run(t.vectorize(), 0.5),
+                id="DAWA",
+            ),
+            pytest.param(
+                lambda t, r, m: DawaStripedPlan((2, 64), 1, partition_share=1.5).run(
+                    t.vectorize(), 0.5
+                ),
+                id="DAWA-Striped",
+            ),
+            pytest.param(
+                lambda t, r, m: AdaptiveGridPlan((8, 16), first_level_share=1.5).run(
+                    t.vectorize(), 0.5
+                ),
+                id="AdaptiveGrid",
+            ),
+            pytest.param(
+                lambda t, r, m: cdf_estimator(t, "x", 0.5, partition_share=1.5),
+                id="cdf_estimator",
+            ),
+            pytest.param(_nb_select_ls, id="nb_select_ls"),
+            pytest.param(
+                lambda t, r, m: PrivBayesLsPlan((2, 64), select_share=1.2).run(
+                    t.vectorize(), 0.5
+                ),
+                id="PrivBayesLS",
+            ),
+            pytest.param(_mwem_without_rounds(MwemPlan), id="MWEM"),
+            pytest.param(_mwem_without_rounds(MwemVariantB), id="MWEM-b"),
+            pytest.param(_mwem_without_rounds(MwemVariantC), id="MWEM-c"),
+            pytest.param(_mwem_without_rounds(MwemVariantD), id="MWEM-d"),
+        ],
+    )
+    def test_rejected_before_spending(self, run, relation, monkeypatch):
+        table = protect(relation, 10.0, seed=0)
+        with pytest.raises(ValueError):
+            run(table, relation, monkeypatch)
+        assert table.budget_consumed() == 0.0
+
+    def test_split_keeps_the_plans_arithmetic(self):
+        assert split_budget(0.5, 0.25) == (0.25 * 0.5, 0.5 - 0.25 * 0.5)
+        for share in (0.0, 1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="share"):
+                split_budget(1.0, share)
 
 
 class TestSmallDomains:

@@ -199,6 +199,25 @@ class TestScheduler:
         assert event.history_start == event.history_end
         assert reconcile(session)["exact"]
 
+    def test_out_of_range_budget_share_rejected_before_spending(
+        self, manager, scheduler, relation
+    ):
+        session = open_session(manager, relation, epsilon_total=10.0)
+        with pytest.raises(ValueError, match="share"):
+            scheduler.execute(
+                QueryRequest(
+                    session.session_id,
+                    plan="AHP",
+                    epsilon=0.5,
+                    plan_params={"partition_share": 1.5},
+                )
+            )
+        assert session.budget_consumed() == 0.0
+        event = session.events[-1]
+        assert event.error == "ValueError"
+        assert event.epsilon_spent == 0.0
+        assert reconcile(session)["exact"]
+
     def test_close_session_drops_cache_entries(self, manager, scheduler, relation):
         session = open_session(manager, relation)
         scheduler.execute(identity_request(session))
