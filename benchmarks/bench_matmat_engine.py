@@ -2,10 +2,9 @@
 
 Measures, for structured matrices (Prefix, hierarchical VStack, Kronecker):
 
-* ``dense()`` materialisation — the vectorized blocked-matmat path versus the
-  seed's per-column baseline (``matmat(np.eye(n))`` with one interpreter-level
-  matvec per column of the identity, the old generic fallback at
-  ``matrix/base.py``);
+* ``dense()`` materialisation — the vectorized blocked-matmat path versus a
+  per-column baseline that this script keeps for itself (``_percol_dense``:
+  one interpreter-level matvec per column of ``np.eye(n)``);
 * block products ``A @ B`` for multi-column ``B`` — matmat versus per-column;
 * inference paths — multiplicative weights over a Kronecker marginal workload
   (blocked row pre-extraction versus one ``row(i)`` call per query per pass),
@@ -82,7 +81,7 @@ def _build_family(family: str, n: int) -> LinearQueryMatrix:
 
 
 def _percol_matmat(matrix: LinearQueryMatrix, B: np.ndarray) -> np.ndarray:
-    """The seed's generic matmat: one interpreter-level matvec per column."""
+    """Per-column baseline: one interpreter-level matvec per column of ``B``."""
     out = np.empty((matrix.shape[0], B.shape[1]))
     for j in range(B.shape[1]):
         out[:, j] = matrix.matvec(B[:, j])
@@ -90,7 +89,7 @@ def _percol_matmat(matrix: LinearQueryMatrix, B: np.ndarray) -> np.ndarray:
 
 
 def _percol_dense(matrix: LinearQueryMatrix) -> np.ndarray:
-    """The seed's dense(): the per-column loop over np.eye(n)."""
+    """Per-column baseline of dense(): the matvec loop over ``np.eye(n)``."""
     return _percol_matmat(matrix, np.eye(matrix.shape[1]))
 
 

@@ -18,6 +18,11 @@ can be carried out without materialisation:
 4. element-wise absolute value      (``__abs__``)
 5. element-wise square              (``square``)
 
+Every product with ``A`` or its transpose runs through one pair of kernels
+per class, ``_matmat`` and ``_rmatmat``, which act on a 2-D block; a single
+vector rides through them as a one-column block, so each class states its
+product expression once and the operand checks live only in this module.
+
 This module defines :class:`LinearQueryMatrix`, the abstract base class of all
 matrix objects in the reproduction, plus the lazy :class:`TransposeMatrix`
 view.  Concrete core matrices live in :mod:`repro.matrix.core`, combinators in
@@ -57,6 +62,17 @@ def _content_digest(*parts) -> str:
     return digest.hexdigest()[:16]
 
 
+def _as_column(v: np.ndarray, length: int, op: str) -> np.ndarray:
+    """Coerce a matvec/rmatvec operand to a float64 ``(length, 1)`` column."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (length,) and v.shape != (length, 1):
+        raise ValueError(
+            f"dimension mismatch in {op}: operand has shape {v.shape}, "
+            f"expected ({length},) or ({length}, 1)"
+        )
+    return v.reshape(length, 1)
+
+
 def _validate_operand(B: np.ndarray, expected_rows: int, op: str) -> np.ndarray:
     """Coerce a matmat/rmatmat operand to a float64 2-D array and check shape."""
     B = np.asarray(B, dtype=np.float64)
@@ -79,19 +95,18 @@ class LinearQueryMatrix:
     """A real matrix defined implicitly by its action on vectors.
 
     Subclasses must set :attr:`shape` (an ``(m, n)`` tuple) and implement
-    :meth:`matvec` and :meth:`rmatvec`.  Everything else — sensitivity, query
-    evaluation, Gram matrices, row extraction, materialisation — is derived
-    from those primitives, mirroring Table 1 of the paper.
+    the product kernels :meth:`_matmat` and :meth:`_rmatmat`.  Everything
+    else — sensitivity, query evaluation, Gram matrices, row extraction,
+    materialisation — is derived from them, mirroring Table 1 of the paper.
 
-    **Vectorized primitive protocol.**  Multi-vector products go through the
-    public :meth:`matmat` / :meth:`rmatmat` entry points, which validate the
-    operand (2-D, float64, matching row count) and dispatch to the private
-    :meth:`_matmat` / :meth:`_rmatmat` kernels.  The base kernels fall back to
-    one matvec/rmatvec per column; every structured subclass overrides them
-    with a single closed-form NumPy/BLAS call (e.g. ``cumsum(axis=0)`` for
-    Prefix, a reshaped tensor contraction for Kronecker).  Subclasses override
-    the underscore kernels only — never the public methods — so validation
-    stays uniform across the hierarchy.
+    **Vectorized primitive protocol.**  The public products :meth:`matvec` /
+    :meth:`rmatvec` (one vector) and :meth:`matmat` / :meth:`rmatmat` (a 2-D
+    block) validate the operand (float64, matching length) and dispatch to
+    the kernels, a single vector riding as a one-column block.  Each kernel is
+    one closed-form NumPy/BLAS call (e.g. ``cumsum(axis=0)`` for Prefix, a
+    reshaped tensor contraction for Kronecker).  Subclasses override the
+    underscore kernels only — never the public methods — so validation stays
+    uniform across the hierarchy.
     """
 
     #: (rows, columns) of the represented matrix.
@@ -103,15 +118,20 @@ class LinearQueryMatrix:
     __array_ufunc__ = None
 
     # ------------------------------------------------------------------
-    # Primitive methods (subclasses override matvec/rmatvec at minimum).
+    # Primitive methods (subclasses implement _matmat/_rmatmat).
     # ------------------------------------------------------------------
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Return ``A @ v`` for a vector ``v`` of length ``self.shape[1]``."""
-        raise NotImplementedError
+        """Return ``A @ v`` as a fresh ``(m,)`` array.
+
+        ``v`` has shape ``(n,)`` or ``(n, 1)``; it rides through
+        :meth:`_matmat` as a one-column block.
+        """
+        return self._matmat(_as_column(v, self.shape[1], "matvec"))[:, 0]
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Return ``A.T @ v`` for a vector ``v`` of length ``self.shape[0]``."""
-        raise NotImplementedError
+        """Return ``A.T @ v`` as a fresh ``(n,)`` array for ``v`` of shape
+        ``(m,)`` or ``(m, 1)``."""
+        return self._rmatmat(_as_column(v, self.shape[0], "rmatvec"))[:, 0]
 
     @property
     def T(self) -> "LinearQueryMatrix":
@@ -121,12 +141,11 @@ class LinearQueryMatrix:
     def __matmul__(self, other):
         """Matrix product.
 
-        ``A @ v`` with a 1-D array delegates to :meth:`matvec`; ``A @ B`` with
-        another :class:`LinearQueryMatrix` returns a lazy product (primitive
-        method 3).  2-D ndarrays are multiplied column-by-column.
+        ``A @ v`` with a 1-D array delegates to :meth:`matvec` and a 2-D
+        ndarray to :meth:`matmat`; ``A @ B`` with another
+        :class:`LinearQueryMatrix` returns a lazy product (primitive method 3).
         """
         from .combinators import Product
-        from .dense import DenseMatrix
 
         if isinstance(other, LinearQueryMatrix):
             return Product(self, other)
@@ -157,18 +176,18 @@ class LinearQueryMatrix:
         return self._rmatmat(B)
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
-        """Kernel behind :meth:`matmat`; fallback is one matvec per column."""
-        out = np.empty((self.shape[0], B.shape[1]), dtype=np.float64)
-        for j in range(B.shape[1]):
-            out[:, j] = self.matvec(B[:, j])
-        return out
+        """Kernel behind :meth:`matvec`/:meth:`matmat`: ``A @ B`` for a
+        validated float64 ``(n, k)`` block, returned as fresh memory."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement the product kernels _matmat and _rmatmat"
+        )
 
     def _rmatmat(self, B: np.ndarray) -> np.ndarray:
-        """Kernel behind :meth:`rmatmat`; fallback is one rmatvec per column."""
-        out = np.empty((self.shape[1], B.shape[1]), dtype=np.float64)
-        for j in range(B.shape[1]):
-            out[:, j] = self.rmatvec(B[:, j])
-        return out
+        """Kernel behind :meth:`rmatvec`/:meth:`rmatmat`: ``A.T @ B`` for a
+        validated float64 ``(m, k)`` block, returned as fresh memory."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must implement the product kernels _matmat and _rmatmat"
+        )
 
     def __abs__(self) -> "LinearQueryMatrix":
         """Element-wise absolute value (primitive method 4).
@@ -210,8 +229,23 @@ class LinearQueryMatrix:
 
         return Product(self.T, self)
 
+    def _row_indices(self, indices) -> np.ndarray:
+        """Row indices as a 1-D ``intp`` array, each in ``0 <= i < m``.
+
+        The one index rule of :meth:`row` and :meth:`rows`: every override
+        checks through here, so a negative index is an ``IndexError`` on
+        every class.
+        """
+        indices = np.atleast_1d(np.asarray(indices, dtype=np.intp))
+        if indices.ndim != 1:
+            raise ValueError("rows expects a 1-D collection of row indices")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.shape[0]):
+            raise IndexError("row index out of range")
+        return indices
+
     def row(self, i: int) -> np.ndarray:
         """Materialise row ``i`` as a dense vector (``A.T @ e_i``)."""
+        (i,) = self._row_indices(i)
         e = np.zeros(self.shape[0])
         e[i] = 1.0
         return self.rmatvec(e)
@@ -224,12 +258,8 @@ class LinearQueryMatrix:
         vectorized kernel call per block instead of one interpreter-level
         rmatvec per row.
         """
-        indices = np.atleast_1d(np.asarray(indices, dtype=np.intp))
-        if indices.ndim != 1:
-            raise ValueError("rows expects a 1-D collection of row indices")
+        indices = self._row_indices(indices)
         m = self.shape[0]
-        if indices.size and (indices.min() < 0 or indices.max() >= m):
-            raise IndexError("row index out of range")
         # Shrink the block so the scratch basis stays bounded even for
         # matrices with millions of rows.
         block_size = max(1, min(block_size, _ROWS_SCRATCH_CELLS // max(m, 1)))
@@ -380,12 +410,6 @@ class TransposeMatrix(LinearQueryMatrix):
     def __init__(self, base: LinearQueryMatrix):
         self.base = base
         self.shape = (base.shape[1], base.shape[0])
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.base.rmatvec(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self.base.matvec(v)
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self.base._rmatmat(B)

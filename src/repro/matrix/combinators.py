@@ -44,19 +44,6 @@ class VStack(LinearQueryMatrix):
         rows = sum(m.shape[0] for m in self.matrices)
         self.shape = (rows, n)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([m.matvec(v) for m in self.matrices])
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        out = np.zeros(self.shape[1])
-        offset = 0
-        for m in self.matrices:
-            rows = m.shape[0]
-            out += m.rmatvec(v[offset : offset + rows])
-            offset += rows
-        return out
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return np.concatenate([m._matmat(B) for m in self.matrices], axis=0)
 
@@ -107,12 +94,11 @@ class VStack(LinearQueryMatrix):
         return ("VStack", tuple(m.strategy_key() for m in self.matrices))
 
     def row(self, i: int) -> np.ndarray:
-        offset = 0
+        (i,) = self._row_indices(i)
         for m in self.matrices:
-            if i < offset + m.shape[0]:
-                return m.row(i - offset)
-            offset += m.shape[0]
-        raise IndexError("row index out of range")
+            if i < m.shape[0]:
+                return m.row(i)
+            i -= m.shape[0]
 
     def split_answers(self, y: np.ndarray) -> list[np.ndarray]:
         """Split a stacked answer vector back into per-sub-matrix pieces."""
@@ -137,19 +123,6 @@ class HStack(LinearQueryMatrix):
                 raise ValueError("all stacked matrices must have the same row count")
         cols = sum(m.shape[1] for m in self.matrices)
         self.shape = (m_rows, cols)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        out = np.zeros(self.shape[0])
-        offset = 0
-        for m in self.matrices:
-            cols = m.shape[1]
-            out += m.matvec(v[offset : offset + cols])
-            offset += cols
-        return out
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([m.rmatvec(v) for m in self.matrices])
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         out = np.zeros((self.shape[0], B.shape[1]))
@@ -190,12 +163,6 @@ class Product(LinearQueryMatrix):
                 f"incompatible shapes for product: {self.left.shape} @ {self.right.shape}"
             )
         self.shape = (self.left.shape[0], self.right.shape[1])
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.left.matvec(self.right.matvec(v))
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self.right.rmatvec(self.left.rmatvec(v))
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self.left._matmat(self.right._matmat(B))
@@ -238,12 +205,6 @@ class Weighted(LinearQueryMatrix):
         self.base = ensure_matrix(base)
         self.weight = float(weight)
         self.shape = self.base.shape
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.weight * self.base.matvec(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self.weight * self.base.rmatvec(v)
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self.weight * self.base._matmat(B)
@@ -304,7 +265,7 @@ class Kronecker(LinearQueryMatrix):
         self.shape = (rows, cols)
 
     def _apply_factors(self, block: np.ndarray, transpose: bool) -> np.ndarray:
-        """Tensor contraction behind matvec/rmatvec/matmat/rmatmat.
+        """Tensor contraction behind the ``_matmat``/``_rmatmat`` kernels.
 
         ``block`` has shape ``(n, k)`` (or ``(m, k)`` when ``transpose``); the
         ``k`` right-hand sides ride along as a trailing tensor axis so every
@@ -326,14 +287,6 @@ class Kronecker(LinearQueryMatrix):
             tensor = np.moveaxis(tensor, 0, axis)
         out_rows = self.shape[1] if transpose else self.shape[0]
         return tensor.reshape(out_rows, k)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return self._apply_factors(v.reshape(-1, 1), transpose=False).ravel()
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return self._apply_factors(v.reshape(-1, 1), transpose=True).ravel()
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self._apply_factors(B, transpose=False)

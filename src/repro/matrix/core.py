@@ -32,12 +32,6 @@ class Identity(LinearQueryMatrix):
         self.n = int(n)
         self.shape = (self.n, self.n)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64).copy()
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=np.float64).copy()
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return B.copy()
 
@@ -84,14 +78,6 @@ class Ones(LinearQueryMatrix):
         if m <= 0 or n <= 0:
             raise ValueError("Ones requires positive dimensions")
         self.shape = (int(m), int(n))
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        total = float(np.sum(v))
-        return np.full(self.shape[0], total)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        total = float(np.sum(v))
-        return np.full(self.shape[1], total)
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return np.tile(B.sum(axis=0), (self.shape[0], 1))
@@ -155,13 +141,6 @@ class Prefix(LinearQueryMatrix):
         self.n = int(n)
         self.shape = (self.n, self.n)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.cumsum(np.asarray(v, dtype=np.float64))
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        # Suffix sums: (Prefix.T v)_j = sum_{k >= j} v_k
-        return np.cumsum(np.asarray(v, dtype=np.float64)[::-1])[::-1]
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return np.cumsum(B, axis=0)
 
@@ -208,12 +187,6 @@ class Suffix(LinearQueryMatrix):
         self.n = int(n)
         self.shape = (self.n, self.n)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.cumsum(np.asarray(v, dtype=np.float64)[::-1])[::-1]
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return np.cumsum(np.asarray(v, dtype=np.float64))
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return np.cumsum(B[::-1], axis=0)[::-1]
 
@@ -259,7 +232,6 @@ def _haar_matmat(B: np.ndarray) -> np.ndarray:
     of the left and right halves of each dyadic interval.  ``n`` must be a
     power of two.
     """
-    B = np.asarray(B, dtype=np.float64)
     rows = [B.sum(axis=0, keepdims=True)]
     current = B
     while current.shape[0] > 1:
@@ -275,14 +247,8 @@ def _haar_matmat(B: np.ndarray) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
-def _haar_matvec(v: np.ndarray) -> np.ndarray:
-    """1-D convenience wrapper around :func:`_haar_matmat`."""
-    return _haar_matmat(np.asarray(v, dtype=np.float64).reshape(-1, 1)).ravel()
-
-
 def _haar_rmatmat(U: np.ndarray, n: int) -> np.ndarray:
     """Transpose of :func:`_haar_matmat` applied to an ``(n, k)`` block."""
-    U = np.asarray(U, dtype=np.float64)
     result = np.repeat(U[:1], n, axis=0)
     idx = 1
     size = 1
@@ -300,11 +266,6 @@ def _haar_rmatmat(U: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def _haar_rmatvec(u: np.ndarray, n: int) -> np.ndarray:
-    """1-D convenience wrapper around :func:`_haar_rmatmat`."""
-    return _haar_rmatmat(np.asarray(u, dtype=np.float64).reshape(-1, 1), n).ravel()
-
-
 class HaarWavelet(LinearQueryMatrix):
     """The ``n x n`` Haar wavelet transform matrix (n a power of two).
 
@@ -320,16 +281,6 @@ class HaarWavelet(LinearQueryMatrix):
         self.n = n
         self.shape = (n, n)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch in HaarWavelet.matvec")
-        return _haar_matvec(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        if len(v) != self.n:
-            raise ValueError("dimension mismatch in HaarWavelet.rmatvec")
-        return _haar_rmatvec(v, self.n)
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return _haar_matmat(B)
 
@@ -340,9 +291,6 @@ class HaarWavelet(LinearQueryMatrix):
         # Every column has exactly one +/-1 entry at each of the log2(n)
         # difference levels plus the total row.
         return float(1 + np.log2(self.n))
-
-    def dense(self) -> np.ndarray:
-        return self.matmat(np.eye(self.n))
 
     def sparse(self) -> sp.csr_matrix:
         # Built structurally, row by row in the order of _haar_matmat: the

@@ -25,12 +25,6 @@ class DenseMatrix(LinearQueryMatrix):
         self.array = array
         self.shape = array.shape
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.array @ np.asarray(v, dtype=np.float64)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self.array.T @ np.asarray(v, dtype=np.float64)
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self.array @ B
 
@@ -63,10 +57,11 @@ class DenseMatrix(LinearQueryMatrix):
         return sp.csr_matrix(self.array)
 
     def row(self, i: int) -> np.ndarray:
+        (i,) = self._row_indices(i)
         return self.array[i].copy()
 
     def rows(self, indices, block_size: int = 256) -> np.ndarray:
-        return self.array[np.asarray(indices, dtype=np.intp)].copy()
+        return self.array[self._row_indices(indices)]
 
 
 class SparseMatrix(LinearQueryMatrix):
@@ -89,12 +84,6 @@ class SparseMatrix(LinearQueryMatrix):
         if self._transpose is None:
             self._transpose = self.matrix.T
         return self._transpose
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matrix @ np.asarray(v, dtype=np.float64)).ravel()
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self._transposed() @ np.asarray(v, dtype=np.float64)).ravel()
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return np.asarray(self.matrix @ B)
@@ -130,11 +119,11 @@ class SparseMatrix(LinearQueryMatrix):
         return self.matrix
 
     def row(self, i: int) -> np.ndarray:
+        (i,) = self._row_indices(i)
         return np.asarray(self.matrix.getrow(i).todense()).ravel()
 
     def rows(self, indices, block_size: int = 256) -> np.ndarray:
-        indices = np.asarray(indices, dtype=np.intp)
-        return np.asarray(self.matrix[indices].todense())
+        return np.asarray(self.matrix[self._row_indices(indices)].todense())
 
     @property
     def nnz(self) -> int:

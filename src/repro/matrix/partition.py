@@ -66,14 +66,6 @@ class ReductionMatrix(LinearQueryMatrix):
         """
         return np.asarray(self._csr() @ B)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return np.bincount(self.groups, weights=v, minlength=self.num_groups)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return v[self.groups]
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self._group_sum(B)
 
@@ -119,8 +111,7 @@ class ReductionMatrix(LinearQueryMatrix):
 
     def expand_vector(self, x_reduced: np.ndarray) -> np.ndarray:
         """Spread reduced counts uniformly back over each group: ``x = P+ x'``."""
-        x_reduced = np.asarray(x_reduced, dtype=np.float64)
-        return (x_reduced / self.group_sizes)[self.groups]
+        return self.pseudo_inverse().matvec(x_reduced)
 
     def reduce_workload(self, workload) -> LinearQueryMatrix:
         """Transform a workload onto the reduced domain: ``W' = W P+``."""
@@ -167,14 +158,6 @@ class ExpansionMatrix(LinearQueryMatrix):
         self.reduction = reduction
         self.shape = (reduction.n, reduction.num_groups)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.reduction.expand_vector(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        sums = np.bincount(self.reduction.groups, weights=v, minlength=self.reduction.num_groups)
-        return sums / self.reduction.group_sizes
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return (B / self.reduction.group_sizes[:, np.newaxis])[self.reduction.groups]
 
@@ -217,15 +200,6 @@ class _SquaredExpansionMatrix(LinearQueryMatrix):
     def __init__(self, reduction: ReductionMatrix):
         self.reduction = reduction
         self.shape = (reduction.n, reduction.num_groups)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        return (v / self.reduction.group_sizes**2)[self.reduction.groups]
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        sums = np.bincount(self.reduction.groups, weights=v, minlength=self.reduction.num_groups)
-        return sums / self.reduction.group_sizes**2
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return (B / self.reduction.group_sizes[:, np.newaxis] ** 2)[self.reduction.groups]

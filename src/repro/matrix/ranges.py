@@ -72,12 +72,6 @@ class RangeQueries(LinearQueryMatrix):
         data[starts] = -1.0
         return SparseMatrix(sp.csr_matrix((data, indices, indptr), shape=self.shape))
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._product.matvec(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self._product.rmatvec(v)
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self._product._matmat(B)
 
@@ -108,6 +102,7 @@ class RangeQueries(LinearQueryMatrix):
         return sp.csr_matrix((np.ones(indptr[-1]), indices, indptr), shape=self.shape)
 
     def row(self, i: int) -> np.ndarray:
+        (i,) = self._row_indices(i)
         lo, hi = self.intervals[i]
         r = np.zeros(self.n)
         r[lo : hi + 1] = 1.0
@@ -117,7 +112,7 @@ class RangeQueries(LinearQueryMatrix):
         # 0/1 indicator rows are written directly from the interval endpoints:
         # a +1/-1 boundary "paintbrush" cumsummed along each row is far cheaper
         # than routing basis vectors through Prefix.
-        indices = np.atleast_1d(np.asarray(indices, dtype=np.intp))
+        indices = self._row_indices(indices)
         bounds = np.zeros((indices.size, self.n + 1))
         out_rows = np.arange(indices.size)
         bounds[out_rows, self._lo[indices]] = 1.0
@@ -185,12 +180,6 @@ class HierarchicalQueries(LinearQueryMatrix):
         self._union = VStack(parts)
         self.shape = self._union.shape
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._union.matvec(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self._union.rmatvec(v)
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self._union._matmat(B)
 
@@ -211,9 +200,6 @@ class HierarchicalQueries(LinearQueryMatrix):
 
     def row(self, i: int) -> np.ndarray:
         return self._union.row(i)
-
-    def rows(self, indices, block_size: int = 256) -> np.ndarray:
-        return self._union.rows(indices, block_size=block_size)
 
     def _build_strategy_key(self) -> tuple:
         return ("Hierarchical", self.n, self.branching)
@@ -295,12 +281,6 @@ class RangeQueries2D(LinearQueryMatrix):
         mat = sp.csr_matrix((vals, (rows_idx, cols_idx)), shape=self.shape)
         return SparseMatrix(mat)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._product.matvec(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self._product.rmatvec(v)
-
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return self._product._matmat(B)
 
@@ -331,6 +311,7 @@ class RangeQueries2D(LinearQueryMatrix):
         return sp.csr_matrix((np.ones(cells.size), cells, indptr), shape=self.shape)
 
     def row(self, i: int) -> np.ndarray:
+        (i,) = self._row_indices(i)
         r_lo, r_hi, c_lo, c_hi = self.rects[i]
         block = np.zeros((self.grid_rows, self.grid_cols))
         block[r_lo : r_hi + 1, c_lo : c_hi + 1] = 1.0
@@ -338,7 +319,7 @@ class RangeQueries2D(LinearQueryMatrix):
 
     def rows(self, indices, block_size: int = 256) -> np.ndarray:
         # Rectangle-indicator rows written directly from the corner coordinates.
-        indices = np.atleast_1d(np.asarray(indices, dtype=np.intp))
+        indices = self._row_indices(indices)
         out = np.zeros((indices.size, self.grid_rows, self.grid_cols))
         for r, i in enumerate(indices):
             r_lo, r_hi, c_lo, c_hi = self.rects[i]

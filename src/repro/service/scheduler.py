@@ -69,6 +69,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 from typing import Sequence
 
@@ -581,21 +582,34 @@ class PlanScheduler:
         event with the true partial spend, so the session's ledger still
         reconciles exactly; its failure carries ``ledgered=False``.
         """
-        assigned = []
+        # Each request resolves its session here, once, before dispatch: a
+        # worker that starts after a drain-close dropped the session from
+        # the manager still holds it, and so rejects with the
+        # SessionClosedError that close documents.  An unknown session id
+        # fails only its own slot.
+        assigned: list[tuple[QueryRequest, Session | KeyError]] = []
         for request in requests:
-            if request.request_id is None:
+            try:
                 session = self.manager.get(request.session_id)
+            except KeyError as exc:
+                assigned.append((request, exc))
+                continue
+            if request.request_id is None:
                 request = replace(request, request_id=session.next_request_id())
-            assigned.append(request)
-        if not assigned:
-            return []
+            assigned.append((request, session))
         queued_at = time.perf_counter()
-        futures = [
-            self.executor.submit(self._execute_assigned, request, queued_at)
-            for request in assigned
-        ]
+        futures: list[Future] = []
+        for request, session in assigned:
+            if isinstance(session, KeyError):
+                future = Future()
+                future.set_exception(session)
+            else:
+                future = self.executor.submit(
+                    self._execute_guarded, session, request, queued_at
+                )
+            futures.append(future)
         results: list[QueryResponse | Exception] = []
-        for index, (request, future) in enumerate(zip(assigned, futures)):
+        for index, ((request, _), future) in enumerate(zip(assigned, futures)):
             try:
                 results.append(future.result())
             except (Exception, WorkerDeath) as exc:
@@ -655,8 +669,3 @@ class PlanScheduler:
                 )
         return orphans
 
-    def _execute_assigned(
-        self, request: QueryRequest, queued_at: float | None = None
-    ) -> QueryResponse:
-        session = self.manager.get(request.session_id)
-        return self._execute_guarded(session, request, queued_at)

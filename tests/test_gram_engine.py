@@ -223,11 +223,11 @@ class TestStrategyKeys:
                 self.array = np.asarray(array, dtype=np.float64)
                 self.shape = self.array.shape
 
-            def matvec(self, v):
-                return self.array @ v
+            def _matmat(self, B):
+                return self.array @ B
 
-            def rmatvec(self, v):
-                return self.array.T @ v
+            def _rmatmat(self, B):
+                return self.array.T @ B
 
         one = Custom([[1.0, 2.0], [0.0, 1.0]])
         same = Custom([[1.0, 2.0], [0.0, 1.0]])

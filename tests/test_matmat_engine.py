@@ -1,15 +1,23 @@
-"""Property tests for the vectorized matmat/rmatmat primitive protocol.
+"""Property tests for the product protocol of the matrix engine.
 
-Every matrix class in the registry below must satisfy, for random 2-D blocks:
+Each matrix class implements one pair of product kernels, ``_matmat`` and
+``_rmatmat``; ``matvec``/``rmatvec`` are the one-column case of the same
+kernels.  A structural test pins that rule over every class in
+:mod:`repro.matrix`.  Every matrix in the registry below (one per class, plus
+nested Kronecker / VStack / Product compositions) must satisfy:
 
-* ``matmat(B)`` equals the column-stacked ``matvec`` results,
-* ``rmatmat(B)`` equals the column-stacked ``rmatvec`` results,
-* ``rows(indices)`` equals stacking ``row(i)`` per index,
-* ``dense()`` is consistent with matvec on basis vectors,
+* ``matvec(v)`` equals ``dense() @ v``, with the same float64 ``(m,)`` result
+  for ``(n,)``, ``(n, 1)``, list and int64 input, in memory not shared with
+  the input, and a ``dimension mismatch`` ``ValueError`` on a wrong length
+  (likewise ``rmatvec``),
+* ``matmat(B)`` / ``rmatmat(B)`` equal the column-stacked single-vector
+  products,
+* ``rows(indices)`` equals stacking ``row(i)`` per index, and both raise
+  ``IndexError`` outside ``0 <= i < m``,
+* ``dense()`` is consistent with matvec on basis vectors.
 
-including nested Kronecker / VStack / Product compositions.  The protocol's
-shared validation (float64 output, 1-D rejection, shape checks) is asserted
-once against representative classes.
+The block operand checks (float64 output, 1-D rejection, shape checks) are
+asserted once against representative classes.
 """
 
 from __future__ import annotations
@@ -133,9 +141,9 @@ class TestMatmatEqualsColumnStackedMatvec:
 
     def test_single_column(self, matrix):
         v = _rng(3).normal(size=matrix.shape[1])
-        np.testing.assert_allclose(
-            matrix.matmat(v.reshape(-1, 1)).ravel(), matrix.matvec(v), atol=1e-10
-        )
+        np.testing.assert_allclose(matrix.matvec(v), matrix.dense() @ v, atol=1e-10)
+        u = _rng(3).normal(size=matrix.shape[0])
+        np.testing.assert_allclose(matrix.rmatvec(u), matrix.dense().T @ u, atol=1e-10)
 
     def test_transpose_view_consistency(self, matrix):
         B = _rng(4).normal(size=(matrix.shape[0], 3))
@@ -220,6 +228,78 @@ class TestOperandValidation:
         assert out.dtype == np.float64
         out_r = matrix.rmatmat(np.ones((matrix.shape[0], 2), dtype=np.int32))
         assert out_r.dtype == np.float64
+
+
+class TestSingleVectorProducts:
+    """matvec/rmatvec: one validation and one result form for every class."""
+
+    @pytest.mark.parametrize("op", ["matvec", "rmatvec"])
+    def test_wrong_length_raises(self, matrix, op):
+        length = matrix.shape[1] if op == "matvec" else matrix.shape[0]
+        product = getattr(matrix, op)
+        for bad in (np.ones(length + 1), np.ones(length - 1), np.ones((length, 2))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                product(bad)
+
+    @pytest.mark.parametrize("op", ["matvec", "rmatvec"])
+    def test_input_forms_agree(self, matrix, op):
+        length, out_length = matrix.shape[::-1] if op == "matvec" else matrix.shape
+        product = getattr(matrix, op)
+        ints = np.arange(length, dtype=np.int64) - length // 2
+        floats = ints.astype(np.float64)
+        expected = product(floats)
+        assert expected.dtype == np.float64 and expected.shape == (out_length,)
+        for v in (floats.reshape(-1, 1), ints, ints.tolist()):
+            out = product(v)
+            assert out.dtype == np.float64 and out.shape == (out_length,)
+            np.testing.assert_array_equal(out, expected)
+        for v in (floats, floats.reshape(-1, 1)):
+            assert not np.shares_memory(product(v), v)
+
+
+class TestRowIndexRule:
+    def test_out_of_range_index_raises(self, matrix):
+        m = matrix.shape[0]
+        for bad in (-1, m):
+            with pytest.raises(IndexError):
+                matrix.row(bad)
+            with pytest.raises(IndexError):
+                matrix.rows([bad])
+
+
+def _subclasses(cls: type) -> list[type]:
+    found = []
+    for sub in cls.__subclasses__():
+        found += [sub, *_subclasses(sub)]
+    return found
+
+
+class TestProductProtocol:
+    """Subclasses implement the kernels, never the public products."""
+
+    def test_library_classes_override_only_the_kernels(self):
+        import repro.matrix  # noqa: F401 - defines every library class
+
+        classes = [
+            cls for cls in _subclasses(LinearQueryMatrix) if cls.__module__.startswith("repro.")
+        ]
+        assert len(classes) >= 20
+        for cls in classes:
+            for name in ("matvec", "rmatvec", "matmat", "rmatmat"):
+                assert name not in vars(cls), f"{cls.__name__} overrides {name}"
+            for name in ("_matmat", "_rmatmat"):
+                assert getattr(cls, name) is not getattr(LinearQueryMatrix, name), (
+                    f"{cls.__name__} lacks the {name} kernel"
+                )
+
+    def test_missing_kernels_raise_naming_the_protocol(self):
+        class NoKernels(LinearQueryMatrix):
+            shape = (2, 2)
+
+        with pytest.raises(NotImplementedError, match="_matmat and _rmatmat"):
+            NoKernels().matvec(np.ones(2))
+        with pytest.raises(NotImplementedError, match="_matmat and _rmatmat"):
+            NoKernels().rmatmat(np.ones((2, 1)))
 
 
 class TestInferenceFastPaths:

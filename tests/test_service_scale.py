@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.durability import FaultInjector, PrivacyJournal, WorkerDeath
 from repro.private import BudgetExceededError
 from repro.service import (
     ArtifactCache,
+    ExecutorBackend,
     InlineExecutor,
     MeasurementCache,
     PlanScheduler,
@@ -452,6 +454,58 @@ class TestDrainCloseRace:
         assert rejected.request_failure.error_type == "SessionClosedError"
         assert reconcile(session)["exact"]
         assert session.budget_consumed() == response.epsilon_spent
+
+
+class _HeldExecutor(ExecutorBackend):
+    """Holds every submitted call on one worker until ``release`` is set."""
+
+    def __init__(self):
+        self.submitted = threading.Event()
+        self.release = threading.Event()
+        self._pool = ThreadPoolExecutor(max_workers=1)
+
+    def submit(self, fn, *args) -> Future:
+        self.submitted.set()
+        return self._pool.submit(self._held, fn, *args)
+
+    def _held(self, fn, *args):
+        assert self.release.wait(timeout=10)
+        return fn(*args)
+
+    def shutdown(self, wait: bool = True) -> None:
+        self._pool.shutdown(wait=wait)
+
+
+class TestBatchQueuedAcrossClose:
+    def test_request_queued_across_drain_close_is_rejected(self, relation):
+        # The request draws its id before dispatch and its worker starts
+        # only after the drain-close has dropped the session: it must still
+        # reject as closed, un-charged, not fail the session lookup.
+        manager = SessionManager()
+        backend = _HeldExecutor()
+        scheduler = PlanScheduler(manager, executor=backend)
+        session = manager.create_session("acme", relation, 10.0, seed=1, session_id="acme-s1")
+        request = QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
+        results: list = []
+        batcher = threading.Thread(
+            target=lambda: results.extend(
+                scheduler.execute_batch([request], return_exceptions=True)
+            )
+        )
+        batcher.start()
+        assert backend.submitted.wait(timeout=10)
+        scheduler.close_session(session.session_id, drain=True)
+        backend.release.set()
+        batcher.join(timeout=10)
+        assert not batcher.is_alive()
+        scheduler.shutdown()
+
+        (rejected,) = results
+        assert isinstance(rejected, SessionClosedError)
+        failure = rejected.request_failure
+        assert failure.request_id == "acme-s1-r1" and failure.epsilon_spent == 0.0
+        assert session.closed and session.budget_consumed() == 0.0
+        assert reconcile(session)["exact"]
 
 
 class TestMovingSessions:
