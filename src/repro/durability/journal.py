@@ -8,23 +8,42 @@ crash before the commit can only waste budget (the charges of a request
 whose answer nobody saw), never leak it: no answer is released whose
 charges are not journaled.
 
-Format: JSON lines, one record per line, each prefixed with the CRC32 of its
-payload.  The records themselves (their six kinds and their fields) are
-built in :mod:`repro.durability.snapshot`; the journal only frames them::
+Format: one frame per record.  A frame is the CRC32 of the record, as
+eight hex digits, then the byte length of its raw section, a space, the
+record's JSON header (:func:`~repro.durability.serialize.pack`) and a
+newline, then the raw section: the little-endian bytes of the record's
+numpy arrays, back to back.  The records themselves (their six kinds and
+their fields) are built in :mod:`repro.durability.snapshot`; the journal
+only frames them.  An Identity request's commit at n=3, whose release
+holds a 3-entry ``x_hat`` and 3 prefix answers (48 raw bytes), elided::
 
-    0e5b2f71 {"seq":2,"kind":"commit","records":[{"kind":"charge","p":0.1,"d":0.0},...]}
+    bcc1bada 48 {"seq":2,"kind":"commit","records":[{"kind":"charge",...},
+    ...,{"kind":"release",...,"response":{...,
+    "x_hat":{"__raw__":0,"dtype":"<f8","shape":[3]},
+    "answers":{"__raw__":24,"dtype":"<f8","shape":[3]},...},...},...]}\n
+    <48 bytes: x_hat, then the answers>
+
+The header is one line in the file (wrapped here); the CRC covers it and
+the raw section.  Journals written before raw payloads hold JSON lines,
+each ``<crc> {"seq":N,...}\n`` with arrays as base64 inside the JSON: the
+journal reads them (a file may hold old lines followed by new frames) but
+never writes them.
 
 ``seq`` is a strictly sequential record number, always the first key.  On
-open, the journal scans existing content and validates each line's CRC and
-its ``{"seq":N,`` prefix for sequence continuity, without decoding the JSON;
-the first torn or corrupt record (a half-written line from a crash
-mid-append, a flipped bit) truncates the file at the last good byte — the
-journal's contract is *prefix durability*, never a gap.
+open, the journal scans existing content and validates each frame's CRC
+and its ``{"seq":N,`` prefix for sequence continuity, without decoding the
+JSON; the length lets it step over the raw section.  The first torn or
+corrupt record (a half-written frame from a crash mid-append, a flipped
+bit, a length that runs past the end of the file) truncates the file at
+the last good byte — the journal's contract is *prefix durability*, never
+a gap.
 
 The journal keeps no copy of its records in memory, so a long-lived session
 does not grow with its journal: :meth:`PrivacyJournal.iter_records` decodes
-the file (or the in-memory buffer) one line at a time on each call, which
-only restore and forensics do.
+the file (or the in-memory buffer) one frame at a time on each call, which
+only restore and forensics do, and hands out arrays that own their memory,
+so a record kept after the read (a cached release) never pins the file's
+bytes.
 
 Durability modes (``fsync=``):
 
@@ -43,7 +62,6 @@ semantics (minus fsync), which the benchmarks use to isolate append cost.
 from __future__ import annotations
 
 import io
-import json
 import os
 import threading
 import zlib
@@ -51,6 +69,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .faults import FaultInjector
+from .serialize import pack, unpack
 
 __all__ = ["PrivacyJournal", "JournalCorruptionError"]
 
@@ -61,30 +80,55 @@ class JournalCorruptionError(Exception):
     """Raised when a journal cannot be recovered (not merely truncated)."""
 
 
-def _encode_line(record: dict) -> bytes:
-    payload = json.dumps(record, separators=(",", ":"), default=float).encode("utf-8")
-    return b"%08x " % zlib.crc32(payload) + payload + b"\n"
+def _encode_frame(record: dict) -> bytes:
+    """One record, ``seq`` included, as the frame the module docs describe."""
+    header, arrays = pack(record)
+    crc = zlib.crc32(header)
+    for array in arrays:
+        crc = zlib.crc32(array, crc)
+    size = sum(array.nbytes for array in arrays)
+    return b"".join([b"%08x %d " % (crc, size), header, b"\n", *arrays])
 
 
-def _intact(raw: bytes, start: int, end: int, seq: int) -> bool:
-    """Whether the line ``raw[start:end]`` is an undamaged record numbered ``seq``.
+def _frame_at(raw: bytes, start: int) -> tuple[int, int, int] | None:
+    """The (header start, header end, frame end) of the whole frame at
+    ``start`` — the raw section runs from header end + 1 to frame end — or
+    None when what starts there is torn.  An old JSON line is a frame with
+    no length field and an empty raw section.  Nothing is checked but the
+    layout."""
+    header, size = start + 9, 0
+    if raw[header:header + 1] != b"{":
+        space = raw.find(b" ", header, header + 21)
+        if space < 0 or not raw[header:space].isdigit():
+            return None
+        header, size = space + 1, int(raw[header:space])
+    newline = raw.find(b"\n", header)
+    end = newline + 1 + size
+    if newline < 0 or end > len(raw):
+        return None
+    return header, newline, end
 
-    The line must start with its payload's CRC as :func:`_encode_line`
-    writes it, and the payload with the fixed ``{"seq":N,`` prefix (``seq``
-    is always the first key).  The JSON is not decoded and the payload is
-    not copied.
+
+def _intact(raw: bytes, start: int, frame: tuple[int, int, int], seq: int) -> bool:
+    """Whether the frame at ``start`` is an undamaged record numbered ``seq``.
+
+    Its CRC must match the header and the raw section, and the header must
+    start with the fixed ``{"seq":N,`` prefix (``seq`` is always the first
+    key).  The JSON is not decoded and nothing is copied.
     """
-    payload = start + 9
+    header, newline, end = frame
+    view = memoryview(raw)
+    crc = zlib.crc32(view[newline + 1:end], zlib.crc32(view[header:newline]))
     head = b'{"seq":%d' % seq
     return (
-        raw[start:payload] == b"%08x " % zlib.crc32(memoryview(raw)[payload:end])
-        and raw.startswith(head, payload)
-        and raw[payload + len(head):payload + len(head) + 1] in (b",", b"}")
+        raw[start:start + 9] == b"%08x " % crc
+        and raw.startswith(head, header)
+        and raw[header + len(head):header + len(head) + 1] in (b",", b"}")
     )
 
 
 class PrivacyJournal:
-    """Append-only, CRC-checked, crash-recoverable JSON-lines journal."""
+    """Append-only, CRC-checked, crash-recoverable journal of framed records."""
 
     def __init__(
         self,
@@ -118,19 +162,20 @@ class PrivacyJournal:
             return
         raw = self.path.read_bytes()
         offset = 0
-        while offset < len(raw):
-            end = raw.find(b"\n", offset)
-            if end < 0:
-                break  # torn tail: no newline ever made it to disk
-            if not _intact(raw, offset, end, self.seq + 1):
-                break  # corrupt line, or a gap in the sequence
+        while (frame := _frame_at(raw, offset)) is not None and _intact(
+            raw, offset, frame, self.seq + 1
+        ):
             self.seq += 1
-            offset = end + 1
+            offset = frame[2]
         if offset < len(raw):
-            # Count whole remaining lines (the first is the bad one).
-            tail = raw[offset:]
-            self.truncated_bytes = len(tail)
-            self.truncated_records = tail.count(b"\n") + (0 if tail.endswith(b"\n") else 1)
+            # Count the frames the tail still lays out (the first is the bad
+            # one), plus one for any torn remainder.
+            self.truncated_bytes = len(raw) - offset
+            end = offset
+            while (frame := _frame_at(raw, end)) is not None:
+                self.truncated_records += 1
+                end = frame[2]
+            self.truncated_records += end < len(raw)
             with open(self.path, "r+b") as f:
                 f.truncate(offset)
 
@@ -150,8 +195,7 @@ class PrivacyJournal:
             if self.faults is not None:
                 self.faults.fire("journal.append", record.get("kind"))
             seq = self.seq + 1
-            stamped = {"seq": seq, **record}
-            self._file.write(_encode_line(stamped))
+            self._file.write(_encode_frame({"seq": seq, **record}))
             self.seq = seq
             return seq
 
@@ -189,14 +233,14 @@ class PrivacyJournal:
             if not self._closed:
                 self._file.flush()
             raw = self._file.getvalue() if self.path is None else self.path.read_bytes()
-        # seq numbers are 1-based and dense: the n-th line holds seq n.  A
-        # torn tail has no newline and is never a record.
+        # seq numbers are 1-based and dense: the n-th frame holds seq n.  A
+        # torn tail is never a record.
         start, seq = 0, 0
-        while (end := raw.find(b"\n", start)) >= 0:
+        while (frame := _frame_at(raw, start)) is not None:
             seq += 1
+            header, newline, start = frame
             if seq > after_seq:
-                yield json.loads(raw[start + 9:end])
-            start = end + 1
+                yield unpack(raw[header:newline], memoryview(raw)[newline + 1:start])
 
     def __len__(self) -> int:
         return self.seq

@@ -1,37 +1,54 @@
-"""Lossless JSON encoding of the service's durable state.
+"""Lossless encoding of the service's durable state.
 
-Snapshots and journal records must round-trip through JSON without losing
-the two things plain JSON cannot carry:
+Snapshots and journal records must round-trip without losing the two things
+plain JSON cannot carry:
 
 * **tuples** — request cache keys are nested tuples of primitives (see
   :func:`repro.workload.builders.workload_cache_key`), and tuple-vs-list
   identity matters because restored keys must hash equal to live ones;
 * **numpy arrays** — released noisy answers must be restored *byte-identical*
-  (the crash-recovery property suite compares raw bytes), so arrays are
-  encoded as base64 of their little-endian buffer, not as decimal text.
+  (the crash-recovery property suite compares raw bytes), so arrays carry
+  their little-endian buffer, never decimal text.
 
 ``encode`` maps a value to a JSON-ready structure using tagged objects
 (``{"__tuple__": [...]}``, ``{"__ndarray__": ...}``); ``decode`` inverts it.
 Unknown objects degrade to a tagged ``repr`` string — loud in the decoded
 structure rather than silently wrong — which only ever affects free-form
 diagnostic payloads (``QueryResponse.info``), never budget or answers.
+
+Arrays take one of two forms.  The journal stores them as raw bytes:
+``encode(value, raw=True)`` leaves them in place, and :func:`pack` splits a
+record into a small JSON header, where each array is a ``{"__raw__":
+offset, "dtype", "shape"}`` tag, and the arrays whose bytes follow it;
+:func:`unpack` inverts that.  Base64 inside the JSON (``{"__ndarray__":
+...}``) remains only in snapshots, which must stay plain JSON, and in
+journal records written before raw payloads, which ``decode`` still reads.
 """
 
 from __future__ import annotations
 
 import base64
+import json
+import math
 
 import numpy as np
 
-__all__ = ["encode", "decode"]
+__all__ = ["encode", "decode", "pack", "unpack"]
 
-#: Tag keys; a plain dict that happens to contain one of these as its single
-#: key would be mis-decoded, so ``encode`` escapes such dicts under "__dict__".
-_TAGS = ("__tuple__", "__ndarray__", "__bytes__", "__repr__", "__dict__")
+#: Tag keys; a plain dict that happens to contain one of these would be
+#: mis-decoded, so ``encode`` escapes such dicts as ``{"__dict__": [[key,
+#: value], ...]}``: no JSON object with a tag key ever comes from data.
+#: (Records written before raw payloads escaped them as ``{"__dict__":
+#: {...}}``, which ``decode`` still reads.)
+_TAGS = ("__tuple__", "__ndarray__", "__raw__", "__bytes__", "__repr__", "__dict__")
 
 
-def encode(value):
-    """A JSON-serialisable structure that :func:`decode` inverts exactly."""
+def encode(value, raw: bool = False):
+    """A JSON-serialisable structure that :func:`decode` inverts exactly.
+
+    With ``raw``, numpy arrays stay arrays, for :func:`pack` to write as
+    raw bytes; otherwise they become base64 tags.
+    """
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -43,28 +60,29 @@ def encode(value):
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.ndarray):
-        array = np.ascontiguousarray(value)
+        if raw:
+            return value
         return {
-            "__ndarray__": base64.b64encode(array.tobytes()).decode("ascii"),
-            "dtype": array.dtype.str,
-            "shape": list(array.shape),
+            "__ndarray__": base64.b64encode(value.tobytes()).decode("ascii"),
+            "dtype": value.dtype.str,
+            "shape": list(value.shape),
         }
     if isinstance(value, tuple):
-        return {"__tuple__": [encode(item) for item in value]}
+        return {"__tuple__": [encode(item, raw) for item in value]}
     if isinstance(value, list):
-        return [encode(item) for item in value]
+        return [encode(item, raw) for item in value]
     if isinstance(value, bytes):
         return {"__bytes__": base64.b64encode(value).decode("ascii")}
     if isinstance(value, dict):
-        encoded = {str(key): encode(item) for key, item in value.items()}
-        if len(encoded) >= 1 and any(tag in encoded for tag in _TAGS):
-            return {"__dict__": encoded}
+        encoded = {str(key): encode(item, raw) for key, item in value.items()}
+        if any(tag in encoded for tag in _TAGS):
+            return {"__dict__": [[key, item] for key, item in encoded.items()]}
         return encoded
     return {"__repr__": repr(value)}
 
 
 def decode(value):
-    """Invert :func:`encode`."""
+    """Invert :func:`encode` (arrays that are already arrays pass through)."""
     if isinstance(value, list):
         return [decode(item) for item in value]
     if isinstance(value, dict):
@@ -79,6 +97,49 @@ def decode(value):
         if "__repr__" in value:
             return value["__repr__"]
         if "__dict__" in value:
-            return {key: decode(item) for key, item in value["__dict__"].items()}
+            escaped = value["__dict__"]
+            pairs = escaped.items() if isinstance(escaped, dict) else escaped
+            return {key: decode(item) for key, item in pairs}
         return {key: decode(item) for key, item in value.items()}
     return value
+
+
+def pack(record: dict) -> tuple[bytes, list[np.ndarray]]:
+    """``record`` as a compact JSON header and the arrays it holds, in order.
+
+    Each array in the header is a ``{"__raw__": offset, "dtype", "shape"}``
+    tag, ``offset`` being where its bytes start in the arrays' concatenated
+    buffers; numpy scalars are written as floats.
+    """
+    arrays: list[np.ndarray] = []
+    size = 0
+
+    def tag(value):
+        nonlocal size
+        if not isinstance(value, np.ndarray):
+            return float(value)
+        # (ascontiguousarray would turn a 0-d array into a 1-d one.)
+        arrays.append(value if value.flags.c_contiguous else np.ascontiguousarray(value))
+        tagged = {"__raw__": size, "dtype": value.dtype.str, "shape": list(value.shape)}
+        size += value.nbytes
+        return tagged
+
+    header = json.dumps(record, separators=(",", ":"), default=tag).encode("utf-8")
+    return header, arrays
+
+
+def unpack(header: bytes, raw) -> dict:
+    """Invert :func:`pack`: the record of ``header`` with its arrays read
+    from the buffer ``raw`` into arrays that own their memory."""
+    if b'"__raw__"' not in header:
+        return json.loads(header)
+
+    def array(tagged: dict):
+        # Only a tag has the key: encode escapes data dicts that have it.
+        if "__raw__" not in tagged:
+            return tagged
+        dtype, shape = np.dtype(tagged["dtype"]), tagged["shape"]
+        flat = np.frombuffer(raw, dtype, math.prod(shape), tagged["__raw__"])
+        return flat.reshape(shape).copy()
+
+    return json.loads(header, object_hook=array)

@@ -1,14 +1,18 @@
 """A session's durable records, its snapshot and its restore.
 
 A session's durable state is one stream of **records**: JSON-ready dicts,
-each with a ``kind``.  This module builds all six kinds:
+each with a ``kind`` (a journal's may also hold numpy arrays, which the
+journal writes as raw bytes).  This module builds all six kinds:
 
 * ``open`` — the session's opening metadata: id, tenant, base seed and the
   accountant's configuration;
 * ``charge`` — one accepted root-level budget charge;
 * ``measurement`` — one kernel history row;
 * ``release`` — one released answer with its request key and the history
-  span that paid for it (arrays as base64 of their raw buffer);
+  span that paid for it.  Built for the journal, its arrays stay numpy
+  arrays; built for a snapshot, they are base64 of their buffer, so a
+  snapshot stays plain JSON.  Base64 remains only there and in journals
+  written before raw payloads; restore reads both forms;
 * ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`;
 * ``commit`` — ``{"kind": "commit", "records": [...]}``: what one commit
   made durable, as charges, then measurement rows, releases and events.
@@ -142,13 +146,16 @@ def event_record(event) -> dict:
     return {"kind": "event", **vars(event)}
 
 
-def release_record(key: tuple, response, history_start: int, history_end: int) -> dict:
+def release_record(
+    key: tuple, response, history_start: int, history_end: int, raw: bool = False
+) -> dict:
     """One released answer under its request key, with the history span
-    [start, end) that paid for it."""
+    [start, end) that paid for it.  ``raw`` keeps the response's arrays as
+    arrays, for the journal (see :func:`~repro.durability.serialize.encode`)."""
     return {
         "kind": "release",
         "key": encode(key),
-        "response": encode(response_state(response)),
+        "response": encode(response_state(response), raw),
         "history_start": history_start,
         "history_end": history_end,
     }

@@ -14,7 +14,8 @@ privacy-correct order::
 
     _execute_guarded   worker fault seam → closed check → session lock
                        → closed re-check → root span → _run_locked
-                       → journal commit (in ``finally``, still under the lock)
+                       → journal commit (in ``finally``, in the root span's
+                         ``durability.commit`` child, under the lock)
     _run_locked        deadline check → cache probe → plan run
 
 Every outcome — answered, replayed, rejected, timed out or failed — is
@@ -290,31 +291,37 @@ class PlanScheduler:
                     f"session {session.session_id!r} closed while request "
                     f"{request.request_id!r} was queued"
                 )
-            try:
-                tracer = self.tracer
-                if tracer is NULL_TRACER:
+            # The journal commit runs in a ``finally``, inside the root span
+            # and before the lock releases: a crash after it loses nothing a
+            # client ever saw.
+            tracer = self.tracer
+            if tracer is NULL_TRACER:
+                try:
                     return self._run_locked(session, request, queued_at, NOOP_SPAN)
-                with activate(tracer), tracer.span(
-                    "service.request",
-                    trace_id=trace_id,
-                    request_id=request.request_id,
-                    session=session.session_id,
-                    tenant=session.tenant,
-                    plan=request.plan,
-                    workload=request.workload,
-                    epsilon=float(request.epsilon),
-                    attempt=attempt,
-                ) as root:
+                finally:
+                    self._commit_journal(session)
+            with activate(tracer), tracer.span(
+                "service.request",
+                trace_id=trace_id,
+                request_id=request.request_id,
+                session=session.session_id,
+                tenant=session.tenant,
+                plan=request.plan,
+                workload=request.workload,
+                epsilon=float(request.epsilon),
+                attempt=attempt,
+            ) as root:
+                try:
                     response = self._run_locked(session, request, queued_at, root)
                     root.set_attributes(
                         cached=response.cached,
                         epsilon_spent=float(response.epsilon_spent),
                     )
                     return response
-            finally:
-                # After the root span closes, before the lock releases: a
-                # crash after this line loses nothing a client ever saw.
-                self._commit_journal(session)
+                finally:
+                    if session.journal is not None:  # no empty span when unjournaled
+                        with tracer.span("durability.commit"):
+                            self._commit_journal(session)
 
     def _run_locked(
         self,
@@ -451,10 +458,11 @@ class PlanScheduler:
         )
         self.measurement_cache.store(session, key, response, *history)
         if session.journal is not None:
-            # The request's commit journals the release: restores replay the
-            # answer byte-identical into the cache, so an identical
-            # post-crash request costs zero additional ε.
-            session.pending_releases.append(release_record(key, response, *history))
+            # The request's commit journals the release, its arrays as raw
+            # bytes: restores replay the answer byte-identical into the
+            # cache, so an identical post-crash request costs zero
+            # additional ε.
+            session.pending_releases.append(release_record(key, response, *history, raw=True))
         self._ledger(
             session, request, "ok", response.elapsed_seconds, queue_wait, trace_id,
             history, spent=response.epsilon_spent, seed=seed,

@@ -16,8 +16,9 @@ schedules (hypothesis):
   *waste* budget.
 
 Journals and snapshots written before commit records (one record per
-charge, measurement, release and event) still restore: ``tests/data`` keeps
-one of each.
+charge, measurement, release and event) still restore, and so do journals
+of ``commit`` records written as JSON lines before raw-byte payloads:
+``tests/data`` keeps one of each.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from repro.durability import (
     restore_session,
     snapshot_session,
 )
-from repro.durability.journal import _encode_line
+from repro.durability.journal import _encode_frame
+from repro.durability.serialize import pack, unpack
 from repro.private import DeadlineExceededError, audit
 from repro.service import (
     MeasurementCache,
@@ -179,6 +181,35 @@ class TestSerialize:
         back = decode(encode(value))
         assert back == value and isinstance(back["__tuple__"], list)
 
+    def test_pack_unpack_roundtrip_gives_arrays_that_own_their_memory(self):
+        rng = np.random.default_rng(0)
+        arrays = [
+            rng.standard_normal(17),
+            rng.standard_normal((3, 5)).T,  # not contiguous
+            np.arange(6, dtype=">i4").reshape(2, 3),  # big-endian
+            np.array([], dtype=np.float64),
+            np.array(2.5),
+        ]
+        record = {
+            "kind": "release",
+            "arrays": arrays,
+            "key": encode(("q", (1, 2.5))),
+            "info": encode({"__raw__": 0, "x": rng.standard_normal(2)}, raw=True),
+        }
+        x = dict(record["info"]["__dict__"])["x"]  # escaped as key-value pairs
+        header, buffers = pack(record)
+        raw = b"".join(buffers)
+        assert b"__ndarray__" not in header
+        assert len(raw) == sum(array.nbytes for array in arrays) + x.nbytes
+        back = unpack(header, memoryview(raw))
+        for array, restored in zip(arrays, back["arrays"]):
+            assert restored.dtype == array.dtype and restored.shape == array.shape
+            assert restored.tobytes() == array.tobytes()
+            assert restored.flags.owndata and restored.base is None
+        assert decode(back["key"]) == ("q", (1, 2.5))
+        info = decode(back["info"])  # a plain dict that has the tag as a key
+        assert info["__raw__"] == 0 and info["x"].tobytes() == x.tobytes()
+
     def test_unknown_objects_degrade_to_repr(self):
         class Opaque:
             def __repr__(self):
@@ -239,8 +270,8 @@ class TestJournal:
     def test_sequence_gap_truncates(self, tmp_path):
         path = tmp_path / "j.wal"
         with open(path, "wb") as f:
-            f.write(_encode_line({"seq": 1, "kind": "charge", "p": 0.1, "d": 0.0}))
-            f.write(_encode_line({"seq": 3, "kind": "charge", "p": 0.3, "d": 0.0}))
+            f.write(_encode_frame({"seq": 1, "kind": "charge", "p": 0.1, "d": 0.0}))
+            f.write(_encode_frame({"seq": 3, "kind": "charge", "p": 0.3, "d": 0.0}))
         recovered = PrivacyJournal(path)
         assert recovered.seq == 1
 
@@ -262,9 +293,11 @@ class TestJournal:
     def test_journaled_session_keeps_no_copy_of_its_releases(self, tmp_path):
         """A journaled session's memory is bounded by its measurement cache.
 
-        200 fresh Identity releases at n=4096 write ~18 MB of journal; with
-        one cache slot, what the session retains must be a small fraction
-        of that (an in-memory mirror of the journal retains all of it).
+        200 fresh Identity releases at n=4096 write at least their raw
+        payloads, ``x_hat`` and the prefix answers at 8 bytes an entry
+        (~13 MB); with one cache slot, what the session retains must be a
+        small fraction of that (an in-memory mirror of the journal retains
+        all of it).
         """
         n = 4096
         values = np.random.default_rng(0).integers(0, 20, n).astype(float)
@@ -297,8 +330,112 @@ class TestJournal:
         finally:
             tracemalloc.stop()
         written = path.stat().st_size
-        assert written > 200 * 80_000
+        assert written > 200 * 2 * n * 8
         assert grown < written / 10
+
+
+class TestRawPayloadFrames:
+    """A record's arrays travel as the raw section of its frame; a torn,
+    flipped or overlong frame is truncated at open, exactly, and never
+    raises."""
+
+    #: the raw section of an n=64 Identity release: x_hat and 64 answers
+    RAW = 2 * N * 8
+
+    @staticmethod
+    def _journal_bytes(directory):
+        """An n=64 journal of an open record and two fresh Identity commits;
+        returns its bytes, the offsets where the two commits start and the
+        ε the session had spent before the second."""
+        path = directory / "j.wal"
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = manager.create_session(
+            "acme", _property_relation(), 8.0, seed=5, journal=PrivacyJournal(path)
+        )
+        first = path.stat().st_size
+        scheduler.execute(identity_request(session, epsilon=0.1))
+        last, spent = path.stat().st_size, session.budget_consumed()
+        scheduler.execute(identity_request(session, epsilon=0.2))
+        session.journal.close()
+        raw = path.read_bytes()
+        for start in (first, last):  # each commit carries a raw section
+            assert raw[start + 9:raw.index(b" ", start + 9)] == b"%d" % TestRawPayloadFrames.RAW
+        return raw, first, last, spent
+
+    @staticmethod
+    def _reopen(path, content):
+        path.write_bytes(content)
+        journal = PrivacyJournal(path)
+        journal.close()
+        return journal.seq, journal.truncated_records, journal.truncated_bytes
+
+    def test_a_cut_anywhere_in_the_last_frame_truncates_exactly_it(self, tmp_path):
+        raw, _, last, _ = self._journal_bytes(tmp_path)
+        path = tmp_path / "cut.wal"
+        for cut in range(last + 1, len(raw)):
+            assert self._reopen(path, raw[:cut]) == (2, 1, cut - last)
+        assert path.read_bytes() == raw[:last]  # repaired to the frame boundary
+
+    @settings(max_examples=20, deadline=None)
+    @given(share=st.floats(0.0, 1.0, exclude_max=True))
+    def test_restore_after_a_cut_in_the_last_frame_reconciles(self, tmp_path_factory, share):
+        directory = tmp_path_factory.mktemp("wal")
+        raw, _, last, spent = self._journal_bytes(directory)
+        # The frame's length varies with timings it records: draw a share.
+        cut = last + 1 + int(share * (len(raw) - last - 1))
+        path = directory / "cut.wal"
+        path.write_bytes(raw[:cut])
+        journal = PrivacyJournal(path)
+        restored = PlanScheduler(SessionManager()).restore_session(
+            _property_relation(), journal=journal
+        )
+        journal.close()
+        assert (journal.truncated_records, journal.truncated_bytes) == (1, cut - last)
+        assert reconcile(restored)["exact"]
+        assert restored.budget_consumed() == spent
+        assert restored.recovery_info["orphaned_events"] == []
+
+    def test_a_flipped_raw_byte_fails_the_crc(self, tmp_path):
+        raw, first, last, _ = self._journal_bytes(tmp_path)
+        path = tmp_path / "flip.wal"
+        # Every byte of the last frame's raw section, a sample of the first's
+        # (whose damage also drops the intact frame after it).
+        for start, kept, dropped, stride in ((first, 1, 2, 61), (last, 2, 1, 1)):
+            section = raw.index(b"\n", start) + 1  # the header's newline
+            assert raw[section - 2:section] == b"}\n"
+            for offset in range(section, section + self.RAW, stride):
+                flipped = bytearray(raw)
+                flipped[offset] ^= 0xFF
+                assert self._reopen(path, bytes(flipped)) == (kept, dropped, len(raw) - start)
+
+    @pytest.mark.parametrize("length", [b"%d", b"%d0", b"99999999999999999999", b"9" * 24, b"-1"])
+    def test_a_length_past_the_end_of_the_file_truncates(self, tmp_path, length):
+        raw, first, last, _ = self._journal_bytes(tmp_path)
+        path = tmp_path / "long.wal"
+        for start, kept in ((first, 1), (last, 2)):
+            field = start + 9
+            size = raw[field:raw.index(b" ", field)]
+            claimed = length % (len(raw) - field) if b"%" in length else length
+            damaged = raw[:field] + claimed + raw[field + len(size):]
+            # Nothing after the damaged length lays out as a frame.
+            assert self._reopen(path, damaged) == (kept, 1, len(damaged) - start)
+            restored = restore_session(_property_relation(), journal=PrivacyJournal(path))
+            assert reconcile(restored)["exact"]
+            restored.journal.close()
+
+    def test_read_arrays_own_their_memory(self, tmp_path):
+        raw, _, _, _ = self._journal_bytes(tmp_path)
+        path = tmp_path / "read.wal"
+        path.write_bytes(raw)
+        with PrivacyJournal(path) as journal:
+            releases = [p for p in commit_parts(journal.records()) if p["kind"] == "release"]
+        assert len(releases) == 2
+        for release in releases:
+            response = decode(release["response"])
+            for array in (response["x_hat"], response["answers"]):
+                assert array.flags.owndata and array.base is None
+                assert array.nbytes == self.RAW // 2
 
 
 # ======================================================================
@@ -925,6 +1062,50 @@ class TestPerKindRecordsRestore:
             journal.close()
 
 
+class TestJsonCommitRecordsRestore:
+    """Journals written before raw payloads — ``commit`` records as JSON
+    lines, arrays as base64 — still restore.
+
+    ``tests/data/commit_journal.wal`` was written in that format from the
+    same session and requests as the per-kind fixture (see
+    :class:`TestPerKindRecordsRestore`): an open record, then one commit
+    per request, the last holding only the killed request's charge.  The
+    pinned values are what restoring it gave under the code that wrote it,
+    and equal the per-kind fixture's.
+    """
+
+    def test_restores_reconciles_and_replays_byte_identically(self, relation, tmp_path):
+        path = tmp_path / "j.wal"
+        shutil.copyfile(DATA / "commit_journal.wal", path)  # a restore appends
+        journal = PrivacyJournal(path)
+        assert (len(journal), journal.truncated_bytes) == (5, 0)
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, journal=journal)
+        assert restored.budget_consumed() == TestPerKindRecordsRestore.CONSUMED
+        assert len(restored.events) == TestPerKindRecordsRestore.EVENTS
+        assert restored.events[-1].error == "CrashRecovery"
+        assert reconcile(restored)["exact"]
+        replays = [
+            fresh.execute(identity_request(restored)),
+            fresh.execute(dawa_request(restored)),
+        ]
+        assert all(replay.cached and replay.epsilon_spent == 0.0 for replay in replays)
+        assert restored.budget_consumed() == TestPerKindRecordsRestore.CONSUMED
+        payload = b"".join(r.x_hat.tobytes() + r.answers.tobytes() for r in replays)
+        assert hashlib.sha256(payload).hexdigest() == TestPerKindRecordsRestore.DIGEST
+        journal.close()
+        # The restored session appended the orphan claim and one commit per
+        # replay after the old lines; the file reopens clean and restores to
+        # the same ledger.
+        reopened = PrivacyJournal(path)
+        assert (len(reopened), reopened.truncated_bytes) == (8, 0)
+        assert [r["kind"] for r in reopened.records(after_seq=5)] == ["commit"] * 3
+        again = PlanScheduler(SessionManager()).restore_session(relation, journal=reopened)
+        assert again.budget_consumed() == TestPerKindRecordsRestore.CONSUMED
+        assert again.events == restored.events and reconcile(again)["exact"]
+        reopened.close()
+
+
 # ======================================================================
 # Crash window: orphaned spend.
 # ======================================================================
@@ -1323,7 +1504,8 @@ def _held_elsewhere(lock) -> bool:
 class TestRequestPathOrder:
     """The fixed order of one request: worker fault seam → closed check →
     session lock → root span → deadline check → cache probe → plan run, then
-    the journal commit after the root span closes, still under the lock."""
+    the journal commit in the root span's ``durability.commit`` child, still
+    under the lock."""
 
     def test_worker_seam_fires_before_the_closed_check(self, manager, relation):
         faults = FaultInjector()
@@ -1370,7 +1552,7 @@ class TestRequestPathOrder:
         assert reconcile(session)["exact"]
 
     @pytest.mark.parametrize("fails", [False, True], ids=["answered", "failed"])
-    def test_journal_commits_after_the_root_span_under_the_lock(
+    def test_journal_commits_inside_the_root_span_under_the_lock(
         self, manager, relation, fails
     ):
         tracer = Tracer()
@@ -1383,7 +1565,7 @@ class TestRequestPathOrder:
         original_commit = journal.commit
 
         def commit():
-            finished = [span for span in tracer.spans() if span.name == "service.request"]
+            finished = [span.name for span in tracer.spans()]
             commits.append((tracer.current_span(), finished, _held_elsewhere(session.lock)))
             original_commit()
 
@@ -1395,9 +1577,16 @@ class TestRequestPathOrder:
         else:
             scheduler.execute(identity_request(session))
         ((open_span, finished, held),) = commits
-        assert open_span is None  # the root span had closed ...
-        (root,) = finished  # ... and was recorded, with its final status
-        assert root.status == ("error" if fails else "ok")
+        assert "service.request" not in finished  # the root span was still open ...
+        spans = {span.name: span for span in tracer.spans()}
+        root, committed = spans["service.request"], spans["durability.commit"]
+        # ... and the commit ran in its own child of it ...
+        assert open_span.name == "durability.commit"
+        assert open_span.span_id == committed.span_id
+        assert committed.parent_id == root.span_id and committed.trace_id == root.trace_id
+        assert root.start <= committed.start <= committed.end <= root.end
+        assert committed.status == "ok"
+        assert root.status == ("error" if fails else "ok")  # ... with the root's final status
         assert root.trace_id == session.events[-1].trace_id
         assert held  # ... while the session lock was still held
 
