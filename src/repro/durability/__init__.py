@@ -26,7 +26,7 @@ This package provides the three pieces:
 """
 
 from .faults import FAULT_POINTS, FaultInjector, InjectedFault, WorkerDeath
-from .journal import JournalCorruptionError, PrivacyJournal
+from .journal import PrivacyJournal
 from .serialize import decode, encode
 from .snapshot import (
     RecoveryError,
@@ -40,7 +40,6 @@ __all__ = [
     "FAULT_POINTS",
     "FaultInjector",
     "InjectedFault",
-    "JournalCorruptionError",
     "PrivacyJournal",
     "RecoveryError",
     "WorkerDeath",

@@ -71,13 +71,9 @@ from typing import Iterator
 from .faults import FaultInjector
 from .serialize import pack, unpack
 
-__all__ = ["PrivacyJournal", "JournalCorruptionError"]
+__all__ = ["PrivacyJournal"]
 
 _FSYNC_MODES = ("always", "commit", "never")
-
-
-class JournalCorruptionError(Exception):
-    """Raised when a journal cannot be recovered (not merely truncated)."""
 
 
 def _encode_frame(record: dict) -> bytes:

@@ -27,8 +27,10 @@ strategy's CSR form ``S = M.sparse()`` (reported as the ``gram_kind``
 attribute of its ``solve.build_normal_equations`` span):
 
 * ``"orthogonal_rows"`` — ``S S.T = D`` is diagonal with no zero row (Haar
-  wavelets, disjoint partitions, identity measurements): ``(M.T M)^+ =
-  M.T D^-2 M`` is applied directly in O(nnz), with no Gram and no
+  wavelets, disjoint partitions, identity measurements): the estimate comes
+  from the answers, ``x = S.T (D^-1 y)``, one sparse product that is also
+  the minimum-norm solution when ``m < n``; ``(M.T M)^+ = M.T D^-2 M`` is
+  applied directly in O(nnz) for any other right-hand side.  No Gram, no
   factorisation.
 * ``"augmented"`` — any other sparse ``S`` (the H2 and HB hierarchies,
   partitions stacked on an identity): a sparse LU of ``K = [[I, M], [M.T,
@@ -41,6 +43,11 @@ attribute of its ``solve.build_normal_equations`` span):
 Rank-deficient strategies get the minimum-norm (pseudo-inverse) solution
 from every kind: a singular ``K`` falls through to the dense kind, which
 solves with ``lstsq`` when a Cholesky pivot is (near) zero.
+
+A normal-equations solve gets ``residual_norm`` only from one more product
+with ``M``, so its :class:`InferenceResult` computes it on first read, and
+its ``solve.least_squares`` span records it only when a tracer records the
+span: an untraced request that never reads it never runs the product.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from scipy.sparse.linalg import lsmr, splu
 
 from ...matrix import LinearQueryMatrix, ensure_matrix
 from ...matrix.combinators import VStack
-from ...telemetry.spans import trace_span
+from ...telemetry.spans import NOOP_SPAN, trace_span
 
 
 class SupportsGetOrBuild(Protocol):
@@ -79,13 +86,27 @@ _AUTO_NORMAL_ASPECT = 2.0
 _AUTO_NORMAL_MAX_DOMAIN = 4096
 
 
-@dataclass
 class InferenceResult:
-    """Estimated data vector plus solver diagnostics."""
+    """Estimated data vector plus solver diagnostics.
 
-    x_hat: np.ndarray
-    iterations: int
-    residual_norm: float
+    ``residual_norm`` is ``||M x_hat - y||`` in weighted units.  A solver that
+    does not get it for free passes a zero-argument callable instead of a
+    float: it runs on the first read and its value is kept, so a caller that
+    never reads the residual never pays for the product.
+    """
+
+    def __init__(
+        self, x_hat: np.ndarray, iterations: int, residual_norm: float | Callable[[], float]
+    ):
+        self.x_hat = x_hat
+        self.iterations = iterations
+        self._residual = residual_norm
+
+    @property
+    def residual_norm(self) -> float:
+        if callable(self._residual):
+            self._residual = float(self._residual())
+        return self._residual
 
 
 @dataclass
@@ -102,7 +123,8 @@ class NormalEquations:
       (``cho``);
     * ``"orthogonal_rows"`` and ``"augmented"`` — no Gram is formed
       (``gram`` is ``None``); ``lu`` applies ``(M.T M)^+`` from the sparse
-      strategy itself.
+      strategy itself.  The orthogonal-rows kind also sets ``pinv``, which
+      maps answers straight to the estimate, ``M^+ y = S.T (D^-1 y)``.
 
     When the Gram is singular (rank-deficient measurements) the dense kind
     keeps the Gram with ``cho=None``, and solves fall back to the
@@ -113,6 +135,7 @@ class NormalEquations:
     cho: tuple | None
     lu: Callable[[np.ndarray], np.ndarray] | None = None
     kind: str = "dense"
+    pinv: Callable[[np.ndarray], np.ndarray] | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """``(M.T M)^+ rhs`` for a vector or a stack of columns."""
@@ -121,6 +144,12 @@ class NormalEquations:
         if self.lu is not None:
             return self.lu(np.asarray(rhs))
         return np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
+
+    def estimate(self, queries: LinearQueryMatrix, answers: np.ndarray) -> np.ndarray:
+        """The minimum-norm least-squares estimate ``M^+ y`` of ``answers``."""
+        if self.pinv is not None:
+            return self.pinv(answers)
+        return self.solve(queries.rmatvec(answers))
 
 
 def build_normal_equations(queries: LinearQueryMatrix) -> NormalEquations:
@@ -170,7 +199,8 @@ def _factor_strategy(queries: LinearQueryMatrix) -> NormalEquations | None:
         norms = outer.diagonal()
         if np.all(norms > 0) and outer.count_nonzero() == m:
             # M = D^(1/2) Q with orthonormal rows Q, so (M.T M)^+ = Q.T D^-1 Q
-            # = M.T D^-2 M, which is also the pseudo-inverse when m < n.
+            # = M.T D^-2 M and M^+ = M.T D^-1, the pseudo-inverses also when
+            # m < n.
             scale = 1.0 / norms**2
 
             def solve_orthogonal(rhs: np.ndarray) -> np.ndarray:
@@ -178,7 +208,12 @@ def _factor_strategy(queries: LinearQueryMatrix) -> NormalEquations | None:
                 coeffs *= scale if coeffs.ndim == 1 else scale[:, None]
                 return transpose @ coeffs
 
-            return NormalEquations(None, cho=None, lu=solve_orthogonal, kind="orthogonal_rows")
+            def pseudo_inverse(answers: np.ndarray) -> np.ndarray:
+                return transpose @ (answers / norms)
+
+            return NormalEquations(
+                None, cho=None, lu=solve_orthogonal, kind="orthogonal_rows", pinv=pseudo_inverse
+            )
     system = sp.bmat([[sp.identity(m), strategy], [transpose, None]], format="csc")
     try:
         # The symmetric ordering: splu's default COLAMD fills in 10-19x more.
@@ -323,10 +358,17 @@ def least_squares(
                 span.set_attribute("gram_cache_hit", not built)
             else:
                 normal = build_normal_equations(queries)
-            x_hat = normal.solve(queries.rmatvec(answers))
-            residual = scale * float(np.linalg.norm(queries.matvec(x_hat) - answers))
-            span.set_attributes(iterations=1, residual_norm=residual)
-            return InferenceResult(np.asarray(x_hat), iterations=1, residual_norm=residual)
+            x_hat = np.asarray(normal.estimate(queries, answers))
+            # The residual costs one more product with M: computed on first
+            # read, which only a recording span does at once.
+            estimate = InferenceResult(
+                x_hat,
+                iterations=1,
+                residual_norm=lambda: scale * np.linalg.norm(queries.matvec(x_hat) - answers),
+            )
+            if span is not NOOP_SPAN:
+                span.set_attributes(iterations=1, residual_norm=estimate.residual_norm)
+            return estimate
         if method != "lsmr":
             raise ValueError(f"unknown least-squares method {method!r}")
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..matrix import DenseMatrix, LinearQueryMatrix, SparseMatrix, ensure_matrix
 from ..private.protected import ProtectedDataSource
-from ..telemetry.spans import trace_span
+from ..telemetry.spans import NOOP_SPAN, trace_span
 
 #: The matrix representations compared in the Sec. 10.2 scalability study.
 REPRESENTATIONS = ("implicit", "sparse", "dense")
@@ -112,11 +113,34 @@ def infer_least_squares(
         estimate = least_squares(
             measurements, answers, method=method, gram_cache=gram_cache, **kwargs
         )
-        span.set_attributes(
-            iterations=int(estimate.iterations),
-            residual_norm=float(estimate.residual_norm),
-        )
+        if span is not NOOP_SPAN:  # the residual may cost a product with M
+            span.set_attributes(
+                iterations=int(estimate.iterations),
+                residual_norm=float(estimate.residual_norm),
+            )
         return estimate
+
+
+def public_strategy(
+    gram_cache, key: tuple, select: Callable[[], LinearQueryMatrix], representation: str
+) -> LinearQueryMatrix:
+    """A data-independent measurement strategy, built once per public key.
+
+    ``select`` builds the strategy from public inputs alone (the selection is
+    a Public operator), and ``key`` names the plan and every input
+    ``select`` reads; the representation is added here.  With the
+    scheduler's ``gram_cache`` (its shared ``ArtifactCache``) the strategy is
+    built on the first request and every later request, of any tenant, gets
+    the same object, with the CSR forms, transposes and strategy key it built
+    lazily.  Stand-alone runs (``gram_cache=None``) build it per call.
+    """
+
+    def build() -> LinearQueryMatrix:
+        return with_representation(ensure_matrix(select()), representation)
+
+    if gram_cache is None:
+        return build()
+    return gram_cache.get_or_build(("public_strategy", *key, representation), build)
 
 
 def with_representation(matrix: LinearQueryMatrix, representation: str) -> LinearQueryMatrix:

@@ -26,6 +26,7 @@ from .base import (
     infer_least_squares,
     measure_vector,
     plan_stage,
+    public_strategy,
     with_representation,
 )
 
@@ -33,9 +34,12 @@ from .base import (
 class _SelectMeasureInferPlan(Plan):
     """Shared implementation of the select → measure → least-squares idiom.
 
-    Inference follows the service policy of :func:`infer_least_squares`:
-    LSMR stand-alone, shared normal equations when the scheduler provides its
-    Gram cache.
+    The selection reads only public inputs: the domain size and what
+    :meth:`_public_inputs` names.  So with the scheduler's Gram cache the
+    strategy comes from :func:`public_strategy`, built once per key and
+    shared by every later request.  Inference follows the service policy of
+    :func:`infer_least_squares`: LSMR stand-alone, shared normal equations
+    when the scheduler provides its Gram cache.
 
     ``noise`` picks the measurement mechanism: the paper's Vector Laplace
     (default) or the Gaussian mechanism (L2-calibrated, charged through the
@@ -53,22 +57,29 @@ class _SelectMeasureInferPlan(Plan):
         self.noise = noise
         self.delta = delta
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def _select(self, n: int) -> LinearQueryMatrix:
         raise NotImplementedError
+
+    def _public_inputs(self) -> tuple:
+        """Every input :meth:`_select` reads besides the domain size."""
+        return ()
 
     def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
         before = source.budget_consumed()
+        n = source.domain_size
+        gram_cache = kwargs.get("gram_cache")
         with plan_stage("select", plan=self.name) as span:
-            measurements = with_representation(
-                ensure_matrix(self._select(source, **kwargs)), self.representation
+            measurements = public_strategy(
+                gram_cache,
+                (self.name, n, *self._public_inputs()),
+                lambda: self._select(n),
+                self.representation,
             )
             span.set_attribute("num_measurements", int(measurements.shape[0]))
         answers = measure_vector(
             source, measurements, epsilon, noise=self.noise, delta=self.delta
         )
-        estimate = infer_least_squares(
-            measurements, answers, gram_cache=kwargs.get("gram_cache")
-        )
+        estimate = infer_least_squares(measurements, answers, gram_cache=gram_cache)
         return self._wrap(
             source,
             before,
@@ -132,8 +143,8 @@ class PriveletPlan(_SelectMeasureInferPlan):
     signature = "SP LM LS"
     plan_id = 2
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
-        return wavelet_select(source.domain_size)
+    def _select(self, n: int) -> LinearQueryMatrix:
+        return wavelet_select(n)
 
 
 class H2Plan(_SelectMeasureInferPlan):
@@ -143,8 +154,8 @@ class H2Plan(_SelectMeasureInferPlan):
     signature = "SH2 LM LS"
     plan_id = 3
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
-        return h2_select(source.domain_size)
+    def _select(self, n: int) -> LinearQueryMatrix:
+        return h2_select(n)
 
 
 class HbPlan(_SelectMeasureInferPlan):
@@ -154,8 +165,8 @@ class HbPlan(_SelectMeasureInferPlan):
     signature = "SHB LM LS"
     plan_id = 4
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
-        return hb_select(source.domain_size)
+    def _select(self, n: int) -> LinearQueryMatrix:
+        return hb_select(n)
 
 
 class GreedyHPlan(_SelectMeasureInferPlan):
@@ -175,8 +186,11 @@ class GreedyHPlan(_SelectMeasureInferPlan):
         super().__init__(representation=representation, noise=noise, delta=delta)
         self.workload_intervals = workload_intervals
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
-        return greedy_h_select(source.domain_size, self.workload_intervals)
+    def _public_inputs(self) -> tuple:
+        return (tuple(map(tuple, self.workload_intervals or ())),)
+
+    def _select(self, n: int) -> LinearQueryMatrix:
+        return greedy_h_select(n, self.workload_intervals)
 
 
 class QuadtreePlan(_SelectMeasureInferPlan):
@@ -196,9 +210,12 @@ class QuadtreePlan(_SelectMeasureInferPlan):
         super().__init__(representation=representation, noise=noise, delta=delta)
         self.shape = shape
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def _public_inputs(self) -> tuple:
+        return (tuple(self.shape),)
+
+    def _select(self, n: int) -> LinearQueryMatrix:
         rows, cols = self.shape
-        if rows * cols != source.domain_size:
+        if rows * cols != n:
             raise ValueError("2-D shape does not match the vector's domain size")
         return quadtree_select(rows, cols)
 
@@ -253,7 +270,10 @@ class HdmmPlan(_SelectMeasureInferPlan):
         super().__init__(representation=representation, noise=noise, delta=delta)
         self.workload = ensure_matrix(workload)
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
-        if self.workload.shape[1] != source.domain_size:
+    def _public_inputs(self) -> tuple:
+        return (self.workload.strategy_key(),)
+
+    def _select(self, n: int) -> LinearQueryMatrix:
+        if self.workload.shape[1] != n:
             raise ValueError("workload does not match the vector's domain size")
         return hdmm_select(self.workload)

@@ -24,7 +24,14 @@ from ..operators.partition import l1_partition_batch, stripe_partition
 from ..operators.selection import greedy_h_select, hb_select
 from ..operators.selection.stripe import stripe_kron_select
 from ..private.protected import ProtectedDataSource
-from .base import Plan, PlanResult, infer_least_squares, split_budget, with_representation
+from .base import (
+    Plan,
+    PlanResult,
+    infer_least_squares,
+    public_strategy,
+    split_budget,
+    with_representation,
+)
 
 
 class HbStripedPlan(Plan):
@@ -46,11 +53,16 @@ class HbStripedPlan(Plan):
         partition = stripe_partition(self.domain, self.stripe_axis)
         stripes = source.split_by_partition(partition)
         stripe_length = self.domain[self.stripe_axis]
-        measurements = with_representation(hb_select(stripe_length), self.representation)
+        gram_cache = kwargs.get("gram_cache")
+        measurements = public_strategy(
+            gram_cache,
+            (self.name, source.domain_size, self.domain, self.stripe_axis),
+            lambda: hb_select(stripe_length),
+            self.representation,
+        )
 
         estimates = np.zeros(source.domain_size)
         split_indices = partition.split_indices()
-        gram_cache = kwargs.get("gram_cache")
         for stripe, cells in zip(stripes, split_indices):
             answers = stripe.vector_laplace(measurements, epsilon)
             # The HB strategy is identical in every stripe, so with a cache
@@ -137,13 +149,15 @@ class HbStripedKronPlan(Plan):
         before = source.budget_consumed()
         if int(np.prod(self.domain)) != source.domain_size:
             raise ValueError("domain does not match the vector source")
-        measurements = with_representation(
-            stripe_kron_select(self.domain, self.stripe_axis), self.representation
+        gram_cache = kwargs.get("gram_cache")
+        measurements = public_strategy(
+            gram_cache,
+            (self.name, source.domain_size, self.domain, self.stripe_axis),
+            lambda: stripe_kron_select(self.domain, self.stripe_axis),
+            self.representation,
         )
         answers = source.vector_laplace(measurements, epsilon)
-        estimate = infer_least_squares(
-            measurements, answers, gram_cache=kwargs.get("gram_cache")
-        )
+        estimate = infer_least_squares(measurements, answers, gram_cache=gram_cache)
         return self._wrap(
             source, before, estimate.x_hat, num_measurements=measurements.shape[0]
         )

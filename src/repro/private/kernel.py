@@ -608,25 +608,6 @@ class ProtectedKernel:
             {"num_candidates": int(num_candidates), "domain_size": int(vector.size)},
         )
 
-    def measure_laplace_scalar(
-        self, name: str, statistic: Callable[[np.ndarray], float], sensitivity: float, epsilon: float
-    ) -> float:
-        """Laplace measurement of an arbitrary scalar statistic of the vector.
-
-        The caller declares the statistic's sensitivity; this primitive is used
-        by vetted Private→Public operators such as the DAWA partition scoring.
-        """
-        vector = self._data(name, "vector")
-        return self._measure(
-            "LaplaceScalar",
-            name,
-            epsilon,
-            lambda: (sensitivity / epsilon, self._accountant.laplace_cost(epsilon), {}),
-            lambda scale: float(statistic(vector)) + float(self._rng.laplace(0.0, scale)),
-            "kernel.measure.laplace_scalar",
-            {"sensitivity": float(sensitivity), "domain_size": int(vector.size)},
-        )
-
     # ------------------------------------------------------------------
     # Lineage introspection (public).
     # ------------------------------------------------------------------

@@ -170,12 +170,6 @@ class ProtectedDataSource:
             self._name, scores, num_candidates, epsilon, score_sensitivity
         )
 
-    def laplace_scalar(
-        self, statistic: Callable[[np.ndarray], float], sensitivity: float, epsilon: float
-    ) -> float:
-        """Noisy scalar statistic of a vector source with declared sensitivity."""
-        return self._kernel.measure_laplace_scalar(self._name, statistic, sensitivity, epsilon)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProtectedDataSource({self._name!r}, kind={self.kind!r})"
 

@@ -8,6 +8,14 @@ them by the canonical hashable keys from
 :func:`repro.workload.builders.workload_cache_key` (or any caller-provided
 hashable key) and rebuilds only on first use.
 
+The scheduler passes it to every plan run as ``gram_cache=``, and three kinds
+of entry share it: workloads (:meth:`ArtifactCache.workload`), public
+strategies (``("public_strategy", plan, n, ..., representation)``, from
+:func:`repro.plans.base.public_strategy`) and normal-equations factors
+(``("least_squares_gram", strategy_key)``).  A cached strategy keeps the CSR
+forms, transposes and strategy key it builds lazily, so later requests reuse
+them too.
+
 The cache is LRU when size-bounded: a hit refreshes the entry's recency, so a
 hot Gram factorisation is never evicted just because it was built first.
 """

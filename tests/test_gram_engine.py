@@ -421,6 +421,9 @@ KIND_CASES = [
     ("partition", lambda: VStack([_reduction(64, 8), Identity(64)]), "augmented"),
     # Disjoint non-empty groups: mutually orthogonal rows.
     ("kron_partition", lambda: Kronecker([Identity(4), _reduction(16, 4, 9)]), "orthogonal_rows"),
+    ("reduction", lambda: _reduction(64, 8, 5), "orthogonal_rows"),
+    # One row: m < n, so the estimate is the minimum-norm solution.
+    ("total", lambda: Total(12), "orthogonal_rows"),
 ]
 
 
@@ -456,6 +459,42 @@ class TestNormalEquationKinds:
         assert normal.solve(columns).shape == columns.shape
         assert _relative_gap(normal.solve(vector), dense.solve(vector)) <= 1e-9
         assert _relative_gap(normal.solve(columns), dense.solve(columns)) <= 1e-9
+
+    @pytest.mark.parametrize("weighting", ["none", "uniform", "nonuniform"])
+    def test_orthogonal_rows_estimate_from_the_answers(
+        self, monkeypatch, name, build, kind, weighting
+    ):
+        # x = S.T (D^-1 y) needs no M.T y: only the other kinds form it, and
+        # every kind agrees with solve(M.T y) on the weighted system.  Row
+        # weights round the cancellations between Haar rows, so the weighted
+        # Haar system is not exactly orthogonal and takes the augmented kind.
+        strategy = build()
+        m = strategy.shape[0]
+        rng = _rng(19)
+        answers = rng.normal(size=m)
+        weights = {
+            "none": None,
+            "uniform": np.full(m, 2.5),
+            "nonuniform": rng.uniform(0.5, 2.0, size=m),
+        }[weighting]
+        system, rhs = strategy, answers
+        if weighting == "nonuniform":
+            system = Product(SparseMatrix(sp.diags(weights)), strategy)
+            rhs = weights * answers
+        normal = build_normal_equations(system)
+        assert (normal.kind == kind) or (weighting, name) == ("nonuniform", "haar")
+        expected = normal.solve(system.rmatvec(rhs))
+        calls = []
+        rmatvec = LinearQueryMatrix.rmatvec
+
+        def counting(matrix, v):
+            calls.append(type(matrix).__name__)
+            return rmatvec(matrix, v)
+
+        monkeypatch.setattr(LinearQueryMatrix, "rmatvec", counting)
+        got = least_squares(strategy, answers, weights=weights, method="normal").x_hat
+        assert (calls == []) == (normal.kind == "orthogonal_rows")
+        assert _relative_gap(got, expected) <= 1e-12
 
 
 class TestNormalEquationKindsEdges:

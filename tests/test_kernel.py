@@ -180,18 +180,13 @@ class TestProtectedDataSource:
         ]
         assert all(c == 2 for c in choices)
 
-    def test_laplace_scalar(self, relation):
-        source = protect(relation, 10.0, seed=0).vectorize()
-        value = source.laplace_scalar(lambda x: float(x.sum()), sensitivity=1.0, epsilon=5.0)
-        assert abs(value - len(relation)) < 20
-
     def test_schema_metadata(self, relation):
         source = protect(relation, 1.0)
         assert source.schema.names == ("a", "b")
         assert source.kind == "table"
 
 
-#: The five Private→Public operators, each spending ε = 0.5 on a fresh kernel.
+#: The four Private→Public operators, each spending ε = 0.5 on a fresh kernel.
 MEASUREMENTS = {
     "laplace": lambda kernel, vec: kernel.measure_vector_laplace(vec, Identity(12), 0.5),
     "gaussian": lambda kernel, vec: kernel.measure_vector_gaussian(vec, Identity(12), 0.5),
@@ -199,7 +194,6 @@ MEASUREMENTS = {
     "exponential": lambda kernel, vec: kernel.select_exponential_mechanism(
         vec, lambda x: x, 12, 0.5, 1.0
     ),
-    "laplace_scalar": lambda kernel, vec: kernel.measure_laplace_scalar(vec, np.sum, 1.0, 0.5),
 }
 
 

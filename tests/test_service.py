@@ -9,8 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.plans import IdentityPlan, available_plans, make_plan
-from repro.private import BudgetExceededError
+from repro.matrix import HaarWavelet, Identity, Prefix
+from repro.operators import inference
+from repro.plans import IdentityPlan, available_plans, make_plan, with_representation
+from repro.private import BudgetExceededError, ProtectedDataSource, protect
 from repro.service import (
     ArtifactCache,
     MeasurementCache,
@@ -24,6 +26,7 @@ from repro.service import (
     session_report,
 )
 from repro.dataset import Attribute, Relation, Schema
+from repro.telemetry import Tracer
 from repro.workload import build_workload, workload_cache_key
 
 N = 64
@@ -520,6 +523,175 @@ class TestArtifactCache:
 
 
 # ----------------------------------------------------------------------------
+# Public strategies: built once per public key, shared through the cache.
+# ----------------------------------------------------------------------------
+class RecordingCache(ArtifactCache):
+    """An artifact cache that records the key of every build."""
+
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+    def get_or_build(self, key, builder):
+        def build():
+            self.built.append(key)
+            return builder()
+
+        return super().get_or_build(key, build)
+
+    def strategies(self) -> list:
+        """The cached strategies, in the order they were built."""
+        return [self._entries[key] for key in self.built if key[0] == "public_strategy"]
+
+
+def vector_relation(n: int, seed: int = 0) -> Relation:
+    values = np.random.default_rng(seed).integers(0, 20, size=n).astype(np.float64)
+    return Relation.from_histogram(Schema.build([Attribute("v", n)]), values)
+
+
+SHARED_PLANS = ("Privelet", "Hierarchical (H2)", "Hierarchical Opt (HB)")
+
+
+def strategy_request(session_id, plan, epsilon, **overrides):
+    return QueryRequest(
+        session_id, plan=plan, epsilon=epsilon, workload="prefix",
+        workload_params={"n": 256}, **overrides,
+    )
+
+
+class TestPublicStrategies:
+    def test_tenants_share_one_strategy_per_plan_and_domain(self, monkeypatch):
+        measured = []
+        vector_laplace = ProtectedDataSource.vector_laplace
+
+        def spy(source, queries, epsilon):
+            measured.append(queries)
+            return vector_laplace(source, queries, epsilon)
+
+        monkeypatch.setattr(ProtectedDataSource, "vector_laplace", spy)
+        cache = RecordingCache()
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager, artifact_cache=cache, executor="inline")
+        relation = vector_relation(256)
+        tenants = [manager.create_session(t, relation, 10.0, seed=1) for t in ("a", "b")]
+        strategies = {plan: [] for plan in SHARED_PLANS}
+        for k in range(2):
+            for session in tenants:
+                for plan in SHARED_PLANS:
+                    scheduler.execute(strategy_request(session.session_id, plan, 0.1 + 0.01 * k))
+                    strategies[plan].append(measured[-1])
+        # One build each of the workload, the three strategies and their
+        # three factors; the other eleven requests build nothing.
+        assert cache.stats["misses"] == len(cache.built) == 7
+        assert [key[1:3] for key in cache.built if key[0] == "public_strategy"] == [
+            ("Privelet", 256), ("H2", 256), ("HB", 256)
+        ]
+        for plan, objects in strategies.items():
+            assert len(objects) == 4 and all(obj is objects[0] for obj in objects), plan
+        assert len({id(objects[0]) for objects in strategies.values()}) == 3
+
+    @pytest.mark.parametrize(
+        "plan,first,second",
+        [
+            ("Greedy-H", {"workload_intervals": [(0, 15), (16, 63)]},
+             {"workload_intervals": [(0, 0), (1, 1), (0, 63)]}),
+            ("Quadtree", {"shape": (8, 8)}, {"shape": (4, 16)}),
+            ("HDMM", {"workload": Prefix(64)}, {"workload": Identity(64)}),
+            ("Hierarchical Opt (HB)", {"representation": "implicit"},
+             {"representation": "sparse"}),
+        ],
+        ids=["greedy_h_intervals", "quadtree_shape", "hdmm_workload", "hb_representation"],
+    )
+    def test_public_inputs_never_share_an_entry(self, plan, first, second):
+        cache = RecordingCache()
+        source = protect(vector_relation(64), 10.0, seed=0).vectorize()
+        for params in (first, second, first):
+            make_plan(plan, params).run(source, 0.1, gram_cache=cache)
+        one, two = cache.strategies()
+        assert one is not two
+        # Each entry holds what its own inputs select.
+        for params, cached in ((first, one), (second, two)):
+            fresh = make_plan(plan, params)._select(64)
+            fresh = with_representation(fresh, params.get("representation", "implicit"))
+            assert type(cached) is type(fresh)
+            assert cached.strategy_key() == fresh.strategy_key()
+
+    def test_striped_plans_never_share_across_stripe_axes(self):
+        cache = RecordingCache()
+        source = protect(vector_relation(64), 10.0, seed=0).vectorize()
+        for plan in ("HB-Striped", "HB-Striped_kron"):
+            for axis in (0, 1, 0):
+                params = {"domain": (4, 16), "stripe_axis": axis}
+                make_plan(plan, params).run(source, 0.1, gram_cache=cache)
+        striped_0, striped_1, kron_0, kron_1 = cache.strategies()
+        assert (striped_0.shape[1], striped_1.shape[1]) == (4, 16)
+        assert kron_0.strategy_key() != kron_1.strategy_key()
+
+    def test_cached_strategies_answer_like_fresh_ones(self):
+        # A request on strategies and factors another tenant built first
+        # answers byte for byte like the same request on fresh ones.
+        relation = vector_relation(256)
+
+        def answers(warm: bool) -> list[bytes]:
+            manager = SessionManager()
+            scheduler = PlanScheduler(manager, executor="inline")
+            if warm:
+                other = manager.create_session("other", relation, 10.0, seed=5)
+                for plan in SHARED_PLANS:
+                    scheduler.execute(strategy_request(other.session_id, plan, 0.2))
+            manager.create_session("t", relation, 10.0, seed=7, session_id="t")
+            return [
+                scheduler.execute(strategy_request("t", plan, 0.1, request_id=plan)).payload.tobytes()
+                for plan in SHARED_PLANS
+            ]
+
+        assert answers(warm=True) == answers(warm=False)
+
+    def test_untraced_privelet_runs_the_strategy_once(self, monkeypatch):
+        # The estimate comes from the answers and the residual is never
+        # read: the measurement is the strategy's only product.
+        calls = []
+        for name in ("_matmat", "_rmatmat"):
+            kernel = getattr(HaarWavelet, name)
+
+            def counting(matrix, block, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(matrix, block)
+
+            monkeypatch.setattr(HaarWavelet, name, counting)
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = manager.create_session("t", vector_relation(256), 10.0, seed=3)
+        for epsilon in (0.1, 0.2):  # the first builds the strategy, the second reuses it
+            calls.clear()
+            scheduler.execute(strategy_request(session.session_id, "Privelet", epsilon))
+            assert calls == ["_matmat"]
+
+    @pytest.mark.parametrize("plan", ["Privelet", "Hierarchical Opt (HB)"])
+    def test_traced_request_records_the_residual(self, monkeypatch, plan):
+        solves = []
+        solve = inference.least_squares
+
+        def spy(queries, answers, **kwargs):
+            estimate = solve(queries, answers, **kwargs)
+            solves.append((queries, answers, estimate.x_hat))
+            return estimate
+
+        monkeypatch.setattr(inference, "least_squares", spy)
+        tracer = Tracer()
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager, executor="inline", tracer=tracer)
+        session = manager.create_session("t", vector_relation(256), 10.0, seed=3)
+        scheduler.execute(strategy_request(session.session_id, plan, 0.1))
+        ((queries, answers, x_hat),) = solves
+        residual = float(np.linalg.norm(queries.matvec(x_hat) - answers))
+        spans = tracer.drain()
+        for name in ("plan.stage.infer", "solve.least_squares"):
+            (span,) = [s for s in spans if s.name == name]
+            assert span.attributes["residual_norm"] == pytest.approx(residual, rel=1e-9, abs=1e-9)
+
+
+# ----------------------------------------------------------------------------
 # Registry / plan parameterisation.
 # ----------------------------------------------------------------------------
 class TestRegistryLookup:
@@ -650,10 +822,11 @@ class TestKernelHooks:
         source = vector_source_factory(small_vector, epsilon=1.0)
         kernel = source.kernel
         source.vector_laplace(build_workload("identity", {"domain": N}), 0.1)
-        source.laplace_scalar(lambda x: float(x.sum()), 1.0, 0.1)
+        kernel.measure_noisy_count("root", 0.1)
         assert len(kernel.history_query()) == 2
         assert len(kernel.history_query(operator="VectorLaplace")) == 1
-        assert len(kernel.history_query(since=1)) == 1
+        assert [r.operator for r in kernel.history_query(since=1)] == ["NoisyCount"]
+        assert [r.operator for r in kernel.history_query(source="root")] == ["NoisyCount"]
         assert kernel.history_query(source="nope") == []
 
     def test_reseed_reproduces_noise(self, vector_source_factory, small_vector):
