@@ -11,19 +11,27 @@ This walkthrough:
 2. writes the DAWA trace as a Chrome trace-event file — open it at
    ``chrome://tracing`` or https://ui.perfetto.dev to see partition /
    measurement / inference stages on a timeline,
-3. prints the per-tenant privacy-spend odometer and latency percentiles from
-   the always-on metrics registry, plus the Prometheus exposition a scraper
-   would collect.
+3. prints the per-tenant privacy-spend odometer and latency percentiles,
+   which the service computes from the session's audit trail when they are
+   exported (and this script checks against the events), plus the
+   Prometheus exposition a scraper would collect.
 
 Run:  python examples/telemetry_tracing.py
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from repro.dataset import small_census
-from repro.service import PlanScheduler, QueryRequest, SessionManager, telemetry_report
+from repro.service import (
+    PlanScheduler,
+    QueryRequest,
+    SessionManager,
+    request_metrics,
+    telemetry_report,
+)
 from repro.telemetry import Tracer, prometheus_text, write_chrome_trace
 
 OUT = Path(__file__).resolve().parent / "dawa_trace.json"
@@ -87,17 +95,27 @@ def main() -> None:
     print("\n=== 3. Metrics: odometer, latency, Prometheus ===")
     report = telemetry_report(scheduler)
     odometer = report["privacy_odometer"]["acme"]
+    # The metrics are a view of the audit trail: each number is its count,
+    # or math.fsum, over the session's events.
+    events = session.events
+    assert odometer["total_spent"] == math.fsum(e.epsilon_spent for e in events)
+    assert odometer["requests"] == len(events)
     print(f"tenant acme spent {odometer['total_spent']:.3f} {odometer['unit']} "
           f"over {odometer['requests']} requests:")
     for plan, entry in odometer["plans"].items():
+        mine = [e for e in events if e.plan == plan]
+        assert entry["spent"] == math.fsum(e.epsilon_spent for e in mine)
+        assert entry["requests"] == len(mine)
         print(f"  {plan:10s} spent={entry['spent']:.3f} requests={entry['requests']}")
     latency = report["metrics"]["histograms"]["service_request_latency_seconds{tenant=acme}"]
+    assert latency["count"] == len(events)
+    assert latency["sum"] == math.fsum(e.duration_seconds for e in events)
     print(f"request latency: p50={latency['p50'] * 1e3:.2f} ms "
           f"p95={latency['p95'] * 1e3:.2f} ms max={latency['max'] * 1e3:.2f} ms")
     print(f"\nidentity request trace: {identity.trace_id} "
           f"({len(tracer.trace(identity.trace_id))} spans)")
     print("\nPrometheus exposition (first lines):")
-    for line in prometheus_text(scheduler.metrics).splitlines()[:8]:
+    for line in prometheus_text(request_metrics(scheduler)).splitlines()[:8]:
         print(f"  {line}")
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import threading
 
 import numpy as np
 
@@ -104,6 +105,25 @@ def decode(value):
     return value
 
 
+class _Tagger(threading.local):
+    """The header encoder's ``default``: tags an array and keeps it, per
+    thread, so one encoder serves every :func:`pack` call (building one per
+    call adds about a tenth to encoding a one-event commit record)."""
+
+    def __call__(self, value):
+        if not isinstance(value, np.ndarray):
+            return float(value)
+        # (ascontiguousarray would turn a 0-d array into a 1-d one.)
+        self.arrays.append(value if value.flags.c_contiguous else np.ascontiguousarray(value))
+        tagged = {"__raw__": self.size, "dtype": value.dtype.str, "shape": list(value.shape)}
+        self.size += value.nbytes
+        return tagged
+
+
+_TAGGER = _Tagger()
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_TAGGER)
+
+
 def pack(record: dict) -> tuple[bytes, list[np.ndarray]]:
     """``record`` as a compact JSON header and the arrays it holds, in order.
 
@@ -111,21 +131,9 @@ def pack(record: dict) -> tuple[bytes, list[np.ndarray]]:
     tag, ``offset`` being where its bytes start in the arrays' concatenated
     buffers; numpy scalars are written as floats.
     """
-    arrays: list[np.ndarray] = []
-    size = 0
-
-    def tag(value):
-        nonlocal size
-        if not isinstance(value, np.ndarray):
-            return float(value)
-        # (ascontiguousarray would turn a 0-d array into a 1-d one.)
-        arrays.append(value if value.flags.c_contiguous else np.ascontiguousarray(value))
-        tagged = {"__raw__": size, "dtype": value.dtype.str, "shape": list(value.shape)}
-        size += value.nbytes
-        return tagged
-
-    header = json.dumps(record, separators=(",", ":"), default=tag).encode("utf-8")
-    return header, arrays
+    _TAGGER.arrays, _TAGGER.size = [], 0
+    header = _HEADER_ENCODER.encode(record).encode("utf-8")
+    return header, _TAGGER.arrays
 
 
 def unpack(header: bytes, raw) -> dict:

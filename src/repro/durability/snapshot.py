@@ -254,6 +254,8 @@ def _replay(session, records: Iterable[dict], measurement_cache) -> int:
             elif kind == "measurement":
                 session.kernel.restore_measurement(_from_record(MeasurementRecord, part))
             elif kind == "event":
+                if "outcome" not in part:
+                    part = {**part, "outcome": _legacy_outcome(part)}
                 session.events.append(_from_record(SessionEvent, part))
                 number = _request_number(session.session_id, part.get("request_id"))
                 if number is not None:
@@ -274,6 +276,17 @@ def _replay(session, records: Iterable[dict], measurement_cache) -> int:
                 raise RecoveryError(f"unknown record kind {kind!r}")
         replayed += len(parts)
     return replayed
+
+
+def _legacy_outcome(event: dict) -> str:
+    """The outcome of an event recorded before events had one (a rejection
+    left a plan error's record, so it reads ``error``)."""
+    error = event.get("error", "")
+    if event.get("cached"):
+        return "cached"
+    if not error:
+        return "ok"
+    return "timeout" if error == "DeadlineExceededError" else "error"
 
 
 def _request_number(session_id: str, request_id) -> int | None:

@@ -49,6 +49,16 @@ from .exceptions import (
 )
 
 
+def _sensitivity(queries: LinearQueryMatrix, norm: str) -> float:
+    """``queries.sensitivity()`` or ``.sensitivity_l2()`` (``norm``), computed
+    from the matrix once per matrix object, as its strategy key is: a cached
+    public strategy is measured again on every request."""
+    computed = queries.__dict__.setdefault("_sensitivity_cache", {})
+    if norm not in computed:
+        computed[norm] = getattr(queries, norm)()
+    return computed[norm]
+
+
 @dataclass
 class MeasurementRecord:
     """One entry of the kernel's query history.
@@ -489,16 +499,17 @@ class ProtectedKernel:
     ) -> np.ndarray:
         """Vector Laplace: noisy answers ``M x + (sensitivity(M)/eps) * Lap(1)^m``.
 
-        The sensitivity is computed automatically from the query matrix; the
-        budget charged on the source is ``epsilon`` and the kernel's budget
-        tracker converts it to root-level cost through the lineage stabilities.
+        The sensitivity is computed automatically from the query matrix,
+        once per matrix object; the budget charged on the source is
+        ``epsilon`` and the kernel's budget tracker converts it to root-level
+        cost through the lineage stabilities.
         """
         queries = ensure_matrix(queries)
         vector = self._data(name, "vector", queries)
         m = queries.shape[0]
 
         def calibrate():
-            sensitivity = queries.sensitivity()
+            sensitivity = _sensitivity(queries, "sensitivity")
             cost = self._accountant.laplace_cost(epsilon)
             return sensitivity / epsilon, cost, {"sensitivity": float(sensitivity)}
 
@@ -538,7 +549,7 @@ class ProtectedKernel:
             delta = self._accountant.default_delta
 
         def calibrate():
-            sensitivity = queries.sensitivity_l2()
+            sensitivity = _sensitivity(queries, "sensitivity_l2")
             sigma, cost = self._accountant.gaussian_mechanism(sensitivity, epsilon, delta)
             return sigma, cost, {"sensitivity_l2": float(sensitivity)}
 

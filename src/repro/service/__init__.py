@@ -24,10 +24,11 @@ needs between the two — sessions, scheduling, caching and auditing:
 Observability: construct the scheduler with a
 :class:`~repro.telemetry.Tracer` to get one hierarchical trace per request
 (``QueryResponse.trace_id``) spanning plan stages, kernel measurements and
-solver calls, structurally identical on either backend.  Metrics
-(latency/queue-wait histograms, outcome and cache counters, the per-tenant
-privacy-spend odometer) are always collected on ``scheduler.metrics``.
-See :mod:`repro.telemetry`.
+solver calls, structurally identical on either backend.  Request metrics
+(outcome counts, latency/queue-wait histograms, the per-tenant
+privacy-spend odometer) are a view of the sessions' audit trail, computed
+at export by :func:`request_metrics` and :func:`telemetry_report`; cache
+counters are the caches' own fields.  See :mod:`repro.telemetry`.
 
 Typical usage::
 
@@ -49,6 +50,7 @@ from .executors import ExecutorBackend, InlineExecutor, ThreadExecutor, make_exe
 from .export import (
     export_json,
     reconcile,
+    request_metrics,
     service_report,
     session_report,
     telemetry_report,
@@ -80,5 +82,6 @@ __all__ = [
     "service_report",
     "reconcile",
     "export_json",
+    "request_metrics",
     "telemetry_report",
 ]

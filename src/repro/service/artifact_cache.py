@@ -27,7 +27,6 @@ from collections import OrderedDict
 from typing import Callable, Hashable, Mapping, TypeVar
 
 from ..matrix import LinearQueryMatrix
-from ..telemetry.metrics import MetricsRegistry
 from ..workload.builders import build_workload, workload_cache_key
 
 T = TypeVar("T")
@@ -39,10 +38,9 @@ _MISS = object()
 class ArtifactCache:
     """Thread-safe LRU map from hashable keys to data-independent artifacts.
 
-    ``bind_metrics`` attaches a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    so hit/miss/eviction counts surface as ``cache_hits`` / ``cache_misses`` /
-    ``cache_evictions`` counters labelled ``cache=<name>`` (the scheduler binds
-    its registry automatically).
+    Its ``hits``/``misses``/``evictions`` fields are its counters; a
+    scheduler's metrics export reads them as ``cache_hits`` /
+    ``cache_misses`` / ``cache_evictions`` labelled ``cache=<name>``.
     """
 
     metrics_name = "artifact"
@@ -54,15 +52,6 @@ class ArtifactCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._metrics: MetricsRegistry | None = None
-
-    def bind_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report this cache's counters to ``metrics`` from now on."""
-        self._metrics = metrics
-
-    def _count(self, outcome: str, amount: int = 1) -> None:
-        if self._metrics is not None and amount:
-            self._metrics.counter(f"cache_{outcome}", cache=self.metrics_name).inc(amount)
 
     def get_or_build(self, key: Hashable, builder: Callable[[], T]) -> T:
         """Return the cached artifact for ``key``, building it on a miss.
@@ -81,11 +70,8 @@ class ArtifactCache:
                 self.misses += 1
                 artifact = _MISS
         if artifact is not _MISS:
-            self._count("hits")
             return artifact  # type: ignore[return-value]
-        self._count("misses")
         artifact = builder()
-        evicted = 0
         with self._lock:
             stored = self._entries.setdefault(key, artifact)
             self._entries.move_to_end(key)
@@ -95,9 +81,6 @@ class ArtifactCache:
                     # one just installed (it was moved to the hot end above).
                     self._entries.popitem(last=False)
                     self.evictions += 1
-                    evicted += 1
-        if evicted:
-            self._count("evictions", evicted)
         return stored  # type: ignore[return-value]
 
     def workload(

@@ -6,6 +6,10 @@ source-level :class:`~repro.private.audit.BudgetAudit` — into plain
 JSON-ready dictionaries, and reconciles the two accountings: the sum of
 ``epsilon_spent`` over the service's events must equal the kernel's own
 ``budget_consumed()`` exactly, or something double-charged or leaked.
+
+The request metrics are a view of the same trail, computed at export
+(:func:`request_metrics`, :func:`telemetry_report`): each count is a count
+of events and each sum is ``math.fsum`` over them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import math
 from dataclasses import asdict
 
 from ..private.audit import audit_kernel
-from .session import Session, SessionManager
+from ..telemetry.metrics import MetricsRegistry
+from .session import RequestTally, Session, SessionManager
 
 
 def session_report(session: Session) -> dict:
@@ -134,19 +139,63 @@ def service_report(manager: SessionManager) -> dict:
     }
 
 
+def request_metrics(scheduler) -> MetricsRegistry:
+    """A :class:`PlanScheduler`'s metrics as of now, in a fresh registry:
+    ``service_requests`` per tenant, plan and outcome and the per-tenant
+    latency and queue-wait histograms from the audit trail, both caches'
+    hit/miss/eviction fields as ``cache_*`` counters, and the instruments
+    of ``scheduler.metrics``.  :func:`~repro.telemetry.prometheus_text`
+    serialises it."""
+    return _metrics_view(scheduler, scheduler.manager.request_tallies())
+
+
+def _metrics_view(scheduler, tallies: dict[str, RequestTally]) -> MetricsRegistry:
+    view = MetricsRegistry()
+    for tenant, tally in tallies.items():
+        for (plan, outcome), n in tally.requests.items():
+            view.counter("service_requests", tenant=tenant, plan=plan, outcome=outcome).inc(n)
+        for histogram in tally.histograms(tenant):
+            view.add(histogram)
+    for cache in (scheduler.artifact_cache, scheduler.measurement_cache):
+        stats = cache.stats
+        for name in ("hits", "misses", "evictions"):
+            view.counter(f"cache_{name}", cache=cache.metrics_name).inc(stats[name])
+    counters, _, histograms = scheduler.metrics.instruments()
+    for instrument in counters + histograms:
+        view.add(instrument)
+    return view
+
+
+def _odometer(tallies: dict[str, RequestTally]) -> dict:
+    """Per-tenant spend in native units, in total and per plan."""
+    odometer = {}
+    for tenant, tally in tallies.items():
+        plans = {plan: {"spent": math.fsum(p), "requests": 0} for plan, p in tally.spent.items()}
+        for (plan, _), n in tally.requests.items():
+            plans[plan]["requests"] += n
+        odometer[tenant] = {
+            "unit": tally.unit,
+            "total_spent": math.fsum(x for partials in tally.spent.values() for x in partials),
+            "requests": sum(tally.requests.values()),
+            "plans": plans,
+        }
+    return odometer
+
+
 def telemetry_report(scheduler) -> dict:
     """Operational snapshot of one :class:`~repro.service.PlanScheduler`.
 
     Complements the budget-centric audit exports with the service's runtime
-    health: the metrics registry snapshot (per-tenant latency and queue-wait
-    histograms with percentile estimates, request outcome counters, cache
-    counters), the per-tenant privacy-spend odometer with burn rates, both
-    caches' stats, and the tracer's buffer stats.  Everything in the returned
-    dict is JSON-ready.
+    health: :func:`request_metrics`' snapshot (per-tenant latency and
+    queue-wait histograms with percentile estimates, request outcome
+    counters, cache counters), the per-tenant privacy-spend odometer, both
+    caches' stats, and the tracer's buffer stats.  Everything in the
+    returned dict is JSON-ready.
     """
+    tallies = scheduler.manager.request_tallies()
     return {
-        "metrics": scheduler.metrics.snapshot(),
-        "privacy_odometer": scheduler.metrics.privacy_odometer(),
+        "metrics": _metrics_view(scheduler, tallies).snapshot(),
+        "privacy_odometer": _odometer(tallies),
         "caches": {
             "artifact": scheduler.artifact_cache.stats,
             "measurement": scheduler.measurement_cache.stats,

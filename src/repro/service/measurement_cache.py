@@ -33,18 +33,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..private.kernel import MeasurementRecord
-from ..telemetry.metrics import MetricsRegistry
 from .api import QueryResponse
 from .session import Session
 
 
-def _frozen_copy(response: QueryResponse) -> QueryResponse:
-    """A deep-enough copy: clients and cache must never share mutable state."""
+def _frozen_copy(response: QueryResponse, **changes) -> QueryResponse:
+    """A deep-enough copy with ``changes``: clients and cache never share state."""
     return replace(
         response,
         x_hat=np.array(response.x_hat, copy=True),
         answers=None if response.answers is None else np.array(response.answers, copy=True),
         info=dict(response.info),
+        **changes,
     )
 
 
@@ -69,15 +69,6 @@ class MeasurementCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._metrics: MetricsRegistry | None = None
-
-    def bind_metrics(self, metrics: MetricsRegistry | None) -> None:
-        """Report hit/miss/eviction counters to ``metrics`` from now on."""
-        self._metrics = metrics
-
-    def _count(self, outcome: str, amount: int = 1) -> None:
-        if self._metrics is not None and amount:
-            self._metrics.counter(f"cache_{outcome}", cache=self.metrics_name).inc(amount)
 
     @staticmethod
     def _scoped(session: Session, key: tuple) -> tuple:
@@ -95,7 +86,6 @@ class MeasurementCache:
             else:
                 self.hits += 1
                 self._entries.move_to_end(scoped)
-        self._count("hits" if entry is not None else "misses")
         return entry
 
     def store(
@@ -107,7 +97,6 @@ class MeasurementCache:
         history_end: int,
     ) -> None:
         """Index a freshly-computed response (cache hits are never re-stored)."""
-        evicted = 0
         with self._lock:
             scoped = self._scoped(session, key)
             self._entries[scoped] = CachedAnswer(
@@ -119,17 +108,20 @@ class MeasurementCache:
                     # LRU, never the entry just stored (moved to the hot end).
                     self._entries.popitem(last=False)
                     self.evictions += 1
-                    evicted += 1
-        self._count("evictions", evicted)
 
-    def replay(self, entry: CachedAnswer, request_id: str) -> QueryResponse:
-        """A budget-free copy of a cached response for a new request id."""
-        return replace(
-            _frozen_copy(entry.response),
+    def replay(
+        self, entry: CachedAnswer, request_id: str, accounting: dict, trace_id: str | None
+    ) -> QueryResponse:
+        """A budget-free copy of a cached response for a new request id,
+        with the replay's ``accounting`` snapshot and ``trace_id``."""
+        return _frozen_copy(
+            entry.response,
             request_id=request_id,
             epsilon_spent=0.0,
             cached=True,
             elapsed_seconds=0.0,
+            accounting=accounting,
+            trace_id=trace_id,
         )
 
     def backing_records(self, session: Session, key: tuple) -> list[MeasurementRecord]:
@@ -173,7 +165,6 @@ class MeasurementCache:
             for k in stale:
                 del self._entries[k]
             self.evictions += len(stale)
-        self._count("evictions", len(stale))
         return len(stale)
 
     @property

@@ -20,9 +20,10 @@ privacy-correct order::
 
 Every outcome — answered, replayed, rejected, timed out or failed — is
 accounted for by one helper, :meth:`PlanScheduler._ledger`: it records the
-:class:`~repro.service.session.SessionEvent`, folds the outcome into the
-metrics registry and, on failure, attaches a
-:class:`~repro.service.api.RequestFailure` to the exception.
+:class:`~repro.service.session.SessionEvent`, its ``outcome`` included, and,
+on failure, attaches a :class:`~repro.service.api.RequestFailure` to the
+exception.  The event is the request's only record: the request metrics are
+computed from the audit trail when exported.
 
 Answers are byte-identical on both backends: every request's noise derives
 solely from :func:`derive_request_seed` (session base seed, request id,
@@ -55,14 +56,14 @@ scheduler opens a ``service.request`` root span per request and activates the
 tracer on the executing thread, so every instrumented seam underneath — plan
 stages, kernel measurements with their ε/cost, solver calls with Gram
 cache hits — attaches to the request's trace; the trace id is returned on
-``QueryResponse.trace_id`` and stamped on the audit-trail event.  A
-:class:`~repro.telemetry.MetricsRegistry` (always on; created internally
-unless injected) aggregates per-tenant request latency and queue-wait
-histograms, outcome counters, cache hit/miss/eviction counters and the
-per-tenant privacy-spend odometer.  Failures re-raise the *original*
-exception with a structured :class:`~repro.service.api.RequestFailure`
-attached (request id, batch slot, trace id, spend), so batch callers keep
-their ``isinstance`` checks and still get the context.
+``QueryResponse.trace_id`` and stamped on the audit-trail event.  Request
+metrics are computed from the audit trail at export
+(:func:`~repro.service.export.request_metrics`); ``metrics`` keeps only
+what no event records, journal commit times and retries.  Failures re-raise
+the *original* exception with a structured
+:class:`~repro.service.api.RequestFailure` attached (request id, batch slot,
+trace id, spend), so batch callers keep their ``isinstance`` checks and
+still get the context.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from ..durability.faults import FaultInjector, WorkerDeath
 from ..durability.snapshot import release_record, snapshot_session
 from ..plans.registry import make_plan
 from ..private.exceptions import DeadlineExceededError
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.spans import NOOP_SPAN, NULL_TRACER, NullTracer, Tracer, activate
 from .api import QueryRequest, QueryResponse, RequestFailure
 from .artifact_cache import ArtifactCache
@@ -115,11 +116,6 @@ def _attach_failure(exc: BaseException, failure: RequestFailure) -> None:
         pass
 
 
-def _spend_unit(session: Session) -> str:
-    """The native unit of a session's budget, as the odometer labels it."""
-    return "rho" if session.kernel.accountant.name == "zcdp" else "epsilon"
-
-
 class PlanScheduler:
     """Executes :class:`QueryRequest`\\ s synchronously or in batches."""
 
@@ -130,7 +126,6 @@ class PlanScheduler:
         artifact_cache: ArtifactCache | None = None,
         max_workers: int = 4,
         tracer: Tracer | NullTracer | None = None,
-        metrics: MetricsRegistry | None = None,
         fault_injector: FaultInjector | None = None,
         executor: str | ExecutorBackend | None = None,
     ):
@@ -141,12 +136,10 @@ class PlanScheduler:
         #: per-request tracing; the no-op NULL_TRACER (the default) records
         #: nothing and costs one shared no-op handle per instrumented seam.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: cross-request aggregates (latency/queue-wait histograms per tenant,
-        #: outcome and cache counters, privacy-spend odometer); always on —
-        #: a handful of dict operations per request.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.measurement_cache.bind_metrics(self.metrics)
-        self.artifact_cache.bind_metrics(self.metrics)
+        #: what the audit trail does not record: journal commit seconds per
+        #: tenant (each histogram resolved once) and retry counts.
+        self.metrics = MetricsRegistry()
+        self._commit_seconds: dict[str, Histogram] = {}
         #: crash-harness seam (``scheduler.worker``); None in production.
         self.fault_injector = fault_injector
         #: what drives requests ("inline", "thread" or an ExecutorBackend
@@ -206,7 +199,6 @@ class PlanScheduler:
             measurement_cache=self.measurement_cache,
             strict=strict,
         )
-        self.metrics.counter("service_recoveries", tenant=session.tenant).inc()
         return session
 
     # ------------------------------------------------------------------
@@ -357,21 +349,13 @@ class PlanScheduler:
             raise exc
 
         if request.reuse:
-            entry = self.measurement_cache.lookup(session, key)
-            if entry is not None:
-                response = self.measurement_cache.replay(entry, request.request_id)
-                # The cached response carries the accounting snapshot of the
-                # request that paid for it; refresh to the session's current
-                # state (a replay spends nothing, but spend may have moved
-                # since the entry was stored).
-                response.accounting = session.accounting_report()
-                response.trace_id = trace_id
-                response.elapsed_seconds = time.perf_counter() - start
-                self._ledger(
-                    session, request, "cached", response.elapsed_seconds,
-                    queue_wait, trace_id, (entry.history_start, entry.history_start),
-                    seed=response.seed,
-                )
+            if root is NOOP_SPAN:  # untraced: no tracer call on the way to a replay
+                response = self._replay(session, request, key, start, queue_wait, trace_id)
+            else:
+                with self.tracer.span("cache.probe") as probe:
+                    response = self._replay(session, request, key, start, queue_wait, trace_id)
+                    probe.set_attribute("hit", response is not None)
+            if response is not None:
                 return response
 
         workload_matrix = (
@@ -469,6 +453,32 @@ class PlanScheduler:
         )
         return response
 
+    def _replay(
+        self,
+        session: Session,
+        request: QueryRequest,
+        key: tuple,
+        start: float,
+        queue_wait: float,
+        trace_id: str | None,
+    ) -> QueryResponse | None:
+        """The cached answer to ``request``, ledgered as a replay, or None."""
+        entry = self.measurement_cache.lookup(session, key)
+        if entry is None:
+            return None
+        # The replay carries the session's accounting now, not the paying
+        # request's (spend may have moved since the entry was stored).
+        response = self.measurement_cache.replay(
+            entry, request.request_id, session.accounting_report(), trace_id
+        )
+        response.elapsed_seconds = time.perf_counter() - start
+        self._ledger(
+            session, request, "cached", response.elapsed_seconds,
+            queue_wait, trace_id, (entry.history_start, entry.history_start),
+            seed=response.seed,
+        )
+        return response
+
     def _ledger(
         self,
         session: Session,
@@ -483,9 +493,8 @@ class PlanScheduler:
         exc: BaseException | None = None,
     ) -> None:
         """Account for one request's outcome (``ok``, ``cached``,
-        ``rejected``, ``timeout`` or ``error``): record its audit event, fold
-        it into the metrics and, on failure, attach its
-        :class:`RequestFailure` to ``exc``."""
+        ``rejected``, ``timeout`` or ``error``): record its audit event and,
+        on failure, attach its :class:`RequestFailure` to ``exc``."""
         error = type(exc).__name__ if exc is not None else ""
         session.record(
             SessionEvent(
@@ -495,6 +504,7 @@ class PlanScheduler:
                 epsilon_requested=request.epsilon,
                 epsilon_spent=spent,
                 cached=outcome == "cached",
+                outcome=outcome,
                 seed=seed,
                 history_start=history[0],
                 history_end=history[1],
@@ -505,11 +515,6 @@ class PlanScheduler:
                 trace_id=trace_id,
             )
         )
-        if outcome == "timeout":
-            self.metrics.counter(
-                "service_deadline_timeouts", tenant=session.tenant, plan=request.plan
-            ).inc()
-        self._observe(session, request, outcome, duration, queue_wait, spent)
         if exc is not None:
             _attach_failure(
                 exc,
@@ -529,30 +534,12 @@ class PlanScheduler:
             return
         started = time.perf_counter()
         session.commit()
-        self.metrics.histogram(
-            "service_journal_commit_seconds", tenant=session.tenant
-        ).observe(time.perf_counter() - started)
-
-    def _observe(
-        self,
-        session: Session,
-        request: QueryRequest,
-        outcome: str,
-        duration: float,
-        queue_wait: float,
-        spent: float,
-    ) -> None:
-        """Fold one finished (or failed) request into the metrics registry."""
-        metrics = self.metrics
-        tenant = session.tenant
-        metrics.counter(
-            "service_requests", tenant=tenant, plan=request.plan, outcome=outcome
-        ).inc()
-        metrics.histogram("service_request_latency_seconds", tenant=tenant).observe(duration)
-        metrics.histogram("service_request_queue_wait_seconds", tenant=tenant).observe(
-            queue_wait
-        )
-        metrics.record_privacy_spend(tenant, request.plan, spent, unit=_spend_unit(session))
+        histogram = self._commit_seconds.get(session.tenant)
+        if histogram is None:
+            histogram = self._commit_seconds[session.tenant] = self.metrics.histogram(
+                "service_journal_commit_seconds", tenant=session.tenant
+            )
+        histogram.observe(time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # Batched path.
@@ -667,13 +654,5 @@ class PlanScheduler:
         orphans = session.claim_orphans(error=type(exc).__name__)
         if orphans:
             self._commit_journal(session)
-            self.metrics.counter(
-                "service_orphaned_requests", tenant=session.tenant
-            ).inc()
-            # The odometer counts every ledgered event, claimed ones included.
-            for event in orphans:
-                self.metrics.record_privacy_spend(
-                    session.tenant, event.plan, event.epsilon_spent, unit=_spend_unit(session)
-                )
         return orphans
 

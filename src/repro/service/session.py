@@ -17,14 +17,18 @@ loses only charges whose answer nobody saw.  The records are built in
 The :class:`SessionManager` creates and tracks sessions.  Isolation is
 structural: every session has its own kernel, its own budget tracker and its
 own lock, so concurrent work on different sessions can never cross budgets.
+
+The request metrics are the audit trail folded into a
+:class:`RequestTally` per tenant (:meth:`SessionManager.request_tallies`).
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from ..dataset.relation import Relation
 from ..durability.snapshot import commit_record, open_record
 from ..private.kernel import BudgetSnapshot, MeasurementRecord, ProtectedKernel
 from ..private.protected import ProtectedDataSource
+from ..telemetry.metrics import Histogram
 
 #: Process-wide counter making every Session object distinguishable even when
 #: a session id is reused after a close (cache entries must never cross).
@@ -49,6 +54,9 @@ class SessionEvent:
     epsilon_requested: float
     epsilon_spent: float
     cached: bool
+    #: how the request ended: ``ok``, ``cached`` (a replay), ``rejected``
+    #: (refused before any spend), ``timeout`` or ``error``.
+    outcome: str
     seed: int | None
     #: history indices [start, end) of the kernel measurements this request
     #: produced (an empty span for cache hits).
@@ -67,6 +75,62 @@ class SessionEvent:
     queue_wait_seconds: float = 0.0
     #: trace id of the request's span tree when tracing was enabled, else None.
     trace_id: str | None = None
+
+
+def _add_exact(partials: list[float], value: float) -> None:
+    """Add ``value`` to an exact sum kept as non-overlapping floats (the
+    partials ``math.fsum`` keeps), so ``math.fsum`` of them and any more
+    values is the correctly rounded sum of everything added."""
+    i = 0
+    for partial in partials:
+        if abs(value) < abs(partial):
+            value, partial = partial, value
+        high = value + partial
+        low = partial - (high - value)
+        if low:
+            partials[i] = low
+            i += 1
+        value = high
+    partials[i:] = [value]
+
+
+#: The request histograms, by the event field each observes.
+_TIMINGS = {
+    "service_request_latency_seconds": "duration_seconds",
+    "service_request_queue_wait_seconds": "queue_wait_seconds",
+}
+
+
+class RequestTally:
+    """One tenant's audit events, folded into what the request metrics read:
+    requests per (plan, outcome), spend per plan in the accountant's native
+    ``unit`` and the :data:`_TIMINGS` histograms.  Sums are kept exact, so a
+    tally exports ``math.fsum`` over every event folded in."""
+
+    def __init__(self, unit: str):
+        self.unit = unit
+        self.requests: dict[tuple[str, str], int] = {}
+        #: exact partials of the spend, per plan.
+        self.spent: dict[str, list[float]] = {}
+        #: each histogram with the exact partials of its sum.
+        self.timings = {name: (Histogram(name), []) for name in _TIMINGS}
+
+    def add(self, events) -> None:
+        for event in events:
+            key = (event.plan, event.outcome)
+            self.requests[key] = self.requests.get(key, 0) + 1
+            _add_exact(self.spent.setdefault(event.plan, []), event.epsilon_spent)
+            for name, (histogram, partials) in self.timings.items():
+                value = getattr(event, _TIMINGS[name])
+                histogram.observe(value)
+                _add_exact(partials, value)
+
+    def histograms(self, tenant: str) -> list[Histogram]:
+        """The histograms, labelled with ``tenant``, their sums exact."""
+        return [
+            replace(h, labels=(("tenant", tenant),), counts=list(h.counts), total=math.fsum(p))
+            for h, p in self.timings.values()
+        ]
 
 
 class Session:
@@ -291,6 +355,7 @@ class Session:
                     epsilon_requested=0.0,
                     epsilon_spent=spend,
                     cached=False,
+                    outcome="error",
                     seed=None,
                     history_start=start,
                     history_end=end,
@@ -338,6 +403,8 @@ class SessionManager:
         self._sessions: dict[str, Session] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
+        #: per-tenant tallies of the audit events of the sessions closed so far.
+        self._closed: dict[str, RequestTally] = {}
 
     def create_session(
         self,
@@ -410,7 +477,8 @@ class SessionManager:
           is final and reconciles;
         * with ``drain=False`` the session is marked closed without waiting;
           an in-flight request still completes and is ledgered (it already
-          held the lock), but the caller gets the session back immediately.
+          held the lock), but the caller gets the session back immediately
+          and the manager's request metrics miss that request's event.
 
         ``timeout`` bounds the drain wait in seconds; on expiry the session
         is closed without further waiting (as if ``drain=False``).
@@ -435,12 +503,23 @@ class SessionManager:
         else:
             session.close()
         with self._lock:
-            self._sessions.pop(session_id, None)
+            if self._sessions.pop(session_id, None) is session:
+                _fold(self._closed, session, session.events)
         return session
 
     def sessions(self) -> list[Session]:
         with self._lock:
             return list(self._sessions.values())
+
+    def request_tallies(self) -> dict[str, RequestTally]:
+        """Per-tenant tallies of the audit events of every session this
+        manager has held: the live ones, and those it closed."""
+        with self._lock:
+            tallies = copy.deepcopy(self._closed)
+            sessions = list(self._sessions.values())
+        for session in sessions:
+            _fold(tallies, session, list(session.events))
+        return tallies
 
     def for_tenant(self, tenant: str) -> list[Session]:
         return [session for session in self.sessions() if session.tenant == tenant]
@@ -452,3 +531,12 @@ class SessionManager:
     def __contains__(self, session_id: str) -> bool:
         with self._lock:
             return session_id in self._sessions
+
+
+def _fold(tallies: dict[str, RequestTally], session: Session, events: list) -> None:
+    """Fold ``session``'s ``events`` into its tenant's tally in ``tallies``."""
+    if events:
+        if session.tenant not in tallies:
+            unit = "rho" if session.accountant.name == "zcdp" else "epsilon"
+            tallies[session.tenant] = RequestTally(unit)
+        tallies[session.tenant].add(events)

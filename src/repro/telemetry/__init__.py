@@ -9,9 +9,10 @@ the composition observable at runtime without touching plan logic:
   instrumented seams nest automatically and concurrent requests never mix.
   The default is the no-op :data:`NULL_TRACER`; the service activates a real
   tracer per request when the operator opts in.
-* :class:`MetricsRegistry` — counters, gauges and fixed-bucket histograms
-  (p50/p95/p99 from buckets), aggregated across requests per tenant, plus a
-  privacy-spend odometer (cumulative ε/ρ and burn rate per tenant per plan).
+* :class:`MetricsRegistry` — counters and fixed-bucket histograms
+  (p50/p95/p99 from buckets), labelled per tenant.  The service's request
+  metrics and privacy-spend odometer are computed from its audit trail at
+  export time (:func:`repro.service.export.request_metrics`).
 * :mod:`~repro.telemetry.exporters` — JSON-lines span dumps, Chrome
   ``chrome://tracing`` trace-event files, Prometheus text exposition.
 
@@ -35,13 +36,10 @@ from .exporters import (
     spans_to_chrome_trace,
     spans_to_jsonlines,
     write_chrome_trace,
-    write_jsonlines,
-    write_prometheus,
 )
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -71,14 +69,11 @@ __all__ = [
     "activate",
     "trace_span",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
     "spans_to_jsonlines",
-    "write_jsonlines",
     "spans_to_chrome_trace",
     "write_chrome_trace",
     "prometheus_text",
-    "write_prometheus",
 ]

@@ -3,7 +3,7 @@
 All timing in :mod:`repro.telemetry` flows through a *clock*: any zero-argument
 callable returning monotonically non-decreasing seconds.  The default is
 :func:`time.perf_counter`; tests inject a :class:`ManualClock` so span
-durations, histogram observations and burn rates are exact and deterministic.
+durations are exact and deterministic.
 """
 
 from __future__ import annotations

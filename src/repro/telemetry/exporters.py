@@ -10,7 +10,8 @@ Three operator-facing serialisations of the in-memory telemetry:
   graph of plan stages, kernel measurements and solver calls.
 * :func:`prometheus_text` — the Prometheus text exposition format over a
   :class:`~repro.telemetry.metrics.MetricsRegistry` (counters as ``_total``,
-  histograms as cumulative ``_bucket{le=...}`` series).
+  histograms as cumulative ``_bucket{le=...}`` series); a scheduler's
+  registry as of now is :func:`repro.service.export.request_metrics`.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from .spans import Span
 
 __all__ = [
     "spans_to_jsonlines",
-    "write_jsonlines",
     "spans_to_chrome_trace",
     "write_chrome_trace",
     "prometheus_text",
-    "write_prometheus",
 ]
 
 
@@ -40,13 +39,6 @@ def spans_to_jsonlines(spans: Iterable[Span]) -> str:
     """Serialise spans to newline-delimited JSON, ordered by start time."""
     ordered = sorted(spans, key=lambda span: (span.start, span.span_id))
     return "\n".join(json.dumps(span.to_dict(), sort_keys=True, default=float) for span in ordered)
-
-
-def write_jsonlines(spans: Iterable[Span], path: str | Path) -> Path:
-    path = Path(path)
-    content = spans_to_jsonlines(spans)
-    path.write_text(content + ("\n" if content else ""))
-    return path
 
 
 # ----------------------------------------------------------------------------
@@ -151,7 +143,7 @@ def _number(value: float) -> str:
 
 def prometheus_text(registry: MetricsRegistry) -> str:
     """Serialise a registry in the Prometheus text exposition format."""
-    counters, gauges, histograms = registry.instruments()
+    counters, _, histograms = registry.instruments()
     lines: list[str] = []
     seen_types: set[str] = set()
 
@@ -164,10 +156,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         name = _metric_name(counter.name, "_total")
         _header(name, "counter")
         lines.append(f"{name}{_labels(counter.labels)} {_number(counter.value)}")
-    for gauge in sorted(gauges, key=lambda g: (g.name, g.labels)):
-        name = _metric_name(gauge.name)
-        _header(name, "gauge")
-        lines.append(f"{name}{_labels(gauge.labels)} {_number(gauge.value)}")
     for histogram in sorted(histograms, key=lambda h: (h.name, h.labels)):
         name = _metric_name(histogram.name)
         _header(name, "histogram")
@@ -185,9 +173,3 @@ def prometheus_text(registry: MetricsRegistry) -> str:
         lines.append(f"{name}_sum{_labels(histogram.labels)} {_number(histogram.total)}")
         lines.append(f"{name}_count{_labels(histogram.labels)} {histogram.count}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus(registry: MetricsRegistry, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(prometheus_text(registry))
-    return path

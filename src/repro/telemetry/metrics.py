@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges, fixed-bucket histograms and the spend odometer.
+"""Metrics: counters and fixed-bucket histograms.
 
 The :class:`MetricsRegistry` aggregates *across* requests — where a span
 records one operation, a metric records the distribution.  Metrics are keyed
@@ -11,10 +11,9 @@ estimates cost O(num_buckets) regardless of how many requests were observed;
 :meth:`Histogram.percentile` interpolates linearly inside the winning bucket
 and clamps to the observed min/max, which keeps small-sample estimates sane.
 
-The registry doubles as the service's **privacy-spend odometer**: every
-request's budget delta is recorded per (tenant, plan) together with first/last
-observation times, so operators can read cumulative ε/ρ burn and burn *rate*
-per tenant without walking session ledgers.
+The service's request metrics (outcome counts, latency and queue-wait
+histograms, the privacy-spend odometer) are a view of its audit trail, built
+into a fresh registry at export (:func:`repro.service.export.request_metrics`).
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-from .clock import DEFAULT_CLOCK, Clock
-
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS"]
 
 #: Geometric latency buckets (seconds): 100 µs ... ~100 s, then +inf overflow.
 DEFAULT_LATENCY_BUCKETS = tuple(1e-4 * (10 ** (i / 3.0)) for i in range(19))
@@ -49,24 +46,6 @@ class Counter:
         if amount < 0:
             raise ValueError("counters only go up")
         self.value += amount
-
-
-@dataclass
-class Gauge:
-    """A value that can go up and down (queue depths, cache sizes)."""
-
-    name: str
-    labels: _LabelKey = ()
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 @dataclass
@@ -159,38 +138,17 @@ class Histogram:
         }
 
 
-@dataclass
-class _SpendEntry:
-    """Odometer cell: cumulative spend of one (tenant, plan) pair."""
-
-    tenant: str
-    plan: str
-    unit: str
-    spent: float = 0.0
-    requests: int = 0
-    first_time: float | None = None
-    last_time: float | None = None
-
-    def burn_rate(self) -> float | None:
-        """Spend per second over the observed window (None below 2 samples)."""
-        if self.first_time is None or self.last_time is None:
-            return None
-        window = self.last_time - self.first_time
-        if window <= 0:
-            return None
-        return self.spent / window
-
-
 class MetricsRegistry:
-    """Thread-safe, label-aware registry of counters, gauges and histograms."""
+    """Label-aware registry of counters and histograms.
 
-    def __init__(self, clock: Clock | None = None):
-        self._clock = clock if clock is not None else DEFAULT_CLOCK
+    Lookups are thread-safe: racing first lookups of one name and label set
+    create one instrument.  Updating an instrument takes no lock.
+    """
+
+    def __init__(self):
         self._lock = threading.Lock()
         self._counters: dict[tuple[str, _LabelKey], Counter] = {}
-        self._gauges: dict[tuple[str, _LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, _LabelKey], Histogram] = {}
-        self._spend: dict[tuple[str, str], _SpendEntry] = {}
 
     # ------------------------------------------------------------------
     # Instrument accessors (get-or-create; safe to call on hot paths).
@@ -201,14 +159,6 @@ class MetricsRegistry:
             instrument = self._counters.get(key)
             if instrument is None:
                 instrument = self._counters[key] = Counter(name, key[1])
-            return instrument
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = (name, _label_key(labels))
-        with self._lock:
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = self._gauges[key] = Gauge(name, key[1])
             return instrument
 
     def histogram(
@@ -223,84 +173,31 @@ class MetricsRegistry:
                 )
             return instrument
 
-    # ------------------------------------------------------------------
-    # Privacy-spend odometer.
-    # ------------------------------------------------------------------
-    def record_privacy_spend(
-        self, tenant: str, plan: str, spent: float, unit: str = "epsilon"
-    ) -> None:
-        """Add one request's budget delta (native units) to the odometer.
-
-        Zero-spend requests (cache hits, rejected requests) still tick the
-        request count so hit rates are readable next to the burn figures.
-        """
-        now = self._clock()
+    def add(self, instrument: Counter | Histogram) -> None:
+        """Register a built instrument under its name and labels, replacing
+        any there (export-time views are assembled this way)."""
+        table = self._counters if isinstance(instrument, Counter) else self._histograms
         with self._lock:
-            entry = self._spend.get((tenant, plan))
-            if entry is None:
-                entry = self._spend[(tenant, plan)] = _SpendEntry(tenant, plan, unit)
-            entry.spent += float(spent)
-            entry.requests += 1
-            if entry.first_time is None:
-                entry.first_time = now
-            entry.last_time = now
-
-    def privacy_odometer(self) -> dict:
-        """Per-tenant spend view: totals, per-plan breakdown, burn rates."""
-        with self._lock:
-            entries = [
-                _SpendEntry(**vars(entry)) for entry in self._spend.values()
-            ]
-        tenants: dict[str, dict] = {}
-        for entry in entries:
-            tenant = tenants.setdefault(
-                entry.tenant,
-                {"unit": entry.unit, "total_spent": 0.0, "requests": 0, "plans": {}},
-            )
-            tenant["total_spent"] += entry.spent
-            tenant["requests"] += entry.requests
-            tenant["plans"][entry.plan] = {
-                "spent": entry.spent,
-                "requests": entry.requests,
-                "burn_rate_per_second": entry.burn_rate(),
-            }
-        for tenant in tenants.values():
-            rates = [
-                plan["burn_rate_per_second"]
-                for plan in tenant["plans"].values()
-                if plan["burn_rate_per_second"] is not None
-            ]
-            tenant["burn_rate_per_second"] = sum(rates) if rates else None
-        return tenants
+            table[(instrument.name, instrument.labels)] = instrument
 
     # ------------------------------------------------------------------
     # Snapshots.
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-ready dump of every instrument (used by ``telemetry_report``)."""
-        with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
-            histograms = list(self._histograms.values())
+        counters, _, histograms = self.instruments()
         return {
-            "counters": {
-                _render_key(c.name, c.labels): c.value for c in counters
-            },
-            "gauges": {_render_key(g.name, g.labels): g.value for g in gauges},
+            "counters": {_render_key(c.name, c.labels): c.value for c in counters},
             "histograms": {
                 _render_key(h.name, h.labels): h.snapshot() for h in histograms
             },
-            "privacy_odometer": self.privacy_odometer(),
         }
 
-    def instruments(self) -> tuple[list[Counter], list[Gauge], list[Histogram]]:
-        """Raw instrument lists (used by the Prometheus exporter)."""
+    def instruments(self) -> tuple[list[Counter], list, list[Histogram]]:
+        """``(counters, [], histograms)``; the empty slot, once gauges, keeps
+        the histograms at index 2 for the readers that index them."""
         with self._lock:
-            return (
-                list(self._counters.values()),
-                list(self._gauges.values()),
-                list(self._histograms.values()),
-            )
+            return list(self._counters.values()), [], list(self._histograms.values())
 
 
 def _render_key(name: str, labels: _LabelKey) -> str:

@@ -68,11 +68,13 @@ from repro.service import (
     SessionManager,
     export_json,
     reconcile,
+    request_metrics,
     service_report,
     session_report,
+    telemetry_report,
 )
 from repro.telemetry import NOOP_SPAN, Tracer
-from tests.test_telemetry import OUTCOME_CASES, arrange_outcome
+from tests.test_telemetry import OUTCOME_CASES, arrange_outcome, assert_metrics_are_the_events
 
 N = 64
 DATA = Path(__file__).parent / "data"
@@ -526,9 +528,10 @@ class TestJournaledSession:
         """The default ``fsync="commit"`` journal adds at most 10% to a
         paper-scale request: DAWA at n=1024.  Paired design: in each of
         three rounds, every request index runs on a journal-free session and
-        then on a journaled one, so a slow spell of the machine slows both
-        alike; the overhead is the median paired difference over the
-        journal-free median, pooled over the rounds."""
+        on a journaled one, so a slow spell of the machine slows both alike;
+        which lane runs first alternates from index to index, so neither
+        always gets the warmer caches.  The overhead is the median paired
+        difference over the journal-free median, pooled over the rounds."""
         n = 1024
         relation = Relation.from_histogram(
             Schema.build([Attribute("v", n)]),
@@ -553,7 +556,7 @@ class TestJournaledSession:
             journal = PrivacyJournal(tmp_path / f"round{round_}.wal", fsync="commit")
             lanes = ((lane(), bare), (lane(journal), journaled))
             for index in range(15):
-                for (scheduler, session), samples in lanes:
+                for (scheduler, session), samples in lanes[:: 1 if index % 2 else -1]:
                     start = time.perf_counter()
                     scheduler.execute(request(session, index))
                     samples.append(time.perf_counter() - start)
@@ -1106,6 +1109,58 @@ class TestJsonCommitRecordsRestore:
         reopened.close()
 
 
+class TestLegacyEventOutcomes:
+    """Events recorded before events carried an ``outcome`` restore with the
+    one their ``cached`` and ``error`` fields imply: ``cached``, else ``ok``
+    without an error, ``timeout`` for a ``DeadlineExceededError`` and
+    ``error`` for anything else (a rejection left a plan error's record)."""
+
+    @pytest.mark.parametrize(
+        "fixture", ["per_kind_journal.wal", "commit_journal.wal", "per_kind_snapshot.json"]
+    )
+    def test_pinned_fixtures_restore_with_derived_outcomes(self, relation, tmp_path, fixture):
+        scheduler = PlanScheduler(SessionManager())
+        if fixture.endswith(".json"):
+            snapshot = json.loads((DATA / fixture).read_text())
+            restored = scheduler.restore_session(relation, snapshot=snapshot)
+        else:
+            shutil.copyfile(DATA / fixture, tmp_path / "j.wal")
+            journal = PrivacyJournal(tmp_path / "j.wal")
+            restored = scheduler.restore_session(relation, journal=journal)
+            journal.close()
+        # Identity, DAWA, a replay, then the restore's claim of the killed
+        # request's charge.
+        assert [event.outcome for event in restored.events] == ["ok", "ok", "cached", "error"]
+        assert_metrics_are_the_events(scheduler, {"acme": restored.events})
+
+    def test_every_outcome_derives_from_an_old_record(self, manager, relation):
+        faults = FaultInjector()
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = manager.create_session("acme", relation, 4.0, seed=0)
+        session.kernel.fault_injector = faults
+        for case, _, _, error in OUTCOME_CASES:
+            request = arrange_outcome(scheduler, session, faults, case)
+            if case == "plan_error":  # the same query was answered above
+                request = replace(request, reuse=False)
+            if error is None:
+                scheduler.execute(request)
+            else:
+                with pytest.raises(error):
+                    scheduler.execute(request)
+        state = scheduler.snapshot_session(session.session_id)
+        for part in state["records"][1]["records"]:
+            if part["kind"] == "event":
+                del part["outcome"]
+        restored = PlanScheduler(SessionManager()).restore_session(relation, snapshot=state)
+        derived = {"rejected": "error"}
+        assert [event.outcome for event in restored.events] == [
+            derived.get(event.outcome, event.outcome) for event in session.events
+        ]
+        assert {event.outcome for event in restored.events} == {
+            "ok", "cached", "timeout", "error"
+        }
+
+
 # ======================================================================
 # Crash window: orphaned spend.
 # ======================================================================
@@ -1130,10 +1185,10 @@ class TestOrphanClaiming:
         orphan = session.events[-1]
         assert orphan.error == "WorkerDeath"
         assert orphan.epsilon_spent == pytest.approx(failure.epsilon_spent)
-        # The metrics odometer agrees with the audit trail, claims included.
-        odometer = scheduler.metrics.privacy_odometer()["acme"]
-        assert odometer["total_spent"] == pytest.approx(
-            math.fsum(event.epsilon_spent for event in session.events), abs=1e-12
+        # The odometer is a view of the audit trail, claims included.
+        odometer = telemetry_report(scheduler)["privacy_odometer"]["acme"]
+        assert odometer["total_spent"] == math.fsum(
+            event.epsilon_spent for event in session.events
         )
         assert odometer["requests"] == len(session.events)
 
@@ -1363,8 +1418,9 @@ class TestDeadlines:
         assert event.error == "DeadlineExceededError"
         assert event.epsilon_spent == 0.0
         assert reconcile(session)["exact"]
-        timeouts = scheduler.metrics.counter(
-            "service_deadline_timeouts", tenant="acme", plan="Identity"
+        assert event.outcome == "timeout"
+        timeouts = request_metrics(scheduler).counter(
+            "service_requests", tenant="acme", plan="Identity", outcome="timeout"
         )
         assert timeouts.value == 1
 
@@ -1528,13 +1584,14 @@ class TestRequestPathOrder:
         session.begin_close()
         with pytest.raises(SessionClosedError):
             scheduler.execute(identity_request(session))
-        snapshot = scheduler.metrics.snapshot()
+        report = telemetry_report(scheduler)
+        snapshot = report["metrics"]
         assert not any(key.startswith("service_requests") for key in snapshot["counters"])
         assert not any(
             key.startswith("service_journal_commit_seconds") for key in snapshot["histograms"]
         )
         assert len(journal) == records
-        assert scheduler.metrics.privacy_odometer() == {}
+        assert report["privacy_odometer"] == {}
 
     def test_deadline_is_checked_before_the_cache_probe(self, manager, relation):
         scheduler = PlanScheduler(manager)

@@ -126,6 +126,58 @@ class TestNoiseCalibration:
         assert np.array_equal(ya, yb)
 
 
+class TestSensitivityOncePerStrategy:
+    """A cached public strategy is measured on every request; the kernel
+    computes its sensitivity from the matrix on the first measurement only."""
+
+    N = 64
+
+    def measured_twice(self, monkeypatch, norm, accountant=None):
+        from repro.operators.selection import hb_select
+        from repro.plans.base import public_strategy
+        from repro.service import ArtifactCache
+
+        cache = ArtifactCache()
+
+        def strategy():
+            return public_strategy(cache, ("HB", self.N), lambda: hb_select(self.N), "implicit")
+
+        cached = strategy()
+        compute = getattr(type(cached), norm)
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix)
+            return compute(matrix)
+
+        monkeypatch.setattr(type(cached), norm, counting)
+        schema = Schema.build([Attribute("v", self.N)])
+        table = Relation.from_histogram(schema, np.arange(self.N, dtype=float))
+        kernel = ProtectedKernel(table, 10.0, seed=0, accountant=accountant)
+        vector = kernel.transform_vectorize("root")
+        for _ in range(2):
+            queries = strategy()
+            assert queries is cached
+            if norm == "sensitivity":
+                kernel.measure_vector_laplace(vector, queries, 1.0)
+            else:
+                kernel.measure_vector_gaussian(vector, queries, 1.0)
+        assert calls == [cached]
+        first, second = kernel.history()
+        assert first.noise_scale == second.noise_scale
+        return first.noise_scale, compute(cached)
+
+    def test_laplace(self, monkeypatch):
+        scale, sensitivity = self.measured_twice(monkeypatch, "sensitivity")
+        assert scale == sensitivity  # ε = 1
+
+    def test_gaussian(self, monkeypatch):
+        accountant = ApproxDPAccountant(10.0, 1e-3)
+        scale, sensitivity = self.measured_twice(monkeypatch, "sensitivity_l2", accountant)
+        sigma, _ = accountant.gaussian_mechanism(sensitivity, 1.0, accountant.default_delta)
+        assert scale == sigma
+
+
 class TestProtectedDataSource:
     def test_pipeline(self, relation):
         source = protect(relation, 1.0, seed=0)

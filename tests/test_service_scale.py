@@ -14,6 +14,7 @@ The invariants of the execution core:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -39,9 +40,10 @@ from repro.service import (
     derive_request_seed,
     make_executor,
     reconcile,
+    request_metrics,
+    telemetry_report,
 )
 from repro.telemetry import Tracer
-from repro.telemetry.metrics import MetricsRegistry
 
 N = 64
 
@@ -298,9 +300,8 @@ class TestExecutorBackends:
 
 class TestArtifactCacheLRU:
     def test_touch_on_hit_evicts_least_recent(self):
-        metrics = MetricsRegistry()
         cache = ArtifactCache(max_entries=2)
-        cache.bind_metrics(metrics)
+        scheduler = PlanScheduler(SessionManager(), artifact_cache=cache, executor="inline")
         built = []
 
         def builder(tag):
@@ -320,7 +321,10 @@ class TestArtifactCacheLRU:
         assert stats["entries"] == 2
         assert stats["evictions"] == 1
         assert stats["hits"] == 1
-        assert metrics.counter("cache_evictions", cache="artifact").value == 1.0
+        # The exported counter is the cache's own field.
+        view = request_metrics(scheduler)
+        assert view.counter("cache_evictions", cache="artifact").value == 1.0
+        assert view.counter("cache_hits", cache="artifact").value == 1.0
         # The evicted artifact rebuilds on demand and re-enters the cache.
         cache.get_or_build("b", builder("b"))
         assert built == ["a", "b", "c", "b"]
@@ -350,12 +354,9 @@ class TestArtifactCacheLRU:
 
 class TestMeasurementCacheBound:
     def test_eviction_counters_and_bound(self, relation):
-        metrics = MetricsRegistry()
         cache = MeasurementCache(max_entries=2)
         manager = SessionManager()
-        scheduler = PlanScheduler(
-            manager, measurement_cache=cache, metrics=metrics, executor="inline"
-        )
+        scheduler = PlanScheduler(manager, measurement_cache=cache, executor="inline")
         session = manager.create_session("acme", relation, 10.0, seed=5)
         for epsilon in (0.1, 0.2, 0.3):
             scheduler.execute(
@@ -363,7 +364,8 @@ class TestMeasurementCacheBound:
             )
         assert len(cache) == 2
         assert cache.stats["evictions"] == 1
-        assert metrics.counter("cache_evictions", cache="measurement").value == 1.0
+        view = request_metrics(scheduler)
+        assert view.counter("cache_evictions", cache="measurement").value == 1.0
         # The survivors still replay at zero ε; the evicted answer is gone
         # from the cache (the journal test below shows it is not *lost*).
         replay = scheduler.execute(
@@ -604,7 +606,9 @@ class TestMovingSessions:
         for session_id, session in moved.items():
             assert session.budget_consumed() == spent[session_id]
             assert reconcile(session)["exact"]
-        assert (
-            target.metrics.counter("service_recoveries", tenant="acme").value
-            == len(sessions)
+        # The target's metrics are its audit trail: every moved request.
+        odometer = telemetry_report(target)["privacy_odometer"]["acme"]
+        assert odometer["requests"] == len(sessions)
+        assert odometer["total_spent"] == math.fsum(
+            event.epsilon_spent for session in moved.values() for event in session.events
         )

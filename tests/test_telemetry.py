@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import math
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.dataset import Attribute, Relation, Schema
-from repro.durability import FaultInjector, InjectedFault
+from repro.durability import FaultInjector, InjectedFault, PrivacyJournal, WorkerDeath
 from repro.operators.inference import least_squares
 from repro.private import BudgetExceededError, DeadlineExceededError
 from repro.service import (
@@ -20,6 +21,7 @@ from repro.service import (
     QueryRequest,
     RequestFailure,
     SessionManager,
+    request_metrics,
     session_report,
     telemetry_report,
 )
@@ -242,7 +244,7 @@ class TestHistogram:
 
 class TestMetricsRegistry:
     def test_counters_are_label_scoped_and_monotonic(self):
-        registry = MetricsRegistry(clock=ManualClock(tick=1.0))
+        registry = MetricsRegistry()
         registry.counter("requests", tenant="a").inc()
         registry.counter("requests", tenant="a").inc(2)
         registry.counter("requests", tenant="b").inc()
@@ -251,32 +253,6 @@ class TestMetricsRegistry:
         assert snap["counters"]["requests{tenant=b}"] == 1
         with pytest.raises(ValueError):
             registry.counter("requests", tenant="a").inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        registry = MetricsRegistry(clock=ManualClock(tick=1.0))
-        gauge = registry.gauge("depth")
-        gauge.set(5)
-        gauge.inc()
-        gauge.dec(2)
-        assert registry.snapshot()["gauges"]["depth"] == 4
-
-    def test_privacy_odometer_burn_rate(self):
-        clock = ManualClock(start=0.0, tick=10.0)  # observations 10 s apart
-        registry = MetricsRegistry(clock=clock)
-        registry.record_privacy_spend("acme", "Identity", 0.1)
-        registry.record_privacy_spend("acme", "Identity", 0.3)
-        registry.record_privacy_spend("acme", "Dawa", 0.2)
-        registry.record_privacy_spend("zeta", "Identity", 0.5, unit="rho")
-        odometer = registry.privacy_odometer()
-        acme = odometer["acme"]
-        assert acme["unit"] == "epsilon"
-        assert acme["total_spent"] == pytest.approx(0.6)
-        assert acme["requests"] == 3
-        # Identity saw 0.4 spent over a 10 s first-to-last window.
-        assert acme["plans"]["Identity"]["burn_rate_per_second"] == pytest.approx(0.04)
-        # Dawa has a single observation: no window, no rate.
-        assert acme["plans"]["Dawa"]["burn_rate_per_second"] is None
-        assert odometer["zeta"]["unit"] == "rho"
 
 
 # ----------------------------------------------------------------------------
@@ -350,7 +326,7 @@ class TestExporters:
         assert len(doc["traceEvents"]) == 5
 
     def test_prometheus_golden(self):
-        registry = MetricsRegistry(clock=ManualClock(tick=1.0))
+        registry = MetricsRegistry()
         registry.counter("service_requests", tenant="acme", outcome="ok").inc(3)
         hist = registry.histogram("latency_seconds", buckets=(1.0, 2.0), tenant="acme")
         hist.observe(0.5)
@@ -422,14 +398,38 @@ class TestSchedulerTracing:
                     assert span.parent_id in ids  # parent lives in SAME trace
 
     def test_cached_replay_gets_own_trace(self, manager, relation):
+        """A traced replay is its root and the cache probe that found it."""
         session = open_session(manager, relation)
         tracer = Tracer()
         scheduler = PlanScheduler(manager, tracer=tracer)
         first = scheduler.execute(identity_request(session))
         second = scheduler.execute(identity_request(session))
         assert second.cached and second.trace_id != first.trace_id
-        (root,) = tracer.trace(second.trace_id)
-        assert root.attributes["cached"] is True
+        root, probe = sorted(tracer.trace(second.trace_id), key=lambda span: span.start)
+        assert root.name == "service.request" and root.attributes["cached"] is True
+        assert probe.name == "cache.probe" and probe.parent_id == root.span_id
+        assert probe.attributes["hit"] is True
+        assert root.start <= probe.start and probe.end <= root.end
+        # The fresh request probed too, and missed, before its plan ran.
+        spans = {span.name: span for span in tracer.trace(first.trace_id)}
+        assert spans["cache.probe"].attributes["hit"] is False
+        assert spans["cache.probe"].end <= spans["plan.run"].start
+
+    def test_untraced_replay_calls_no_tracer_method(self, manager, relation, monkeypatch):
+        session = open_session(manager, relation)
+        scheduler = PlanScheduler(manager, executor="inline")
+        scheduler.execute(identity_request(session))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an untraced replay called the tracer")
+
+        for cls in (type(NULL_TRACER), type(NOOP_SPAN), activate):
+            for name, member in vars(cls).items():
+                if callable(member) and name not in ("__init__", "__new__"):
+                    monkeypatch.setattr(cls, name, refuse)
+        monkeypatch.setattr("repro.telemetry.spans.current_tracer", refuse)
+        replay = scheduler.execute(identity_request(session))
+        assert replay.cached and replay.trace_id is None
 
     def test_disabled_tracing_records_nothing(self, manager, relation):
         session = open_session(manager, relation)
@@ -604,10 +604,9 @@ class TestOutcomeLedger:
         # Only requests that reached the plan carry a noise seed.
         assert (event.seed is None) is (case in ("domain_mismatch", "expired_while_queued"))
 
-        counters = scheduler.metrics.snapshot()["counters"]
+        assert event.outcome == outcome
+        counters = telemetry_report(scheduler)["metrics"]["counters"]
         assert counters[f"service_requests{{outcome={outcome},plan={plan},tenant=acme}}"] == 1
-        timeouts = counters.get(f"service_deadline_timeouts{{plan={plan},tenant=acme}}", 0)
-        assert timeouts == (1 if outcome == "timeout" else 0)
 
         if error is None:
             assert response.cached is event.cached
@@ -626,38 +625,42 @@ class TestOutcomeLedger:
     def test_outcome_feeds_latency_queue_wait_and_odometer(
         self, manager, relation, case, outcome, plan, error
     ):
-        """The metrics see the same duration, queue wait and spend the audit
-        event records — once per request, whatever its outcome."""
+        """The exported metrics gain the duration, queue wait and spend the
+        audit event records — once per request, whatever its outcome."""
         faults = FaultInjector()
         scheduler = PlanScheduler(manager, executor="inline")
         session = open_session(manager, relation)
         session.kernel.fault_injector = faults
         request = arrange_outcome(scheduler, session, faults, case)
-        metrics = scheduler.metrics
-        latency = metrics.histogram("service_request_latency_seconds", tenant="acme")
-        queue_wait = metrics.histogram("service_request_queue_wait_seconds", tenant="acme")
-        before = (latency.count, latency.total, queue_wait.count, queue_wait.total)
-        odometer = metrics.privacy_odometer().get("acme", {"requests": 0, "total_spent": 0.0})
 
+        def read():
+            report = telemetry_report(scheduler)
+            histograms = report["metrics"]["histograms"]
+            latency = histograms.get("service_request_latency_seconds{tenant=acme}")
+            queue_wait = histograms.get("service_request_queue_wait_seconds{tenant=acme}")
+            odometer = report["privacy_odometer"].get("acme")
+            if odometer is None:
+                return (0, 0.0, 0, 0.0, 0, 0.0)
+            return (
+                latency["count"], latency["sum"], queue_wait["count"], queue_wait["sum"],
+                odometer["requests"], odometer["total_spent"],
+            )
+
+        before = read()
         if error is None:
             scheduler.execute(request)
         else:
             with pytest.raises(error):
                 scheduler.execute(request)
+        after = read()
 
         event = session.events[-1]
-        assert latency.count == before[0] + 1
-        assert latency.total - before[1] == pytest.approx(event.duration_seconds, abs=1e-12)
-        assert queue_wait.count == before[2] + 1
-        assert queue_wait.total - before[3] == pytest.approx(
-            event.queue_wait_seconds, abs=1e-12
-        )
-        after = metrics.privacy_odometer()["acme"]
-        assert after["requests"] == odometer["requests"] + 1
-        assert after["total_spent"] - odometer["total_spent"] == pytest.approx(
-            event.epsilon_spent, abs=1e-12
-        )
-        assert after["unit"] == "epsilon"
+        assert after[0] == before[0] + 1 and after[2] == before[2] + 1
+        assert after[1] - before[1] == pytest.approx(event.duration_seconds, abs=1e-12)
+        assert after[3] - before[3] == pytest.approx(event.queue_wait_seconds, abs=1e-12)
+        assert after[4] == before[4] + 1
+        assert after[5] - before[5] == pytest.approx(event.epsilon_spent, abs=1e-12)
+        assert telemetry_report(scheduler)["privacy_odometer"]["acme"]["unit"] == "epsilon"
 
     @pytest.mark.parametrize("case, outcome, plan, error", OUTCOME_CASES)
     def test_batch_slot_carries_the_same_outcome(
@@ -682,10 +685,9 @@ class TestOutcomeLedger:
         assert event.cached is (outcome == "cached")
         assert event.error == ("" if error is None else error.__name__)
         assert event.trace_id is not None
-        counters = scheduler.metrics.snapshot()["counters"]
+        assert event.outcome == outcome
+        counters = telemetry_report(scheduler)["metrics"]["counters"]
         assert counters[f"service_requests{{outcome={outcome},plan={plan},tenant=acme}}"] == 1
-        timeouts = counters.get(f"service_deadline_timeouts{{plan={plan},tenant=acme}}", 0)
-        assert timeouts == (1 if outcome == "timeout" else 0)
 
         if error is None:
             assert not isinstance(result, Exception)
@@ -741,3 +743,137 @@ class TestTelemetryReport:
         scheduler = PlanScheduler(manager, tracer=Tracer())
         scheduler.execute(identity_request(session))
         json.dumps(telemetry_report(scheduler), default=float)
+
+
+def assert_metrics_are_the_events(scheduler, events_by_tenant):
+    """Every number the scheduler exports about requests equals its count,
+    or ``math.fsum``, over ``events_by_tenant``'s audit events."""
+    report = telemetry_report(scheduler)
+    counters = report["metrics"]["counters"]
+    histograms = report["metrics"]["histograms"]
+    text = prometheus_text(request_metrics(scheduler))
+    expected = Counter(
+        (tenant, event.plan, event.outcome)
+        for tenant, events in events_by_tenant.items()
+        for event in events
+    )
+    exported = {key: value for key, value in counters.items() if key.startswith("service_requests{")}
+    assert exported == {
+        f"service_requests{{outcome={outcome},plan={plan},tenant={tenant}}}": count
+        for (tenant, plan, outcome), count in expected.items()
+    }
+    for (tenant, plan, outcome), count in expected.items():
+        labels = f'outcome="{outcome}",plan="{plan}",tenant="{tenant}"'
+        assert f"service_requests_total{{{labels}}} {float(count)!r}\n" in text
+    for name, cache in (("artifact", scheduler.artifact_cache), ("measurement", scheduler.measurement_cache)):
+        for field in ("hits", "misses", "evictions"):
+            assert counters[f"cache_{field}{{cache={name}}}"] == getattr(cache, field)
+    assert set(report["privacy_odometer"]) == set(events_by_tenant)
+    for tenant, events in events_by_tenant.items():
+        for name, field in (
+            ("service_request_latency_seconds", "duration_seconds"),
+            ("service_request_queue_wait_seconds", "queue_wait_seconds"),
+        ):
+            values = [getattr(event, field) for event in events]
+            histogram = histograms[f"{name}{{tenant={tenant}}}"]
+            assert histogram["count"] == len(values)
+            assert histogram["sum"] == math.fsum(values)
+            buckets = np.bincount(
+                np.searchsorted(DEFAULT_LATENCY_BUCKETS, values, side="left"),
+                minlength=len(DEFAULT_LATENCY_BUCKETS) + 1,
+            )
+            assert list(histogram["buckets"].values()) == buckets.tolist()
+            assert f'{name}_sum{{tenant="{tenant}"}} {math.fsum(values)!r}\n' in text
+            assert f'{name}_count{{tenant="{tenant}"}} {len(values)}\n' in text
+        odometer = report["privacy_odometer"][tenant]
+        assert odometer["requests"] == len(events)
+        assert odometer["total_spent"] == math.fsum(event.epsilon_spent for event in events)
+        assert odometer["plans"] == {
+            plan: {
+                "spent": math.fsum(e.epsilon_spent for e in events if e.plan == plan),
+                "requests": sum(1 for e in events if e.plan == plan),
+            }
+            for plan in {event.plan for event in events}
+        }
+
+
+class TestMetricsAreTheAuditTrail:
+    """The exported request metrics are a view of the sessions' audit events:
+    whatever happened to a request, the event is its only record."""
+
+    @pytest.mark.parametrize("case, outcome, plan, error", OUTCOME_CASES)
+    def test_every_outcome(self, manager, relation, case, outcome, plan, error):
+        faults = FaultInjector()
+        scheduler = PlanScheduler(manager, tracer=Tracer(), executor="inline")
+        session = open_session(manager, relation)
+        session.kernel.fault_injector = faults
+        request = arrange_outcome(scheduler, session, faults, case)
+        if error is None:
+            scheduler.execute(request)
+        else:
+            with pytest.raises(error):
+                scheduler.execute(request)
+        assert session.events[-1].outcome == outcome
+        assert_metrics_are_the_events(scheduler, {"acme": session.events})
+
+    def test_batch_with_an_orphan_claim(self, manager, relation):
+        faults = FaultInjector()
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = open_session(manager, relation)
+        session.kernel.fault_injector = faults
+        # The DAWA request dies after its first charge; the Identity one after
+        # it answers, and a replay of it is served from the cache.
+        faults.arm("kernel.after_charge", after=1, times=1, exception=WorkerDeath())
+        results = scheduler.execute_batch(
+            [
+                identity_request(session, epsilon=0.2),
+                replace(identity_request(session, epsilon=0.4), plan="DAWA"),
+                identity_request(session, epsilon=0.2),
+            ],
+            return_exceptions=True,
+        )
+        assert isinstance(results[1], WorkerDeath) and results[2].cached
+        orphans = [event for event in session.events if event.plan == "(orphaned)"]
+        assert len(orphans) == 1 and orphans[0].outcome == "error"
+        assert orphans[0].epsilon_spent > 0
+        assert_metrics_are_the_events(scheduler, {"acme": session.events})
+
+    def test_journal_only_restore(self, relation, tmp_path):
+        """A restored scheduler's metrics are its restored audit trail."""
+        live = PlanScheduler(SessionManager(), executor="inline")
+        journal = PrivacyJournal(tmp_path / "j.wal")
+        session = live.manager.create_session("acme", relation, 4.0, seed=0, journal=journal)
+        live.execute(identity_request(session))
+        live.execute(identity_request(session))
+        with pytest.raises(ValueError):
+            live.execute(identity_request(session, workload_params={"n": N // 2}))
+        journal.close()
+
+        restored_scheduler = PlanScheduler(SessionManager(), executor="inline")
+        restored = restored_scheduler.restore_session(
+            relation, journal=PrivacyJournal(tmp_path / "j.wal")
+        )
+        assert restored.events == session.events
+        assert [event.outcome for event in restored.events] == ["ok", "cached", "rejected"]
+        assert_metrics_are_the_events(restored_scheduler, {"acme": restored.events})
+        assert (
+            telemetry_report(restored_scheduler)["privacy_odometer"]
+            == telemetry_report(live)["privacy_odometer"]
+        )
+
+    def test_closed_sessions_still_count(self, manager, relation):
+        scheduler = PlanScheduler(manager, executor="inline")
+        first = open_session(manager, relation)
+        scheduler.execute(identity_request(first))
+        scheduler.execute(identity_request(first))
+        closed = scheduler.close_session(first.session_id)
+        second = open_session(manager, relation, seed=1)
+        scheduler.execute(identity_request(second, epsilon=0.3))
+        zeta = manager.create_session("zeta", relation, 1.0, seed=2, accountant="zcdp")
+        scheduler.execute(identity_request(zeta))
+        scheduler.close_session(zeta.session_id)
+        assert first.session_id not in manager and zeta.session_id not in manager
+        assert_metrics_are_the_events(
+            scheduler, {"acme": closed.events + second.events, "zeta": zeta.events}
+        )
+        assert telemetry_report(scheduler)["privacy_odometer"]["zeta"]["unit"] == "rho"
