@@ -18,8 +18,10 @@ Fault points (the seams instrumented in this repo):
   journals the charge with no event, and a restore claims it).
 * ``journal.append`` — before a journal record is written (I/O error): a
   failed commit, whose request raises without a response.
-* ``journal.fsync`` — inside the journal's fsync (``OSError``, the classic
-  torn-durability failure).
+* ``journal.fsync`` — inside an ``fsync="always"`` journal's commit, after
+  the flush and before ``os.fsync`` (``OSError``, the classic
+  torn-durability failure): an answered request raises after its answer
+  was cached, and asking again replays it at zero ε.
 * ``scheduler.worker`` — at a batch worker's entry: :class:`WorkerDeath`
   derives from ``BaseException`` precisely so it sails *past* the
   scheduler's ``except Exception`` ledgering, modelling a thread/process
@@ -56,16 +58,10 @@ FAULT_POINTS = (
 
 
 class InjectedFault(Exception):
-    """A fault raised by the harness at an instrumented seam.
+    """A fault raised by the harness at an instrumented seam."""
 
-    ``transient`` marks faults the service's retry policy may treat as
-    recoverable (the default): network blips, fsync hiccups.  Arm with
-    ``transient=False`` to model hard faults that must not be retried.
-    """
-
-    def __init__(self, point: str, transient: bool = True):
+    def __init__(self, point: str):
         self.point = point
-        self.transient = transient
         super().__init__(f"injected fault at {point!r}")
 
 
@@ -92,7 +88,6 @@ class _ArmedFault:
     times: int = 1
     exception: BaseException | None = None
     delay: float = 0.0
-    transient: bool = True
     hits: int = 0
     firings: int = 0
 
@@ -126,7 +121,6 @@ class FaultInjector:
         times: int = 1,
         exception: BaseException | None = None,
         delay: float = 0.0,
-        transient: bool = True,
     ) -> None:
         """Schedule a fault at ``point``.
 
@@ -139,8 +133,7 @@ class FaultInjector:
         if times < 0 or after < 0:
             raise ValueError("fault schedules need non-negative after/times")
         spec = _ArmedFault(
-            point, after=after, times=times, exception=exception, delay=float(delay),
-            transient=transient,
+            point, after=after, times=times, exception=exception, delay=float(delay)
         )
         with self._lock:
             self._armed.setdefault(point, []).append(spec)
@@ -165,7 +158,7 @@ class FaultInjector:
                 raise spec.exception
             if spec.delay == 0.0:
                 # A pure-delay spec models slow IO and does not raise.
-                raise InjectedFault(point, transient=spec.transient)
+                raise InjectedFault(point)
 
     def reset(self) -> None:
         with self._lock:

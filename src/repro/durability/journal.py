@@ -52,11 +52,12 @@ Durability modes (``fsync=``):
   the response is returned).  Survives process death — the fault model of
   this repo's crash harness — at ~µs cost.
 * ``"always"`` — additionally ``os.fsync`` on every commit: survives OS/power
-  loss, at the device's sync latency (~100µs+ per request).
-* ``"never"`` — flush only on close; fastest, for tests and benchmarks.
+  loss, at the device's sync latency (~100µs+ per request).  The fsync runs
+  behind the ``journal.fsync`` fault seam.
 
 ``path=None`` keeps the journal in an in-memory buffer with identical
-semantics (minus fsync), which the benchmarks use to isolate append cost.
+semantics (minus the ``os.fsync``; the seam still fires), which the
+benchmarks use to isolate append cost.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .serialize import pack, unpack
 
 __all__ = ["PrivacyJournal"]
 
-_FSYNC_MODES = ("always", "commit", "never")
+_FSYNC_MODES = ("always", "commit")
 
 
 def _encode_frame(record: dict) -> bytes:
@@ -200,8 +201,7 @@ class PrivacyJournal:
         with self._lock:
             if self._closed:
                 return
-            if self.fsync_mode in ("commit", "always"):
-                self._file.flush()
+            self._file.flush()
             if self.fsync_mode == "always":
                 self._fsync()
 
@@ -258,12 +258,11 @@ class PrivacyJournal:
             if self._closed:
                 return
             self._file.flush()
-            if self.path is not None and self.fsync_mode != "never":
+            if self.path is not None:
                 try:
                     os.fsync(self._file.fileno())
                 except OSError:  # pragma: no cover - best-effort final sync
                     pass
-            if self.path is not None:
                 self._file.close()
             self._closed = True
 

@@ -43,9 +43,10 @@ data, which stays the operator's.
    still covers every charge and every history row;
 5. run the :func:`~repro.service.export.reconcile` oracle — the restored
    session's event ledger must match its kernel ledger *exactly*, or
-   :class:`RecoveryError` is raised (``strict=False`` downgrades both this
-   and the accountant check to best-effort for forensics on a journal you
-   already know is damaged).
+   :class:`RecoveryError` is raised.  Both checks always run; to inspect a
+   journal you already know is damaged, read
+   :meth:`~repro.durability.PrivacyJournal.iter_records`, which verifies
+   nothing.
 
 A restore rebuilds the root ledger, not the sources a plan derived before
 it: the kernel's audit reports those by the history rows that name them.
@@ -203,7 +204,7 @@ def snapshot_session(session, measurement_cache=None) -> dict:
 # ----------------------------------------------------------------------
 # Restore.
 # ----------------------------------------------------------------------
-def _open_session(table, head: dict | None, strict: bool):
+def _open_session(table, head: dict | None):
     """A session built from the record stream's first record, its ``open`` record."""
     from ..service.session import Session
 
@@ -221,7 +222,7 @@ def _open_session(table, head: dict | None, strict: bool):
         accountant=head["accountant"],
         delta=head["delta"],
     )
-    if strict and session.accountant.describe() != decode(head["describe"]):
+    if session.accountant.describe() != decode(head["describe"]):
         raise RecoveryError(
             "reconstructed accountant does not match the 'open' record: "
             f"{session.accountant.describe()} != {head['describe']}"
@@ -280,7 +281,8 @@ def _replay(session, records: Iterable[dict], measurement_cache) -> int:
 
 def _legacy_outcome(event: dict) -> str:
     """The outcome of an event recorded before events had one (a rejection
-    left a plan error's record, so it reads ``error``)."""
+    left a plan error's record, so it reads ``error``; a request that an
+    older service version timed out reads ``timeout``)."""
     error = event.get("error", "")
     if event.get("cached"):
         return "cached"
@@ -309,7 +311,6 @@ def restore_session(
     journal: PrivacyJournal | None = None,
     manager=None,
     measurement_cache=None,
-    strict: bool = True,
 ):
     """Rebuild a session from durable records and verify it reconciles.
 
@@ -320,11 +321,10 @@ def restore_session(
     ``measurement_cache`` receives the session's released answers so
     identical requests replay at zero ε.
 
-    Raises :class:`RecoveryError` for a snapshot without records, and, when
-    ``strict`` (the default), when the restored state fails verification:
-    accountant mismatch, or the :func:`~repro.service.export.reconcile`
-    oracle reporting anything but an exact match between the event ledger
-    and the kernel ledger.
+    Raises :class:`RecoveryError` for a snapshot without records, and when
+    the restored state fails verification: accountant mismatch, or the
+    :func:`~repro.service.export.reconcile` oracle reporting anything but an
+    exact match between the event ledger and the kernel ledger.
     """
     from ..service.export import reconcile
 
@@ -342,7 +342,7 @@ def restore_session(
     if journal is not None:
         # One pass over the journal decodes each line once.
         records = itertools.chain(records, journal.iter_records(after_seq))
-    session = _open_session(table, next(records, None), strict)
+    session = _open_session(table, next(records, None))
     replayed = _replay(session, records, measurement_cache)
     if journal is not None:
         # Attach for future requests; the journal already has the session's
@@ -351,7 +351,7 @@ def restore_session(
     orphans = session.claim_orphans(error="CrashRecovery")
     session.commit()
     report = reconcile(session)
-    if strict and not report["exact"]:
+    if not report["exact"]:
         raise RecoveryError(
             "restored session does not reconcile: "
             f"service ε {report['service_epsilon']!r} vs kernel ε "

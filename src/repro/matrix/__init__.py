@@ -19,13 +19,12 @@ from .base import LinearQueryMatrix, TransposeMatrix, ensure_matrix, stack_all
 from .combinators import HStack, Kronecker, Product, VStack, Weighted
 from .core import HaarWavelet, Identity, Ones, Prefix, Suffix, Total
 from .dense import DenseMatrix, SparseMatrix
-from .marginals import all_kway_marginals, all_marginals_up_to, marginal
+from .marginals import all_kway_marginals, marginal
 from .partition import ExpansionMatrix, ReductionMatrix
 from .ranges import (
     HierarchicalQueries,
     RangeQueries,
     RangeQueries2D,
-    grid_intervals_2d,
     hierarchical_intervals,
     optimal_branching_factor,
     quadtree_rects,
@@ -53,12 +52,10 @@ __all__ = [
     "RangeQueries2D",
     "HierarchicalQueries",
     "hierarchical_intervals",
-    "grid_intervals_2d",
     "quadtree_rects",
     "optimal_branching_factor",
     "marginal",
     "all_kway_marginals",
-    "all_marginals_up_to",
     "ReductionMatrix",
     "ExpansionMatrix",
 ]

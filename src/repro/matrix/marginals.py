@@ -51,13 +51,3 @@ def all_kway_marginals(domain: Sequence[int], k: int) -> LinearQueryMatrix:
         return parts[0]
     return VStack(parts)
 
-
-def all_marginals_up_to(domain: Sequence[int], max_k: int) -> LinearQueryMatrix:
-    """Union of all marginals of order 0..``max_k`` (inclusive)."""
-    parts = []
-    for k in range(0, max_k + 1):
-        for keep in combinations(range(len(domain)), k):
-            parts.append(marginal(domain, keep))
-    if len(parts) == 1:
-        return parts[0]
-    return VStack(parts)

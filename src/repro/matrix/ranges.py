@@ -222,21 +222,6 @@ def optimal_branching_factor(n: int) -> int:
     return best_b
 
 
-def grid_intervals_2d(
-    rows: int, cols: int, cell_rows: int, cell_cols: int
-) -> list[tuple[int, int, int, int]]:
-    """Axis-aligned rectangular blocks covering a ``rows x cols`` grid.
-
-    Returns a list of ``(r_lo, r_hi, c_lo, c_hi)`` inclusive rectangles of a
-    uniform grid with block size ``cell_rows x cell_cols``.
-    """
-    rects = []
-    for r in range(0, rows, cell_rows):
-        for c in range(0, cols, cell_cols):
-            rects.append((r, min(r + cell_rows, rows) - 1, c, min(c + cell_cols, cols) - 1))
-    return rects
-
-
 class RangeQueries2D(LinearQueryMatrix):
     """Axis-aligned rectangle queries over a 2-D domain, stored implicitly.
 

@@ -4,7 +4,6 @@ from .audit import BudgetAudit, SourceReport, audit, audit_kernel
 from .budget import BudgetNode, BudgetTracker, NodeKind
 from .exceptions import (
     BudgetExceededError,
-    DeadlineExceededError,
     InvalidTransformationError,
     PrivacyError,
     UnknownSourceError,
@@ -28,7 +27,6 @@ __all__ = [
     "protect",
     "PrivacyError",
     "BudgetExceededError",
-    "DeadlineExceededError",
     "UnknownSourceError",
     "InvalidTransformationError",
     "UnsupportedMechanismError",

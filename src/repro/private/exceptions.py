@@ -29,29 +29,6 @@ class BudgetExceededError(PrivacyError):
         return (type(self), (self.requested, self.remaining))
 
 
-class DeadlineExceededError(PrivacyError):
-    """Raised when a request's deadline expires before or during execution.
-
-    The kernel checks the deadline *before* each budget charge, so a
-    timed-out plan stops spending as soon as possible; whatever it charged
-    before the deadline is its true partial spend and is ledgered by the
-    scheduler as an errored session event.  Like
-    :class:`BudgetExceededError`, the decision depends only on public state
-    (the clock), never on the private data.
-    """
-
-    def __init__(self, deadline_seconds: float, elapsed_seconds: float):
-        self.deadline_seconds = float(deadline_seconds)
-        self.elapsed_seconds = float(elapsed_seconds)
-        super().__init__(
-            f"deadline of {deadline_seconds:.6g}s exceeded "
-            f"({elapsed_seconds:.6g}s elapsed)"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.deadline_seconds, self.elapsed_seconds))
-
-
 class UnsupportedMechanismError(PrivacyError):
     """Raised when a measurement mechanism has no guarantee under the
     kernel's accountant (e.g. the Gaussian mechanism under pure ε-DP)."""

@@ -20,16 +20,16 @@ Each operator class has one path.  Every transformation registers its
 result through ``_derive`` (the derived source and its stability; the two
 SplitByPartitions add their partition node through ``_split``).  Every
 measurement runs through ``_measure`` in one order: validate ε, compute the
-public sensitivity, noise scale and cost, check the deadline, charge the
-budget, then draw the noise and record the history row.  No private data is
-read and no noise is drawn before the charge is accepted.
-The kernel knows nothing of durability: a journaled session reads its new
-history rows at each commit (:meth:`repro.service.session.Session.commit`).
+public sensitivity, noise scale and cost, charge the budget, then draw the
+noise and record the history row.  No private data is read and no noise is
+drawn before the charge is accepted.
+The kernel holds no service state: no request clock, and no durability (a
+journaled session reads its new history rows at each commit,
+:meth:`repro.service.session.Session.commit`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,7 +43,6 @@ from ..telemetry.spans import trace_span
 from .budget import BudgetTracker
 from .exceptions import (
     BudgetExceededError,
-    DeadlineExceededError,
     InvalidTransformationError,
     UnknownSourceError,
 )
@@ -137,12 +136,6 @@ class ProtectedKernel:
         #: ``kernel.after_charge``); None in production — one attribute check
         #: per measurement.
         self.fault_injector = None
-        #: absolute ``time.perf_counter()`` deadline for the currently
-        #: executing request, set/cleared by the scheduler; charges attempted
-        #: past it raise :class:`DeadlineExceededError` *before* spending.
-        #: ``deadline_started`` anchors relative times in the error message.
-        self.deadline: float | None = None
-        self.deadline_started: float | None = None
 
     # ------------------------------------------------------------------
     # Bookkeeping helpers.
@@ -457,7 +450,7 @@ class ProtectedKernel:
         1. validate ε;
         2. ``calibrate()`` the public noise scale, cost and the sensitivity
            attributes of the span;
-        3. check the deadline and fire ``kernel.before_charge``;
+        3. fire ``kernel.before_charge``;
         4. charge the budget and fire ``kernel.after_charge``;
         5. ``draw(scale)`` the noisy answer, then record the history row.
 
@@ -469,15 +462,6 @@ class ProtectedKernel:
             if epsilon <= 0:
                 raise ValueError("the privacy parameter of a measurement must be positive")
             scale, cost, public = calibrate()
-            if self.deadline is not None:
-                now = time.perf_counter()
-                if now > self.deadline:
-                    # Checked before spending: a timed-out plan stops charging,
-                    # and whatever it charged earlier is its true partial spend.
-                    anchor = self.deadline_started
-                    if anchor is None:
-                        anchor = self.deadline
-                    raise DeadlineExceededError(self.deadline - anchor, now - anchor)
             if self.fault_injector is not None:
                 self.fault_injector.fire("kernel.before_charge", name, epsilon)
             if not self._budget.charge(name, cost):

@@ -8,9 +8,9 @@ needs between the two — sessions, scheduling, caching and auditing:
   its own epsilon ledger, lock and audit trail;
 * :class:`QueryRequest` / :class:`QueryResponse` — the data-free wire API;
 * :class:`PlanScheduler` — the execution core: each request runs as
-  straight-line code (closed checks, session lock, root span, deadline
-  check, cache probe, plan run, journal commit) driven by an executor
-  backend (:mod:`~repro.service.executors`: ``inline``/``thread``), with
+  straight-line code (closed checks, session lock, root span, cache probe,
+  plan run, journal commit) driven by an executor backend
+  (:mod:`~repro.service.executors`: ``inline``/``thread``), with
   deterministic per-request noise seeding that makes answers byte-identical
   on either backend;
 * :class:`MeasurementCache` — budget-free replay of already-released answers
@@ -56,9 +56,8 @@ from .export import (
     telemetry_report,
 )
 from .measurement_cache import CachedAnswer, MeasurementCache
-from .robustness import RetryPolicy, SessionClosedError
 from .scheduler import PlanScheduler, derive_request_seed
-from .session import Session, SessionEvent, SessionManager
+from .session import Session, SessionClosedError, SessionEvent, SessionManager
 
 __all__ = [
     "QueryRequest",
@@ -76,7 +75,6 @@ __all__ = [
     "MeasurementCache",
     "CachedAnswer",
     "ArtifactCache",
-    "RetryPolicy",
     "SessionClosedError",
     "session_report",
     "service_report",

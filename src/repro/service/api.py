@@ -39,14 +39,6 @@ class QueryRequest:
     request_id: str | None = None
     reuse: bool = True
     tag: str = ""
-    #: wall-clock budget for this request, counted from the moment it is
-    #: scheduled (queue wait included).  The kernel checks the deadline
-    #: *before* every budget charge, so a timed-out plan stops spending as
-    #: soon as possible; whatever it charged first is its true partial spend
-    #: and is ledgered as an errored event.  ``None`` = no deadline.
-    #: Excluded from :meth:`cache_key` — a deadline changes when an answer
-    #: arrives, never which answer it is.
-    deadline_seconds: float | None = None
 
     def cache_key(self) -> tuple:
         """Hashable identity of the *answer* this request asks for.

@@ -16,10 +16,10 @@ privacy-correct order::
                        → closed re-check → root span → _run_locked
                        → journal commit (in ``finally``, in the root span's
                          ``durability.commit`` child, under the lock)
-    _run_locked        deadline check → cache probe → plan run
+    _run_locked        cache probe → plan run
 
-Every outcome — answered, replayed, rejected, timed out or failed — is
-accounted for by one helper, :meth:`PlanScheduler._ledger`: it records the
+Every outcome — answered, replayed, rejected or failed — is accounted for
+by one helper, :meth:`PlanScheduler._ledger`: it records the
 :class:`~repro.service.session.SessionEvent`, its ``outcome`` included, and,
 on failure, attaches a :class:`~repro.service.api.RequestFailure` to the
 exception.  The event is the request's only record: the request metrics are
@@ -36,20 +36,13 @@ zero-spend :class:`~repro.service.session.SessionEvent` with an empty
 history span.  (Malformed requests that never resolve to a plan or workload
 — unknown names — still raise before anything touches the session ledger.)
 
-**Robustness.**
-
-* *Durability* — on a journal-attached session, the request's charges,
-  measurement rows, release and event reach the journal as one record,
-  committed before the response (or exception) leaves the lock — so
-  nothing a client ever saw can be lost, and nothing lost was ever seen.
-* *Deadlines* — ``QueryRequest.deadline_seconds`` is enforced from the
-  moment of scheduling: requests that expire while queued are rejected with
-  a ledgered zero-spend event; mid-plan, the kernel refuses further charges
-  past the deadline and the errored event claims the true partial spend.
-* *Retries* — :meth:`execute_with_retry` re-attempts transient faults under
-  a :class:`~repro.service.robustness.RetryPolicy`; the retried attempt
-  keeps the same request id and forces cache reuse, so a completed answer is
-  replayed rather than re-charged (budget-safe by construction).
+**Durability.**  On a journal-attached session, the request's charges,
+measurement rows, release and event reach the journal as one record,
+committed before the response (or exception) leaves the lock — so nothing a
+client ever saw can be lost, and nothing lost was ever seen.  An answered
+request whose commit fails raises after its answer was cached: asking again
+for the same query replays that answer at zero ε (a failed append's parts
+ride in the replay's commit).
 
 **Observability.**  Constructed with a :class:`~repro.telemetry.Tracer`, the
 scheduler opens a ``service.request`` root span per request and activates the
@@ -59,8 +52,8 @@ cache hits — attaches to the request's trace; the trace id is returned on
 ``QueryResponse.trace_id`` and stamped on the audit-trail event.  Request
 metrics are computed from the audit trail at export
 (:func:`~repro.service.export.request_metrics`); ``metrics`` keeps only
-what no event records, journal commit times and retries.  Failures re-raise
-the *original* exception with a structured
+what no event records, the journal commit times.  Failures re-raise the
+*original* exception with a structured
 :class:`~repro.service.api.RequestFailure` attached (request id, batch slot,
 trace id, spend), so batch callers keep their ``isinstance`` checks and
 still get the context.
@@ -78,15 +71,13 @@ from typing import Sequence
 from ..durability.faults import FaultInjector, WorkerDeath
 from ..durability.snapshot import release_record, snapshot_session
 from ..plans.registry import make_plan
-from ..private.exceptions import DeadlineExceededError
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.spans import NOOP_SPAN, NULL_TRACER, NullTracer, Tracer, activate
 from .api import QueryRequest, QueryResponse, RequestFailure
 from .artifact_cache import ArtifactCache
 from .executors import ExecutorBackend, make_executor
 from .measurement_cache import MeasurementCache
-from .robustness import RetryPolicy, SessionClosedError
-from .session import Session, SessionEvent, SessionManager
+from .session import Session, SessionClosedError, SessionEvent, SessionManager
 
 __all__ = ["PlanScheduler", "derive_request_seed"]
 
@@ -137,7 +128,7 @@ class PlanScheduler:
         #: nothing and costs one shared no-op handle per instrumented seam.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: what the audit trail does not record: journal commit seconds per
-        #: tenant (each histogram resolved once) and retry counts.
+        #: tenant (each histogram resolved once).
         self.metrics = MetricsRegistry()
         self._commit_seconds: dict[str, Histogram] = {}
         #: crash-harness seam (``scheduler.worker``); None in production.
@@ -177,7 +168,6 @@ class PlanScheduler:
         table,
         snapshot: dict | None = None,
         journal=None,
-        strict: bool = True,
     ) -> Session:
         """Rebuild a crashed session into this scheduler's manager and cache.
 
@@ -191,15 +181,13 @@ class PlanScheduler:
         """
         from ..durability.snapshot import restore_session as _restore_session
 
-        session = _restore_session(
+        return _restore_session(
             table,
             snapshot=snapshot,
             journal=journal,
             manager=self.manager,
             measurement_cache=self.measurement_cache,
-            strict=strict,
         )
-        return session
 
     # ------------------------------------------------------------------
     # Synchronous path.
@@ -212,59 +200,11 @@ class PlanScheduler:
         queued_at = time.perf_counter()
         return self._execute_guarded(session, request, queued_at)
 
-    def execute_with_retry(
-        self, request: QueryRequest, policy: RetryPolicy | None = None
-    ) -> QueryResponse:
-        """Answer one request, retrying transient faults budget-safely.
-
-        Every attempt reuses the same request id — hence the same derived
-        noise seed and the same cache key — and forces ``reuse=True``, so an
-        attempt that failed *after* its answer was stored (e.g. a journal
-        fsync hiccup) is satisfied from the measurement cache at zero
-        additional ε on the retry.  Budget a failed attempt did spend is
-        already ledgered as an errored event; a retry never re-charges it.
-        """
-        policy = policy if policy is not None else RetryPolicy()
-        session = self.manager.get(request.session_id)
-        if request.request_id is None:
-            request = replace(request, request_id=session.next_request_id())
-        rng = policy.rng()
-        failures = 0
-        trace_id: str | None = None
-        while True:
-            try:
-                return self._execute_guarded(
-                    session,
-                    request,
-                    time.perf_counter(),
-                    trace_id=trace_id,
-                    attempt=failures + 1,
-                )
-            except Exception as exc:
-                failures += 1
-                # Link the retry into the originating attempt's trace: every
-                # attempt's root span carries the same trace id plus its own
-                # ``attempt`` attribute, so a retried request reads as one
-                # trace instead of N disconnected ones.
-                if trace_id is None:
-                    failure = RequestFailure.of(exc)
-                    if failure is not None and failure.trace_id is not None:
-                        trace_id = failure.trace_id
-                if failures >= policy.max_attempts or not policy.is_retryable(exc):
-                    raise
-                self.metrics.counter(
-                    "service_retries", tenant=session.tenant, plan=request.plan
-                ).inc()
-                time.sleep(policy.delay(failures, rng))
-                request = replace(request, reuse=True)
-
     def _execute_guarded(
         self,
         session: Session,
         request: QueryRequest,
-        queued_at: float | None,
-        trace_id: str | None = None,
-        attempt: int = 1,
+        queued_at: float,
     ) -> QueryResponse:
         """One request, start to finish, in the order the module docs give."""
         if self.fault_injector is not None:
@@ -294,14 +234,12 @@ class PlanScheduler:
                     self._commit_journal(session)
             with activate(tracer), tracer.span(
                 "service.request",
-                trace_id=trace_id,
                 request_id=request.request_id,
                 session=session.session_id,
                 tenant=session.tenant,
                 plan=request.plan,
                 workload=request.workload,
                 epsilon=float(request.epsilon),
-                attempt=attempt,
             ) as root:
                 try:
                     response = self._run_locked(session, request, queued_at, root)
@@ -319,10 +257,10 @@ class PlanScheduler:
         self,
         session: Session,
         request: QueryRequest,
-        queued_at: float | None,
+        queued_at: float,
         root,
     ) -> QueryResponse:
-        """The locked interior: deadline check → cache probe → plan run.
+        """The locked interior: cache probe → plan run.
 
         Called with the session lock held and the request's root span
         active.  This is the documented seam for tests (and subclasses) that
@@ -330,23 +268,10 @@ class PlanScheduler:
         wrappers must preserve the signature.
         """
         start = time.perf_counter()
-        # The deadline counts from scheduling: queue wait is latency the
-        # client experiences too.
-        anchor = queued_at if queued_at is not None else start
-        queue_wait = max(start - anchor, 0.0)
+        queue_wait = max(start - queued_at, 0.0)
         key = request.cache_key()
         trace_id = root.trace_id
         kernel = session.kernel
-
-        if request.deadline_seconds is not None and start - anchor > request.deadline_seconds:
-            # Expired while queued: ledgered with zero spend.
-            exc = DeadlineExceededError(request.deadline_seconds, start - anchor)
-            mark = kernel.num_measurements
-            self._ledger(
-                session, request, "timeout", time.perf_counter() - start,
-                queue_wait, trace_id, (mark, mark), exc=exc,
-            )
-            raise exc
 
         if request.reuse:
             if root is NOOP_SPAN:  # untraced: no tracer call on the way to a replay
@@ -387,9 +312,6 @@ class PlanScheduler:
         kernel.reseed(seed)
         before = kernel.budget_snapshot()
         try:
-            if request.deadline_seconds is not None:
-                kernel.deadline = anchor + request.deadline_seconds
-                kernel.deadline_started = anchor
             # The shared artifact cache rides along so plan inference reuses
             # data-independent Gram factorisations across requests and
             # tenants, keyed by each strategy's canonical strategy_key().
@@ -398,13 +320,6 @@ class PlanScheduler:
             answers = (
                 result.answer(workload_matrix) if workload_matrix is not None else None
             )
-            if kernel.deadline is not None:
-                now = time.perf_counter()
-                if now > kernel.deadline:
-                    # Timed out after the last charge: the answer is complete
-                    # but late; it is withheld, and the spend below is the
-                    # request's true (here: full) partial spend.
-                    raise DeadlineExceededError(request.deadline_seconds, now - anchor)
         except Exception as exc:
             # A request can fail after spending part (or all) of its budget —
             # a multi-measurement plan mid-run, or answer post-processing; the
@@ -412,16 +327,11 @@ class PlanScheduler:
             # the audit would never reconcile again.
             after = kernel.budget_snapshot()
             self._ledger(
-                session, request,
-                "timeout" if isinstance(exc, DeadlineExceededError) else "error",
-                time.perf_counter() - start, queue_wait, trace_id,
-                (before.num_measurements, after.num_measurements),
+                session, request, "error", time.perf_counter() - start, queue_wait,
+                trace_id, (before.num_measurements, after.num_measurements),
                 spent=kernel.budget_charged_between(before, after), seed=seed, exc=exc,
             )
             raise
-        finally:
-            kernel.deadline = None
-            kernel.deadline_started = None
 
         after = kernel.budget_snapshot()
         history = (before.num_measurements, after.num_measurements)
@@ -493,8 +403,8 @@ class PlanScheduler:
         exc: BaseException | None = None,
     ) -> None:
         """Account for one request's outcome (``ok``, ``cached``,
-        ``rejected``, ``timeout`` or ``error``): record its audit event and,
-        on failure, attach its :class:`RequestFailure` to ``exc``."""
+        ``rejected`` or ``error``): record its audit event and, on failure,
+        attach its :class:`RequestFailure` to ``exc``."""
         error = type(exc).__name__ if exc is not None else ""
         session.record(
             SessionEvent(

@@ -44,6 +44,11 @@ from ..telemetry.metrics import Histogram
 _CACHE_SCOPES = itertools.count(1)
 
 
+class SessionClosedError(RuntimeError):
+    """A request that raced a session close; the session's ledger is final
+    (see :meth:`SessionManager.close`)."""
+
+
 @dataclass(frozen=True)
 class SessionEvent:
     """One audit-trail entry: what a scheduled request did to the session."""
@@ -55,7 +60,8 @@ class SessionEvent:
     epsilon_spent: float
     cached: bool
     #: how the request ended: ``ok``, ``cached`` (a replay), ``rejected``
-    #: (refused before any spend), ``timeout`` or ``error``.
+    #: (refused before any spend) or ``error``.  ``timeout`` appears only on
+    #: old events restored from a journal (see ``_legacy_outcome``).
     outcome: str
     seed: int | None
     #: history indices [start, end) of the kernel measurements this request
@@ -469,7 +475,7 @@ class SessionManager:
         Closing a session with requests in flight is well-defined:
 
         * the session stops admitting new requests immediately (they raise
-          :class:`~repro.service.robustness.SessionClosedError`, un-ledgered
+          :class:`SessionClosedError`, un-ledgered
           — they never touched the session);
         * with ``drain=True`` (the default) the close then waits for the
           session lock, i.e. for every in-flight request to finish and be

@@ -167,12 +167,12 @@ class Tracer:
     # ------------------------------------------------------------------
     # Span creation.
     # ------------------------------------------------------------------
-    def span(self, name: str, trace_id: str | None = None, **attributes) -> SpanHandle:
+    def span(self, name: str, **attributes) -> SpanHandle:
         """Open a span named ``name`` under the current thread's context.
 
-        With no open parent in this thread the span starts a new trace
-        (``trace_id`` may pin the id, e.g. to a request id); with an open
-        parent it joins the parent's trace and records the parent link.
+        With no open parent in this thread the span starts a new trace; with
+        an open parent it joins the parent's trace and records the parent
+        link.
         ``attributes`` seed the span's structured attributes; more can be set
         on the returned handle while the span is open.
         """
@@ -181,7 +181,7 @@ class Tracer:
             trace = parent.trace_id
             parent_id = parent.span_id
         else:
-            trace = trace_id if trace_id is not None else f"trace-{next(self._trace_ids)}"
+            trace = f"trace-{next(self._trace_ids)}"
             parent_id = None
         return SpanHandle(
             self, trace, f"span-{next(self._span_ids)}", parent_id, name, attributes
@@ -308,7 +308,7 @@ class NullTracer:
     enabled = False
     max_spans = None
 
-    def span(self, name: str | None = None, trace_id: str | None = None, **attributes):
+    def span(self, name: str | None = None, **attributes):
         return NOOP_SPAN
 
     def current_span(self) -> None:

@@ -1,11 +1,11 @@
-"""Operator observability: trace parity, retry linking, shared metrics.
+"""Operator observability: trace parity, shared metrics.
 
 The invariants of the observability layer across the execution core:
 
 * **trace parity** — the same request produces *structurally identical* span
   trees (names, parentage, ε attributes) on the inline and thread backends;
-* **retry linking** — every attempt of a retried request carries the same
-  trace id plus its own ``attempt`` attribute;
+* **one trace per request** — a request asked again after a failure is a new
+  trace, and the failed one keeps its own, error-status root;
 * **shared instruments** — driver threads racing a first lookup still get
   exactly one instrument per name and label set;
 * **order-independent spend** — a request's ``epsilon_spent`` does not
@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from repro.dataset import Attribute, Relation, Schema
-from repro.durability import FaultInjector
-from repro.service import PlanScheduler, QueryRequest, SessionManager
+from repro.durability import FaultInjector, InjectedFault
+from repro.service import PlanScheduler, QueryRequest, RequestFailure, SessionManager
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -111,24 +111,27 @@ class TestTraceParity:
         assert "plan.run" in names
         assert any(name.startswith("kernel.measure") for name in names)
 
-    def test_retry_attempts_share_one_trace(self, relation):
+    def test_asking_again_after_a_failure_starts_a_new_trace(self, relation):
         manager = SessionManager()
         tracer = Tracer()
         faults = FaultInjector()
         scheduler = PlanScheduler(manager, tracer=tracer, executor="inline")
         session = manager.create_session("acme", relation, 10.0, seed=7)
         session.kernel.fault_injector = faults
-        faults.arm("kernel.before_charge", times=1, transient=True)
-        response = scheduler.execute_with_retry(
-            QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
-        )
-        assert response.x_hat is not None
+        faults.arm("kernel.before_charge", times=1)
+        request = QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
+        with pytest.raises(InjectedFault) as raised:
+            scheduler.execute(request)
+        response = scheduler.execute(request)
+        failed = RequestFailure.of(raised.value).trace_id
+        assert failed is not None and failed != response.trace_id
         roots = [s for s in tracer.spans() if s.name == "service.request"]
-        assert len(roots) == 2
-        assert roots[0].trace_id == roots[1].trace_id == response.trace_id
-        assert {s.attributes["attempt"] for s in roots} == {1, 2}
-        failed = next(s for s in roots if s.attributes["attempt"] == 1)
-        assert failed.status == "error"
+        assert [(s.trace_id, s.status) for s in roots] == [
+            (failed, "error"),
+            (response.trace_id, "ok"),
+        ]
+        assert [event.trace_id for event in session.events] == [failed, response.trace_id]
+        assert not any("attempt" in s.attributes for s in roots)
 
     def test_batched_span_trees_identical_across_backends(self, relation):
         inline_response, inline_tracer = _batched_run(relation, "inline")

@@ -27,6 +27,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import shutil
 import statistics
 import threading
@@ -57,18 +58,16 @@ from repro.durability import (
 )
 from repro.durability.journal import _encode_frame
 from repro.durability.serialize import pack, unpack
-from repro.private import DeadlineExceededError, audit
+from repro.private import audit
 from repro.service import (
     MeasurementCache,
     PlanScheduler,
     QueryRequest,
     RequestFailure,
-    RetryPolicy,
     SessionClosedError,
     SessionManager,
     export_json,
     reconcile,
-    request_metrics,
     service_report,
     session_report,
     telemetry_report,
@@ -278,10 +277,34 @@ class TestJournal:
         assert recovered.seq == 1
 
     def test_in_memory_journal(self):
-        journal = PrivacyJournal(None, fsync="never")
+        journal = PrivacyJournal(None)
         journal.append({"kind": "charge", "p": 0.1, "d": 0.0})
         assert len(journal) == 1
         assert journal.stats["path"] is None
+        with pytest.raises(ValueError, match="fsync mode"):
+            PrivacyJournal(None, fsync="never")
+
+    @pytest.mark.parametrize("mode, syncs_per_commit", [("commit", 0), ("always", 1)])
+    def test_fsync_mode_sets_the_syncs_per_commit(
+        self, tmp_path, monkeypatch, mode, syncs_per_commit
+    ):
+        """Both modes hand every commit to the OS; ``always`` also fsyncs it
+        (to survive power loss).  Both fsync once more at close."""
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        path = tmp_path / "j.wal"
+        journal = PrivacyJournal(path, fsync=mode)
+        sizes = []
+        for p in (0.1, 0.2, 0.3):
+            journal.append({"kind": "charge", "p": p, "d": 0.0})
+            journal.commit()
+            sizes.append(path.stat().st_size)
+        assert sizes == sorted(set(sizes)) and sizes[0] > 0
+        assert len(synced) == 3 * syncs_per_commit
+        journal.close()
+        assert len(synced) == 3 * syncs_per_commit + 1
+        assert path.stat().st_size == sizes[-1]
 
     def test_append_fault_raises_and_leaves_no_record(self):
         faults = FaultInjector()
@@ -307,7 +330,7 @@ class TestJournal:
         manager = SessionManager()
         path = tmp_path / "j.wal"
         session = manager.create_session(
-            "t", relation, 1e3, seed=0, journal=PrivacyJournal(path, fsync="never")
+            "t", relation, 1e3, seed=0, journal=PrivacyJournal(path)
         )
         scheduler = PlanScheduler(
             manager, measurement_cache=MeasurementCache(max_entries=1), executor="inline"
@@ -476,7 +499,7 @@ class TestFaultInjector:
 # ======================================================================
 class TestJournaledSession:
     def test_charges_are_journaled_before_release(self, manager, relation):
-        journal = PrivacyJournal(None, fsync="never")
+        journal = PrivacyJournal(None)
         scheduler = PlanScheduler(manager)
         session = manager.create_session(
             "acme", relation, 4.0, seed=0, journal=journal
@@ -490,7 +513,7 @@ class TestJournaledSession:
 
     def test_journal_append_failure_aborts_charge_cleanly(self, manager, relation):
         faults = FaultInjector()
-        journal = PrivacyJournal(None, fsync="never", fault_injector=faults)
+        journal = PrivacyJournal(None, fault_injector=faults)
         scheduler = PlanScheduler(manager)
         session = manager.create_session(
             "acme", relation, 4.0, seed=0, journal=journal
@@ -523,6 +546,68 @@ class TestJournaledSession:
         assert restored.events == session.events
         replay = fresh.execute(identity_request(restored, epsilon=0.2))
         assert replay.cached and replay.x_hat.tobytes() == response.x_hat.tobytes()
+
+    def test_fault_after_release_replays_from_cache_at_zero_epsilon(
+        self, manager, relation, tmp_path
+    ):
+        """A request whose own commit fails raises after its answer was
+        cached: asking again replays that answer and charges nothing."""
+        faults = FaultInjector()
+        path = tmp_path / "j.wal"
+        journal = PrivacyJournal(path, fsync="always", fault_injector=faults)
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=0, journal=journal
+        )
+        # Hits count from arm time, so the attach-time commit is excluded:
+        # the very next fsync is the one closing out this request.
+        faults.arm("journal.fsync", after=0, times=1, exception=OSError("fsync"))
+        with pytest.raises(OSError, match="fsync"):
+            scheduler.execute(identity_request(session))
+        assert session.budget_consumed() == pytest.approx(0.1)
+        response = scheduler.execute(identity_request(session))
+        assert response.cached
+        assert session.budget_consumed() == pytest.approx(0.1)
+        assert reconcile(session)["exact"]
+        # A restore from the journal file equals the live session.
+        journal.close()
+        reopened = PrivacyJournal(path)
+        restored = PlanScheduler(SessionManager()).restore_session(relation, journal=reopened)
+        assert (
+            restored.kernel.budget_tracker.ledger()
+            == session.kernel.budget_tracker.ledger()
+        )
+        assert restored.kernel.history() == session.kernel.history()
+        assert restored.events == session.events
+        reopened.close()
+
+    def test_fault_before_charge_spends_nothing_and_asking_again_answers(
+        self, manager, relation
+    ):
+        """A request that fails before its first charge is ledgered at zero
+        spend and caches nothing: asking again runs the plan and pays once."""
+        faults = FaultInjector()
+        journal = PrivacyJournal(None)
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=0, journal=journal
+        )
+        session.kernel.fault_injector = faults
+        faults.arm("kernel.before_charge", times=1)
+        with pytest.raises(InjectedFault):
+            scheduler.execute(identity_request(session))
+        assert session.budget_consumed() == 0.0
+        response = scheduler.execute(identity_request(session))
+        assert not response.cached
+        assert response.epsilon_spent == pytest.approx(0.1)
+        assert session.budget_consumed() == pytest.approx(0.1)
+        assert [(event.outcome, event.error) for event in session.events] == [
+            ("error", "InjectedFault"),
+            ("ok", ""),
+        ]
+        assert reconcile(session)["exact"]
+        restored = PlanScheduler(SessionManager()).restore_session(relation, journal=journal)
+        assert restored.events == session.events
 
     def test_commit_journal_costs_under_a_tenth_of_a_dawa_request(self, tmp_path):
         """The default ``fsync="commit"`` journal adds at most 10% to a
@@ -565,7 +650,7 @@ class TestJournaledSession:
         assert paired / statistics.median(bare) <= 0.10
 
     def test_cached_replay_appends_event_only(self, manager, relation):
-        journal = PrivacyJournal(None, fsync="never")
+        journal = PrivacyJournal(None)
         scheduler = PlanScheduler(manager)
         session = manager.create_session(
             "acme", relation, 4.0, seed=0, journal=journal
@@ -585,7 +670,7 @@ class TestJournaledSession:
         """Whatever its outcome, a request appends exactly one record: its
         ledger and history bracket, its release when answered, its event."""
         faults = FaultInjector()
-        journal = PrivacyJournal(None, fsync="never")
+        journal = PrivacyJournal(None)
         scheduler = PlanScheduler(manager, executor="inline")
         session = manager.create_session(
             "acme", relation, 4.0, seed=0, journal=journal
@@ -846,7 +931,7 @@ class TestSnapshotRestore:
         assert restored.budget_consumed() == pytest.approx(session.budget_consumed())
         assert reconcile(restored)["exact"]
 
-    def test_accountant_mismatch_raises_in_strict_mode(self, manager, relation):
+    def test_accountant_mismatch_raises(self, manager, relation):
         scheduler = PlanScheduler(manager)
         session = manager.create_session("acme", relation, 4.0, seed=7)
         scheduler.execute(identity_request(session))
@@ -856,8 +941,6 @@ class TestSnapshotRestore:
         opening["describe"]["epsilon_budget"] = 99.0
         with pytest.raises(RecoveryError):
             restore_session(relation, snapshot=snap)
-        restored = restore_session(relation, snapshot=snap, strict=False)
-        assert reconcile(restored)["exact"]
 
     def test_manager_refuses_duplicate_adoption(self, manager, relation):
         scheduler = PlanScheduler(manager)
@@ -901,6 +984,100 @@ class TestSnapshotRestore:
             restored.kernel.measure_vector_laplace(
                 pre_restore[0], identity_workload(N), 0.1
             )
+
+
+class TestRestoreVerifies:
+    """Restore has no bypass: a stream that does not restore to a session
+    reconciling exactly raises :class:`RecoveryError`, and the manager adopts
+    nothing.  A damaged journal stays readable through ``iter_records``,
+    which verifies nothing."""
+
+    def _journaled(self, manager, relation, journal=None):
+        journal = journal if journal is not None else PrivacyJournal(None)
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=7, journal=journal
+        )
+        for epsilon in (0.1, 0.2):
+            scheduler.execute(identity_request(session, epsilon=epsilon))
+        return scheduler, session, journal
+
+    def test_restore_needs_a_snapshot_or_a_journal(self, relation):
+        with pytest.raises(ValueError, match="a snapshot, a journal, or both"):
+            restore_session(relation)
+
+    def test_snapshot_without_journal_seq_raises(self, manager, relation):
+        scheduler, session, _ = self._journaled(manager, relation)
+        snap = scheduler.snapshot_session(session.session_id)
+        del snap["journal_seq"]
+        with pytest.raises(RecoveryError, match="journal_seq"):
+            restore_session(relation, snapshot=snap)
+
+    def test_stream_without_open_record_raises(self, manager, relation):
+        _, _, journal = self._journaled(manager, relation)
+        records = journal.records()
+        assert records[0]["kind"] == "open"
+        for stream in (PrivacyJournal(None), TestSnapshotRestore._rewritten(records[1:])):
+            with pytest.raises(RecoveryError, match="no 'open' record"):
+                restore_session(relation, journal=stream)
+
+    def test_second_open_record_raises(self, manager, relation):
+        _, _, journal = self._journaled(manager, relation)
+        records = journal.records()
+        with pytest.raises(RecoveryError, match="unexpected 'open' record"):
+            restore_session(
+                relation, journal=TestSnapshotRestore._rewritten(records + records[:1])
+            )
+
+    def test_unknown_record_kind_raises(self, manager, relation):
+        _, _, journal = self._journaled(manager, relation)
+        records = journal.records() + [{"kind": "rollback"}]
+        with pytest.raises(RecoveryError, match="unknown record kind 'rollback'"):
+            restore_session(relation, journal=TestSnapshotRestore._rewritten(records))
+
+    def test_events_claiming_more_than_the_ledger_raise(self, manager, relation):
+        scheduler, session, _ = self._journaled(manager, relation)
+        snap = scheduler.snapshot_session(session.session_id)
+        event = next(part for part in snap["records"][1]["records"] if part["kind"] == "event")
+        event["epsilon_spent"] *= 2
+        with pytest.raises(RecoveryError, match="does not reconcile"):
+            restore_session(relation, snapshot=snap)
+
+    def test_failed_restore_adopts_nothing(self, manager, relation):
+        scheduler, session, _ = self._journaled(manager, relation)
+        snap = scheduler.snapshot_session(session.session_id)
+        damaged = json.loads(json.dumps(snap))
+        damaged["records"][0]["describe"]["epsilon_budget"] = 99.0
+        fresh = PlanScheduler(SessionManager())
+        with pytest.raises(RecoveryError, match="accountant does not match"):
+            fresh.restore_session(relation, snapshot=damaged)
+        assert session.session_id not in fresh.manager
+        restored = fresh.restore_session(relation, snapshot=snap)
+        assert fresh.manager.get(session.session_id) is restored
+
+    def test_damaged_journal_stays_readable_through_iter_records(
+        self, manager, relation, tmp_path
+    ):
+        _, session, journal = self._journaled(
+            manager, relation, PrivacyJournal(tmp_path / "j.wal")
+        )
+        records = journal.records()
+        journal.close()
+        records[0]["describe"]["epsilon_budget"] = 99.0
+        damaged = PrivacyJournal(tmp_path / "damaged.wal")
+        for record in records:
+            damaged.append({key: value for key, value in record.items() if key != "seq"})
+        damaged.close()
+        with PrivacyJournal(tmp_path / "damaged.wal") as reopened:
+            with pytest.raises(RecoveryError, match="accountant does not match"):
+                restore_session(relation, journal=reopened)
+            read = list(reopened.iter_records())
+        assert [record["kind"] for record in read] == ["open", "commit", "commit"]
+        assert read[0]["describe"]["epsilon_budget"] == 99.0
+        events = [part for part in commit_parts(read) if part["kind"] == "event"]
+        assert [part["request_id"] for part in events] == [
+            event.request_id for event in session.events
+        ]
 
 
 class TestOneRestorePath:
@@ -1112,8 +1289,9 @@ class TestJsonCommitRecordsRestore:
 class TestLegacyEventOutcomes:
     """Events recorded before events carried an ``outcome`` restore with the
     one their ``cached`` and ``error`` fields imply: ``cached``, else ``ok``
-    without an error, ``timeout`` for a ``DeadlineExceededError`` and
-    ``error`` for anything else (a rejection left a plan error's record)."""
+    without an error, ``timeout`` for a ``DeadlineExceededError`` (raised
+    by the request clock the service once had) and ``error`` for anything
+    else (a rejection left a plan error's record)."""
 
     @pytest.mark.parametrize(
         "fixture", ["per_kind_journal.wal", "commit_journal.wal", "per_kind_snapshot.json"]
@@ -1148,14 +1326,19 @@ class TestLegacyEventOutcomes:
                 with pytest.raises(error):
                     scheduler.execute(request)
         state = scheduler.snapshot_session(session.session_id)
-        for part in state["records"][1]["records"]:
+        parts = state["records"][1]["records"]
+        for part in parts:
             if part["kind"] == "event":
                 del part["outcome"]
+        # No live path times out any more; an old journal can still hold a
+        # timed-out request, here one that spent nothing.
+        rejected = next(part for part in parts if part.get("error") == "ValueError")
+        parts.append({**rejected, "request_id": "old-timeout", "error": "DeadlineExceededError"})
         restored = PlanScheduler(SessionManager()).restore_session(relation, snapshot=state)
         derived = {"rejected": "error"}
         assert [event.outcome for event in restored.events] == [
             derived.get(event.outcome, event.outcome) for event in session.events
-        ]
+        ] + ["timeout"]
         assert {event.outcome for event in restored.events} == {
             "ok", "cached", "timeout", "error"
         }
@@ -1360,7 +1543,7 @@ class TestCloseSemantics:
 
     @pytest.mark.parametrize("drain", [False, True], ids=["no_drain", "drain_timeout"])
     def test_close_never_waits_past_its_bound(self, manager, relation, drain):
-        journal = PrivacyJournal(None, fsync="never")
+        journal = PrivacyJournal(None)
         scheduler = PlanScheduler(manager)
         session = manager.create_session(
             "acme", relation, 4.0, seed=0, journal=journal
@@ -1405,139 +1588,6 @@ class TestCloseSemantics:
 
 
 # ======================================================================
-# Deadlines.
-# ======================================================================
-class TestDeadlines:
-    def test_expired_while_queued_is_ledgered_zero_spend(self, manager, relation):
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        with pytest.raises(DeadlineExceededError):
-            scheduler.execute(identity_request(session, deadline_seconds=0.0))
-        assert session.budget_consumed() == 0.0
-        event = session.events[-1]
-        assert event.error == "DeadlineExceededError"
-        assert event.epsilon_spent == 0.0
-        assert reconcile(session)["exact"]
-        assert event.outcome == "timeout"
-        timeouts = request_metrics(scheduler).counter(
-            "service_requests", tenant="acme", plan="Identity", outcome="timeout"
-        )
-        assert timeouts.value == 1
-
-    def test_mid_plan_timeout_ledgers_true_partial_spend(self, manager, relation):
-        faults = FaultInjector()
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        session.kernel.fault_injector = faults
-        # Slow both DAWA charges; the deadline passes during the first one,
-        # so the kernel refuses the second charge before it spends.
-        faults.arm("kernel.before_charge", times=2, delay=0.05)
-        with pytest.raises(DeadlineExceededError):
-            scheduler.execute(dawa_request(session, epsilon=0.4, deadline_seconds=0.03))
-        event = session.events[-1]
-        assert event.error == "DeadlineExceededError"
-        assert 0.0 < event.epsilon_spent < 0.4
-        assert session.budget_consumed() == pytest.approx(event.epsilon_spent)
-        assert reconcile(session)["exact"]
-
-    def test_deadline_cleared_after_request(self, manager, relation):
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        scheduler.execute(identity_request(session, deadline_seconds=30.0))
-        assert session.kernel.deadline is None
-        # A deadline-free request after a timed one is unaffected.
-        response = scheduler.execute(
-            identity_request(session, epsilon=0.2, reuse=False)
-        )
-        assert response.epsilon_spent == pytest.approx(0.2)
-
-    def test_deadline_does_not_change_cache_identity(self, manager, relation):
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        first = scheduler.execute(identity_request(session))
-        second = scheduler.execute(identity_request(session, deadline_seconds=30.0))
-        assert second.cached
-        assert second.x_hat.tobytes() == first.x_hat.tobytes()
-
-
-# ======================================================================
-# Retries.
-# ======================================================================
-class TestRetries:
-    def test_transient_fault_before_charge_retries_to_success(self, manager, relation):
-        faults = FaultInjector()
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        session.kernel.fault_injector = faults
-        faults.arm("kernel.before_charge", times=1)
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        response = scheduler.execute_with_retry(identity_request(session), policy)
-        assert not response.cached
-        # One errored zero-spend event, one success; total spend charged once.
-        assert session.budget_consumed() == pytest.approx(0.1)
-        assert [event.error for event in session.events] == ["InjectedFault", ""]
-        assert reconcile(session)["exact"]
-
-    def test_fault_after_release_replays_from_cache_at_zero_epsilon(
-        self, manager, relation, tmp_path
-    ):
-        faults = FaultInjector()
-        journal = PrivacyJournal(tmp_path / "j.wal", fsync="always", fault_injector=faults)
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session(
-            "acme", relation, 4.0, seed=0, journal=journal
-        )
-        # The commit *after* the answer was stored fails (fsync hiccup).
-        # Hits count from arm time, so the attach-time commit is excluded:
-        # the very next fsync is the one closing out this request.
-        faults.arm("journal.fsync", after=0, times=1, exception=OSError("fsync"))
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        response = scheduler.execute_with_retry(identity_request(session), policy)
-        # Budget-safe: the retry found the stored answer and replayed it.
-        assert response.cached
-        assert session.budget_consumed() == pytest.approx(0.1)
-        assert reconcile(session)["exact"]
-        retries = scheduler.metrics.counter(
-            "service_retries", tenant="acme", plan="Identity"
-        )
-        assert retries.value == 1
-
-    def test_non_transient_fault_is_not_retried(self, manager, relation):
-        faults = FaultInjector()
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        session.kernel.fault_injector = faults
-        faults.arm("kernel.before_charge", times=3, transient=False)
-        policy = RetryPolicy(max_attempts=5, base_delay=0.0, jitter=0.0)
-        with pytest.raises(InjectedFault):
-            scheduler.execute_with_retry(identity_request(session), policy)
-        # Only one attempt was made.
-        assert len(session.events) == 1
-
-    def test_attempts_are_bounded(self, manager, relation):
-        faults = FaultInjector()
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        session.kernel.fault_injector = faults
-        faults.arm("kernel.before_charge", times=100)
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        with pytest.raises(InjectedFault):
-            scheduler.execute_with_retry(identity_request(session), policy)
-        assert len(session.events) == 3
-        assert session.budget_consumed() == 0.0
-        assert reconcile(session)["exact"]
-
-    def test_backoff_delays_grow_and_cap(self):
-        policy = RetryPolicy(base_delay=0.1, backoff=2.0, max_delay=0.5, jitter=0.0)
-        rng = policy.rng()
-        delays = [policy.delay(k, rng) for k in range(1, 6)]
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
-        jittered = RetryPolicy(base_delay=0.1, jitter=0.5, seed=1)
-        rng = jittered.rng()
-        assert all(0.05 <= jittered.delay(1, rng) <= 0.15 for _ in range(20))
-
-
-# ======================================================================
 # Request-path order.
 # ======================================================================
 def _held_elsewhere(lock) -> bool:
@@ -1559,9 +1609,9 @@ def _held_elsewhere(lock) -> bool:
 
 class TestRequestPathOrder:
     """The fixed order of one request: worker fault seam → closed check →
-    session lock → root span → deadline check → cache probe → plan run, then
-    the journal commit in the root span's ``durability.commit`` child, still
-    under the lock."""
+    session lock → root span → cache probe → plan run, then the journal
+    commit in the root span's ``durability.commit`` child, still under the
+    lock."""
 
     def test_worker_seam_fires_before_the_closed_check(self, manager, relation):
         faults = FaultInjector()
@@ -1592,21 +1642,6 @@ class TestRequestPathOrder:
         )
         assert len(journal) == records
         assert report["privacy_odometer"] == {}
-
-    def test_deadline_is_checked_before_the_cache_probe(self, manager, relation):
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        scheduler.execute(identity_request(session))
-        probes = scheduler.measurement_cache.stats
-        # Same query, so a probe would hit; the expired deadline wins first.
-        with pytest.raises(DeadlineExceededError):
-            scheduler.execute(identity_request(session, deadline_seconds=0.0))
-        stats = scheduler.measurement_cache.stats
-        assert (stats["hits"], stats["misses"]) == (probes["hits"], probes["misses"])
-        event = session.events[-1]
-        assert event.error == "DeadlineExceededError" and not event.cached
-        assert session.budget_consumed() == pytest.approx(0.1)
-        assert reconcile(session)["exact"]
 
     @pytest.mark.parametrize("fails", [False, True], ids=["answered", "failed"])
     def test_journal_commits_inside_the_root_span_under_the_lock(

@@ -1,12 +1,14 @@
 """Unit tests for the protected kernel and client handles."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.accounting import ApproxDPAccountant
 from repro.dataset import Attribute, Relation, Schema
 from repro.durability import FaultInjector, InjectedFault
-from repro.matrix import Identity, ReductionMatrix, Total
+from repro.matrix import Identity, Prefix, ReductionMatrix, Total
 from repro.private import (
     BudgetExceededError,
     InvalidTransformationError,
@@ -116,6 +118,31 @@ class TestNoiseCalibration:
 
         kernel.measure_vector_laplace(vec, Ones(5, 12), 1.0)
         assert kernel.history()[-1].noise_scale == pytest.approx(5.0)
+
+    @pytest.mark.parametrize(
+        "queries, epsilon, scale",
+        [(Identity(12), 0.5, 2.0), (Prefix(12), 1.0, 12.0), (Total(12), 2.0, 0.5)],
+        ids=["identity", "prefix", "total"],
+    )
+    def test_laplace_scale_is_sensitivity_over_epsilon(
+        self, relation, queries, epsilon, scale
+    ):
+        kernel = ProtectedKernel(relation, 4.0, seed=0)
+        vec = kernel.transform_vectorize("root")
+        kernel.measure_vector_laplace(vec, queries, epsilon)
+        assert kernel.history()[-1].noise_scale == pytest.approx(scale)
+
+    def test_approx_dp_gaussian_scale_is_the_analytic_sigma(self, relation):
+        # sigma = ||M||_2 * sqrt(2 ln(1.25 / delta)) / eps; Prefix(12)'s first
+        # column holds 12 ones, so ||M||_2 = sqrt(12).
+        kernel = ProtectedKernel(relation, seed=0, accountant=ApproxDPAccountant(4.0, 1e-3))
+        vec = kernel.transform_vectorize("root")
+        kernel.measure_vector_gaussian(vec, Prefix(12), 0.5, delta=1e-5)
+        record = kernel.history()[-1]
+        assert record.operator == "VectorGaussian"
+        assert record.noise_scale == pytest.approx(
+            math.sqrt(12) * math.sqrt(2 * math.log(1.25 / 1e-5)) / 0.5
+        )
 
     def test_seed_reproducibility(self, relation):
         a = ProtectedKernel(relation, 1.0, seed=7)

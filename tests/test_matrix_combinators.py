@@ -14,7 +14,9 @@ from repro.matrix import (
     Total,
     VStack,
     Weighted,
+    all_kway_marginals,
     ensure_matrix,
+    marginal,
     stack_all,
 )
 
@@ -157,6 +159,43 @@ class TestKronecker:
     def test_shape(self):
         k = Kronecker([Identity(3), Total(5), Prefix(2)])
         assert k.shape == (3 * 1 * 2, 3 * 5 * 2)
+
+
+class TestMarginals:
+    """Example 7.5: a marginal is the Kronecker product of ``Identity`` for
+    each kept attribute and ``Total`` for each summed-out one."""
+
+    DOMAIN = (4, 3, 2)
+
+    def test_marginal_sums_out_the_dropped_attributes(self, rng):
+        x = rng.integers(0, 10, size=24).astype(float)
+        expected = x.reshape(self.DOMAIN).sum(axis=1).ravel()
+        assert np.array_equal(marginal(self.DOMAIN, [0, 2]).matvec(x), expected)
+
+    def test_zero_way_marginal_is_the_total(self):
+        assert np.array_equal(all_kway_marginals(self.DOMAIN, 0).dense(), np.ones((1, 24)))
+
+    def test_full_marginal_is_the_identity(self):
+        assert np.array_equal(all_kway_marginals(self.DOMAIN, 3).dense(), np.eye(24))
+
+    def test_kway_union_stacks_every_attribute_subset(self, rng):
+        x = rng.normal(size=24)
+        cube = x.reshape(self.DOMAIN)
+        # Kept pairs in combinations order: (0, 1), (0, 2), (1, 2).
+        expected = np.concatenate([cube.sum(axis=axis).ravel() for axis in (2, 1, 0)])
+        union = all_kway_marginals(self.DOMAIN, 2)
+        assert union.shape == (4 * 3 + 4 * 2 + 3 * 2, 24)
+        assert np.allclose(union.matvec(x), expected)
+        # Each cell is counted once by each of the C(3, 2) marginals.
+        assert union.sensitivity() == 3.0
+
+    def test_out_of_range_attributes_and_orders_are_rejected(self):
+        for keep in ([3], [-1]):
+            with pytest.raises(ValueError, match="outside domain"):
+                marginal(self.DOMAIN, keep)
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="k must be"):
+                all_kway_marginals(self.DOMAIN, k)
 
 
 class TestEnsureMatrix:

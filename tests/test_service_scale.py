@@ -191,7 +191,7 @@ class TestExecutorBackends:
 
     @pytest.mark.parametrize("backend", ["inline", "thread"])
     def test_backend_journals_every_charge(self, relation, backend):
-        journal = PrivacyJournal(None, fsync="never")
+        journal = PrivacyJournal(None)
         manager = SessionManager()
         scheduler = PlanScheduler(manager, executor=backend)
         session = manager.create_session(

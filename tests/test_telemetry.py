@@ -14,7 +14,7 @@ import pytest
 from repro.dataset import Attribute, Relation, Schema
 from repro.durability import FaultInjector, InjectedFault, PrivacyJournal, WorkerDeath
 from repro.operators.inference import least_squares
-from repro.private import BudgetExceededError, DeadlineExceededError
+from repro.private import BudgetExceededError
 from repro.service import (
     ArtifactCache,
     PlanScheduler,
@@ -123,12 +123,6 @@ class TestTracer:
             pass
         a, b = tracer.spans()
         assert a.trace_id != b.trace_id
-
-    def test_pinned_trace_id(self):
-        tracer = Tracer(clock=ManualClock(tick=1.0))
-        with tracer.span("root", trace_id="req-9") as root:
-            assert root.trace_id == "req-9"
-        assert tracer.trace("req-9")
 
     def test_max_spans_drops_oldest(self):
         tracer = Tracer(clock=ManualClock(tick=1.0), max_spans=2)
@@ -533,8 +527,7 @@ OUTCOME_CASES = [
     ("answered", "ok", "Identity", None),
     ("replayed", "cached", "Identity", None),
     ("domain_mismatch", "rejected", "Identity", ValueError),
-    ("expired_while_queued", "timeout", "Identity", DeadlineExceededError),
-    ("expired_mid_plan", "timeout", "DAWA", DeadlineExceededError),
+    ("failed_mid_plan", "error", "DAWA", InjectedFault),
     ("plan_error", "error", "Identity", InjectedFault),
 ]
 
@@ -546,15 +539,11 @@ def arrange_outcome(scheduler, session, faults, case):
         scheduler.execute(request)  # pays for the answer the replay reuses
     elif case == "domain_mismatch":
         request = identity_request(session, workload_params={"n": N // 2})
-    elif case == "expired_while_queued":
-        request = identity_request(session, deadline_seconds=0.0)
-    elif case == "expired_mid_plan":
-        # Both DAWA charges are slowed; the deadline passes during the
-        # first, so the kernel refuses the second before it spends.
-        faults.arm("kernel.before_charge", times=2, delay=0.05)
-        request = replace(
-            identity_request(session, epsilon=0.4), plan="DAWA", deadline_seconds=0.03
-        )
+    elif case == "failed_mid_plan":
+        # DAWA spends over two charges; the second raises after the first
+        # has spent, so the request fails holding a partial spend.
+        faults.arm("kernel.before_charge", after=1)
+        request = replace(identity_request(session, epsilon=0.4), plan="DAWA")
     elif case == "plan_error":
         faults.arm("kernel.before_charge", times=1)
     return request
@@ -591,7 +580,7 @@ class TestOutcomeLedger:
         assert event.cached is (outcome == "cached")
         assert event.error == ("" if error is None else error.__name__)
         assert event.trace_id is not None
-        if case in ("answered", "expired_mid_plan"):
+        if case in ("answered", "failed_mid_plan"):
             assert end > mark
             assert (event.history_start, event.history_end) == (mark, end)
             assert event.epsilon_spent == pytest.approx(spent) and spent > 0
@@ -599,10 +588,10 @@ class TestOutcomeLedger:
             assert end == mark and spent == 0.0 and event.epsilon_spent == 0.0
             start = session.events[0].history_start if case == "replayed" else mark
             assert (event.history_start, event.history_end) == (start, start)
-        if case == "expired_mid_plan":
+        if case == "failed_mid_plan":
             assert event.epsilon_spent < request.epsilon
         # Only requests that reached the plan carry a noise seed.
-        assert (event.seed is None) is (case in ("domain_mismatch", "expired_while_queued"))
+        assert (event.seed is None) is (case == "domain_mismatch")
 
         assert event.outcome == outcome
         counters = telemetry_report(scheduler)["metrics"]["counters"]
