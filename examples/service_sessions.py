@@ -8,7 +8,7 @@ This example drives the `repro.service` layer the way a deployment would:
    concurrently on the scheduler's thread pool (sessions never share a
    kernel, so parallel work cannot cross budgets),
 3. re-submit a tenant's workload request — the answer comes back from the
-   measurement cache with **zero** additional epsilon spent (post-processing
+   session's releases with **zero** additional epsilon spent (post-processing
    of the already-released noisy measurement),
 4. export the per-session audit and reconcile the service's event ledger
    against each kernel's own ``budget_consumed()`` — they must match exactly.
@@ -64,7 +64,7 @@ def main() -> None:
             f"seed={response.seed}"
         )
 
-    # Re-ask acme's CDF question: answered from the measurement cache.
+    # Re-ask acme's CDF question: answered from the session's releases.
     before = acme.budget_consumed()
     replay = scheduler.execute(
         QueryRequest(acme.session_id, plan="Hierarchical (H2)", epsilon=0.2,

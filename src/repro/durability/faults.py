@@ -21,7 +21,7 @@ Fault points (the seams instrumented in this repo):
 * ``journal.fsync`` — inside an ``fsync="always"`` journal's commit, after
   the flush and before ``os.fsync`` (``OSError``, the classic
   torn-durability failure): an answered request raises after its answer
-  was cached, and asking again replays it at zero ε.
+  was released, and asking again replays it at zero ε.
 * ``scheduler.worker`` — at a batch worker's entry: :class:`WorkerDeath`
   derives from ``BaseException`` precisely so it sails *past* the
   scheduler's ``except Exception`` ledgering, modelling a thread/process

@@ -42,7 +42,7 @@ The journal keeps no copy of its records in memory, so a long-lived session
 does not grow with its journal: :meth:`PrivacyJournal.iter_records` decodes
 the file (or the in-memory buffer) one frame at a time on each call, which
 only restore and forensics do, and hands out arrays that own their memory,
-so a record kept after the read (a cached release) never pins the file's
+so a record kept after the read (a restored release) never pins the file's
 bytes.
 
 Durability modes (``fsync=``):

@@ -21,8 +21,8 @@ A journaled session appends its ``open`` record, then one ``commit`` record
 per request, built by :func:`commit_record`.  (Journals written before
 commit records held the four per-kind records one per line; restore reads
 both.)  A **snapshot** is ``{"journal_seq": N, "records": [open, commit]}``,
-its commit holding the whole ledger, history, cached releases and audit
-trail, taken at journal sequence number ``N``.  Neither ever contains the
+its commit holding the whole ledger, history, releases and audit trail,
+taken at journal sequence number ``N``.  Neither ever contains the
 private table: restoring requires the deployment to supply the original
 data, which stays the operator's.
 
@@ -36,7 +36,8 @@ data, which stays the operator's.
 3. replay the rest, a commit record part by part — charges into the root
    ledger, measurement rows into the kernel history, events into the audit
    trail and the request counter, released answers back into the
-   measurement cache (byte-identical);
+   session's releases (byte-identical, and not copied again: decoded
+   arrays already own their memory);
 4. attach the journal (without a second ``open`` record) and *claim
    orphans*: budget whose request died before recording an event is
    claimed by one synthesized, committed errored event, so the audit trail
@@ -178,23 +179,19 @@ def commit_record(session, since: tuple[int, int, int], releases: list[dict]) ->
 # ----------------------------------------------------------------------
 # Snapshot.
 # ----------------------------------------------------------------------
-def snapshot_session(session, measurement_cache=None) -> dict:
+def snapshot_session(session) -> dict:
     """The session's durable state as ``{"journal_seq", "records": [open, commit]}``.
 
     Taken under the session lock after a commit, so the ledger, history,
-    audit trail, cache contents and ``journal_seq`` are one consistent cut.
-    Pass the scheduler's ``measurement_cache`` to include the session's
-    released answers (restores replay them budget-free); without it the
-    snapshot still reconciles, it just cannot serve pre-crash answers from
-    cache.
+    audit trail, releases and ``journal_seq`` are one consistent cut; a
+    restore replays each release at zero ε.
     """
     with session.lock:
         session.commit()
-        releases = (
-            [release_record(**entry) for entry in measurement_cache.export_session(session)]
-            if measurement_cache is not None
-            else []
-        )
+        releases = [
+            release_record(key, entry.response, entry.history_start, entry.history_end)
+            for key, entry in session.releases.items()
+        ]
         return {
             "journal_seq": session.journal.seq if session.journal is not None else 0,
             "records": [open_record(session), commit_record(session, (0, 0, 0), releases)],
@@ -230,14 +227,14 @@ def _open_session(table, head: dict | None):
     return session
 
 
-def _replay(session, records: Iterable[dict], measurement_cache) -> int:
+def _replay(session, records: Iterable[dict]) -> int:
     """Apply the records after the ``open`` record to a detached session.
 
     A ``commit`` record's parts take the same per-kind paths as the records
     of journals written before commit records.  Returns how many per-kind
     records were applied.
     """
-    from ..service.session import SessionEvent
+    from ..service.session import CachedAnswer, SessionEvent
 
     replayed = 0
     for record in records:
@@ -262,14 +259,12 @@ def _replay(session, records: Iterable[dict], measurement_cache) -> int:
                 if number is not None:
                     session.request_counter = max(session.request_counter, number)
             elif kind == "release":
-                if measurement_cache is not None:
-                    measurement_cache.store(
-                        session,
-                        decode(part["key"]),
-                        response_from_state(decode(part["response"])),
-                        int(part["history_start"]),
-                        int(part["history_end"]),
-                    )
+                # Decoded arrays own their memory: stored as they are.
+                session.releases[decode(part["key"])] = CachedAnswer(
+                    response_from_state(decode(part["response"])),
+                    int(part["history_start"]),
+                    int(part["history_end"]),
+                )
             elif kind == "open":
                 # A second open record would mean two sessions shared one journal.
                 raise RecoveryError(f"unexpected 'open' record at seq {record.get('seq')}")
@@ -310,16 +305,15 @@ def restore_session(
     snapshot: dict | None = None,
     journal: PrivacyJournal | None = None,
     manager=None,
-    measurement_cache=None,
 ):
     """Rebuild a session from durable records and verify it reconciles.
 
     ``table`` is the original private relation (never part of the durable
     state).  Provide a ``snapshot``, a ``journal``, or both — with both, the
     journal's records past the snapshot's sequence number follow the
-    snapshot's records.  ``manager`` adopts the restored session;
-    ``measurement_cache`` receives the session's released answers so
-    identical requests replay at zero ε.
+    snapshot's records.  ``manager`` adopts the restored session.  The
+    session's releases come back with it, so identical requests replay at
+    zero ε.
 
     Raises :class:`RecoveryError` for a snapshot without records, and when
     the restored state fails verification: accountant mismatch, or the
@@ -343,7 +337,7 @@ def restore_session(
         # One pass over the journal decodes each line once.
         records = itertools.chain(records, journal.iter_records(after_seq))
     session = _open_session(table, next(records, None))
-    replayed = _replay(session, records, measurement_cache)
+    replayed = _replay(session, records)
     if journal is not None:
         # Attach for future requests; the journal already has the session's
         # open record (or a snapshot supersedes it), so don't write another.

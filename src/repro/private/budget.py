@@ -46,7 +46,7 @@ durability: a journaled session reads the ledger's new charges at each commit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -118,7 +118,6 @@ class BudgetNode:
     consumed: float = 0.0
     #: δ component consumed (identically 0 under pure ε-DP and zCDP).
     consumed_delta: float = 0.0
-    children: list[str] = field(default_factory=list)
 
     @property
     def spent(self) -> Cost:
@@ -162,13 +161,11 @@ class BudgetTracker:
         if stability <= 0:
             raise ValueError("stability must be positive")
         self._nodes[name] = BudgetNode(name, NodeKind.DERIVED, parent, float(stability))
-        self._nodes[parent].children.append(name)
 
     def add_partition(self, name: str, parent: str) -> None:
         """Register the dummy node introduced by a SplitByPartition transform."""
         self._check_new(name, parent)
         self._nodes[name] = BudgetNode(name, NodeKind.PARTITION, parent, 1.0)
-        self._nodes[parent].children.append(name)
 
     def _check_new(self, name: str, parent: str) -> None:
         if name in self._nodes:

@@ -5,18 +5,19 @@ that enforces privacy; this package adds the layer a production deployment
 needs between the two — sessions, scheduling, caching and auditing:
 
 * :class:`SessionManager` / :class:`Session` — per-tenant kernels, each with
-  its own epsilon ledger, lock and audit trail;
+  its own epsilon ledger, lock, audit trail and releases: the answers it
+  released, by request key, as :class:`CachedAnswer` records that an
+  identical request replays at zero ε (post-processing), each indexed
+  against the kernel's query history;
 * :class:`QueryRequest` / :class:`QueryResponse` — the data-free wire API;
 * :class:`PlanScheduler` — the execution core: each request runs as
-  straight-line code (closed checks, session lock, root span, cache probe,
-  plan run, journal commit) driven by an executor backend
+  straight-line code (closed checks, session lock, root span, replay probe,
+  plan run, release, journal commit) driven by an executor backend
   (:mod:`~repro.service.executors`: ``inline``/``thread``), with
   deterministic per-request noise seeding that makes answers byte-identical
   on either backend;
-* :class:`MeasurementCache` — budget-free replay of already-released answers
-  (post-processing), LRU-bounded, indexed against the kernel's query history;
-* :class:`ArtifactCache` — LRU cache of data-independent constructions
-  (workload matrices, strategy-keyed Gram factorisations);
+* :class:`ArtifactCache` — the one shared cache, LRU, of data-independent
+  constructions (workload matrices, strategy-keyed Gram factorisations);
 * :mod:`~repro.service.export` — structured audit export and ledger
   reconciliation built on :mod:`repro.private.audit`, plus
   :func:`telemetry_report` for the scheduler's operational snapshot.
@@ -27,8 +28,9 @@ Observability: construct the scheduler with a
 solver calls, structurally identical on either backend.  Request metrics
 (outcome counts, latency/queue-wait histograms, the per-tenant
 privacy-spend odometer) are a view of the sessions' audit trail, computed
-at export by :func:`request_metrics` and :func:`telemetry_report`; cache
-counters are the caches' own fields.  See :mod:`repro.telemetry`.
+at export by :func:`request_metrics` and :func:`telemetry_report`, replays
+included as ``cached`` outcomes; the artifact cache's counters are its own
+fields.  See :mod:`repro.telemetry`.
 
 Typical usage::
 
@@ -55,9 +57,8 @@ from .export import (
     session_report,
     telemetry_report,
 )
-from .measurement_cache import CachedAnswer, MeasurementCache
 from .scheduler import PlanScheduler, derive_request_seed
-from .session import Session, SessionClosedError, SessionEvent, SessionManager
+from .session import CachedAnswer, Session, SessionClosedError, SessionEvent, SessionManager
 
 __all__ = [
     "QueryRequest",
@@ -72,7 +73,6 @@ __all__ = [
     "InlineExecutor",
     "ThreadExecutor",
     "make_executor",
-    "MeasurementCache",
     "CachedAnswer",
     "ArtifactCache",
     "SessionClosedError",

@@ -22,9 +22,9 @@ from ..workload.builders import _freeze, workload_cache_key
 class QueryRequest:
     """One unit of work submitted to the :class:`~repro.service.PlanScheduler`.
 
-    ``reuse`` opts into the measurement cache: when an identical request has
-    already been answered for the same session, the prior noisy answer is
-    returned without spending any further budget (post-processing of an
+    ``reuse`` opts into replay: when an identical request has already been
+    answered for the same session, the session's release of the prior noisy
+    answer is returned without spending any further budget (post-processing of an
     already-released measurement).  ``request_id`` may be supplied by the
     client for end-to-end tracing; otherwise the session assigns a sequential
     one, which also pins down the deterministic per-request noise seed.

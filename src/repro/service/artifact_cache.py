@@ -18,6 +18,12 @@ them too.
 
 The cache is LRU when size-bounded: a hit refreshes the entry's recency, so a
 hot Gram factorisation is never evicted just because it was built first.
+
+It is the service's only shared cache.  Its entries are public, so one
+tenant's traffic evicting an artifact another tenant built costs a rebuild,
+never ε.  Released answers are private to their tenant and are not kept
+here: each session owns its own
+(:attr:`~repro.service.session.Session.releases`).
 """
 
 from __future__ import annotations
@@ -40,10 +46,8 @@ class ArtifactCache:
 
     Its ``hits``/``misses``/``evictions`` fields are its counters; a
     scheduler's metrics export reads them as ``cache_hits`` /
-    ``cache_misses`` / ``cache_evictions`` labelled ``cache=<name>``.
+    ``cache_misses`` / ``cache_evictions`` labelled ``cache="artifact"``.
     """
-
-    metrics_name = "artifact"
 
     def __init__(self, max_entries: int | None = None):
         self._entries: OrderedDict[Hashable, object] = OrderedDict()

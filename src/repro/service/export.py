@@ -142,10 +142,11 @@ def service_report(manager: SessionManager) -> dict:
 def request_metrics(scheduler) -> MetricsRegistry:
     """A :class:`PlanScheduler`'s metrics as of now, in a fresh registry:
     ``service_requests`` per tenant, plan and outcome and the per-tenant
-    latency and queue-wait histograms from the audit trail, both caches'
-    hit/miss/eviction fields as ``cache_*`` counters, and the instruments
-    of ``scheduler.metrics``.  :func:`~repro.telemetry.prometheus_text`
-    serialises it."""
+    latency and queue-wait histograms from the audit trail, the artifact
+    cache's hit/miss/eviction fields as ``cache_*{cache="artifact"}``
+    counters, and the instruments of ``scheduler.metrics``.  Replays are
+    the ``service_requests{outcome="cached"}`` count.
+    :func:`~repro.telemetry.prometheus_text` serialises it."""
     return _metrics_view(scheduler, scheduler.manager.request_tallies())
 
 
@@ -156,10 +157,9 @@ def _metrics_view(scheduler, tallies: dict[str, RequestTally]) -> MetricsRegistr
             view.counter("service_requests", tenant=tenant, plan=plan, outcome=outcome).inc(n)
         for histogram in tally.histograms(tenant):
             view.add(histogram)
-    for cache in (scheduler.artifact_cache, scheduler.measurement_cache):
-        stats = cache.stats
-        for name in ("hits", "misses", "evictions"):
-            view.counter(f"cache_{name}", cache=cache.metrics_name).inc(stats[name])
+    stats = scheduler.artifact_cache.stats
+    for name in ("hits", "misses", "evictions"):
+        view.counter(f"cache_{name}", cache="artifact").inc(stats[name])
     counters, _, histograms = scheduler.metrics.instruments()
     for instrument in counters + histograms:
         view.add(instrument)
@@ -188,18 +188,15 @@ def telemetry_report(scheduler) -> dict:
     Complements the budget-centric audit exports with the service's runtime
     health: :func:`request_metrics`' snapshot (per-tenant latency and
     queue-wait histograms with percentile estimates, request outcome
-    counters, cache counters), the per-tenant privacy-spend odometer, both
-    caches' stats, and the tracer's buffer stats.  Everything in the
+    counters, cache counters), the per-tenant privacy-spend odometer, the
+    artifact cache's stats, and the tracer's buffer stats.  Everything in the
     returned dict is JSON-ready.
     """
     tallies = scheduler.manager.request_tallies()
     return {
         "metrics": _metrics_view(scheduler, tallies).snapshot(),
         "privacy_odometer": _odometer(tallies),
-        "caches": {
-            "artifact": scheduler.artifact_cache.stats,
-            "measurement": scheduler.measurement_cache.stats,
-        },
+        "caches": {"artifact": scheduler.artifact_cache.stats},
         "tracer": scheduler.tracer.stats(),
     }
 

@@ -16,7 +16,7 @@ privacy-correct order::
                        → closed re-check → root span → _run_locked
                        → journal commit (in ``finally``, in the root span's
                          ``durability.commit`` child, under the lock)
-    _run_locked        cache probe → plan run
+    _run_locked        replay probe → plan run → release
 
 Every outcome — answered, replayed, rejected or failed — is accounted for
 by one helper, :meth:`PlanScheduler._ledger`: it records the
@@ -36,13 +36,21 @@ zero-spend :class:`~repro.service.session.SessionEvent` with an empty
 history span.  (Malformed requests that never resolve to a plan or workload
 — unknown names — still raise before anything touches the session ledger.)
 
+**Releases.**  A ``reuse`` request first probes its session's releases
+(:attr:`~repro.service.session.Session.releases`) under the session lock it
+already holds: a hit replays the released answer at zero ε as a ``cached``
+event.  A fresh answer is handed to
+:meth:`~repro.service.session.Session.release` before the response leaves
+the lock.  The scheduler keeps no state per session, so closing, snapshotting
+and restoring a session need only the session.
+
 **Durability.**  On a journal-attached session, the request's charges,
 measurement rows, release and event reach the journal as one record,
 committed before the response (or exception) leaves the lock — so nothing a
 client ever saw can be lost, and nothing lost was ever seen.  An answered
-request whose commit fails raises after its answer was cached: asking again
-for the same query replays that answer at zero ε (a failed append's parts
-ride in the replay's commit).
+request whose commit fails raises after its answer was released: asking
+again for the same query replays that answer at zero ε (a failed append's
+parts ride in the replay's commit).
 
 **Observability.**  Constructed with a :class:`~repro.telemetry.Tracer`, the
 scheduler opens a ``service.request`` root span per request and activates the
@@ -69,14 +77,13 @@ from dataclasses import replace
 from typing import Sequence
 
 from ..durability.faults import FaultInjector, WorkerDeath
-from ..durability.snapshot import release_record, snapshot_session
+from ..durability.snapshot import restore_session, snapshot_session
 from ..plans.registry import make_plan
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.spans import NOOP_SPAN, NULL_TRACER, NullTracer, Tracer, activate
 from .api import QueryRequest, QueryResponse, RequestFailure
 from .artifact_cache import ArtifactCache
 from .executors import ExecutorBackend, make_executor
-from .measurement_cache import MeasurementCache
 from .session import Session, SessionClosedError, SessionEvent, SessionManager
 
 __all__ = ["PlanScheduler", "derive_request_seed"]
@@ -113,7 +120,6 @@ class PlanScheduler:
     def __init__(
         self,
         manager: SessionManager,
-        measurement_cache: MeasurementCache | None = None,
         artifact_cache: ArtifactCache | None = None,
         max_workers: int = 4,
         tracer: Tracer | NullTracer | None = None,
@@ -121,7 +127,6 @@ class PlanScheduler:
         executor: str | ExecutorBackend | None = None,
     ):
         self.manager = manager
-        self.measurement_cache = measurement_cache if measurement_cache is not None else MeasurementCache()
         self.artifact_cache = artifact_cache if artifact_cache is not None else ArtifactCache()
         self.max_workers = max_workers
         #: per-request tracing; the no-op NULL_TRACER (the default) records
@@ -141,27 +146,12 @@ class PlanScheduler:
         """Release the executor backend's pools (idempotent)."""
         self.executor.shutdown(wait=wait)
 
-    def close_session(self, session_id: str, drain: bool = True) -> Session:
-        """Close a session and drop its cached releases.
-
-        Prefer this over :meth:`SessionManager.close` when a scheduler is in
-        play — the manager alone cannot reach the measurement cache, and a
-        long-running service would otherwise accumulate unreachable entries
-        for every closed session.  See :meth:`SessionManager.close` for the
-        in-flight drain semantics.
-        """
-        session = self.manager.close(session_id, drain=drain)
-        self.measurement_cache.invalidate_session(session)
-        return session
-
     # ------------------------------------------------------------------
     # Durability.
     # ------------------------------------------------------------------
     def snapshot_session(self, session_id: str) -> dict:
-        """Snapshot a session's records, including its cached releases."""
-        return snapshot_session(
-            self.manager.get(session_id), measurement_cache=self.measurement_cache
-        )
+        """Snapshot a session's records, its releases included."""
+        return snapshot_session(self.manager.get(session_id))
 
     def restore_session(
         self,
@@ -169,25 +159,17 @@ class PlanScheduler:
         snapshot: dict | None = None,
         journal=None,
     ) -> Session:
-        """Rebuild a crashed session into this scheduler's manager and cache.
+        """Rebuild a crashed session into this scheduler's manager.
 
         See :func:`repro.durability.restore_session`; the restored session
         is verified against the reconciliation oracle and adopted by the
-        manager, and its released answers land back in the measurement cache
-        for zero-ε replay.  This also moves a live session to another
-        scheduler: stop its traffic (``session.begin_close()``), take
-        :meth:`snapshot_session`, :meth:`close_session` it and restore the
-        snapshot on the other scheduler.
+        manager, its releases restored for zero-ε replay.  This also moves a
+        live session to another scheduler: stop its traffic
+        (``session.begin_close()``), take :meth:`snapshot_session`, close it
+        with ``manager.close`` and restore the snapshot on the other
+        scheduler.
         """
-        from ..durability.snapshot import restore_session as _restore_session
-
-        return _restore_session(
-            table,
-            snapshot=snapshot,
-            journal=journal,
-            manager=self.manager,
-            measurement_cache=self.measurement_cache,
-        )
+        return restore_session(table, snapshot=snapshot, journal=journal, manager=self.manager)
 
     # ------------------------------------------------------------------
     # Synchronous path.
@@ -260,7 +242,7 @@ class PlanScheduler:
         queued_at: float,
         root,
     ) -> QueryResponse:
-        """The locked interior: cache probe → plan run.
+        """The locked interior: replay probe → plan run → release.
 
         Called with the session lock held and the request's root span
         active.  This is the documented seam for tests (and subclasses) that
@@ -350,13 +332,7 @@ class PlanScheduler:
             accounting=session.accounting_report(),
             trace_id=trace_id,
         )
-        self.measurement_cache.store(session, key, response, *history)
-        if session.journal is not None:
-            # The request's commit journals the release, its arrays as raw
-            # bytes: restores replay the answer byte-identical into the
-            # cache, so an identical post-crash request costs zero
-            # additional ε.
-            session.pending_releases.append(release_record(key, response, *history, raw=True))
+        session.release(key, response, *history)
         self._ledger(
             session, request, "ok", response.elapsed_seconds, queue_wait, trace_id,
             history, spent=response.epsilon_spent, seed=seed,
@@ -372,15 +348,13 @@ class PlanScheduler:
         queue_wait: float,
         trace_id: str | None,
     ) -> QueryResponse | None:
-        """The cached answer to ``request``, ledgered as a replay, or None."""
-        entry = self.measurement_cache.lookup(session, key)
+        """The released answer to ``request``, ledgered as a replay, or None."""
+        entry = session.releases.get(key)
         if entry is None:
             return None
         # The replay carries the session's accounting now, not the paying
-        # request's (spend may have moved since the entry was stored).
-        response = self.measurement_cache.replay(
-            entry, request.request_id, session.accounting_report(), trace_id
-        )
+        # request's (spend may have moved since the answer was released).
+        response = entry.replay(request.request_id, session.accounting_report(), trace_id)
         response.elapsed_seconds = time.perf_counter() - start
         self._ledger(
             session, request, "cached", response.elapsed_seconds,

@@ -3,8 +3,12 @@
 A :class:`Session` is the service-side wrapper around one
 :class:`~repro.private.kernel.ProtectedKernel`: it owns the kernel, the root
 handle, a lazily-vectorised source plans run against, a re-entrant lock that
-serialises all budget-spending work on the kernel, and an append-only audit
-trail of :class:`SessionEvent` records (one per scheduled request).
+serialises all budget-spending work on the kernel, an append-only audit
+trail of :class:`SessionEvent` records (one per scheduled request) and its
+**releases**: each answer it released, by request key, as a
+:class:`CachedAnswer`.  Handing a released answer out again is
+post-processing, so an identical request replays it at zero ε; the history
+span on each release points back at the kernel rows that paid for it.
 
 Sessions can be made **durable** by attaching a
 :class:`~repro.durability.PrivacyJournal`, whose one writer is
@@ -15,8 +19,11 @@ loses only charges whose answer nobody saw.  The records are built in
 :mod:`repro.durability.snapshot`, which also snapshots and restores them.
 
 The :class:`SessionManager` creates and tracks sessions.  Isolation is
-structural: every session has its own kernel, its own budget tracker and its
-own lock, so concurrent work on different sessions can never cross budgets.
+structural: every session has its own kernel, budget tracker, lock and
+releases, so concurrent work on different sessions can never cross budgets,
+and no session's traffic can evict or reach another's releases.  A session's
+releases live and die with its object: a closed session id reused later
+starts with none.
 
 The request metrics are the audit trail folded into a
 :class:`RequestTally` per tenant (:meth:`SessionManager.request_tallies`).
@@ -34,14 +41,11 @@ import numpy as np
 
 from ..accounting import Accountant, make_accountant
 from ..dataset.relation import Relation
-from ..durability.snapshot import commit_record, open_record
+from ..durability.snapshot import commit_record, open_record, release_record
 from ..private.kernel import BudgetSnapshot, MeasurementRecord, ProtectedKernel
 from ..private.protected import ProtectedDataSource
 from ..telemetry.metrics import Histogram
-
-#: Process-wide counter making every Session object distinguishable even when
-#: a session id is reused after a close (cache entries must never cross).
-_CACHE_SCOPES = itertools.count(1)
+from .api import QueryResponse
 
 
 class SessionClosedError(RuntimeError):
@@ -65,7 +69,7 @@ class SessionEvent:
     outcome: str
     seed: int | None
     #: history indices [start, end) of the kernel measurements this request
-    #: produced (an empty span for cache hits).
+    #: produced (an empty span for replays).
     history_start: int
     history_end: int
     tag: str = ""
@@ -73,7 +77,7 @@ class SessionEvent:
     #: the event still claims whatever budget/history the partial run produced.
     error: str = ""
     #: wall-clock seconds the request spent executing under the session lock
-    #: (cache hits included — replay time is real latency too).
+    #: (replays included — replay time is real latency too).
     duration_seconds: float = 0.0
     #: seconds between the request being scheduled (batch submission or
     #: ``execute`` entry) and execution starting — lock contention plus
@@ -81,6 +85,40 @@ class SessionEvent:
     queue_wait_seconds: float = 0.0
     #: trace id of the request's span tree when tracing was enabled, else None.
     trace_id: str | None = None
+
+
+def _frozen_copy(response: QueryResponse, **changes) -> QueryResponse:
+    """A deep-enough copy with ``changes``: clients and releases never share state."""
+    return replace(
+        response,
+        x_hat=np.array(response.x_hat, copy=True),
+        answers=None if response.answers is None else np.array(response.answers, copy=True),
+        info=dict(response.info),
+        **changes,
+    )
+
+
+@dataclass
+class CachedAnswer:
+    """A released response plus the kernel-history span [start, end) that
+    paid for it."""
+
+    response: QueryResponse
+    history_start: int
+    history_end: int
+
+    def replay(self, request_id: str, accounting: dict, trace_id: str | None) -> QueryResponse:
+        """A budget-free copy of the response for a new request id, with the
+        replay's ``accounting`` snapshot and ``trace_id``."""
+        return _frozen_copy(
+            self.response,
+            request_id=request_id,
+            epsilon_spent=0.0,
+            cached=True,
+            elapsed_seconds=0.0,
+            accounting=accounting,
+            trace_id=trace_id,
+        )
 
 
 def _add_exact(partials: list[float], value: float) -> None:
@@ -177,11 +215,10 @@ class Session:
         self.kernel = ProtectedKernel(
             table, epsilon_total, seed=self.base_seed, accountant=self.accountant
         )
-        #: opaque scope token distinguishing this Session object from any
-        #: earlier one that carried the same session id (cache isolation).
-        self.cache_scope = next(_CACHE_SCOPES)
         self.lock = threading.RLock()
         self.events: list[SessionEvent] = []
+        #: released answers by request key (read and written under the lock).
+        self.releases: dict[tuple, CachedAnswer] = {}
         self._root = ProtectedDataSource(self.kernel, "root")
         self._vector: ProtectedDataSource | None = None
         #: number of request ids handed out so far (mutated only under the
@@ -266,6 +303,22 @@ class Session:
     def measurements_for(self, event: SessionEvent) -> list[MeasurementRecord]:
         """The kernel history records produced by one audit-trail event."""
         return self.kernel.history()[event.history_start : event.history_end]
+
+    def release(
+        self, key: tuple, response: QueryResponse, history_start: int, history_end: int
+    ) -> None:
+        """Keep a frozen copy of a freshly computed ``response`` under the
+        request ``key``, with the history span that paid for it.  On a
+        journaled session the next commit journals the release, its arrays
+        as raw bytes, so a restore replays it byte-identically."""
+        with self.lock:
+            self.releases[key] = CachedAnswer(
+                _frozen_copy(response), history_start, history_end
+            )
+            if self.journal is not None:
+                self.pending_releases.append(
+                    release_record(key, response, history_start, history_end, raw=True)
+                )
 
     # ------------------------------------------------------------------
     # Durability.

@@ -152,8 +152,6 @@ class Tracer:
     unpredictable (they carry no private information).
     """
 
-    enabled = True
-
     def __init__(self, clock: Clock | None = None, max_spans: int | None = None):
         self._clock = clock if clock is not None else DEFAULT_CLOCK
         self.max_spans = max_spans
@@ -304,9 +302,6 @@ class NullTracer:
     nothing is ever recorded, so instrumentation left in place costs only the
     call itself when tracing is off.
     """
-
-    enabled = False
-    max_spans = None
 
     def span(self, name: str | None = None, **attributes):
         return NOOP_SPAN

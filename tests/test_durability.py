@@ -60,7 +60,6 @@ from repro.durability.journal import _encode_frame
 from repro.durability.serialize import pack, unpack
 from repro.private import audit
 from repro.service import (
-    MeasurementCache,
     PlanScheduler,
     QueryRequest,
     RequestFailure,
@@ -316,13 +315,13 @@ class TestJournal:
         assert journal.seq == 1
 
     def test_journaled_session_keeps_no_copy_of_its_releases(self, tmp_path):
-        """A journaled session's memory is bounded by its measurement cache.
+        """A journaled session's memory is bounded by its releases.
 
         200 fresh Identity releases at n=4096 write at least their raw
         payloads, ``x_hat`` and the prefix answers at 8 bytes an entry
-        (~13 MB); with one cache slot, what the session retains must be a
-        small fraction of that (an in-memory mirror of the journal retains
-        all of it).
+        (~13 MB); they share one request key, so the session keeps one
+        release, and what it retains must be a small fraction of that (an
+        in-memory mirror of the journal retains all of it).
         """
         n = 4096
         values = np.random.default_rng(0).integers(0, 20, n).astype(float)
@@ -332,9 +331,7 @@ class TestJournal:
         session = manager.create_session(
             "t", relation, 1e3, seed=0, journal=PrivacyJournal(path)
         )
-        scheduler = PlanScheduler(
-            manager, measurement_cache=MeasurementCache(max_entries=1), executor="inline"
-        )
+        scheduler = PlanScheduler(manager, executor="inline")
         request = QueryRequest(
             session.session_id,
             plan="Identity",
@@ -357,6 +354,7 @@ class TestJournal:
         written = path.stat().st_size
         assert written > 200 * 2 * n * 8
         assert grown < written / 10
+        assert len(session.releases) == 1
 
 
 class TestRawPayloadFrames:
@@ -782,6 +780,18 @@ class TestSnapshotRestore:
         assert replay.cached
         assert replay.x_hat.tobytes() == response.x_hat.tobytes()
 
+    def test_snapshot_without_a_scheduler_holds_every_release(self, manager, relation):
+        scheduler, session, responses = self._run_session(manager, relation, None)
+        assert scheduler.execute(identity_request(session, epsilon=0.1)).cached
+        snap = snapshot_session(session)
+        (commit,) = snap["records"][1:]
+        releases = [part for part in commit["records"] if part["kind"] == "release"]
+        assert len(releases) == len(session.releases) == len(responses) == 3
+        by_key = {decode(part["key"]): decode(part["response"]) for part in releases}
+        assert set(by_key) == set(session.releases)
+        for key, entry in session.releases.items():
+            assert by_key[key]["x_hat"].tobytes() == entry.response.x_hat.tobytes()
+
     #: A field older versions wrote on every release and audit event (split
     #: so a code search for the removed field finds no live use).
     LEGACY_FIELD = "shard" "_id"
@@ -1156,22 +1166,23 @@ class TestOneRestorePath:
             for source in ("snapshot", "journal")
         )
 
-        def cache_entries(scheduler, restored):
+        def releases(restored):
             return {
-                entry["key"]: (
-                    entry["history_start"],
-                    entry["history_end"],
-                    entry["response"].x_hat.tobytes(),
+                key: (
+                    entry.history_start,
+                    entry.history_end,
+                    entry.response.x_hat.tobytes(),
+                    entry.response.payload.tobytes(),
                 )
-                for entry in scheduler.measurement_cache.export_session(restored)
+                for key, entry in restored.releases.items()
             }
 
         assert a.kernel.budget_tracker.ledger() == b.kernel.budget_tracker.ledger()
         assert a.kernel.history() == b.kernel.history() == session.kernel.history()
         assert a.events == b.events == session.events
         assert a.request_counter == b.request_counter == session.request_counter
-        assert cache_entries(by_snapshot, a) == cache_entries(by_journal, b)
-        assert len(cache_entries(by_snapshot, a)) == 2
+        assert releases(a) == releases(b) == releases(session)
+        assert len(releases(a)) == 2
         assert session_report(a) == session_report(b)
 
     def test_snapshot_in_the_old_format_raises_recovery_error(self, relation):
@@ -1516,7 +1527,7 @@ class TestCloseSemantics:
         closed_session = []
 
         def close():
-            closed_session.append(scheduler.close_session(session.session_id))
+            closed_session.append(manager.close(session.session_id))
             closer_done.set()
 
         closer = threading.Thread(target=close)
@@ -1582,7 +1593,7 @@ class TestCloseSemantics:
         scheduler = PlanScheduler(manager)
         session = manager.create_session("acme", relation, 4.0, seed=0)
         scheduler.execute(identity_request(session))
-        closed = scheduler.close_session(session.session_id, drain=False)
+        closed = manager.close(session.session_id, drain=False)
         assert closed.closed
         assert session.session_id not in manager
 

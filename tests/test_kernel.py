@@ -8,7 +8,7 @@ import pytest
 from repro.accounting import ApproxDPAccountant
 from repro.dataset import Attribute, Relation, Schema
 from repro.durability import FaultInjector, InjectedFault
-from repro.matrix import Identity, Prefix, ReductionMatrix, Total
+from repro.matrix import DenseMatrix, Identity, Prefix, ReductionMatrix, Total
 from repro.private import (
     BudgetExceededError,
     InvalidTransformationError,
@@ -98,6 +98,43 @@ class TestKernelBasics:
         groups = kernel.transform_group_by("root", "b")
         any_group = next(iter(groups.values()))
         assert kernel.cumulative_stability(any_group) == 2.0
+
+
+
+class TestLinearTransform:
+    """``x' = M x`` is ``||M||_1``-stable (Sec. 5.1): its stability is M's
+    largest column L1 norm, and a measurement downstream costs that many
+    times its ε at the root."""
+
+    def test_stability_is_the_largest_column_l1_norm(self, relation):
+        matrix = np.zeros((4, 12))
+        matrix[0, :] = 1.0
+        matrix[1, :6] = 1.0
+        matrix[2, 0] = -1.0  # column 0: |1| + |1| + |-1| = 3
+        kernel = ProtectedKernel(relation, 4.0, seed=0)
+        vec = kernel.transform_vectorize("root")
+        derived = kernel.transform_linear(vec, DenseMatrix(matrix))
+        assert kernel.source_kind(derived) == "vector"
+        assert kernel.domain_size(derived) == 4
+        assert kernel.cumulative_stability(derived) == 3.0
+        kernel.measure_vector_laplace(derived, Identity(4), 0.5)
+        assert kernel.budget_consumed() == pytest.approx(1.5)
+        assert kernel.budget_tracker.ledger()[-1].primary == pytest.approx(1.5)
+
+    def test_prefix_is_n_stable_through_the_handle(self):
+        values = np.arange(8, dtype=np.float64)
+        relation = Relation.from_histogram(Schema.build([Attribute("x", 8)]), values)
+        derived = protect(relation, 1.0, seed=0).vectorize().linear_transform(Prefix(8))
+        assert derived.kind == "vector" and derived.domain_size == 8
+        assert derived.kernel.cumulative_stability(derived.name) == 8.0
+
+    def test_wrong_column_count_raises_before_any_charge(self, relation):
+        kernel = ProtectedKernel(relation, 4.0, seed=0)
+        vec = kernel.transform_vectorize("root")
+        with pytest.raises(InvalidTransformationError, match="12 cells"):
+            kernel.transform_linear(vec, Prefix(8))
+        assert kernel.budget_consumed() == 0.0
+        assert kernel.budget_tracker.num_charges == 0 and kernel.history() == []
 
 
 class TestNoiseCalibration:

@@ -15,7 +15,6 @@ from repro.plans import IdentityPlan, available_plans, make_plan, with_represent
 from repro.private import BudgetExceededError, ProtectedDataSource, protect
 from repro.service import (
     ArtifactCache,
-    MeasurementCache,
     PlanScheduler,
     QueryRequest,
     SessionManager,
@@ -221,14 +220,6 @@ class TestScheduler:
         assert event.epsilon_spent == 0.0
         assert reconcile(session)["exact"]
 
-    def test_close_session_drops_cache_entries(self, manager, scheduler, relation):
-        session = open_session(manager, relation)
-        scheduler.execute(identity_request(session))
-        assert len(scheduler.measurement_cache) == 1
-        closed = scheduler.close_session(session.session_id)
-        assert closed is session and closed.closed
-        assert len(scheduler.measurement_cache) == 0
-
     def test_batch_preserves_input_order(self, manager, scheduler, relation):
         session = open_session(manager, relation)
         requests = [
@@ -318,7 +309,7 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------------
-# Measurement cache.
+# Released answers: each session replays its own.
 # ----------------------------------------------------------------------------
 class TestMeasurementCache:
     def test_repeat_request_is_budget_free(self, manager, scheduler, relation):
@@ -356,10 +347,10 @@ class TestMeasurementCache:
         session = open_session(manager, relation)
         request = identity_request(session)
         scheduler.execute(request)
-        records = scheduler.measurement_cache.backing_records(
-            session, request.cache_key()
-        )
+        release = session.releases[request.cache_key()]
+        records = session.kernel.history()[release.history_start : release.history_end]
         assert len(records) == 1
+        assert records == session.measurements_for(session.events[-1])
         assert records[0].operator == "VectorLaplace"
         assert records[0].epsilon == pytest.approx(0.1)
 
@@ -391,19 +382,29 @@ class TestMeasurementCache:
         assert np.array_equal(second.x_hat, original)
         assert "note" not in second.info
 
-    def test_invalidate_session(self, manager, scheduler, relation):
-        session = open_session(manager, relation)
-        scheduler.execute(identity_request(session))
-        assert len(scheduler.measurement_cache) == 1
-        dropped = scheduler.measurement_cache.invalidate_session(session)
-        assert dropped == 1 and len(scheduler.measurement_cache) == 0
-
     def test_stats(self, manager, scheduler, relation):
         session = open_session(manager, relation)
         scheduler.execute(identity_request(session))
         scheduler.execute(identity_request(session))
-        stats = scheduler.measurement_cache.stats
-        assert stats["hits"] == 1 and stats["entries"] == 1
+        assert len(session.releases) == 1
+        assert [event.outcome for event in session.events] == ["ok", "cached"]
+
+    def test_another_tenants_releases_never_displace_a_sessions_own(
+        self, manager, scheduler, relation
+    ):
+        """Tenant B's traffic cannot make tenant A pay again for its own query."""
+        a = open_session(manager, relation, tenant="a")
+        b = open_session(manager, relation, tenant="b", epsilon_total=100.0)
+        first = scheduler.execute(identity_request(a))
+        for i in range(50):
+            scheduler.execute(identity_request(b, epsilon=0.01 * (i + 1)))
+        assert len(b.releases) == 50 and len(a.releases) == 1
+        consumed = a.budget_consumed()
+        again = scheduler.execute(identity_request(a))
+        assert again.cached and again.epsilon_spent == 0.0
+        assert a.budget_consumed() == consumed
+        assert again.seed == first.seed
+        assert again.payload.tobytes() == first.payload.tobytes()
 
 
 # ----------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Execution-core tests: executor backends, bounded caches, moving sessions.
+"""Execution-core tests: executor backends, the artifact cache, moving sessions.
 
 The invariants of the execution core:
 
 * **backend transparency** — answers (payloads, seeds, spends) are
   byte-identical across the inline and thread backends, because noise seeds
   derive only from (base seed, request id, query identity);
-* **bounded caches** — both caches are LRU with touch-on-hit and eviction
-  counters, and evicting a released answer never loses it: the journal
-  replays it at zero additional ε after a restore;
+* **the artifact cache** — LRU with touch-on-hit and eviction counters when
+  bounded, and shareable across schedulers; evicting an artifact costs a
+  rebuild, never ε;
 * **moving a session** — snapshot plus restore carries a session to another
-  scheduler with its ledger, seed, request counter and released answers.
+  scheduler with its ledger, seed, request counter and released answers,
+  which live on the session and so need no scheduler to move.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ import numpy as np
 import pytest
 
 from repro.dataset import Attribute, Relation, Schema
-from repro.durability import FaultInjector, PrivacyJournal, WorkerDeath
+from repro.durability import FaultInjector, PrivacyJournal, WorkerDeath, restore_session
 from repro.private import BudgetExceededError
 from repro.service import (
     ArtifactCache,
     ExecutorBackend,
     InlineExecutor,
-    MeasurementCache,
     PlanScheduler,
     QueryRequest,
     QueryResponse,
@@ -144,7 +144,7 @@ class TestExecutorBackends:
             assert np.array_equal(expected.x_hat, got.x_hat)
             assert got.seed == expected.seed
             assert got.epsilon_spent == expected.epsilon_spent
-        # Every replay is answered from the measurement cache: the same bytes
+        # Every replay is answered from its session's releases: the same bytes
         # as the first batch's answer, on both backends, at zero ε.
         for first, expected, got in zip(base, base_replays, thread_replays):
             assert expected.cached and got.cached
@@ -352,57 +352,6 @@ class TestArtifactCacheLRU:
         assert cache.stats["entries"] == 1
 
 
-class TestMeasurementCacheBound:
-    def test_eviction_counters_and_bound(self, relation):
-        cache = MeasurementCache(max_entries=2)
-        manager = SessionManager()
-        scheduler = PlanScheduler(manager, measurement_cache=cache, executor="inline")
-        session = manager.create_session("acme", relation, 10.0, seed=5)
-        for epsilon in (0.1, 0.2, 0.3):
-            scheduler.execute(
-                QueryRequest(session.session_id, plan="Identity", epsilon=epsilon)
-            )
-        assert len(cache) == 2
-        assert cache.stats["evictions"] == 1
-        view = request_metrics(scheduler)
-        assert view.counter("cache_evictions", cache="measurement").value == 1.0
-        # The survivors still replay at zero ε; the evicted answer is gone
-        # from the cache (the journal test below shows it is not *lost*).
-        replay = scheduler.execute(
-            QueryRequest(session.session_id, plan="Identity", epsilon=0.3)
-        )
-        assert replay.cached and replay.epsilon_spent == 0.0
-
-    def test_evicted_release_replays_from_journal(self, relation, tmp_path):
-        path = tmp_path / "session.wal"
-        manager = SessionManager()
-        scheduler = PlanScheduler(
-            manager,
-            measurement_cache=MeasurementCache(max_entries=1),
-            executor="inline",
-        )
-        session = manager.create_session(
-            "acme", relation, 10.0, seed=5, journal=PrivacyJournal(path)
-        )
-        first = scheduler.execute(
-            QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
-        )
-        # The second release evicts the first from the bounded cache.
-        scheduler.execute(
-            QueryRequest(session.session_id, plan="Identity", epsilon=0.2)
-        )
-        session.journal.close()
-
-        fresh = PlanScheduler(SessionManager(), executor="inline")
-        restored = fresh.restore_session(relation, journal=PrivacyJournal(path))
-        replayed = fresh.execute(
-            QueryRequest(restored.session_id, plan="Identity", epsilon=0.1)
-        )
-        assert replayed.cached and replayed.epsilon_spent == 0.0
-        assert np.array_equal(replayed.x_hat, first.x_hat)
-        assert reconcile(restored)["exact"]
-
-
 class TestDrainCloseRace:
     def test_drain_close_races_execute_batch(self, relation):
         manager = SessionManager()
@@ -431,7 +380,7 @@ class TestDrainCloseRace:
         batcher.start()
         assert entered.wait(timeout=10)
         closer = threading.Thread(
-            target=lambda: scheduler.close_session(session.session_id, drain=True)
+            target=lambda: manager.close(session.session_id, drain=True)
         )
         closer.start()
         deadline = time.monotonic() + 10
@@ -496,7 +445,7 @@ class TestBatchQueuedAcrossClose:
         )
         batcher.start()
         assert backend.submitted.wait(timeout=10)
-        scheduler.close_session(session.session_id, drain=True)
+        manager.close(session.session_id, drain=True)
         backend.release.set()
         batcher.join(timeout=10)
         assert not batcher.is_alive()
@@ -521,7 +470,7 @@ class TestMovingSessions:
         before_budget = session.budget_consumed()
         session.begin_close()  # no new requests; in-flight ones drain first
         state = source.snapshot_session("acme-s1")
-        source.close_session("acme-s1")
+        source.manager.close("acme-s1")
 
         target = PlanScheduler(SessionManager(), executor="inline")
         moved = target.restore_session(relation, snapshot=state)
@@ -563,7 +512,7 @@ class TestMovingSessions:
         first = source.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.1))
         second = source.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.2))
         before_budget = session.budget_consumed()
-        source.close_session("acme-s1")
+        source.manager.close("acme-s1")
         session.journal.close()
 
         target = PlanScheduler(SessionManager(), executor="inline")
@@ -578,6 +527,32 @@ class TestMovingSessions:
             assert replay.cached and replay.epsilon_spent == 0.0
             assert np.array_equal(replay.x_hat, original.x_hat)
         assert moved.budget_consumed() == before_budget
+
+    def test_restore_without_a_scheduler_replays_releases(self, relation, tmp_path):
+        # Given only a manager, the durability-level restore brings the
+        # session's releases back with it: the pre-crash answer replays free
+        # on any scheduler over that manager.
+        path = tmp_path / "session.wal"
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = manager.create_session(
+            "acme", relation, 10.0, seed=5, journal=PrivacyJournal(path)
+        )
+        request = QueryRequest(session.session_id, plan="Identity", epsilon=0.1)
+        first = scheduler.execute(request)
+        scheduler.execute(QueryRequest(session.session_id, plan="Identity", epsilon=0.2))
+        session.journal.close()
+
+        restored_manager = SessionManager()
+        restored = restore_session(
+            relation, journal=PrivacyJournal(path), manager=restored_manager
+        )
+        spent = restored.budget_consumed()
+        replayed = PlanScheduler(restored_manager, executor="inline").execute(request)
+        assert replayed.cached and replayed.epsilon_spent == 0.0
+        assert replayed.payload.tobytes() == first.payload.tobytes()
+        assert restored.budget_consumed() == spent
+        assert reconcile(restored)["exact"]
 
     def test_moving_every_session_keeps_each_ledger(self, relation):
         source_manager = SessionManager()
@@ -595,7 +570,7 @@ class TestMovingSessions:
         for session in sessions:
             session.begin_close()
             states.append(source.snapshot_session(session.session_id))
-            source.close_session(session.session_id)
+            source.manager.close(session.session_id)
 
         target_manager = SessionManager()
         target = PlanScheduler(target_manager, executor="inline")

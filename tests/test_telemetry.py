@@ -699,13 +699,19 @@ class TestTelemetryReport:
         session = open_session(manager, relation)
         scheduler = PlanScheduler(manager, tracer=Tracer())
         scheduler.execute(identity_request(session))
-        scheduler.execute(identity_request(session))  # measurement-cache hit
+        scheduler.execute(identity_request(session))  # a replay of the release
         report = telemetry_report(scheduler)
         assert set(report) == {"metrics", "privacy_odometer", "caches", "tracer"}
         counters = report["metrics"]["counters"]
         assert counters["service_requests{outcome=ok,plan=Identity,tenant=acme}"] == 1
         assert counters["service_requests{outcome=cached,plan=Identity,tenant=acme}"] == 1
-        assert counters["cache_hits{cache=measurement}"] == 1
+        # A replay is counted once, as a cached request; the only cache
+        # counters are the artifact cache's own fields.
+        assert {key for key in counters if key.startswith("cache_")} == {
+            f"cache_{field}{{cache=artifact}}" for field in ("hits", "misses", "evictions")
+        }
+        assert counters["cache_misses{cache=artifact}"] == scheduler.artifact_cache.misses
+        assert counters["cache_hits{cache=artifact}"] == scheduler.artifact_cache.hits
         latency = report["metrics"]["histograms"][
             "service_request_latency_seconds{tenant=acme}"
         ]
@@ -714,7 +720,7 @@ class TestTelemetryReport:
         assert odometer["unit"] == "epsilon"
         assert odometer["total_spent"] == pytest.approx(0.1)
         assert odometer["requests"] == 2  # the budget-free replay ticks too
-        assert report["caches"]["measurement"]["hits"] == 1
+        assert report["caches"] == {"artifact": scheduler.artifact_cache.stats}
         assert report["tracer"]["enabled"] is True
         assert report["tracer"]["num_traces"] == 2
 
@@ -754,9 +760,8 @@ def assert_metrics_are_the_events(scheduler, events_by_tenant):
     for (tenant, plan, outcome), count in expected.items():
         labels = f'outcome="{outcome}",plan="{plan}",tenant="{tenant}"'
         assert f"service_requests_total{{{labels}}} {float(count)!r}\n" in text
-    for name, cache in (("artifact", scheduler.artifact_cache), ("measurement", scheduler.measurement_cache)):
-        for field in ("hits", "misses", "evictions"):
-            assert counters[f"cache_{field}{{cache={name}}}"] == getattr(cache, field)
+    for field in ("hits", "misses", "evictions"):
+        assert counters[f"cache_{field}{{cache=artifact}}"] == getattr(scheduler.artifact_cache, field)
     assert set(report["privacy_odometer"]) == set(events_by_tenant)
     for tenant, events in events_by_tenant.items():
         for name, field in (
@@ -855,12 +860,12 @@ class TestMetricsAreTheAuditTrail:
         first = open_session(manager, relation)
         scheduler.execute(identity_request(first))
         scheduler.execute(identity_request(first))
-        closed = scheduler.close_session(first.session_id)
+        closed = manager.close(first.session_id)
         second = open_session(manager, relation, seed=1)
         scheduler.execute(identity_request(second, epsilon=0.3))
         zeta = manager.create_session("zeta", relation, 1.0, seed=2, accountant="zcdp")
         scheduler.execute(identity_request(zeta))
-        scheduler.close_session(zeta.session_id)
+        manager.close(zeta.session_id)
         assert first.session_id not in manager and zeta.session_id not in manager
         assert_metrics_are_the_events(
             scheduler, {"acme": closed.events + second.events, "zeta": zeta.events}
