@@ -60,12 +60,11 @@ def mwem_zcdp_crossover() -> None:
         relation, seed=0, accountant=ZCDPAccountant(epsilon=epsilon, delta=delta)
     ).vectorize()
     plan.run(zc, epsilon)
-    odometer = zc.odometer()
-    eps_spent, delta_spent = odometer.epsilon_delta_report()
-    print(f"zcdp accountant:  spent rho = {zc.budget_consumed():.5f} "
-          f"-> converted ({eps_spent:.3f}, {delta_spent:g})-DP")
-    print(f"headroom left on the vector source: eps ~ "
-          f"{odometer.headroom(zc.name, mechanism='gaussian'):.2f} of Gaussian budget\n")
+    report = zc.kernel.accounting_report()
+    print(f"zcdp accountant:  spent rho = {report['native_spent']:.5f} "
+          f"-> converted ({report['epsilon_spent']:.3f}, {report['delta_spent']:g})-DP")
+    print(f"remaining native budget: rho = {report['native_remaining']:.5f} "
+          f"of {report['native_budget']:.5f}\n")
 
 
 def per_tenant_service_accounting() -> None:

@@ -49,7 +49,6 @@ from .matrix import (
 from .accounting import (
     Accountant,
     ApproxDPAccountant,
-    PrivacyOdometer,
     PureDPAccountant,
     ZCDPAccountant,
     make_accountant,
@@ -85,5 +84,4 @@ __all__ = [
     "ApproxDPAccountant",
     "ZCDPAccountant",
     "make_accountant",
-    "PrivacyOdometer",
 ]

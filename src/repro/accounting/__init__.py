@@ -9,11 +9,12 @@ kernel / per service session.
 Entry points
 ------------
 :func:`make_accountant`
-    Resolve a per-tenant spec (``"pure"`` / ``"approx"`` / ``"zcdp"`` or an
-    :class:`Accountant` instance) against an ``(ε, δ)`` target.
-:class:`PrivacyOdometer`
-    Read-only per-source spend ledger plus a dry-run filter
-    (:meth:`~PrivacyOdometer.can_measure`) for adaptive plans.
+    Resolve a per-tenant registry name (``"pure"`` / ``"approx"`` /
+    ``"zcdp"``) against an ``(ε, δ)`` target; a bare kernel takes any
+    :class:`Accountant` instance (``protect(..., accountant=...)``).
+
+Spend per source is :func:`~repro.private.audit.audit_kernel`'s, and the
+converted ``(ε, δ)`` statement is ``ProtectedKernel.accounting_report()``.
 """
 
 from .accountants import (
@@ -30,7 +31,6 @@ from .base import (
     zcdp_epsilon_for_rho_delta,
     zcdp_rho_for_epsilon_delta,
 )
-from .odometer import OdometerEntry, PrivacyOdometer
 
 __all__ = [
     "Accountant",
@@ -40,8 +40,6 @@ __all__ = [
     "ApproxDPAccountant",
     "ZCDPAccountant",
     "make_accountant",
-    "OdometerEntry",
-    "PrivacyOdometer",
     "gaussian_analytic_sigma",
     "zcdp_rho_for_epsilon_delta",
     "zcdp_epsilon_for_rho_delta",

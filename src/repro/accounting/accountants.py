@@ -199,27 +199,25 @@ ACCOUNTANTS = {
 
 
 def make_accountant(
-    spec: str | Accountant | None,
+    spec: str | None,
     epsilon_total: float,
     delta: float = 1e-6,
 ) -> Accountant:
     """Resolve a per-tenant accountant choice.
 
-    ``spec`` may be an :class:`Accountant` instance (used as-is), one of the
-    registry names ``"pure"`` / ``"approx"`` / ``"zcdp"`` (constructed
-    against the tenant's ``(epsilon_total, delta)`` target), or ``None`` for
-    the seed-compatible pure accountant.
+    ``spec`` is a registry name, ``"pure"`` / ``"approx"`` / ``"zcdp"``
+    (constructed against the tenant's ``(epsilon_total, delta)`` target), or
+    ``None`` for the seed-compatible pure accountant.  A restore rebuilds a
+    session's accountant from that name and target alone, so an
+    :class:`Accountant` instance is refused; ``protect(..., accountant=...)``
+    takes one.
     """
-    if spec is None:
-        return PureDPAccountant(epsilon_total)
-    if isinstance(spec, Accountant):
-        return spec
-    if spec == "pure":
+    if spec is None or spec == "pure":
         return PureDPAccountant(epsilon_total)
     if spec == "approx":
         return ApproxDPAccountant(epsilon_total, delta_total=delta)
     if spec == "zcdp":
         return ZCDPAccountant(epsilon=epsilon_total, delta=delta)
     raise KeyError(
-        f"unknown accountant {spec!r}; available: {sorted(ACCOUNTANTS)}"
+        f"unknown accountant {spec!r}; a session takes one of {sorted(ACCOUNTANTS)} or None"
     )

@@ -51,7 +51,8 @@ MATERIALISE_BLOCK = 4096
 _ROWS_SCRATCH_CELLS = 16_777_216
 
 def _content_digest(*parts) -> str:
-    """Short stable digest of ndarrays/values, for canonical strategy keys."""
+    """Whole SHA-256 hex digest of ndarrays/values, for canonical strategy
+    keys: a key can seed a request's noise, where 64 bits collide after 2³²."""
     digest = hashlib.sha256()
     for part in parts:
         if isinstance(part, np.ndarray):
@@ -59,7 +60,7 @@ def _content_digest(*parts) -> str:
             digest.update(np.ascontiguousarray(part).tobytes())
         else:
             digest.update(repr(part).encode())
-    return digest.hexdigest()[:16]
+    return digest.hexdigest()
 
 
 def _as_column(v: np.ndarray, length: int, op: str) -> np.ndarray:

@@ -26,8 +26,9 @@ Four solution strategies are provided:
 strategy's CSR form ``S = M.sparse()`` (reported as the ``gram_kind``
 attribute of its ``solve.build_normal_equations`` span):
 
-* ``"orthogonal_rows"`` — ``S S.T = D`` is diagonal with no zero row (Haar
-  wavelets, disjoint partitions, identity measurements): the estimate comes
+* ``"orthogonal_rows"`` — ``S S.T = D`` is diagonal, up to the rounding of
+  its dot products, with no zero row (Haar wavelets, row-weighted or not,
+  disjoint partitions, identity measurements): the estimate comes
   from the answers, ``x = S.T (D^-1 y)``, one sparse product that is also
   the minimum-norm solution when ``m < n``; ``(M.T M)^+ = M.T D^-2 M`` is
   applied directly in O(nnz) for any other right-hand side.  No Gram, no
@@ -195,9 +196,13 @@ def _factor_strategy(queries: LinearQueryMatrix) -> NormalEquations | None:
         return None
     transpose = strategy.T
     if m <= n:  # more than n non-zero rows cannot be mutually orthogonal
-        outer = strategy @ transpose
+        outer = (strategy @ transpose).tocoo()
         norms = outer.diagonal()
-        if np.all(norms > 0) and outer.count_nonzero() == m:
+        # An off-diagonal within the rounding bound of an n-term dot product,
+        # n·eps·sqrt(d_i d_j), is a zero that row weights rounded away.
+        rows, cols = outer.row, outer.col
+        bound = n * np.finfo(np.float64).eps * np.sqrt(norms[rows] * norms[cols])
+        if np.all(norms > 0) and np.all((rows == cols) | (np.abs(outer.data) <= bound)):
             # M = D^(1/2) Q with orthonormal rows Q, so (M.T M)^+ = Q.T D^-1 Q
             # = M.T D^-2 M and M^+ = M.T D^-1, the pseudo-inverses also when
             # m < n.

@@ -16,6 +16,9 @@ import numpy as np
 from ...matrix import LinearQueryMatrix, RangeQueries, VStack, ensure_matrix
 from ...private.protected import ProtectedDataSource
 
+#: Cells of one block of workload rows read by :func:`_score_sensitivity`.
+_ROW_BLOCK_CELLS = 1 << 20
+
 
 def worst_approximated(
     source: ProtectedDataSource,
@@ -26,8 +29,8 @@ def worst_approximated(
     """Select the workload query worst approximated by ``x_estimate``.
 
     Returns the selected query's index and its dense row.  Consumes ``epsilon``
-    of the budget through the kernel's exponential mechanism; the score
-    sensitivity is 1 for counting queries with coefficients in [0, 1].
+    of the budget through the kernel's exponential mechanism, at the score
+    sensitivity of :func:`_score_sensitivity` (1 for counting queries).
     """
     workload = ensure_matrix(workload)
     x_estimate = np.asarray(x_estimate, dtype=np.float64)
@@ -37,9 +40,26 @@ def worst_approximated(
         return np.abs(workload.matvec(x) - estimate_answers)
 
     index = source.exponential_mechanism(
-        scores, num_candidates=workload.shape[0], epsilon=epsilon, score_sensitivity=1.0
+        scores, workload.shape[0], epsilon, _score_sensitivity(workload)
     )
     return index, workload.row(index)
+
+
+def _score_sensitivity(workload: LinearQueryMatrix) -> float:
+    """Δu of the score ``|w_i·x - w_i·x̂|``: the largest ``|w_ij|``, since one
+    record moves one cell of ``x`` by one.  Read a block of public rows at a
+    time (never the whole implicit matrix), once per workload object; an
+    all-zero workload, whose scores are all 0, keeps Δu = 1."""
+    computed = workload.__dict__.get("_score_sensitivity")
+    if computed is None:
+        m, n = workload.shape
+        step = max(1, _ROW_BLOCK_CELLS // n)
+        largest = max(
+            float(np.abs(workload.rows(np.arange(lo, min(lo + step, m)))).max())
+            for lo in range(0, m, step)
+        )
+        computed = workload.__dict__["_score_sensitivity"] = largest or 1.0
+    return computed
 
 
 def _row_support(row: np.ndarray) -> tuple[int, int]:

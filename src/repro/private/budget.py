@@ -21,9 +21,9 @@ once, read-only, collecting what each node would add:
 * at the root, the request succeeds iff the per-charge ledger plus the cost
   that arrives stays within the accountant's total budget.
 
-:meth:`BudgetTracker.charge` applies the walk's increases when the root
-accepts; :meth:`BudgetTracker.would_accept` only reads it, so the charge and
-the odometer's filter cannot disagree.
+:meth:`BudgetTracker.charge` applies the walk's increases only when the root
+accepts, so a refused charge changes nothing: the charge is the budget
+filter, and a refused measurement spends nothing.
 
 This module owns the lineage-stability bookkeeping only; *what* a mechanism
 costs, how costs scale through stability, and what the total budget is are
@@ -291,19 +291,6 @@ class BudgetTracker:
         self._ledger_delta.add(cost.delta)
 
     # ------------------------------------------------------------------
-    # Dry-run (the odometer's filter view).
-    # ------------------------------------------------------------------
-    def would_accept(self, name: str, cost: Cost) -> bool:
-        """Whether :meth:`charge` would succeed, without mutating any state.
-
-        Reads the same :meth:`_walk` the charge applies.  Only the
-        odometer's filter (:meth:`~repro.accounting.PrivacyOdometer.can_measure`
-        and ``headroom``) calls it.
-        """
-        _, root_cost = self._walk(name, cost)
-        return root_cost is None or self._ledger_accepts(root_cost)
-
-    # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
     def consumed(self, name: str = None) -> float:
@@ -368,11 +355,3 @@ class BudgetTracker:
             product *= node.stability
             node = self._nodes[node.parent]
         return product
-
-    def spending_nodes(self) -> list[BudgetNode]:
-        """Every node that has accumulated non-zero spend (for the odometer)."""
-        return [
-            node
-            for node in self._nodes.values()
-            if node.consumed > 0.0 or node.consumed_delta > 0.0
-        ]

@@ -192,7 +192,7 @@ class ProtectedKernel:
 
     @property
     def budget_tracker(self) -> BudgetTracker:
-        """The lineage ledger (public counters only; used by the odometer)."""
+        """The lineage ledger (public counters only; audits, commits and restores use it)."""
         return self._budget
 
     def budget_consumed(self) -> float:

@@ -84,12 +84,6 @@ class ProtectedDataSource:
         """The kernel's privacy accountant (public configuration metadata)."""
         return self._kernel.accountant
 
-    def odometer(self):
-        """Per-source spend / filter view over the kernel's accounting."""
-        from ..accounting.odometer import PrivacyOdometer
-
-        return PrivacyOdometer(self._kernel)
-
     # ------------------------------------------------------------------
     # Private operators (transformations) — return new handles.
     # ------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..accounting import Accountant, make_accountant
+from ..accounting import make_accountant
 from ..dataset.relation import Relation
 from ..durability.snapshot import commit_record, open_record, release_record
 from ..private.kernel import BudgetSnapshot, MeasurementRecord, ProtectedKernel
@@ -187,7 +187,7 @@ class Session:
         table: Relation,
         epsilon_total: float,
         seed: int | None = None,
-        accountant: str | Accountant | None = None,
+        accountant: str | None = None,
         delta: float = 1e-6,
     ):
         self.session_id = session_id
@@ -209,8 +209,8 @@ class Session:
         self.requested_delta = float(delta)
         #: per-tenant privacy calculus: ``None``/``"pure"`` is the paper's
         #: ε-DP; ``"approx"``/``"zcdp"`` resolve against the tenant's
-        #: ``(epsilon_total, delta)`` target; an Accountant instance is used
-        #: as-is (its own budget wins over ``epsilon_total``).
+        #: ``(epsilon_total, delta)`` target.  Only a registry name: the
+        #: ``open`` record holds nothing else to restore it from.
         self.accountant = make_accountant(accountant, epsilon_total, delta=delta)
         self.kernel = ProtectedKernel(
             table, epsilon_total, seed=self.base_seed, accountant=self.accountant
@@ -472,16 +472,18 @@ class SessionManager:
         epsilon_total: float,
         seed: int | None = None,
         session_id: str | None = None,
-        accountant: str | Accountant | None = None,
+        accountant: str | None = None,
         delta: float = 1e-6,
         journal=None,
     ) -> Session:
         """Open a session for ``tenant`` around a fresh protected kernel.
 
-        ``accountant`` picks the tenant's privacy calculus (``"pure"``,
-        ``"approx"``, ``"zcdp"`` or an :class:`~repro.accounting.Accountant`
-        instance); ``delta`` is the δ of the tenant's ``(ε, δ)`` target for
-        the non-pure accountants.  ``journal`` attaches a
+        ``accountant`` names the tenant's privacy calculus: ``"pure"`` (or
+        ``None``), ``"approx"`` or ``"zcdp"``; ``delta`` is the δ of the
+        tenant's ``(ε, δ)`` target for the non-pure accountants.  An
+        :class:`~repro.accounting.Accountant` instance raises ``KeyError``
+        before any session exists, since a restore rebuilds the accountant
+        from its name and target alone.  ``journal`` attaches a
         :class:`~repro.durability.PrivacyJournal` making the session
         crash-safe from its very first charge.
         """

@@ -131,7 +131,13 @@ WORKLOAD_BUILDERS: dict[str, Callable[..., LinearQueryMatrix]] = {
 
 
 def _freeze(value):
-    """Canonical hashable form of a builder parameter value."""
+    """Canonical hashable form of a builder or plan parameter value.
+
+    A matrix freezes to ``("matrix", strategy_key)``, its content: equal
+    matrices give one request key (one release, one noise seed), and
+    distinct ones distinct keys, since the key's repr seeds each request's
+    noise and names its release in the journal.
+    """
     if isinstance(value, dict):
         return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
     if isinstance(value, (list, tuple)):
@@ -142,6 +148,8 @@ def _freeze(value):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
+    if isinstance(value, LinearQueryMatrix):
+        return ("matrix", value.strategy_key())
     try:
         hash(value)
     except TypeError:

@@ -10,7 +10,7 @@ Covers, in order:
 * Gaussian measurements end-to-end through the kernel (calibration, L2
   sensitivity closed forms, pure-DP rejection),
 * zCDP-vs-pure budget crossover on many-round MWEM,
-* the odometer/filter view,
+* the kernel's charge as the budget filter (what the odometer used to answer),
 * the service layer: per-tenant accountants, converted (ε, δ) in audits and
   responses, ledger reconciliation.
 """
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.accounting import (
     ApproxDPAccountant,
     Cost,
-    PrivacyOdometer,
     PureDPAccountant,
     ZCDPAccountant,
     make_accountant,
@@ -53,6 +52,7 @@ from repro.private import (
     UnsupportedMechanismError,
     protect,
 )
+from repro.private.audit import audit
 from repro.private.budget import BudgetTracker
 from repro.plans import H2Plan, IdentityPlan, MwemPlan
 from repro.service import PlanScheduler, QueryRequest, SessionManager
@@ -354,8 +354,10 @@ class TestCostRules:
         assert make_accountant("approx", 1.0, delta=1e-5).delta_total == 1e-5
         zc = make_accountant("zcdp", 2.0, delta=1e-7)
         assert zc.rho_total == pytest.approx(zcdp_rho_for_epsilon_delta(2.0, 1e-7))
-        passthrough = PureDPAccountant(3.0)
-        assert make_accountant(passthrough, 1.0) is passthrough
+        # A session restores its accountant from the name and target alone,
+        # so an instance, whose other settings would be lost, is refused.
+        with pytest.raises(KeyError):
+            make_accountant(PureDPAccountant(3.0), 1.0)
         with pytest.raises(KeyError):
             make_accountant("renyi", 1.0)
 
@@ -459,7 +461,8 @@ class TestMwemCrossover:
         zc = ZCDPAccountant(epsilon=2.0, delta=delta)
         zc_source = protect(vector_relation, seed=5, accountant=zc).vectorize()
         plan.run(zc_source, 2.0)
-        eps_reported, delta_reported = zc_source.odometer().epsilon_delta_report()
+        report = zc_source.kernel.accounting_report()
+        eps_reported, delta_reported = report["epsilon_spent"], report["delta_spent"]
         assert delta_reported == delta
         # Same nominal per-round parameters, same mechanisms — but additive
         # ρ composition converts back to a much smaller (ε, δ) than the
@@ -480,55 +483,107 @@ class TestMwemCrossover:
         assert np.array_equal(ra.x_hat, rb.x_hat)
 
 
-class TestOdometer:
-    def test_entries_and_filter(self, vector_relation):
+def _kernel_state(kernel):
+    """Everything a measurement could change: every node's spend, the root
+    ledger, the history and the noise generator's position."""
+    tracker = kernel.budget_tracker
+    return (
+        {name: node.spent for name, node in tracker._nodes.items()},
+        tracker.ledger(),
+        kernel.num_measurements,
+        kernel._rng.bit_generator.state,
+    )
+
+
+class TestBudgetFilter:
+    """The kernel's own charge is the budget filter: each question the
+    deleted odometer answered, asked of a real measurement."""
+
+    def test_audit_reports_per_source_spend_and_the_converted_statement(
+        self, vector_relation
+    ):
         source = protect(vector_relation, epsilon_total=1.0, seed=0).vectorize()
         source.vector_laplace(Identity(32), 0.25)
-        odometer = source.odometer()
-        entries = odometer.entries()
-        assert {e.source for e in entries} == {"root", "vector_1"}
-        vec_entry = next(e for e in entries if e.source == "vector_1")
-        assert vec_entry.native_spent == pytest.approx(0.25)
-        assert vec_entry.epsilon_spent == pytest.approx(0.25)
-        assert odometer.epsilon_delta_report() == (pytest.approx(0.25), 0.0)
-        # The filter is a dry run: probing must not move any counters.
-        assert odometer.can_measure("vector_1", 0.75)
-        assert not odometer.can_measure("vector_1", 0.76)
+        spent = {row.name: row.consumed for row in audit(source).sources}
+        assert spent == {"root": pytest.approx(0.25), "vector_1": pytest.approx(0.25)}
+        report = source.kernel.accounting_report()
+        assert (report["epsilon_spent"], report["delta_spent"]) == (pytest.approx(0.25), 0.0)
+        assert report["native_remaining"] == pytest.approx(0.75)
+        # Past the remainder is refused; the remainder itself fits.
+        with pytest.raises(BudgetExceededError):
+            source.vector_laplace(Identity(32), 0.76)
         assert source.budget_consumed() == pytest.approx(0.25)
-        assert odometer.headroom("vector_1") == pytest.approx(0.75, abs=1e-4)
+        source.vector_laplace(Identity(32), 0.75)
+        assert source.budget_consumed() == pytest.approx(1.0)
 
-    def test_filter_respects_parallel_composition(self, vector_relation):
+    def test_sibling_under_the_partition_max_is_admitted_free(self, vector_relation):
         source = protect(vector_relation, epsilon_total=1.0, seed=0).vectorize()
-        partition = ReductionMatrix(np.arange(32) % 2)
-        left, right = source.split_by_partition(partition)
+        left, right = source.split_by_partition(ReductionMatrix(np.arange(32) % 2))
         left.vector_laplace(Identity(left.domain_size), 0.6)
-        odometer = source.odometer()
-        # The sibling rides under the partition max: charging 0.6 again on
-        # the other child forwards nothing new to the root.
-        assert odometer.can_measure(right.name, 0.6)
-        # But exceeding the global budget through the max still fails.
-        assert not odometer.can_measure(right.name, 1.1)
+        # The sibling rides under the partition's max: the root spend holds.
+        right.vector_laplace(Identity(right.domain_size), 0.6)
+        assert source.budget_consumed() == pytest.approx(0.6)
+        # Raising the max past the budget is refused, and changes nothing.
+        before = _kernel_state(source.kernel)
+        with pytest.raises(BudgetExceededError):
+            right.vector_laplace(Identity(right.domain_size), 0.5)
+        assert _kernel_state(source.kernel) == before
 
-    def test_headroom_exceeds_native_budget_for_sublinear_costs(self, vector_relation):
-        # A ρ budget of 1.5 admits a Laplace ε of sqrt(2·1.5) ≈ 1.73 — the
-        # bracket must expand past the native budget, not stop at it.
-        source = protect(
-            vector_relation, seed=0, accountant=ZCDPAccountant(rho=1.5, delta=1e-6)
-        ).vectorize()
-        odometer = source.odometer()
-        assert odometer.headroom(source.name, mechanism="laplace") == pytest.approx(
-            math.sqrt(2.0 * 1.5), abs=1e-3
-        )
+    @pytest.mark.parametrize(
+        "accountant, measure",
+        [
+            (PureDPAccountant(1.0), lambda s: s.vector_laplace(Identity(32), 1.5)),
+            (
+                PureDPAccountant(1.0),
+                lambda s: s.exponential_mechanism(
+                    lambda x: x[:4], 4, epsilon=1.5, score_sensitivity=1.0
+                ),
+            ),
+            (
+                ApproxDPAccountant(1.0, delta_total=1e-6),
+                lambda s: s.vector_gaussian(Identity(32), 0.5, delta=2e-6),
+            ),
+            (
+                ZCDPAccountant(rho=0.01, delta=1e-6),
+                lambda s: s.vector_gaussian(Identity(32), 1.0),
+            ),
+        ],
+        ids=["pure-laplace", "pure-exponential", "approx-delta", "zcdp-gaussian"],
+    )
+    def test_over_budget_measurement_charges_draws_and_records_nothing(
+        self, vector_relation, accountant, measure
+    ):
+        source = protect(vector_relation, seed=0, accountant=accountant).vectorize()
+        before = _kernel_state(source.kernel)
+        with pytest.raises(BudgetExceededError):
+            measure(source)
+        assert _kernel_state(source.kernel) == before
 
-    def test_zcdp_filter_uses_native_units(self, vector_relation):
+    def test_sublinear_costs_admit_epsilon_above_the_native_budget(self, vector_relation):
+        # A ρ budget of 1.5 admits a Laplace ε up to sqrt(2·1.5) ≈ 1.732.
+        def laplace(epsilon):
+            source = protect(
+                vector_relation, seed=0, accountant=ZCDPAccountant(rho=1.5, delta=1e-6)
+            ).vectorize()
+            return source.vector_laplace(Identity(32), epsilon)
+
+        laplace(1.73)
+        with pytest.raises(BudgetExceededError):
+            laplace(1.74)
+
+    def test_zcdp_refuses_laplace_and_admits_gaussian_at_the_same_target(
+        self, vector_relation
+    ):
         source = protect(
             vector_relation, seed=0, accountant=ZCDPAccountant(epsilon=1.0, delta=1e-6)
         ).vectorize()
-        odometer = source.odometer()
-        # ε=1.0 of Laplace costs ρ=0.5 — far beyond the ≈0.0175 ρ budget —
+        # ε=1.0 of Laplace costs ρ=0.5, far beyond the ≈0.0175 ρ budget,
         # while the same budget admits a Gaussian at the full (ε=1, δ) target.
-        assert not odometer.can_measure(source.name, 1.0, mechanism="laplace")
-        assert odometer.can_measure(source.name, 1.0, mechanism="gaussian")
+        with pytest.raises(BudgetExceededError):
+            source.vector_laplace(Identity(32), 1.0)
+        assert source.budget_consumed() == 0.0
+        source.vector_gaussian(Identity(32), 1.0, delta=1e-6)
+        assert source.budget_consumed() == pytest.approx(source.kernel.epsilon_total)
 
 
 class TestServiceAccounting:
@@ -544,6 +599,28 @@ class TestServiceAccounting:
         report = session.accounting_report()
         assert report["epsilon_budget"] == 1.0
         assert report["delta_budget"] == 0.0
+
+    @pytest.mark.parametrize(
+        "accountant",
+        [
+            # Would restore with a per-measurement δ of 1e-8, silently.
+            ApproxDPAccountant(1.0, 1e-6, measurement_delta=1e-7),
+            # Would fail restore against epsilon_total=1.0.
+            PureDPAccountant(5.0),
+        ],
+        ids=["approx-measurement-delta", "pure-own-budget"],
+    )
+    def test_session_accountant_instance_is_refused_before_any_session(
+        self, table, accountant
+    ):
+        manager = SessionManager()
+        with pytest.raises(KeyError, match="a session takes one of"):
+            manager.create_session(
+                "acme", table, epsilon_total=1.0, seed=3, accountant=accountant
+            )
+        assert len(manager) == 0
+        # A bare kernel never restores, so it keeps taking instances.
+        assert protect(table, seed=3, accountant=accountant).accountant is accountant
 
     def test_gaussian_end_to_end_through_scheduler(self, table):
         manager = SessionManager()

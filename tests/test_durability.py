@@ -58,6 +58,7 @@ from repro.durability import (
 )
 from repro.durability.journal import _encode_frame
 from repro.durability.serialize import pack, unpack
+from repro.matrix.dense import DenseMatrix
 from repro.private import audit
 from repro.service import (
     PlanScheduler,
@@ -72,6 +73,7 @@ from repro.service import (
     telemetry_report,
 )
 from repro.telemetry import NOOP_SPAN, Tracer
+from tests.test_service import mwem_request
 from tests.test_telemetry import OUTCOME_CASES, arrange_outcome, assert_metrics_are_the_events
 
 N = 64
@@ -914,6 +916,31 @@ class TestSnapshotRestore:
         )
         assert reconcile(restored)["exact"]
 
+    def test_equal_matrix_params_replay_before_and_after_a_journal_restore(
+        self, manager, relation, tmp_path
+    ):
+        """A matrix plan parameter keys its release by content: a second,
+        equal matrix object replays at zero ε, live and after a restore."""
+        rows = np.random.default_rng(5).integers(0, 2, size=(4, N)).astype(float)
+        path = tmp_path / "j.wal"
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=7, journal=PrivacyJournal(path)
+        )
+        first = scheduler.execute(mwem_request(session, DenseMatrix(rows)))
+        spent = session.budget_consumed()
+        live = scheduler.execute(mwem_request(session, DenseMatrix(rows.copy())))
+        assert live.cached and session.budget_consumed() == spent
+        session.journal.close()
+
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, journal=PrivacyJournal(path))
+        replay = fresh.execute(mwem_request(restored, DenseMatrix(rows.copy())))
+        assert replay.cached
+        assert replay.x_hat.tobytes() == first.x_hat.tobytes()
+        assert restored.budget_consumed() == spent
+        assert reconcile(restored)["exact"]
+
     def test_restored_charges_keep_spending_from_true_remainder(self, manager, relation):
         scheduler = PlanScheduler(manager)
         session = manager.create_session("acme", relation, 1.0, seed=7)
@@ -1750,9 +1777,13 @@ def _property_relation():
 
 class TestCrashRecoveryProperties:
     @settings(max_examples=20, deadline=None)
-    @given(schedule=fault_schedules(), num_requests=st.integers(1, 4))
+    @given(
+        schedule=fault_schedules(),
+        num_requests=st.integers(1, 4),
+        accountant=st.sampled_from(["pure", "approx", "zcdp"]),
+    )
     def test_restore_reconciles_exactly_under_any_fault_schedule(
-        self, tmp_path_factory, schedule, num_requests
+        self, tmp_path_factory, schedule, num_requests, accountant
     ):
         relation = _property_relation()
         path = tmp_path_factory.mktemp("wal") / "j.wal"
@@ -1761,7 +1792,7 @@ class TestCrashRecoveryProperties:
         manager = SessionManager()
         scheduler = PlanScheduler(manager, max_workers=1, fault_injector=faults)
         session = manager.create_session(
-            "acme", relation, 8.0, seed=11, journal=journal
+            "acme", relation, 8.0, seed=11, accountant=accountant, journal=journal
         )
         session.kernel.fault_injector = faults
         # Arm only after the session is open so every fault lands inside a
@@ -1793,6 +1824,8 @@ class TestCrashRecoveryProperties:
         restored = fresh.restore_session(relation, journal=PrivacyJournal(path))
         assert reconcile(restored)["exact"]
         assert restored.budget_consumed() == pytest.approx(live_consumed, abs=1e-9)
+        assert restored.accountant.describe() == session.accountant.describe()
+        assert restored.accountant.default_delta == session.accountant.default_delta
         # The audit covers the sources DAWA derived before the crash.
         assert json.loads(export_json(restored))["num_requests"] == len(restored.events)
 

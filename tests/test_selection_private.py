@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.matrix import RangeQueries
+from repro.matrix import LinearQueryMatrix, Prefix, RangeQueries
+from repro.matrix.dense import DenseMatrix
 from repro.operators.selection.privbayes import (
     mutual_information_score,
     privbayes_select,
     privbayes_synthetic_distribution,
 )
+from repro.operators.selection import worst_approx
 from repro.operators.selection.worst_approx import augment_with_hierarchy, worst_approximated
+from repro.service import PlanScheduler, QueryRequest, SessionManager
 from tests.conftest import make_vector_relation
 
 from repro.dataset import Attribute, Relation, Schema
@@ -37,6 +40,51 @@ class TestWorstApproximated:
         source = self._source(x, epsilon=1.0)
         worst_approximated(source, workload, np.zeros(8), epsilon=0.25)
         assert source.budget_consumed() == pytest.approx(0.25)
+
+    def test_score_sensitivity_is_the_largest_coefficient(self, monkeypatch):
+        _score_sensitivity = worst_approx._score_sensitivity
+        assert _score_sensitivity(RangeQueries(16, [(0, 3), (8, 11)])) == 1.0
+        assert _score_sensitivity(DenseMatrix(np.array([[0.5, -3.0], [2.0, 0.0]]))) == 3.0
+        # An implicit workload is read a block of rows at a time, never whole,
+        # and once per object.
+        calls = []
+        rows = LinearQueryMatrix.rows
+
+        def counting(matrix, indices, *args):
+            calls.append(len(indices))
+            return rows(matrix, indices, *args)
+
+        monkeypatch.setattr(LinearQueryMatrix, "rows", counting)
+        monkeypatch.setattr(LinearQueryMatrix, "dense", None)
+        monkeypatch.setattr(LinearQueryMatrix, "sparse", None)
+        monkeypatch.setattr(worst_approx, "_ROW_BLOCK_CELLS", 4096)
+        workload = 5.0 * Prefix(1024)
+        assert _score_sensitivity(workload) == 5.0
+        assert calls == [4] * 256
+        assert _score_sensitivity(workload) == 5.0
+        assert len(calls) == 256
+
+    def test_scaled_workload_sets_the_temperature_through_the_scheduler(self):
+        # MWEM on 5·Prefix(16) at ε=1, two rounds: a 0.05 noisy total, then
+        # per round 0.2375 for the selection and 0.2375 for the measurement.
+        relation = make_vector_relation(np.arange(16.0) * 3)
+        manager = SessionManager()
+        session = manager.create_session("acme", relation, 10.0, seed=1)
+        response = PlanScheduler(manager).execute(
+            QueryRequest(
+                session.session_id,
+                plan="MWEM",
+                epsilon=1.0,
+                plan_params={"workload": 5.0 * Prefix(16), "rounds": 2},
+            )
+        )
+        assert response.epsilon_spent == pytest.approx(1.0)
+        scales = {}
+        for record in session.kernel.history()[1:]:
+            scales.setdefault(record.operator, []).append(record.noise_scale)
+        # Δu = max |w_ij| = 5: the temperature is 2·5/0.2375, not 2·1/0.2375.
+        assert scales["ExponentialMechanism"] == [pytest.approx(2 * 5 / 0.2375)] * 2
+        assert scales["VectorLaplace"] == [pytest.approx(5 / 0.2375)] * 2
 
     def test_augmentation_is_disjoint_from_selected(self):
         row = np.zeros(16)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.matrix import HaarWavelet, Identity, Prefix
+from repro.matrix.dense import DenseMatrix
 from repro.operators import inference
 from repro.plans import IdentityPlan, available_plans, make_plan, with_representation
 from repro.private import BudgetExceededError, ProtectedDataSource, protect
@@ -58,6 +59,17 @@ def identity_request(session, epsilon=0.1, **overrides):
         epsilon=epsilon,
         workload="prefix",
         workload_params={"n": N},
+    )
+    return replace(request, **overrides) if overrides else request
+
+
+def mwem_request(session, workload, epsilon=0.2, **overrides):
+    """MWEM with a matrix workload as a plan parameter."""
+    request = QueryRequest(
+        session.session_id,
+        plan="MWEM",
+        epsilon=epsilon,
+        plan_params={"workload": workload, "rounds": 1},
     )
     return replace(request, **overrides) if overrides else request
 
@@ -273,6 +285,21 @@ class TestDeterminism:
             identity_request(session, epsilon=0.2, request_id="trace-1", reuse=False)
         )
         assert first.seed != second.seed
+
+    def test_distinct_matrix_workloads_under_one_request_id_get_distinct_seeds(
+        self, manager, scheduler, relation
+    ):
+        """A matrix plan parameter keys by content, not by its repr."""
+        rows = np.random.default_rng(3).integers(0, 2, size=(2, 4, N)).astype(float)
+        session = open_session(manager, relation)
+        seeds = [
+            scheduler.execute(
+                mwem_request(session, DenseMatrix(block), request_id="trace-1")
+            ).seed
+            for block in rows
+        ]
+        assert seeds[0] != seeds[1]
+        assert len(session.releases) == 2
 
     def test_unseeded_sessions_are_not_reproducible(self, relation):
         """seed=None draws from OS entropy: responses can't be reconstructed."""
