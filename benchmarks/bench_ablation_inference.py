@@ -27,9 +27,8 @@ import numpy as np
 
 from repro.analysis import format_table, per_query_l2_error
 from repro.dataset import load_1d
-from repro.matrix import HierarchicalQueries
+from repro.matrix import HierarchicalQueries, hierarchical_intervals
 from repro.operators.inference import (
-    hierarchical_measurements,
     least_squares,
     multiplicative_weights,
     nnls,
@@ -59,7 +58,7 @@ def run_experiment(
         "Multiplicative weights": lambda: multiplicative_weights(
             measurements, answers, total=total, iterations=10
         ).x_hat,
-        "Tree-based LS": lambda: _tree_based(x, n, epsilon, seed),
+        "Tree-based LS": lambda: _tree_based(answers, n),
         "Identity rows + threshold": lambda: threshold(
             answers[:n], noise_scale=noise_scale
         ).x_hat,
@@ -75,14 +74,12 @@ def run_experiment(
     return rows
 
 
-def _tree_based(x: np.ndarray, n: int, epsilon: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    intervals = hierarchical_measurements(x, branching=2)
-    noise_scale = (1 + np.ceil(np.log2(n))) / epsilon
-    noisy = {
-        (lo, hi): float(x[lo : hi + 1].sum() + rng.laplace(0, noise_scale)) for lo, hi in intervals
-    }
-    return tree_based_least_squares(noisy, n, branching=2).x_hat
+def _tree_based(answers: np.ndarray, n: int) -> np.ndarray:
+    """Tree-based LS on the shared answers: ``HierarchicalQueries(n, 2)``'s
+    rows are the n leaves, then the tree's other intervals in
+    ``hierarchical_intervals`` order."""
+    intervals = [(i, i) for i in range(n)] + hierarchical_intervals(n, 2)
+    return tree_based_least_squares(dict(zip(intervals, answers)), n, branching=2).x_hat
 
 
 def main() -> None:
@@ -127,6 +124,8 @@ def test_ablation_shape():
     rows = {name: error for name, error, _ in run_experiment(n=512, epsilon=0.1, seed=2)}
     assert rows["LS (LSMR)"] < rows["Identity rows + threshold"]
     assert rows["NNLS + known total"] <= rows["LS (LSMR)"] * 1.5
+    # On the same answers, the tree's two passes are least squares too.
+    assert abs(rows["Tree-based LS"] - rows["LS (LSMR)"]) <= 1e-6 * rows["LS (LSMR)"]
 
 
 if __name__ == "__main__":

@@ -17,7 +17,10 @@ This example walks the crash-safety path end to end:
    synthesized audit event, the event ledger reconciles **exactly** against
    the kernel's own ledger, and no budget was double-spent or leaked,
 5. re-ask a pre-crash question — the answer replays from the journal's
-   release records byte-identically, at zero additional epsilon.
+   release records byte-identically, at zero additional epsilon,
+6. move the session to another scheduler: drain-close it, attach a fresh
+   journal (which writes the whole session as one record) and restore that
+   journal on the target, where the pre-crash answer replays free again.
 
 The invariant being demonstrated: a crash can *waste* privacy budget (the
 orphaned charge bought nothing), but it can never *leak* it — every unit of
@@ -140,6 +143,34 @@ def main() -> None:
         f"\nreplay of the pre-crash CDF: cached={replay.cached}, "
         f"eps_spent={replay.epsilon_spent}, answers byte-identical="
         f"{np.array_equal(replay.answers, cdf.answers)}"
+    )
+
+    # ------------------------------------------------------------------
+    # 6. Move the session: drain-close it, then restore its journal on
+    #    another scheduler.  Attaching a fresh journal writes the whole
+    #    session, ledger, history, releases and audit trail, as one commit
+    #    record, so the move also compacts the journal (a session without
+    #    a journal is moved the same way).
+    # ------------------------------------------------------------------
+    restored.begin_close()  # no new requests; in-flight ones drain first
+    fresh.manager.close(restored.session_id)
+    file_records = len(restored.journal)
+    compacted = PrivacyJournal(None)
+    restored.attach_journal(compacted)
+    target = PlanScheduler(SessionManager())
+    moved = target.restore_session(relation, compacted)
+    moved_records = len(compacted)
+    assert moved.budget_consumed() == restored.budget_consumed()
+    again = target.execute(
+        QueryRequest(moved.session_id, plan="Hierarchical (H2)", epsilon=0.2,
+                     workload="prefix", workload_params={"n": N}, tag="cdf, moved")
+    )
+    assert again.cached and again.epsilon_spent == 0.0
+    assert np.array_equal(again.answers, cdf.answers)
+    print(
+        f"\nmoved {moved.session_id} through a {moved_records}-record journal "
+        f"(the file journal holds {file_records}); budget "
+        f"{moved.budget_consumed():.3f} eps, CDF replays free: {again.cached}"
     )
 
 

@@ -6,14 +6,16 @@ the journal in its request's one ``commit`` record, which the session
 writes *before* the response (or a replayed answer) leaves the service.  A
 crash before the commit can only waste budget (the charges of a request
 whose answer nobody saw), never leak it: no answer is released whose
-charges are not journaled.
+charges are not journaled.  A journal attached to a session that has
+already answered requests starts with one commit of the whole session so
+far (:meth:`~repro.service.session.Session.attach_journal`).
 
 Format: one frame per record.  A frame is the CRC32 of the record, as
 eight hex digits, then the byte length of its raw section, a space, the
 record's JSON header (:func:`~repro.durability.serialize.pack`) and a
 newline, then the raw section: the little-endian bytes of the record's
 numpy arrays, back to back.  The records themselves (their six kinds and
-their fields) are built in :mod:`repro.durability.snapshot`; the journal
+their fields) are built in :mod:`repro.durability.records`; the journal
 only frames them.  An Identity request's commit at n=3, whose release
 holds a 3-entry ``x_hat`` and 3 prefix answers (48 raw bytes), elided::
 
@@ -25,9 +27,11 @@ holds a 3-entry ``x_hat`` and 3 prefix answers (48 raw bytes), elided::
 
 The header is one line in the file (wrapped here); the CRC covers it and
 the raw section.  Journals written before raw payloads hold JSON lines,
-each ``<crc> {"seq":N,...}\n`` with arrays as base64 inside the JSON: the
-journal reads them (a file may hold old lines followed by new frames) but
-never writes them.
+each ``<crc> {"seq":N,...}\n`` with its arrays encoded inside the JSON.
+The journal reads no such line: it refuses a file whose frames stop at an
+intact one, naming the format, and leaves the file's bytes as they are
+(read as a torn tail, the line would be truncated away with everything
+after it).
 
 ``seq`` is a strictly sequential record number, always the first key.  On
 open, the journal scans existing content and validates each frame's CRC
@@ -90,20 +94,28 @@ def _encode_frame(record: dict) -> bytes:
 def _frame_at(raw: bytes, start: int) -> tuple[int, int, int] | None:
     """The (header start, header end, frame end) of the whole frame at
     ``start`` — the raw section runs from header end + 1 to frame end — or
-    None when what starts there is torn.  An old JSON line is a frame with
-    no length field and an empty raw section.  Nothing is checked but the
+    None when what starts there is torn.  Nothing is checked but the
     layout."""
-    header, size = start + 9, 0
-    if raw[header:header + 1] != b"{":
-        space = raw.find(b" ", header, header + 21)
-        if space < 0 or not raw[header:space].isdigit():
-            return None
-        header, size = space + 1, int(raw[header:space])
+    space = raw.find(b" ", start + 9, start + 30)
+    if space < 0 or not raw[start + 9:space].isdigit():
+        return None
+    header, size = space + 1, int(raw[start + 9:space])
     newline = raw.find(b"\n", header)
     end = newline + 1 + size
     if newline < 0 or end > len(raw):
         return None
     return header, newline, end
+
+
+def _json_line_at(raw: bytes, start: int) -> bool:
+    """Whether an intact JSON line of the old format starts at ``start``:
+    ``<crc> {...}\n``, its CRC over the JSON."""
+    newline = raw.find(b"\n", start)
+    return (
+        raw[start + 9:start + 10] == b"{"
+        and newline > 0
+        and raw[start:start + 9] == b"%08x " % zlib.crc32(raw[start + 9:newline])
+    )
 
 
 def _intact(raw: bytes, start: int, frame: tuple[int, int, int], seq: int) -> bool:
@@ -154,7 +166,11 @@ class PrivacyJournal:
     # Open-time recovery.
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        """Count the intact records, truncating a torn or corrupt tail."""
+        """Count the intact records, truncating a torn or corrupt tail.
+
+        Raises ``ValueError``, changing nothing, when the records stop at a
+        JSON line of the old format.
+        """
         if not self.path.exists():
             return
         raw = self.path.read_bytes()
@@ -164,6 +180,12 @@ class PrivacyJournal:
         ):
             self.seq += 1
             offset = frame[2]
+        if _json_line_at(raw, offset):
+            raise ValueError(
+                f"{self.path} holds JSON-line records, the journal format "
+                "written before raw payloads, which this version does not "
+                "read; the file is left unchanged"
+            )
         if offset < len(raw):
             # Count the frames the tail still lays out (the first is the bad
             # one), plus one for any torn remainder.
@@ -214,12 +236,8 @@ class PrivacyJournal:
     # ------------------------------------------------------------------
     # Read path.
     # ------------------------------------------------------------------
-    def records(self, after_seq: int = 0) -> list[dict]:
-        """All records with ``seq > after_seq``, in order."""
-        return list(self.iter_records(after_seq))
-
-    def iter_records(self, after_seq: int = 0) -> Iterator[dict]:
-        """Decode the records with ``seq > after_seq``, one at a time.
+    def iter_records(self) -> Iterator[dict]:
+        """Decode the records, in order, one at a time.
 
         Read from the file (or the in-memory buffer) on every call: the
         journal keeps no decoded copy of its records, and a restore holds
@@ -229,29 +247,14 @@ class PrivacyJournal:
             if not self._closed:
                 self._file.flush()
             raw = self._file.getvalue() if self.path is None else self.path.read_bytes()
-        # seq numbers are 1-based and dense: the n-th frame holds seq n.  A
-        # torn tail is never a record.
-        start, seq = 0, 0
+        # A torn tail is never a record.
+        start = 0
         while (frame := _frame_at(raw, start)) is not None:
-            seq += 1
             header, newline, start = frame
-            if seq > after_seq:
-                yield unpack(raw[header:newline], memoryview(raw)[newline + 1:start])
+            yield unpack(raw[header:newline], memoryview(raw)[newline + 1:start])
 
     def __len__(self) -> int:
         return self.seq
-
-    @property
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "path": str(self.path) if self.path is not None else None,
-                "fsync_mode": self.fsync_mode,
-                "records": self.seq,
-                "seq": self.seq,
-                "truncated_bytes": self.truncated_bytes,
-                "truncated_records": self.truncated_records,
-            }
 
     def close(self) -> None:
         with self._lock:

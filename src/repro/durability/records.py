@@ -1,48 +1,43 @@
-"""A session's durable records, its snapshot and its restore.
+"""A session's durable records and its restore.
 
-A session's durable state is one stream of **records**: JSON-ready dicts,
-each with a ``kind`` (a journal's may also hold numpy arrays, which the
-journal writes as raw bytes).  This module builds all six kinds:
+A session's durable state is one stream of **records**: dicts of JSON values
+and numpy arrays (which the journal writes as raw bytes), each with a
+``kind``.  This module builds all of them:
 
 * ``open`` — the session's opening metadata: id, tenant, base seed and the
   accountant's configuration;
-* ``charge`` — one accepted root-level budget charge;
-* ``measurement`` — one kernel history row;
-* ``release`` — one released answer with its request key and the history
-  span that paid for it.  Built for the journal, its arrays stay numpy
-  arrays; built for a snapshot, they are base64 of their buffer, so a
-  snapshot stays plain JSON.  Base64 remains only there and in journals
-  written before raw payloads; restore reads both forms;
-* ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`;
 * ``commit`` — ``{"kind": "commit", "records": [...]}``: what one commit
-  made durable, as charges, then measurement rows, releases and events.
+  made durable, as its parts, in this order:
 
-A journaled session appends its ``open`` record, then one ``commit`` record
-per request, built by :func:`commit_record`.  (Journals written before
-commit records held the four per-kind records one per line; restore reads
-both.)  A **snapshot** is ``{"journal_seq": N, "records": [open, commit]}``,
-its commit holding the whole ledger, history, releases and audit trail,
-taken at journal sequence number ``N``.  Neither ever contains the
-private table: restoring requires the deployment to supply the original
-data, which stays the operator's.
+  * ``charge`` — one accepted root-level budget charge;
+  * ``measurement`` — one kernel history row;
+  * ``release`` — one released answer with its request key and the history
+    span that paid for it, its arrays kept as arrays;
+  * ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`.
 
-**Restore** takes one path for a snapshot, a journal or both:
+A journaled session's journal holds its ``open`` record, then ``commit``
+records built by :func:`commit_record`: attaching a journal writes the
+session's whole state so far as one commit (nothing, for a fresh session),
+and each request then writes one.  Neither ever contains the private table:
+restoring requires the deployment to supply the original data, which stays
+the operator's.
 
-1. chain the snapshot's records and the journal's records past
-   ``journal_seq`` into one stream;
-2. build a fresh session around the supplied table from the stream's first
+**Restore** reads the journal once:
+
+1. build a fresh session around the supplied table from the journal's first
    record, its ``open`` record, verifying the reconstructed accountant
    matches the recorded configuration;
-3. replay the rest, a commit record part by part — charges into the root
+2. replay the ``commit`` records part by part — charges into the root
    ledger, measurement rows into the kernel history, events into the audit
-   trail and the request counter, released answers back into the
-   session's releases (byte-identical, and not copied again: decoded
-   arrays already own their memory);
-4. attach the journal (without a second ``open`` record) and *claim
-   orphans*: budget whose request died before recording an event is
+   trail and the request counter, released answers back into the session's
+   releases (byte-identical, and not copied again: decoded arrays already
+   own their memory).  A part that lacks a field its class requires raises
+   :class:`RecoveryError` naming the kind and the field;
+3. attach the journal (writing nothing: it already holds the session) and
+   *claim orphans*: budget whose request died before recording an event is
    claimed by one synthesized, committed errored event, so the audit trail
    still covers every charge and every history row;
-5. run the :func:`~repro.service.export.reconcile` oracle — the restored
+4. run the :func:`~repro.service.export.reconcile` oracle — the restored
    session's event ledger must match its kernel ledger *exactly*, or
    :class:`RecoveryError` is raised.  Both checks always run; to inspect a
    journal you already know is damaged, read
@@ -60,8 +55,7 @@ the edge that would otherwise close the cycle.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import asdict, fields as dataclass_fields
+from dataclasses import MISSING, asdict, fields as dataclass_fields
 from typing import Iterable
 
 from ..accounting.base import Cost
@@ -80,13 +74,12 @@ __all__ = [
     "response_from_state",
     "response_state",
     "restore_session",
-    "snapshot_session",
 ]
 
 
 class RecoveryError(Exception):
     """Restored state failed verification (accountant mismatch, inexact
-    reconciliation, malformed snapshot/journal)."""
+    reconciliation, a malformed journal)."""
 
 
 def response_state(response) -> dict:
@@ -109,9 +102,21 @@ def _field_names(cls) -> frozenset[str]:
 def _from_record(cls, record: dict):
     """Rebuild dataclass ``cls`` from a stored record, keeping only the
     class's own fields: journal framing (``seq``, ``kind``) and fields that
-    older versions wrote but the class no longer has are dropped."""
+    older versions wrote but the class no longer has are dropped.  A
+    record without a field the class requires raises :class:`RecoveryError`."""
     names = _field_names(cls)
-    return cls(**{name: value for name, value in record.items() if name in names})
+    try:
+        return cls(**{name: value for name, value in record.items() if name in names})
+    except TypeError:
+        missing = [
+            f.name
+            for f in dataclass_fields(cls)
+            if f.name not in record and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if not missing:
+            raise
+        kind = record.get("kind", cls.__name__)
+        raise RecoveryError(f"{kind!r} record has no {missing[0]!r} field") from None
 
 
 # ----------------------------------------------------------------------
@@ -148,16 +153,14 @@ def event_record(event) -> dict:
     return {"kind": "event", **vars(event)}
 
 
-def release_record(
-    key: tuple, response, history_start: int, history_end: int, raw: bool = False
-) -> dict:
+def release_record(key: tuple, response, history_start: int, history_end: int) -> dict:
     """One released answer under its request key, with the history span
-    [start, end) that paid for it.  ``raw`` keeps the response's arrays as
-    arrays, for the journal (see :func:`~repro.durability.serialize.encode`)."""
+    [start, end) that paid for it; its arrays stay arrays, for the journal
+    to write as raw bytes."""
     return {
         "kind": "release",
         "key": encode(key),
-        "response": encode(response_state(response), raw),
+        "response": encode(response_state(response)),
         "history_start": history_start,
         "history_end": history_end,
     }
@@ -174,28 +177,6 @@ def commit_record(session, since: tuple[int, int, int], releases: list[dict]) ->
     parts += releases
     parts += map(event_record, session.events[events:])
     return {"kind": "commit", "records": parts}
-
-
-# ----------------------------------------------------------------------
-# Snapshot.
-# ----------------------------------------------------------------------
-def snapshot_session(session) -> dict:
-    """The session's durable state as ``{"journal_seq", "records": [open, commit]}``.
-
-    Taken under the session lock after a commit, so the ledger, history,
-    audit trail, releases and ``journal_seq`` are one consistent cut; a
-    restore replays each release at zero ε.
-    """
-    with session.lock:
-        session.commit()
-        releases = [
-            release_record(key, entry.response, entry.history_start, entry.history_end)
-            for key, entry in session.releases.items()
-        ]
-        return {
-            "journal_seq": session.journal.seq if session.journal is not None else 0,
-            "records": [open_record(session), commit_record(session, (0, 0, 0), releases)],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -228,21 +209,20 @@ def _open_session(table, head: dict | None):
 
 
 def _replay(session, records: Iterable[dict]) -> int:
-    """Apply the records after the ``open`` record to a detached session.
-
-    A ``commit`` record's parts take the same per-kind paths as the records
-    of journals written before commit records.  Returns how many per-kind
-    records were applied.
-    """
+    """Apply the ``commit`` records after the ``open`` record to a detached
+    session.  Returns how many parts were applied."""
     from ..service.session import CachedAnswer, SessionEvent
 
     replayed = 0
     for record in records:
-        parts = [record]
-        if record.get("kind") == "commit":
-            parts = record.get("records")
-            if not isinstance(parts, list):
-                raise RecoveryError(f"'commit' record at seq {record.get('seq')} has no records")
+        if record.get("kind") != "commit":
+            # A second open record would mean two sessions shared one journal.
+            raise RecoveryError(
+                f"unexpected {record.get('kind')!r} record at seq {record.get('seq')}"
+            )
+        parts = record.get("records")
+        if not isinstance(parts, list):
+            raise RecoveryError(f"'commit' record at seq {record.get('seq')} has no records")
         for part in parts:
             kind = part.get("kind")
             if kind == "charge":
@@ -252,8 +232,6 @@ def _replay(session, records: Iterable[dict]) -> int:
             elif kind == "measurement":
                 session.kernel.restore_measurement(_from_record(MeasurementRecord, part))
             elif kind == "event":
-                if "outcome" not in part:
-                    part = {**part, "outcome": _legacy_outcome(part)}
                 session.events.append(_from_record(SessionEvent, part))
                 number = _request_number(session.session_id, part.get("request_id"))
                 if number is not None:
@@ -265,25 +243,10 @@ def _replay(session, records: Iterable[dict]) -> int:
                     int(part["history_start"]),
                     int(part["history_end"]),
                 )
-            elif kind == "open":
-                # A second open record would mean two sessions shared one journal.
-                raise RecoveryError(f"unexpected 'open' record at seq {record.get('seq')}")
             else:
                 raise RecoveryError(f"unknown record kind {kind!r}")
         replayed += len(parts)
     return replayed
-
-
-def _legacy_outcome(event: dict) -> str:
-    """The outcome of an event recorded before events had one (a rejection
-    left a plan error's record, so it reads ``error``; a request that an
-    older service version timed out reads ``timeout``)."""
-    error = event.get("error", "")
-    if event.get("cached"):
-        return "cached"
-    if not error:
-        return "ok"
-    return "timeout" if error == "DeadlineExceededError" else "error"
 
 
 def _request_number(session_id: str, request_id) -> int | None:
@@ -299,49 +262,27 @@ def _request_number(session_id: str, request_id) -> int | None:
         return None
 
 
-def restore_session(
-    table,
-    *,
-    snapshot: dict | None = None,
-    journal: PrivacyJournal | None = None,
-    manager=None,
-):
-    """Rebuild a session from durable records and verify it reconciles.
+def restore_session(table, journal: PrivacyJournal, manager=None):
+    """Rebuild a session from its journal and verify it reconciles.
 
     ``table`` is the original private relation (never part of the durable
-    state).  Provide a ``snapshot``, a ``journal``, or both — with both, the
-    journal's records past the snapshot's sequence number follow the
-    snapshot's records.  ``manager`` adopts the restored session.  The
-    session's releases come back with it, so identical requests replay at
-    zero ε.
+    state).  The restored session goes on journaling into ``journal``;
+    ``manager`` adopts it.  The session's releases come back with it, so
+    identical requests replay at zero ε.
 
-    Raises :class:`RecoveryError` for a snapshot without records, and when
-    the restored state fails verification: accountant mismatch, or the
+    Raises :class:`RecoveryError` for a journal that does not start with an
+    ``open`` record or holds a malformed record, and when the restored
+    state fails verification: accountant mismatch, or the
     :func:`~repro.service.export.reconcile` oracle reporting anything but an
     exact match between the event ledger and the kernel ledger.
     """
     from ..service.export import reconcile
 
-    if snapshot is None and journal is None:
-        raise ValueError("restore needs a snapshot, a journal, or both")
-    records, after_seq = iter(()), 0
-    if snapshot is not None:
-        try:
-            records, after_seq = iter(snapshot["records"]), int(snapshot["journal_seq"])
-        except KeyError as missing:
-            raise RecoveryError(
-                f"snapshot has no {missing} field: a snapshot is "
-                "{'journal_seq': N, 'records': [...]}"
-            ) from None
-    if journal is not None:
-        # One pass over the journal decodes each line once.
-        records = itertools.chain(records, journal.iter_records(after_seq))
+    # One pass over the journal decodes each record once.
+    records = journal.iter_records()
     session = _open_session(table, next(records, None))
     replayed = _replay(session, records)
-    if journal is not None:
-        # Attach for future requests; the journal already has the session's
-        # open record (or a snapshot supersedes it), so don't write another.
-        session.attach_journal(journal, write_open=False)
+    session.attach_journal(journal, write_open=False)
     orphans = session.claim_orphans(error="CrashRecovery")
     session.commit()
     report = reconcile(session)

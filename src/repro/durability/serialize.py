@@ -1,7 +1,7 @@
-"""Lossless encoding of the service's durable state.
+"""Lossless encoding of the service's durable records.
 
-Snapshots and journal records must round-trip without losing the two things
-plain JSON cannot carry:
+Journal records must round-trip without losing the two things plain JSON
+cannot carry:
 
 * **tuples** — request cache keys are nested tuples of primitives (see
   :func:`repro.workload.builders.workload_cache_key`), and tuple-vs-list
@@ -10,24 +10,20 @@ plain JSON cannot carry:
   (the crash-recovery property suite compares raw bytes), so arrays carry
   their little-endian buffer, never decimal text.
 
-``encode`` maps a value to a JSON-ready structure using tagged objects
-(``{"__tuple__": [...]}``, ``{"__ndarray__": ...}``); ``decode`` inverts it.
-Unknown objects degrade to a tagged ``repr`` string — loud in the decoded
-structure rather than silently wrong — which only ever affects free-form
-diagnostic payloads (``QueryResponse.info``), never budget or answers.
-
-Arrays take one of two forms.  The journal stores them as raw bytes:
-``encode(value, raw=True)`` leaves them in place, and :func:`pack` splits a
-record into a small JSON header, where each array is a ``{"__raw__":
-offset, "dtype", "shape"}`` tag, and the arrays whose bytes follow it;
-:func:`unpack` inverts that.  Base64 inside the JSON (``{"__ndarray__":
-...}``) remains only in snapshots, which must stay plain JSON, and in
-journal records written before raw payloads, which ``decode`` still reads.
+``encode`` maps a value to a structure of JSON values and numpy arrays,
+using tagged objects (``{"__tuple__": [...]}``, ``{"__bytes__": array}``);
+``decode`` inverts it.  Arrays stay arrays, and so does a ``bytes`` value,
+as a ``uint8`` array under its tag: :func:`pack` splits a record into a
+small JSON header, where each array is a ``{"__raw__": offset, "dtype",
+"shape"}`` tag, and the arrays whose bytes follow it; :func:`unpack`
+inverts that.  Unknown objects degrade to a tagged ``repr`` string — loud
+in the decoded structure rather than silently wrong — which only ever
+affects free-form diagnostic payloads (``QueryResponse.info``), never
+budget or answers.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import threading
@@ -39,17 +35,12 @@ __all__ = ["encode", "decode", "pack", "unpack"]
 #: Tag keys; a plain dict that happens to contain one of these would be
 #: mis-decoded, so ``encode`` escapes such dicts as ``{"__dict__": [[key,
 #: value], ...]}``: no JSON object with a tag key ever comes from data.
-#: (Records written before raw payloads escaped them as ``{"__dict__":
-#: {...}}``, which ``decode`` still reads.)
-_TAGS = ("__tuple__", "__ndarray__", "__raw__", "__bytes__", "__repr__", "__dict__")
+_TAGS = ("__tuple__", "__raw__", "__bytes__", "__repr__", "__dict__")
 
 
-def encode(value, raw: bool = False):
-    """A JSON-serialisable structure that :func:`decode` inverts exactly.
-
-    With ``raw``, numpy arrays stay arrays, for :func:`pack` to write as
-    raw bytes; otherwise they become base64 tags.
-    """
+def encode(value):
+    """A structure of JSON values and numpy arrays that :func:`decode`
+    inverts exactly; :func:`pack` writes its arrays as raw bytes."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -61,21 +52,15 @@ def encode(value, raw: bool = False):
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.ndarray):
-        if raw:
-            return value
-        return {
-            "__ndarray__": base64.b64encode(value.tobytes()).decode("ascii"),
-            "dtype": value.dtype.str,
-            "shape": list(value.shape),
-        }
+        return value
     if isinstance(value, tuple):
-        return {"__tuple__": [encode(item, raw) for item in value]}
+        return {"__tuple__": [encode(item) for item in value]}
     if isinstance(value, list):
-        return [encode(item, raw) for item in value]
+        return [encode(item) for item in value]
     if isinstance(value, bytes):
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
+        return {"__bytes__": np.frombuffer(value, np.uint8)}
     if isinstance(value, dict):
-        encoded = {str(key): encode(item, raw) for key, item in value.items()}
+        encoded = {str(key): encode(item) for key, item in value.items()}
         if any(tag in encoded for tag in _TAGS):
             return {"__dict__": [[key, item] for key, item in encoded.items()]}
         return encoded
@@ -87,20 +72,14 @@ def decode(value):
     if isinstance(value, list):
         return [decode(item) for item in value]
     if isinstance(value, dict):
-        if "__ndarray__" in value:
-            raw = base64.b64decode(value["__ndarray__"])
-            array = np.frombuffer(raw, dtype=np.dtype(value["dtype"]))
-            return array.reshape(value["shape"]).copy()
         if "__tuple__" in value:
             return tuple(decode(item) for item in value["__tuple__"])
         if "__bytes__" in value:
-            return base64.b64decode(value["__bytes__"])
+            return value["__bytes__"].tobytes()
         if "__repr__" in value:
             return value["__repr__"]
         if "__dict__" in value:
-            escaped = value["__dict__"]
-            pairs = escaped.items() if isinstance(escaped, dict) else escaped
-            return {key: decode(item) for key, item in pairs}
+            return {key: decode(item) for key, item in value["__dict__"]}
         return {key: decode(item) for key, item in value.items()}
     return value
 

@@ -8,13 +8,16 @@ a bottom-up pass that combines each node's own measurement with the sum of its
 children, and a top-down pass that redistributes the mismatch between a parent
 and the sum of its children.
 
-It is logically equivalent to ordinary least squares on the hierarchical
-measurement matrix, but only applies to that special structure, which is
-precisely the limitation EKTELO's generic iterative inference removes.
+It equals ordinary least squares on the hierarchical measurement matrix,
+but only for that special structure: a complete tree, ``n`` a power of
+``b``.  It refuses any other domain size, where its weights would not give
+the least-squares answer.  That restriction is precisely the limitation
+EKTELO's generic iterative inference removes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +49,8 @@ def _build_tree(lo: int, hi: int, branching: int) -> _TreeNode:
 
 def hierarchical_measurements(x: np.ndarray, branching: int = 2) -> list[tuple[int, int]]:
     """Intervals measured by the tree (root included, leaves included)."""
+    if branching < 2:
+        raise ValueError(f"a hierarchy needs a branching factor of at least 2, got {branching}")
     intervals: list[tuple[int, int]] = []
 
     def visit(node: _TreeNode) -> None:
@@ -71,10 +76,15 @@ def tree_based_least_squares(
         noisy counts.  Every node of the complete ``branching``-ary hierarchy
         over ``[0, n)`` must be present.
     n:
-        Domain size.
+        Domain size, a power of ``branching``.
     branching:
         Branching factor of the hierarchy.
     """
+    if branching < 2 or n < 1 or branching ** round(math.log(n, branching)) != n:
+        raise ValueError(
+            f"tree-based least squares needs a complete tree: n={n} is not a "
+            f"power of the branching factor {branching}"
+        )
     root = _build_tree(0, n - 1, branching)
 
     # Bottom-up: weighted combination of own measurement and children's sums.
@@ -87,16 +97,15 @@ def tree_based_least_squares(
             node.weighted = own
             return node.weighted, 1
         child_sum = 0.0
-        height = 0
         for child in node.children:
             value, child_height = upward(child)
             child_sum += value
-            height = max(height, child_height)
-        b = max(len(node.children), 2)
+        height = child_height + 1  # the node's own; a leaf's is 1
+        b = branching
         # Hay et al. weights: alpha = (b^h - b^(h-1)) / (b^h - 1) for height h.
-        alpha = (b**height - b ** (height - 1)) / (b**height - 1) if height >= 1 else 1.0
+        alpha = (b**height - b ** (height - 1)) / (b**height - 1)
         node.weighted = alpha * own + (1 - alpha) * child_sum
-        return node.weighted, height + 1
+        return node.weighted, height
 
     upward(root)
 

@@ -184,25 +184,15 @@ class BudgetTracker:
     # ------------------------------------------------------------------
     # Algorithm 2, generalised over the accountant's cost vector.
     # ------------------------------------------------------------------
-    def request(self, name: str, sigma: float) -> bool:
-        """Attempt to consume ``sigma`` native budget units on source ``name``.
-
-        The scalar entry point the kernel's seed-era callers (and the pure
-        accountant) use; equivalent to :meth:`charge` with a δ-free cost.
-        Returns ``True`` and updates the per-node counters if the request fits
-        within the global budget; returns ``False`` (leaving all counters
-        unchanged) otherwise.
-        """
-        if sigma < 0:
-            raise ValueError("budget requests must be non-negative")
-        return self.charge(name, self.accountant.raw_cost(sigma))
-
     def charge(self, name: str, cost: Cost) -> bool:
         """Attempt to consume ``cost`` (native units) on source ``name``.
 
         Applies :meth:`_walk`'s increases if the cost reaching the root fits
-        the ledger; otherwise returns ``False`` and changes nothing.
+        the ledger; otherwise returns ``False`` and changes nothing.  A cost
+        with a negative component raises ``ValueError``.
         """
+        if cost.primary < 0 or cost.delta < 0:
+            raise ValueError("budget requests must be non-negative")
         steps, root_cost = self._walk(name, cost)
         if root_cost is not None:
             if not self._ledger_accepts(root_cost):
@@ -224,8 +214,6 @@ class BudgetTracker:
         partition node nested under another partition is that partition's
         child.
         """
-        if cost.primary < 0 or cost.delta < 0:
-            raise ValueError("budget requests must be non-negative")
         node = self.node(name)
         if node.kind is NodeKind.PARTITION:
             raise RuntimeError(

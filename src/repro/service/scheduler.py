@@ -41,7 +41,7 @@ history span.  (Malformed requests that never resolve to a plan or workload
 already holds: a hit replays the released answer at zero ε as a ``cached``
 event.  A fresh answer is handed to
 :meth:`~repro.service.session.Session.release` before the response leaves
-the lock.  The scheduler keeps no state per session, so closing, snapshotting
+the lock.  The scheduler keeps no state per session, so closing, journaling
 and restoring a session need only the session.
 
 **Durability.**  On a journal-attached session, the request's charges,
@@ -77,7 +77,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from ..durability.faults import FaultInjector, WorkerDeath
-from ..durability.snapshot import restore_session, snapshot_session
+from ..durability.records import restore_session
 from ..plans.registry import make_plan
 from ..telemetry.metrics import Histogram, MetricsRegistry
 from ..telemetry.spans import NOOP_SPAN, NULL_TRACER, NullTracer, Tracer, activate
@@ -149,27 +149,18 @@ class PlanScheduler:
     # ------------------------------------------------------------------
     # Durability.
     # ------------------------------------------------------------------
-    def snapshot_session(self, session_id: str) -> dict:
-        """Snapshot a session's records, its releases included."""
-        return snapshot_session(self.manager.get(session_id))
-
-    def restore_session(
-        self,
-        table,
-        snapshot: dict | None = None,
-        journal=None,
-    ) -> Session:
-        """Rebuild a crashed session into this scheduler's manager.
+    def restore_session(self, table, journal) -> Session:
+        """Rebuild a session from its journal into this scheduler's manager.
 
         See :func:`repro.durability.restore_session`; the restored session
         is verified against the reconciliation oracle and adopted by the
         manager, its releases restored for zero-ε replay.  This also moves a
-        live session to another scheduler: stop its traffic
-        (``session.begin_close()``), take :meth:`snapshot_session`, close it
-        with ``manager.close`` and restore the snapshot on the other
-        scheduler.
+        live session to another scheduler: drain-close it (``begin_close``,
+        then ``manager.close``), attach a journal if it has none
+        (:meth:`~repro.service.session.Session.attach_journal` writes the
+        whole session) and restore that journal on the other scheduler.
         """
-        return restore_session(table, snapshot=snapshot, journal=journal, manager=self.manager)
+        return restore_session(table, journal, manager=self.manager)
 
     # ------------------------------------------------------------------
     # Synchronous path.

@@ -10,13 +10,16 @@ trail of :class:`SessionEvent` records (one per scheduled request) and its
 post-processing, so an identical request replays it at zero ε; the history
 span on each release points back at the kernel rows that paid for it.
 
-Sessions can be made **durable** by attaching a
-:class:`~repro.durability.PrivacyJournal`, whose one writer is
-:meth:`Session.commit`: one ``commit`` record per request, holding its
-charges, history rows, release and audit event, written before its response
-or a replayed answer leaves the session lock.  A crash before the commit
-loses only charges whose answer nobody saw.  The records are built in
-:mod:`repro.durability.snapshot`, which also snapshots and restores them.
+Sessions are made **durable** by attaching a
+:class:`~repro.durability.PrivacyJournal` (:meth:`Session.attach_journal`),
+which writes the session's whole state so far; from then on
+:meth:`Session.commit` writes one ``commit`` record per request, holding its
+charges, history rows, release and audit event, before its response or a
+replayed answer leaves the session lock.  A crash before the commit loses
+only charges whose answer nobody saw.  The journal is the session's one
+durable form: a restore from it rebuilds the session, here or on another
+manager.  The records are built in :mod:`repro.durability.records`, which
+also restores them.
 
 The :class:`SessionManager` creates and tracks sessions.  Isolation is
 structural: every session has its own kernel, budget tracker, lock and
@@ -41,7 +44,7 @@ import numpy as np
 
 from ..accounting import make_accountant
 from ..dataset.relation import Relation
-from ..durability.snapshot import commit_record, open_record, release_record
+from ..durability.records import commit_record, open_record, release_record
 from ..private.kernel import BudgetSnapshot, MeasurementRecord, ProtectedKernel
 from ..private.protected import ProtectedDataSource
 from ..telemetry.metrics import Histogram
@@ -64,8 +67,7 @@ class SessionEvent:
     epsilon_spent: float
     cached: bool
     #: how the request ended: ``ok``, ``cached`` (a replay), ``rejected``
-    #: (refused before any spend) or ``error``.  ``timeout`` appears only on
-    #: old events restored from a journal (see ``_legacy_outcome``).
+    #: (refused before any spend) or ``error``.
     outcome: str
     seed: int | None
     #: history indices [start, end) of the kernel measurements this request
@@ -317,26 +319,37 @@ class Session:
             )
             if self.journal is not None:
                 self.pending_releases.append(
-                    release_record(key, response, history_start, history_end, raw=True)
+                    release_record(key, response, history_start, history_end)
                 )
 
     # ------------------------------------------------------------------
     # Durability.
     # ------------------------------------------------------------------
     def attach_journal(self, journal, write_open: bool = True) -> None:
-        """Journal this session's changes from now on into ``journal``.
+        """Make ``journal`` this session's durable form: write the whole
+        session into it, then journal every change from now on.
 
-        ``write_open`` stamps the session's opening metadata so the journal
-        alone suffices to rebuild the session (restores pass ``False``:
-        their journal already has it).
+        The session's ``open`` record comes first, then, unless the session
+        is fresh, one ``commit`` record of every charge, history row,
+        release and event so far, so the journal alone rebuilds the session
+        as it stands: attaching one to a live session makes it durable, and
+        a new one moves or compacts it.  ``write_open=False`` takes a
+        journal that already holds the session (a restore's) and writes
+        nothing.
         """
         with self.lock:
+            if write_open:
+                journal.append(open_record(self))
+                if any(self._marks()):
+                    releases = [
+                        release_record(key, entry.response, entry.history_start, entry.history_end)
+                        for key, entry in self.releases.items()
+                    ]
+                    journal.append(commit_record(self, (0, 0, 0), releases))
+                journal.commit()
             self.journal = journal
             self._committed = self._marks()
             self.pending_releases = []
-            if write_open:
-                journal.append(open_record(self))
-                journal.commit()
 
     def _marks(self) -> tuple[int, int, int]:
         kernel = self.kernel

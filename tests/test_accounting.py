@@ -163,10 +163,14 @@ def _run_scenario(tracker_cls_new: bool, epsilon_total, actions):
             name: tracker.node(name).consumed for name in tracker._nodes
         }
         chargeable_kind = lambda name: tracker.node(name).kind.value  # noqa: E731
+        charge = lambda name, sigma: tracker.charge(  # noqa: E731
+            name, tracker.accountant.raw_cost(sigma)
+        )
     else:
         tracker = _SeedTracker(epsilon_total)
         nodes = lambda: {n: v["consumed"] for n, v in tracker.nodes.items()}  # noqa: E731
         chargeable_kind = lambda name: tracker.nodes[name]["kind"]  # noqa: E731
+        charge = tracker.request
 
     names = ["root"]
     decisions = []
@@ -190,7 +194,7 @@ def _run_scenario(tracker_cls_new: bool, epsilon_total, actions):
         else:
             if chargeable_kind(parent) == "partition":
                 continue
-            decisions.append((parent, sigma, tracker.request(parent, sigma)))
+            decisions.append((parent, sigma, charge(parent, sigma)))
     return decisions, nodes()
 
 
@@ -229,10 +233,10 @@ class TestHardenedLedger:
     def test_many_small_charges_cannot_drift_past_total(self):
         tracker = BudgetTracker(1.0)
         for _ in range(10):
-            assert tracker.request("root", 0.1)
+            assert tracker.charge("root", tracker.accountant.raw_cost(0.1))
         # The naive accumulator sits at 0.9999999999999999; the ledger must
         # still refuse anything visibly above zero remaining.
-        assert not tracker.request("root", 1e-6)
+        assert not tracker.charge("root", tracker.accountant.raw_cost(1e-6))
         assert math.fsum(c.primary for c in tracker.ledger()) <= 1.0 + 1e-9
 
     def test_exactly_exhausting_charge_is_accepted(self):
@@ -242,7 +246,8 @@ class TestHardenedLedger:
         tracker = BudgetTracker(700.0)
         seed = _SeedTracker(700.0)
         for i in range(1000):
-            assert tracker.request("root", 0.7), f"ledger rejected charge {i}"
+            accepted = tracker.charge("root", tracker.accountant.raw_cost(0.7))
+            assert accepted, f"ledger rejected charge {i}"
         seed_decisions = [seed.request("root", 0.7) for _ in range(1000)]
         assert not seed_decisions[-1]  # the regression this fixes
         assert all(seed_decisions[:-1])
@@ -250,15 +255,15 @@ class TestHardenedLedger:
     def test_over_budget_still_rejected_after_exhaustion(self):
         tracker = BudgetTracker(0.3)
         for _ in range(3):
-            assert tracker.request("root", 0.1)
-        assert not tracker.request("root", 0.05)
+            assert tracker.charge("root", tracker.accountant.raw_cost(0.1))
+        assert not tracker.charge("root", tracker.accountant.raw_cost(0.05))
 
     def test_remaining_never_negative_after_exact_exhaustion(self):
         # The accepted 1000th charge leaves the naive accumulator a few ulps
         # above 700; remaining() must clamp rather than report < 0.
         tracker = BudgetTracker(700.0)
         for _ in range(1000):
-            assert tracker.request("root", 0.7)
+            assert tracker.charge("root", tracker.accountant.raw_cost(0.7))
         assert tracker.remaining() == 0.0
 
     def test_tiny_zcdp_budget_refuses_overspend(self):
@@ -273,15 +278,15 @@ class TestHardenedLedger:
 
     def test_budget_below_the_rounding_slack_refuses_overspend(self):
         tracker = BudgetTracker(1e-10)
-        assert not tracker.request("root", 1e-9)
-        assert tracker.request("root", 1e-10)
-        assert not tracker.request("root", 1e-12)
+        assert not tracker.charge("root", tracker.accountant.raw_cost(1e-9))
+        assert tracker.charge("root", tracker.accountant.raw_cost(1e-10))
+        assert not tracker.charge("root", tracker.accountant.raw_cost(1e-12))
 
     def test_ledger_records_every_accepted_charge(self):
         tracker = BudgetTracker(1.0)
-        tracker.request("root", 0.25)
-        tracker.request("root", 0.5)
-        tracker.request("root", 0.5)  # rejected
+        tracker.charge("root", tracker.accountant.raw_cost(0.25))
+        tracker.charge("root", tracker.accountant.raw_cost(0.5))
+        tracker.charge("root", tracker.accountant.raw_cost(0.5))  # rejected
         assert [c.primary for c in tracker.ledger()] == [0.25, 0.5]
 
 

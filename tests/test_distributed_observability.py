@@ -251,9 +251,9 @@ class TestOrderIndependentSpend:
         for prelude in ([0.1], [0.1, 0.05], [0.05, 0.1], []):
             tracker = BudgetTracker(epsilon_total=10.0)
             for epsilon in prelude:
-                assert tracker.request("root", epsilon)
+                assert tracker.charge("root", tracker.accountant.raw_cost(epsilon))
             start = tracker.num_charges
-            assert tracker.request("root", 0.2)
+            assert tracker.charge("root", tracker.accountant.raw_cost(0.2))
             spent = tracker.charged_between(start, tracker.num_charges)
             assert spent == 0.2  # exactly, whatever charged before it
 

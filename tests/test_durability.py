@@ -1,4 +1,4 @@
-"""Crash-safety tests: journal, snapshot/restore, faults, request lifecycle.
+"""Crash-safety tests: journal, restore, faults, request lifecycle.
 
 The core invariants, verified deterministically and under randomised fault
 schedules (hypothesis):
@@ -13,29 +13,25 @@ schedules (hypothesis):
   release and event reach the journal as one ``commit`` record before its
   response or replayed answer leaves the service, so no fault schedule can
   release an answer whose charges are not journaled; faults can only
-  *waste* budget.
-
-Journals and snapshots written before commit records (one record per
-charge, measurement, release and event) still restore, and so do journals
-of ``commit`` records written as JSON lines before raw-byte payloads:
-``tests/data`` keeps one of each.
+  *waste* budget;
+* **one durable form** — attaching a journal to a live session writes its
+  whole state, so a journal attached at any point restores the session
+  exactly.
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 import math
 import os
-import shutil
 import statistics
 import threading
 import time
 import tracemalloc
+import zlib
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,11 +50,12 @@ from repro.durability import (
     response_from_state,
     response_state,
     restore_session,
-    snapshot_session,
 )
 from repro.durability.journal import _encode_frame
 from repro.durability.serialize import pack, unpack
 from repro.matrix.dense import DenseMatrix
+from repro.plans.data_independent import IdentityPlan
+from repro.plans.registry import PLANS_BY_NAME
 from repro.private import audit
 from repro.service import (
     PlanScheduler,
@@ -74,10 +71,9 @@ from repro.service import (
 )
 from repro.telemetry import NOOP_SPAN, Tracer
 from tests.test_service import mwem_request
-from tests.test_telemetry import OUTCOME_CASES, arrange_outcome, assert_metrics_are_the_events
+from tests.test_telemetry import OUTCOME_CASES, arrange_outcome
 
 N = 64
-DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -138,6 +134,27 @@ def commit_parts(records):
     ]
 
 
+def rewritten(records) -> PrivacyJournal:
+    """A fresh in-memory journal holding ``records`` (their ``seq`` restamped)."""
+    journal = PrivacyJournal(None)
+    for record in records:
+        journal.append({key: value for key, value in record.items() if key != "seq"})
+    return journal
+
+
+def attached(session) -> PrivacyJournal:
+    """A fresh in-memory journal attached to ``session``: its whole state."""
+    journal = PrivacyJournal(None)
+    session.attach_journal(journal)
+    return journal
+
+
+def roundtrip(value):
+    """``value`` through the journal's durable form: encode, pack, unpack, decode."""
+    header, arrays = pack({"value": encode(value)})
+    return decode(unpack(header, memoryview(b"".join(arrays)))["value"])
+
+
 # ======================================================================
 # Serialisation.
 # ======================================================================
@@ -150,14 +167,14 @@ class TestSerialize:
             np.arange(6, dtype=np.int32).reshape(2, 3),
             np.array([], dtype=np.float64),
         ]:
-            back = decode(encode(array))
+            back = roundtrip(array)
             assert back.dtype == array.dtype
             assert back.shape == array.shape
             assert back.tobytes() == array.tobytes()
 
     def test_nested_tuple_roundtrip_preserves_types(self):
         value = ("query", "Identity", (("n", 64), ("x", (1, 2.5))), None, 0.1)
-        back = decode(encode(value))
+        back = roundtrip(value)
         assert back == value
         assert isinstance(back, tuple)
         assert isinstance(back[2], tuple)
@@ -169,18 +186,24 @@ class TestSerialize:
             "f": np.float64(1.5),
             "b": np.bool_(True),
             "raw": b"\x00\xff",
+            "empty": b"",
             "nested": {"t": (1, 2)},
         }
-        back = decode(encode(value))
+        back = roundtrip(value)
         assert back["i"] == 7 and isinstance(back["i"], int)
         assert back["f"] == 1.5
         assert back["b"] is True
-        assert back["raw"] == b"\x00\xff"
+        assert back["raw"] == b"\x00\xff" and back["empty"] == b""
         assert back["nested"]["t"] == (1, 2)
+
+    def test_bytes_travel_as_raw_uint8(self):
+        header, arrays = pack({"key": encode(("q", b"\x00\xffab"))})
+        assert b"ab" not in header
+        assert [(a.dtype, a.tobytes()) for a in arrays] == [(np.uint8, b"\x00\xffab")]
 
     def test_dict_colliding_with_tag_keys_is_escaped(self):
         value = {"__tuple__": [1, 2], "other": 3}
-        back = decode(encode(value))
+        back = roundtrip(value)
         assert back == value and isinstance(back["__tuple__"], list)
 
     def test_pack_unpack_roundtrip_gives_arrays_that_own_their_memory(self):
@@ -196,12 +219,11 @@ class TestSerialize:
             "kind": "release",
             "arrays": arrays,
             "key": encode(("q", (1, 2.5))),
-            "info": encode({"__raw__": 0, "x": rng.standard_normal(2)}, raw=True),
+            "info": encode({"__raw__": 0, "x": rng.standard_normal(2)}),
         }
         x = dict(record["info"]["__dict__"])["x"]  # escaped as key-value pairs
         header, buffers = pack(record)
         raw = b"".join(buffers)
-        assert b"__ndarray__" not in header
         assert len(raw) == sum(array.nbytes for array in arrays) + x.nbytes
         back = unpack(header, memoryview(raw))
         for array, restored in zip(arrays, back["arrays"]):
@@ -217,7 +239,7 @@ class TestSerialize:
             def __repr__(self):
                 return "<opaque>"
 
-        assert decode(encode(Opaque())) == "<opaque>"
+        assert roundtrip(Opaque()) == "<opaque>"
 
 
 # ======================================================================
@@ -232,8 +254,7 @@ class TestJournal:
             journal.commit()
         reopened = PrivacyJournal(path)
         assert reopened.seq == 2
-        assert [r["p"] for r in reopened.records()] == [0.1, 0.2]
-        assert reopened.records(after_seq=1)[0]["seq"] == 2
+        assert [(r["seq"], r["p"]) for r in reopened.iter_records()] == [(1, 0.1), (2, 0.2)]
         # Appends continue the sequence.
         assert reopened.append({"kind": "charge", "p": 0.3, "d": 0.0}) == 3
         reopened.close()
@@ -243,9 +264,9 @@ class TestJournal:
         with PrivacyJournal(path) as journal:
             journal.append({"kind": "charge", "p": 0.1, "d": 0.0})
             journal.append({"kind": "charge", "p": 0.2, "d": 0.0})
-        # Simulate a crash mid-append: half a line, no newline.
+        # Simulate a crash mid-append: half a frame, no newline.
         with open(path, "ab") as f:
-            f.write(b"deadbeef {\"seq\":3,\"kind\":\"char")
+            f.write(b"deadbeef 0 {\"seq\":3,\"kind\":\"char")
         recovered = PrivacyJournal(path)
         assert recovered.seq == 2
         assert recovered.truncated_bytes > 0
@@ -280,8 +301,7 @@ class TestJournal:
     def test_in_memory_journal(self):
         journal = PrivacyJournal(None)
         journal.append({"kind": "charge", "p": 0.1, "d": 0.0})
-        assert len(journal) == 1
-        assert journal.stats["path"] is None
+        assert len(journal) == 1 and journal.path is None
         with pytest.raises(ValueError, match="fsync mode"):
             PrivacyJournal(None, fsync="never")
 
@@ -306,6 +326,25 @@ class TestJournal:
         journal.close()
         assert len(synced) == 3 * syncs_per_commit + 1
         assert path.stat().st_size == sizes[-1]
+
+    @staticmethod
+    def _json_line(record: dict) -> bytes:
+        """``record`` as the JSON line journals held before raw payloads."""
+        line = json.dumps(record, separators=(",", ":")).encode()
+        return b"%08x " % zlib.crc32(line) + line + b"\n"
+
+    def test_json_line_journal_is_refused_unchanged(self, tmp_path):
+        """A journal of the format written before raw payloads is refused,
+        naming the format, and its bytes stay as they were: a strict frame
+        reader would truncate it all away as a torn tail."""
+        path = tmp_path / "old.wal"
+        line = self._json_line({"seq": 1, "kind": "charge", "p": 0.1, "d": 0.0})
+        frame = _encode_frame({"seq": 2, "kind": "charge", "p": 0.2, "d": 0.0})
+        for content in (line, line + frame):  # new frames once followed old lines
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match="JSON-line"):
+                PrivacyJournal(path)
+            assert path.read_bytes() == content
 
     def test_append_fault_raises_and_leaves_no_record(self):
         faults = FaultInjector()
@@ -454,7 +493,7 @@ class TestRawPayloadFrames:
         path = tmp_path / "read.wal"
         path.write_bytes(raw)
         with PrivacyJournal(path) as journal:
-            releases = [p for p in commit_parts(journal.records()) if p["kind"] == "release"]
+            releases = [p for p in commit_parts(journal.iter_records()) if p["kind"] == "release"]
         assert len(releases) == 2
         for release in releases:
             response = decode(release["response"])
@@ -498,6 +537,13 @@ class TestFaultInjector:
 # Journal wiring through the service.
 # ======================================================================
 class TestJournaledSession:
+    def test_a_fresh_session_journals_only_its_open_record(self, manager, relation):
+        journal = PrivacyJournal(None)
+        session = manager.create_session("acme", relation, 4.0, seed=0, journal=journal)
+        assert [record["kind"] for record in journal.iter_records()] == ["open"]
+        # Attaching a second journal to the still fresh session: the same.
+        assert [record["kind"] for record in attached(session).iter_records()] == ["open"]
+
     def test_charges_are_journaled_before_release(self, manager, relation):
         journal = PrivacyJournal(None)
         scheduler = PlanScheduler(manager)
@@ -505,7 +551,7 @@ class TestJournaledSession:
             "acme", relation, 4.0, seed=0, journal=journal
         )
         scheduler.execute(identity_request(session))
-        records = journal.records()
+        records = list(journal.iter_records())
         assert [record["kind"] for record in records] == ["open", "commit"]
         assert [part["kind"] for part in records[1]["records"]] == [
             "charge", "measurement", "release", "event",
@@ -529,7 +575,7 @@ class TestJournaledSession:
         # The next commit writes both requests' parts, once.
         response = scheduler.execute(identity_request(session, epsilon=0.2))
         assert response.epsilon_spent == pytest.approx(0.2)
-        (record,) = journal.records(after_seq=1)
+        (record,) = list(journal.iter_records())[1:]
         assert [part["kind"] for part in record["records"]] == [
             "charge", "charge", "measurement", "measurement",
             "release", "release", "event", "event",
@@ -658,7 +704,7 @@ class TestJournaledSession:
         scheduler.execute(identity_request(session))
         before = len(journal)
         scheduler.execute(identity_request(session))
-        (record,) = journal.records(after_seq=before)
+        (record,) = list(journal.iter_records())[before:]
         assert record["kind"] == "commit"
         (part,) = record["records"]
         assert part["kind"] == "event" and part["cached"] is True
@@ -687,7 +733,7 @@ class TestJournaledSession:
             with pytest.raises(error):
                 scheduler.execute(request)
 
-        (record,) = journal.records(after_seq=seq)
+        (record,) = list(journal.iter_records())[seq:]
         assert record["kind"] == "commit"
         parts = record["records"]
         order = ["charge", "measurement", "release", "event"]
@@ -718,9 +764,9 @@ class TestJournaledSession:
 
 
 # ======================================================================
-# Snapshot / restore.
+# Restore.
 # ======================================================================
-class TestSnapshotRestore:
+class TestRestore:
     def _run_session(self, manager, relation, journal, requests=3):
         scheduler = PlanScheduler(manager)
         session = manager.create_session(
@@ -731,28 +777,6 @@ class TestSnapshotRestore:
             for i in range(requests)
         ]
         return scheduler, session, responses
-
-    def test_snapshot_plus_journal_suffix_restores_exactly(self, manager, relation, tmp_path):
-        path = tmp_path / "j.wal"
-        journal = PrivacyJournal(path)
-        scheduler, session, responses = self._run_session(manager, relation, journal, 2)
-        snap = scheduler.snapshot_session(session.session_id)
-        third = scheduler.execute(identity_request(session, epsilon=0.3))
-        journal.close()
-
-        fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(
-            relation, snapshot=snap, journal=PrivacyJournal(path)
-        )
-        assert restored.budget_consumed() == pytest.approx(session.budget_consumed())
-        assert len(restored.events) == len(session.events)
-        assert reconcile(restored)["exact"]
-        assert restored.recovery_info["orphaned_event"] is None
-        # The post-snapshot answer replays from cache, byte-identical, free.
-        replay = fresh.execute(identity_request(restored, epsilon=0.3))
-        assert replay.cached
-        assert replay.x_hat.tobytes() == third.x_hat.tobytes()
-        assert restored.budget_consumed() == pytest.approx(session.budget_consumed())
 
     def test_journal_only_restore(self, manager, relation, tmp_path):
         path = tmp_path / "j.wal"
@@ -770,23 +794,35 @@ class TestSnapshotRestore:
             assert replay.x_hat.tobytes() == original.x_hat.tobytes()
             assert replay.answers.tobytes() == original.answers.tobytes()
 
-    def test_snapshot_only_restore(self, manager, relation):
-        scheduler = PlanScheduler(manager)
+    def test_journal_attached_mid_life_restores_the_whole_session(self, manager, relation):
+        """A journal attached after a request holds that request too: the
+        restore spends what the live session spent, reconciles exactly and
+        replays both answers byte-identically at zero ε."""
+        scheduler = PlanScheduler(manager, executor="inline")
         session = manager.create_session("acme", relation, 4.0, seed=7)
-        response = scheduler.execute(identity_request(session))
-        snap = scheduler.snapshot_session(session.session_id)
-        fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, snapshot=snap)
-        assert reconcile(restored)["exact"]
-        replay = fresh.execute(identity_request(restored))
-        assert replay.cached
-        assert replay.x_hat.tobytes() == response.x_hat.tobytes()
+        before = scheduler.execute(identity_request(session, epsilon=0.7))
+        journal = attached(session)
+        after = scheduler.execute(identity_request(session, epsilon=0.2))
+        kinds = [record["kind"] for record in journal.iter_records()]
+        assert kinds == ["open", "commit", "commit"]
 
-    def test_snapshot_without_a_scheduler_holds_every_release(self, manager, relation):
+        fresh = PlanScheduler(SessionManager(), executor="inline")
+        restored = fresh.restore_session(relation, journal=journal)
+        assert restored.budget_consumed() == session.budget_consumed() == pytest.approx(0.9)
+        assert reconcile(restored)["exact"]
+        assert restored.events == session.events
+        assert restored.recovery_info["orphaned_events"] == []
+        for epsilon, original in ((0.7, before), (0.2, after)):
+            replay = fresh.execute(identity_request(restored, epsilon=epsilon))
+            assert replay.cached and replay.epsilon_spent == 0.0
+            assert replay.x_hat.tobytes() == original.x_hat.tobytes()
+            assert replay.answers.tobytes() == original.answers.tobytes()
+        assert restored.budget_consumed() == session.budget_consumed()
+
+    def test_attach_journal_writes_every_release(self, manager, relation):
         scheduler, session, responses = self._run_session(manager, relation, None)
         assert scheduler.execute(identity_request(session, epsilon=0.1)).cached
-        snap = snapshot_session(session)
-        (commit,) = snap["records"][1:]
+        (commit,) = list(attached(session).iter_records())[1:]
         releases = [part for part in commit["records"] if part["kind"] == "release"]
         assert len(releases) == len(session.releases) == len(responses) == 3
         by_key = {decode(part["key"]): decode(part["response"]) for part in releases}
@@ -827,35 +863,19 @@ class TestSnapshotRestore:
             edited[part["kind"]] += 1
         return edited
 
-    @staticmethod
-    def _rewritten(records) -> PrivacyJournal:
-        """A fresh in-memory journal holding ``records`` (their ``seq`` restamped)."""
-        journal = PrivacyJournal(None)
-        for record in records:
-            journal.append({key: value for key, value in record.items() if key != "seq"})
-        return journal
-
     def test_journal_with_legacy_fields_restores(self, manager, relation):
         journal = PrivacyJournal(None)
         _, _, responses = self._run_session(manager, relation, journal, 1)
-        records = journal.records()
+        records = list(journal.iter_records())
         assert self._add_legacy_fields(records) == {"event": 1, "release": 1}
         fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, journal=self._rewritten(records))
-        self._assert_replays_free(fresh, restored, responses[0])
-
-    def test_snapshot_with_legacy_fields_restores(self, manager, relation):
-        scheduler, session, responses = self._run_session(manager, relation, None, 1)
-        snap = scheduler.snapshot_session(session.session_id)
-        assert self._add_legacy_fields(snap["records"]) == {"event": 1, "release": 1}
-        fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, snapshot=snap)
+        restored = fresh.restore_session(relation, journal=rewritten(records))
         self._assert_replays_free(fresh, restored, responses[0])
 
     def test_journal_with_unknown_measurement_fields_restores(self, manager, relation):
         journal = PrivacyJournal(None)
         _, session, responses = self._run_session(manager, relation, journal, 2)
-        records = journal.records()
+        records = list(journal.iter_records())
         measurements = [
             part for part in commit_parts(records) if part["kind"] == "measurement"
         ]
@@ -863,18 +883,18 @@ class TestSnapshotRestore:
         for part in measurements:
             part["written_by"] = "a later version"
         fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, journal=self._rewritten(records))
+        restored = fresh.restore_session(relation, journal=rewritten(records))
         assert restored.kernel.history() == session.kernel.history()
         self._assert_replays_free(fresh, restored, responses[0])
 
     def test_commit_record_without_records_raises_recovery_error(self, manager, relation):
-        scheduler, session, _ = self._run_session(manager, relation, None, 1)
-        snap = scheduler.snapshot_session(session.session_id)
-        _, commit = snap["records"]
+        journal = PrivacyJournal(None)
+        self._run_session(manager, relation, journal, 1)
+        _, commit = records = list(journal.iter_records())
         assert commit["kind"] == "commit"
         del commit["records"]
         with pytest.raises(RecoveryError, match="'commit' record"):
-            restore_session(relation, snapshot=snap)
+            restore_session(relation, journal=rewritten(records))
 
     def test_response_from_state_keeps_only_response_fields(self, manager, relation):
         scheduler = PlanScheduler(manager)
@@ -892,7 +912,7 @@ class TestSnapshotRestore:
                 assert getattr(rebuilt, name) == value
 
     def test_restore_reads_field_names_once_per_class(self, manager, relation):
-        from repro.durability.snapshot import _field_names
+        from repro.durability.records import _field_names
 
         journal = PrivacyJournal(None)
         self._run_session(manager, relation, journal, 3)
@@ -902,19 +922,6 @@ class TestSnapshotRestore:
         # Events, measurements and releases: one lookup each, then hits.
         assert info.misses == info.currsize == 3
         assert info.hits > 0
-
-    def test_snapshot_is_json_serialisable(self, manager, relation):
-        import json
-
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=7)
-        scheduler.execute(identity_request(session))
-        snap = scheduler.snapshot_session(session.session_id)
-        roundtrip = json.loads(json.dumps(snap))
-        restored = PlanScheduler(SessionManager()).restore_session(
-            relation, snapshot=roundtrip
-        )
-        assert reconcile(restored)["exact"]
 
     def test_equal_matrix_params_replay_before_and_after_a_journal_restore(
         self, manager, relation, tmp_path
@@ -941,13 +948,40 @@ class TestSnapshotRestore:
         assert restored.budget_consumed() == spent
         assert reconcile(restored)["exact"]
 
+    def test_bytes_plan_param_replays_after_a_journal_restore(
+        self, manager, relation, tmp_path, monkeypatch
+    ):
+        """A ``bytes`` plan parameter reaches the request key; its release
+        is journaled under that key and replays at zero ε after a restore."""
+        entry = PLANS_BY_NAME["Identity"]
+        monkeypatch.setitem(
+            PLANS_BY_NAME,
+            "Identity",
+            replace(entry, factory=lambda label=b"", **params: IdentityPlan(**params)),
+        )
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=7, journal=PrivacyJournal(tmp_path / "j.wal")
+        )
+        request = identity_request(session, plan_params={"label": b"\x00tenant\xff"})
+        assert "b'\\x00tenant\\xff'" in repr(request.cache_key())
+        first = PlanScheduler(manager).execute(request)
+        session.journal.close()
+
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, journal=PrivacyJournal(tmp_path / "j.wal"))
+        assert set(restored.releases) == {request.cache_key()}
+        replay = fresh.execute(request)
+        assert replay.cached and replay.epsilon_spent == 0.0
+        assert replay.x_hat.tobytes() == first.x_hat.tobytes()
+        assert restored.budget_consumed() == session.budget_consumed()
+        restored.journal.close()
+
     def test_restored_charges_keep_spending_from_true_remainder(self, manager, relation):
         scheduler = PlanScheduler(manager)
         session = manager.create_session("acme", relation, 1.0, seed=7)
         scheduler.execute(identity_request(session, epsilon=0.7))
-        snap = scheduler.snapshot_session(session.session_id)
         fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, snapshot=snap)
+        restored = fresh.restore_session(relation, journal=attached(session))
         # 0.3 remains: a 0.4 request must be rejected post-restore.
         from repro.private import BudgetExceededError
 
@@ -962,8 +996,9 @@ class TestSnapshotRestore:
             "acme", relation, 2.0, seed=3, accountant="zcdp", delta=1e-6
         )
         scheduler.execute(identity_request(session))
-        snap = scheduler.snapshot_session(session.session_id)
-        restored = PlanScheduler(SessionManager()).restore_session(relation, snapshot=snap)
+        restored = PlanScheduler(SessionManager()).restore_session(
+            relation, journal=attached(session)
+        )
         assert restored.accountant.name == "zcdp"
         assert restored.budget_consumed() == pytest.approx(session.budget_consumed())
         assert reconcile(restored)["exact"]
@@ -972,20 +1007,19 @@ class TestSnapshotRestore:
         scheduler = PlanScheduler(manager)
         session = manager.create_session("acme", relation, 4.0, seed=7)
         scheduler.execute(identity_request(session))
-        snap = scheduler.snapshot_session(session.session_id)
-        opening = snap["records"][0]
+        records = list(attached(session).iter_records())
+        opening = records[0]
         assert opening["kind"] == "open"
         opening["describe"]["epsilon_budget"] = 99.0
         with pytest.raises(RecoveryError):
-            restore_session(relation, snapshot=snap)
+            restore_session(relation, journal=rewritten(records))
 
     def test_manager_refuses_duplicate_adoption(self, manager, relation):
         scheduler = PlanScheduler(manager)
         session = manager.create_session("acme", relation, 4.0, seed=7)
         scheduler.execute(identity_request(session))
-        snap = scheduler.snapshot_session(session.session_id)
         with pytest.raises(ValueError, match="already exists"):
-            scheduler.restore_session(relation, snapshot=snap)
+            scheduler.restore_session(relation, journal=attached(session))
 
     def test_restored_request_ids_do_not_collide(self, manager, relation, tmp_path):
         journal = PrivacyJournal(tmp_path / "j.wal")
@@ -1005,15 +1039,15 @@ class TestSnapshotRestore:
         scheduler = PlanScheduler(manager)
         session = manager.create_session("acme", relation, 4.0, seed=7)
         scheduler.execute(identity_request(session))
-        snap = scheduler.snapshot_session(session.session_id)
-        restored = restore_session(relation, snapshot=snap)
+        journal = attached(session)
+        restored = restore_session(relation, journal=journal)
         from repro.private import UnknownSourceError
         from repro.workload.builders import identity_workload
 
         # A restore rebuilds no pre-restore source: their names are history.
         pre_restore = [
             part["source"]
-            for part in commit_parts(snap["records"])
+            for part in commit_parts(journal.iter_records())
             if part["kind"] == "measurement" and part["source"] != "root"
         ]
         assert pre_restore
@@ -1024,7 +1058,7 @@ class TestSnapshotRestore:
 
 
 class TestRestoreVerifies:
-    """Restore has no bypass: a stream that does not restore to a session
+    """Restore has no bypass: a journal that does not restore to a session
     reconciling exactly raises :class:`RecoveryError`, and the manager adopts
     nothing.  A damaged journal stays readable through ``iter_records``,
     which verifies nothing."""
@@ -1039,57 +1073,66 @@ class TestRestoreVerifies:
             scheduler.execute(identity_request(session, epsilon=epsilon))
         return scheduler, session, journal
 
-    def test_restore_needs_a_snapshot_or_a_journal(self, relation):
-        with pytest.raises(ValueError, match="a snapshot, a journal, or both"):
-            restore_session(relation)
-
-    def test_snapshot_without_journal_seq_raises(self, manager, relation):
-        scheduler, session, _ = self._journaled(manager, relation)
-        snap = scheduler.snapshot_session(session.session_id)
-        del snap["journal_seq"]
-        with pytest.raises(RecoveryError, match="journal_seq"):
-            restore_session(relation, snapshot=snap)
-
     def test_stream_without_open_record_raises(self, manager, relation):
         _, _, journal = self._journaled(manager, relation)
-        records = journal.records()
+        records = list(journal.iter_records())
         assert records[0]["kind"] == "open"
-        for stream in (PrivacyJournal(None), TestSnapshotRestore._rewritten(records[1:])):
+        for stream in (PrivacyJournal(None), rewritten(records[1:])):
             with pytest.raises(RecoveryError, match="no 'open' record"):
                 restore_session(relation, journal=stream)
 
     def test_second_open_record_raises(self, manager, relation):
         _, _, journal = self._journaled(manager, relation)
-        records = journal.records()
+        records = list(journal.iter_records())
         with pytest.raises(RecoveryError, match="unexpected 'open' record"):
-            restore_session(
-                relation, journal=TestSnapshotRestore._rewritten(records + records[:1])
-            )
+            restore_session(relation, journal=rewritten(records + records[:1]))
+
+    def test_top_level_record_past_the_open_record_must_be_a_commit(self, manager, relation):
+        _, _, journal = self._journaled(manager, relation)
+        records = list(journal.iter_records())
+        (charge,) = [part for part in commit_parts(records) if part["kind"] == "charge"][:1]
+        with pytest.raises(RecoveryError, match="unexpected 'charge' record at seq 4"):
+            restore_session(relation, journal=rewritten(records + [charge]))
 
     def test_unknown_record_kind_raises(self, manager, relation):
         _, _, journal = self._journaled(manager, relation)
-        records = journal.records() + [{"kind": "rollback"}]
+        records = list(journal.iter_records())
+        records[-1]["records"].append({"kind": "rollback"})
         with pytest.raises(RecoveryError, match="unknown record kind 'rollback'"):
-            restore_session(relation, journal=TestSnapshotRestore._rewritten(records))
+            restore_session(relation, journal=rewritten(records))
 
     def test_events_claiming_more_than_the_ledger_raise(self, manager, relation):
-        scheduler, session, _ = self._journaled(manager, relation)
-        snap = scheduler.snapshot_session(session.session_id)
-        event = next(part for part in snap["records"][1]["records"] if part["kind"] == "event")
+        _, _, journal = self._journaled(manager, relation)
+        records = list(journal.iter_records())
+        event = next(part for part in commit_parts(records) if part["kind"] == "event")
         event["epsilon_spent"] *= 2
         with pytest.raises(RecoveryError, match="does not reconcile"):
-            restore_session(relation, snapshot=snap)
+            restore_session(relation, journal=rewritten(records))
+
+    @pytest.mark.parametrize("kind, field", [("event", "outcome"), ("measurement", "noise_scale")])
+    def test_a_part_missing_a_required_field_raises_and_adopts_nothing(
+        self, manager, relation, kind, field
+    ):
+        """An event written before events had an ``outcome`` cannot restore:
+        the error names the kind and the field, and nothing is adopted."""
+        _, session, journal = self._journaled(manager, relation)
+        records = list(journal.iter_records())
+        part = next(part for part in commit_parts(records) if part["kind"] == kind)
+        del part[field]
+        fresh = PlanScheduler(SessionManager())
+        with pytest.raises(RecoveryError, match=f"'{kind}' record has no '{field}' field"):
+            fresh.restore_session(relation, journal=rewritten(records))
+        assert len(fresh.manager) == 0
 
     def test_failed_restore_adopts_nothing(self, manager, relation):
-        scheduler, session, _ = self._journaled(manager, relation)
-        snap = scheduler.snapshot_session(session.session_id)
-        damaged = json.loads(json.dumps(snap))
-        damaged["records"][0]["describe"]["epsilon_budget"] = 99.0
+        _, session, journal = self._journaled(manager, relation)
+        records = list(journal.iter_records())
+        records[0]["describe"]["epsilon_budget"] = 99.0
         fresh = PlanScheduler(SessionManager())
         with pytest.raises(RecoveryError, match="accountant does not match"):
-            fresh.restore_session(relation, snapshot=damaged)
+            fresh.restore_session(relation, journal=rewritten(records))
         assert session.session_id not in fresh.manager
-        restored = fresh.restore_session(relation, snapshot=snap)
+        restored = fresh.restore_session(relation, journal=journal)
         assert fresh.manager.get(session.session_id) is restored
 
     def test_damaged_journal_stays_readable_through_iter_records(
@@ -1098,7 +1141,7 @@ class TestRestoreVerifies:
         _, session, journal = self._journaled(
             manager, relation, PrivacyJournal(tmp_path / "j.wal")
         )
-        records = journal.records()
+        records = list(journal.iter_records())
         journal.close()
         records[0]["describe"]["epsilon_budget"] = 99.0
         damaged = PrivacyJournal(tmp_path / "damaged.wal")
@@ -1118,11 +1161,13 @@ class TestRestoreVerifies:
 
 
 class TestOneRestorePath:
-    """A snapshot and a journal are one record stream, restored one way."""
+    """A journal written from a session's first request and one attached to
+    it later restore the same session, one way."""
 
     def _journaled(self, relation, path):
         """A journaled session with Identity and DAWA history and one cached
-        replay; returns its scheduler, session and snapshot."""
+        replay; returns its scheduler, session and a second, in-memory
+        journal attached at its end."""
         manager = SessionManager()
         scheduler = PlanScheduler(manager)
         session = manager.create_session(
@@ -1131,21 +1176,20 @@ class TestOneRestorePath:
         scheduler.execute(identity_request(session))
         scheduler.execute(dawa_request(session))
         assert scheduler.execute(identity_request(session)).cached
-        snap = scheduler.snapshot_session(session.session_id)
         session.journal.close()
-        return scheduler, session, snap
+        return scheduler, session, attached(session)
 
-    def _restore(self, relation, path, snap, source):
+    def _restore(self, relation, path, compacted, source):
         fresh = PlanScheduler(SessionManager())
-        if source == "snapshot":
-            return fresh, fresh.restore_session(relation, snapshot=snap)
+        if source == "attached":
+            return fresh, fresh.restore_session(relation, journal=compacted)
         return fresh, fresh.restore_session(relation, journal=PrivacyJournal(path))
 
-    @pytest.mark.parametrize("source", ["snapshot", "journal"])
+    @pytest.mark.parametrize("source", ["attached", "journal"])
     def test_reports_work_on_a_restored_session(self, relation, tmp_path, source):
         path = tmp_path / "j.wal"
-        _, session, snap = self._journaled(relation, path)
-        fresh, restored = self._restore(relation, path, snap, source)
+        _, session, compacted = self._journaled(relation, path)
+        fresh, restored = self._restore(relation, path, compacted, source)
         report = session_report(restored)
         assert json.loads(export_json(restored)) == json.loads(json.dumps(report))
         assert service_report(fresh.manager)["num_sessions"] == 1
@@ -1165,13 +1209,13 @@ class TestOneRestorePath:
             )
         assert sources["root"]["consumed"] == session.budget_consumed()
 
-    @pytest.mark.parametrize("source", ["snapshot", "journal"])
+    @pytest.mark.parametrize("source", ["attached", "journal"])
     def test_post_restore_sources_never_reuse_a_pre_restore_name(
         self, relation, tmp_path, source
     ):
         path = tmp_path / "j.wal"
-        _, _, snap = self._journaled(relation, path)
-        fresh, restored = self._restore(relation, path, snap, source)
+        _, _, compacted = self._journaled(relation, path)
+        fresh, restored = self._restore(relation, path, compacted, source)
         before = len(restored.kernel.history())
         fresh.execute(identity_request(restored, epsilon=0.2, reuse=False))
         history = restored.kernel.history()
@@ -1185,12 +1229,13 @@ class TestOneRestorePath:
         assert {kinds[name] for name in pre} == {"restored"}
         assert {kinds[name] for name in post} == {"vector"}
 
-    def test_snapshot_and_journal_restore_the_same_session(self, relation, tmp_path):
+    def test_attached_and_running_journals_restore_the_same_session(self, relation, tmp_path):
         path = tmp_path / "j.wal"
-        _, session, snap = self._journaled(relation, path)
-        (by_snapshot, a), (by_journal, b) = (
-            self._restore(relation, path, snap, source)
-            for source in ("snapshot", "journal")
+        _, session, compacted = self._journaled(relation, path)
+        assert [record["kind"] for record in compacted.iter_records()] == ["open", "commit"]
+        (by_attached, a), (by_journal, b) = (
+            self._restore(relation, path, compacted, source)
+            for source in ("attached", "journal")
         )
 
         def releases(restored):
@@ -1211,175 +1256,6 @@ class TestOneRestorePath:
         assert releases(a) == releases(b) == releases(session)
         assert len(releases(a)) == 2
         assert session_report(a) == session_report(b)
-
-    def test_snapshot_in_the_old_format_raises_recovery_error(self, relation):
-        # The layout snapshots had before they became records.
-        old = {
-            "version": 1,
-            "session_id": "acme-s1",
-            "tenant": "acme",
-            "base_seed": 7,
-            "accountant": {"name": "pure", "epsilon_total": 4.0, "delta": 1e-6},
-            "request_counter": 0,
-            "journal_seq": 0,
-            "kernel": {"seed": 7, "name_counter": 0, "history": []},
-            "events": [],
-            "cache": [],
-        }
-        with pytest.raises(RecoveryError, match="records"):
-            restore_session(relation, snapshot=old)
-
-
-class TestPerKindRecordsRestore:
-    """Durable state written before commit records still restores.
-
-    ``tests/data`` holds a journal and a snapshot in that format — one
-    record per charge, measurement, release and event — written from an
-    n=64 pure-DP session (ε total 4.0, seed 7): an Identity request (ε 0.1),
-    a DAWA request (ε 0.4), a replay of the first, then an Identity request
-    (ε 0.2, no reuse) killed by a ``WorkerDeath`` at ``kernel.after_charge``,
-    which left a charge with no event.  The snapshot was taken last, at the
-    journal's end.  The pinned values are what restoring either gave under
-    the code that wrote them.
-    """
-
-    CONSUMED = 0.7
-    #: the three requests' events plus the restore's orphan claim
-    EVENTS = 4
-    #: SHA-256 of the Identity and DAWA replays' x_hat and answers bytes
-    DIGEST = "8b04f7d38e5c4ac85700ef935cb345d873bb15b98fec31d505cff81e38deb545"
-
-    @pytest.mark.parametrize("source", ["journal", "snapshot", "both"])
-    def test_restores_reconciles_and_replays_byte_identically(
-        self, relation, tmp_path, source
-    ):
-        path = tmp_path / "j.wal"
-        shutil.copyfile(DATA / "per_kind_journal.wal", path)  # a restore appends
-        journal = PrivacyJournal(path) if source != "snapshot" else None
-        snap = None
-        if source != "journal":
-            snap = json.loads((DATA / "per_kind_snapshot.json").read_text())
-        fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, snapshot=snap, journal=journal)
-        assert restored.budget_consumed() == self.CONSUMED
-        assert len(restored.events) == self.EVENTS
-        assert restored.events[-1].error == "CrashRecovery"
-        assert reconcile(restored)["exact"]
-        replays = [
-            fresh.execute(identity_request(restored)),
-            fresh.execute(dawa_request(restored)),
-        ]
-        assert all(replay.cached and replay.epsilon_spent == 0.0 for replay in replays)
-        assert restored.budget_consumed() == self.CONSUMED
-        payload = b"".join(r.x_hat.tobytes() + r.answers.tobytes() for r in replays)
-        assert hashlib.sha256(payload).hexdigest() == self.DIGEST
-        if journal is not None:
-            # The restored session goes on with commit records: the orphan
-            # claim, then one per replay.
-            assert [r["kind"] for r in journal.records(after_seq=13)] == ["commit"] * 3
-            journal.close()
-
-
-class TestJsonCommitRecordsRestore:
-    """Journals written before raw payloads — ``commit`` records as JSON
-    lines, arrays as base64 — still restore.
-
-    ``tests/data/commit_journal.wal`` was written in that format from the
-    same session and requests as the per-kind fixture (see
-    :class:`TestPerKindRecordsRestore`): an open record, then one commit
-    per request, the last holding only the killed request's charge.  The
-    pinned values are what restoring it gave under the code that wrote it,
-    and equal the per-kind fixture's.
-    """
-
-    def test_restores_reconciles_and_replays_byte_identically(self, relation, tmp_path):
-        path = tmp_path / "j.wal"
-        shutil.copyfile(DATA / "commit_journal.wal", path)  # a restore appends
-        journal = PrivacyJournal(path)
-        assert (len(journal), journal.truncated_bytes) == (5, 0)
-        fresh = PlanScheduler(SessionManager())
-        restored = fresh.restore_session(relation, journal=journal)
-        assert restored.budget_consumed() == TestPerKindRecordsRestore.CONSUMED
-        assert len(restored.events) == TestPerKindRecordsRestore.EVENTS
-        assert restored.events[-1].error == "CrashRecovery"
-        assert reconcile(restored)["exact"]
-        replays = [
-            fresh.execute(identity_request(restored)),
-            fresh.execute(dawa_request(restored)),
-        ]
-        assert all(replay.cached and replay.epsilon_spent == 0.0 for replay in replays)
-        assert restored.budget_consumed() == TestPerKindRecordsRestore.CONSUMED
-        payload = b"".join(r.x_hat.tobytes() + r.answers.tobytes() for r in replays)
-        assert hashlib.sha256(payload).hexdigest() == TestPerKindRecordsRestore.DIGEST
-        journal.close()
-        # The restored session appended the orphan claim and one commit per
-        # replay after the old lines; the file reopens clean and restores to
-        # the same ledger.
-        reopened = PrivacyJournal(path)
-        assert (len(reopened), reopened.truncated_bytes) == (8, 0)
-        assert [r["kind"] for r in reopened.records(after_seq=5)] == ["commit"] * 3
-        again = PlanScheduler(SessionManager()).restore_session(relation, journal=reopened)
-        assert again.budget_consumed() == TestPerKindRecordsRestore.CONSUMED
-        assert again.events == restored.events and reconcile(again)["exact"]
-        reopened.close()
-
-
-class TestLegacyEventOutcomes:
-    """Events recorded before events carried an ``outcome`` restore with the
-    one their ``cached`` and ``error`` fields imply: ``cached``, else ``ok``
-    without an error, ``timeout`` for a ``DeadlineExceededError`` (raised
-    by the request clock the service once had) and ``error`` for anything
-    else (a rejection left a plan error's record)."""
-
-    @pytest.mark.parametrize(
-        "fixture", ["per_kind_journal.wal", "commit_journal.wal", "per_kind_snapshot.json"]
-    )
-    def test_pinned_fixtures_restore_with_derived_outcomes(self, relation, tmp_path, fixture):
-        scheduler = PlanScheduler(SessionManager())
-        if fixture.endswith(".json"):
-            snapshot = json.loads((DATA / fixture).read_text())
-            restored = scheduler.restore_session(relation, snapshot=snapshot)
-        else:
-            shutil.copyfile(DATA / fixture, tmp_path / "j.wal")
-            journal = PrivacyJournal(tmp_path / "j.wal")
-            restored = scheduler.restore_session(relation, journal=journal)
-            journal.close()
-        # Identity, DAWA, a replay, then the restore's claim of the killed
-        # request's charge.
-        assert [event.outcome for event in restored.events] == ["ok", "ok", "cached", "error"]
-        assert_metrics_are_the_events(scheduler, {"acme": restored.events})
-
-    def test_every_outcome_derives_from_an_old_record(self, manager, relation):
-        faults = FaultInjector()
-        scheduler = PlanScheduler(manager, executor="inline")
-        session = manager.create_session("acme", relation, 4.0, seed=0)
-        session.kernel.fault_injector = faults
-        for case, _, _, error in OUTCOME_CASES:
-            request = arrange_outcome(scheduler, session, faults, case)
-            if case == "plan_error":  # the same query was answered above
-                request = replace(request, reuse=False)
-            if error is None:
-                scheduler.execute(request)
-            else:
-                with pytest.raises(error):
-                    scheduler.execute(request)
-        state = scheduler.snapshot_session(session.session_id)
-        parts = state["records"][1]["records"]
-        for part in parts:
-            if part["kind"] == "event":
-                del part["outcome"]
-        # No live path times out any more; an old journal can still hold a
-        # timed-out request, here one that spent nothing.
-        rejected = next(part for part in parts if part.get("error") == "ValueError")
-        parts.append({**rejected, "request_id": "old-timeout", "error": "DeadlineExceededError"})
-        restored = PlanScheduler(SessionManager()).restore_session(relation, snapshot=state)
-        derived = {"rejected": "error"}
-        assert [event.outcome for event in restored.events] == [
-            derived.get(event.outcome, event.outcome) for event in session.events
-        ] + ["timeout"]
-        assert {event.outcome for event in restored.events} == {
-            "ok", "cached", "timeout", "error"
-        }
 
 
 # ======================================================================
@@ -1614,7 +1490,7 @@ class TestCloseSemantics:
         assert len(responses) == 1
         assert [event.error for event in closed.events] == [""]
         assert reconcile(closed)["exact"]
-        assert journal.records()[-1]["kind"] == "commit"
+        assert list(journal.iter_records())[-1]["kind"] == "commit"
 
     def test_non_drain_close_returns_immediately(self, manager, relation):
         scheduler = PlanScheduler(manager)
@@ -1781,9 +1657,10 @@ class TestCrashRecoveryProperties:
         schedule=fault_schedules(),
         num_requests=st.integers(1, 4),
         accountant=st.sampled_from(["pure", "approx", "zcdp"]),
+        data=st.data(),
     )
     def test_restore_reconciles_exactly_under_any_fault_schedule(
-        self, tmp_path_factory, schedule, num_requests, accountant
+        self, tmp_path_factory, schedule, num_requests, accountant, data
     ):
         relation = _property_relation()
         path = tmp_path_factory.mktemp("wal") / "j.wal"
@@ -1791,12 +1668,21 @@ class TestCrashRecoveryProperties:
         journal = PrivacyJournal(path, fsync="always", fault_injector=faults)
         manager = SessionManager()
         scheduler = PlanScheduler(manager, max_workers=1, fault_injector=faults)
-        session = manager.create_session(
-            "acme", relation, 8.0, seed=11, accountant=accountant, journal=journal
-        )
+        session = manager.create_session("acme", relation, 8.0, seed=11, accountant=accountant)
+        requests = [
+            dawa_request(session, epsilon=0.2)
+            if i % 2
+            else identity_request(session, epsilon=0.1 * (i + 1))
+            for i in range(num_requests)
+        ]
+        # The session answers the first requests without a journal; attaching
+        # one then writes its whole state.
+        attach_after = data.draw(st.integers(0, num_requests), label="attach_after")
+        results = [scheduler.execute(request) for request in requests[:attach_after]]
+        session.attach_journal(journal)
         session.kernel.fault_injector = faults
-        # Arm only after the session is open so every fault lands inside a
-        # request (hit counts start at arm time).
+        # Arm only after the attach so every fault lands inside a request
+        # (hit counts start at arm time).
         for point, mode, after in schedule:
             exception = None
             if mode == "death":
@@ -1805,13 +1691,7 @@ class TestCrashRecoveryProperties:
                 exception = OSError(f"injected at {point}")
             faults.arm(point, after=after, exception=exception)
 
-        requests = [
-            dawa_request(session, epsilon=0.2)
-            if i % 2
-            else identity_request(session, epsilon=0.1 * (i + 1))
-            for i in range(num_requests)
-        ]
-        results = scheduler.execute_batch(requests, return_exceptions=True)
+        results += scheduler.execute_batch(requests[attach_after:], return_exceptions=True)
         scheduler.shutdown()
         # Whatever the schedule did, the *live* session must reconcile (the
         # batch collector claims worker-death orphans).

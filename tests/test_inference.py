@@ -137,21 +137,31 @@ class TestMultiplicativeWeights:
 
 
 class TestTreeBased:
-    def test_matches_least_squares(self, rng):
-        n = 16
-        x = rng.integers(0, 30, size=n).astype(float)
-        intervals = hierarchical_measurements(x, branching=2)
-        noisy = {}
-        noise = {}
-        for lo, hi in intervals:
-            noise[(lo, hi)] = rng.normal(0, 1.0)
-            noisy[(lo, hi)] = x[lo : hi + 1].sum() + noise[(lo, hi)]
-        tree_result = tree_based_least_squares(noisy, n, branching=2)
-        # Generic least squares on the same measurements.
-        matrix = RangeQueries(n, intervals)
-        answers = np.array([noisy[iv] for iv in intervals])
-        ls_result = least_squares(matrix, answers)
-        assert np.allclose(tree_result.x_hat, ls_result.x_hat, atol=0.3)
+    @pytest.mark.parametrize("n, branching", [(8, 2), (256, 2), (27, 3), (1000, 10)])
+    def test_matches_least_squares(self, n, branching):
+        """On a complete tree the two passes give the least-squares x̂: dense
+        ``lstsq`` on the same Laplace(5)-noised measurements, to rounding."""
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = rng.integers(0, 30, size=n).astype(float)
+            intervals = hierarchical_measurements(x, branching)
+            matrix = RangeQueries(n, intervals).dense()
+            answers = matrix @ x + rng.laplace(0, 5.0, len(intervals))
+            tree = tree_based_least_squares(dict(zip(intervals, answers)), n, branching)
+            exact = np.linalg.lstsq(matrix, answers, rcond=None)[0]
+            assert np.max(np.abs(tree.x_hat - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("n, branching", [(1000, 2), (12, 3), (4, 1)])
+    def test_incomplete_tree_rejected(self, n, branching):
+        x = np.zeros(n)
+        noisy = dict.fromkeys(hierarchical_measurements(x, max(branching, 2)), 0.0)
+        with pytest.raises(ValueError, match="complete tree"):
+            tree_based_least_squares(noisy, n, branching)
+
+    @pytest.mark.parametrize("branching", [0, 1])
+    def test_hierarchical_measurements_rejects_branching_below_two(self, branching):
+        with pytest.raises(ValueError, match="branching factor"):
+            hierarchical_measurements(np.zeros(4), branching)
 
     def test_noiseless_recovery(self, rng):
         n = 8

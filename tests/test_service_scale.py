@@ -8,9 +8,10 @@ The invariants of the execution core:
 * **the artifact cache** — LRU with touch-on-hit and eviction counters when
   bounded, and shareable across schedulers; evicting an artifact costs a
   rebuild, never ε;
-* **moving a session** — snapshot plus restore carries a session to another
-  scheduler with its ledger, seed, request counter and released answers,
-  which live on the session and so need no scheduler to move.
+* **moving a session** — a drain-close, then a restore from the session's
+  journal, carries it to another scheduler with its ledger, seed, request
+  counter and released answers, which live on the session and so need no
+  scheduler to move.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ class TestExecutorBackends:
         # Every charge reached the journal, inside the request's commit record.
         charges = [
             part["p"]
-            for record in journal.records()
+            for record in journal.iter_records()
             if record["kind"] == "commit"
             for part in record["records"]
             if part["kind"] == "charge"
@@ -460,7 +461,7 @@ class TestBatchQueuedAcrossClose:
 
 
 class TestMovingSessions:
-    def test_snapshot_restore_moves_a_session_between_schedulers(self, relation):
+    def test_journal_attached_at_close_moves_a_session_between_schedulers(self, relation):
         source_manager = SessionManager()
         source = PlanScheduler(source_manager, executor="inline")
         session = source_manager.create_session(
@@ -469,11 +470,12 @@ class TestMovingSessions:
         first = source.execute(QueryRequest("acme-s1", plan="Identity", epsilon=0.1))
         before_budget = session.budget_consumed()
         session.begin_close()  # no new requests; in-flight ones drain first
-        state = source.snapshot_session("acme-s1")
         source.manager.close("acme-s1")
+        journal = PrivacyJournal(None)
+        session.attach_journal(journal)  # the whole session, as it closed
 
         target = PlanScheduler(SessionManager(), executor="inline")
-        moved = target.restore_session(relation, snapshot=state)
+        moved = target.restore_session(relation, journal)
         assert moved.budget_consumed() == before_budget
         assert reconcile(moved)["exact"]
         # Released answers crossed with the session: zero-ε replay.
@@ -498,6 +500,43 @@ class TestMovingSessions:
         )
         assert np.array_equal(fresh.x_hat, control_fresh.x_hat)
         assert fresh.seed == control_fresh.seed
+
+    def test_a_moved_session_moves_again(self, relation):
+        # A restored session holds what it restored plus what it did since;
+        # a journal attached at its close writes both, so a second move
+        # lands the same ledger, history, events and releases.
+        def move(scheduler, session):
+            session.begin_close()
+            scheduler.manager.close(session.session_id)
+            journal = PrivacyJournal(None)
+            session.attach_journal(journal)
+            target = PlanScheduler(SessionManager(), executor="inline")
+            return target, target.restore_session(relation, journal)
+
+        source_manager = SessionManager()
+        source = PlanScheduler(source_manager, executor="inline")
+        session = source_manager.create_session(
+            "acme", relation, 10.0, seed=7, session_id="acme-s1"
+        )
+        requests = [
+            QueryRequest("acme-s1", plan="Identity", epsilon=epsilon) for epsilon in (0.1, 0.2)
+        ]
+        answers = [source.execute(requests[0])]
+        middle, once = move(source, session)
+        answers.append(middle.execute(requests[1]))
+        target, twice = move(middle, once)
+
+        assert twice.budget_consumed() == once.budget_consumed() == pytest.approx(0.3)
+        assert reconcile(twice)["exact"]
+        assert twice.kernel.budget_tracker.ledger() == once.kernel.budget_tracker.ledger()
+        assert twice.kernel.history() == once.kernel.history()
+        assert twice.events == once.events
+        assert twice.request_counter == once.request_counter
+        for request, original in zip(requests, answers):
+            replay = target.execute(request)
+            assert replay.cached and replay.epsilon_spent == 0.0
+            assert replay.x_hat.tobytes() == original.x_hat.tobytes()
+        assert twice.budget_consumed() == once.budget_consumed()
 
     def test_journal_moves_a_session_between_schedulers(self, relation, tmp_path):
         # The journal alone carries a session too: ledger, released answers,
@@ -566,16 +605,17 @@ class TestMovingSessions:
                 QueryRequest(session.session_id, plan="Identity", epsilon=0.05 * (i + 1))
             )
         spent = {s.session_id: s.budget_consumed() for s in sessions}
-        states = []
+        journals = []
         for session in sessions:
             session.begin_close()
-            states.append(source.snapshot_session(session.session_id))
             source.manager.close(session.session_id)
+            journals.append(PrivacyJournal(None))
+            session.attach_journal(journals[-1])
 
         target_manager = SessionManager()
         target = PlanScheduler(target_manager, executor="inline")
-        for state in states:
-            target.restore_session(relation, snapshot=state)
+        for journal in journals:
+            target.restore_session(relation, journal)
         moved = {s.session_id: s for s in target_manager.sessions()}
         assert set(moved) == set(spent)
         for session_id, session in moved.items():
