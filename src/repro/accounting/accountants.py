@@ -58,8 +58,8 @@ class PureDPAccountant(Accountant):
     name = "pure"
 
     def __init__(self, epsilon_total: float):
-        if epsilon_total is None or epsilon_total <= 0:
-            raise ValueError("the global privacy budget must be positive")
+        if epsilon_total is None or not 0 < epsilon_total < math.inf:
+            raise ValueError("the global privacy budget must be positive and finite")
         self.epsilon_total = float(epsilon_total)
         self.budget = Cost(self.epsilon_total)
 
@@ -93,8 +93,8 @@ class ApproxDPAccountant(Accountant):
         delta_total: float = 1e-6,
         measurement_delta: float | None = None,
     ):
-        if epsilon_total is None or epsilon_total <= 0:
-            raise ValueError("the global privacy budget must be positive")
+        if epsilon_total is None or not 0 < epsilon_total < math.inf:
+            raise ValueError("the global privacy budget must be positive and finite")
         if not 0 < delta_total < 1:
             raise ValueError("delta_total must lie in (0, 1)")
         self.epsilon_total = float(epsilon_total)
@@ -160,8 +160,8 @@ class ZCDPAccountant(Accountant):
             if epsilon is None:
                 raise ValueError("provide either an (epsilon, delta) target or rho")
             rho = zcdp_rho_for_epsilon_delta(float(epsilon), self.delta)
-        elif rho <= 0:
-            raise ValueError("rho must be positive")
+        elif not 0 < rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         self.rho_total = float(rho)
         self.budget = Cost(self.rho_total)
         self.default_delta = self.delta

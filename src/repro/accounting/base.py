@@ -108,13 +108,18 @@ class Accountant:
         The per-measurement target is ``(ε, δ)``; accountants that track a
         tighter native unit (zCDP) convert the target into that unit and
         calibrate the noise from it, which is where the composition savings
-        of Gaussian plans come from.
+        of Gaussian plans come from.  An accountant without a Gaussian
+        guarantee (pure DP) refuses it.
         """
-        raise self.unsupported("the Gaussian mechanism")
+        # Imported at call time: repro.private imports repro.accounting at
+        # module load (kernel → budget → accountants), so the reverse edge
+        # must stay lazy to keep both package entry points importable.
+        from ..private.exceptions import UnsupportedMechanismError
 
-    def raw_cost(self, magnitude: float) -> Cost:
-        """A direct charge of ``magnitude`` native units (no mechanism)."""
-        return Cost(float(magnitude))
+        raise UnsupportedMechanismError(
+            f"the Gaussian mechanism has no {self.name}-DP guarantee; "
+            f"choose an accountant that supports it"
+        )
 
     # ------------------------------------------------------------------
     # Lineage scaling (group privacy through c-stable transformations).
@@ -156,17 +161,6 @@ class Accountant:
         )
         return out
 
-    def unsupported(self, mechanism: str):
-        # Imported at call time: repro.private imports repro.accounting at
-        # module load (kernel → budget → accountants), so the reverse edge
-        # must stay lazy to keep both package entry points importable.
-        from ..private.exceptions import UnsupportedMechanismError
-
-        return UnsupportedMechanismError(
-            f"{mechanism} has no {self.name}-DP guarantee; "
-            f"choose an accountant that supports it"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(budget={self.budget!r})"
 
@@ -178,8 +172,8 @@ def zcdp_rho_for_epsilon_delta(epsilon: float, delta: float) -> float:
     Prop. 1.3).  Solving ``ρ + 2·sqrt(ρ·L) = ε`` with ``L = ln(1/δ)`` for
     ``u = sqrt(ρ)`` gives ``u = sqrt(L + ε) − sqrt(L)``.
     """
-    if epsilon <= 0:
-        raise ValueError("the epsilon target must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("the epsilon target must be positive and finite")
     if not 0 < delta < 1:
         raise ValueError("the delta target must lie in (0, 1)")
     log_term = math.log(1.0 / delta)
@@ -202,8 +196,8 @@ def gaussian_analytic_sigma(l2_sensitivity: float, epsilon: float, delta: float)
     Valid for ε ≤ 1 and conservative above; the textbook formula the
     approximate-DP accountant uses (Dwork & Roth 2014, Thm. A.1).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     return l2_sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon

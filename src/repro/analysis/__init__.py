@@ -1,4 +1,6 @@
-"""Error metrics, classification utilities and experiment harness helpers."""
+"""Error metrics and the analysis engine's expected error, Naive Bayes
+classification and AUC (Sec. 9.3), and the table formatting the benchmarks
+print."""
 
 from .classify import (
     CrossValidationResult,
@@ -9,27 +11,11 @@ from .classify import (
     majority_auc,
     roc_auc,
 )
-from .error import (
-    expected_query_error,
-    expected_workload_error,
-    mean_absolute_error,
-    measurement_noise_variance,
-    per_query_l2_error,
-    total_squared_error,
-)
-from .experiments import (
-    SweepResult,
-    TrialResult,
-    format_table,
-    improvement_factors,
-    run_trials,
-)
+from .error import expected_workload_error, measurement_noise_variance, per_query_l2_error
+from .experiments import format_table, improvement_factors
 
 __all__ = [
     "per_query_l2_error",
-    "mean_absolute_error",
-    "total_squared_error",
-    "expected_query_error",
     "expected_workload_error",
     "measurement_noise_variance",
     "NaiveBayesModel",
@@ -39,9 +25,6 @@ __all__ = [
     "cross_validate_auc",
     "CrossValidationResult",
     "majority_auc",
-    "SweepResult",
-    "TrialResult",
-    "run_trials",
     "format_table",
     "improvement_factors",
 ]

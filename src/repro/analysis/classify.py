@@ -38,10 +38,6 @@ class NaiveBayesModel:
             log_posterior += table[:, values].T
         return log_posterior[:, 1] - log_posterior[:, 0]
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Hard 0/1 predictions."""
-        return (self.decision_scores(features) > 0).astype(np.int64)
-
 
 def fit_naive_bayes_from_histograms(
     label_histogram: np.ndarray,

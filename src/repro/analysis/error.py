@@ -3,11 +3,12 @@
 The evaluation reports *scaled, per-query L2 error*: the L2 norm of the
 difference between true and estimated workload answers, divided by the number
 of queries and by the number of records (the "scale"), so results are
-comparable across domains and dataset sizes.  Expected-error formulas from the
-matrix-mechanism literature (used by Theorem 5.3 / Theorem 8.4) are also
-provided for analytic comparisons.
+comparable across domains and dataset sizes.  The matrix-mechanism
+expected error of a workload answered through a strategy (Theorem 5.3 /
+Theorem 8.4; one query is a one-row workload) is provided for analytic
+comparisons.
 
-The expected-error functions are routed through the normal-equations
+:func:`expected_workload_error` is routed through the normal-equations
 engine: the strategy is factorised once with
 :func:`~repro.operators.inference.build_normal_equations`, in whichever of its
 three kinds its CSR form allows (the orthogonal-rows closed form
@@ -58,28 +59,6 @@ def per_query_l2_error(
     if scale is None:
         scale = max(float(true_vector.sum()), 1.0)
     return float(np.linalg.norm(difference) / (workload.shape[0] * scale))
-
-
-def mean_absolute_error(
-    workload: LinearQueryMatrix, true_vector: np.ndarray, estimate: np.ndarray
-) -> float:
-    """Mean absolute error over the workload's queries (unscaled)."""
-    workload = ensure_matrix(workload)
-    difference = workload.matvec(np.asarray(estimate, dtype=np.float64)) - workload.matvec(
-        np.asarray(true_vector, dtype=np.float64)
-    )
-    return float(np.mean(np.abs(difference)))
-
-
-def total_squared_error(
-    workload: LinearQueryMatrix, true_vector: np.ndarray, estimate: np.ndarray
-) -> float:
-    """Total squared error over the workload's queries (unscaled)."""
-    workload = ensure_matrix(workload)
-    difference = workload.matvec(np.asarray(estimate, dtype=np.float64)) - workload.matvec(
-        np.asarray(true_vector, dtype=np.float64)
-    )
-    return float(difference @ difference)
 
 
 def measurement_noise_variance(
@@ -142,26 +121,3 @@ def expected_workload_error(
         solved = np.asarray(normal.solve(rows.T))
         trace += float(np.einsum("ij,ji->", rows, solved))
     return measurement_noise_variance(strategy, epsilon, noise=noise, delta=delta) * trace
-
-
-def expected_query_error(
-    query: np.ndarray,
-    strategy: LinearQueryMatrix,
-    epsilon: float = 1.0,
-    noise: str = "laplace",
-    delta: float = 1e-6,
-) -> float:
-    """Expected squared error of one query answered via a strategy + least squares.
-
-    Thin wrapper around :func:`expected_workload_error` on the single-row
-    workload ``q`` — the factorise-once engine makes the one-query and
-    whole-workload cases the same code path (Theorems 5.3 and 8.4).
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise ValueError("expected_query_error takes a single 1-D query row")
-    from ..matrix.dense import DenseMatrix
-
-    return expected_workload_error(
-        DenseMatrix(query.reshape(1, -1)), strategy, epsilon, noise=noise, delta=delta
-    )

@@ -1,71 +1,16 @@
-"""Shared helpers for the benchmark harness (parameter sweeps, result tables).
+"""Table helpers for the benchmarks and examples.
 
 The benchmarks under ``benchmarks/`` regenerate the paper's tables and
-figures.  They all need the same plumbing: running a plan over several
-datasets/epsilons/trials, collecting errors and runtimes, and printing aligned
-tables.  Keeping that here keeps each benchmark focused on *what* it measures.
+figures; each runs its own trials and prints its results through
+:func:`format_table`, and the Table 4 MWEM comparison reports per-dataset
+:func:`improvement_factors`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-
-@dataclass
-class TrialResult:
-    """Error and runtime of one plan execution."""
-
-    error: float
-    runtime_seconds: float
-
-
-@dataclass
-class SweepResult:
-    """Aggregated results of repeated trials for one experimental cell."""
-
-    label: str
-    errors: list[float] = field(default_factory=list)
-    runtimes: list[float] = field(default_factory=list)
-
-    def add(self, trial: TrialResult) -> None:
-        self.errors.append(trial.error)
-        self.runtimes.append(trial.runtime_seconds)
-
-    @property
-    def mean_error(self) -> float:
-        return float(np.mean(self.errors)) if self.errors else float("nan")
-
-    @property
-    def mean_runtime(self) -> float:
-        return float(np.mean(self.runtimes)) if self.runtimes else float("nan")
-
-    def error_percentiles(self) -> tuple[float, float, float]:
-        if not self.errors:
-            return (float("nan"),) * 3
-        return (
-            float(np.min(self.errors)),
-            float(np.mean(self.errors)),
-            float(np.max(self.errors)),
-        )
-
-
-def run_trials(
-    label: str,
-    run_once: Callable[[int], float],
-    trials: int = 3,
-) -> SweepResult:
-    """Run a plan ``trials`` times (seeded by trial index) and collect error/runtime."""
-    sweep = SweepResult(label)
-    for trial in range(trials):
-        start = time.perf_counter()
-        error = run_once(trial)
-        elapsed = time.perf_counter() - start
-        sweep.add(TrialResult(error=float(error), runtime_seconds=elapsed))
-    return sweep
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

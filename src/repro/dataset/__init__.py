@@ -8,8 +8,8 @@ from .credit import (
     credit_schema,
     synthetic_credit_default,
 )
-from .dpbench import DATASETS_1D, load_1d, load_2d, load_all_1d
-from .relation import STABILITY, Relation, single_attribute_relation
+from .dpbench import DATASETS_1D, load_1d, load_2d
+from .relation import STABILITY, Relation
 from .schema import Attribute, Schema
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "Schema",
     "Relation",
     "STABILITY",
-    "single_attribute_relation",
     "census_schema",
     "synthetic_cps",
     "small_census",
@@ -29,6 +28,5 @@ __all__ = [
     "LABEL_NAME",
     "DATASETS_1D",
     "load_1d",
-    "load_all_1d",
     "load_2d",
 ]

@@ -143,11 +143,6 @@ def load_1d(name: str, n: int = 4096, scale: int = 100_000, seed: int | None = N
     return generator(n, scale, default_seed if seed is None else seed)
 
 
-def load_all_1d(n: int = 4096, scale: int = 100_000) -> dict[str, np.ndarray]:
-    """All ten 1-D benchmark vectors, keyed by name."""
-    return {name: load_1d(name, n=n, scale=scale) for name in DATASETS_1D}
-
-
 def load_2d(
     name: str = "GAUSS2D", shape: tuple[int, int] = (256, 256), scale: int = 1_000_000, seed: int = 0
 ) -> np.ndarray:

@@ -118,14 +118,6 @@ class Relation:
         idx = [self.schema.index_of(name) for name in names]
         return Relation(self.schema.project(names), self.records[:, idx])
 
-    def split_by_partition(self, assignment: np.ndarray) -> list["Relation"]:
-        """Split the table into disjoint relations by a per-record group id (1-stable)."""
-        assignment = np.asarray(assignment)
-        if assignment.shape != (len(self),):
-            raise ValueError("partition assignment must have one group id per record")
-        groups = np.unique(assignment)
-        return [Relation(self.schema, self.records[assignment == g]) for g in groups]
-
     def group_by(self, name: str) -> dict[int, "Relation"]:
         """Group records by an attribute value (2-stable), keyed by bin index."""
         col = self.column(name)
@@ -178,9 +170,3 @@ class Relation:
         flat_idx = np.repeat(np.arange(counts.size), counts)
         coords = np.column_stack(np.unravel_index(flat_idx, schema.domain))
         return cls(schema, coords)
-
-
-def single_attribute_relation(name: str, values: np.ndarray, size: int) -> Relation:
-    """Convenience: wrap a 1-D array of bin indices as a one-attribute relation."""
-    schema = Schema.build([Attribute(name, size)])
-    return Relation(schema, np.asarray(values, dtype=np.int64).reshape(-1, 1))

@@ -26,9 +26,9 @@ class Attribute:
     size:
         Number of discrete values (bins) in this attribute's domain.
     lo, hi:
-        Optional numeric range the bins discretise, used by :meth:`bin_of` to
-        map raw values to bin indices (uniform-width bins).  Purely
-        categorical attributes leave these as ``None``.
+        Optional numeric range the bins discretise (uniform-width bins; the
+        census generator bins raw values by them).  Purely categorical
+        attributes leave these as ``None``.
     labels:
         Optional human-readable labels of the categorical values.
     """
@@ -44,25 +44,6 @@ class Attribute:
             raise ValueError(f"attribute {self.name!r} must have a positive domain size")
         if self.labels is not None and len(self.labels) != self.size:
             raise ValueError(f"attribute {self.name!r}: labels do not match domain size")
-
-    @property
-    def is_numeric(self) -> bool:
-        """Whether the attribute discretises an underlying numeric range."""
-        return self.lo is not None and self.hi is not None
-
-    def bin_of(self, value: float) -> int:
-        """Map a raw numeric value to its bin index (clipped to the domain)."""
-        if not self.is_numeric:
-            raise ValueError(f"attribute {self.name!r} is categorical; no numeric binning")
-        width = (self.hi - self.lo) / self.size
-        idx = int(np.floor((value - self.lo) / width))
-        return int(np.clip(idx, 0, self.size - 1))
-
-    def bin_edges(self) -> np.ndarray:
-        """Uniform bin edges of a numeric attribute (length ``size + 1``)."""
-        if not self.is_numeric:
-            raise ValueError(f"attribute {self.name!r} is categorical; no bin edges")
-        return np.linspace(self.lo, self.hi, self.size + 1)
 
 
 @dataclass(frozen=True)
@@ -99,10 +80,6 @@ class Schema:
         if name not in self._index:
             raise KeyError(f"unknown attribute {name!r}")
         return self._index[name]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
 
     @property
     def domain(self) -> tuple[int, ...]:

@@ -7,16 +7,16 @@ The public surface of this subpackage:
 * Core matrices: :class:`Identity`, :class:`Ones`, :class:`Total`,
   :class:`Prefix`, :class:`Suffix`, :class:`HaarWavelet`.
 * Explicit wrappers: :class:`DenseMatrix`, :class:`SparseMatrix`.
-* Combinators: :class:`VStack` (union), :class:`HStack`, :class:`Product`,
-  :class:`Kronecker`, :class:`Weighted`.
+* Combinators: :class:`VStack` (union), :class:`Product`, :class:`Kronecker`,
+  :class:`Weighted`.
 * Range-query constructions: :class:`RangeQueries`, :class:`RangeQueries2D`,
   :class:`HierarchicalQueries`.
 * Marginals: :func:`marginal`, :func:`all_kway_marginals`.
 * Partitions: :class:`ReductionMatrix`, :class:`ExpansionMatrix`.
 """
 
-from .base import LinearQueryMatrix, TransposeMatrix, ensure_matrix, stack_all
-from .combinators import HStack, Kronecker, Product, VStack, Weighted
+from .base import LinearQueryMatrix, TransposeMatrix, ensure_matrix
+from .combinators import Kronecker, Product, VStack, Weighted
 from .core import HaarWavelet, Identity, Ones, Prefix, Suffix, Total
 from .dense import DenseMatrix, SparseMatrix
 from .marginals import all_kway_marginals, marginal
@@ -34,7 +34,6 @@ __all__ = [
     "LinearQueryMatrix",
     "TransposeMatrix",
     "ensure_matrix",
-    "stack_all",
     "Identity",
     "Ones",
     "Total",
@@ -44,7 +43,6 @@ __all__ = [
     "DenseMatrix",
     "SparseMatrix",
     "VStack",
-    "HStack",
     "Product",
     "Kronecker",
     "Weighted",

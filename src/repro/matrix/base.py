@@ -33,7 +33,6 @@ view.  Concrete core matrices live in :mod:`repro.matrix.core`, combinators in
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 from scipy import sparse as sp
@@ -224,12 +223,6 @@ class LinearQueryMatrix:
         ones = np.ones(self.shape[0])
         return float(np.sqrt(np.max(self.square().rmatvec(ones))))
 
-    def gram(self) -> "LinearQueryMatrix":
-        """The Gram matrix ``A.T @ A`` as a lazy product."""
-        from .combinators import Product
-
-        return Product(self.T, self)
-
     def _row_indices(self, indices) -> np.ndarray:
         """Row indices as a 1-D ``intp`` array, each in ``0 <= i < m``.
 
@@ -273,10 +266,6 @@ class LinearQueryMatrix:
             out[lo : lo + chunk.size] = self.rmatmat(basis[:, : chunk.size]).T
             basis[chunk, cols] = 0.0
         return out
-
-    def diag_gram(self) -> np.ndarray:
-        """Column norms squared, i.e. ``diag(A.T A)``, via the square primitive."""
-        return self.square().rmatvec(np.ones(self.shape[0]))
 
     def gram_dense(self, block_size: int = MATERIALISE_BLOCK) -> np.ndarray:
         """Materialise the Gram matrix ``A.T @ A`` as an ``(n, n)`` ndarray.
@@ -379,19 +368,6 @@ class LinearQueryMatrix:
             dtype=np.float64,
         )
 
-    # ------------------------------------------------------------------
-    # Convenience.
-    # ------------------------------------------------------------------
-    @property
-    def num_queries(self) -> int:
-        """Number of rows (queries) in the matrix."""
-        return self.shape[0]
-
-    @property
-    def domain_size(self) -> int:
-        """Number of columns (cells of the data vector)."""
-        return self.shape[1]
-
     def __mul__(self, scalar):
         from .combinators import Weighted
 
@@ -450,19 +426,3 @@ def ensure_matrix(obj) -> LinearQueryMatrix:
     if arr.ndim != 2:
         raise ValueError("expected a 2-D array-like to build a matrix")
     return DenseMatrix(arr)
-
-
-def stack_all(matrices: Iterable[LinearQueryMatrix]) -> LinearQueryMatrix:
-    """Union (vertical stack) of an iterable of matrices.
-
-    Mirrors the paper's n-ary ``Union(A, B, C)`` shorthand for nested binary
-    unions; implemented directly as an n-ary :class:`~repro.matrix.combinators.VStack`.
-    """
-    from .combinators import VStack
-
-    mats = [ensure_matrix(m) for m in matrices]
-    if not mats:
-        raise ValueError("cannot stack an empty collection of matrices")
-    if len(mats) == 1:
-        return mats[0]
-    return VStack(mats)

@@ -8,8 +8,7 @@ matrices with three operations:
 * ``Kronecker`` — Kronecker products for multi-dimensional domains.
 
 A scalar :class:`Weighted` wrapper is added so measurement matrices can carry
-per-query noise weights without materialisation, and :class:`HStack` is
-provided because partition expansion occasionally needs it.
+per-query noise weights without materialisation.
 
 Space and time complexity mirrors Table 3 of the paper: a composed matrix
 stores only its sub-matrices, and its matvec cost is the sum (stack, product)
@@ -64,11 +63,10 @@ class VStack(LinearQueryMatrix):
 
     def sensitivity_l2(self) -> float:
         # Stacking concatenates each column's entries, so squared column
-        # norms add: each child contributes its diag(AᵀA) through its own
-        # closed form instead of a squared-matrix materialisation.
-        totals = self.matrices[0].diag_gram()
-        for m in self.matrices[1:]:
-            totals = totals + m.diag_gram()
+        # norms add: each child contributes its diag(AᵀA), the column sums of
+        # its own closed-form square, instead of a squared-matrix
+        # materialisation.
+        totals = sum(m.square().rmatvec(np.ones(m.shape[0])) for m in self.matrices)
         return float(np.sqrt(np.max(totals)))
 
     def dense(self) -> np.ndarray:
@@ -100,57 +98,6 @@ class VStack(LinearQueryMatrix):
                 return m.row(i)
             i -= m.shape[0]
 
-    def split_answers(self, y: np.ndarray) -> list[np.ndarray]:
-        """Split a stacked answer vector back into per-sub-matrix pieces."""
-        pieces = []
-        offset = 0
-        for m in self.matrices:
-            pieces.append(np.asarray(y[offset : offset + m.shape[0]]))
-            offset += m.shape[0]
-        return pieces
-
-
-class HStack(LinearQueryMatrix):
-    """Horizontal stack ``[A, B, ...]`` — used for split/expand constructions."""
-
-    def __init__(self, matrices: Sequence[LinearQueryMatrix]):
-        self.matrices = [ensure_matrix(m) for m in matrices]
-        if not self.matrices:
-            raise ValueError("HStack requires at least one matrix")
-        m_rows = self.matrices[0].shape[0]
-        for m in self.matrices:
-            if m.shape[0] != m_rows:
-                raise ValueError("all stacked matrices must have the same row count")
-        cols = sum(m.shape[1] for m in self.matrices)
-        self.shape = (m_rows, cols)
-
-    def _matmat(self, B: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.shape[0], B.shape[1]))
-        offset = 0
-        for m in self.matrices:
-            cols = m.shape[1]
-            out += m._matmat(B[offset : offset + cols])
-            offset += cols
-        return out
-
-    def _rmatmat(self, B: np.ndarray) -> np.ndarray:
-        return np.concatenate([m._rmatmat(B) for m in self.matrices], axis=0)
-
-    def __abs__(self) -> LinearQueryMatrix:
-        return HStack([abs(m) for m in self.matrices])
-
-    def square(self) -> LinearQueryMatrix:
-        return HStack([m.square() for m in self.matrices])
-
-    def dense(self) -> np.ndarray:
-        return np.hstack([m.dense() for m in self.matrices])
-
-    def sparse(self) -> sp.csr_matrix:
-        return sp.hstack([m.sparse() for m in self.matrices], format="csr")
-
-    def _build_strategy_key(self) -> tuple:
-        return ("HStack", tuple(m.strategy_key() for m in self.matrices))
-
 
 class Product(LinearQueryMatrix):
     """Lazy matrix product ``A @ B``."""
@@ -173,20 +120,6 @@ class Product(LinearQueryMatrix):
     @property
     def T(self) -> LinearQueryMatrix:
         return Product(self.right.T, self.left.T)
-
-    def __abs__(self) -> LinearQueryMatrix:
-        # |AB| != |A||B| in general; if both factors are entrywise non-negative
-        # the product already equals its absolute value.  For binary-valued
-        # products (e.g. range queries = Sparse x Prefix) callers rely on
-        # is_nonnegative(); otherwise fall back to materialisation.
-        if _is_nonnegative(self.left) and _is_nonnegative(self.right):
-            return self
-        return super().__abs__()
-
-    def square(self) -> LinearQueryMatrix:
-        if _is_binary(self):
-            return self
-        return super().square()
 
     def dense(self) -> np.ndarray:
         return self.left.dense() @ self.right.dense()
@@ -360,34 +293,3 @@ class Kronecker(LinearQueryMatrix):
 
     def _build_strategy_key(self) -> tuple:
         return ("Kronecker", tuple(f.strategy_key() for f in self.factors))
-
-
-def _is_nonnegative(matrix: LinearQueryMatrix) -> bool:
-    """Best-effort structural check that a matrix has no negative entries."""
-    from .core import Identity, Ones, Prefix, Suffix
-
-    if isinstance(matrix, (Identity, Ones, Prefix, Suffix)):
-        return True
-    if isinstance(matrix, Weighted):
-        return matrix.weight >= 0 and _is_nonnegative(matrix.base)
-    if isinstance(matrix, (VStack, HStack)):
-        return all(_is_nonnegative(m) for m in matrix.matrices)
-    if isinstance(matrix, Kronecker):
-        return all(_is_nonnegative(f) for f in matrix.factors)
-    if isinstance(matrix, Product):
-        return _is_nonnegative(matrix.left) and _is_nonnegative(matrix.right)
-    if hasattr(matrix, "matrix"):
-        return bool(np.all(matrix.matrix.data >= 0))  # implicit zeros are >= 0
-    if hasattr(matrix, "array"):
-        return bool(np.all(matrix.array >= 0))
-    return False
-
-
-def _is_binary(matrix: LinearQueryMatrix) -> bool:
-    """Structural check used to make abs/square no-ops on 0/1-valued products.
-
-    A product such as ``Sparse({-1, 0, 1}) @ Prefix`` that encodes range
-    queries has only 0/1 entries even though its factors do not, so the
-    range-query classes set ``_binary_valued`` explicitly.
-    """
-    return bool(getattr(matrix, "_binary_valued", False))

@@ -124,8 +124,3 @@ class SparseMatrix(LinearQueryMatrix):
 
     def rows(self, indices, block_size: int = 256) -> np.ndarray:
         return np.asarray(self.matrix[self._row_indices(indices)].todense())
-
-    @property
-    def nnz(self) -> int:
-        """Number of stored non-zero entries."""
-        return int(self.matrix.nnz)

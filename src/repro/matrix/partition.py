@@ -30,8 +30,6 @@ class ReductionMatrix(LinearQueryMatrix):
         to ``0..p-1`` preserving order of first appearance.
     """
 
-    _binary_valued = True
-
     def __init__(self, groups: np.ndarray):
         groups = np.asarray(groups)
         if groups.ndim != 1:
@@ -117,38 +115,11 @@ class ReductionMatrix(LinearQueryMatrix):
         """Transform a workload onto the reduced domain: ``W' = W P+``."""
         return Product(ensure_matrix(workload), self.pseudo_inverse())
 
-    def expand_workload(self, reduced_workload) -> LinearQueryMatrix:
-        """Express a reduced-domain workload on the original domain: ``W = W' P``."""
-        return Product(ensure_matrix(reduced_workload), self)
-
     def split_indices(self) -> list[np.ndarray]:
         """Cell indices of each group (used by V-SplitByPartition)."""
         order = np.argsort(self.groups, kind="stable")
         boundaries = np.searchsorted(self.groups[order], np.arange(self.num_groups + 1))
         return [order[boundaries[g] : boundaries[g + 1]] for g in range(self.num_groups)]
-
-    @classmethod
-    def identity(cls, n: int) -> "ReductionMatrix":
-        """The trivial partition with one group per cell (no reduction)."""
-        return cls(np.arange(n))
-
-    @classmethod
-    def single_group(cls, n: int) -> "ReductionMatrix":
-        """The coarsest partition grouping every cell together."""
-        return cls(np.zeros(n, dtype=int))
-
-    @classmethod
-    def from_group_list(cls, n: int, groups: list[np.ndarray]) -> "ReductionMatrix":
-        """Build a partition from an explicit list of index arrays."""
-        assignment = np.full(n, -1, dtype=int)
-        for g, idx in enumerate(groups):
-            idx = np.asarray(idx, dtype=int)
-            if np.any(assignment[idx] != -1):
-                raise ValueError("groups overlap")
-            assignment[idx] = g
-        if np.any(assignment == -1):
-            raise ValueError("groups do not cover every cell")
-        return cls(assignment)
 
 
 class ExpansionMatrix(LinearQueryMatrix):

@@ -37,9 +37,6 @@ class RangeQueries(LinearQueryMatrix):
         the inclusive range ``[lo, hi]``.
     """
 
-    #: entries of the represented matrix are all 0/1 so abs and square are no-ops
-    _binary_valued = True
-
     def __init__(self, n: int, intervals: Iterable[tuple[int, int]]):
         self.n = int(n)
         bounds = np.array(list(intervals), dtype=np.int64)
@@ -168,8 +165,6 @@ class HierarchicalQueries(LinearQueryMatrix):
     factor) algorithms.
     """
 
-    _binary_valued = True
-
     def __init__(self, n: int, branching: int = 2):
         self.n = int(n)
         self.branching = int(branching)
@@ -228,8 +223,6 @@ class RangeQueries2D(LinearQueryMatrix):
     Each rectangle is the Kronecker-style conjunction of a row range and a
     column range, represented as ``Sparse x Kron(Prefix, Prefix)``.
     """
-
-    _binary_valued = True
 
     def __init__(self, rows: int, cols: int, rects: Sequence[tuple[int, int, int, int]]):
         self.grid_rows = int(rows)

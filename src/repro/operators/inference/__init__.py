@@ -5,9 +5,8 @@ from .least_squares import (
     NormalEquations,
     build_normal_equations,
     least_squares,
-    least_squares_from_parts,
 )
-from .mult_weights import estimate_total, multiplicative_weights
+from .mult_weights import multiplicative_weights
 from .nnls import nnls, nnls_with_total
 from .thresholding import threshold
 from .tree_based import hierarchical_measurements, tree_based_least_squares
@@ -17,10 +16,8 @@ __all__ = [
     "NormalEquations",
     "build_normal_equations",
     "least_squares",
-    "least_squares_from_parts",
     "nnls",
     "nnls_with_total",
-    "estimate_total",
     "multiplicative_weights",
     "threshold",
     "tree_based_least_squares",

@@ -62,7 +62,6 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse.linalg import lsmr, splu
 
 from ...matrix import LinearQueryMatrix, ensure_matrix
-from ...matrix.combinators import VStack
 from ...telemetry.spans import NOOP_SPAN, trace_span
 
 
@@ -386,42 +385,3 @@ def least_squares(
         return InferenceResult(
             np.asarray(x_hat), iterations=int(itn), residual_norm=scale * float(normr)
         )
-
-
-def least_squares_from_parts(
-    parts: list[tuple[LinearQueryMatrix, np.ndarray, float]],
-    method: str = "lsmr",
-    gram_cache: SupportsGetOrBuild | None = None,
-) -> InferenceResult:
-    """Global least squares over measurements collected from different plan steps.
-
-    ``parts`` is a list of ``(M_i, y_i, noise_scale_i)`` triples, all expressed
-    over the *same* data vector (use partition expansion to map measurements on
-    reduced domains back to the original domain first).  Each part is weighted
-    by the inverse of its noise scale so noisier measurements count less.
-
-    ``gram_cache`` is forwarded to :func:`least_squares`, which keys its
-    entry by the *weighted* stack's strategy key, so multi-step plans on the
-    same strategy and noise split share one factorisation.
-    """
-    if not parts:
-        raise ValueError("at least one measurement part is required")
-    matrices = []
-    answers = []
-    weights = []
-    for matrix, y, scale in parts:
-        matrix = ensure_matrix(matrix)
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (matrix.shape[0],):
-            raise ValueError("answers do not match the measurement matrix")
-        matrices.append(matrix)
-        answers.append(y)
-        weights.append(np.full(matrix.shape[0], 1.0 / max(scale, 1e-12)))
-    stacked = matrices[0] if len(matrices) == 1 else VStack(matrices)
-    return least_squares(
-        stacked,
-        np.concatenate(answers),
-        weights=np.concatenate(weights),
-        method=method,
-        gram_cache=gram_cache,
-    )

@@ -77,34 +77,10 @@ def _pass_rows(
             yield lo + offset, row, supports[offset]
 
 
-def estimate_total(queries: LinearQueryMatrix, answers: np.ndarray) -> float:
-    """MWEM's known-total stand-in when no total is supplied.
-
-    Total-like rows — rows that sum every cell with coefficient one — answer
-    the total directly, so their noisy answers average to an unbiased estimate;
-    when the query set has none, the largest answer magnitude is the best
-    available lower bound.  Rows are classified from two matvecs (row sums and
-    squared row sums), so implicit matrices never materialise: a row with both
-    equal to the domain size must be all ones, given coefficients in [0, 1].
-    """
-    queries = ensure_matrix(queries)
-    answers = np.asarray(answers, dtype=np.float64)
-    n = queries.shape[1]
-    ones = np.ones(n)
-    row_sums = queries.matvec(ones)
-    squared_sums = queries.square().matvec(ones)
-    total_like = np.isclose(row_sums, n) & np.isclose(squared_sums, n)
-    if np.any(total_like):
-        # Same floor as the fallback: a heavily-noised total can come back
-        # non-positive, and a degenerate total collapses the MW update.
-        return float(max(np.mean(answers[total_like]), 1.0))
-    return float(max(np.max(np.abs(answers)), 1.0))
-
-
 def multiplicative_weights(
     queries: LinearQueryMatrix,
     answers: np.ndarray,
-    total: float | None = None,
+    total: float,
     x0: np.ndarray | None = None,
     iterations: int = 50,
     support_sparse: bool | None = None,
@@ -120,9 +96,7 @@ def multiplicative_weights(
     answers:
         Noisy answers ``y``.
     total:
-        Total number of records.  If ``None`` it is estimated from the answers
-        (mean of any total-like rows, otherwise the max answer; see
-        :func:`estimate_total`), matching MWEM's assumption of a known total.
+        Total number of records, MWEM's assumption of a known total.
     x0:
         Starting estimate; defaults to the uniform distribution over the domain
         scaled to ``total``.
@@ -150,8 +124,6 @@ def multiplicative_weights(
         raise ValueError("answers do not match the number of queries")
     n = queries.shape[1]
 
-    if total is None:
-        total = estimate_total(queries, answers)
     total = max(float(total), 1e-9)
 
     if x0 is None:

@@ -147,13 +147,3 @@ def ahp_partition(
     filtered = np.where(noisy < cutoff, 0.0, noisy)
     assignment = cluster_sorted_counts(filtered, gap_ratio=gap_ratio)
     return ReductionMatrix(assignment)
-
-
-def ahp_partition_from_noisy(
-    noisy: np.ndarray, epsilon: float, eta: float = 0.35, gap_ratio: float = 0.5
-) -> ReductionMatrix:
-    """Post-processing-only variant when a noisy histogram is already available."""
-    noisy = np.asarray(noisy, dtype=np.float64)
-    cutoff = eta * np.log(max(noisy.size, 2)) / epsilon
-    filtered = np.where(noisy < cutoff, 0.0, noisy)
-    return ReductionMatrix(cluster_sorted_counts(filtered, gap_ratio=gap_ratio))

@@ -6,8 +6,12 @@ approximately uniform, so that measuring only the interval totals (stage two)
 loses little information while greatly reducing noise.
 
 The original uses an L1-cost dynamic program over noisy interval costs with
-interval lengths restricted to powers of two (for an O(n log n) running time).
-We implement the same structure:
+interval lengths restricted to powers of two, for an O(n log n) running time.
+This module keeps that structure, but not that cost: its cost pass sums
+each candidate interval's deviations cell by cell, about 0.66·n² element
+operations in all, so it is quadratic in n (2.98 s at n = 2^16 on a
+two-core machine).  Item 6 of ROADMAP.md, DAWA on exact integer costs,
+plans a cost pass without the quadratic term.  The steps:
 
 1. spend ``epsilon`` on a noisy histogram (identity Laplace measurement),
 2. compute, for every dyadic-length candidate interval, the (noisy) L1
@@ -290,8 +294,3 @@ def dawa_partition(
     noisy = source.vector_laplace(Identity(n), epsilon)
     noise_scale = 1.0 / epsilon
     return ReductionMatrix(l1_partition(noisy, noise_scale))
-
-
-def dawa_partition_from_noisy(noisy: np.ndarray, epsilon: float) -> ReductionMatrix:
-    """Post-processing-only variant when a noisy histogram is already available."""
-    return ReductionMatrix(l1_partition(np.asarray(noisy, dtype=np.float64), 1.0 / epsilon))

@@ -6,8 +6,9 @@ rather than by the data:
 * :func:`stripe_partition` — one group per combination of the non-stripe
   attributes, so each group is a 1-D "stripe" along the stripe attribute
   (used by the HB-Striped and DAWA-Striped census plans, Sec. 9.2);
-* :func:`grid_partition` — rectangular blocks of a 2-D domain (used by
-  UniformGrid / AdaptiveGrid);
+* :func:`grid_partition` — rectangular blocks of a 2-D domain, the ``PU``
+  partition of AdaptiveGrid's Fig. 2 signature (the AdaptiveGrid plan itself
+  partitions by its level-1 rectangles directly);
 * :func:`marginal_partition` — groups cells by their value on a subset of
   attributes, reducing the full-domain vector to a marginal vector (used by
   the Naive Bayes SelectLS plan, Sec. 9.3).
@@ -74,15 +75,3 @@ def marginal_partition(domain: Sequence[int], keep: Sequence[int]) -> ReductionM
     else:
         group = np.zeros(domain, dtype=int)
     return ReductionMatrix(group.ravel())
-
-
-def uniform_chunks_partition(n: int, num_groups: int) -> ReductionMatrix:
-    """Partition a 1-D domain into ``num_groups`` contiguous equal-width chunks."""
-    if num_groups <= 0:
-        raise ValueError("num_groups must be positive")
-    num_groups = min(num_groups, n)
-    edges = np.linspace(0, n, num_groups + 1).astype(int)
-    assignment = np.zeros(n, dtype=int)
-    for g, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        assignment[lo:hi] = g
-    return ReductionMatrix(assignment)

@@ -53,19 +53,3 @@ def workload_based_partition(
     rounded = np.round(signatures / scales, decimals=decimals)
     _, assignment = np.unique(rounded, axis=1, return_inverse=True)
     return ReductionMatrix(assignment)
-
-
-def reduce_workload_and_vector(
-    workload: LinearQueryMatrix, data_vector: np.ndarray, **kwargs
-) -> tuple[LinearQueryMatrix, np.ndarray, ReductionMatrix]:
-    """Convenience: compute the partition and apply it to both workload and data.
-
-    Returns ``(W', x', P)`` with ``W' = W P+`` and ``x' = P x`` so that
-    ``W x = W' x'`` (Prop. 8.3).  Intended for non-private experimentation and
-    testing; inside plans the data reduction goes through the protected kernel
-    (``ProtectedDataSource.reduce_by_partition``).
-    """
-    partition = workload_based_partition(workload, **kwargs)
-    reduced_workload = partition.reduce_workload(workload)
-    reduced_vector = partition.reduce_vector(np.asarray(data_vector, dtype=np.float64))
-    return reduced_workload, reduced_vector, partition

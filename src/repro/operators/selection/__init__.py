@@ -16,7 +16,6 @@ from .simple import (
     h2_select,
     hb_select,
     identity_select,
-    prefix_select,
     total_select,
     wavelet_select,
 )
@@ -26,7 +25,6 @@ from .worst_approx import augment_with_hierarchy, worst_approximated
 __all__ = [
     "identity_select",
     "total_select",
-    "prefix_select",
     "wavelet_select",
     "h2_select",
     "hb_select",

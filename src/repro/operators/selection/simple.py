@@ -14,7 +14,6 @@ from ...matrix import (
     HierarchicalQueries,
     Identity,
     LinearQueryMatrix,
-    Prefix,
     Total,
     optimal_branching_factor,
 )
@@ -28,11 +27,6 @@ def identity_select(n: int) -> LinearQueryMatrix:
 def total_select(n: int) -> LinearQueryMatrix:
     """Total strategy: measure only the overall count (the Uniform plan, #6)."""
     return Total(n)
-
-
-def prefix_select(n: int) -> LinearQueryMatrix:
-    """Prefix (empirical CDF) strategy: all prefix sums of the domain."""
-    return Prefix(n)
 
 
 def wavelet_select(n: int) -> LinearQueryMatrix:

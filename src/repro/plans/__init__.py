@@ -27,10 +27,8 @@ from .registry import (
     PLAN_TABLE,
     PLANS_BY_ID,
     PLANS_BY_NAME,
-    available_plans,
     get_plan,
     make_plan,
-    plan_signatures,
 )
 from .striped import DawaStripedPlan, HbStripedKronPlan, HbStripedPlan
 
@@ -68,8 +66,6 @@ __all__ = [
     "PLAN_TABLE",
     "PLANS_BY_NAME",
     "PLANS_BY_ID",
-    "available_plans",
     "get_plan",
     "make_plan",
-    "plan_signatures",
 ]

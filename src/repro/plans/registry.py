@@ -76,24 +76,11 @@ def get_plan(name: str, **kwargs) -> Plan:
     return PLANS_BY_NAME[name].factory(**kwargs)
 
 
-def available_plans() -> list[str]:
-    """Sorted names of every registered plan (for service discovery)."""
-    return sorted(PLANS_BY_NAME)
-
-
 def make_plan(name: str, params: Mapping[str, object] | None = None) -> Plan:
     """Parameterised registry lookup used by the service scheduler.
 
     ``params`` is the keyword-argument mapping a request carries (workload
     intervals, domain shapes, representations, ...); ``None`` means the plan's
-    defaults.  Unlike :func:`get_plan` this validates the name before touching
-    the factory so schedulers can reject bad requests cheaply.
+    defaults.  An unknown name raises ``KeyError`` before any factory runs.
     """
-    if name not in PLANS_BY_NAME:
-        raise KeyError(f"unknown plan {name!r}; available: {available_plans()}")
     return get_plan(name, **dict(params or {}))
-
-
-def plan_signatures() -> list[tuple[int | None, str, str]]:
-    """The (id, name, signature) triples of Fig. 2, for the transparency example."""
-    return [(entry.plan_id, entry.name, entry.signature) for entry in PLAN_TABLE]

@@ -84,10 +84,6 @@ class _CompensatedSum:
     def add(self, value: float) -> None:
         self._total, self._compensation = self._parts_with(value)
 
-    @property
-    def value(self) -> float:
-        return self._total + self._compensation
-
 
 class NodeKind(Enum):
     """Role of a node in the transformation graph."""
@@ -158,8 +154,8 @@ class BudgetTracker:
     def add_derived(self, name: str, parent: str, stability: float) -> None:
         """Register a source derived from ``parent`` by a ``stability``-stable transform."""
         self._check_new(name, parent)
-        if stability <= 0:
-            raise ValueError("stability must be positive")
+        if not 0 < stability < math.inf:
+            raise ValueError("stability must be positive and finite")
         self._nodes[name] = BudgetNode(name, NodeKind.DERIVED, parent, float(stability))
 
     def add_partition(self, name: str, parent: str) -> None:
@@ -189,10 +185,15 @@ class BudgetTracker:
 
         Applies :meth:`_walk`'s increases if the cost reaching the root fits
         the ledger; otherwise returns ``False`` and changes nothing.  A cost
-        with a negative component raises ``ValueError``.
+        with a negative or non-finite component raises ``ValueError`` and
+        changes nothing: an infinite charge would turn the compensated ledger
+        sum into NaN (``inf - inf``), which every later acceptance test lets
+        through.
         """
         if cost.primary < 0 or cost.delta < 0:
             raise ValueError("budget requests must be non-negative")
+        if not (math.isfinite(cost.primary) and math.isfinite(cost.delta)):
+            raise ValueError("budget requests must be finite")
         steps, root_cost = self._walk(name, cost)
         if root_cost is not None:
             if not self._ledger_accepts(root_cost):

@@ -30,6 +30,7 @@ journaled session reads its new history rows at each commit,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -284,10 +285,6 @@ class ProtectedKernel:
     def source_kind(self, name: str) -> str:
         return self._get(name).kind
 
-    def schema(self, name: str):
-        """Schema of a table source (data-independent metadata)."""
-        return self._data(name, "table").schema
-
     def domain_size(self, name: str) -> int:
         """Length of a vector source / vectorised domain size of a table source."""
         source = self._get(name)
@@ -459,8 +456,10 @@ class ProtectedKernel:
         wastes the charge but releases and records nothing.
         """
         with trace_span(span, source=name, epsilon=float(epsilon), **attributes) as handle:
-            if epsilon <= 0:
-                raise ValueError("the privacy parameter of a measurement must be positive")
+            if not 0 < epsilon < math.inf:  # NaN fails every comparison
+                raise ValueError(
+                    "the privacy parameter of a measurement must be positive and finite"
+                )
             scale, cost, public = calibrate()
             if self.fault_injector is not None:
                 self.fault_injector.fire("kernel.before_charge", name, epsilon)

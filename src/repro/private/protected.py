@@ -58,31 +58,14 @@ class ProtectedDataSource:
         return self._kernel
 
     @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def kind(self) -> str:
-        return self._kernel.source_kind(self._name)
-
-    @property
     def domain_size(self) -> int:
         return self._kernel.domain_size(self._name)
-
-    @property
-    def schema(self):
-        return self._kernel.schema(self._name)
 
     def budget_consumed(self) -> float:
         return self._kernel.budget_consumed()
 
     def budget_remaining(self) -> float:
         return self._kernel.budget_remaining()
-
-    @property
-    def accountant(self):
-        """The kernel's privacy accountant (public configuration metadata)."""
-        return self._kernel.accountant
 
     # ------------------------------------------------------------------
     # Private operators (transformations) — return new handles.
@@ -165,7 +148,7 @@ class ProtectedDataSource:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProtectedDataSource({self._name!r}, kind={self.kind!r})"
+        return f"ProtectedDataSource({self._name!r}, kind={self._kernel.source_kind(self._name)!r})"
 
 
 def protect(

@@ -49,14 +49,7 @@ Typical usage::
 from .api import QueryRequest, QueryResponse, RequestFailure
 from .artifact_cache import ArtifactCache
 from .executors import ExecutorBackend, InlineExecutor, ThreadExecutor, make_executor
-from .export import (
-    export_json,
-    reconcile,
-    request_metrics,
-    service_report,
-    session_report,
-    telemetry_report,
-)
+from .export import reconcile, request_metrics, session_report, telemetry_report
 from .scheduler import PlanScheduler, derive_request_seed
 from .session import CachedAnswer, Session, SessionClosedError, SessionEvent, SessionManager
 
@@ -77,9 +70,7 @@ __all__ = [
     "ArtifactCache",
     "SessionClosedError",
     "session_report",
-    "service_report",
     "reconcile",
-    "export_json",
     "request_metrics",
     "telemetry_report",
 ]

@@ -104,10 +104,6 @@ class ArtifactCache:
                 "evictions": self.evictions,
             }
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

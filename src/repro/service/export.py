@@ -1,11 +1,11 @@
-"""Structured audit export of sessions and the whole service.
+"""Structured audit export of sessions.
 
-Serialises a session's audit trail — the per-request
+:func:`session_report` gives a session's audit trail — the per-request
 :class:`~repro.service.session.SessionEvent` ledger plus the kernel's
-source-level :class:`~repro.private.audit.BudgetAudit` — into plain
-JSON-ready dictionaries, and reconciles the two accountings: the sum of
-``epsilon_spent`` over the service's events must equal the kernel's own
-``budget_consumed()`` exactly, or something double-charged or leaked.
+source-level :class:`~repro.private.audit.BudgetAudit` — as one plain
+JSON-ready dictionary, and :func:`reconcile` checks the two accountings: the
+sum of ``epsilon_spent`` over the service's events must equal the kernel's
+own ``budget_consumed()`` exactly, or something double-charged or leaked.
 
 The request metrics are a view of the same trail, computed at export
 (:func:`request_metrics`, :func:`telemetry_report`): each count is a count
@@ -14,13 +14,12 @@ of events and each sum is ``math.fsum`` over them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict
 
 from ..private.audit import audit_kernel
 from ..telemetry.metrics import MetricsRegistry
-from .session import RequestTally, Session, SessionManager
+from .session import RequestTally, Session
 
 
 def session_report(session: Session) -> dict:
@@ -51,7 +50,8 @@ def _timing_summary(events) -> dict:
         }
 
     def rank(q: float) -> float:
-        return durations[min(int(q * len(durations)), len(durations) - 1)]
+        # The nearest rank: the smallest duration with at least q of them at or below it.
+        return durations[math.ceil(q * len(durations)) - 1]
 
     total = math.fsum(durations)
     return {
@@ -128,17 +128,6 @@ def reconcile(session: Session) -> dict:
     }
 
 
-def service_report(manager: SessionManager) -> dict:
-    """Audit export over every live session of the service."""
-    reports = [session_report(session) for session in manager.sessions()]
-    return {
-        "num_sessions": len(reports),
-        "tenants": sorted({report["tenant"] for report in reports}),
-        "total_epsilon_consumed": math.fsum(r["budget_consumed"] for r in reports),
-        "sessions": reports,
-    }
-
-
 def request_metrics(scheduler) -> MetricsRegistry:
     """A :class:`PlanScheduler`'s metrics as of now, in a fresh registry:
     ``service_requests`` per tenant, plan and outcome and the per-tenant
@@ -199,12 +188,3 @@ def telemetry_report(scheduler) -> dict:
         "caches": {"artifact": scheduler.artifact_cache.stats},
         "tracer": scheduler.tracer.stats(),
     }
-
-
-def export_json(session_or_manager: Session | SessionManager, indent: int = 2) -> str:
-    """Serialise a session (or the whole service) report to a JSON string."""
-    if isinstance(session_or_manager, SessionManager):
-        report = service_report(session_or_manager)
-    else:
-        report = session_report(session_or_manager)
-    return json.dumps(report, indent=indent, default=float)

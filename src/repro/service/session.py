@@ -45,7 +45,7 @@ import numpy as np
 from ..accounting import make_accountant
 from ..dataset.relation import Relation
 from ..durability.records import commit_record, open_record, release_record
-from ..private.kernel import BudgetSnapshot, MeasurementRecord, ProtectedKernel
+from ..private.kernel import BudgetSnapshot, ProtectedKernel
 from ..private.protected import ProtectedDataSource
 from ..telemetry.metrics import Histogram
 from .api import QueryResponse
@@ -238,14 +238,6 @@ class Session:
         self._closing = False
         self._closed = False
 
-    # ------------------------------------------------------------------
-    # Handles.
-    # ------------------------------------------------------------------
-    @property
-    def root(self) -> ProtectedDataSource:
-        """The root table handle."""
-        return self._root
-
     def vector_source(self) -> ProtectedDataSource:
         """The session's vectorised source (built once, then shared).
 
@@ -301,10 +293,6 @@ class Session:
         """Append one audit-trail event (the next commit journals it)."""
         with self.lock:
             self.events.append(event)
-
-    def measurements_for(self, event: SessionEvent) -> list[MeasurementRecord]:
-        """The kernel history records produced by one audit-trail event."""
-        return self.kernel.history()[event.history_start : event.history_end]
 
     def release(
         self, key: tuple, response: QueryResponse, history_start: int, history_end: int
@@ -594,9 +582,6 @@ class SessionManager:
         for session in sessions:
             _fold(tallies, session, list(session.events))
         return tallies
-
-    def for_tenant(self, tenant: str) -> list[Session]:
-        return [session for session in self.sessions() if session.tenant == tenant]
 
     def __len__(self) -> int:
         with self._lock:

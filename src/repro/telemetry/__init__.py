@@ -51,7 +51,6 @@ from .spans import (
     SpanHandle,
     Tracer,
     activate,
-    current_tracer,
     trace_span,
 )
 
@@ -65,7 +64,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "NOOP_SPAN",
-    "current_tracer",
     "activate",
     "trace_span",
     "Counter",

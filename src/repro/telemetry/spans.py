@@ -12,9 +12,12 @@ Instrumented library code does not take a tracer parameter.  It calls
 :func:`trace_span`, which resolves the *active* tracer of the current thread —
 installed by :func:`activate` (the service scheduler activates its tracer for
 the duration of each request) and defaulting to the process-wide
-:data:`NULL_TRACER`.  The null tracer's :meth:`~NullTracer.span` returns one
-shared no-op handle and records nothing, so uninstrumented deployments pay a
-single thread-local read plus one no-argument method call per seam.
+:data:`NULL_TRACER`.  With the null tracer active, :func:`trace_span` returns
+the one shared no-op handle :data:`NOOP_SPAN` and records nothing, so
+uninstrumented deployments pay a single thread-local read per seam.  The null
+tracer itself keeps only what callers read from an untraced scheduler's
+``tracer``: :meth:`~NullTracer.span`, its length and
+:meth:`~NullTracer.stats`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "current_tracer",
     "activate",
     "trace_span",
 ]
@@ -224,13 +226,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def traces(self) -> dict[str, list[Span]]:
-        """Finished spans grouped by trace id (each list in completion order)."""
-        grouped: dict[str, list[Span]] = {}
-        for span in self.spans():
-            grouped.setdefault(span.trace_id, []).append(span)
-        return grouped
-
     def trace(self, trace_id: str) -> list[Span]:
         """All finished spans of one trace."""
         return [span for span in self.spans() if span.trace_id == trace_id]
@@ -240,10 +235,6 @@ class Tracer:
         with self._lock:
             drained, self._spans = self._spans, []
             return drained
-
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
 
     @property
     def dropped(self) -> int:
@@ -306,28 +297,6 @@ class NullTracer:
     def span(self, name: str | None = None, **attributes):
         return NOOP_SPAN
 
-    def current_span(self) -> None:
-        return None
-
-    def spans(self) -> list[Span]:
-        return []
-
-    def traces(self) -> dict[str, list[Span]]:
-        return {}
-
-    def trace(self, trace_id: str) -> list[Span]:
-        return []
-
-    def drain(self) -> list[Span]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    @property
-    def dropped(self) -> int:
-        return 0
-
     def __len__(self) -> int:
         return 0
 
@@ -335,16 +304,11 @@ class NullTracer:
         return {"enabled": False, "num_spans": 0, "num_traces": 0, "dropped": 0}
 
 
-#: Process-wide disabled tracer; ``current_tracer()`` falls back to it.
+#: Process-wide disabled tracer: the active tracer of a thread that activated none.
 NULL_TRACER = NullTracer()
 
 #: Thread-local slot holding the tracer activated for the current thread.
 _ACTIVE = threading.local()
-
-
-def current_tracer() -> Tracer | NullTracer:
-    """The tracer instrumented code should emit to on this thread."""
-    return getattr(_ACTIVE, "tracer", NULL_TRACER)
 
 
 class activate:

@@ -2,7 +2,6 @@
 
 from .builders import (
     WORKLOAD_BUILDERS,
-    all_range_workload,
     build_workload,
     census_prefix_income_workload,
     identity_workload,
@@ -17,7 +16,6 @@ from .builders import (
 __all__ = [
     "prefix_workload",
     "random_range_workload",
-    "all_range_workload",
     "identity_workload",
     "two_way_marginals_workload",
     "census_prefix_income_workload",

@@ -56,12 +56,6 @@ def random_range_workload(
     return RangeQueries(n, intervals)
 
 
-def all_range_workload(n: int) -> LinearQueryMatrix:
-    """Every contiguous range query over a 1-D domain (n(n+1)/2 queries)."""
-    intervals = [(lo, hi) for lo in range(n) for hi in range(lo, n)]
-    return RangeQueries(n, intervals)
-
-
 def identity_workload(domain: Sequence[int] | int) -> LinearQueryMatrix:
     """Counts of every cell of the (possibly multi-dimensional) domain."""
     if isinstance(domain, int):
@@ -121,7 +115,6 @@ def marginals_workload(domain: Sequence[int], groups: Sequence[Sequence[int]]) -
 WORKLOAD_BUILDERS: dict[str, Callable[..., LinearQueryMatrix]] = {
     "prefix": prefix_workload,
     "random_range": random_range_workload,
-    "all_range": all_range_workload,
     "identity": identity_workload,
     "two_way_marginals": two_way_marginals_workload,
     "census_prefix_income": census_prefix_income_workload,

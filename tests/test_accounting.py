@@ -164,7 +164,7 @@ def _run_scenario(tracker_cls_new: bool, epsilon_total, actions):
         }
         chargeable_kind = lambda name: tracker.node(name).kind.value  # noqa: E731
         charge = lambda name, sigma: tracker.charge(  # noqa: E731
-            name, tracker.accountant.raw_cost(sigma)
+            name, Cost(sigma)
         )
     else:
         tracker = _SeedTracker(epsilon_total)
@@ -233,10 +233,10 @@ class TestHardenedLedger:
     def test_many_small_charges_cannot_drift_past_total(self):
         tracker = BudgetTracker(1.0)
         for _ in range(10):
-            assert tracker.charge("root", tracker.accountant.raw_cost(0.1))
+            assert tracker.charge("root", Cost(0.1))
         # The naive accumulator sits at 0.9999999999999999; the ledger must
         # still refuse anything visibly above zero remaining.
-        assert not tracker.charge("root", tracker.accountant.raw_cost(1e-6))
+        assert not tracker.charge("root", Cost(1e-6))
         assert math.fsum(c.primary for c in tracker.ledger()) <= 1.0 + 1e-9
 
     def test_exactly_exhausting_charge_is_accepted(self):
@@ -246,7 +246,7 @@ class TestHardenedLedger:
         tracker = BudgetTracker(700.0)
         seed = _SeedTracker(700.0)
         for i in range(1000):
-            accepted = tracker.charge("root", tracker.accountant.raw_cost(0.7))
+            accepted = tracker.charge("root", Cost(0.7))
             assert accepted, f"ledger rejected charge {i}"
         seed_decisions = [seed.request("root", 0.7) for _ in range(1000)]
         assert not seed_decisions[-1]  # the regression this fixes
@@ -255,15 +255,15 @@ class TestHardenedLedger:
     def test_over_budget_still_rejected_after_exhaustion(self):
         tracker = BudgetTracker(0.3)
         for _ in range(3):
-            assert tracker.charge("root", tracker.accountant.raw_cost(0.1))
-        assert not tracker.charge("root", tracker.accountant.raw_cost(0.05))
+            assert tracker.charge("root", Cost(0.1))
+        assert not tracker.charge("root", Cost(0.05))
 
     def test_remaining_never_negative_after_exact_exhaustion(self):
         # The accepted 1000th charge leaves the naive accumulator a few ulps
         # above 700; remaining() must clamp rather than report < 0.
         tracker = BudgetTracker(700.0)
         for _ in range(1000):
-            assert tracker.charge("root", tracker.accountant.raw_cost(0.7))
+            assert tracker.charge("root", Cost(0.7))
         assert tracker.remaining() == 0.0
 
     def test_tiny_zcdp_budget_refuses_overspend(self):
@@ -278,15 +278,15 @@ class TestHardenedLedger:
 
     def test_budget_below_the_rounding_slack_refuses_overspend(self):
         tracker = BudgetTracker(1e-10)
-        assert not tracker.charge("root", tracker.accountant.raw_cost(1e-9))
-        assert tracker.charge("root", tracker.accountant.raw_cost(1e-10))
-        assert not tracker.charge("root", tracker.accountant.raw_cost(1e-12))
+        assert not tracker.charge("root", Cost(1e-9))
+        assert tracker.charge("root", Cost(1e-10))
+        assert not tracker.charge("root", Cost(1e-12))
 
     def test_ledger_records_every_accepted_charge(self):
         tracker = BudgetTracker(1.0)
-        tracker.charge("root", tracker.accountant.raw_cost(0.25))
-        tracker.charge("root", tracker.accountant.raw_cost(0.5))
-        tracker.charge("root", tracker.accountant.raw_cost(0.5))  # rejected
+        tracker.charge("root", Cost(0.25))
+        tracker.charge("root", Cost(0.5))
+        tracker.charge("root", Cost(0.5))  # rejected
         assert [c.primary for c in tracker.ledger()] == [0.25, 0.5]
 
 
@@ -625,7 +625,7 @@ class TestServiceAccounting:
             )
         assert len(manager) == 0
         # A bare kernel never restores, so it keeps taking instances.
-        assert protect(table, seed=3, accountant=accountant).accountant is accountant
+        assert protect(table, seed=3, accountant=accountant).kernel.accountant is accountant
 
     def test_gaussian_end_to_end_through_scheduler(self, table):
         manager = SessionManager()
@@ -739,3 +739,45 @@ class TestGaussianExpectedError:
         # Variance ratio is 2n²/ε² versus 2·ln(1.25/δ)·n/ε²: linear in n (≈18×
         # at n=256), and growing without bound as the domain widens.
         assert gaussian < laplace / 10.0
+
+
+class TestNonFiniteEpsilon:
+    """A NaN or infinite ε is refused wherever it enters, under every
+    accountant.  NaN passes any ``x <= 0`` check, and an infinite charge turns
+    the compensated ledger sum into NaN (``inf - inf``), after which every
+    later charge was accepted: one such request switched the budget off."""
+
+    @pytest.mark.parametrize("where", ["request", "create_session", "charge"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("accountant", ["pure", "approx", "zcdp"])
+    def test_refused_and_nothing_changes(self, accountant, bad, where):
+        rng = np.random.default_rng(17)
+        table = _relation(rng.integers(0, 50, size=16).astype(np.float64))
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager)
+        session = manager.create_session(
+            "acme", table, epsilon_total=1.0, seed=3, accountant=accountant
+        )
+        scheduler.execute(QueryRequest(session.session_id, plan="Identity", epsilon=0.1))
+        spent = session.budget_consumed()
+        tracker = session.kernel.budget_tracker
+        charges, records = tracker.num_charges, len(session.kernel.history())
+
+        with pytest.raises(ValueError, match="finite"):
+            if where == "request":
+                scheduler.execute(QueryRequest(session.session_id, plan="Identity", epsilon=bad))
+            elif where == "create_session":
+                manager.create_session(
+                    "acme", table, epsilon_total=bad, seed=3, accountant=accountant
+                )
+            else:
+                tracker.charge("root", Cost(bad))
+
+        assert len(manager) == 1
+        assert session.budget_consumed() == spent
+        assert tracker.num_charges == charges
+        assert len(session.kernel.history()) == records
+        assert reconcile(session)["exact"]
+        with pytest.raises(BudgetExceededError):
+            scheduler.execute(QueryRequest(session.session_id, plan="Identity", epsilon=1000.0))
+        assert session.budget_consumed() == spent

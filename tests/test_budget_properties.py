@@ -54,7 +54,7 @@ def test_root_consumption_never_exceeds_total(params):
     tracker, names = _build(epsilon_total, stabilities, num_children)
     for target_index, sigma in requests:
         target = names[target_index % len(names)]
-        tracker.charge(target, tracker.accountant.raw_cost(sigma))
+        tracker.charge(target, Cost(sigma))
     assert tracker.consumed("root") <= epsilon_total + 1e-9
     assert tracker.remaining() >= -1e-9
 
@@ -67,7 +67,7 @@ def test_denied_requests_change_nothing(params):
     for target_index, sigma in requests:
         target = names[target_index % len(names)]
         before = {name: tracker.consumed(name) for name in names}
-        granted = tracker.charge(target, tracker.accountant.raw_cost(sigma))
+        granted = tracker.charge(target, Cost(sigma))
         if not granted:
             after = {name: tracker.consumed(name) for name in names}
             assert before == after
@@ -82,7 +82,7 @@ def test_sequential_composition_adds(epsilon_total, sigmas):
     tracker = BudgetTracker(epsilon_total)
     granted_total = 0.0
     for sigma in sigmas:
-        if tracker.charge("root", tracker.accountant.raw_cost(sigma)):
+        if tracker.charge("root", Cost(sigma)):
             granted_total += sigma
     assert tracker.consumed("root") == np.float64(granted_total) or np.isclose(
         tracker.consumed("root"), granted_total
@@ -101,7 +101,7 @@ def test_parallel_composition_charges_max_once(epsilon_total, num_children, sigm
     for i in range(num_children):
         tracker.add_derived(f"c{i}", "part", stability=1.0)
     for i in range(num_children):
-        assert tracker.charge(f"c{i}", tracker.accountant.raw_cost(sigma))
+        assert tracker.charge(f"c{i}", Cost(sigma))
     assert np.isclose(tracker.consumed("root"), sigma)
 
 
@@ -114,7 +114,7 @@ def test_parallel_composition_charges_max_once(epsilon_total, num_children, sigm
 def test_stability_scales_root_cost(epsilon_total, stability, sigma):
     tracker = BudgetTracker(epsilon_total)
     tracker.add_derived("d", "root", stability=stability)
-    granted = tracker.charge("d", tracker.accountant.raw_cost(sigma))
+    granted = tracker.charge("d", Cost(sigma))
     if stability * sigma <= epsilon_total:
         assert granted
         assert np.isclose(tracker.consumed("root"), stability * sigma)

@@ -21,10 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import expected_query_error, expected_workload_error
-from repro.matrix import HierarchicalQueries, Identity, Prefix, RangeQueries, Total, VStack
+from repro.analysis import expected_workload_error
+from repro.matrix import HierarchicalQueries, Identity, Prefix, RangeQueries, VStack
 from repro.matrix.dense import DenseMatrix
-from repro.operators.inference import estimate_total, multiplicative_weights
+from repro.operators.inference import multiplicative_weights
 from repro.operators.inference import mult_weights
 from repro.operators.partition import cluster_sorted_counts, l1_partition, l1_partition_batch
 from repro.operators.partition.ahp import _reference_cluster_sorted_counts
@@ -238,49 +238,7 @@ class TestSupportSparseMultiplicativeWeights:
     def test_row_cache_shape_validated(self):
         queries, answers, total = self._range_setup(6)
         with pytest.raises(ValueError, match="row_cache"):
-            multiplicative_weights(queries, answers, row_cache=np.zeros((2, 2)))
-
-
-class TestTotalEstimation:
-    def test_mean_of_total_like_rows(self):
-        n = 16
-        queries = VStack([Identity(n), Total(n), Total(n)])
-        answers = np.concatenate([np.full(n, 3.0), [100.0, 110.0]])
-        # Documented behaviour: the mean of the total-like rows' answers.
-        assert estimate_total(queries, answers) == pytest.approx(105.0)
-        result = multiplicative_weights(queries, answers, iterations=5)
-        assert result.x_hat.sum() == pytest.approx(105.0, rel=1e-6)
-
-    def test_all_ones_dense_row_detected(self):
-        queries = DenseMatrix(np.vstack([np.eye(4), np.ones((1, 4))]))
-        answers = np.array([1.0, 2.0, 3.0, 4.0, 42.0])
-        assert estimate_total(queries, answers) == pytest.approx(42.0)
-
-    def test_partial_coverage_row_is_not_total_like(self):
-        # A row of 2s over half the cells has the right sum but not the right
-        # squared sum; it must not be mistaken for a total query.
-        row = np.zeros(8)
-        row[:4] = 2.0
-        queries = DenseMatrix(np.vstack([np.eye(8), row]))
-        answers = np.concatenate([np.full(8, 1.0), [64.0]])
-        assert estimate_total(queries, answers) == pytest.approx(64.0)  # max fallback
-
-    def test_fallback_to_max_answer(self):
-        queries = Identity(6)
-        answers = np.array([1.0, -9.0, 2.0, 0.0, 3.0, 1.0])
-        assert estimate_total(queries, answers) == pytest.approx(9.0)
-
-    def test_fallback_floor_of_one(self):
-        assert estimate_total(Identity(3), np.full(3, 0.25)) == 1.0
-
-    def test_negative_noisy_total_floored(self):
-        # A heavily-noised total row can come back negative; the estimate must
-        # keep the same floor as the fallback or MW degenerates to NaN.
-        queries = VStack([Identity(4), Total(4)])
-        answers = np.concatenate([np.full(4, 2.0), [-30.0]])
-        assert estimate_total(queries, answers) == 1.0
-        result = multiplicative_weights(queries, answers, iterations=5)
-        assert np.all(np.isfinite(result.x_hat))
+            multiplicative_weights(queries, answers, total=1.0, row_cache=np.zeros((2, 2)))
 
 
 class TestExpectedErrorEngine:
@@ -322,18 +280,6 @@ class TestExpectedErrorEngine:
         assert expected_workload_error(workload, strategy) == pytest.approx(
             self._per_row_pinv(workload, strategy), rel=1e-8
         )
-
-    def test_query_error_is_thin_wrapper(self):
-        q = np.zeros(16)
-        q[2:9] = 1.0
-        strategy = HierarchicalQueries(16)
-        assert expected_query_error(q, strategy, epsilon=2.0) == pytest.approx(
-            expected_workload_error(DenseMatrix(q.reshape(1, -1)), strategy, epsilon=2.0)
-        )
-
-    def test_query_error_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            expected_query_error(np.eye(3), Identity(3))
 
     def test_domain_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):

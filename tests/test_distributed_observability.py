@@ -19,6 +19,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.accounting import Cost
 from repro.dataset import Attribute, Relation, Schema
 from repro.durability import FaultInjector, InjectedFault
 from repro.service import PlanScheduler, QueryRequest, RequestFailure, SessionManager
@@ -251,9 +252,9 @@ class TestOrderIndependentSpend:
         for prelude in ([0.1], [0.1, 0.05], [0.05, 0.1], []):
             tracker = BudgetTracker(epsilon_total=10.0)
             for epsilon in prelude:
-                assert tracker.charge("root", tracker.accountant.raw_cost(epsilon))
+                assert tracker.charge("root", Cost(epsilon))
             start = tracker.num_charges
-            assert tracker.charge("root", tracker.accountant.raw_cost(0.2))
+            assert tracker.charge("root", Cost(0.2))
             spent = tracker.charged_between(start, tracker.num_charges)
             assert spent == 0.2  # exactly, whatever charged before it
 

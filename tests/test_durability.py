@@ -56,16 +56,14 @@ from repro.durability.serialize import pack, unpack
 from repro.matrix.dense import DenseMatrix
 from repro.plans.data_independent import IdentityPlan
 from repro.plans.registry import PLANS_BY_NAME
-from repro.private import audit
+from repro.private import audit_kernel
 from repro.service import (
     PlanScheduler,
     QueryRequest,
     RequestFailure,
     SessionClosedError,
     SessionManager,
-    export_json,
     reconcile,
-    service_report,
     session_report,
     telemetry_report,
 )
@@ -1191,9 +1189,9 @@ class TestOneRestorePath:
         _, session, compacted = self._journaled(relation, path)
         fresh, restored = self._restore(relation, path, compacted, source)
         report = session_report(restored)
-        assert json.loads(export_json(restored)) == json.loads(json.dumps(report))
-        assert service_report(fresh.manager)["num_sessions"] == 1
-        assert "restored" in audit(restored.root).to_text()
+        assert json.loads(json.dumps(report))["session_id"] == restored.session_id
+        assert fresh.manager.sessions() == [restored]
+        assert "restored" in audit_kernel(restored.kernel).to_text()
         # Each pre-restore source is reported under its own name, priced by
         # its own history rows, with no lineage or stability invented.
         history = restored.kernel.history()
@@ -1707,7 +1705,7 @@ class TestCrashRecoveryProperties:
         assert restored.accountant.describe() == session.accountant.describe()
         assert restored.accountant.default_delta == session.accountant.default_delta
         # The audit covers the sources DAWA derived before the crash.
-        assert json.loads(export_json(restored))["num_requests"] == len(restored.events)
+        assert session_report(restored)["num_requests"] == len(restored.events)
 
         # Every answer released pre-crash replays byte-identical at zero ε.
         spent_before = restored.budget_consumed()

@@ -30,7 +30,6 @@ from repro.matrix import (
     ExpansionMatrix,
     HaarWavelet,
     HierarchicalQueries,
-    HStack,
     Identity,
     Kronecker,
     LinearQueryMatrix,
@@ -52,7 +51,6 @@ from repro.matrix import (
 from repro.operators.inference import (
     build_normal_equations,
     least_squares,
-    least_squares_from_parts,
 )
 from repro.operators.inference.least_squares import NormalEquations, _factor_dense
 from repro.private import ProtectedKernel
@@ -92,7 +90,6 @@ def _catalog() -> list[tuple[str, LinearQueryMatrix]]:
         ("transpose", Prefix(6).T),
         ("weighted", Weighted(Prefix(5), -1.5)),
         ("vstack", VStack([Identity(8), ranges])),
-        ("hstack", HStack([Identity(4), Ones(4, 3)])),
         ("product", Product(sparse_mat, DenseMatrix(rng.normal(size=(6, 5))))),
         ("kronecker", Kronecker([Prefix(3), Identity(2), Total(2)])),
         ("range_queries", ranges),
@@ -291,17 +288,20 @@ class TestWeightedResidualUnits:
         r_nearly = least_squares(queries, answers, weights=nearly, method="normal")
         assert r_uniform.residual_norm == pytest.approx(r_nearly.residual_norm, rel=1e-6)
 
-    def test_from_parts_units_match_across_scale_splits(self):
+    def test_weighted_stack_units_match_across_scale_splits(self):
         queries = HierarchicalQueries(8)
         rng = _rng(7)
-        y1 = queries.matvec(rng.normal(size=8)) + rng.normal(size=queries.shape[0])
-        y2 = queries.matvec(rng.normal(size=8)) + rng.normal(size=queries.shape[0])
-        equal = least_squares_from_parts(
-            [(queries, y1, 2.0), (queries, y2, 2.0)], method="normal"
+        rows = queries.shape[0]
+        y1 = queries.matvec(rng.normal(size=8)) + rng.normal(size=rows)
+        y2 = queries.matvec(rng.normal(size=8)) + rng.normal(size=rows)
+        stacked, answers = VStack([queries, queries]), np.concatenate([y1, y2])
+        equal = least_squares(
+            stacked, answers, weights=np.full(2 * rows, 1.0 / 2.0), method="normal"
         )
-        perturbed = least_squares_from_parts(
-            [(queries, y1, 2.0), (queries, y2, 2.0 * (1.0 + 1e-12))], method="normal"
+        perturbed_weights = np.concatenate(
+            [np.full(rows, 1.0 / 2.0), np.full(rows, 1.0 / (2.0 * (1.0 + 1e-12)))]
         )
+        perturbed = least_squares(stacked, answers, weights=perturbed_weights, method="normal")
         assert equal.residual_norm == pytest.approx(perturbed.residual_norm, rel=1e-6)
 
     def test_all_zero_weights_rejected(self):

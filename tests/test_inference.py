@@ -7,7 +7,6 @@ from repro.matrix import HierarchicalQueries, Identity, Prefix, RangeQueries, To
 from repro.operators.inference import (
     hierarchical_measurements,
     least_squares,
-    least_squares_from_parts,
     multiplicative_weights,
     nnls,
     nnls_with_total,
@@ -54,16 +53,12 @@ class TestLeastSquares:
         with pytest.raises(ValueError):
             least_squares(Identity(4), np.zeros(4), method="magic")
 
-    def test_from_parts_combines_measurements(self, rng):
+    def test_stacked_measurements_combine(self, rng):
         x = rng.integers(0, 30, size=12).astype(float)
         m1, m2 = Identity(12), Prefix(12)
-        parts = [(m1, m1.matvec(x), 1.0), (m2, m2.matvec(x), 1.0)]
-        result = least_squares_from_parts(parts)
+        answers = np.concatenate([m1.matvec(x), m2.matvec(x)])
+        result = least_squares(VStack([m1, m2]), answers, weights=np.ones(24))
         assert np.allclose(result.x_hat, x, atol=1e-4)
-
-    def test_from_parts_requires_parts(self):
-        with pytest.raises(ValueError):
-            least_squares_from_parts([])
 
     def test_underdetermined_total_only(self):
         # Total-only measurement: LSMR returns the minimum-norm solution,
@@ -125,15 +120,9 @@ class TestMultiplicativeWeights:
         uniform = np.full(32, x.sum() / 32)
         assert np.abs(result.x_hat - x).sum() < np.abs(uniform - x).sum()
 
-    def test_total_estimated_when_missing(self, rng):
-        x = rng.integers(0, 10, size=16).astype(float)
-        m = Total(16)
-        result = multiplicative_weights(m, m.matvec(x))
-        assert np.isclose(result.x_hat.sum(), x.sum(), rtol=1e-6)
-
     def test_wrong_answer_length_rejected(self):
         with pytest.raises(ValueError):
-            multiplicative_weights(Identity(4), np.zeros(3))
+            multiplicative_weights(Identity(4), np.zeros(3), total=1.0)
 
 
 class TestTreeBased:

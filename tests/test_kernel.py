@@ -100,7 +100,6 @@ class TestKernelBasics:
         assert kernel.cumulative_stability(any_group) == 2.0
 
 
-
 class TestLinearTransform:
     """``x' = M x`` is ``||M||_1``-stable (Sec. 5.1): its stability is M's
     largest column L1 norm, and a measurement downstream costs that many
@@ -125,8 +124,9 @@ class TestLinearTransform:
         values = np.arange(8, dtype=np.float64)
         relation = Relation.from_histogram(Schema.build([Attribute("x", 8)]), values)
         derived = protect(relation, 1.0, seed=0).vectorize().linear_transform(Prefix(8))
-        assert derived.kind == "vector" and derived.domain_size == 8
-        assert derived.kernel.cumulative_stability(derived.name) == 8.0
+        assert derived.domain_size == 8
+        derived.vector_laplace(Identity(8), 0.1)
+        assert derived.budget_consumed() == pytest.approx(8 * 0.1)
 
     def test_wrong_column_count_raises_before_any_charge(self, relation):
         kernel = ProtectedKernel(relation, 4.0, seed=0)
@@ -295,11 +295,6 @@ class TestProtectedDataSource:
             for _ in range(10)
         ]
         assert all(c == 2 for c in choices)
-
-    def test_schema_metadata(self, relation):
-        source = protect(relation, 1.0)
-        assert source.schema.names == ("a", "b")
-        assert source.kind == "table"
 
 
 #: The four Private→Public operators, each spending ε = 0.5 on a fresh kernel.

@@ -1,11 +1,10 @@
-"""Unit tests for matrix combinators (VStack, HStack, Product, Kronecker, Weighted)."""
+"""Unit tests for matrix combinators (VStack, Product, Kronecker, Weighted)."""
 
 import numpy as np
 import pytest
 
 from repro.matrix import (
     DenseMatrix,
-    HStack,
     Identity,
     Kronecker,
     Prefix,
@@ -17,7 +16,6 @@ from repro.matrix import (
     all_kway_marginals,
     ensure_matrix,
     marginal,
-    stack_all,
 )
 
 
@@ -46,44 +44,14 @@ class TestVStack:
         with pytest.raises(ValueError):
             VStack([Identity(3), Identity(4)])
 
-    def test_split_answers(self):
-        stacked = VStack([Identity(2), Total(2)])
-        pieces = stacked.split_answers(np.array([1.0, 2.0, 3.0]))
-        assert np.allclose(pieces[0], [1.0, 2.0])
-        assert np.allclose(pieces[1], [3.0])
-
     def test_row_indexing_across_parts(self):
         stacked = VStack([Identity(3), Total(3)])
         assert np.allclose(stacked.row(3), [1.0, 1.0, 1.0])
         assert np.allclose(stacked.row(1), [0.0, 1.0, 0.0])
 
-    def test_stack_all_single(self):
-        m = Identity(4)
-        assert stack_all([m]) is m
-
     def test_sensitivity_adds_column_norms(self):
         stacked = VStack([Identity(4), Total(4)])
         assert stacked.sensitivity() == 2.0
-
-
-class TestHStack:
-    def test_matvec(self, rng):
-        a = DenseMatrix(rng.normal(size=(3, 2)))
-        b = DenseMatrix(rng.normal(size=(3, 4)))
-        h = HStack([a, b])
-        v = rng.normal(size=6)
-        assert np.allclose(h.matvec(v), h.dense() @ v)
-
-    def test_rmatvec(self, rng):
-        a = DenseMatrix(rng.normal(size=(3, 2)))
-        b = DenseMatrix(rng.normal(size=(3, 4)))
-        h = HStack([a, b])
-        u = rng.normal(size=3)
-        assert np.allclose(h.rmatvec(u), h.dense().T @ u)
-
-    def test_mismatched_rows_rejected(self):
-        with pytest.raises(ValueError):
-            HStack([Identity(3), Total(3)])
 
 
 class TestProduct:

@@ -127,12 +127,6 @@ class TestDerivedOperations:
         p = Prefix(5)
         assert np.allclose(p.row(2), [1.0, 1.0, 1.0, 0.0, 0.0])
 
-    def test_gram_matvec(self):
-        p = Prefix(4)
-        gram = p.gram()
-        v = np.arange(4.0)
-        assert np.allclose(gram.matvec(v), p.dense().T @ p.dense() @ v)
-
     def test_matmul_with_vector(self):
         m = Identity(3)
         assert np.allclose(m @ np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
@@ -141,7 +135,3 @@ class TestDerivedOperations:
         m = 2.0 * Identity(3)
         assert np.allclose(m.dense(), 2.0 * np.eye(3))
 
-    def test_num_queries_and_domain_size(self):
-        m = Ones(3, 7)
-        assert m.num_queries == 3
-        assert m.domain_size == 7

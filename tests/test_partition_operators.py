@@ -6,16 +6,12 @@ import pytest
 from repro.matrix import Identity, Kronecker, Prefix, RangeQueries, Total, VStack, marginal
 from repro.operators.partition import (
     ahp_partition,
-    ahp_partition_from_noisy,
     cluster_sorted_counts,
     dawa_partition,
-    dawa_partition_from_noisy,
     grid_partition,
     l1_partition,
     marginal_partition,
-    reduce_workload_and_vector,
     stripe_partition,
-    uniform_chunks_partition,
     workload_based_partition,
 )
 from repro.private import protect
@@ -34,12 +30,10 @@ class TestAhp:
         large_groups = set(assignment[[3, 4, 5]])
         assert small_groups.isdisjoint(large_groups)
 
-    def test_from_noisy_groups_uniform_regions(self):
+    def test_groups_uniform_regions(self):
         noisy = np.concatenate([np.full(10, 2.0), np.full(10, 500.0)])
-        partition = ahp_partition_from_noisy(noisy, epsilon=1.0)
-        groups_low = set(partition.groups[:10])
-        groups_high = set(partition.groups[10:])
-        assert groups_low.isdisjoint(groups_high)
+        assignment = cluster_sorted_counts(noisy)
+        assert set(assignment[:10]).isdisjoint(assignment[10:])
 
     def test_operator_consumes_budget(self):
         x = np.concatenate([np.zeros(16), np.full(16, 50.0)])
@@ -74,9 +68,9 @@ class TestDawa:
     def test_noisier_measurements_give_coarser_partitions(self):
         rng = np.random.default_rng(2)
         x = rng.integers(0, 30, 128).astype(float)
-        fine = dawa_partition_from_noisy(x + rng.laplace(0, 0.1, 128), epsilon=10.0)
-        coarse = dawa_partition_from_noisy(x + rng.laplace(0, 10.0, 128), epsilon=0.1)
-        assert coarse.num_groups <= fine.num_groups
+        fine = l1_partition(x + rng.laplace(0, 0.1, 128), noise_scale=0.1)
+        coarse = l1_partition(x + rng.laplace(0, 10.0, 128), noise_scale=10.0)
+        assert np.unique(coarse).size <= np.unique(fine).size
 
     def test_operator_consumes_budget(self):
         x = np.concatenate([np.zeros(16), np.full(16, 50.0)])
@@ -105,7 +99,8 @@ class TestWorkloadBased:
         rng = np.random.default_rng(5)
         w = VStack([RangeQueries(20, [(0, 9), (10, 19), (5, 14)]), Total(20)])
         x = rng.integers(0, 50, 20).astype(float)
-        reduced_w, reduced_x, partition = reduce_workload_and_vector(w, x)
+        partition = workload_based_partition(w)
+        reduced_w, reduced_x = partition.reduce_workload(w), partition.reduce_vector(x)
         assert np.allclose(w.matvec(x), reduced_w.matvec(reduced_x))
         assert partition.num_groups < 20
 
@@ -151,11 +146,6 @@ class TestStructural:
         expected = marginal(domain, [0, 2]).matvec(x)
         assert np.allclose(reduced, expected)
 
-    def test_uniform_chunks(self):
-        partition = uniform_chunks_partition(10, 3)
-        assert partition.num_groups == 3
-        assert np.all(np.diff(partition.groups) >= 0)
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             stripe_partition((4, 3), stripe_axis=7)
@@ -163,5 +153,3 @@ class TestStructural:
             grid_partition(4, 4, 0, 2)
         with pytest.raises(ValueError):
             marginal_partition((4, 3), [9])
-        with pytest.raises(ValueError):
-            uniform_chunks_partition(10, 0)

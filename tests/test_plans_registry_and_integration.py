@@ -12,7 +12,6 @@ from repro.plans import (
     PLANS_BY_NAME,
     PlanResult,
     get_plan,
-    plan_signatures,
     with_representation,
 )
 from repro.private import protect
@@ -41,11 +40,6 @@ class TestRegistry:
     def test_get_plan_unknown_name(self):
         with pytest.raises(KeyError):
             get_plan("NotAPlan")
-
-    def test_plan_signatures_table(self):
-        rows = plan_signatures()
-        assert len(rows) == len(PLAN_TABLE)
-        assert (1, "Identity", "SI LM") in rows
 
 
 class TestPlanResult:
@@ -105,7 +99,8 @@ class TestEndToEnd:
         # Measurements taken by different plans can be pooled in one global
         # least-squares inference (the "inference: impact on accuracy" claim).
         from repro.matrix import Identity as IdentityMatrix
-        from repro.operators.inference import least_squares_from_parts
+        from repro.matrix import VStack
+        from repro.operators.inference import least_squares
 
         x = load_1d("STAIRCASE", n=32, scale=20_000)
         relation = make_vector_relation(x)
@@ -114,8 +109,10 @@ class TestEndToEnd:
         y1 = source.vector_laplace(m1, 1.0)
         m2 = Prefix(32)
         y2 = source.vector_laplace(m2, 1.0)
-        combined = least_squares_from_parts([(m1, y1, 1.0), (m2, y2, 32.0)])
-        single = least_squares_from_parts([(m1, y1, 1.0)])
+        # Each part weighted by the inverse of its noise scale: 1 and 32.
+        weights = np.concatenate([np.ones(32), np.full(32, 1.0 / 32.0)])
+        combined = least_squares(VStack([m1, m2]), np.concatenate([y1, y2]), weights=weights)
+        single = least_squares(m1, y1)
         workload = prefix_workload(32)
         combined_error = per_query_l2_error(workload, x, combined.x_hat)
         single_error = per_query_l2_error(workload, x, single.x_hat)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dataset import Attribute, Relation, Schema, single_attribute_relation
+from repro.dataset import Attribute, Relation, Schema
 from repro.dataset.relation import STABILITY
 
 
@@ -34,22 +34,6 @@ def relation(schema):
 
 
 class TestAttribute:
-    def test_bin_of_clips(self):
-        a = Attribute("income", 10, lo=0.0, hi=100.0)
-        assert a.bin_of(-5.0) == 0
-        assert a.bin_of(1000.0) == 9
-        assert a.bin_of(55.0) == 5
-
-    def test_bin_edges(self):
-        a = Attribute("x", 4, lo=0.0, hi=8.0)
-        assert np.allclose(a.bin_edges(), [0, 2, 4, 6, 8])
-
-    def test_categorical_has_no_binning(self):
-        a = Attribute("color", 3)
-        assert not a.is_numeric
-        with pytest.raises(ValueError):
-            a.bin_of(1.0)
-
     def test_label_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Attribute("c", 3, labels=("a", "b"))
@@ -75,7 +59,7 @@ class TestSchema:
 
     def test_project(self, schema):
         projected = schema.project(["income", "age"])
-        assert projected.names == ("income", "age")
+        assert [a.name for a in projected.attributes] == ["income", "age"]
         assert projected.domain == (5, 4)
 
     def test_duplicate_names_rejected(self):
@@ -113,7 +97,7 @@ class TestRelation:
 
     def test_select(self, relation):
         projected = relation.select(["income"])
-        assert projected.schema.names == ("income",)
+        assert [a.name for a in projected.schema.attributes] == ["income"]
         assert projected.records.shape == (6, 1)
 
     def test_group_by(self, relation):
@@ -121,15 +105,6 @@ class TestRelation:
         assert set(groups) == {0, 1}
         assert len(groups[0]) == 4
         assert len(groups[1]) == 2
-
-    def test_split_by_partition(self, relation):
-        assignment = np.array([0, 0, 1, 1, 0, 1])
-        parts = relation.split_by_partition(assignment)
-        assert [len(p) for p in parts] == [3, 3]
-
-    def test_split_by_partition_wrong_length(self, relation):
-        with pytest.raises(ValueError):
-            relation.split_by_partition(np.array([0, 1]))
 
     def test_vectorize_counts(self, relation):
         x = relation.vectorize()
@@ -165,10 +140,6 @@ class TestRelation:
                 schema,
                 {"age": np.array([0]), "gender": np.array([0, 1]), "income": np.array([0])},
             )
-
-    def test_single_attribute_relation(self):
-        rel = single_attribute_relation("x", np.array([0, 1, 1, 2]), 3)
-        assert np.array_equal(rel.vectorize(), [1, 2, 1])
 
 
 class TestStabilityConstants:

@@ -13,7 +13,6 @@ from repro.operators.selection import (
     hb_select,
     hdmm_select,
     identity_select,
-    prefix_select,
     quadtree_select,
     stripe_kron_select,
     total_select,
@@ -24,10 +23,9 @@ from repro.operators.selection.hierarchical import _dyadic_decomposition
 
 
 class TestSimpleSelect:
-    def test_identity_total_prefix(self):
+    def test_identity_and_total(self):
         assert identity_select(6).shape == (6, 6)
         assert total_select(6).shape == (1, 6)
-        assert prefix_select(6).shape == (6, 6)
 
     def test_wavelet_requires_power_of_two(self):
         assert wavelet_select(8).shape == (8, 8)

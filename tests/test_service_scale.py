@@ -70,8 +70,8 @@ def _requests(session_id: str) -> list[QueryRequest]:
             session_id,
             plan="Identity",
             epsilon=0.05,
-            workload="all_range",
-            workload_params={"n": N},
+            workload="random_range",
+            workload_params={"n": N, "num_queries": N, "seed": 0},
         ),
         # Least-squares plans: each solves against the scheduler's shared
         # normal-equations factor (augmented for H2 and HB, orthogonal rows
@@ -87,8 +87,8 @@ def _requests(session_id: str) -> list[QueryRequest]:
             session_id,
             plan="Hierarchical (H2)",
             epsilon=0.1,
-            workload="all_range",
-            workload_params={"n": N},
+            workload="random_range",
+            workload_params={"n": N, "num_queries": N, "seed": 0},
         ),
         QueryRequest(
             session_id,

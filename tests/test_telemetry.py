@@ -35,7 +35,6 @@ from repro.telemetry import (
     Span,
     Tracer,
     activate,
-    current_tracer,
     prometheus_text,
     spans_to_chrome_trace,
     spans_to_jsonlines,
@@ -162,7 +161,6 @@ class TestTracer:
 
 class TestActivation:
     def test_trace_span_is_noop_without_active_tracer(self):
-        assert current_tracer() is NULL_TRACER
         handle = trace_span("anything", key="value")
         assert handle is NOOP_SPAN  # the shared handle: no allocation at all
         with handle as span:
@@ -171,20 +169,21 @@ class TestActivation:
 
     def test_activate_scopes_and_restores(self):
         tracer = Tracer(clock=ManualClock(tick=1.0))
+        inner = Tracer(clock=ManualClock(tick=1.0))
         with activate(tracer):
-            assert current_tracer() is tracer
             with trace_span("seam"):
                 pass
-            inner = Tracer(clock=ManualClock(tick=1.0))
-            with activate(inner):
-                assert current_tracer() is inner
-            assert current_tracer() is tracer
-        assert current_tracer() is NULL_TRACER
-        assert [span.name for span in tracer.spans()] == ["seam"]
+            with activate(inner), trace_span("inner seam"):
+                pass
+            with trace_span("after"):
+                pass
+        assert trace_span("outside") is NOOP_SPAN
+        assert [span.name for span in tracer.spans()] == ["seam", "after"]
+        assert [span.name for span in inner.spans()] == ["inner seam"]
 
     def test_null_tracer_records_nothing(self):
         assert NULL_TRACER.span("x") is NOOP_SPAN
-        assert NULL_TRACER.spans() == []
+        assert len(NULL_TRACER) == 0
         assert NULL_TRACER.stats()["enabled"] is False
 
 
@@ -380,9 +379,8 @@ class TestSchedulerTracing:
         responses = scheduler.execute_batch(requests)
         trace_ids = [response.trace_id for response in responses]
         assert len(set(trace_ids)) == len(trace_ids)  # one trace per request
-        traces = tracer.traces()
         for response in responses:
-            spans = traces[response.trace_id]
+            spans = tracer.trace(response.trace_id)
             roots = [span for span in spans if span.parent_id is None]
             assert len(roots) == 1 and roots[0].name == "service.request"
             assert roots[0].attributes["request_id"] == response.request_id
@@ -421,7 +419,6 @@ class TestSchedulerTracing:
             for name, member in vars(cls).items():
                 if callable(member) and name not in ("__init__", "__new__"):
                     monkeypatch.setattr(cls, name, refuse)
-        monkeypatch.setattr("repro.telemetry.spans.current_tracer", refuse)
         replay = scheduler.execute(identity_request(session))
         assert replay.cached and replay.trace_id is None
 
@@ -468,6 +465,22 @@ class TestEventTiming:
         assert telemetry["total_seconds"] >= telemetry["max_seconds"] > 0
         assert telemetry["p50_seconds"] <= telemetry["p95_seconds"] <= telemetry["max_seconds"]
         assert telemetry["total_queue_wait_seconds"] >= 0
+
+    @pytest.mark.parametrize(
+        "durations, p50, p95",
+        [([1.0, 2.0], 1.0, 2.0), ([float(d) for d in range(1, 21)], 10.0, 19.0)],
+        ids=["1..2", "1..20"],
+    )
+    def test_session_report_percentiles_are_nearest_rank(
+        self, manager, relation, durations, p50, p95
+    ):
+        session = open_session(manager, relation)
+        PlanScheduler(manager).execute(identity_request(session))
+        event = session.events[0]
+        session.events[:] = [replace(event, duration_seconds=d) for d in reversed(durations)]
+        telemetry = session_report(session)["telemetry"]
+        assert (telemetry["p50_seconds"], telemetry["p95_seconds"]) == (p50, p95)
+        assert telemetry["max_seconds"] == durations[-1]
 
     def test_empty_session_report_telemetry(self, manager, relation):
         session = open_session(manager, relation)

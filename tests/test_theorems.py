@@ -7,7 +7,7 @@ formulas can be evaluated densely.
 import numpy as np
 import pytest
 
-from repro.analysis import expected_query_error
+from repro.analysis import expected_workload_error
 from repro.matrix import Identity, Prefix, RangeQueries, Total, VStack, marginal
 from repro.operators.partition import workload_based_partition
 
@@ -95,6 +95,8 @@ class TestTheorem84ReductionNeverHurts:
         reduced_workload = DenseMatrix(workload.dense() @ partition.pseudo_inverse().dense())
 
         for i in range(workload.shape[0]):
-            original = expected_query_error(workload.dense()[i], strategy)
-            reduced = expected_query_error(reduced_workload.dense()[i], reduced_strategy)
+            query = DenseMatrix(workload.dense()[i : i + 1])
+            reduced_query = DenseMatrix(reduced_workload.dense()[i : i + 1])
+            original = expected_workload_error(query, strategy)
+            reduced = expected_workload_error(reduced_query, reduced_strategy)
             assert reduced <= original + 1e-6

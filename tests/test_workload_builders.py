@@ -5,7 +5,6 @@ import pytest
 
 from repro.matrix import Prefix
 from repro.workload import (
-    all_range_workload,
     census_prefix_income_workload,
     identity_workload,
     marginals_workload,
@@ -36,11 +35,6 @@ class TestBasicWorkloads:
     def test_random_range_respects_max_length(self):
         w = random_range_workload(128, 50, seed=0, max_length=5)
         assert all(hi - lo + 1 <= 5 for lo, hi in w.intervals)
-
-    def test_all_range_workload_count(self):
-        n = 6
-        w = all_range_workload(n)
-        assert w.shape == (n * (n + 1) // 2, n)
 
 
 class TestCensusWorkloads:
