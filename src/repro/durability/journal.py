@@ -12,12 +12,15 @@ far (:meth:`~repro.service.session.Session.attach_journal`).
 
 Format: one frame per record.  A frame is the CRC32 of the record, as
 eight hex digits, then the byte length of its raw section, a space, the
-record's JSON header (:func:`~repro.durability.serialize.pack`) and a
-newline, then the raw section: the little-endian bytes of the record's
-numpy arrays, back to back.  The records themselves (their six kinds and
-their fields) are built in :mod:`repro.durability.records`; the journal
-only frames them.  An Identity request's commit at n=3, whose release
-holds a 3-entry ``x_hat`` and 3 prefix answers (48 raw bytes), elided::
+record's JSON header and a newline, then the raw section: the
+little-endian bytes of the record's numpy arrays, back to back.  The
+journal takes each record packed — its header without ``seq``, and its
+arrays (:meth:`PrivacyJournal.append_packed`), as
+:func:`~repro.durability.serialize.pack` packs a dict and
+:func:`~repro.durability.records.pack_commit` writes a commit — then
+numbers and frames it; :mod:`repro.durability.records` decides what the
+records hold.  An Identity request's commit at n=3, whose release holds a
+3-entry ``x_hat`` and 3 prefix answers (48 raw bytes), elided::
 
     bcc1bada 48 {"seq":2,"kind":"commit","records":[{"kind":"charge",...},
     ...,{"kind":"release",...,"response":{...,
@@ -81,13 +84,13 @@ __all__ = ["PrivacyJournal"]
 _FSYNC_MODES = ("always", "commit")
 
 
-def _encode_frame(record: dict) -> bytes:
-    """One record, ``seq`` included, as the frame the module docs describe."""
-    header, arrays = pack(record)
-    crc = zlib.crc32(header)
+def _encode_frame(header: bytes, arrays: list) -> bytes:
+    """One packed record, its JSON ``header`` (``seq`` its first key) and
+    its ``arrays``, as the frame the module docs describe."""
+    crc, size = zlib.crc32(header), 0
     for array in arrays:
         crc = zlib.crc32(array, crc)
-    size = sum(array.nbytes for array in arrays)
+        size += array.nbytes
     return b"".join([b"%08x %d " % (crc, size), header, b"\n", *arrays])
 
 
@@ -202,7 +205,15 @@ class PrivacyJournal:
     # Append path.
     # ------------------------------------------------------------------
     def append(self, record: dict) -> int:
-        """Append one record; returns its sequence number.
+        """Append one record, a dict with a ``kind`` and no ``seq``; returns
+        its sequence number (see :meth:`append_packed`)."""
+        return self.append_packed(record.get("kind"), *pack(record))
+
+    def append_packed(self, kind: str, header: bytes, arrays: list) -> int:
+        """Append one record of ``kind`` in packed form — its JSON header,
+        without ``seq``, and its arrays, as
+        :func:`~repro.durability.serialize.pack` gives them; returns its
+        sequence number, which the frame's header starts with.
 
         The record is written (and buffered) immediately; durability against
         process death is established by the next :meth:`commit`.  A failed
@@ -212,9 +223,13 @@ class PrivacyJournal:
             if self._closed:
                 raise ValueError("journal is closed")
             if self.faults is not None:
-                self.faults.fire("journal.append", record.get("kind"))
+                self.faults.fire("journal.append", kind)
             seq = self.seq + 1
-            self._file.write(_encode_frame({"seq": seq, **record}))
+            if header == b"{}":
+                header = b'{"seq":%d}' % seq
+            else:
+                header = b'{"seq":%d,%s' % (seq, header[1:])
+            self._file.write(_encode_frame(header, arrays))
             self.seq = seq
             return seq
 

@@ -1,26 +1,38 @@
 """A session's durable records and its restore.
 
-A session's durable state is one stream of **records**: dicts of JSON values
-and numpy arrays (which the journal writes as raw bytes), each with a
-``kind``.  This module builds all of them:
+A session's durable state is one stream of **records**, each a JSON object
+with a ``kind`` plus the numpy arrays it holds (which the journal writes as
+raw bytes, see :mod:`repro.durability.serialize`).  There are two kinds:
 
-* ``open`` — the session's opening metadata: id, tenant, base seed and the
-  accountant's configuration;
+* ``open`` — the session's opening metadata (:func:`open_record`): id,
+  tenant, base seed and the accountant's configuration;
 * ``commit`` — ``{"kind": "commit", "records": [...]}``: what one commit
   made durable, as its parts, in this order:
 
-  * ``charge`` — one accepted root-level budget charge;
-  * ``measurement`` — one kernel history row;
-  * ``release`` — one released answer with its request key and the history
-    span that paid for it, its arrays kept as arrays;
-  * ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`.
+  * ``charge`` — one accepted root-level budget charge, ``{"kind":
+    "charge", "p": primary, "d": delta}``;
+  * ``measurement`` — one kernel history row, its fields in field order;
+  * ``release`` — one released answer: its request ``key``, its
+    ``response`` (every field; the arrays as raw-byte tags) and the
+    ``history_start``/``history_end`` span that paid for it;
+  * ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`,
+    its fields in field order.
+
+One function writes every commit, :func:`pack_commit`: straight from the
+session's new rows to the JSON header, one ``%s`` template per part filled
+with the part's field values, and the release arrays for the raw section.
+A value of a plain type is spelled as JSON spells it; a release's response
+fields first pass through :func:`~repro.durability.serialize.encode`, and
+what is not plain after that — its key, its plan's ``info``, its
+``accounting`` and its arrays (as raw-section tags) — goes through the
+header encoder.  So a commit's bytes are exactly those of the same record
+built as dicts and packed by :func:`~repro.durability.serialize.pack`.
 
 A journaled session's journal holds its ``open`` record, then ``commit``
-records built by :func:`commit_record`: attaching a journal writes the
-session's whole state so far as one commit (nothing, for a fresh session),
-and each request then writes one.  Neither ever contains the private table:
-restoring requires the deployment to supply the original data, which stays
-the operator's.
+records: attaching a journal writes the session's whole state so far as
+one commit (nothing, for a fresh session), and each request then writes
+one.  Neither ever contains the private table: restoring requires the
+deployment to supply the original data, which stays the operator's.
 
 **Restore** reads the journal once:
 
@@ -55,22 +67,22 @@ the edge that would otherwise close the cycle.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import MISSING, asdict, fields as dataclass_fields
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
+
+import numpy as np
 
 from ..accounting.base import Cost
 from ..private.kernel import MeasurementRecord
 from .journal import PrivacyJournal
-from .serialize import decode, encode
+from .serialize import decode, encode, pack_text
 
 __all__ = [
     "RecoveryError",
-    "charge_record",
-    "commit_record",
-    "event_record",
-    "measurement_record",
     "open_record",
-    "release_record",
+    "pack_commit",
     "response_from_state",
     "response_state",
     "restore_session",
@@ -136,47 +148,53 @@ def open_record(session) -> dict:
     }
 
 
-def charge_record(cost: Cost) -> dict:
-    """One accepted root-level charge, in native units."""
-    return {"kind": "charge", "p": cost.primary, "d": cost.delta}
+@functools.cache
+def _members(cls) -> tuple[str, operator.attrgetter]:
+    """The JSON members of a dataclass ``cls`` as a template, ``"name":%s``
+    per field in field order, and the getter of the field values in that
+    order."""
+    names = [f.name for f in dataclass_fields(cls)]
+    template = ",".join(encode_basestring_ascii(name) + ":%s" for name in names)
+    return template, operator.attrgetter(*names)
 
 
-def measurement_record(record: MeasurementRecord) -> dict:
-    """One kernel history row."""
-    return {"kind": "measurement", **vars(record)}
-
-
-def event_record(event) -> dict:
-    """One audit-trail event."""
-    # vars(), not asdict(): SessionEvent is flat scalars, and asdict's
-    # recursive copying is measurable on the hot path.
-    return {"kind": "event", **vars(event)}
-
-
-def release_record(key: tuple, response, history_start: int, history_end: int) -> dict:
-    """One released answer under its request key, with the history span
-    [start, end) that paid for it; its arrays stay arrays, for the journal
-    to write as raw bytes."""
-    return {
-        "kind": "release",
-        "key": encode(key),
-        "response": encode(response_state(response)),
-        "history_start": history_start,
-        "history_end": history_end,
-    }
-
-
-def commit_record(session, since: tuple[int, int, int], releases: list[dict]) -> dict:
+def pack_commit(session, since: tuple[int, int, int], releases) -> tuple[bytes, list[np.ndarray]]:
     """Everything ``session`` changed past ``since`` — its (root-ledger
-    length, history length, event count) marks — plus the ``releases``, as
-    one ``commit`` record: charges, measurement rows, releases, events."""
+    length, history length, event count) marks — plus ``releases``, its
+    ``(key, CachedAnswer)`` pairs, as one packed ``commit`` record: the JSON
+    header (without ``seq``) and the release arrays, for
+    :meth:`~repro.durability.PrivacyJournal.append_packed`.
+
+    The parts are charges, measurement rows, releases and events, each a
+    template filled from the object's fields; a release's key and response
+    fields pass through :func:`encode` first, as its dict record's did.
+    """
     charges, rows, events = since
     kernel = session.kernel
-    parts = [charge_record(cost) for cost in kernel.budget_tracker.ledger(charges)]
-    parts += map(measurement_record, kernel.history_query(since=rows))
-    parts += releases
-    parts += map(event_record, session.events[events:])
-    return {"kind": "commit", "records": parts}
+    parts: list[str] = []
+    values: list = []
+    for cost in kernel.budget_tracker.ledger(charges):
+        parts.append('{"kind":"charge","p":%s,"d":%s}')
+        values += (cost.primary, cost.delta)
+    for row in kernel.history_query(since=rows):
+        members, fields = _members(type(row))
+        parts.append('{"kind":"measurement",' + members + "}")
+        values += fields(row)
+    for key, entry in releases:
+        members, _ = _members(type(entry.response))
+        parts.append(
+            '{"kind":"release","key":%s,"response":{'
+            + members
+            + '},"history_start":%s,"history_end":%s}'
+        )
+        values.append(encode(key))
+        values += map(encode, response_state(entry.response).values())
+        values += (entry.history_start, entry.history_end)
+    for event in session.events[events:]:
+        members, fields = _members(type(event))
+        parts.append('{"kind":"event",' + members + "}")
+        values += fields(event)
+    return pack_text('{"kind":"commit","records":[' + ",".join(parts) + "]}", values)
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,18 @@ cannot carry:
 ``encode`` maps a value to a structure of JSON values and numpy arrays,
 using tagged objects (``{"__tuple__": [...]}``, ``{"__bytes__": array}``);
 ``decode`` inverts it.  Arrays stay arrays, and so does a ``bytes`` value,
-as a ``uint8`` array under its tag: :func:`pack` splits a record into a
-small JSON header, where each array is a ``{"__raw__": offset, "dtype",
-"shape"}`` tag, and the arrays whose bytes follow it; :func:`unpack`
-inverts that.  Unknown objects degrade to a tagged ``repr`` string — loud
-in the decoded structure rather than silently wrong — which only ever
-affects free-form diagnostic payloads (``QueryResponse.info``), never
-budget or answers.
+as a ``uint8`` array under its tag.  A record is written as a small JSON
+header, where each array is a ``{"__raw__": offset, "dtype", "shape"}``
+tag, and the arrays whose bytes follow it: :func:`pack` writes a dict that
+way (an ``open`` record, or any record handed to the journal as a dict),
+and :func:`pack_text` writes a header from a ``%s`` template and its values
+— the form :func:`~repro.durability.records.pack_commit` writes each commit
+in, straight from the session's rows.  Both spell every value as one JSON
+encoder does, so a record's bytes do not depend on which wrote it.
+:func:`unpack` inverts them.  Unknown objects degrade to a tagged ``repr``
+string — loud in the decoded structure rather than silently wrong — which
+only ever affects free-form diagnostic payloads (``QueryResponse.info``),
+never budget or answers.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from __future__ import annotations
 import json
 import math
 import threading
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-__all__ = ["encode", "decode", "pack", "unpack"]
+__all__ = ["encode", "decode", "pack", "pack_text", "unpack"]
 
 #: Tag keys; a plain dict that happens to contain one of these would be
 #: mis-decoded, so ``encode`` escapes such dicts as ``{"__dict__": [[key,
@@ -41,9 +47,7 @@ _TAGS = ("__tuple__", "__raw__", "__bytes__", "__repr__", "__dict__")
 def encode(value):
     """A structure of JSON values and numpy arrays that :func:`decode`
     inverts exactly; :func:`pack` writes its arrays as raw bytes."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -61,7 +65,7 @@ def encode(value):
         return {"__bytes__": np.frombuffer(value, np.uint8)}
     if isinstance(value, dict):
         encoded = {str(key): encode(item) for key, item in value.items()}
-        if any(tag in encoded for tag in _TAGS):
+        if not encoded.keys().isdisjoint(_TAGS):
             return {"__dict__": [[key, item] for key, item in encoded.items()]}
         return encoded
     return {"__repr__": repr(value)}
@@ -85,9 +89,10 @@ def decode(value):
 
 
 class _Tagger(threading.local):
-    """The header encoder's ``default``: tags an array and keeps it, per
-    thread, so one encoder serves every :func:`pack` call (building one per
-    call adds about a tenth to encoding a one-event commit record)."""
+    """Tags an array and keeps it for the raw section, per thread: the
+    header encoder's ``default``, so one encoder built once serves every
+    :func:`pack_text` call, and the tagger of each array that
+    :func:`pack_text` spells itself."""
 
     def __call__(self, value):
         if not isinstance(value, np.ndarray):
@@ -103,6 +108,54 @@ _TAGGER = _Tagger()
 _HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_TAGGER)
 
 
+def _array_text(array: np.ndarray) -> str:
+    """An array's raw tag as the header encoder writes it; the array joins
+    the raw section."""
+    tagged = _TAGGER(array)
+    return '{"__raw__":%d,"dtype":%s,"shape":[%s]}' % (
+        tagged["__raw__"],
+        encode_basestring_ascii(tagged["dtype"]),
+        ",".join(map(str, tagged["shape"])),
+    )
+
+
+#: the header encoder's spelling of each plain type and of an array, by
+#: exact type; a value of any other type (a subclass included) goes through
+#: the encoder itself.  A float is spelled by its repr, which JSON spells
+#: differently only when it is not finite (:data:`_NONFINITE`).
+_SPELLINGS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    np.ndarray: _array_text,
+}
+#: a non-finite float's repr and its JSON spelling.  Only a float's repr is
+#: one of these bare words: a string is quoted, and the encoder spells NaN
+#: and the infinities its own way.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def pack_text(template: str, values) -> tuple[bytes, list[np.ndarray]]:
+    """The JSON header ``template % values``, each value spelled as the
+    header encoder writes it, and the arrays the values hold, in order.
+
+    ``template`` is JSON with one ``%s`` per value.  A value of a plain type
+    (``str``, ``int``, ``float``, ``bool``, ``None``) is written by its
+    spelling alone, and an array as its raw tag, at its offset in the
+    arrays' concatenated buffers; any other value (a dict, a numpy scalar)
+    goes through the encoder, which tags the arrays it holds the same way.
+    """
+    _TAGGER.arrays, _TAGGER.size = [], 0
+    spell = _SPELLINGS.get
+    fallback = _HEADER_ENCODER.encode
+    texts = [spell(type(value), fallback)(value) for value in values]
+    if not _NONFINITE.keys().isdisjoint(texts):
+        texts = [_NONFINITE.get(text, text) for text in texts]
+    return (template % tuple(texts)).encode("utf-8"), _TAGGER.arrays
+
+
 def pack(record: dict) -> tuple[bytes, list[np.ndarray]]:
     """``record`` as a compact JSON header and the arrays it holds, in order.
 
@@ -110,9 +163,7 @@ def pack(record: dict) -> tuple[bytes, list[np.ndarray]]:
     tag, ``offset`` being where its bytes start in the arrays' concatenated
     buffers; numpy scalars are written as floats.
     """
-    _TAGGER.arrays, _TAGGER.size = [], 0
-    header = _HEADER_ENCODER.encode(record).encode("utf-8")
-    return header, _TAGGER.arrays
+    return pack_text("%s", (record,))
 
 
 def unpack(header: bytes, raw) -> dict:

@@ -94,7 +94,8 @@ class QueryResponse:
     info: dict
     elapsed_seconds: float
     #: session-level accounting snapshot taken after this request (accountant
-    #: name, native spend, converted (ε, δ)); None only on legacy constructors.
+    #: name, native spend, converted (ε, δ)); the scheduler sets it on every
+    #: response, a replay's taken at the replay.
     accounting: dict | None = None
     #: id of the request's trace when the scheduler ran with tracing enabled
     #: (pass it to ``scheduler.tracer.trace(...)`` / the span exporters);

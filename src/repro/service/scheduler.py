@@ -18,6 +18,10 @@ privacy-correct order::
                          ``durability.commit`` child, under the lock)
     _run_locked        replay probe → plan run → release
 
+The request id travels beside the request through both: ``execute`` and
+``execute_batch`` assign the session's next id to a request that has none,
+without copying or changing the client's :class:`QueryRequest`.
+
 Every outcome — answered, replayed, rejected or failed — is accounted for
 by one helper, :meth:`PlanScheduler._ledger`: it records the
 :class:`~repro.service.session.SessionEvent`, its ``outcome`` included, and,
@@ -168,24 +172,27 @@ class PlanScheduler:
     def execute(self, request: QueryRequest) -> QueryResponse:
         """Answer one request, blocking until done."""
         session = self.manager.get(request.session_id)
-        if request.request_id is None:
-            request = replace(request, request_id=session.next_request_id())
+        request_id = request.request_id
+        if request_id is None:
+            request_id = session.next_request_id()
         queued_at = time.perf_counter()
-        return self._execute_guarded(session, request, queued_at)
+        return self._execute_guarded(session, request, request_id, queued_at)
 
     def _execute_guarded(
         self,
         session: Session,
         request: QueryRequest,
+        request_id: str,
         queued_at: float,
     ) -> QueryResponse:
-        """One request, start to finish, in the order the module docs give."""
+        """One request, under ``request_id``, start to finish, in the order
+        the module docs give."""
         if self.fault_injector is not None:
-            self.fault_injector.fire("scheduler.worker", request.request_id)
+            self.fault_injector.fire("scheduler.worker", request_id)
         if session.closing:
             raise SessionClosedError(
                 f"session {session.session_id!r} is closed; "
-                f"request {request.request_id!r} rejected"
+                f"request {request_id!r} rejected"
             )
         with session.lock:
             # Re-checked under the lock: a drain-close marks the session
@@ -194,7 +201,7 @@ class PlanScheduler:
             if session.closing:
                 raise SessionClosedError(
                     f"session {session.session_id!r} closed while request "
-                    f"{request.request_id!r} was queued"
+                    f"{request_id!r} was queued"
                 )
             # The journal commit runs in a ``finally``, inside the root span
             # and before the lock releases: a crash after it loses nothing a
@@ -202,12 +209,12 @@ class PlanScheduler:
             tracer = self.tracer
             if tracer is NULL_TRACER:
                 try:
-                    return self._run_locked(session, request, queued_at, NOOP_SPAN)
+                    return self._run_locked(session, request, request_id, queued_at, NOOP_SPAN)
                 finally:
                     self._commit_journal(session)
             with activate(tracer), tracer.span(
                 "service.request",
-                request_id=request.request_id,
+                request_id=request_id,
                 session=session.session_id,
                 tenant=session.tenant,
                 plan=request.plan,
@@ -215,7 +222,7 @@ class PlanScheduler:
                 epsilon=float(request.epsilon),
             ) as root:
                 try:
-                    response = self._run_locked(session, request, queued_at, root)
+                    response = self._run_locked(session, request, request_id, queued_at, root)
                     root.set_attributes(
                         cached=response.cached,
                         epsilon_spent=float(response.epsilon_spent),
@@ -230,6 +237,7 @@ class PlanScheduler:
         self,
         session: Session,
         request: QueryRequest,
+        request_id: str,
         queued_at: float,
         root,
     ) -> QueryResponse:
@@ -248,10 +256,14 @@ class PlanScheduler:
 
         if request.reuse:
             if root is NOOP_SPAN:  # untraced: no tracer call on the way to a replay
-                response = self._replay(session, request, key, start, queue_wait, trace_id)
+                response = self._replay(
+                    session, request, request_id, key, start, queue_wait, trace_id
+                )
             else:
                 with self.tracer.span("cache.probe") as probe:
-                    response = self._replay(session, request, key, start, queue_wait, trace_id)
+                    response = self._replay(
+                        session, request, request_id, key, start, queue_wait, trace_id
+                    )
                     probe.set_attribute("hit", response is not None)
             if response is not None:
                 return response
@@ -274,14 +286,12 @@ class PlanScheduler:
             )
             mark = kernel.num_measurements
             self._ledger(
-                session, request, "rejected", time.perf_counter() - start,
+                session, request, request_id, "rejected", time.perf_counter() - start,
                 queue_wait, trace_id, (mark, mark), exc=exc,
             )
             raise exc
 
-        seed = derive_request_seed(
-            session.base_seed, session.session_id, request.request_id, repr(key)
-        )
+        seed = derive_request_seed(session.base_seed, session.session_id, request_id, repr(key))
         kernel.reseed(seed)
         before = kernel.budget_snapshot()
         try:
@@ -300,7 +310,7 @@ class PlanScheduler:
             # the audit would never reconcile again.
             after = kernel.budget_snapshot()
             self._ledger(
-                session, request, "error", time.perf_counter() - start, queue_wait,
+                session, request, request_id, "error", time.perf_counter() - start, queue_wait,
                 trace_id, (before.num_measurements, after.num_measurements),
                 spent=kernel.budget_charged_between(before, after), seed=seed, exc=exc,
             )
@@ -309,7 +319,7 @@ class PlanScheduler:
         after = kernel.budget_snapshot()
         history = (before.num_measurements, after.num_measurements)
         response = QueryResponse(
-            request_id=request.request_id,
+            request_id=request_id,
             session_id=session.session_id,
             plan=request.plan,
             epsilon_requested=request.epsilon,
@@ -325,8 +335,8 @@ class PlanScheduler:
         )
         session.release(key, response, *history)
         self._ledger(
-            session, request, "ok", response.elapsed_seconds, queue_wait, trace_id,
-            history, spent=response.epsilon_spent, seed=seed,
+            session, request, request_id, "ok", response.elapsed_seconds, queue_wait,
+            trace_id, history, spent=response.epsilon_spent, seed=seed,
         )
         return response
 
@@ -334,6 +344,7 @@ class PlanScheduler:
         self,
         session: Session,
         request: QueryRequest,
+        request_id: str,
         key: tuple,
         start: float,
         queue_wait: float,
@@ -345,10 +356,10 @@ class PlanScheduler:
             return None
         # The replay carries the session's accounting now, not the paying
         # request's (spend may have moved since the answer was released).
-        response = entry.replay(request.request_id, session.accounting_report(), trace_id)
+        response = entry.replay(request_id, session.accounting_report(), trace_id)
         response.elapsed_seconds = time.perf_counter() - start
         self._ledger(
-            session, request, "cached", response.elapsed_seconds,
+            session, request, request_id, "cached", response.elapsed_seconds,
             queue_wait, trace_id, (entry.history_start, entry.history_start),
             seed=response.seed,
         )
@@ -358,6 +369,7 @@ class PlanScheduler:
         self,
         session: Session,
         request: QueryRequest,
+        request_id: str,
         outcome: str,
         duration: float,
         queue_wait: float,
@@ -373,7 +385,7 @@ class PlanScheduler:
         error = type(exc).__name__ if exc is not None else ""
         session.record(
             SessionEvent(
-                request_id=request.request_id,
+                request_id=request_id,
                 plan=request.plan,
                 workload=request.workload,
                 epsilon_requested=request.epsilon,
@@ -394,7 +406,7 @@ class PlanScheduler:
             _attach_failure(
                 exc,
                 RequestFailure(
-                    request_id=request.request_id,
+                    request_id=request_id,
                     session_id=session.session_id,
                     plan=request.plan,
                     error_type=error,
@@ -457,29 +469,30 @@ class PlanScheduler:
         # the manager still holds it, and so rejects with the
         # SessionClosedError that close documents.  An unknown session id
         # fails only its own slot.
-        assigned: list[tuple[QueryRequest, Session | KeyError]] = []
+        assigned: list[tuple[QueryRequest, str | None, Session | KeyError]] = []
         for request in requests:
             try:
                 session = self.manager.get(request.session_id)
             except KeyError as exc:
-                assigned.append((request, exc))
+                assigned.append((request, request.request_id, exc))
                 continue
-            if request.request_id is None:
-                request = replace(request, request_id=session.next_request_id())
-            assigned.append((request, session))
+            request_id = request.request_id
+            if request_id is None:
+                request_id = session.next_request_id()
+            assigned.append((request, request_id, session))
         queued_at = time.perf_counter()
         futures: list[Future] = []
-        for request, session in assigned:
+        for request, request_id, session in assigned:
             if isinstance(session, KeyError):
                 future = Future()
                 future.set_exception(session)
             else:
                 future = self.executor.submit(
-                    self._execute_guarded, session, request, queued_at
+                    self._execute_guarded, session, request, request_id, queued_at
                 )
             futures.append(future)
         results: list[QueryResponse | Exception] = []
-        for index, ((request, _), future) in enumerate(zip(assigned, futures)):
+        for index, ((request, request_id, _), future) in enumerate(zip(assigned, futures)):
             try:
                 results.append(future.result())
             except (Exception, WorkerDeath) as exc:
@@ -489,7 +502,7 @@ class PlanScheduler:
                     # run — a dead worker, an unknown session id:
                     # synthesise the context and flag it un-ledgered.
                     failure = RequestFailure(
-                        request_id=request.request_id,
+                        request_id=request_id,
                         session_id=request.session_id,
                         plan=request.plan,
                         error_type=type(exc).__name__,

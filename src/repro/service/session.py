@@ -44,7 +44,7 @@ import numpy as np
 
 from ..accounting import make_accountant
 from ..dataset.relation import Relation
-from ..durability.records import commit_record, open_record, release_record
+from ..durability.records import open_record, pack_commit
 from ..private.kernel import BudgetSnapshot, ProtectedKernel
 from ..private.protected import ProtectedDataSource
 from ..telemetry.metrics import Histogram
@@ -89,17 +89,6 @@ class SessionEvent:
     trace_id: str | None = None
 
 
-def _frozen_copy(response: QueryResponse, **changes) -> QueryResponse:
-    """A deep-enough copy with ``changes``: clients and releases never share state."""
-    return replace(
-        response,
-        x_hat=np.array(response.x_hat, copy=True),
-        answers=None if response.answers is None else np.array(response.answers, copy=True),
-        info=dict(response.info),
-        **changes,
-    )
-
-
 @dataclass
 class CachedAnswer:
     """A released response plus the kernel-history span [start, end) that
@@ -111,12 +100,20 @@ class CachedAnswer:
 
     def replay(self, request_id: str, accounting: dict, trace_id: str | None) -> QueryResponse:
         """A budget-free copy of the response for a new request id, with the
-        replay's ``accounting`` snapshot and ``trace_id``."""
-        return _frozen_copy(
-            self.response,
+        replay's ``accounting`` snapshot and ``trace_id``; its arrays and
+        ``info`` are its own."""
+        response = self.response
+        return QueryResponse(
             request_id=request_id,
+            session_id=response.session_id,
+            plan=response.plan,
+            epsilon_requested=response.epsilon_requested,
             epsilon_spent=0.0,
+            x_hat=response.x_hat.copy(),
+            answers=None if response.answers is None else response.answers.copy(),
             cached=True,
+            seed=response.seed,
+            info=dict(response.info),
             elapsed_seconds=0.0,
             accounting=accounting,
             trace_id=trace_id,
@@ -229,9 +226,11 @@ class Session:
         #: durable journal; None until :meth:`attach_journal`.
         self.journal = None
         #: (root-ledger length, history length, event count) the last
-        #: commit covered, and the ``release`` records made since.
+        #: commit covered, and the releases made since, as (key, entry).
         self._committed = (0, 0, 0)
-        self.pending_releases: list[dict] = []
+        self.pending_releases: list[tuple[tuple, CachedAnswer]] = []
+        #: (root-ledger length, report) of the last accounting report.
+        self._accounting: tuple[int, dict] = (-1, {})
         #: populated by :func:`repro.durability.restore_session` on a
         #: restored session (replayed record count, orphan event, reconcile).
         self.recovery_info: dict | None = None
@@ -280,8 +279,18 @@ class Session:
         are native units — bare ε for pure/approximate DP, ρ for zCDP; this
         report is where a zCDP session's spend becomes a quotable DP
         statement for audits and client dashboards.
+
+        The spend changes only with the root ledger, so the report is
+        computed again only when the ledger's length has changed; each
+        caller gets its own copy.  The check runs under the session lock,
+        which every charge holds: a report taken halfway through a charge
+        would otherwise be kept under the new length.
         """
-        return self.kernel.accounting_report()
+        with self.lock:
+            length = self.kernel.budget_tracker.num_charges
+            if self._accounting[0] != length:
+                self._accounting = (length, self.kernel.accounting_report())
+            return dict(self._accounting[1])
 
     def next_request_id(self) -> str:
         """Sequential request ids; also the anchor of per-request seeding."""
@@ -297,18 +306,36 @@ class Session:
     def release(
         self, key: tuple, response: QueryResponse, history_start: int, history_end: int
     ) -> None:
-        """Keep a frozen copy of a freshly computed ``response`` under the
-        request ``key``, with the history span that paid for it.  On a
-        journaled session the next commit journals the release, its arrays
-        as raw bytes, so a restore replays it byte-identically."""
+        """Keep a copy of a freshly computed ``response`` under the request
+        ``key``, with the history span that paid for it; its arrays,
+        ``info`` and ``accounting`` are its own, so nothing the client holds
+        reaches it.  On a journaled session the next commit journals the
+        release, its arrays as raw bytes, so a restore replays it
+        byte-identically."""
+        accounting = response.accounting
+        entry = CachedAnswer(
+            QueryResponse(
+                request_id=response.request_id,
+                session_id=response.session_id,
+                plan=response.plan,
+                epsilon_requested=response.epsilon_requested,
+                epsilon_spent=response.epsilon_spent,
+                x_hat=np.array(response.x_hat, copy=True),
+                answers=None if response.answers is None else np.array(response.answers, copy=True),
+                cached=response.cached,
+                seed=response.seed,
+                info=dict(response.info),
+                elapsed_seconds=response.elapsed_seconds,
+                accounting=None if accounting is None else dict(accounting),
+                trace_id=response.trace_id,
+            ),
+            history_start,
+            history_end,
+        )
         with self.lock:
-            self.releases[key] = CachedAnswer(
-                _frozen_copy(response), history_start, history_end
-            )
+            self.releases[key] = entry
             if self.journal is not None:
-                self.pending_releases.append(
-                    release_record(key, response, history_start, history_end)
-                )
+                self.pending_releases.append((key, entry))
 
     # ------------------------------------------------------------------
     # Durability.
@@ -321,19 +348,20 @@ class Session:
         is fresh, one ``commit`` record of every charge, history row,
         release and event so far, so the journal alone rebuilds the session
         as it stands: attaching one to a live session makes it durable, and
-        a new one moves or compacts it.  ``write_open=False`` takes a
-        journal that already holds the session (a restore's) and writes
-        nothing.
+        a new one moves or compacts it.  The journal must be empty: one
+        that already holds records raises ``ValueError`` before anything is
+        written (appending a second session would leave neither
+        restorable).  ``write_open=False`` takes a journal that already
+        holds the session (a restore's) and writes nothing.
         """
         with self.lock:
             if write_open:
+                _require_empty(journal)
                 journal.append(open_record(self))
                 if any(self._marks()):
-                    releases = [
-                        release_record(key, entry.response, entry.history_start, entry.history_end)
-                        for key, entry in self.releases.items()
-                    ]
-                    journal.append(commit_record(self, (0, 0, 0), releases))
+                    journal.append_packed(
+                        "commit", *pack_commit(self, (0, 0, 0), self.releases.items())
+                    )
                 journal.commit()
             self.journal = journal
             self._committed = self._marks()
@@ -356,7 +384,9 @@ class Session:
                 return
             marks = self._marks()
             if marks != self._committed or self.pending_releases:
-                journal.append(commit_record(self, self._committed, self.pending_releases))
+                journal.append_packed(
+                    "commit", *pack_commit(self, self._committed, self.pending_releases)
+                )
                 self._committed = marks
                 self.pending_releases = []
             journal.commit()
@@ -486,8 +516,11 @@ class SessionManager:
         before any session exists, since a restore rebuilds the accountant
         from its name and target alone.  ``journal`` attaches a
         :class:`~repro.durability.PrivacyJournal` making the session
-        crash-safe from its very first charge.
+        crash-safe from its very first charge; one that already holds
+        records raises ``ValueError`` before any session exists.
         """
+        if journal is not None:
+            _require_empty(journal)
         with self._lock:
             if session_id is None:
                 session_id = f"{tenant}-s{next(self._counter)}"
@@ -590,6 +623,18 @@ class SessionManager:
     def __contains__(self, session_id: str) -> bool:
         with self._lock:
             return session_id in self._sessions
+
+
+def _require_empty(journal) -> None:
+    """Refuse a journal that already holds records: a session's journal
+    holds that session alone, from its ``open`` record on."""
+    if len(journal):
+        where = journal.path if journal.path is not None else "<memory>"
+        raise ValueError(
+            f"journal {where} already holds {len(journal)} records; a session "
+            "attaches only an empty journal (restore_session reads one that "
+            "holds a session)"
+        )
 
 
 def _fold(tallies: dict[str, RequestTally], session: Session, events: list) -> None:

@@ -123,16 +123,23 @@ WORKLOAD_BUILDERS: dict[str, Callable[..., LinearQueryMatrix]] = {
 }
 
 
+#: the types a parameter value already has its frozen form in.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def _freeze(value):
     """Canonical hashable form of a builder or plan parameter value.
 
-    A matrix freezes to ``("matrix", strategy_key)``, its content: equal
-    matrices give one request key (one release, one noise seed), and
+    A plain ``str``, ``int``, ``float``, ``bool`` or ``None`` is its own
+    form.  A matrix freezes to ``("matrix", strategy_key)``, its content:
+    equal matrices give one request key (one release, one noise seed), and
     distinct ones distinct keys, since the key's repr seeds each request's
     noise and names its release in the journal.
     """
+    if type(value) in _PLAIN:
+        return value
     if isinstance(value, dict):
-        return tuple(sorted((key, _freeze(item)) for key, item in value.items()))
+        return tuple(sorted([(key, _freeze(item)) for key, item in value.items()]))
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(item) for item in value)
     if isinstance(value, np.ndarray):

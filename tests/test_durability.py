@@ -25,6 +25,7 @@ import gc
 import json
 import math
 import os
+import re
 import statistics
 import threading
 import time
@@ -51,15 +52,16 @@ from repro.durability import (
     response_state,
     restore_session,
 )
-from repro.durability.journal import _encode_frame
+from repro.durability.journal import _encode_frame, _frame_at
 from repro.durability.serialize import pack, unpack
 from repro.matrix.dense import DenseMatrix
 from repro.plans.data_independent import IdentityPlan
 from repro.plans.registry import PLANS_BY_NAME
-from repro.private import audit_kernel
+from repro.private import BudgetExceededError, audit_kernel
 from repro.service import (
     PlanScheduler,
     QueryRequest,
+    QueryResponse,
     RequestFailure,
     SessionClosedError,
     SessionManager,
@@ -291,8 +293,8 @@ class TestJournal:
     def test_sequence_gap_truncates(self, tmp_path):
         path = tmp_path / "j.wal"
         with open(path, "wb") as f:
-            f.write(_encode_frame({"seq": 1, "kind": "charge", "p": 0.1, "d": 0.0}))
-            f.write(_encode_frame({"seq": 3, "kind": "charge", "p": 0.3, "d": 0.0}))
+            f.write(_encode_frame(*pack({"seq": 1, "kind": "charge", "p": 0.1, "d": 0.0})))
+            f.write(_encode_frame(*pack({"seq": 3, "kind": "charge", "p": 0.3, "d": 0.0})))
         recovered = PrivacyJournal(path)
         assert recovered.seq == 1
 
@@ -337,7 +339,7 @@ class TestJournal:
         reader would truncate it all away as a torn tail."""
         path = tmp_path / "old.wal"
         line = self._json_line({"seq": 1, "kind": "charge", "p": 0.1, "d": 0.0})
-        frame = _encode_frame({"seq": 2, "kind": "charge", "p": 0.2, "d": 0.0})
+        frame = _encode_frame(*pack({"seq": 2, "kind": "charge", "p": 0.2, "d": 0.0}))
         for content in (line, line + frame):  # new frames once followed old lines
             path.write_bytes(content)
             with pytest.raises(ValueError, match="JSON-line"):
@@ -501,6 +503,183 @@ class TestRawPayloadFrames:
 
 
 # ======================================================================
+# Commit frames: the one writer against the dict record.
+# ======================================================================
+#: text JSON must escape: every string holds a quote, a backslash, a
+#: control character and non-ASCII text, then more drawn characters (no lone
+#: surrogates: request seeds hash UTF-8 text).
+HOSTILE_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\n\u2028'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=6,
+).map(lambda text: '"\\\x1f\u00e9' + text)
+#: a tag that would add a field to a header spliced together unescaped.
+SPLICE_TAG = '","epsilon_spent":0.0,"x":"'
+
+
+def dict_commit_frame(seq, charges, rows, releases, events) -> bytes:
+    """The frame of one commit built as a dict of per-part dicts and packed
+    whole — the record ``pack_commit`` writes straight from the rows."""
+    parts = [{"kind": "charge", "p": cost.primary, "d": cost.delta} for cost in charges]
+    parts += [{"kind": "measurement", **vars(row)} for row in rows]
+    parts += [
+        {
+            "kind": "release",
+            "key": encode(key),
+            "response": encode(response_state(entry.response)),
+            "history_start": entry.history_start,
+            "history_end": entry.history_end,
+        }
+        for key, entry in releases
+    ]
+    parts += [{"kind": "event", **vars(event)} for event in events]
+    return _encode_frame(*pack({"seq": seq, "kind": "commit", "records": parts}))
+
+
+def assert_commit_frames_are_dict_frames(raw: bytes, session) -> int:
+    """Walk the journal bytes ``raw`` of ``session`` (every key released at
+    most once) and check each commit frame against :func:`dict_commit_frame`
+    of the session rows it holds, taken in order.  Returns the commit count."""
+    ledger, history = session.kernel.budget_tracker.ledger(), session.kernel.history()
+    charges = rows = events = commits = 0
+    start, seq = 0, 0
+    while (frame := _frame_at(raw, start)) is not None:
+        header, newline, end = frame
+        seq += 1
+        record = unpack(raw[header:newline], memoryview(raw)[newline + 1:end])
+        if record["kind"] == "commit":
+            kinds = Counter(part["kind"] for part in record["records"])
+            releases = [
+                (key, session.releases[key])
+                for key in (
+                    decode(part["key"]) for part in record["records"] if part["kind"] == "release"
+                )
+            ]
+            expected = dict_commit_frame(
+                seq,
+                ledger[charges:charges + kinds["charge"]],
+                history[rows:rows + kinds["measurement"]],
+                releases,
+                session.events[events:events + kinds["event"]],
+            )
+            assert raw[start:end] == expected, f"commit at seq {seq}"
+            charges += kinds["charge"]
+            rows += kinds["measurement"]
+            events += kinds["event"]
+            commits += 1
+        start = end
+    assert start == len(raw)
+    assert (charges, rows, events) == (len(ledger), len(history), len(session.events))
+    return commits
+
+
+class TestCommitFrames:
+    """``pack_commit`` writes each commit straight from the session's rows:
+    its frames are byte for byte those of the equivalent dict record, under
+    every accountant, outcome and string a client can send."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        accountant=st.sampled_from(["pure", "approx", "zcdp"]),
+        tenant=HOSTILE_TEXT,
+        session_id=HOSTILE_TEXT,
+        texts=st.lists(HOSTILE_TEXT, min_size=3, max_size=3),
+        attach_after=st.integers(0, 3),
+    )
+    def test_each_commit_frame_is_its_dict_records_frame(
+        self, tmp_path_factory, accountant, tenant, session_id, texts, attach_after
+    ):
+        relation = _property_relation()
+        path = tmp_path_factory.mktemp("wal") / "j.wal"
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = manager.create_session(
+            tenant, relation, 4.0, seed=3, session_id=session_id, accountant=accountant
+        )
+        fresh = [
+            identity_request(session, epsilon=0.05, tag=texts[0]),
+            identity_request(session, epsilon=0.06, request_id=texts[1]),
+            QueryRequest(session.session_id, plan="Identity", epsilon=0.07, tag=texts[2]),
+            identity_request(session, epsilon=0.08),
+        ]
+        # Fresh answers and their replays; the journal is attached to the
+        # live session after ``attach_after`` of them (its whole state).
+        for request in fresh[:attach_after]:
+            scheduler.execute(request)
+            scheduler.execute(replace(request, request_id=texts[2], tag=texts[1]))
+        session.attach_journal(PrivacyJournal(path))
+        for request in fresh[attach_after:]:
+            scheduler.execute(request)
+            scheduler.execute(replace(request, request_id=texts[0]))
+        spliced = scheduler.execute(identity_request(session, epsilon=0.09, tag=SPLICE_TAG))
+        # Refused, errored and rejected requests: ledgered, nothing released.
+        for epsilon in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                scheduler.execute(identity_request(session, epsilon=epsilon, request_id=texts[1]))
+        with pytest.raises(BudgetExceededError):
+            scheduler.execute(identity_request(session, epsilon=100.0, tag=texts[0]))
+        with pytest.raises(ValueError, match="columns"):
+            scheduler.execute(
+                identity_request(session, workload_params={"n": N + 1}, tag=SPLICE_TAG)
+            )
+        # A request that dies after its charge: the batch claims the orphan.
+        faults = FaultInjector()
+        faults.arm("kernel.after_charge", exception=WorkerDeath())
+        session.kernel.fault_injector = faults
+        (died,) = scheduler.execute_batch(
+            [identity_request(session, epsilon=0.11)], return_exceptions=True
+        )
+        assert isinstance(died, WorkerDeath)
+        session.kernel.fault_injector = None
+        assert session.events[-1].plan == "(orphaned)"
+        # A release whose info holds numpy scalars and an array.
+        key = ("query", texts[0], (), None, 0.5)
+        mark = session.kernel.num_measurements
+        session.release(
+            key,
+            QueryResponse(
+                request_id=texts[1],
+                session_id=session.session_id,
+                plan=texts[0],
+                epsilon_requested=np.float64(0.5),
+                epsilon_spent=0.0,
+                x_hat=np.arange(4.0),
+                answers=None,
+                cached=False,
+                seed=None,
+                info={"scale": np.float64(1.5), "count": np.int64(3), SPLICE_TAG: np.arange(3)},
+                elapsed_seconds=0.0,
+                accounting=session.accounting_report(),
+            ),
+            mark,
+            mark,
+        )
+        session.commit()
+        session.journal.close()
+
+        raw = path.read_bytes()
+        assert assert_commit_frames_are_dict_frames(raw, session) == len(session.journal) - 1
+
+        restored = restore_session(relation, PrivacyJournal(path))
+        assert reconcile(restored)["exact"]
+        # Field by field, by repr: a refused request's NaN ε equals itself.
+        assert [repr(vars(e)) for e in restored.events] == [
+            repr(vars(e)) for e in session.events
+        ]
+        (tagged,) = [e for e in restored.events if e.tag == SPLICE_TAG and e.outcome == "ok"]
+        assert tagged.epsilon_spent == spliced.epsilon_spent > 0
+        assert [e.epsilon_spent for e in restored.events] == [
+            e.epsilon_spent for e in session.events
+        ]
+        info = restored.releases[key].response.info
+        assert info["scale"] == 1.5 and info["count"] == 3
+        assert np.array_equal(info[SPLICE_TAG], np.arange(3))
+        restored.journal.close()
+
+
+# ======================================================================
 # Fault injector.
 # ======================================================================
 class TestFaultInjector:
@@ -541,6 +720,38 @@ class TestJournaledSession:
         assert [record["kind"] for record in journal.iter_records()] == ["open"]
         # Attaching a second journal to the still fresh session: the same.
         assert [record["kind"] for record in attached(session).iter_records()] == ["open"]
+
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["file", "memory"])
+    def test_a_journal_that_holds_records_is_refused(self, manager, relation, tmp_path, on_disk):
+        """A second session attached to a used journal would leave neither
+        restorable; it is refused before a byte is written."""
+        path = tmp_path / "a.wal" if on_disk else None
+        journal = PrivacyJournal(path)
+        scheduler = PlanScheduler(manager)
+        a = manager.create_session("acme", relation, 4.0, seed=0, session_id="a", journal=journal)
+        scheduler.execute(identity_request(a, epsilon=0.3))
+        if on_disk:
+            journal.close()
+            journal = PrivacyJournal(path)
+
+        def journal_bytes():
+            return path.read_bytes() if on_disk else journal._file.getvalue()
+
+        before = journal_bytes()
+        refusal = re.escape(f"journal {path if on_disk else '<memory>'} already holds 2 records")
+        with pytest.raises(ValueError, match=refusal):
+            manager.create_session("acme", relation, 4.0, seed=0, session_id="b", journal=journal)
+        assert "b" not in manager
+        live = manager.create_session("acme", relation, 4.0, seed=1, session_id="c")
+        scheduler.execute(identity_request(live))
+        with pytest.raises(ValueError, match=refusal):
+            live.attach_journal(journal)
+        assert live.journal is None
+        assert journal_bytes() == before and len(journal) == 2
+        restored = restore_session(relation, journal)
+        assert restored.budget_consumed() == a.budget_consumed() == pytest.approx(0.3)
+        assert reconcile(restored)["exact"]
+        restored.journal.close()
 
     def test_charges_are_journaled_before_release(self, manager, relation):
         journal = PrivacyJournal(None)
@@ -1413,10 +1624,10 @@ class TestCloseSemantics:
         entered = threading.Event()
         original_run = scheduler._run_locked
 
-        def slow_run(session_, request, queued_at, root):
+        def slow_run(session_, request, request_id, queued_at, root):
             entered.set()
             release.wait(timeout=5)
-            return original_run(session_, request, queued_at, root)
+            return original_run(session_, request, request_id, queued_at, root)
 
         scheduler._run_locked = slow_run
         worker = threading.Thread(
@@ -1464,10 +1675,10 @@ class TestCloseSemantics:
         entered = threading.Event()
         original_run = scheduler._run_locked
 
-        def stalled_run(session_, request, queued_at, root):
+        def stalled_run(session_, request, request_id, queued_at, root):
             entered.set()
             release.wait(timeout=10)
-            return original_run(session_, request, queued_at, root)
+            return original_run(session_, request, request_id, queued_at, root)
 
         scheduler._run_locked = stalled_run
         responses = []
@@ -1604,10 +1815,10 @@ class TestRequestPathOrder:
         calls = []
         original_run = scheduler._run_locked
 
-        def spy(session_, request, queued_at, root):
+        def spy(session_, request, request_id, queued_at, root):
             active = tracer.current_span() if traced else None
             calls.append((root, active, _held_elsewhere(session_.lock)))
-            return original_run(session_, request, queued_at, root)
+            return original_run(session_, request, request_id, queued_at, root)
 
         scheduler._run_locked = spy
         response = scheduler.execute(identity_request(session))

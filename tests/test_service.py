@@ -345,6 +345,14 @@ class TestMeasurementCache:
         scheduler.execute(identity_request(session, epsilon=0.1))
         other = scheduler.execute(identity_request(session, epsilon=0.2))
         assert not other.cached
+        # One request object run twice, its epsilon changed in between: the
+        # key is the request's as it stands, and the object keeps no id.
+        request = identity_request(session, epsilon=0.3)
+        assert not scheduler.execute(request).cached
+        request.epsilon = 0.4
+        again = scheduler.execute(request)
+        assert not again.cached and again.epsilon_requested == 0.4
+        assert request.request_id is None
 
     def test_reuse_false_bypasses_cache(self, manager, scheduler, relation):
         session = open_session(manager, relation)
@@ -393,13 +401,28 @@ class TestMeasurementCache:
         session = open_session(manager, relation)
         first = scheduler.execute(identity_request(session))
         original = first.x_hat.copy()
+        report = session.accounting_report()
         first.x_hat[:] = -1.0
         first.answers[:] = -1.0
         first.info["note"] = "mutated"
+        first.accounting["epsilon_spent"] = -1.0
         second = scheduler.execute(identity_request(session))
         assert second.cached
         assert np.array_equal(second.x_hat, original)
         assert "note" not in second.info
+        # Nor can a client that mutates a replay.
+        payload, info = second.payload.copy(), dict(second.info)
+        second.x_hat[:] = -2.0
+        second.answers[:] = -2.0
+        second.info["note"] = "mutated"
+        second.accounting["epsilon_spent"] = -2.0
+        third = scheduler.execute(identity_request(session))
+        assert third.cached
+        assert np.array_equal(third.payload, payload) and third.info == info
+        assert np.array_equal(third.x_hat, original)
+        assert session.accounting_report() == report == third.accounting
+        (release,) = session.releases.values()
+        assert release.response.accounting == report
 
     def test_stats(self, manager, scheduler, relation):
         session = open_session(manager, relation)

@@ -361,11 +361,11 @@ class TestDrainCloseRace:
         entered, release = threading.Event(), threading.Event()
         original = scheduler._run_locked
 
-        def slow_run(session_, request, queued_at, root):
+        def slow_run(session_, request, request_id, queued_at, root):
             if not entered.is_set():
                 entered.set()
                 assert release.wait(timeout=10)
-            return original(session_, request, queued_at, root)
+            return original(session_, request, request_id, queued_at, root)
 
         scheduler._run_locked = slow_run
         requests = [
