@@ -118,8 +118,7 @@ def main() -> None:
     # 4. The orphaned charge was claimed, not lost: a synthesized audit
     #    event covers exactly the epsilon the doomed request charged.
     # ------------------------------------------------------------------
-    orphan = info["orphaned_event"]
-    assert orphan is not None
+    (orphan,) = info["orphaned_events"]
     print(
         f"orphan claimed: plan={orphan['plan']} error={orphan['error']} "
         f"eps={orphan['epsilon_spent']:.3f}"

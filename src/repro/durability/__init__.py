@@ -27,7 +27,7 @@ three pieces:
 
 from .faults import FAULT_POINTS, FaultInjector, InjectedFault, WorkerDeath
 from .journal import PrivacyJournal
-from .records import RecoveryError, response_from_state, response_state, restore_session
+from .records import RecoveryError, restore_session
 from .serialize import decode, encode
 
 __all__ = [
@@ -39,7 +39,5 @@ __all__ = [
     "WorkerDeath",
     "decode",
     "encode",
-    "response_from_state",
-    "response_state",
     "restore_session",
 ]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "FAULT_POINTS",
@@ -89,7 +89,6 @@ class _ArmedFault:
     exception: BaseException | None = None
     delay: float = 0.0
     hits: int = 0
-    firings: int = 0
 
     def should_fire(self) -> bool:
         return self.after < self.hits <= self.after + self.times
@@ -148,7 +147,6 @@ class FaultInjector:
             for spec in specs:
                 spec.hits += 1
                 if spec.should_fire():
-                    spec.firings += 1
                     to_fire.append(spec)
                     self.fired.append(FiredFault(point, spec.hits, context))
         for spec in to_fire:

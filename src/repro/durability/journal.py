@@ -23,9 +23,9 @@ records hold.  An Identity request's commit at n=3, whose release holds a
 3-entry ``x_hat`` and 3 prefix answers (48 raw bytes), elided::
 
     bcc1bada 48 {"seq":2,"kind":"commit","records":[{"kind":"charge",...},
-    ...,{"kind":"release",...,"response":{...,
+    ...,{"kind":"release","key":{...},
     "x_hat":{"__raw__":0,"dtype":"<f8","shape":[3]},
-    "answers":{"__raw__":24,"dtype":"<f8","shape":[3]},...},...},...]}\n
+    "answers":{"__raw__":24,"dtype":"<f8","shape":[3]},"seed":...},...]}\n
     <48 bytes: x_hat, then the answers>
 
 The header is one line in the file (wrapped here); the CRC covers it and

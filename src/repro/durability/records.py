@@ -12,21 +12,26 @@ raw bytes, see :mod:`repro.durability.serialize`).  There are two kinds:
   * ``charge`` — one accepted root-level budget charge, ``{"kind":
     "charge", "p": primary, "d": delta}``;
   * ``measurement`` — one kernel history row, its fields in field order;
-  * ``release`` — one released answer: its request ``key``, its
-    ``response`` (every field; the arrays as raw-byte tags) and the
+  * ``release`` — one released answer, a
+    :class:`~repro.service.session.CachedAnswer`, its fields in field
+    order: its request ``key``, ``x_hat`` and ``answers`` (as raw-byte
+    tags), ``seed``, the plan's ``info`` and the
     ``history_start``/``history_end`` span that paid for it;
   * ``event`` — one audit-trail :class:`~repro.service.session.SessionEvent`,
     its fields in field order.
 
+Each part holds exactly the fields its restore rebuilds, and one function
+rebuilds the measurement, release and event parts: :func:`_from_record`.
+
 One function writes every commit, :func:`pack_commit`: straight from the
 session's new rows to the JSON header, one ``%s`` template per part filled
 with the part's field values, and the release arrays for the raw section.
-A value of a plain type is spelled as JSON spells it; a release's response
-fields first pass through :func:`~repro.durability.serialize.encode`, and
-what is not plain after that — its key, its plan's ``info``, its
-``accounting`` and its arrays (as raw-section tags) — goes through the
-header encoder.  So a commit's bytes are exactly those of the same record
-built as dicts and packed by :func:`~repro.durability.serialize.pack`.
+A value of a plain type is spelled as JSON spells it; a release's fields
+first pass through :func:`~repro.durability.serialize.encode`, and what is
+not plain after that — its key, its plan's ``info`` and its arrays (as
+raw-section tags) — goes through the header encoder.  So a commit's bytes
+are exactly those of the same record built as dicts and packed by
+:func:`~repro.durability.serialize.pack`.
 
 A journaled session's journal holds its ``open`` record, then ``commit``
 records: attaching a journal writes the session's whole state so far as
@@ -44,7 +49,9 @@ deployment to supply the original data, which stays the operator's.
    trail and the request counter, released answers back into the session's
    releases (byte-identical, and not copied again: decoded arrays already
    own their memory).  A part that lacks a field its class requires raises
-   :class:`RecoveryError` naming the kind and the field;
+   :class:`RecoveryError` naming the kind and the field: a release part
+   written before releases were flat, which nests a ``response`` record,
+   has no ``x_hat`` and is refused so;
 3. attach the journal (writing nothing: it already holds the session) and
    *claim orphans*: budget whose request died before recording an event is
    claimed by one synthesized, committed errored event, so the audit trail
@@ -79,31 +86,12 @@ from ..private.kernel import MeasurementRecord
 from .journal import PrivacyJournal
 from .serialize import decode, encode, pack_text
 
-__all__ = [
-    "RecoveryError",
-    "open_record",
-    "pack_commit",
-    "response_from_state",
-    "response_state",
-    "restore_session",
-]
+__all__ = ["RecoveryError", "open_record", "pack_commit", "restore_session"]
 
 
 class RecoveryError(Exception):
     """Restored state failed verification (accountant mismatch, inexact
     reconciliation, a malformed journal)."""
-
-
-def response_state(response) -> dict:
-    """A :class:`~repro.service.api.QueryResponse` as a plain field dict."""
-    return {f.name: getattr(response, f.name) for f in dataclass_fields(response)}
-
-
-def response_from_state(state: dict):
-    """Invert :func:`response_state`."""
-    from ..service.api import QueryResponse
-
-    return _from_record(QueryResponse, state)
 
 
 @functools.cache
@@ -161,13 +149,13 @@ def _members(cls) -> tuple[str, operator.attrgetter]:
 def pack_commit(session, since: tuple[int, int, int], releases) -> tuple[bytes, list[np.ndarray]]:
     """Everything ``session`` changed past ``since`` — its (root-ledger
     length, history length, event count) marks — plus ``releases``, its
-    ``(key, CachedAnswer)`` pairs, as one packed ``commit`` record: the JSON
-    header (without ``seq``) and the release arrays, for
-    :meth:`~repro.durability.PrivacyJournal.append_packed`.
+    :class:`~repro.service.session.CachedAnswer` entries, as one packed
+    ``commit`` record: the JSON header (without ``seq``) and the release
+    arrays, for :meth:`~repro.durability.PrivacyJournal.append_packed`.
 
     The parts are charges, measurement rows, releases and events, each a
-    template filled from the object's fields; a release's key and response
-    fields pass through :func:`encode` first, as its dict record's did.
+    template filled from the object's fields; a release's fields pass
+    through :func:`encode` first, as its dict record's do.
     """
     charges, rows, events = since
     kernel = session.kernel
@@ -180,16 +168,10 @@ def pack_commit(session, since: tuple[int, int, int], releases) -> tuple[bytes, 
         members, fields = _members(type(row))
         parts.append('{"kind":"measurement",' + members + "}")
         values += fields(row)
-    for key, entry in releases:
-        members, _ = _members(type(entry.response))
-        parts.append(
-            '{"kind":"release","key":%s,"response":{'
-            + members
-            + '},"history_start":%s,"history_end":%s}'
-        )
-        values.append(encode(key))
-        values += map(encode, response_state(entry.response).values())
-        values += (entry.history_start, entry.history_end)
+    for entry in releases:
+        members, fields = _members(type(entry))
+        parts.append('{"kind":"release",' + members + "}")
+        values += map(encode, fields(entry))
     for event in session.events[events:]:
         members, fields = _members(type(event))
         parts.append('{"kind":"event",' + members + "}")
@@ -256,11 +238,8 @@ def _replay(session, records: Iterable[dict]) -> int:
                     session.request_counter = max(session.request_counter, number)
             elif kind == "release":
                 # Decoded arrays own their memory: stored as they are.
-                session.releases[decode(part["key"])] = CachedAnswer(
-                    response_from_state(decode(part["response"])),
-                    int(part["history_start"]),
-                    int(part["history_end"]),
-                )
+                entry = _from_record(CachedAnswer, decode(part))
+                session.releases[entry.key] = entry
             else:
                 raise RecoveryError(f"unknown record kind {kind!r}")
         replayed += len(parts)
@@ -313,7 +292,6 @@ def restore_session(table, journal: PrivacyJournal, manager=None):
         )
     session.recovery_info = {
         "replayed_records": replayed,
-        "orphaned_event": asdict(orphans[-1]) if orphans else None,
         "orphaned_events": [asdict(o) for o in orphans],
         "reconcile": report,
     }

@@ -1,6 +1,6 @@
 """Query-selection operators: choose which measurement matrix to ask."""
 
-from .hdmm import classify_workload_factor, expected_total_error, hdmm_select, optimise_dimension
+from .hdmm import classify_workload_factor, hdmm_select, optimise_dimension
 from .hierarchical import (
     adaptive_grid_select,
     greedy_h_select,
@@ -34,7 +34,6 @@ __all__ = [
     "adaptive_grid_select",
     "hdmm_select",
     "optimise_dimension",
-    "expected_total_error",
     "classify_workload_factor",
     "stripe_kron_select",
     "worst_approximated",

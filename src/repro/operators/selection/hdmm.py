@@ -10,14 +10,13 @@ parameterisations.  This reproduction keeps the architecture — per-dimension
 strategy choice, Kronecker combination, sensitivity-aware scoring — but
 selects each dimension's strategy from a small candidate set (Identity,
 Total+Identity, H2, HB, Wavelet) by exact expected-error computation when the
-per-dimension domain is small and by structural heuristics otherwise.  The
-operator still adapts to the workload and scales through implicit matrices,
-which is what the paper's evaluation exercises.
+per-dimension domain is small (the analysis engine's
+:func:`~repro.analysis.expected_workload_error`) and by structural
+heuristics otherwise.  The operator still adapts to the workload and scales
+through implicit matrices, which is what the paper's evaluation exercises.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ...matrix import (
     HaarWavelet,
@@ -45,24 +44,6 @@ def _candidate_strategies(n: int) -> dict[str, LinearQueryMatrix]:
     if n >= 2 and (n & (n - 1)) == 0:
         candidates["wavelet"] = HaarWavelet(n)
     return candidates
-
-
-def expected_total_error(workload: LinearQueryMatrix, strategy: LinearQueryMatrix) -> float:
-    """Expected total squared error of answering ``workload`` via ``strategy``.
-
-    Uses the matrix-mechanism error formula ``||A||_1^2 * trace(W (A^T A)^+ W^T)``
-    (Li et al. 2015), computed densely — only called for small domains.
-    """
-    W = ensure_matrix(workload).dense()
-    A = ensure_matrix(strategy).dense()
-    gram = A.T @ A
-    pinv = np.linalg.pinv(gram)
-    # If the strategy does not support the workload, the error is infinite.
-    projection = W @ pinv @ gram
-    if not np.allclose(projection, W, atol=1e-6):
-        return float("inf")
-    sensitivity = float(np.abs(A).sum(axis=0).max())
-    return sensitivity**2 * float(np.trace(W @ pinv @ W.T))
 
 
 def _score_heuristic(name: str, workload_kind: str) -> float:
@@ -96,11 +77,17 @@ def classify_workload_factor(factor: LinearQueryMatrix) -> str:
 
 def optimise_dimension(factor: LinearQueryMatrix) -> LinearQueryMatrix:
     """Choose a measurement strategy for one dimension of the workload."""
+    # Imported here: the analysis engine imports the operator package.
+    from ...analysis.error import expected_workload_error
+
     n = factor.shape[1]
     candidates = _candidate_strategies(n)
     if n <= _EXACT_LIMIT:
+        # Every candidate has full column rank (each holds an Identity part
+        # or is the full Haar basis), so every score is finite.
         scores = {
-            name: expected_total_error(factor, strategy) for name, strategy in candidates.items()
+            name: expected_workload_error(factor, strategy)
+            for name, strategy in candidates.items()
         }
         best = min(scores, key=scores.get)
         return candidates[best]

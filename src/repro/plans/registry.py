@@ -1,16 +1,17 @@
 """Plan registry: the Fig. 2 table as code.
 
-Maps plan names to factories plus the plan-signature metadata used by the
-transparency example (``examples/plan_signatures.py``).  Factories take the
-keyword arguments a plan needs beyond the protected source and epsilon
-(workloads, domain shapes, stripe axes, ...), so benchmarks can instantiate
-plans uniformly.
+Maps plan names to factories, the plan classes themselves, plus the
+citations the transparency example prints (``examples/plan_signatures.py``).
+Each plan class is the one source of its Fig. 2 id and signature; an entry
+reads them from its class.  Factories take the keyword arguments a plan
+needs beyond the protected source and epsilon (workloads, domain shapes,
+stripe axes, ...), so benchmarks can instantiate plans uniformly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .base import Plan
 from .data_dependent import AdaptiveGridPlan, AhpPlan, DawaPlan, MwemPlan
@@ -32,37 +33,44 @@ from .striped import DawaStripedPlan, HbStripedKronPlan, HbStripedPlan
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One row of the Fig. 2 plan table."""
+    """One row of the Fig. 2 plan table: its id and signature are its plan
+    class's."""
 
-    plan_id: int | None
     name: str
     citation: str
-    signature: str
-    factory: Callable[..., Plan]
+    factory: type[Plan]
+
+    @property
+    def plan_id(self) -> int | None:
+        return self.factory.plan_id
+
+    @property
+    def signature(self) -> str:
+        return self.factory.signature
 
 
 PLAN_TABLE: list[PlanEntry] = [
-    PlanEntry(1, "Identity", "Dwork et al. 2006", "SI LM", IdentityPlan),
-    PlanEntry(2, "Privelet", "Xiao et al. 2010", "SP LM LS", PriveletPlan),
-    PlanEntry(3, "Hierarchical (H2)", "Hay et al. 2010", "SH2 LM LS", H2Plan),
-    PlanEntry(4, "Hierarchical Opt (HB)", "Qardaji et al. 2013", "SHB LM LS", HbPlan),
-    PlanEntry(5, "Greedy-H", "Li et al. 2014", "SG LM LS", GreedyHPlan),
-    PlanEntry(6, "Uniform", "-", "ST LM LS", UniformPlan),
-    PlanEntry(7, "MWEM", "Hardt et al. 2012", "I:( SW LM MW )", MwemPlan),
-    PlanEntry(8, "AHP", "Zhang et al. 2014", "PA TR SI LM LS", AhpPlan),
-    PlanEntry(9, "DAWA", "Li et al. 2014", "PD TR SG LM LS", DawaPlan),
-    PlanEntry(10, "Quadtree", "Cormode et al. 2012", "SQ LM LS", QuadtreePlan),
-    PlanEntry(11, "UniformGrid", "Qardaji et al. 2013", "SU LM LS", UniformGridPlan),
-    PlanEntry(12, "AdaptiveGrid", "Qardaji et al. 2013", "SU LM LS PU TP[ SA LM]", AdaptiveGridPlan),
-    PlanEntry(13, "HDMM", "McKenna et al. 2018", "SHD LM LS", HdmmPlan),
-    PlanEntry(14, "DAWA-Striped", "NEW", "PS TP[ PD TR SG LM] LS", DawaStripedPlan),
-    PlanEntry(15, "HB-Striped", "NEW", "PS TP[ SHB LM] LS", HbStripedPlan),
-    PlanEntry(16, "HB-Striped_kron", "NEW", "SS LM LS", HbStripedKronPlan),
-    PlanEntry(17, "PrivBayesLS", "NEW", "SPB LM LS", PrivBayesLsPlan),
-    PlanEntry(18, "MWEM variant b", "NEW", "I:( SW SH2 LM MW )", MwemVariantB),
-    PlanEntry(19, "MWEM variant c", "NEW", "I:( SW LM NLS )", MwemVariantC),
-    PlanEntry(20, "MWEM variant d", "NEW", "I:( SW SH2 LM NLS )", MwemVariantD),
-    PlanEntry(None, "PrivBayes", "Zhang et al. 2017", "SPB LM (factorised combine)", PrivBayesPlan),
+    PlanEntry("Identity", "Dwork et al. 2006", IdentityPlan),
+    PlanEntry("Privelet", "Xiao et al. 2010", PriveletPlan),
+    PlanEntry("Hierarchical (H2)", "Hay et al. 2010", H2Plan),
+    PlanEntry("Hierarchical Opt (HB)", "Qardaji et al. 2013", HbPlan),
+    PlanEntry("Greedy-H", "Li et al. 2014", GreedyHPlan),
+    PlanEntry("Uniform", "-", UniformPlan),
+    PlanEntry("MWEM", "Hardt et al. 2012", MwemPlan),
+    PlanEntry("AHP", "Zhang et al. 2014", AhpPlan),
+    PlanEntry("DAWA", "Li et al. 2014", DawaPlan),
+    PlanEntry("Quadtree", "Cormode et al. 2012", QuadtreePlan),
+    PlanEntry("UniformGrid", "Qardaji et al. 2013", UniformGridPlan),
+    PlanEntry("AdaptiveGrid", "Qardaji et al. 2013", AdaptiveGridPlan),
+    PlanEntry("HDMM", "McKenna et al. 2018", HdmmPlan),
+    PlanEntry("DAWA-Striped", "NEW", DawaStripedPlan),
+    PlanEntry("HB-Striped", "NEW", HbStripedPlan),
+    PlanEntry("HB-Striped_kron", "NEW", HbStripedKronPlan),
+    PlanEntry("PrivBayesLS", "NEW", PrivBayesLsPlan),
+    PlanEntry("MWEM variant b", "NEW", MwemVariantB),
+    PlanEntry("MWEM variant c", "NEW", MwemVariantC),
+    PlanEntry("MWEM variant d", "NEW", MwemVariantD),
+    PlanEntry("PrivBayes", "Zhang et al. 2017", PrivBayesPlan),
 ]
 
 PLANS_BY_NAME = {entry.name: entry for entry in PLAN_TABLE}

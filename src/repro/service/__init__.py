@@ -6,13 +6,15 @@ needs between the two — sessions, scheduling, caching and auditing:
 
 * :class:`SessionManager` / :class:`Session` — per-tenant kernels, each with
   its own epsilon ledger, lock, audit trail and releases: the answers it
-  released, by request key, as :class:`CachedAnswer` records that an
-  identical request replays at zero ε (post-processing), each indexed
-  against the kernel's query history;
+  released, by request key, as :class:`CachedAnswer` records (the arrays,
+  seed and plan ``info`` a replay hands out) that an identical request
+  replays at zero ε (post-processing), each indexed against the kernel's
+  query history;
 * :class:`QueryRequest` / :class:`QueryResponse` — the data-free wire API;
 * :class:`PlanScheduler` — the execution core: each request runs as
   straight-line code (closed checks, session lock, root span, replay probe,
-  plan run, release, journal commit) driven by an executor backend
+  plan run, release, journal commit), one helper builds every response,
+  fresh or replayed, and an executor backend drives it
   (:mod:`~repro.service.executors`: ``inline``/``thread``), with
   deterministic per-request noise seeding that makes answers byte-identical
   on either backend;
@@ -27,7 +29,7 @@ Observability: construct the scheduler with a
 (``QueryResponse.trace_id``) spanning plan stages, kernel measurements and
 solver calls, structurally identical on either backend.  Request metrics
 (outcome counts, latency/queue-wait histograms, the per-tenant
-privacy-spend odometer) are a view of the sessions' audit trail, computed
+privacy spend) are a view of the sessions' audit trail, computed
 at export by :func:`request_metrics` and :func:`telemetry_report`, replays
 included as ``cached`` outcomes; the artifact cache's counters are its own
 fields.  See :mod:`repro.telemetry`.

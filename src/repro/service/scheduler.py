@@ -43,10 +43,16 @@ history span.  (Malformed requests that never resolve to a plan or workload
 **Releases.**  A ``reuse`` request first probes its session's releases
 (:attr:`~repro.service.session.Session.releases`) under the session lock it
 already holds: a hit replays the released answer at zero ε as a ``cached``
-event.  A fresh answer is handed to
+event.  A fresh answer becomes a
+:class:`~repro.service.session.CachedAnswer` built from the plan's result
+— its arrays, seed and ``info`` — and is handed to
 :meth:`~repro.service.session.Session.release` before the response leaves
-the lock.  The scheduler keeps no state per session, so closing, journaling
-and restoring a session need only the session.
+the lock.  One helper, :meth:`PlanScheduler._respond`, builds every
+:class:`~repro.service.api.QueryResponse`, fresh or replayed: it copies the
+release's arrays and ``info``, so nothing a client holds reaches the
+release, and takes the rest from the request, the session and the moment.
+The scheduler keeps no state per session, so closing, journaling and
+restoring a session need only the session.
 
 **Durability.**  On a journal-attached session, the request's charges,
 measurement rows, release and event reach the journal as one record,
@@ -88,7 +94,7 @@ from ..telemetry.spans import NOOP_SPAN, NULL_TRACER, NullTracer, Tracer, activa
 from .api import QueryRequest, QueryResponse, RequestFailure
 from .artifact_cache import ArtifactCache
 from .executors import ExecutorBackend, make_executor
-from .session import Session, SessionClosedError, SessionEvent, SessionManager
+from .session import CachedAnswer, Session, SessionClosedError, SessionEvent, SessionManager
 
 __all__ = ["PlanScheduler", "derive_request_seed"]
 
@@ -317,26 +323,16 @@ class PlanScheduler:
             raise
 
         after = kernel.budget_snapshot()
-        history = (before.num_measurements, after.num_measurements)
-        response = QueryResponse(
-            request_id=request_id,
-            session_id=session.session_id,
-            plan=request.plan,
-            epsilon_requested=request.epsilon,
-            epsilon_spent=kernel.budget_charged_between(before, after),
-            x_hat=result.x_hat,
-            answers=answers,
-            cached=False,
-            seed=seed,
-            info=dict(result.info),
-            elapsed_seconds=time.perf_counter() - start,
-            accounting=session.accounting_report(),
-            trace_id=trace_id,
+        spent = kernel.budget_charged_between(before, after)
+        entry = CachedAnswer(
+            key, result.x_hat, answers, seed, result.info,
+            before.num_measurements, after.num_measurements,
         )
-        session.release(key, response, *history)
+        response = self._respond(session, request, request_id, entry, start, trace_id, spent)
+        session.release(entry)
         self._ledger(
             session, request, request_id, "ok", response.elapsed_seconds, queue_wait,
-            trace_id, history, spent=response.epsilon_spent, seed=seed,
+            trace_id, (entry.history_start, entry.history_end), spent=spent, seed=seed,
         )
         return response
 
@@ -354,16 +350,48 @@ class PlanScheduler:
         entry = session.releases.get(key)
         if entry is None:
             return None
-        # The replay carries the session's accounting now, not the paying
-        # request's (spend may have moved since the answer was released).
-        response = entry.replay(request_id, session.accounting_report(), trace_id)
-        response.elapsed_seconds = time.perf_counter() - start
+        response = self._respond(session, request, request_id, entry, start, trace_id)
         self._ledger(
             session, request, request_id, "cached", response.elapsed_seconds,
             queue_wait, trace_id, (entry.history_start, entry.history_start),
-            seed=response.seed,
+            seed=entry.seed,
         )
         return response
+
+    @staticmethod
+    def _respond(
+        session: Session,
+        request: QueryRequest,
+        request_id: str,
+        entry: CachedAnswer,
+        start: float,
+        trace_id: str | None,
+        spent: float | None = None,
+    ) -> QueryResponse:
+        """The response handing out ``entry``: fresh, charged ``spent``, or
+        a replay at zero ε when ``spent`` is None.
+
+        Its arrays and ``info`` are copies of the release's; the plan and ε
+        come from the request (equal to the release's: they key it) and the
+        session id from the session.  The elapsed time and the session's
+        accounting are read now, so a replay carries the spend of the
+        moment, not that of the request that paid.
+        """
+        return QueryResponse(
+            request_id=request_id,
+            session_id=session.session_id,
+            plan=request.plan,
+            epsilon_requested=request.epsilon,
+            epsilon_spent=0.0 if spent is None else spent,
+            x_hat=entry.x_hat.copy(),
+            answers=None if entry.answers is None else entry.answers.copy(),
+            cached=spent is None,
+            seed=entry.seed,
+            info=dict(entry.info),
+            elapsed_seconds=time.perf_counter() - start,
+            accounting=session.accounting_report(),
+            trace_id=trace_id,
+        )
 
     def _ledger(
         self,
@@ -390,7 +418,6 @@ class PlanScheduler:
                 workload=request.workload,
                 epsilon_requested=request.epsilon,
                 epsilon_spent=spent,
-                cached=outcome == "cached",
                 outcome=outcome,
                 seed=seed,
                 history_start=history[0],

@@ -6,9 +6,11 @@ handle, a lazily-vectorised source plans run against, a re-entrant lock that
 serialises all budget-spending work on the kernel, an append-only audit
 trail of :class:`SessionEvent` records (one per scheduled request) and its
 **releases**: each answer it released, by request key, as a
-:class:`CachedAnswer`.  Handing a released answer out again is
-post-processing, so an identical request replays it at zero ε; the history
-span on each release points back at the kernel rows that paid for it.
+:class:`CachedAnswer` holding only what a replay hands out — the arrays,
+the noise seed and the plan's ``info`` — beside its key and history span.
+Handing a released answer out again is post-processing, so an identical
+request replays it at zero ε; the history span on each release points back
+at the kernel rows that paid for it.
 
 Sessions are made **durable** by attaching a
 :class:`~repro.durability.PrivacyJournal` (:meth:`Session.attach_journal`),
@@ -48,7 +50,6 @@ from ..durability.records import open_record, pack_commit
 from ..private.kernel import BudgetSnapshot, ProtectedKernel
 from ..private.protected import ProtectedDataSource
 from ..telemetry.metrics import Histogram
-from .api import QueryResponse
 
 
 class SessionClosedError(RuntimeError):
@@ -65,7 +66,6 @@ class SessionEvent:
     workload: str | None
     epsilon_requested: float
     epsilon_spent: float
-    cached: bool
     #: how the request ended: ``ok``, ``cached`` (a replay), ``rejected``
     #: (refused before any spend) or ``error``.
     outcome: str
@@ -88,36 +88,27 @@ class SessionEvent:
     #: trace id of the request's span tree when tracing was enabled, else None.
     trace_id: str | None = None
 
+    @property
+    def cached(self) -> bool:
+        """True for a replay."""
+        return self.outcome == "cached"
+
 
 @dataclass
 class CachedAnswer:
-    """A released response plus the kernel-history span [start, end) that
-    paid for it."""
+    """One released answer: what a replay of the request ``key`` hands out
+    (its estimate, workload answers, noise seed and the plan's ``info``)
+    and the kernel-history span [start, end) that paid for it.  The
+    scheduler builds it from the plan's result and copies it into every
+    response, so nothing a client holds reaches it."""
 
-    response: QueryResponse
+    key: tuple
+    x_hat: np.ndarray
+    answers: np.ndarray | None
+    seed: int | None
+    info: dict
     history_start: int
     history_end: int
-
-    def replay(self, request_id: str, accounting: dict, trace_id: str | None) -> QueryResponse:
-        """A budget-free copy of the response for a new request id, with the
-        replay's ``accounting`` snapshot and ``trace_id``; its arrays and
-        ``info`` are its own."""
-        response = self.response
-        return QueryResponse(
-            request_id=request_id,
-            session_id=response.session_id,
-            plan=response.plan,
-            epsilon_requested=response.epsilon_requested,
-            epsilon_spent=0.0,
-            x_hat=response.x_hat.copy(),
-            answers=None if response.answers is None else response.answers.copy(),
-            cached=True,
-            seed=response.seed,
-            info=dict(response.info),
-            elapsed_seconds=0.0,
-            accounting=accounting,
-            trace_id=trace_id,
-        )
 
 
 def _add_exact(partials: list[float], value: float) -> None:
@@ -226,13 +217,13 @@ class Session:
         #: durable journal; None until :meth:`attach_journal`.
         self.journal = None
         #: (root-ledger length, history length, event count) the last
-        #: commit covered, and the releases made since, as (key, entry).
+        #: commit covered, and the releases made since.
         self._committed = (0, 0, 0)
-        self.pending_releases: list[tuple[tuple, CachedAnswer]] = []
+        self.pending_releases: list[CachedAnswer] = []
         #: (root-ledger length, report) of the last accounting report.
         self._accounting: tuple[int, dict] = (-1, {})
         #: populated by :func:`repro.durability.restore_session` on a
-        #: restored session (replayed record count, orphan event, reconcile).
+        #: restored session (replayed record count, orphan events, reconcile).
         self.recovery_info: dict | None = None
         self._closing = False
         self._closed = False
@@ -303,39 +294,14 @@ class Session:
         with self.lock:
             self.events.append(event)
 
-    def release(
-        self, key: tuple, response: QueryResponse, history_start: int, history_end: int
-    ) -> None:
-        """Keep a copy of a freshly computed ``response`` under the request
-        ``key``, with the history span that paid for it; its arrays,
-        ``info`` and ``accounting`` are its own, so nothing the client holds
-        reaches it.  On a journaled session the next commit journals the
-        release, its arrays as raw bytes, so a restore replays it
-        byte-identically."""
-        accounting = response.accounting
-        entry = CachedAnswer(
-            QueryResponse(
-                request_id=response.request_id,
-                session_id=response.session_id,
-                plan=response.plan,
-                epsilon_requested=response.epsilon_requested,
-                epsilon_spent=response.epsilon_spent,
-                x_hat=np.array(response.x_hat, copy=True),
-                answers=None if response.answers is None else np.array(response.answers, copy=True),
-                cached=response.cached,
-                seed=response.seed,
-                info=dict(response.info),
-                elapsed_seconds=response.elapsed_seconds,
-                accounting=None if accounting is None else dict(accounting),
-                trace_id=response.trace_id,
-            ),
-            history_start,
-            history_end,
-        )
+    def release(self, entry: CachedAnswer) -> None:
+        """Keep ``entry`` under its request key, as it is.  On a journaled
+        session the next commit journals it, its arrays as raw bytes, so a
+        restore replays it byte-identically."""
         with self.lock:
-            self.releases[key] = entry
+            self.releases[entry.key] = entry
             if self.journal is not None:
-                self.pending_releases.append((key, entry))
+                self.pending_releases.append(entry)
 
     # ------------------------------------------------------------------
     # Durability.
@@ -345,22 +311,23 @@ class Session:
         session into it, then journal every change from now on.
 
         The session's ``open`` record comes first, then, unless the session
-        is fresh, one ``commit`` record of every charge, history row,
-        release and event so far, so the journal alone rebuilds the session
-        as it stands: attaching one to a live session makes it durable, and
-        a new one moves or compacts it.  The journal must be empty: one
-        that already holds records raises ``ValueError`` before anything is
-        written (appending a second session would leave neither
-        restorable).  ``write_open=False`` takes a journal that already
-        holds the session (a restore's) and writes nothing.
+        is fresh (no charge, history row, event or release), one ``commit``
+        record of every charge, history row, release and event so far, so
+        the journal alone rebuilds the session as it stands: attaching one
+        to a live session makes it durable, and a new one moves or compacts
+        it.  The journal must be empty: one that already holds records
+        raises ``ValueError`` before anything is written (appending a second
+        session would leave neither restorable).  ``write_open=False`` takes
+        a journal that already holds the session (a restore's) and writes
+        nothing.
         """
         with self.lock:
             if write_open:
                 _require_empty(journal)
                 journal.append(open_record(self))
-                if any(self._marks()):
+                if any(self._marks()) or self.releases:
                     journal.append_packed(
-                        "commit", *pack_commit(self, (0, 0, 0), self.releases.items())
+                        "commit", *pack_commit(self, (0, 0, 0), self.releases.values())
                     )
                 journal.commit()
             self.journal = journal
@@ -444,7 +411,6 @@ class Session:
                     workload=None,
                     epsilon_requested=0.0,
                     epsilon_spent=spend,
-                    cached=False,
                     outcome="error",
                     seed=None,
                     history_start=start,

@@ -32,7 +32,7 @@ import time
 import tracemalloc
 import zlib
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -48,8 +48,6 @@ from repro.durability import (
     WorkerDeath,
     decode,
     encode,
-    response_from_state,
-    response_state,
     restore_session,
 )
 from repro.durability.journal import _encode_frame, _frame_at
@@ -58,12 +56,14 @@ from repro.matrix.dense import DenseMatrix
 from repro.plans.data_independent import IdentityPlan
 from repro.plans.registry import PLANS_BY_NAME
 from repro.private import BudgetExceededError, audit_kernel
+from repro.private.kernel import MeasurementRecord
 from repro.service import (
+    CachedAnswer,
     PlanScheduler,
     QueryRequest,
-    QueryResponse,
     RequestFailure,
     SessionClosedError,
+    SessionEvent,
     SessionManager,
     reconcile,
     session_report,
@@ -496,8 +496,7 @@ class TestRawPayloadFrames:
             releases = [p for p in commit_parts(journal.iter_records()) if p["kind"] == "release"]
         assert len(releases) == 2
         for release in releases:
-            response = decode(release["response"])
-            for array in (response["x_hat"], response["answers"]):
+            for array in (release["x_hat"], release["answers"]):
                 assert array.flags.owndata and array.base is None
                 assert array.nbytes == self.RAW // 2
 
@@ -524,24 +523,33 @@ def dict_commit_frame(seq, charges, rows, releases, events) -> bytes:
     whole — the record ``pack_commit`` writes straight from the rows."""
     parts = [{"kind": "charge", "p": cost.primary, "d": cost.delta} for cost in charges]
     parts += [{"kind": "measurement", **vars(row)} for row in rows]
-    parts += [
-        {
-            "kind": "release",
-            "key": encode(key),
-            "response": encode(response_state(entry.response)),
-            "history_start": entry.history_start,
-            "history_end": entry.history_end,
-        }
-        for key, entry in releases
-    ]
+    parts += [{"kind": "release", **encode(vars(entry))} for entry in releases]
     parts += [{"kind": "event", **vars(event)} for event in events]
     return _encode_frame(*pack({"seq": seq, "kind": "commit", "records": parts}))
+
+
+#: the fields each commit part's restore rebuilds, by kind: a part holds
+#: these and its ``kind``, nothing else.
+RESTORED_FIELDS = {
+    "charge": {"p", "d"},
+    "measurement": {f.name for f in fields(MeasurementRecord)},
+    "release": {f.name for f in fields(CachedAnswer)},
+    "event": {f.name for f in fields(SessionEvent)},
+}
+
+
+def packed(value) -> tuple[bytes, bytes]:
+    """``value`` as its journal record holds it: the JSON header and the raw
+    bytes of its arrays."""
+    header, arrays = pack({"value": encode(value)})
+    return header, b"".join(array.tobytes() for array in arrays)
 
 
 def assert_commit_frames_are_dict_frames(raw: bytes, session) -> int:
     """Walk the journal bytes ``raw`` of ``session`` (every key released at
     most once) and check each commit frame against :func:`dict_commit_frame`
-    of the session rows it holds, taken in order.  Returns the commit count."""
+    of the session rows it holds, taken in order, and each part's keys
+    against :data:`RESTORED_FIELDS`.  Returns the commit count."""
     ledger, history = session.kernel.budget_tracker.ledger(), session.kernel.history()
     charges = rows = events = commits = 0
     start, seq = 0, 0
@@ -550,12 +558,13 @@ def assert_commit_frames_are_dict_frames(raw: bytes, session) -> int:
         seq += 1
         record = unpack(raw[header:newline], memoryview(raw)[newline + 1:end])
         if record["kind"] == "commit":
+            for part in record["records"]:
+                assert part.keys() == RESTORED_FIELDS[part["kind"]] | {"kind"}
             kinds = Counter(part["kind"] for part in record["records"])
             releases = [
-                (key, session.releases[key])
-                for key in (
-                    decode(part["key"]) for part in record["records"] if part["kind"] == "release"
-                )
+                session.releases[decode(part["key"])]
+                for part in record["records"]
+                if part["kind"] == "release"
             ]
             expected = dict_commit_frame(
                 seq,
@@ -578,7 +587,9 @@ def assert_commit_frames_are_dict_frames(raw: bytes, session) -> int:
 class TestCommitFrames:
     """``pack_commit`` writes each commit straight from the session's rows:
     its frames are byte for byte those of the equivalent dict record, under
-    every accountant, outcome and string a client can send."""
+    every accountant, outcome and string a client can send; each part holds
+    exactly the fields its restore rebuilds, and every release restores
+    equal to the live one, field by field."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -638,23 +649,15 @@ class TestCommitFrames:
         key = ("query", texts[0], (), None, 0.5)
         mark = session.kernel.num_measurements
         session.release(
-            key,
-            QueryResponse(
-                request_id=texts[1],
-                session_id=session.session_id,
-                plan=texts[0],
-                epsilon_requested=np.float64(0.5),
-                epsilon_spent=0.0,
+            CachedAnswer(
+                key,
                 x_hat=np.arange(4.0),
                 answers=None,
-                cached=False,
                 seed=None,
                 info={"scale": np.float64(1.5), "count": np.int64(3), SPLICE_TAG: np.arange(3)},
-                elapsed_seconds=0.0,
-                accounting=session.accounting_report(),
-            ),
-            mark,
-            mark,
+                history_start=mark,
+                history_end=mark,
+            )
         )
         session.commit()
         session.journal.close()
@@ -673,7 +676,13 @@ class TestCommitFrames:
         assert [e.epsilon_spent for e in restored.events] == [
             e.epsilon_spent for e in session.events
         ]
-        info = restored.releases[key].response.info
+        # Every release, field by field: x̂ and answers bytes, seed, info, span.
+        assert restored.releases.keys() == session.releases.keys()
+        for live in session.releases.values():
+            entry = restored.releases[live.key]
+            for field in RESTORED_FIELDS["release"]:
+                assert packed(getattr(entry, field)) == packed(getattr(live, field)), field
+        info = restored.releases[key].info
         assert info["scale"] == 1.5 and info["count"] == 3
         assert np.array_equal(info[SPLICE_TAG], np.arange(3))
         restored.journal.close()
@@ -792,7 +801,7 @@ class TestJournaledSession:
         # A restore from the journal equals the live session.
         fresh = PlanScheduler(SessionManager())
         restored = fresh.restore_session(relation, journal=journal)
-        assert restored.recovery_info["orphaned_event"] is None
+        assert restored.recovery_info["orphaned_events"] == []
         assert (
             restored.kernel.budget_tracker.ledger()
             == session.kernel.budget_tracker.ledger()
@@ -916,7 +925,8 @@ class TestJournaledSession:
         (record,) = list(journal.iter_records())[before:]
         assert record["kind"] == "commit"
         (part,) = record["records"]
-        assert part["kind"] == "event" and part["cached"] is True
+        assert part["kind"] == "event" and part["outcome"] == "cached"
+        assert "cached" not in part
 
     @pytest.mark.parametrize("case, outcome, plan, error", OUTCOME_CASES)
     def test_each_request_appends_one_commit_record(
@@ -966,8 +976,7 @@ class TestJournaledSession:
             assert (release["history_start"], release["history_end"]) == (
                 rows, len(kernel.history())
             )
-            state = decode(release["response"])
-            assert state["x_hat"].tobytes() == response.x_hat.tobytes()
+            assert release["x_hat"].tobytes() == response.x_hat.tobytes()
         else:
             assert by_kind["release"] == []
 
@@ -1034,20 +1043,36 @@ class TestRestore:
         (commit,) = list(attached(session).iter_records())[1:]
         releases = [part for part in commit["records"] if part["kind"] == "release"]
         assert len(releases) == len(session.releases) == len(responses) == 3
-        by_key = {decode(part["key"]): decode(part["response"]) for part in releases}
+        by_key = {decode(part["key"]): part for part in releases}
         assert set(by_key) == set(session.releases)
         for key, entry in session.releases.items():
-            assert by_key[key]["x_hat"].tobytes() == entry.response.x_hat.tobytes()
+            assert by_key[key]["x_hat"].tobytes() == entry.x_hat.tobytes()
+
+    def test_a_release_only_session_journals_its_release(self, manager, relation):
+        """Attaching a journal to a session whose only state is a release
+        writes that release: the restore holds it, and it replays
+        byte-identically at zero ε."""
+        session = manager.create_session("acme", relation, 4.0, seed=7)
+        request = identity_request(session)
+        x_hat = np.arange(float(N))
+        answers = np.cumsum(x_hat)
+        session.release(CachedAnswer(request.cache_key(), x_hat, answers, 5, {"seed": 5}, 0, 0))
+        journal = attached(session)
+        assert [record["kind"] for record in journal.iter_records()] == ["open", "commit"]
+
+        fresh = PlanScheduler(SessionManager(), executor="inline")
+        restored = fresh.restore_session(relation, journal=journal)
+        assert len(restored.releases) == len(session.releases) == 1
+        replay = fresh.execute(identity_request(restored))
+        assert replay.cached and replay.epsilon_spent == 0.0
+        assert replay.x_hat.tobytes() == x_hat.tobytes()
+        assert replay.answers.tobytes() == answers.tobytes()
+        assert replay.seed == 5 and replay.info == {"seed": 5}
+        assert restored.budget_consumed() == 0.0 and reconcile(restored)["exact"]
 
     #: A field older versions wrote on every release and audit event (split
     #: so a code search for the removed field finds no live use).
     LEGACY_FIELD = "shard" "_id"
-
-    def _with_legacy_field(self, encoded_response):
-        """An encoded response as older versions wrote it."""
-        state = decode(encoded_response)
-        state[self.LEGACY_FIELD] = None
-        return encode(state)
 
     def _assert_replays_free(self, fresh, restored, original):
         assert reconcile(restored)["exact"]
@@ -1063,13 +1088,9 @@ class TestRestore:
         as older versions wrote them; returns the edits per kind."""
         edited = Counter()
         for part in commit_parts(records):
-            if part["kind"] == "event":
+            if part["kind"] in ("event", "release"):
                 part[self.LEGACY_FIELD] = None
-            elif part["kind"] == "release":
-                part["response"] = self._with_legacy_field(part["response"])
-            else:
-                continue
-            edited[part["kind"]] += 1
+                edited[part["kind"]] += 1
         return edited
 
     def test_journal_with_legacy_fields_restores(self, manager, relation):
@@ -1104,21 +1125,6 @@ class TestRestore:
         del commit["records"]
         with pytest.raises(RecoveryError, match="'commit' record"):
             restore_session(relation, journal=rewritten(records))
-
-    def test_response_from_state_keeps_only_response_fields(self, manager, relation):
-        scheduler = PlanScheduler(manager)
-        session = manager.create_session("acme", relation, 4.0, seed=7)
-        response = scheduler.execute(identity_request(session))
-        state = response_state(response)
-        rebuilt = response_from_state(
-            {**state, self.LEGACY_FIELD: None, "seq": 3, "kind": "release"}
-        )
-        assert response_state(rebuilt).keys() == state.keys()
-        for name, value in state.items():
-            if isinstance(value, np.ndarray):
-                assert getattr(rebuilt, name).tobytes() == value.tobytes()
-            else:
-                assert getattr(rebuilt, name) == value
 
     def test_restore_reads_field_names_once_per_class(self, manager, relation):
         from repro.durability.records import _field_names
@@ -1333,6 +1339,46 @@ class TestRestoreVerifies:
             fresh.restore_session(relation, journal=rewritten(records))
         assert len(fresh.manager) == 0
 
+    def test_a_nested_release_part_is_refused_and_adopts_nothing(self, manager, relation):
+        """A release part as journals wrote it before releases were flat —
+        its answer nested in a ``response`` record — names the first field
+        it lacks, and nothing is adopted."""
+        _, session, journal = self._journaled(manager, relation)
+        records = list(journal.iter_records())
+        nested = 0
+        for record in records[1:]:
+            parts = record["records"]
+            for index, part in enumerate(parts):
+                if part["kind"] != "release":
+                    continue
+                parts[index] = {
+                    "kind": "release",
+                    "key": part["key"],
+                    "response": {
+                        "request_id": "acme-r1",
+                        "session_id": session.session_id,
+                        "plan": "Identity",
+                        "epsilon_requested": 0.1,
+                        "epsilon_spent": 0.1,
+                        "x_hat": part["x_hat"],
+                        "answers": part["answers"],
+                        "cached": False,
+                        "seed": part["seed"],
+                        "info": part["info"],
+                        "elapsed_seconds": 0.001,
+                        "accounting": {"accountant": "pure"},
+                        "trace_id": None,
+                    },
+                    "history_start": part["history_start"],
+                    "history_end": part["history_end"],
+                }
+                nested += 1
+        assert nested == 2
+        fresh = PlanScheduler(SessionManager())
+        with pytest.raises(RecoveryError, match="'release' record has no 'x_hat' field"):
+            fresh.restore_session(relation, journal=rewritten(records))
+        assert len(fresh.manager) == 0
+
     def test_failed_restore_adopts_nothing(self, manager, relation):
         _, session, journal = self._journaled(manager, relation)
         records = list(journal.iter_records())
@@ -1452,8 +1498,8 @@ class TestOneRestorePath:
                 key: (
                     entry.history_start,
                     entry.history_end,
-                    entry.response.x_hat.tobytes(),
-                    entry.response.payload.tobytes(),
+                    entry.x_hat.tobytes(),
+                    entry.answers.tobytes(),
                 )
                 for key, entry in restored.releases.items()
             }
@@ -1560,8 +1606,7 @@ class TestOrphanClaiming:
         # exact.
         assert restored.budget_consumed() == pytest.approx(0.1 + 0.2)
         assert reconcile(restored)["exact"]
-        orphan = restored.recovery_info["orphaned_event"]
-        assert orphan is not None
+        (orphan,) = restored.recovery_info["orphaned_events"]
         assert orphan["epsilon_spent"] == pytest.approx(0.2)
         assert orphan["error"] == "CrashRecovery"
 
@@ -1587,8 +1632,8 @@ class TestOrphanClaiming:
         restored = PlanScheduler(SessionManager()).restore_session(
             relation, journal=PrivacyJournal(path)
         )
-        orphan = restored.recovery_info["orphaned_event"]
-        assert orphan is not None and orphan["error"] == "CrashRecovery"
+        (orphan,) = restored.recovery_info["orphaned_events"]
+        assert orphan["error"] == "CrashRecovery"
         assert orphan["epsilon_spent"] == restored.budget_consumed()
         assert restored.budget_consumed() == pytest.approx(8e-10)
         assert reconcile(restored)["exact"]

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.analysis import expected_workload_error
 from repro.matrix import Identity, Kronecker, Prefix, RangeQueries, Total, VStack
 from repro.operators.selection import (
     adaptive_grid_select,
     classify_workload_factor,
-    expected_total_error,
     greedy_h_select,
     h2_select,
     hb_select,
@@ -101,14 +101,14 @@ class TestGridSelect:
 class TestHdmm:
     def test_identity_workload_gets_identity_like_strategy(self):
         strategy = hdmm_select(Identity(32))
-        error_identity = expected_total_error(Identity(32), Identity(32))
-        error_strategy = expected_total_error(Identity(32), strategy)
+        error_identity = expected_workload_error(Identity(32), Identity(32))
+        error_strategy = expected_workload_error(Identity(32), strategy)
         assert error_strategy <= error_identity * 1.01
 
     def test_prefix_workload_prefers_hierarchy_over_identity(self):
         w = Prefix(64)
         strategy = hdmm_select(w)
-        assert expected_total_error(w, strategy) < expected_total_error(w, Identity(64))
+        assert expected_workload_error(w, strategy) < expected_workload_error(w, Identity(64))
 
     def test_kron_workload_returns_kron_strategy(self):
         w = Kronecker([Prefix(16), Total(8)])
@@ -120,10 +120,6 @@ class TestHdmm:
         w = VStack([Kronecker([Identity(4), Total(6)]), Kronecker([Total(4), Identity(6)])])
         strategy = hdmm_select(w)
         assert strategy.shape[1] == 24
-
-    def test_expected_error_infinite_when_unsupported(self):
-        # A total-only strategy cannot answer per-cell queries.
-        assert expected_total_error(Identity(4), Total(4)) == float("inf")
 
     def test_classify_workload_factor(self):
         assert classify_workload_factor(Total(4)) == "total"

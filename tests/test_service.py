@@ -422,7 +422,7 @@ class TestMeasurementCache:
         assert np.array_equal(third.x_hat, original)
         assert session.accounting_report() == report == third.accounting
         (release,) = session.releases.values()
-        assert release.response.accounting == report
+        assert np.array_equal(release.x_hat, original) and release.info == info
 
     def test_stats(self, manager, scheduler, relation):
         session = open_session(manager, relation)
@@ -807,7 +807,8 @@ class TestExport:
         assert report["budget_consumed"] == pytest.approx(0.1)
         assert report["kernel_audit"]["num_measurements"] == 1
         assert len(report["events"]) == 2
-        assert report["events"][1]["cached"] is True
+        assert [event["outcome"] for event in report["events"]] == ["ok", "cached"]
+        assert "cached" not in report["events"][1]
 
     def test_reconcile_exact_after_mixed_traffic(self, manager, scheduler, relation):
         session = open_session(manager, relation)
