@@ -89,7 +89,7 @@ def main() -> None:
     span_tree(tracer.trace(dawa.trace_id))
 
     print("\n=== 2. Chrome trace export ===")
-    write_chrome_trace(tracer.trace(dawa.trace_id), OUT, process_name="repro.service")
+    write_chrome_trace(tracer.trace(dawa.trace_id), OUT)
     print(f"wrote {OUT.name} - load it in chrome://tracing or ui.perfetto.dev")
 
     print("\n=== 3. Metrics: odometer, latency, Prometheus ===")

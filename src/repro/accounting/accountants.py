@@ -80,9 +80,9 @@ class ApproxDPAccountant(Accountant):
     """(ε, δ)-DP with basic composition on both components.
 
     ``delta_total`` is the session's δ budget; each Gaussian measurement
-    spends its per-measurement δ from it (``measurement_delta`` when the
-    caller does not pass one — by default 1% of the total, so a plan can run
-    up to a hundred Gaussian measurements before the δ ledger is exhausted).
+    spends ``measurement_delta`` from it (by default 1% of the total, so a
+    session can run up to a hundred Gaussian measurements before the δ
+    ledger is exhausted).
     """
 
     name = "approx"
@@ -141,8 +141,9 @@ class ZCDPAccountant(Accountant):
     the largest ρ whose conversion stays inside it — or from an explicit
     ``rho`` budget.  Laplace and exponential measurements are admitted
     through their zCDP cost bounds, so mixed plans stay chargeable; Gaussian
-    measurements are calibrated from the tight ρ-equivalent of their per-call
-    target, which is where many-round plans gain over basic composition.
+    measurements are calibrated from the tight ρ-equivalent of their
+    ``(ε, δ)`` target, at the accountant's own δ, which is where many-round
+    plans gain over basic composition.
     """
 
     name = "zcdp"

@@ -85,8 +85,8 @@ class Accountant:
     #: total budget in native units; charges accumulate against this.
     budget: Cost
 
-    #: δ used when a Gaussian measurement does not pass one explicitly, and
-    #: (for zCDP) the δ at which spend is converted back to (ε, δ) reports.
+    #: δ of every Gaussian measurement, and (for zCDP) the δ at which spend
+    #: is converted back to (ε, δ) reports.
     default_delta: float = 0.0
 
     # ------------------------------------------------------------------
@@ -201,3 +201,20 @@ def gaussian_analytic_sigma(l2_sensitivity: float, epsilon: float, delta: float)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     return l2_sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+
+
+def add_exact(partials: list[float], value: float) -> None:
+    """Add ``value`` to an exact sum kept as non-overlapping floats (the
+    partials ``math.fsum`` keeps), so ``math.fsum`` of them and any more
+    values is the correctly rounded sum of everything added."""
+    i = 0
+    for partial in partials:
+        if abs(value) < abs(partial):
+            value, partial = partial, value
+        high = value + partial
+        low = partial - (high - value)
+        if low:
+            partials[i] = low
+            i += 1
+        value = high
+    partials[i:] = [value]

@@ -44,6 +44,9 @@ from scipy.sparse.linalg import LinearOperator
 #: ``shape[0] * MATERIALISE_BLOCK`` doubles per block.
 MATERIALISE_BLOCK = 4096
 
+#: Rows :meth:`LinearQueryMatrix.rows` extracts per block.
+ROWS_BLOCK = 256
+
 #: Cap on the scratch basis (``shape[0] * block`` cells, ~128 MB of float64)
 #: used by :meth:`LinearQueryMatrix.rows`; the block width shrinks to stay
 #: under it for matrices with very many rows.
@@ -244,19 +247,19 @@ class LinearQueryMatrix:
         e[i] = 1.0
         return self.rmatvec(e)
 
-    def rows(self, indices, block_size: int = 256) -> np.ndarray:
+    def rows(self, indices) -> np.ndarray:
         """Materialise several rows at once as a ``(len(indices), n)`` array.
 
-        Rows are extracted in blocks through :meth:`rmatmat` (``A.T @ E`` for a
-        block of standard basis columns ``E``), so structured matrices pay one
-        vectorized kernel call per block instead of one interpreter-level
-        rmatvec per row.
+        Rows are extracted in blocks of :data:`ROWS_BLOCK` through
+        :meth:`rmatmat` (``A.T @ E`` for a block of standard basis columns
+        ``E``), so structured matrices pay one vectorized kernel call per
+        block instead of one interpreter-level rmatvec per row.
         """
         indices = self._row_indices(indices)
         m = self.shape[0]
         # Shrink the block so the scratch basis stays bounded even for
         # matrices with millions of rows.
-        block_size = max(1, min(block_size, _ROWS_SCRATCH_CELLS // max(m, 1)))
+        block_size = max(1, min(ROWS_BLOCK, _ROWS_SCRATCH_CELLS // max(m, 1)))
         out = np.empty((indices.size, self.shape[1]), dtype=np.float64)
         basis = np.zeros((m, min(block_size, indices.size)))
         for lo in range(0, indices.size, block_size):
@@ -267,18 +270,18 @@ class LinearQueryMatrix:
             basis[chunk, cols] = 0.0
         return out
 
-    def gram_dense(self, block_size: int = MATERIALISE_BLOCK) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         """Materialise the Gram matrix ``A.T @ A`` as an ``(n, n)`` ndarray.
 
         Computed block-wise as ``A.T @ (A @ E)`` over column blocks of the
-        identity, so scratch memory stays at ``m * block_size`` doubles even
-        for tall-skinny measurement matrices.  This is the Gram that the dense
-        kind of the normal-equations least-squares fast path factorises.
+        identity, so scratch memory stays at ``m * MATERIALISE_BLOCK`` doubles
+        even for tall-skinny measurement matrices.  This is the Gram that the
+        dense kind of the normal-equations least-squares fast path factorises.
         """
         n = self.shape[1]
         out = np.empty((n, n), dtype=np.float64)
-        for lo in range(0, n, block_size):
-            hi = min(lo + block_size, n)
+        for lo in range(0, n, MATERIALISE_BLOCK):
+            hi = min(lo + MATERIALISE_BLOCK, n)
             basis = np.zeros((n, hi - lo))
             basis[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
             out[:, lo:hi] = self.rmatmat(self.matmat(basis))

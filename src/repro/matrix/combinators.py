@@ -81,7 +81,7 @@ class VStack(LinearQueryMatrix):
     def sparse(self) -> sp.csr_matrix:
         return sp.vstack([m.sparse() for m in self.matrices], format="csr")
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         # [A; B].T [A; B] = A.T A + B.T B — each child uses its own fast path.
         out = self.matrices[0].gram_dense()
         for m in self.matrices[1:]:
@@ -167,7 +167,7 @@ class Weighted(LinearQueryMatrix):
     def sparse(self) -> sp.csr_matrix:
         return (self.weight * self.base.sparse()).tocsr()
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         return self.weight**2 * self.base.gram_dense()
 
     def _build_strategy_key(self) -> tuple:
@@ -283,7 +283,7 @@ class Kronecker(LinearQueryMatrix):
             out = sp.kron(out, f.sparse(), format="csr")
         return out.tocsr()
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         # (A ⊗ B).T (A ⊗ B) = (A.T A) ⊗ (B.T B): compose the factor Grams
         # instead of driving n basis columns through the tensor contraction.
         out = self.factors[0].gram_dense()

@@ -60,7 +60,7 @@ class Identity(LinearQueryMatrix):
     def sparse(self) -> sp.csr_matrix:
         return sp.identity(self.n, format="csr")
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         return np.eye(self.n)
 
     def _build_strategy_key(self) -> tuple:
@@ -113,7 +113,7 @@ class Ones(LinearQueryMatrix):
             shape=self.shape,
         )
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         # (Ones.T @ Ones)[i, j] = m for every i, j.
         return np.full((self.shape[1], self.shape[1]), float(self.shape[0]))
 
@@ -169,7 +169,7 @@ class Prefix(LinearQueryMatrix):
     def sparse(self) -> sp.csr_matrix:
         return sp.csr_matrix(np.tril(np.ones((self.n, self.n))))
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         # Columns i and j overlap in rows max(i, j)..n-1.
         idx = np.arange(self.n, dtype=np.float64)
         return self.n - np.maximum.outer(idx, idx)
@@ -215,7 +215,7 @@ class Suffix(LinearQueryMatrix):
     def sparse(self) -> sp.csr_matrix:
         return sp.csr_matrix(np.triu(np.ones((self.n, self.n))))
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         # Columns i and j overlap in rows 0..min(i, j).
         idx = np.arange(self.n, dtype=np.float64)
         return np.minimum.outer(idx, idx) + 1.0

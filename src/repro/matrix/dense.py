@@ -31,7 +31,7 @@ class DenseMatrix(LinearQueryMatrix):
     def _rmatmat(self, B: np.ndarray) -> np.ndarray:
         return self.array.T @ B
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         return self.array.T @ self.array
 
     def sensitivity_l2(self) -> float:
@@ -60,7 +60,7 @@ class DenseMatrix(LinearQueryMatrix):
         (i,) = self._row_indices(i)
         return self.array[i].copy()
 
-    def rows(self, indices, block_size: int = 256) -> np.ndarray:
+    def rows(self, indices) -> np.ndarray:
         return self.array[self._row_indices(indices)]
 
 
@@ -91,7 +91,7 @@ class SparseMatrix(LinearQueryMatrix):
     def _rmatmat(self, B: np.ndarray) -> np.ndarray:
         return np.asarray(self._transposed() @ B)
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         return np.asarray((self.matrix.T @ self.matrix).todense())
 
     def sensitivity_l2(self) -> float:
@@ -122,5 +122,5 @@ class SparseMatrix(LinearQueryMatrix):
         (i,) = self._row_indices(i)
         return np.asarray(self.matrix.getrow(i).todense()).ravel()
 
-    def rows(self, indices, block_size: int = 256) -> np.ndarray:
+    def rows(self, indices) -> np.ndarray:
         return np.asarray(self.matrix[self._row_indices(indices)].todense())

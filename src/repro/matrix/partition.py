@@ -153,7 +153,7 @@ class ExpansionMatrix(LinearQueryMatrix):
             (data, red.groups.copy(), np.arange(red.n + 1)), shape=self.shape
         )
 
-    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+    def gram_dense(self) -> np.ndarray:
         return np.diag(1.0 / self.reduction.group_sizes)
 
     def _build_strategy_key(self) -> tuple:

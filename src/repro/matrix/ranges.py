@@ -105,7 +105,7 @@ class RangeQueries(LinearQueryMatrix):
         r[lo : hi + 1] = 1.0
         return r
 
-    def rows(self, indices, block_size: int = 256) -> np.ndarray:
+    def rows(self, indices) -> np.ndarray:
         # 0/1 indicator rows are written directly from the interval endpoints:
         # a +1/-1 boundary "paintbrush" cumsummed along each row is far cheaper
         # than routing basis vectors through Prefix.
@@ -295,7 +295,7 @@ class RangeQueries2D(LinearQueryMatrix):
         block[r_lo : r_hi + 1, c_lo : c_hi + 1] = 1.0
         return block.ravel()
 
-    def rows(self, indices, block_size: int = 256) -> np.ndarray:
+    def rows(self, indices) -> np.ndarray:
         # Rectangle-indicator rows written directly from the corner coordinates.
         indices = self._row_indices(indices)
         out = np.zeros((indices.size, self.grid_rows, self.grid_cols))

@@ -6,7 +6,7 @@ per-query weights account for measurements taken with different noise scales
 (rows are scaled by ``w_i`` before solving, which is equivalent to weighted
 least squares with weights ``w_i^2``).
 
-Four solution strategies are provided:
+Three solution strategies are provided:
 
 * ``method="direct"`` — dense factorisation of the materialised matrix; cubic
   in the larger dimension, only viable for small problems (used as the
@@ -19,8 +19,9 @@ Four solution strategies are provided:
   it can be cached and shared across requests via the service's
   :class:`~repro.service.artifact_cache.ArtifactCache` (pass
   ``gram_cache``), after which each solve is one cheap sweep.
-* ``method="auto"`` — picks ``"normal"`` for tall-skinny problems with a
-  moderate domain, ``"lsmr"`` otherwise.
+
+Which one a plan's solve takes is the service's policy, and it lives in one
+place: :func:`repro.plans.base.infer_least_squares`.
 
 :func:`build_normal_equations` picks one of three kinds from one input, the
 strategy's CSR form ``S = M.sparse()`` (reported as the ``gram_kind``
@@ -75,15 +76,6 @@ class SupportsGetOrBuild(Protocol):
 #: holds at most this fraction of the full ``n * n``; above it, CSR overhead
 #: (index storage, slower kernels) loses to the dense Gram and Cholesky.
 STRATEGY_DENSITY_THRESHOLD = 0.25
-
-#: ``method="auto"`` switches to the normal equations when the measurement
-#: matrix has at least this many rows per column ...
-_AUTO_NORMAL_ASPECT = 2.0
-#: ... and no more than this many columns.  The bound is set by the dense
-#: kind: its Gram takes n^2 doubles and its Cholesky factorisation O(n^3)
-#: time; the orthogonal-rows and augmented kinds scale with the strategy's
-#: non-zeros instead.
-_AUTO_NORMAL_MAX_DOMAIN = 4096
 
 
 class InferenceResult:
@@ -295,9 +287,9 @@ def least_squares(
         Optional per-query weights (inverse noise scales).
     method:
         ``"lsmr"`` (iterative, works on implicit matrices), ``"direct"``
-        (dense factorisation), ``"normal"`` (dense normal equations through the
-        vectorized Gram kernel), or ``"auto"`` (normal for tall-skinny
-        problems, lsmr otherwise).
+        (dense factorisation) or ``"normal"`` (the normal equations, in the
+        kind :func:`build_normal_equations` picks); any other value raises
+        ``ValueError``.
     max_iterations:
         Iteration cap for the lsmr solver.  ``None`` (the only sentinel) means
         "use the default of ``max(2n, 100)``"; an explicit ``0`` is honoured
@@ -322,16 +314,6 @@ def least_squares(
     # share one cached Gram across noise scales); residual norms are
     # multiplied back so they are always reported in weighted units.
     queries, answers, scale = _apply_weights(queries, answers, weights)
-
-    if method == "auto":
-        m, n = queries.shape
-        # With a shared Gram cache the factorisation amortises across
-        # requests, so normal equations win from square systems (m >= n)
-        # upward; without one they must beat LSMR on a single cold solve,
-        # which takes the tall-skinny aspect.
-        aspect = 1.0 if gram_cache is not None else _AUTO_NORMAL_ASPECT
-        tall_skinny = m >= aspect * n and n <= _AUTO_NORMAL_MAX_DOMAIN
-        method = "normal" if tall_skinny else "lsmr"
 
     with trace_span(
         "solve.least_squares",

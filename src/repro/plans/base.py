@@ -32,6 +32,12 @@ REPRESENTATIONS = ("implicit", "sparse", "dense")
 #: Noise mechanisms a plan's measurement step can resolve to.
 NOISE_KINDS = ("laplace", "gaussian")
 
+#: :func:`infer_least_squares` solves through the normal equations up to this
+#: many columns.  The bound is set by their dense kind: its Gram takes n^2
+#: doubles and its Cholesky factorisation O(n^3) time; the orthogonal-rows
+#: and augmented kinds scale with the strategy's non-zeros instead.
+_NORMAL_MAX_DOMAIN = 4096
+
 
 def plan_stage(name: str, **attributes):
     """Open a ``plan.stage.<name>`` span on the active tracer (no-op default).
@@ -62,7 +68,6 @@ def measure_vector(
     queries: LinearQueryMatrix,
     epsilon: float,
     noise: str = "laplace",
-    delta: float | None = None,
 ) -> np.ndarray:
     """Run a plan's measurement step with the requested noise mechanism.
 
@@ -70,49 +75,41 @@ def measure_vector(
     ``noise="laplace"|"gaussian"`` knob (threaded through ``plan_params`` by
     the service) switches the mechanism without touching plan logic:
     ``laplace`` is the paper's Vector Laplace; ``gaussian`` calibrates to the
-    matrix's L2 sensitivity and charges through the kernel's accountant
-    (``delta=None`` uses the accountant's per-measurement default — it is
-    rejected outright under pure ε-DP accounting).  Inference is unaffected:
-    a single measurement matrix carries one uniform noise scale either way,
-    and the per-row weighting of :func:`infer_least_squares` already covers
-    mixed-scale stacks.
+    matrix's L2 sensitivity and charges through the kernel's accountant, at
+    its ``default_delta`` (it is rejected outright under pure ε-DP
+    accounting).  Inference is unaffected: a measurement matrix carries one
+    uniform noise scale either way.
     """
     if noise == "laplace":
         with plan_stage("measure", noise=noise, epsilon=float(epsilon), rows=int(queries.shape[0])):
             return source.vector_laplace(queries, epsilon)
     if noise == "gaussian":
         with plan_stage("measure", noise=noise, epsilon=float(epsilon), rows=int(queries.shape[0])):
-            return source.vector_gaussian(queries, epsilon, delta=delta)
+            return source.vector_gaussian(queries, epsilon)
     raise ValueError(f"unknown noise kind {noise!r}; expected one of {NOISE_KINDS}")
 
 
-def infer_least_squares(
-    measurements: LinearQueryMatrix,
-    answers: np.ndarray,
-    method: str | None = None,
-    gram_cache=None,
-    **kwargs,
-):
-    """Least-squares inference with the service-default solver resolution.
+def infer_least_squares(measurements: LinearQueryMatrix, answers: np.ndarray, gram_cache=None):
+    """Least-squares inference under the service's one solver policy.
 
     Plans call this instead of :func:`repro.operators.inference.least_squares`
-    directly so the scheduler can influence the solve without every plan
-    re-implementing the policy: ``method=None`` resolves to ``"auto"`` when a
-    ``gram_cache`` is supplied (the :class:`~repro.service.scheduler.PlanScheduler`
-    passes its shared ``ArtifactCache``, so the normal-equations factorisation
-    is built once per strategy and reused by every later request on it — keyed
-    automatically by the strategy's canonical
-    :meth:`~repro.matrix.base.LinearQueryMatrix.strategy_key`) and to the
-    stand-alone default ``"lsmr"`` otherwise.
+    directly, so the policy lives here: with a ``gram_cache`` (the
+    :class:`~repro.service.scheduler.PlanScheduler` passes its shared
+    ``ArtifactCache``) and a square or tall system (``m >= n``) of at most
+    :data:`_NORMAL_MAX_DOMAIN` columns, the normal equations, whose
+    factorisation is built once per strategy and reused by every later
+    request on it (keyed by the strategy's canonical
+    :meth:`~repro.matrix.base.LinearQueryMatrix.strategy_key`); otherwise
+    LSMR.  With the cache the factorisation amortises across requests, which
+    is why square systems qualify; without one, every solve is LSMR.
     """
     from ..operators.inference import least_squares
 
-    if method is None:
-        method = "auto" if gram_cache is not None else "lsmr"
+    m, n = measurements.shape
+    normal = gram_cache is not None and m >= n and n <= _NORMAL_MAX_DOMAIN
+    method = "normal" if normal else "lsmr"
     with plan_stage("infer", method=method, shared_gram=gram_cache is not None) as span:
-        estimate = least_squares(
-            measurements, answers, method=method, gram_cache=gram_cache, **kwargs
-        )
+        estimate = least_squares(measurements, answers, method=method, gram_cache=gram_cache)
         if span is not NOOP_SPAN:  # the residual may cost a product with M
             span.set_attributes(
                 iterations=int(estimate.iterations),

@@ -67,14 +67,12 @@ class MwemPlan(Plan):
         total_records: float | None = None,
         history_passes: int = 10,
         noise: str = "laplace",
-        delta: float | None = None,
     ):
         self.workload = ensure_matrix(workload)
         self.rounds = rounds
         self.total_records = total_records
         self.history_passes = history_passes
         self.noise = noise
-        self.delta = delta
 
     def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
         before = source.budget_consumed()
@@ -112,9 +110,7 @@ class MwemPlan(Plan):
                 else:
                     measurement = DenseMatrix(row.reshape(1, -1))
                 answers.append(
-                    measure_vector(
-                        source, measurement, per_round / 2.0, noise=self.noise, delta=self.delta
-                    )
+                    measure_vector(source, measurement, per_round / 2.0, noise=self.noise)
                 )
                 matrices.append(measurement)
                 stacked = matrices[0] if len(matrices) == 1 else VStack(matrices)

@@ -43,19 +43,13 @@ class _SelectMeasureInferPlan(Plan):
 
     ``noise`` picks the measurement mechanism: the paper's Vector Laplace
     (default) or the Gaussian mechanism (L2-calibrated, charged through the
-    kernel's accountant — requires an (ε, δ)/zCDP accountant); ``delta``
-    optionally pins the per-call δ target of Gaussian measurements.
+    kernel's accountant at its ``default_delta`` — requires an (ε, δ)/zCDP
+    accountant).
     """
 
-    def __init__(
-        self,
-        representation: str = "implicit",
-        noise: str = "laplace",
-        delta: float | None = None,
-    ):
+    def __init__(self, representation: str = "implicit", noise: str = "laplace"):
         self.representation = representation
         self.noise = noise
-        self.delta = delta
 
     def _select(self, n: int) -> LinearQueryMatrix:
         raise NotImplementedError
@@ -76,9 +70,7 @@ class _SelectMeasureInferPlan(Plan):
                 self.representation,
             )
             span.set_attribute("num_measurements", int(measurements.shape[0]))
-        answers = measure_vector(
-            source, measurements, epsilon, noise=self.noise, delta=self.delta
-        )
+        answers = measure_vector(source, measurements, epsilon, noise=self.noise)
         estimate = infer_least_squares(measurements, answers, gram_cache=gram_cache)
         return self._wrap(
             source,
@@ -96,22 +88,14 @@ class IdentityPlan(Plan):
     signature = "SI LM"
     plan_id = 1
 
-    def __init__(
-        self,
-        representation: str = "implicit",
-        noise: str = "laplace",
-        delta: float | None = None,
-    ):
+    def __init__(self, representation: str = "implicit", noise: str = "laplace"):
         self.representation = representation
         self.noise = noise
-        self.delta = delta
 
     def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
         before = source.budget_consumed()
         measurements = with_representation(Identity(source.domain_size), self.representation)
-        answers = measure_vector(
-            source, measurements, epsilon, noise=self.noise, delta=self.delta
-        )
+        answers = measure_vector(source, measurements, epsilon, noise=self.noise)
         return self._wrap(source, before, answers, num_measurements=measurements.shape[0])
 
 
@@ -122,16 +106,13 @@ class UniformPlan(Plan):
     signature = "ST LM LS"
     plan_id = 6
 
-    def __init__(self, noise: str = "laplace", delta: float | None = None):
+    def __init__(self, noise: str = "laplace"):
         self.noise = noise
-        self.delta = delta
 
     def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
         before = source.budget_consumed()
         n = source.domain_size
-        noisy_total = measure_vector(
-            source, Total(n), epsilon, noise=self.noise, delta=self.delta
-        )[0]
+        noisy_total = measure_vector(source, Total(n), epsilon, noise=self.noise)[0]
         x_hat = np.full(n, max(noisy_total, 0.0) / n)
         return self._wrap(source, before, x_hat, num_measurements=1)
 
@@ -181,9 +162,8 @@ class GreedyHPlan(_SelectMeasureInferPlan):
         workload_intervals: list[tuple[int, int]] | None = None,
         representation: str = "implicit",
         noise: str = "laplace",
-        delta: float | None = None,
     ):
-        super().__init__(representation=representation, noise=noise, delta=delta)
+        super().__init__(representation=representation, noise=noise)
         self.workload_intervals = workload_intervals
 
     def _public_inputs(self) -> tuple:
@@ -205,9 +185,8 @@ class QuadtreePlan(_SelectMeasureInferPlan):
         shape: tuple[int, int],
         representation: str = "implicit",
         noise: str = "laplace",
-        delta: float | None = None,
     ):
-        super().__init__(representation=representation, noise=noise, delta=delta)
+        super().__init__(representation=representation, noise=noise)
         self.shape = shape
 
     def _public_inputs(self) -> tuple:
@@ -265,9 +244,8 @@ class HdmmPlan(_SelectMeasureInferPlan):
         workload: LinearQueryMatrix,
         representation: str = "implicit",
         noise: str = "laplace",
-        delta: float | None = None,
     ):
-        super().__init__(representation=representation, noise=noise, delta=delta)
+        super().__init__(representation=representation, noise=noise)
         self.workload = ensure_matrix(workload)
 
     def _public_inputs(self) -> tuple:

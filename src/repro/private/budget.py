@@ -36,11 +36,13 @@ a slack that only absorbs rounding, rather than against a naive running
 float accumulator: a long sequence of small charges can no longer drift past
 ``epsilon_total`` through accumulated rounding, and a charge that *exactly*
 exhausts the budget is no longer spuriously rejected because earlier
-additions rounded up.  The decision sum is maintained incrementally with
-Neumaier compensation — accurate to one rounding of the exact sum, like
-``math.fsum`` over the whole ledger, but O(1) per charge so service-rate
-bursts do not degrade quadratically.  The tracker knows nothing of
-durability: a journaled session reads the ledger's new charges at each commit.
+additions rounded up.  The decision sum is the correctly rounded sum of the
+ledger and the new charge: the tracker keeps each component's ledger sum
+exactly, as the few non-overlapping partials ``math.fsum`` keeps
+(:func:`~repro.accounting.base.add_exact`), so a decision costs a ``fsum``
+over those partials, not over the whole ledger.  The tracker knows nothing
+of durability: a journaled session reads the ledger's new charges at each
+commit.
 """
 
 from __future__ import annotations
@@ -51,38 +53,15 @@ from enum import Enum
 from typing import Optional
 
 from ..accounting.accountants import PureDPAccountant
-from ..accounting.base import Accountant, Cost
+from ..accounting.base import Accountant, Cost, add_exact
+
+#: The root node's name: the protected table every source derives from.
+ROOT = "root"
 
 #: Relative tolerance of the root-level ledger check on the δ component (δ
 #: totals are ~1e-6, so an absolute 1e-9 would be far too loose there).  The
 #: primary (ε or ρ) component's slack is far smaller: see ``_ledger_accepts``.
 LEDGER_TOLERANCE = 1e-9
-
-
-class _CompensatedSum:
-    """Neumaier compensated running sum: fsum-grade accuracy, O(1) appends."""
-
-    __slots__ = ("_total", "_compensation")
-
-    def __init__(self):
-        self._total = 0.0
-        self._compensation = 0.0
-
-    def _parts_with(self, value: float) -> tuple[float, float]:
-        total = self._total + value
-        if abs(self._total) >= abs(value):
-            lost = (self._total - total) + value
-        else:
-            lost = (value - total) + self._total
-        return total, self._compensation + lost
-
-    def peek(self, value: float) -> float:
-        """The compensated total if ``value`` were added (no state change)."""
-        total, compensation = self._parts_with(value)
-        return total + compensation
-
-    def add(self, value: float) -> None:
-        self._total, self._compensation = self._parts_with(value)
 
 
 class NodeKind(Enum):
@@ -130,23 +109,19 @@ class BudgetTracker:
     def __init__(
         self,
         epsilon_total: float | None = None,
-        root_name: str = "root",
         accountant: Accountant | None = None,
     ):
         if accountant is None:
             accountant = PureDPAccountant(epsilon_total)
         self.accountant = accountant
         self.epsilon_total = accountant.budget.primary
-        self.root_name = root_name
-        self._nodes: dict[str, BudgetNode] = {
-            root_name: BudgetNode(root_name, NodeKind.ROOT, parent=None, stability=1.0)
-        }
-        #: every accepted root-level charge, in native units, plus the
-        #: compensated running sums acceptance is decided on (one rounding
-        #: away from the exact ledger sum, however long the ledger grows).
+        self._root = BudgetNode(ROOT, NodeKind.ROOT, parent=None, stability=1.0)
+        self._nodes: dict[str, BudgetNode] = {ROOT: self._root}
+        #: every accepted root-level charge, in native units, plus the exact
+        #: partials of each component's sum, which acceptance is decided on.
         self._ledger: list[Cost] = []
-        self._ledger_primary = _CompensatedSum()
-        self._ledger_delta = _CompensatedSum()
+        self._ledger_primary: list[float] = []
+        self._ledger_delta: list[float] = []
 
     # ------------------------------------------------------------------
     # Graph construction.
@@ -186,9 +161,8 @@ class BudgetTracker:
         Applies :meth:`_walk`'s increases if the cost reaching the root fits
         the ledger; otherwise returns ``False`` and changes nothing.  A cost
         with a negative or non-finite component raises ``ValueError`` and
-        changes nothing: an infinite charge would turn the compensated ledger
-        sum into NaN (``inf - inf``), which every later acceptance test lets
-        through.
+        changes nothing: an infinite charge would turn the ledger sum into
+        NaN (``inf - inf``), which every later acceptance test lets through.
         """
         if cost.primary < 0 or cost.delta < 0:
             raise ValueError("budget requests must be non-negative")
@@ -199,7 +173,7 @@ class BudgetTracker:
             if not self._ledger_accepts(root_cost):
                 return False
             self._append_ledger(root_cost)
-            self._nodes[self.root_name]._accumulate(root_cost)
+            self._root._accumulate(root_cost)
         for node, increase in steps:
             node._accumulate(increase)
         return True
@@ -237,21 +211,21 @@ class BudgetTracker:
     def _ledger_accepts(self, cost: Cost) -> bool:
         """Would the root-level ledger stay within budget after ``cost``?
 
-        The decision uses the compensated sum of the explicit per-charge
-        ledger — immune to the drift a naive running accumulator picks up
-        over many small charges — with a slack that only absorbs the last-ulp
-        rounding of an exactly budget-exhausting charge, never a real
-        overspend.  On the primary component it is the seed tracker's
-        absolute 1e-12, shrunk to a millionth of budgets below 1e-6 (a zCDP ρ
-        budget can be ~1e-8); on δ it is :data:`LEDGER_TOLERANCE` times the
-        δ budget.
+        The decision uses the correctly rounded sum of the explicit
+        per-charge ledger and ``cost`` — immune to the drift a naive running
+        accumulator picks up over many small charges — with a slack that only
+        absorbs the last-ulp rounding of an exactly budget-exhausting charge,
+        never a real overspend.  On the primary component it is the seed
+        tracker's absolute 1e-12, shrunk to a millionth of budgets below 1e-6
+        (a zCDP ρ budget can be ~1e-8); on δ it is :data:`LEDGER_TOLERANCE`
+        times the δ budget.
         """
         budget = self.accountant.budget
         slack = min(1e-12, 1e-6 * budget.primary)
-        if self._ledger_primary.peek(cost.primary) > budget.primary + slack:
+        if math.fsum([*self._ledger_primary, cost.primary]) > budget.primary + slack:
             return False
         if cost.delta or budget.delta:
-            delta = self._ledger_delta.peek(cost.delta)
+            delta = math.fsum([*self._ledger_delta, cost.delta])
             if delta > budget.delta + LEDGER_TOLERANCE * max(budget.delta, 0.0):
                 return False
         return True
@@ -271,34 +245,34 @@ class BudgetTracker:
         if cost.primary < 0 or cost.delta < 0:
             raise ValueError("restored charges must be non-negative")
         self._append_ledger(cost)
-        self._nodes[self.root_name]._accumulate(cost)
+        self._root._accumulate(cost)
 
     def _append_ledger(self, cost: Cost) -> None:
-        """Append one root-level charge to the ledger and its acceptance sums."""
+        """Append one root-level charge to the ledger and its exact sums."""
         self._ledger.append(cost)
-        self._ledger_primary.add(cost.primary)
-        self._ledger_delta.add(cost.delta)
+        add_exact(self._ledger_primary, cost.primary)
+        add_exact(self._ledger_delta, cost.delta)
 
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
     def consumed(self, name: str = None) -> float:
         """Primary budget consumed at ``name`` (default: at the root, i.e. globally)."""
-        return self.node(name or self.root_name).consumed
+        return self.node(name or ROOT).consumed
 
     def spent(self, name: str = None) -> Cost:
         """Full cost vector consumed at ``name`` (default: at the root)."""
-        return self.node(name or self.root_name).spent
+        return self.node(name or ROOT).spent
 
     def remaining(self) -> float:
         """Remaining global budget (primary component, native units).
 
         Clamped at zero: an exactly budget-exhausting charge accepted through
-        the compensated ledger can leave the naive per-node accumulator a few
+        the exact ledger sum can leave the naive per-node accumulator a few
         ulps above the total, and a negative remaining budget must never leak
         into audits or error messages.
         """
-        return max(self.epsilon_total - self._nodes[self.root_name].consumed, 0.0)
+        return max(self.epsilon_total - self._root.consumed, 0.0)
 
     def remaining_cost(self) -> Cost:
         """Remaining global budget as a cost vector (clamped at zero)."""

@@ -64,10 +64,11 @@ class MeasurementRecord:
     """One entry of the kernel's query history.
 
     ``epsilon`` is the mechanism's pure-DP parameter (or the ε of a Gaussian
-    measurement's per-call ``(ε, δ)`` target); ``cost`` is what the
-    accountant actually charged at the measured source in its *native* units
-    (equal to ``epsilon`` under pure accounting, e.g. ``ε²/2`` under zCDP),
-    and ``delta`` is the per-call δ component (0 for δ-free mechanisms).
+    measurement's ``(ε, δ)`` target); ``cost`` is what the accountant
+    actually charged at the measured source in its *native* units (equal to
+    ``epsilon`` under pure accounting, e.g. ``ε²/2`` under zCDP), and
+    ``delta`` is the measurement's δ: the accountant's ``default_delta`` for
+    a Gaussian, 0 for δ-free mechanisms.
     """
 
     source: str
@@ -239,24 +240,10 @@ class ProtectedKernel:
         """Number of measurements answered (the history's length)."""
         return len(self._history)
 
-    def history_query(
-        self,
-        source: str | None = None,
-        operator: str | None = None,
-        since: int = 0,
-    ) -> list[MeasurementRecord]:
-        """Filtered view of the measurement history.
-
-        ``since`` restricts to records appended at index >= ``since`` (pair it
-        with :meth:`budget_snapshot` to isolate one plan execution); ``source``
-        and ``operator`` filter by the record's fields.
-        """
-        records = self._history[since:]
-        if source is not None:
-            records = [record for record in records if record.source == source]
-        if operator is not None:
-            records = [record for record in records if record.operator == operator]
-        return list(records)
+    def history_query(self, since: int = 0) -> list[MeasurementRecord]:
+        """The measurement history's records from index ``since`` on (pair it
+        with :meth:`budget_snapshot` to isolate one plan execution)."""
+        return self._history[since:]
 
     def budget_snapshot(self) -> BudgetSnapshot:
         """Atomic view of the budget counters and history length."""
@@ -508,28 +495,24 @@ class ProtectedKernel:
         )
 
     def measure_vector_gaussian(
-        self,
-        name: str,
-        queries: LinearQueryMatrix,
-        epsilon: float,
-        delta: float | None = None,
+        self, name: str, queries: LinearQueryMatrix, epsilon: float
     ) -> np.ndarray:
         """Vector Gaussian: noisy answers ``M x + N(0, σ²)^m``.
 
         The noise is calibrated to the matrix's **L2** sensitivity and the
-        per-call ``(ε, δ)`` target — σ and the charged cost both come from
-        the kernel's accountant, so the same call is the analytic Gaussian
+        ``(ε, δ)`` target, whose δ is always the accountant's
+        :attr:`~repro.accounting.Accountant.default_delta`: the kernel, not
+        plan code, sets δ.  σ and the charged cost both come from the
+        kernel's accountant, so the same call is the analytic Gaussian
         mechanism under ``(ε, δ)`` accounting and the tighter
-        ``σ = Δ₂/sqrt(2ρ)`` calibration under zCDP.  ``delta=None`` resolves
-        to the accountant's per-measurement default.  Unsupported (raises
+        ``σ = Δ₂/sqrt(2ρ)`` calibration under zCDP.  Unsupported (raises
         :class:`~repro.private.exceptions.UnsupportedMechanismError`) under
         pure ε-DP, which the Gaussian mechanism cannot satisfy.
         """
         queries = ensure_matrix(queries)
         vector = self._data(name, "vector", queries)
         m = queries.shape[0]
-        if delta is None:
-            delta = self._accountant.default_delta
+        delta = self._accountant.default_delta
 
         def calibrate():
             sensitivity = _sensitivity(queries, "sensitivity_l2")

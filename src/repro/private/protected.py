@@ -7,7 +7,7 @@ transformations) or noisy answers (for measurements).
 
 The idiomatic entry point is::
 
-    source = ProtectedDataSource.initialise(relation, epsilon_total=1.0, seed=0)
+    source = protect(relation, epsilon_total=1.0, seed=0)
     vector = source.where({"gender": 0}).select(["salary"]).vectorize()
     noisy = vector.vector_laplace(Identity(vector.domain_size), epsilon=0.5)
 """
@@ -29,26 +29,6 @@ class ProtectedDataSource:
     def __init__(self, kernel: ProtectedKernel, name: str):
         self._kernel = kernel
         self._name = name
-
-    # ------------------------------------------------------------------
-    # Construction.
-    # ------------------------------------------------------------------
-    @classmethod
-    def initialise(
-        cls,
-        table: Relation,
-        epsilon_total: float | None = None,
-        seed: int | None = None,
-        accountant=None,
-    ) -> "ProtectedDataSource":
-        """Create a protected kernel around ``table`` and return the root handle.
-
-        ``accountant`` swaps the privacy calculus (see
-        :mod:`repro.accounting`); by default the kernel runs the paper's pure
-        ε-DP semantics over ``epsilon_total``.
-        """
-        kernel = ProtectedKernel(table, epsilon_total, seed=seed, accountant=accountant)
-        return cls(kernel, "root")
 
     # ------------------------------------------------------------------
     # Public metadata.
@@ -120,16 +100,13 @@ class ProtectedDataSource:
         """Noisy answers to a set of linear queries on a vector source."""
         return self._kernel.measure_vector_laplace(self._name, queries, epsilon)
 
-    def vector_gaussian(
-        self, queries: LinearQueryMatrix, epsilon: float, delta: float | None = None
-    ) -> np.ndarray:
+    def vector_gaussian(self, queries: LinearQueryMatrix, epsilon: float) -> np.ndarray:
         """Gaussian-noised answers calibrated to the queries' L2 sensitivity.
 
-        Charged through the kernel's accountant; unavailable under pure ε-DP
-        accounting.  ``delta=None`` uses the accountant's per-measurement
-        default.
+        Charged through the kernel's accountant, at its ``default_delta``;
+        unavailable under pure ε-DP accounting.
         """
-        return self._kernel.measure_vector_gaussian(self._name, queries, epsilon, delta=delta)
+        return self._kernel.measure_vector_gaussian(self._name, queries, epsilon)
 
     def noisy_count(self, epsilon: float) -> float:
         """Noisy cardinality of a table source."""
@@ -157,7 +134,11 @@ def protect(
     seed: int | None = None,
     accountant=None,
 ) -> ProtectedDataSource:
-    """Shorthand for :meth:`ProtectedDataSource.initialise`."""
-    return ProtectedDataSource.initialise(
-        table, epsilon_total, seed=seed, accountant=accountant
-    )
+    """Create a protected kernel around ``table`` and return the root handle.
+
+    ``accountant`` swaps the privacy calculus (see :mod:`repro.accounting`);
+    by default the kernel runs the paper's pure ε-DP semantics over
+    ``epsilon_total``.
+    """
+    kernel = ProtectedKernel(table, epsilon_total, seed=seed, accountant=accountant)
+    return ProtectedDataSource(kernel, "root")

@@ -17,8 +17,9 @@ needs between the two — sessions, scheduling, caching and auditing:
   fresh or replayed, and an executor backend drives it
   (:mod:`~repro.service.executors`: ``inline``/``thread``), with
   deterministic per-request noise seeding that makes answers byte-identical
-  on either backend;
-* :class:`ArtifactCache` — the one shared cache, LRU, of data-independent
+  on either backend (except for identical ``reuse=True`` requests in one
+  batch, which race on a thread pool);
+* :class:`ArtifactCache` — the one shared cache, unbounded, of data-independent
   constructions (workload matrices, strategy-keyed Gram factorisations);
 * :mod:`~repro.service.export` — structured audit export and ledger
   reconciliation built on :mod:`repro.private.audit`, plus

@@ -16,20 +16,18 @@ strategies (``("public_strategy", plan, n, ..., representation)``, from
 forms, transposes and strategy key it builds lazily, so later requests reuse
 them too.
 
-The cache is LRU when size-bounded: a hit refreshes the entry's recency, so a
-hot Gram factorisation is never evicted just because it was built first.
+The cache is unbounded: it holds one entry per distinct public
+construction served, for as long as the cache lives.
 
-It is the service's only shared cache.  Its entries are public, so one
-tenant's traffic evicting an artifact another tenant built costs a rebuild,
-never ε.  Released answers are private to their tenant and are not kept
-here: each session owns its own
+It is the service's only shared cache.  Its entries are public, so sharing
+them across tenants costs no ε.  Released answers are private to their
+tenant and are not kept here: each session owns its own
 (:attr:`~repro.service.session.Session.releases`).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Callable, Hashable, Mapping, TypeVar
 
 from ..matrix import LinearQueryMatrix
@@ -42,50 +40,35 @@ _MISS = object()
 
 
 class ArtifactCache:
-    """Thread-safe LRU map from hashable keys to data-independent artifacts.
+    """Thread-safe map from hashable keys to data-independent artifacts.
 
-    Its ``hits``/``misses``/``evictions`` fields are its counters; a
-    scheduler's metrics export reads them as ``cache_hits`` /
-    ``cache_misses`` / ``cache_evictions`` labelled ``cache="artifact"``.
+    Its ``hits``/``misses`` fields are its counters; a scheduler's metrics
+    export reads them as ``cache_hits`` / ``cache_misses`` labelled
+    ``cache="artifact"``.
     """
 
-    def __init__(self, max_entries: int | None = None):
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+    def __init__(self):
+        self._entries: dict[Hashable, object] = {}
         self._lock = threading.Lock()
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def get_or_build(self, key: Hashable, builder: Callable[[], T]) -> T:
         """Return the cached artifact for ``key``, building it on a miss.
 
-        A hit refreshes the entry's LRU recency.  The builder runs outside
-        the lock (constructions can be slow and must not serialise unrelated
-        requests); on a build race the first stored artifact wins so every
-        caller sees one canonical object.
+        The builder runs outside the lock (constructions can be slow and
+        must not serialise unrelated requests); on a build race the first
+        stored artifact wins so every caller sees one canonical object.
         """
         with self._lock:
-            if key in self._entries:
+            artifact = self._entries.get(key, _MISS)
+            if artifact is not _MISS:
                 self.hits += 1
-                self._entries.move_to_end(key)
-                artifact = self._entries[key]
-            else:
-                self.misses += 1
-                artifact = _MISS
-        if artifact is not _MISS:
-            return artifact  # type: ignore[return-value]
+                return artifact  # type: ignore[return-value]
+            self.misses += 1
         artifact = builder()
         with self._lock:
-            stored = self._entries.setdefault(key, artifact)
-            self._entries.move_to_end(key)
-            if self.max_entries is not None:
-                while len(self._entries) > self.max_entries:
-                    # LRU: drop the least-recently-touched entry, never the
-                    # one just installed (it was moved to the hot end above).
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-        return stored  # type: ignore[return-value]
+            return self._entries.setdefault(key, artifact)  # type: ignore[return-value]
 
     def workload(
         self, name: str, params: Mapping[str, object] | None = None
@@ -101,7 +84,6 @@ class ArtifactCache:
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "evictions": self.evictions,
             }
 
     def __len__(self) -> int:

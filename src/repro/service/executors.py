@@ -13,7 +13,10 @@ scheduler's process, next to the sessions' kernels and journals:
 
 Answers are byte-identical on both: all noise is drawn from the derived
 request seed (see :func:`~repro.service.scheduler.derive_request_seed`), which
-nothing scheduling-dependent feeds.
+nothing scheduling-dependent feeds.  The exception is two identical
+``reuse=True`` requests in one batch: on the thread pool they race for which
+computes and which replays, so which request id's seed made the shared answer
+depends on scheduling (:meth:`~repro.service.scheduler.PlanScheduler.execute_batch`).
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ class ExecutorBackend:
         """Schedule one request-driving call; returns its future."""
         raise NotImplementedError
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Release pools; the backend is unusable afterwards."""
+    def shutdown(self) -> None:
+        """Release pools, after their running calls finish; the backend is
+        unusable afterwards."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -83,11 +87,11 @@ class ThreadExecutor(ExecutorBackend):
     def submit(self, fn, *args) -> Future:
         return self._ensure().submit(fn, *args)
 
-    def shutdown(self, wait: bool = True) -> None:
+    def shutdown(self) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=wait)
+            pool.shutdown()
 
 
 def make_executor(spec, max_workers: int = 4) -> ExecutorBackend:

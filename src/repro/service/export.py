@@ -132,7 +132,7 @@ def request_metrics(scheduler) -> MetricsRegistry:
     """A :class:`PlanScheduler`'s metrics as of now, in a fresh registry:
     ``service_requests`` per tenant, plan and outcome and the per-tenant
     latency and queue-wait histograms from the audit trail, the artifact
-    cache's hit/miss/eviction fields as ``cache_*{cache="artifact"}``
+    cache's hit and miss fields as ``cache_*{cache="artifact"}``
     counters, and the instruments of ``scheduler.metrics``.  Replays are
     the ``service_requests{outcome="cached"}`` count.
     :func:`~repro.telemetry.prometheus_text` serialises it."""
@@ -147,7 +147,7 @@ def _metrics_view(scheduler, tallies: dict[str, RequestTally]) -> MetricsRegistr
         for histogram in tally.histograms(tenant):
             view.add(histogram)
     stats = scheduler.artifact_cache.stats
-    for name in ("hits", "misses", "evictions"):
+    for name in ("hits", "misses"):
         view.counter(f"cache_{name}", cache="artifact").inc(stats[name])
     counters, _, histograms = scheduler.metrics.instruments()
     for instrument in counters + histograms:

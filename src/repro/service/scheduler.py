@@ -152,9 +152,10 @@ class PlanScheduler:
         #: instance; default: a thread pool of ``max_workers``).
         self.executor = make_executor(executor, max_workers=max_workers)
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Release the executor backend's pools (idempotent)."""
-        self.executor.shutdown(wait=wait)
+    def shutdown(self) -> None:
+        """Release the executor backend's pools once their running requests
+        finish (idempotent)."""
+        self.executor.shutdown()
 
     # ------------------------------------------------------------------
     # Durability.

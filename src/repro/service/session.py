@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..accounting import make_accountant
+from ..accounting.base import add_exact
 from ..dataset.relation import Relation
 from ..durability.records import open_record, pack_commit
 from ..private.kernel import BudgetSnapshot, ProtectedKernel
@@ -111,23 +112,6 @@ class CachedAnswer:
     history_end: int
 
 
-def _add_exact(partials: list[float], value: float) -> None:
-    """Add ``value`` to an exact sum kept as non-overlapping floats (the
-    partials ``math.fsum`` keeps), so ``math.fsum`` of them and any more
-    values is the correctly rounded sum of everything added."""
-    i = 0
-    for partial in partials:
-        if abs(value) < abs(partial):
-            value, partial = partial, value
-        high = value + partial
-        low = partial - (high - value)
-        if low:
-            partials[i] = low
-            i += 1
-        value = high
-    partials[i:] = [value]
-
-
 #: The request histograms, by the event field each observes.
 _TIMINGS = {
     "service_request_latency_seconds": "duration_seconds",
@@ -153,11 +137,11 @@ class RequestTally:
         for event in events:
             key = (event.plan, event.outcome)
             self.requests[key] = self.requests.get(key, 0) + 1
-            _add_exact(self.spent.setdefault(event.plan, []), event.epsilon_spent)
+            add_exact(self.spent.setdefault(event.plan, []), event.epsilon_spent)
             for name, (histogram, partials) in self.timings.items():
                 value = getattr(event, _TIMINGS[name])
                 histogram.observe(value)
-                _add_exact(partials, value)
+                add_exact(partials, value)
 
     def histograms(self, tenant: str) -> list[Histogram]:
         """The histograms, labelled with ``tenant``, their sums exact."""

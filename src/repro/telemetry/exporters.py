@@ -44,13 +44,13 @@ def spans_to_jsonlines(spans: Iterable[Span]) -> str:
 # ----------------------------------------------------------------------------
 # Chrome trace-event format.
 # ----------------------------------------------------------------------------
-def spans_to_chrome_trace(spans: Sequence[Span], process_name: str = "repro.service") -> dict:
+def spans_to_chrome_trace(spans: Sequence[Span]) -> dict:
     """Build a Chrome/Perfetto trace-event document from finished spans.
 
     Timestamps are rebased to the earliest span start (the viewer expects
     small positive microsecond offsets, not raw ``perf_counter`` values) and
-    each thread gets a named lane, so concurrent requests on scheduler
-    workers show up side by side.
+    each thread gets a named lane in the one ``"repro.service"`` process,
+    so concurrent requests on scheduler workers show up side by side.
     """
     spans = sorted(spans, key=lambda span: (span.start, span.span_id))
     events: list[dict] = [
@@ -59,7 +59,7 @@ def spans_to_chrome_trace(spans: Sequence[Span], process_name: str = "repro.serv
             "ph": "M",
             "pid": 1,
             "tid": 0,
-            "args": {"name": process_name},
+            "args": {"name": "repro.service"},
         }
     ]
     base = spans[0].start if spans else 0.0
@@ -98,13 +98,9 @@ def spans_to_chrome_trace(spans: Sequence[Span], process_name: str = "repro.serv
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    spans: Sequence[Span], path: str | Path, process_name: str = "repro.service"
-) -> Path:
+def write_chrome_trace(spans: Sequence[Span], path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(
-        json.dumps(spans_to_chrome_trace(spans, process_name), indent=2, default=float) + "\n"
-    )
+    path.write_text(json.dumps(spans_to_chrome_trace(spans), indent=2, default=float) + "\n")
     return path
 
 

@@ -6,8 +6,9 @@ by name plus a small label set (``tenant=...``, ``plan=...``, ``cache=...``),
 matching the Prometheus data model so the text exporter in
 :mod:`repro.telemetry.exporters` is a direct serialisation.
 
-Histograms use fixed buckets (latency-shaped by default) so percentile
-estimates cost O(num_buckets) regardless of how many requests were observed;
+Histograms use fixed buckets, and every histogram the registry creates has
+the latency-shaped :data:`DEFAULT_LATENCY_BUCKETS`, so percentile estimates
+cost O(num_buckets) regardless of how many requests were observed;
 :meth:`Histogram.percentile` interpolates linearly inside the winning bucket
 and clamps to the observed min/max, which keeps small-sample estimates sane.
 
@@ -161,16 +162,12 @@ class MetricsRegistry:
                 instrument = self._counters[key] = Counter(name, key[1])
             return instrument
 
-    def histogram(
-        self, name: str, buckets: tuple[float, ...] | None = None, **labels
-    ) -> Histogram:
+    def histogram(self, name: str, **labels) -> Histogram:
         key = (name, _label_key(labels))
         with self._lock:
             instrument = self._histograms.get(key)
             if instrument is None:
-                instrument = self._histograms[key] = Histogram(
-                    name, key[1], bounds=buckets if buckets is not None else DEFAULT_LATENCY_BUCKETS
-                )
+                instrument = self._histograms[key] = Histogram(name, key[1])
             return instrument
 
     def add(self, instrument: Counter | Histogram) -> None:

@@ -123,43 +123,45 @@ WORKLOAD_BUILDERS: dict[str, Callable[..., LinearQueryMatrix]] = {
 }
 
 
-#: the types a parameter value already has its frozen form in.
-_PLAIN = frozenset({str, int, float, bool, type(None)})
+#: the types a parameter value already has its frozen form in: the types the
+#: journal's encoding round-trips exactly (``bytes`` under its tag).
+_PLAIN = frozenset({str, int, float, bool, type(None), bytes})
 
 
 def _freeze(value):
     """Canonical hashable form of a builder or plan parameter value.
 
-    A plain ``str``, ``int``, ``float``, ``bool`` or ``None`` is its own
-    form.  A matrix freezes to ``("matrix", strategy_key)``, its content:
-    equal matrices give one request key (one release, one noise seed), and
-    distinct ones distinct keys, since the key's repr seeds each request's
-    noise and names its release in the journal.
+    A plain ``str``, ``int``, ``float``, ``bool``, ``None`` or ``bytes`` is
+    its own form; containers (dict keys included), numpy scalars and arrays
+    freeze to those.  A matrix freezes to ``("matrix", strategy_key)``, its
+    content: equal matrices give one request key (one release, one noise
+    seed), and distinct ones distinct keys, since the key's repr seeds each
+    request's noise and names its release in the journal.  Any other value
+    raises ``TypeError``: an unhashable one cannot key a release, and the
+    journal could not restore any other type's key equal to the live one,
+    so a restored session would answer the request again at fresh ε with
+    fresh noise.
     """
     if type(value) in _PLAIN:
         return value
     if isinstance(value, dict):
-        return tuple(sorted([(key, _freeze(item)) for key, item in value.items()]))
+        return tuple(sorted([(_freeze(key), _freeze(item)) for key, item in value.items()]))
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(item) for item in value)
     if isinstance(value, np.ndarray):
         return tuple(_freeze(item) for item in value.tolist())
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, LinearQueryMatrix):
         return ("matrix", value.strategy_key())
-    try:
-        hash(value)
-    except TypeError:
-        # A repr fallback would silently produce address-bearing, unstable
-        # keys (cache misses + irreproducible seeds); fail loudly instead.
-        raise TypeError(
-            f"cache-key parameter of type {type(value).__name__} is not hashable; "
-            "pass plain data (numbers, strings, lists/tuples/dicts thereof)"
-        ) from None
-    return value
+    raise TypeError(
+        f"cache-key parameter of type {type(value).__name__} is not hashable plain data "
+        "that a journal restores; pass numbers, strings, bytes, or lists/tuples/dicts of them"
+    )
 
 
 def workload_cache_key(name: str, params: Mapping[str, object] | None = None) -> tuple:

@@ -401,7 +401,7 @@ class TestKernelGaussian:
             _relation(values), seed=123, accountant=ZCDPAccountant(epsilon=50.0, delta=1e-6)
         )
         vec = kernel.transform_vectorize("root")
-        answers = kernel.measure_vector_gaussian(vec, Identity(n), 1.0, delta=1e-6)
+        answers = kernel.measure_vector_gaussian(vec, Identity(n), 1.0)
         record = kernel.history()[-1]
         assert record.operator == "VectorGaussian"
         assert record.noise_scale == pytest.approx(
@@ -546,14 +546,14 @@ class TestBudgetFilter:
             ),
             (
                 ApproxDPAccountant(1.0, delta_total=1e-6),
-                lambda s: s.vector_gaussian(Identity(32), 0.5, delta=2e-6),
+                lambda s: s.vector_gaussian(Identity(32), 1.5),
             ),
             (
                 ZCDPAccountant(rho=0.01, delta=1e-6),
                 lambda s: s.vector_gaussian(Identity(32), 1.0),
             ),
         ],
-        ids=["pure-laplace", "pure-exponential", "approx-delta", "zcdp-gaussian"],
+        ids=["pure-laplace", "pure-exponential", "approx-gaussian", "zcdp-gaussian"],
     )
     def test_over_budget_measurement_charges_draws_and_records_nothing(
         self, vector_relation, accountant, measure
@@ -562,6 +562,20 @@ class TestBudgetFilter:
         before = _kernel_state(source.kernel)
         with pytest.raises(BudgetExceededError):
             measure(source)
+        assert _kernel_state(source.kernel) == before
+
+    def test_a_gaussian_past_the_delta_budget_charges_draws_and_records_nothing(
+        self, vector_relation
+    ):
+        # Two measurements at the accountant's δ of 5e-7 exhaust the 1e-6 δ
+        # budget with most of ε left; the third is refused on δ alone.
+        accountant = ApproxDPAccountant(10.0, delta_total=1e-6, measurement_delta=5e-7)
+        source = protect(vector_relation, seed=0, accountant=accountant).vectorize()
+        source.vector_gaussian(Identity(32), 0.5)
+        source.vector_gaussian(Identity(32), 0.5)
+        before = _kernel_state(source.kernel)
+        with pytest.raises(BudgetExceededError):
+            source.vector_gaussian(Identity(32), 0.5)
         assert _kernel_state(source.kernel) == before
 
     def test_sublinear_costs_admit_epsilon_above_the_native_budget(self, vector_relation):
@@ -587,7 +601,7 @@ class TestBudgetFilter:
         with pytest.raises(BudgetExceededError):
             source.vector_laplace(Identity(32), 1.0)
         assert source.budget_consumed() == 0.0
-        source.vector_gaussian(Identity(32), 1.0, delta=1e-6)
+        source.vector_gaussian(Identity(32), 1.0)
         assert source.budget_consumed() == pytest.approx(source.kernel.epsilon_total)
 
 
@@ -655,6 +669,51 @@ class TestServiceAccounting:
         report = session_report(session)
         assert report["accounting"]["accountant"] == "zcdp"
         assert report["kernel_audit"]["epsilon_reported"] == pytest.approx(0.4, rel=1e-6)
+        assert reconcile(session)["exact"]
+
+    @pytest.mark.parametrize("accountant", ["approx", "zcdp"])
+    def test_every_gaussian_measurement_runs_at_the_accountants_default_delta(
+        self, table, accountant
+    ):
+        # The kernel, not plan code, sets δ: every Gaussian plan run through
+        # the scheduler records the session accountant's default_delta, and a
+        # plan parameter that tries to pick δ is refused before any charge.
+        manager = SessionManager()
+        scheduler = PlanScheduler(manager, executor="inline")
+        session = manager.create_session(
+            "acme", table, epsilon_total=8.0, seed=3, accountant=accountant, delta=1e-5
+        )
+        plans = [
+            ("Identity", {}),
+            ("Uniform", {}),
+            ("Privelet", {}),
+            ("Hierarchical (H2)", {}),
+            ("Hierarchical Opt (HB)", {}),
+            ("Greedy-H", {}),
+            ("HDMM", {"workload": Prefix(64)}),
+            ("MWEM", {"workload": Prefix(64), "rounds": 2}),
+            ("MWEM variant d", {"workload": Prefix(64), "rounds": 2}),
+        ]
+        for plan, params in plans:
+            scheduler.execute(
+                QueryRequest(
+                    session.session_id, plan, 0.25, plan_params={"noise": "gaussian", **params}
+                )
+            )
+        deltas = [r.delta for r in session.kernel.history() if r.operator == "VectorGaussian"]
+        assert len(deltas) >= len(plans)
+        assert set(deltas) == {session.accountant.default_delta}
+        before = (session.budget_consumed(), session.kernel.num_measurements)
+        with pytest.raises(TypeError, match="delta"):
+            scheduler.execute(
+                QueryRequest(
+                    session.session_id,
+                    "Identity",
+                    0.25,
+                    plan_params={"noise": "gaussian", "delta": 1e-3},
+                )
+            )
+        assert (session.budget_consumed(), session.kernel.num_measurements) == before
         assert reconcile(session)["exact"]
 
     def test_cache_replay_spends_nothing_and_reports_current_state(self, table):

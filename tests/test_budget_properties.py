@@ -1,11 +1,13 @@
 """Property-based tests for the privacy accounting (Algorithm 2 invariants)."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accounting import ApproxDPAccountant, Cost, PureDPAccountant, ZCDPAccountant
-from repro.private.budget import BudgetTracker
+from repro.private.budget import LEDGER_TOLERANCE, BudgetTracker
 
 
 @st.composite
@@ -179,3 +181,43 @@ def test_refused_charge_changes_nothing(params):
         before = _state(tracker, names)
         if not tracker.charge(target, Cost(primary, delta)):
             assert _state(tracker, names) == before
+
+
+#: Charges that sum to a budget of 1 (or δ 1e-6) in many ways, so a drawn
+#: sequence often lands on the budget exactly, where rounding decides.
+_PRIMARY_CHARGES = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1 / 3, 0.05, 0.25]),
+    st.floats(min_value=0.0, max_value=0.4),
+)
+_DELTA_CHARGES = st.one_of(
+    st.sampled_from([1e-7, 2e-7, 3e-7, 1e-6 / 3]),
+    st.floats(min_value=0.0, max_value=4e-7),
+)
+
+
+@given(
+    st.sampled_from(
+        [PureDPAccountant(1.0), ApproxDPAccountant(1.0, delta_total=1e-6), ZCDPAccountant(rho=1.0)]
+    ),
+    st.lists(st.tuples(_PRIMARY_CHARGES, _DELTA_CHARGES), max_size=25),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_charge_is_accepted_exactly_when_the_exact_ledger_sum_fits(accountant, charges):
+    """Acceptance is decided on the correctly rounded sum of the root
+    ledger and the charge (``math.fsum``), never on a running float total:
+    the primary component against its budget plus the rounding slack, and
+    the δ component against its budget plus its relative tolerance."""
+    tracker = BudgetTracker(accountant=accountant)
+    budget = accountant.budget
+    slack = min(1e-12, 1e-6 * budget.primary)
+    for primary, delta in charges:
+        if accountant.name != "approx":
+            delta = 0.0
+        ledger = tracker.ledger()
+        fits = math.fsum([c.primary for c in ledger] + [primary]) <= budget.primary + slack
+        if delta or budget.delta:
+            fits = fits and math.fsum([c.delta for c in ledger] + [delta]) <= (
+                budget.delta + LEDGER_TOLERANCE * budget.delta
+            )
+        assert tracker.charge("root", Cost(primary, delta)) == fits
+        assert len(tracker.ledger()) == len(ledger) + fits

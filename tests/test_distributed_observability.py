@@ -214,7 +214,7 @@ class TestExporterSatellites:
 
     def test_thread_backend_trace_has_one_process_lane(self, relation):
         response, tracer = _batched_run(relation, "thread")
-        doc = spans_to_chrome_trace(tracer.trace(response.trace_id), process_name="svc")
+        doc = spans_to_chrome_trace(tracer.trace(response.trace_id))
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert {e["pid"] for e in complete} == {1}
         process_names = [
@@ -222,7 +222,7 @@ class TestExporterSatellites:
             for e in doc["traceEvents"]
             if e["ph"] == "M" and e["name"] == "process_name"
         ]
-        assert process_names == ["svc"]
+        assert process_names == ["repro.service"]
         # The whole request ran on one driver thread: one named lane.
         lanes = {
             e["tid"]: e["args"]["name"]

@@ -33,6 +33,7 @@ import tracemalloc
 import zlib
 from collections import Counter
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from repro.durability import (
 )
 from repro.durability.journal import _encode_frame, _frame_at
 from repro.durability.serialize import pack, unpack
+from repro.matrix import Prefix
 from repro.matrix.dense import DenseMatrix
 from repro.plans.data_independent import IdentityPlan
 from repro.plans.registry import PLANS_BY_NAME
@@ -70,6 +72,7 @@ from repro.service import (
     telemetry_report,
 )
 from repro.telemetry import NOOP_SPAN, Tracer
+from repro.workload.builders import _freeze
 from tests.test_service import mwem_request
 from tests.test_telemetry import OUTCOME_CASES, arrange_outcome
 
@@ -155,6 +158,46 @@ def roundtrip(value):
     return decode(unpack(header, memoryview(b"".join(arrays)))["value"])
 
 
+class _Opaque:
+    """A hashable value of a type the journal does not know."""
+
+    def __repr__(self):
+        return "<opaque>"
+
+
+#: Plan and workload parameter values a client might send: what ``_freeze``
+#: keeps or converts (plain data, numpy scalars and arrays, matrices,
+#: containers of them) and what it must refuse.  NaN is left out: it never
+#: equals itself, so a NaN-keyed release replays neither live nor restored.
+_PARAM_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(),
+        st.binary(max_size=8),
+        st.booleans().map(np.bool_),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.floats(allow_nan=False, width=32).map(np.float32),
+        st.lists(st.floats(allow_nan=False), max_size=3).map(np.array),
+        st.integers(1, 8).map(Prefix),
+        st.fractions(),
+        st.complex_numbers(allow_nan=False),
+        st.text(max_size=3).map(np.str_),
+        st.frozensets(st.integers(), max_size=2),
+        st.just(_Opaque()),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.tuples(children, children),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+        st.dictionaries(st.integers(), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+
 # ======================================================================
 # Serialisation.
 # ======================================================================
@@ -235,11 +278,22 @@ class TestSerialize:
         assert info["__raw__"] == 0 and info["x"].tobytes() == x.tobytes()
 
     def test_unknown_objects_degrade_to_repr(self):
-        class Opaque:
-            def __repr__(self):
-                return "<opaque>"
+        assert roundtrip(_Opaque()) == "<opaque>"
 
-        assert roundtrip(Opaque()) == "<opaque>"
+    @given(value=_PARAM_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_every_key_freeze_accepts_survives_the_journal(self, value):
+        """A request key is journaled with its release and must come back
+        equal, with the same repr (the repr seeds the request's noise): so
+        ``_freeze`` accepts only what the encoding round-trips, and refuses
+        the rest with ``TypeError``."""
+        try:
+            key = _freeze(value)
+        except TypeError:
+            return
+        back = roundtrip(key)
+        assert back == key and hash(back) == hash(key)
+        assert repr(back) == repr(key)
 
 
 # ======================================================================
@@ -1189,6 +1243,39 @@ class TestRestore:
         assert replay.cached and replay.epsilon_spent == 0.0
         assert replay.x_hat.tobytes() == first.x_hat.tobytes()
         assert restored.budget_consumed() == session.budget_consumed()
+        restored.journal.close()
+
+    def test_a_param_the_journal_cannot_restore_is_refused_before_any_charge(
+        self, manager, relation, tmp_path
+    ):
+        """A ``Fraction`` would key the live release, but the journal writes
+        a type it does not know as its repr: restored, the release sat under
+        ``('partition_share', 'Fraction(1, 4)')``, and the same request was
+        answered again at fresh ε with fresh noise.  So the request is
+        refused first, in its plan and in its workload parameters."""
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=7, journal=PrivacyJournal(tmp_path / "j.wal")
+        )
+        scheduler = PlanScheduler(manager)
+        for request in (
+            dawa_request(session, plan_params={"partition_share": Fraction(1, 4)}),
+            identity_request(session, workload_params={"n": Fraction(N)}),
+        ):
+            with pytest.raises(TypeError, match="Fraction"):
+                scheduler.execute(request)
+        assert session.budget_consumed() == 0.0
+        assert session.kernel.num_measurements == 0
+        assert not session.releases
+        # The same request with a plain float is answered, and replays
+        # after a restore.
+        request = dawa_request(session, plan_params={"partition_share": 0.25})
+        first = scheduler.execute(request)
+        session.journal.close()
+        fresh = PlanScheduler(SessionManager())
+        restored = fresh.restore_session(relation, journal=PrivacyJournal(tmp_path / "j.wal"))
+        replay = fresh.execute(request)
+        assert replay.cached and replay.epsilon_spent == 0.0
+        assert replay.x_hat.tobytes() == first.x_hat.tobytes()
         restored.journal.close()
 
     def test_restored_charges_keep_spending_from_true_remainder(self, manager, relation):

@@ -53,6 +53,7 @@ from repro.operators.inference import (
     least_squares,
 )
 from repro.operators.inference.least_squares import NormalEquations, _factor_dense
+from repro.plans.base import infer_least_squares
 from repro.private import ProtectedKernel
 from repro.service import ArtifactCache
 from repro.telemetry import Tracer, activate
@@ -385,18 +386,28 @@ class TestAutoGramKeys:
         assert cache.stats["misses"] == 1
         assert cache.stats["hits"] == 2
 
-    def test_auto_method_relaxes_aspect_when_cache_present(self):
-        # A square strategy: auto stays with LSMR stand-alone but switches to
-        # the shared normal equations when a Gram cache is available.
-        queries = Prefix(16)
-        answers = np.arange(16.0)
-        without = least_squares(queries, answers, method="auto")
+    def test_infer_least_squares_solves_normal_equations_only_with_a_cache(self):
+        # The one solver policy: a shared cache and m >= n up to n = 4096
+        # take the cached normal equations, anything else LSMR (which never
+        # touches the cache).
+        def solve(queries, cache):
+            answers = np.arange(queries.shape[0], dtype=np.float64)
+            estimate = infer_least_squares(queries, answers, gram_cache=cache)
+            return estimate, cache is not None and (
+                ("least_squares_gram", queries.strategy_key()) in cache
+            )
+
+        square = Prefix(16)
+        without, _ = solve(square, None)
         assert without.iterations > 1  # LSMR path
         cache = ArtifactCache()
-        with_cache = least_squares(queries, answers, method="auto", gram_cache=cache)
-        assert with_cache.iterations == 1  # normal path
-        assert len(cache) == 1
+        with_cache, normal = solve(square, cache)
+        assert normal and with_cache.iterations == 1 and len(cache) == 1
         np.testing.assert_allclose(with_cache.x_hat, without.x_hat, atol=1e-6)
+        assert solve(VStack([HierarchicalQueries(32), HierarchicalQueries(32)]), cache)[1]
+        # Wide (m < n) and past the domain cap: LSMR even with the cache.
+        assert not solve(DenseMatrix(np.ones((3, 8))), cache)[1]
+        assert not solve(Identity(4097), cache)[1]
 
 
 # ----------------------------------------------------------------------------

@@ -174,7 +174,7 @@ class TestNoiseCalibration:
         # column holds 12 ones, so ||M||_2 = sqrt(12).
         kernel = ProtectedKernel(relation, seed=0, accountant=ApproxDPAccountant(4.0, 1e-3))
         vec = kernel.transform_vectorize("root")
-        kernel.measure_vector_gaussian(vec, Prefix(12), 0.5, delta=1e-5)
+        kernel.measure_vector_gaussian(vec, Prefix(12), 0.5)
         record = kernel.history()[-1]
         assert record.operator == "VectorGaussian"
         assert record.noise_scale == pytest.approx(

@@ -165,10 +165,13 @@ class TestDerivedOperations:
         expected = np.vstack([matrix.row(i) for i in indices])
         np.testing.assert_allclose(batched, expected, atol=1e-10)
 
-    def test_rows_blocked_extraction(self, matrix):
+    def test_rows_blocked_extraction(self, matrix, monkeypatch):
         # Force multiple blocks to exercise the block loop.
+        from repro.matrix import base as base_mod
+
+        monkeypatch.setattr(base_mod, "ROWS_BLOCK", 2)
         indices = np.arange(matrix.shape[0])
-        batched = matrix.rows(indices, block_size=2)
+        batched = matrix.rows(indices)
         np.testing.assert_allclose(batched, matrix.dense(), atol=1e-10)
 
     def test_rows_scratch_cap_shrinks_block(self, monkeypatch):
@@ -179,9 +182,7 @@ class TestDerivedOperations:
         monkeypatch.setattr(base_mod, "_ROWS_SCRATCH_CELLS", 8)
         matrix = HierarchicalQueries(8)
         indices = np.arange(matrix.shape[0])
-        np.testing.assert_allclose(
-            matrix.rows(indices, block_size=256), matrix.dense(), atol=1e-10
-        )
+        np.testing.assert_allclose(matrix.rows(indices), matrix.dense(), atol=1e-10)
 
     def test_gram_dense(self, matrix):
         dense = matrix.dense()
@@ -189,9 +190,12 @@ class TestDerivedOperations:
             matrix.gram_dense(), dense.T @ dense, atol=1e-8
         )
 
-    def test_gram_dense_blocked(self, matrix):
+    def test_gram_dense_blocked(self, matrix, monkeypatch):
+        from repro.matrix import base as base_mod
+
         dense = matrix.dense()
-        got = LinearQueryMatrix.gram_dense(matrix, block_size=3)
+        monkeypatch.setattr(base_mod, "MATERIALISE_BLOCK", 3)
+        got = LinearQueryMatrix.gram_dense(matrix)
         np.testing.assert_allclose(got, dense.T @ dense, atol=1e-8)
 
     def test_linear_operator_matmat(self, matrix):
@@ -373,15 +377,14 @@ class TestInferenceFastPaths:
         via_normal = least_squares(queries, answers, method="normal")
         np.testing.assert_allclose(via_normal.x_hat, via_lsmr.x_hat, atol=1e-6)
 
-    def test_least_squares_auto_picks_normal_for_tall_skinny(self):
+    def test_least_squares_refuses_the_auto_method(self):
         from repro.operators.inference import least_squares
 
-        rng = _rng(46)
-        # 32 cols, 126 rows: safely past the 2x tall-skinny aspect threshold.
+        # The solver policy lives in infer_least_squares alone.
         queries = VStack([HierarchicalQueries(32), HierarchicalQueries(32)])
-        answers = queries.matvec(rng.normal(size=32))
-        result = least_squares(queries, answers, method="auto")
-        assert result.iterations == 1  # the normal/direct paths report one step
+        answers = queries.matvec(_rng(46).normal(size=32))
+        with pytest.raises(ValueError, match="unknown least-squares method 'auto'"):
+            least_squares(queries, answers, method="auto")
 
     def test_least_squares_normal_rank_deficient_falls_back(self):
         from repro.operators.inference import least_squares

@@ -458,7 +458,7 @@ class TestArtifactCache:
         first = cache.workload("prefix", {"n": 32})
         second = cache.workload("prefix", {"n": 32})
         assert first is second
-        assert cache.stats == {"entries": 1, "hits": 1, "misses": 1, "evictions": 0}
+        assert cache.stats == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_key_normalisation_across_param_types(self):
         assert workload_cache_key("prefix", {"n": np.int64(32)}) == workload_cache_key(
@@ -471,13 +471,6 @@ class TestArtifactCache:
             workload_cache_key("nope", {})
         with pytest.raises(TypeError, match="not hashable"):
             workload_cache_key("prefix", {"n": {1, 2}})
-
-    def test_max_entries_evicts_oldest(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.get_or_build("a", lambda: 1)
-        cache.get_or_build("b", lambda: 2)
-        cache.get_or_build("c", lambda: 3)
-        assert "a" not in cache and "b" in cache and "c" in cache
 
     def test_scheduler_shares_workload_artifacts_across_sessions(
         self, manager, scheduler, relation
@@ -853,16 +846,17 @@ class TestKernelHooks:
         assert after.num_measurements == 1
         assert after.remaining == pytest.approx(0.75)
 
-    def test_history_query_filters(self, vector_source_factory, small_vector):
+    def test_history_query_since(self, vector_source_factory, small_vector):
         source = vector_source_factory(small_vector, epsilon=1.0)
         kernel = source.kernel
         source.vector_laplace(build_workload("identity", {"domain": N}), 0.1)
         kernel.measure_noisy_count("root", 0.1)
-        assert len(kernel.history_query()) == 2
-        assert len(kernel.history_query(operator="VectorLaplace")) == 1
+        assert [r.operator for r in kernel.history_query()] == ["VectorLaplace", "NoisyCount"]
         assert [r.operator for r in kernel.history_query(since=1)] == ["NoisyCount"]
-        assert [r.operator for r in kernel.history_query(source="root")] == ["NoisyCount"]
-        assert kernel.history_query(source="nope") == []
+        assert kernel.history_query(since=2) == []
+        # A copy: the caller cannot edit the kernel's history.
+        kernel.history_query().clear()
+        assert kernel.num_measurements == 2
 
     def test_reseed_reproduces_noise(self, vector_source_factory, small_vector):
         source = vector_source_factory(small_vector, epsilon=2.0)

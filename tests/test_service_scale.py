@@ -41,7 +41,6 @@ from repro.service import (
     derive_request_seed,
     make_executor,
     reconcile,
-    request_metrics,
     telemetry_report,
 )
 from repro.telemetry import Tracer
@@ -299,38 +298,7 @@ class TestExecutorBackends:
         assert seed != derive_request_seed(8, "acme-s1", "acme-s1-r1", "('query',)")
 
 
-class TestArtifactCacheLRU:
-    def test_touch_on_hit_evicts_least_recent(self):
-        cache = ArtifactCache(max_entries=2)
-        scheduler = PlanScheduler(SessionManager(), artifact_cache=cache, executor="inline")
-        built = []
-
-        def builder(tag):
-            def build():
-                built.append(tag)
-                return tag
-
-            return build
-
-        cache.get_or_build("a", builder("a"))
-        cache.get_or_build("b", builder("b"))
-        cache.get_or_build("a", builder("a"))  # touch: "a" is now most recent
-        cache.get_or_build("c", builder("c"))  # evicts "b", not "a"
-        assert "a" in cache and "c" in cache and "b" not in cache
-        assert built == ["a", "b", "c"]
-        stats = cache.stats
-        assert stats["entries"] == 2
-        assert stats["evictions"] == 1
-        assert stats["hits"] == 1
-        # The exported counter is the cache's own field.
-        view = request_metrics(scheduler)
-        assert view.counter("cache_evictions", cache="artifact").value == 1.0
-        assert view.counter("cache_hits", cache="artifact").value == 1.0
-        # The evicted artifact rebuilds on demand and re-enters the cache.
-        cache.get_or_build("b", builder("b"))
-        assert built == ["a", "b", "c", "b"]
-        assert "a" not in cache  # "a" was then the least recently used
-
+class TestSharedArtifactCache:
     def test_one_cache_serves_two_schedulers(self, relation):
         # Artifacts are data-independent, so schedulers in one process may
         # share a cache: the second builds nothing the first already built.
@@ -424,8 +392,8 @@ class _HeldExecutor(ExecutorBackend):
         assert self.release.wait(timeout=10)
         return fn(*args)
 
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait)
+    def shutdown(self) -> None:
+        self._pool.shutdown()
 
 
 class TestBatchQueuedAcrossClose:

@@ -297,10 +297,14 @@ class TestExporters:
         }
 
     def test_chrome_trace_golden(self):
-        doc = spans_to_chrome_trace(_sample_spans(), process_name="svc")
+        doc = spans_to_chrome_trace(_sample_spans())
         assert doc["displayTimeUnit"] == "ms"
         metadata = [e for e in doc["traceEvents"] if e["ph"] == "M"]
-        assert {e["args"]["name"] for e in metadata} == {"svc", "MainThread", "worker-0"}
+        assert {e["args"]["name"] for e in metadata} == {
+            "repro.service",
+            "MainThread",
+            "worker-0",
+        }
         complete = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         by_name = {e["name"]: e for e in complete}
         root = by_name["service.request"]
@@ -321,7 +325,8 @@ class TestExporters:
     def test_prometheus_golden(self):
         registry = MetricsRegistry()
         registry.counter("service_requests", tenant="acme", outcome="ok").inc(3)
-        hist = registry.histogram("latency_seconds", buckets=(1.0, 2.0), tenant="acme")
+        hist = Histogram("latency_seconds", (("tenant", "acme"),), bounds=(1.0, 2.0))
+        registry.add(hist)
         hist.observe(0.5)
         hist.observe(1.5)
         hist.observe(9.0)
@@ -721,7 +726,7 @@ class TestTelemetryReport:
         # A replay is counted once, as a cached request; the only cache
         # counters are the artifact cache's own fields.
         assert {key for key in counters if key.startswith("cache_")} == {
-            f"cache_{field}{{cache=artifact}}" for field in ("hits", "misses", "evictions")
+            f"cache_{field}{{cache=artifact}}" for field in ("hits", "misses")
         }
         assert counters["cache_misses{cache=artifact}"] == scheduler.artifact_cache.misses
         assert counters["cache_hits{cache=artifact}"] == scheduler.artifact_cache.hits
@@ -773,7 +778,7 @@ def assert_metrics_are_the_events(scheduler, events_by_tenant):
     for (tenant, plan, outcome), count in expected.items():
         labels = f'outcome="{outcome}",plan="{plan}",tenant="{tenant}"'
         assert f"service_requests_total{{{labels}}} {float(count)!r}\n" in text
-    for field in ("hits", "misses", "evictions"):
+    for field in ("hits", "misses"):
         assert counters[f"cache_{field}{{cache=artifact}}"] == getattr(scheduler.artifact_cache, field)
     assert set(report["privacy_odometer"]) == set(events_by_tenant)
     for tenant, events in events_by_tenant.items():
