@@ -10,7 +10,8 @@ hierarchical measurements:
 * non-negative least squares (L-BFGS-B),
 * NNLS with a known total,
 * multiplicative weights,
-* tree-based least squares (the specialised Hay et al. routine),
+* tree-based least squares (the specialised Hay et al. routine: the
+  normal equations' tree kind),
 * thresholded identity (no joint inference at all),
 
 reporting scaled per-query L2 error on a random range workload and runtime.
@@ -27,14 +28,13 @@ import numpy as np
 
 from repro.analysis import format_table, per_query_l2_error
 from repro.dataset import load_1d
-from repro.matrix import HierarchicalQueries, hierarchical_intervals
+from repro.matrix import HierarchicalQueries
 from repro.operators.inference import (
     least_squares,
     multiplicative_weights,
     nnls,
     nnls_with_total,
     threshold,
-    tree_based_least_squares,
 )
 from repro.workload import random_range_workload
 
@@ -58,7 +58,7 @@ def run_experiment(
         "Multiplicative weights": lambda: multiplicative_weights(
             measurements, answers, total=total, iterations=10
         ).x_hat,
-        "Tree-based LS": lambda: _tree_based(answers, n),
+        "Tree-based LS": lambda: least_squares(measurements, answers, method="normal").x_hat,
         "Identity rows + threshold": lambda: threshold(
             answers[:n], noise_scale=noise_scale
         ).x_hat,
@@ -72,14 +72,6 @@ def run_experiment(
         error = per_query_l2_error(workload, x, estimate)
         rows.append((name, error, runtime))
     return rows
-
-
-def _tree_based(answers: np.ndarray, n: int) -> np.ndarray:
-    """Tree-based LS on the shared answers: ``HierarchicalQueries(n, 2)``'s
-    rows are the n leaves, then the tree's other intervals in
-    ``hierarchical_intervals`` order."""
-    intervals = [(i, i) for i in range(n)] + hierarchical_intervals(n, 2)
-    return tree_based_least_squares(dict(zip(intervals, answers)), n, branching=2).x_hat
 
 
 def main() -> None:

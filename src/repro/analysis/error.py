@@ -9,11 +9,12 @@ Theorem 8.4; one query is a one-row workload) is provided for analytic
 comparisons.
 
 :func:`expected_workload_error` is routed through the normal-equations
-engine: the strategy is factorised once with
+engine: the strategy is prepared once with
 :func:`~repro.operators.inference.build_normal_equations`, in whichever of its
-three kinds its CSR form allows (the orthogonal-rows closed form
-``Mᵀ D⁻² M`` for Haar and partitions, the sparse LU of the augmented system
-``[[I, M], [Mᵀ, 0]]`` for hierarchies, or a Cholesky-factored dense Gram),
+four kinds it allows (the two tree passes for hierarchies, the
+orthogonal-rows closed form ``Mᵀ D⁻² M`` for Haar and partitions, the sparse
+LU of the augmented system ``[[I, M], [Mᵀ, 0]]`` for other sparse
+strategies, or a Cholesky-factored dense Gram),
 then every workload row is one solve against that factor inside
 one blocked trace computation ``tr(W G⁺ Wᵀ)``.  The seed recomputed
 ``pinv(AᵀA)`` anew for every workload row — O(m·n³) against the dense kind's

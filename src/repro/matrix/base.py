@@ -287,6 +287,19 @@ class LinearQueryMatrix:
             out[:, lo:hi] = self.rmatmat(self.matmat(basis))
         return out
 
+    def tree_parents(self) -> np.ndarray | None:
+        """The parent row of every row when the rows form a tree of sums, or
+        ``None`` (the default).
+
+        A matrix declares a tree when its first ``n`` rows are the identity
+        (row ``i`` counts cell ``i``, a leaf) and every other row is the sum
+        of the rows whose parent it is; the root's parent is -1.  The
+        normal equations of such a matrix are solved by two passes over the
+        tree, with no factorisation (the ``"tree"`` kind of
+        :func:`~repro.operators.inference.build_normal_equations`).
+        """
+        return None
+
     def strategy_key(self) -> tuple:
         """Canonical hashable key identifying this matrix's *content*.
 

@@ -136,26 +136,33 @@ def hierarchical_intervals(n: int, branching: int = 2) -> list[tuple[int, int]]:
         raise ValueError("domain size must be positive")
     if branching < 2:
         raise ValueError("branching factor must be at least 2")
-    return list(_hierarchy(int(n), int(branching)))
+    return list(_hierarchy(int(n), int(branching))[0])
 
 
 @functools.lru_cache(maxsize=64)
-def _hierarchy(n: int, branching: int) -> tuple[tuple[int, int], ...]:
+def _hierarchy(n: int, branching: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The intervals of :func:`hierarchical_intervals` and the parent row of
+    every row of ``HierarchicalQueries(n, branching)`` (-1 at the root)."""
     intervals: list[tuple[int, int]] = []
-    frontier = [(0, n - 1)]
+    parents = [-1] * n  # rows 0..n-1 are the cells; each interval appends its own
+    frontier = [(0, n - 1, -1)]
     while frontier:
-        lo, hi = frontier.pop()
-        length = hi - lo + 1
-        if length <= 1:
+        lo, hi, parent = frontier.pop()
+        if hi == lo:
+            parents[lo] = parent
             continue
+        row = n + len(intervals)
         intervals.append((lo, hi))
+        parents.append(parent)
         # Split [lo, hi] into `branching` nearly-equal children.
         edges = np.linspace(lo, hi + 1, branching + 1).astype(int).tolist()
         for k in range(branching):
             c_lo, c_hi = edges[k], edges[k + 1] - 1
             if c_hi >= c_lo:
-                frontier.append((c_lo, c_hi))
-    return tuple(intervals)
+                frontier.append((c_lo, c_hi, row))
+    tree = np.array(parents, dtype=np.intp)
+    tree.flags.writeable = False  # shared by every caller of the memo
+    return tuple(intervals), tree
 
 
 class HierarchicalQueries(LinearQueryMatrix):
@@ -195,6 +202,11 @@ class HierarchicalQueries(LinearQueryMatrix):
 
     def row(self, i: int) -> np.ndarray:
         return self._union.row(i)
+
+    def tree_parents(self) -> np.ndarray:
+        # Rows 0..n-1 are the cells (the Identity part), then the intervals,
+        # each the sum of its children.
+        return _hierarchy(self.n, self.branching)[1]
 
     def _build_strategy_key(self) -> tuple:
         return ("Hierarchical", self.n, self.branching)

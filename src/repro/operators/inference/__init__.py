@@ -9,7 +9,6 @@ from .least_squares import (
 from .mult_weights import multiplicative_weights
 from .nnls import nnls, nnls_with_total
 from .thresholding import threshold
-from .tree_based import hierarchical_measurements, tree_based_least_squares
 
 __all__ = [
     "InferenceResult",
@@ -20,6 +19,4 @@ __all__ = [
     "nnls_with_total",
     "multiplicative_weights",
     "threshold",
-    "tree_based_least_squares",
-    "hierarchical_measurements",
 ]

@@ -14,19 +14,29 @@ Three solution strategies are provided:
 * ``method="lsmr"`` (default) — scipy's iterative LSMR solver driven purely by
   matvec/rmatvec, so it runs on implicit matrices without materialisation.
 * ``method="normal"`` — solve the normal equations ``(M.T M) x = M.T y``
-  through a factorisation built once per strategy by
-  :func:`build_normal_equations`.  The factorisation is data-independent, so
-  it can be cached and shared across requests via the service's
-  :class:`~repro.service.artifact_cache.ArtifactCache` (pass
+  through the artifact :func:`build_normal_equations` prepares once per
+  strategy (a tree's two passes, or a factorisation).  It is
+  data-independent, so it can be cached and shared across requests via the
+  service's :class:`~repro.service.artifact_cache.ArtifactCache` (pass
   ``gram_cache``), after which each solve is one cheap sweep.
 
 Which one a plan's solve takes is the service's policy, and it lives in one
 place: :func:`repro.plans.base.infer_least_squares`.
 
-:func:`build_normal_equations` picks one of three kinds from one input, the
-strategy's CSR form ``S = M.sparse()`` (reported as the ``gram_kind``
-attribute of its ``solve.build_normal_equations`` span):
+The normal equations come in four kinds.  :func:`build_normal_equations`
+picks one from the strategy (reported as the ``gram_kind`` attribute of its
+``solve.build_normal_equations`` span): the tree kind when the strategy
+declares a tree, else one of the other three from its CSR form
+``S = M.sparse()``:
 
+* ``"tree"`` — the strategy declares a tree of sums
+  (:meth:`~repro.matrix.base.LinearQueryMatrix.tree_parents`: a
+  :class:`~repro.matrix.ranges.HierarchicalQueries` of any size and
+  branching, so H2, HB, Greedy-H without a workload and DAWA's stage two),
+  unweighted or uniformly weighted: two passes over the tree
+  (:mod:`~repro.operators.inference.tree_based`) give the estimate from the
+  answers, exactly, in O(m) per solve; ``(M.T M)^-1 rhs`` is the estimate of
+  ``[rhs; 0]``.  No CSR form, no Gram, no factorisation.
 * ``"orthogonal_rows"`` — ``S S.T = D`` is diagonal, up to the rounding of
   its dot products, with no zero row (Haar wavelets, row-weighted or not,
   disjoint partitions, identity measurements): the estimate comes
@@ -34,10 +44,11 @@ attribute of its ``solve.build_normal_equations`` span):
   the minimum-norm solution when ``m < n``; ``(M.T M)^+ = M.T D^-2 M`` is
   applied directly in O(nnz) for any other right-hand side.  No Gram, no
   factorisation.
-* ``"augmented"`` — any other sparse ``S`` (the H2 and HB hierarchies,
-  partitions stacked on an identity): a sparse LU of ``K = [[I, M], [M.T,
-  0]]``, whose ``x``-block of ``K^-1 [0; -rhs]`` solves the normal
-  equations.  ``K`` keeps the strategy's sparsity where ``M.T M`` fills in.
+* ``"augmented"`` — any other sparse ``S`` (a hierarchy under non-uniform
+  row weights or in its sparse or dense representation, partitions stacked
+  on an identity): a sparse LU of ``K = [[I, M], [M.T, 0]]``, whose
+  ``x``-block of ``K^-1 [0; -rhs]`` solves the normal equations.  ``K``
+  keeps the strategy's sparsity where ``M.T M`` fills in.
 * ``"dense"`` — ``S`` holds more than :data:`STRATEGY_DENSITY_THRESHOLD` of
   ``n * n`` non-zeros (``Prefix``, dense matrices), or ``K`` is singular:
   the blocked dense Gram plus Cholesky.
@@ -64,6 +75,7 @@ from scipy.sparse.linalg import lsmr, splu
 
 from ...matrix import LinearQueryMatrix, ensure_matrix
 from ...telemetry.spans import NOOP_SPAN, trace_span
+from .tree_based import TreePasses
 
 
 class SupportsGetOrBuild(Protocol):
@@ -103,20 +115,21 @@ class InferenceResult:
 
 @dataclass
 class NormalEquations:
-    """Cached normal-equations artifact: one factorisation of ``M.T M``.
+    """Cached normal-equations artifact: ``M.T M`` prepared once to solve.
 
     It depends only on the (public) measurement strategy and weights, never
     on the noisy answers, so the artifact is data-independent and safe to
     share across requests and tenants through the service's
-    ``ArtifactCache``.  ``kind`` says which of the three forms
+    ``ArtifactCache``.  ``kind`` says which of the four forms
     :func:`build_normal_equations` chose (see the module docstring):
 
     * ``"dense"`` — ``gram`` is a dense ndarray factorised with Cholesky
       (``cho``);
-    * ``"orthogonal_rows"`` and ``"augmented"`` — no Gram is formed
-      (``gram`` is ``None``); ``lu`` applies ``(M.T M)^+`` from the sparse
-      strategy itself.  The orthogonal-rows kind also sets ``pinv``, which
-      maps answers straight to the estimate, ``M^+ y = S.T (D^-1 y)``.
+    * ``"tree"``, ``"orthogonal_rows"`` and ``"augmented"`` — no Gram is
+      formed (``gram`` is ``None``); ``lu`` applies ``(M.T M)^+``, from the
+      tree or the sparse strategy itself.  The tree and orthogonal-rows
+      kinds also set ``pinv``, which maps answers straight to the estimate
+      (``M^+ y = S.T (D^-1 y)`` for orthogonal rows).
 
     When the Gram is singular (rank-deficient measurements) the dense kind
     keeps the Gram with ``cho=None``, and solves fall back to the
@@ -145,18 +158,24 @@ class NormalEquations:
 
 
 def build_normal_equations(queries: LinearQueryMatrix) -> NormalEquations:
-    """Factorise the normal equations of ``queries`` once, in the kind its
-    CSR form allows (see the module docstring)."""
+    """Prepare the normal equations of ``queries`` once, in the kind its
+    declared tree or its CSR form allows (see the module docstring)."""
     with trace_span(
         "solve.build_normal_equations",
         rows=int(queries.shape[0]),
         cols=int(queries.shape[1]),
     ) as span:
-        # The CSR form is dropped when _factor_strategy returns, before any
-        # dense Gram is built, so dense strategies' peak memory stays put.
-        normal = _factor_strategy(queries)
-        if normal is None:
-            normal = _factor_dense(queries.gram_dense())
+        parents = queries.tree_parents()
+        if parents is not None:
+            tree = TreePasses(parents, queries.shape[1])
+            normal = NormalEquations(None, cho=None, lu=tree.solve, kind="tree", pinv=tree.estimate)
+        else:
+            # The CSR form is dropped when _factor_strategy returns, before
+            # any dense Gram is built, so dense strategies' peak memory stays
+            # put.
+            normal = _factor_strategy(queries)
+            if normal is None:
+                normal = _factor_dense(queries.gram_dense())
         span.set_attribute("gram_kind", normal.kind)
         return normal
 

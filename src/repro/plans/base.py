@@ -32,10 +32,11 @@ REPRESENTATIONS = ("implicit", "sparse", "dense")
 #: Noise mechanisms a plan's measurement step can resolve to.
 NOISE_KINDS = ("laplace", "gaussian")
 
-#: :func:`infer_least_squares` solves through the normal equations up to this
-#: many columns.  The bound is set by their dense kind: its Gram takes n^2
-#: doubles and its Cholesky factorisation O(n^3) time; the orthogonal-rows
-#: and augmented kinds scale with the strategy's non-zeros instead.
+#: :func:`infer_least_squares` solves a strategy that declares no tree
+#: through the normal equations up to this many columns.  The bound is set by
+#: their dense kind: its Gram takes n^2 doubles and its Cholesky factorisation
+#: O(n^3) time; the orthogonal-rows and augmented kinds scale with the
+#: strategy's non-zeros instead, and the tree kind with its rows.
 _NORMAL_MAX_DOMAIN = 4096
 
 
@@ -93,20 +94,25 @@ def infer_least_squares(measurements: LinearQueryMatrix, answers: np.ndarray, gr
     """Least-squares inference under the service's one solver policy.
 
     Plans call this instead of :func:`repro.operators.inference.least_squares`
-    directly, so the policy lives here: with a ``gram_cache`` (the
+    directly, so the policy lives here.  A strategy that declares a tree
+    (:meth:`~repro.matrix.base.LinearQueryMatrix.tree_parents`: H2, HB,
+    DAWA's stage two) always takes the normal equations' tree kind, exact
+    and O(m) to build, at any size, with or without a cache.  Any other
+    strategy takes the normal equations with a ``gram_cache`` (the
     :class:`~repro.service.scheduler.PlanScheduler` passes its shared
     ``ArtifactCache``) and a square or tall system (``m >= n``) of at most
-    :data:`_NORMAL_MAX_DOMAIN` columns, the normal equations, whose
-    factorisation is built once per strategy and reused by every later
-    request on it (keyed by the strategy's canonical
-    :meth:`~repro.matrix.base.LinearQueryMatrix.strategy_key`); otherwise
-    LSMR.  With the cache the factorisation amortises across requests, which
-    is why square systems qualify; without one, every solve is LSMR.
+    :data:`_NORMAL_MAX_DOMAIN` columns, and LSMR otherwise: its
+    factorisation amortises only across the requests that share it through
+    the cache.  A cached artifact is built once per strategy and reused by
+    every later request on it (keyed by the strategy's canonical
+    :meth:`~repro.matrix.base.LinearQueryMatrix.strategy_key`).
     """
     from ..operators.inference import least_squares
 
     m, n = measurements.shape
-    normal = gram_cache is not None and m >= n and n <= _NORMAL_MAX_DOMAIN
+    normal = measurements.tree_parents() is not None or (
+        gram_cache is not None and m >= n and n <= _NORMAL_MAX_DOMAIN
+    )
     method = "normal" if normal else "lsmr"
     with plan_stage("infer", method=method, shared_gram=gram_cache is not None) as span:
         estimate = least_squares(measurements, answers, method=method, gram_cache=gram_cache)

@@ -225,16 +225,15 @@ class DawaPlan(Plan):
             span.set_attribute("num_measurements", int(measurements.shape[0]))
         answers = reduced.vector_laplace(measurements, measure_epsilon)
         # The DAWA partition is rebuilt from fresh DP noise on every request,
-        # so its reduced-domain strategy (and Gram) is one-off: solve with
-        # stand-alone LSMR instead of filling the shared cache with
-        # never-reused factorisations.  A one-off exact normal-equations
-        # solve does not pay either.  On the H2 strategy over g groups, with
-        # a fresh strategy each time (median ms, 2-core x86-64 VM, one BLAS
-        # thread):
+        # so its reduced-domain strategy is one-off: it stays out of the
+        # shared cache.  Without a workload it is H2's hierarchy over the g
+        # groups, so it takes the normal equations' tree kind, exact, whose
+        # build plus solve beats LSMR at every g (a fresh tree each time;
+        # median ms of 2,000, interleaved, 2-core x86-64 VM, one BLAS thread):
         #
-        #     g            20     178    1000    4096
-        #     normal     0.37    2.02    9.76    33.9
-        #     LSMR       0.60    1.65    4.00    2.85
+        #     g             20      58     178     400
+        #     tree        0.24    0.28    0.38    0.48
+        #     LSMR        0.65    0.99    1.68    1.82
         estimate = infer_least_squares(measurements, answers)
         x_hat = partition.expand_vector(estimate.x_hat)
         return self._wrap(source, before, x_hat, num_groups=partition.num_groups)

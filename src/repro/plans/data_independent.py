@@ -38,8 +38,10 @@ class _SelectMeasureInferPlan(Plan):
     :meth:`_public_inputs` names.  So with the scheduler's Gram cache the
     strategy comes from :func:`public_strategy`, built once per key and
     shared by every later request.  Inference follows the service policy of
-    :func:`infer_least_squares`: LSMR stand-alone, shared normal equations
-    when the scheduler provides its Gram cache.
+    :func:`infer_least_squares`: a hierarchy (H2, HB, Greedy-H without a
+    workload) takes the normal equations' tree kind; any other strategy
+    LSMR stand-alone and shared normal equations when the scheduler provides
+    its Gram cache.
 
     ``noise`` picks the measurement mechanism: the paper's Vector Laplace
     (default) or the Gaussian mechanism (L2-calibrated, charged through the

@@ -35,10 +35,11 @@ query identity) — nothing scheduling-dependent feeds it.
 
 Requests on the *same* session serialise on its lock (sequential composition
 demands it); requests on different sessions genuinely run in parallel.
-Requests rejected for a workload/domain mismatch are ledgered: an errored
-zero-spend :class:`~repro.service.session.SessionEvent` with an empty
-history span.  (Malformed requests that never resolve to a plan or workload
-— unknown names — still raise before anything touches the session ledger.)
+Requests refused before their plan runs — a parameter no request key can
+hold, an unknown plan, plan parameter or workload, a workload/domain
+mismatch — are ledgered as ``rejected``: an errored zero-spend
+:class:`~repro.service.session.SessionEvent` with an empty history span,
+so every request id a session hands out has exactly one event.
 
 **Releases.**  A ``reuse`` request first probes its session's releases
 (:attr:`~repro.service.session.Session.releases`) under the session lock it
@@ -257,9 +258,13 @@ class PlanScheduler:
         """
         start = time.perf_counter()
         queue_wait = max(start - queued_at, 0.0)
-        key = request.cache_key()
         trace_id = root.trace_id
         kernel = session.kernel
+        try:
+            key = request.cache_key()
+        except Exception as exc:  # a parameter no key (or journal) can hold
+            self._reject(session, request, request_id, start, queue_wait, trace_id, exc)
+            raise
 
         if request.reuse:
             if root is NOOP_SPAN:  # untraced: no tracer call on the way to a replay
@@ -275,28 +280,27 @@ class PlanScheduler:
             if response is not None:
                 return response
 
-        workload_matrix = (
-            self.artifact_cache.workload(request.workload, request.workload_params)
-            if request.workload is not None
-            else None
-        )
-        plan = make_plan(request.plan, request.plan_params)
-        source = session.vector_source()
-        if workload_matrix is not None and workload_matrix.shape[1] != source.domain_size:
-            # Rejected before any budget is spent: a mismatched workload can
-            # only produce garbage answers (or crash after the charge).  The
-            # rejection is still ledgered, so the audit trail has one entry
-            # per scheduled request, exactly like plans that fail mid-run.
-            exc = ValueError(
-                f"workload {request.workload!r} has {workload_matrix.shape[1]} columns "
-                f"but session {session.session_id!r} has a {source.domain_size}-cell domain"
+        # Refusals before any budget is spent — an unknown plan or plan
+        # parameter, a workload that cannot be built or whose domain does not
+        # match (its answers would be garbage, or crash after the charge) —
+        # are still ledgered, so the audit trail has one entry per scheduled
+        # request, exactly like plans that fail mid-run.
+        try:
+            workload_matrix = (
+                self.artifact_cache.workload(request.workload, request.workload_params)
+                if request.workload is not None
+                else None
             )
-            mark = kernel.num_measurements
-            self._ledger(
-                session, request, request_id, "rejected", time.perf_counter() - start,
-                queue_wait, trace_id, (mark, mark), exc=exc,
-            )
-            raise exc
+            plan = make_plan(request.plan, request.plan_params)
+            source = session.vector_source()
+            if workload_matrix is not None and workload_matrix.shape[1] != source.domain_size:
+                raise ValueError(
+                    f"workload {request.workload!r} has {workload_matrix.shape[1]} columns "
+                    f"but session {session.session_id!r} has a {source.domain_size}-cell domain"
+                )
+        except Exception as exc:
+            self._reject(session, request, request_id, start, queue_wait, trace_id, exc)
+            raise
 
         seed = derive_request_seed(session.base_seed, session.session_id, request_id, repr(key))
         kernel.reseed(seed)
@@ -336,6 +340,24 @@ class PlanScheduler:
             trace_id, (entry.history_start, entry.history_end), spent=spent, seed=seed,
         )
         return response
+
+    def _reject(
+        self,
+        session: Session,
+        request: QueryRequest,
+        request_id: str,
+        start: float,
+        queue_wait: float,
+        trace_id: str | None,
+        exc: BaseException,
+    ) -> None:
+        """Ledger a request refused before its plan ran as ``rejected``,
+        with zero spend and an empty history span."""
+        mark = session.kernel.num_measurements
+        self._ledger(
+            session, request, request_id, "rejected", time.perf_counter() - start,
+            queue_wait, trace_id, (mark, mark), exc=exc,
+        )
 
     def _replay(
         self,

@@ -1278,6 +1278,45 @@ class TestRestore:
         assert replay.x_hat.tobytes() == first.x_hat.tobytes()
         restored.journal.close()
 
+    def test_a_refused_request_leaves_one_rejected_event_that_the_journal_restores(
+        self, manager, relation, tmp_path
+    ):
+        """A request its key or its plan refuses (an unknown plan parameter,
+        a ``Fraction``, a set) still uses up a request id, so it is ledgered
+        as ``rejected`` with zero spend: every id has exactly one event,
+        live and restored."""
+        session = manager.create_session(
+            "acme", relation, 4.0, seed=7, journal=PrivacyJournal(tmp_path / "j.wal")
+        )
+        scheduler = PlanScheduler(manager)
+        scheduler.execute(identity_request(session))
+        for overrides, error in (
+            ({"plan_params": {"delta": 1e-6}}, TypeError),
+            ({"plan_params": {"partition_share": Fraction(1, 4)}}, TypeError),
+            ({"workload_params": {"n": {N}}}, TypeError),
+        ):
+            with pytest.raises(error):
+                scheduler.execute(dawa_request(session, **overrides))
+        answered, *refused = session.events
+        assert [event.request_id.rsplit("-", 1)[1] for event in session.events] == [
+            "r1", "r2", "r3", "r4"
+        ]
+        assert answered.outcome == "ok"
+        for event in refused:
+            assert event.outcome == "rejected" and event.error == "TypeError"
+            assert event.epsilon_spent == 0.0
+            assert event.history_start == event.history_end == answered.history_end
+        assert reconcile(session)["exact"]
+        session.journal.close()
+        restored = PlanScheduler(SessionManager()).restore_session(
+            relation, journal=PrivacyJournal(tmp_path / "j.wal")
+        )
+        assert [
+            (event.request_id, event.outcome, event.epsilon_spent) for event in restored.events
+        ] == [(event.request_id, event.outcome, event.epsilon_spent) for event in session.events]
+        assert reconcile(restored)["exact"]
+        restored.journal.close()
+
     def test_restored_charges_keep_spending_from_true_remainder(self, manager, relation):
         scheduler = PlanScheduler(manager)
         session = manager.create_session("acme", relation, 1.0, seed=7)

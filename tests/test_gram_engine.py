@@ -3,8 +3,9 @@
 Covers ``gram_dense``/``sparse``/``strategy_key``, the minimum-norm
 normal-equations solve (plain and row-weighted), the kind rule and the
 expected workload error across the full matrix hierarchy, the three kinds of
-the normal-equations inference artifact (orthogonal rows, augmented system,
-dense Gram) and the rule that picks them from the strategy's CSR form, the
+the normal-equations inference artifact (tree, orthogonal rows, augmented
+system, dense Gram) and the rule that picks them from the strategy's declared
+tree or its CSR form, the
 paper's predictable-error claim on every kind, and the scheduler-level Gram
 sharing that reuses one factorisation across tenants.  Also pins weighted
 residual-norm units, the all-zero-weights guard, the structural (dense-free)
@@ -53,7 +54,7 @@ from repro.operators.inference import (
     least_squares,
 )
 from repro.operators.inference.least_squares import NormalEquations, _factor_dense
-from repro.plans.base import infer_least_squares
+from repro.plans.base import infer_least_squares, with_representation
 from repro.private import ProtectedKernel
 from repro.service import ArtifactCache
 from repro.telemetry import Tracer, activate
@@ -121,7 +122,7 @@ class TestGramProtocol:
         # minimum-norm least-squares solution of M x = b.
         dense = matrix.dense()
         normal = build_normal_equations(matrix)
-        assert normal.kind in ("orthogonal_rows", "augmented", "dense")
+        assert normal.kind in ("tree", "orthogonal_rows", "augmented", "dense")
         rng = _rng(19)
         for answers in (rng.normal(size=dense.shape[0]), rng.normal(size=(dense.shape[0], 3))):
             expected = np.linalg.lstsq(dense, answers, rcond=None)[0]
@@ -130,15 +131,18 @@ class TestGramProtocol:
             np.testing.assert_allclose(got, expected, rtol=1e-7, atol=1e-9)
 
     def test_kind_follows_the_csr_rule(self, name, matrix):
-        # The rule, restated from the dense matrix: a dense CSR form takes
-        # the dense kind; a sparse one with mutually orthogonal non-zero rows
-        # the closed form; any other sparse one the augmented system, unless
-        # that system is singular (rank-deficient columns).
+        # The rule, restated from the dense matrix: a declared tree takes
+        # the tree kind; otherwise a dense CSR form takes the dense kind; a
+        # sparse one with mutually orthogonal non-zero rows the closed form;
+        # any other sparse one the augmented system, unless that system is
+        # singular (rank-deficient columns).
         dense = matrix.dense()
         n = dense.shape[1]
         outer = dense @ dense.T
         norms = np.diag(outer)
-        if np.count_nonzero(dense) > n * n / 4:
+        if matrix.tree_parents() is not None:
+            expected = "tree"
+        elif np.count_nonzero(dense) > n * n / 4:
             expected = "dense"
         elif np.all(norms > 0) and not np.any(outer - np.diag(norms)):
             expected = "orthogonal_rows"
@@ -411,15 +415,15 @@ class TestAutoGramKeys:
 
 
 # ----------------------------------------------------------------------------
-# The three normal-equations kinds and the rule that picks them.
+# The four normal-equations kinds and the rule that picks them.
 # ----------------------------------------------------------------------------
 KIND_CASES = [
     ("haar", lambda: HaarWavelet(64), "orthogonal_rows"),
-    ("h2", lambda: HierarchicalQueries(64, 2), "augmented"),
-    ("hb", lambda: HierarchicalQueries(64, 16), "augmented"),
+    ("h2", lambda: HierarchicalQueries(64, 2), "tree"),
+    ("hb", lambda: HierarchicalQueries(64, 16), "tree"),
     # n=1000 splits unevenly: children of one node differ in size.
-    ("h2_uneven", lambda: HierarchicalQueries(1000, 2), "augmented"),
-    ("hb_uneven", lambda: HierarchicalQueries(1000, 16), "augmented"),
+    ("h2_uneven", lambda: HierarchicalQueries(1000, 2), "tree"),
+    ("hb_uneven", lambda: HierarchicalQueries(1000, 16), "tree"),
     # Square and sparse, but overlapping rows: not orthogonal.
     (
         "sliding_windows",
@@ -457,7 +461,7 @@ class TestNormalEquationKinds:
         (span,) = [s for s in tracer.drain() if s.name == "solve.build_normal_equations"]
         assert span.attributes["gram_kind"] == kind
         # Only the Gram kinds hold a Gram.
-        assert (normal.gram is None) == (kind in ("orthogonal_rows", "augmented"))
+        assert (normal.gram is None) == (kind in ("tree", "orthogonal_rows", "augmented"))
 
     def test_solutions_match_the_dense_kind(self, name, build, kind):
         strategy = build()
@@ -475,11 +479,13 @@ class TestNormalEquationKinds:
     def test_orthogonal_rows_estimate_from_the_answers(
         self, monkeypatch, name, build, kind, weighting
     ):
-        # x = S.T (D^-1 y) needs no M.T y: only the other kinds form it, and
-        # every kind agrees with solve(M.T y) on the weighted system.  Row
-        # weights round the cancellations between Haar rows to off-diagonals
-        # of S S.T within the rounding bound of their dot products, so the
-        # weighted Haar system keeps the orthogonal-rows kind.
+        # x = S.T (D^-1 y) and the tree's passes need no M.T y: only the
+        # other kinds form it, and every kind agrees with solve(M.T y) on the
+        # weighted system.  Row weights round the cancellations between Haar
+        # rows to off-diagonals of S S.T within the rounding bound of their
+        # dot products, so the weighted Haar system keeps the orthogonal-rows
+        # kind; a hierarchy under non-uniform weights declares no tree and
+        # takes the augmented kind.
         strategy = build()
         m = strategy.shape[0]
         rng = _rng(19)
@@ -494,6 +500,8 @@ class TestNormalEquationKinds:
             system = Product(SparseMatrix(sp.diags(weights)), strategy)
             rhs = weights * answers
         normal = build_normal_equations(system)
+        if kind == "tree" and weighting == "nonuniform":
+            kind = "augmented"
         assert normal.kind == kind
         expected = normal.solve(system.rmatvec(rhs))
         calls = []
@@ -505,8 +513,82 @@ class TestNormalEquationKinds:
 
         monkeypatch.setattr(LinearQueryMatrix, "rmatvec", counting)
         got = least_squares(strategy, answers, weights=weights, method="normal").x_hat
-        assert (calls == []) == (normal.kind == "orthogonal_rows")
+        assert (calls == []) == (normal.kind in ("tree", "orthogonal_rows"))
         assert _relative_gap(got, expected) <= 1e-12
+
+
+class TestTreeKind:
+    """The tree kind: every hierarchy, complete or not, solved exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        branching=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        magnitude=st.floats(-3.0, 6.0),
+    )
+    def test_equals_dense_least_squares(self, n, branching, seed, magnitude):
+        strategy = HierarchicalQueries(n, branching)
+        normal = build_normal_equations(strategy)
+        assert normal.kind == "tree"
+        dense = strategy.dense()
+        rng = _rng(seed)
+        answers = rng.normal(size=dense.shape[0]) * 10.0**magnitude
+        x_hat = normal.estimate(strategy, answers)
+        expected = np.linalg.lstsq(dense, answers, rcond=None)[0]
+        assert np.max(np.abs(x_hat - expected)) <= 1e-12 * np.max(np.abs(x_hat))
+        # solve(b) is (M.T M)^-1 b, for a vector and for a stack of columns.
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            solved = normal.solve(rhs)
+            assert solved.shape == rhs.shape
+            gram_times = dense.T @ (dense @ solved)
+            assert np.max(np.abs(gram_times - rhs)) <= 1e-11 * np.max(np.abs(rhs))
+
+    @pytest.mark.parametrize(
+        "weighting, representation, kind",
+        [
+            ("none", "implicit", "tree"),
+            ("uniform", "implicit", "tree"),
+            ("nonuniform", "implicit", "augmented"),
+            ("none", "sparse", "augmented"),
+            ("none", "dense", "augmented"),
+        ],
+    )
+    @pytest.mark.parametrize("n, branching", [(64, 2), (100, 16)])
+    def test_kind_selection(self, weighting, representation, kind, n, branching):
+        # A hierarchy keeps its tree with no weights or uniform weights (the
+        # minimiser ignores a uniform scale); non-uniform weights or a
+        # materialised representation leave a plain sparse strategy.
+        strategy = with_representation(HierarchicalQueries(n, branching), representation)
+        m = strategy.shape[0]
+        rng = _rng(47)
+        weights = {
+            "none": None,
+            "uniform": np.full(m, 3.0),
+            "nonuniform": rng.uniform(0.5, 2.0, size=m),
+        }[weighting]
+        answers = rng.normal(size=m)
+        tracer = Tracer()
+        with activate(tracer):
+            x_hat = least_squares(strategy, answers, weights=weights, method="normal").x_hat
+        (span,) = [s for s in tracer.drain() if s.name == "solve.build_normal_equations"]
+        assert span.attributes["gram_kind"] == kind
+        w = np.ones(m) if weights is None else weights
+        expected = np.linalg.lstsq(w[:, None] * strategy.dense(), w * answers, rcond=None)[0]
+        np.testing.assert_allclose(x_hat, expected, rtol=1e-9, atol=1e-9)
+
+    def test_infer_least_squares_takes_the_tree_at_any_size(self):
+        # No cache and past the domain cap: a declared tree still solves
+        # exactly, where any other strategy would take LSMR.
+        strategy = HierarchicalQueries(5000, 16)
+        answers = strategy.matvec(np.arange(5000.0))
+        tracer = Tracer()
+        with activate(tracer):
+            estimate = infer_least_squares(strategy, answers)
+        kinds = [s.attributes["gram_kind"] for s in tracer.drain()
+                 if s.name == "solve.build_normal_equations"]
+        assert kinds == ["tree"] and estimate.iterations == 1
+        np.testing.assert_allclose(estimate.x_hat, np.arange(5000.0), rtol=1e-12, atol=1e-8)
 
 
 class TestNormalEquationKindsEdges:
@@ -628,8 +710,11 @@ class TestTransposeBuiltOnce:
 PREDICTABLE_ERROR_CASES = [
     ("identity", lambda n: Identity(n), "orthogonal_rows"),
     ("haar", lambda n: HaarWavelet(n), "orthogonal_rows"),
-    ("h2", lambda n: HierarchicalQueries(n, 2), "augmented"),
-    ("hb", lambda n: HierarchicalQueries(n, optimal_branching_factor(n)), "augmented"),
+    ("h2", lambda n: HierarchicalQueries(n, 2), "tree"),
+    ("hb", lambda n: HierarchicalQueries(n, optimal_branching_factor(n)), "tree"),
+    # H2's rows without its declared tree, and partitions on an identity.
+    ("h2_sparse", lambda n: with_representation(HierarchicalQueries(n, 2), "sparse"), "augmented"),
+    ("partition_identity", lambda n: VStack([_reduction(n, 8), Identity(n)]), "augmented"),
     ("prefix", lambda n: Prefix(n), "dense"),
 ]
 
@@ -674,12 +759,20 @@ class TestPredictableError:
 
 class TestSharedFactorAcrossThreads:
     @pytest.mark.parametrize(
-        "strategy", [HierarchicalQueries(256, 2), HaarWavelet(256)], ids=["augmented", "orthogonal"]
+        "strategy,kind",
+        [
+            (with_representation(HierarchicalQueries(256, 2), "sparse"), "augmented"),
+            (HierarchicalQueries(256, 2), "tree"),
+            (HaarWavelet(256), "orthogonal_rows"),
+        ],
+        ids=["augmented", "tree", "orthogonal"],
     )
-    def test_concurrent_solves_match_serial_solves(self, strategy):
+    def test_concurrent_solves_match_serial_solves(self, strategy, kind):
         # The service's thread backend solves many requests against one
-        # cached factor at once; every solve must equal its serial result.
+        # cached factor at once (one SuperLU factor for the augmented kind);
+        # every solve must equal its serial result.
         normal = build_normal_equations(strategy)
+        assert normal.kind == kind
         rng = _rng(37)
         rhs = [strategy.rmatvec(rng.normal(size=strategy.shape[0])) for _ in range(16)]
         expected = [normal.solve(r) for r in rhs]

@@ -3,16 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.matrix import HierarchicalQueries, Identity, Prefix, RangeQueries, Total, VStack
+from repro.matrix import (
+    HierarchicalQueries,
+    Identity,
+    Prefix,
+    Total,
+    VStack,
+    hierarchical_intervals,
+)
 from repro.operators.inference import (
-    hierarchical_measurements,
+    build_normal_equations,
     least_squares,
     multiplicative_weights,
     nnls,
     nnls_with_total,
     threshold,
-    tree_based_least_squares,
 )
+from repro.operators.inference.tree_based import TreePasses
 
 
 @pytest.fixture
@@ -126,43 +133,45 @@ class TestMultiplicativeWeights:
 
 
 class TestTreeBased:
-    @pytest.mark.parametrize("n, branching", [(8, 2), (256, 2), (27, 3), (1000, 10)])
+    """The normal equations' tree kind: Hay et al.'s two passes, on any tree."""
+
+    @pytest.mark.parametrize(
+        "n, branching", [(8, 2), (256, 2), (27, 3), (1000, 10), (1000, 2), (12, 3), (5, 16)]
+    )
     def test_matches_least_squares(self, n, branching):
-        """On a complete tree the two passes give the least-squares x̂: dense
+        """Complete or not, the two passes give the least-squares x̂: dense
         ``lstsq`` on the same Laplace(5)-noised measurements, to rounding."""
+        matrix = HierarchicalQueries(n, branching)
+        assert build_normal_equations(matrix).kind == "tree"
+        dense = matrix.dense()
         for seed in range(3):
             rng = np.random.default_rng(seed)
             x = rng.integers(0, 30, size=n).astype(float)
-            intervals = hierarchical_measurements(x, branching)
-            matrix = RangeQueries(n, intervals).dense()
-            answers = matrix @ x + rng.laplace(0, 5.0, len(intervals))
-            tree = tree_based_least_squares(dict(zip(intervals, answers)), n, branching)
-            exact = np.linalg.lstsq(matrix, answers, rcond=None)[0]
+            answers = dense @ x + rng.laplace(0, 5.0, dense.shape[0])
+            tree = least_squares(matrix, answers, method="normal")
+            exact = np.linalg.lstsq(dense, answers, rcond=None)[0]
             assert np.max(np.abs(tree.x_hat - exact)) <= 1e-9 * np.max(np.abs(exact))
 
-    @pytest.mark.parametrize("n, branching", [(1000, 2), (12, 3), (4, 1)])
-    def test_incomplete_tree_rejected(self, n, branching):
-        x = np.zeros(n)
-        noisy = dict.fromkeys(hierarchical_measurements(x, max(branching, 2)), 0.0)
-        with pytest.raises(ValueError, match="complete tree"):
-            tree_based_least_squares(noisy, n, branching)
-
     @pytest.mark.parametrize("branching", [0, 1])
-    def test_hierarchical_measurements_rejects_branching_below_two(self, branching):
+    def test_hierarchy_rejects_branching_below_two(self, branching):
         with pytest.raises(ValueError, match="branching factor"):
-            hierarchical_measurements(np.zeros(4), branching)
+            hierarchical_intervals(4, branching)
 
     def test_noiseless_recovery(self, rng):
         n = 8
         x = rng.integers(0, 10, size=n).astype(float)
-        intervals = hierarchical_measurements(x, branching=2)
-        exact = {(lo, hi): x[lo : hi + 1].sum() for lo, hi in intervals}
-        result = tree_based_least_squares(exact, n)
+        matrix = HierarchicalQueries(n)
+        result = least_squares(matrix, matrix.matvec(x), method="normal")
         assert np.allclose(result.x_hat, x, atol=1e-9)
 
-    def test_missing_interval_rejected(self, rng):
-        with pytest.raises(KeyError):
-            tree_based_least_squares({(0, 3): 4.0}, 4)
+    @pytest.mark.parametrize(
+        "parents",
+        [[-1, -1, 0], [2, 2, 3, 2], [3, 3, 3, -1, 3], [2, 2, -1, 4, 3]],
+        ids=["two_roots", "no_root", "childless_inner_row", "detached_cycle"],
+    )
+    def test_malformed_tree_rejected(self, parents):
+        with pytest.raises(ValueError, match="tree"):
+            TreePasses(np.array(parents), 2)
 
 
 class TestThreshold:

@@ -73,8 +73,8 @@ def _requests(session_id: str) -> list[QueryRequest]:
             workload_params={"n": N, "num_queries": N, "seed": 0},
         ),
         # Least-squares plans: each solves against the scheduler's shared
-        # normal-equations factor (augmented for H2 and HB, orthogonal rows
-        # for Privelet).
+        # normal-equations artifact (the tree kind for H2 and HB, orthogonal
+        # rows for Privelet).
         QueryRequest(
             session_id,
             plan="Hierarchical Opt (HB)",

@@ -9,8 +9,8 @@ object called, in every thread:
 * every perfbench workload of ``BENCHMARK.json``, for one second, untraced
   and traced;
 * every benchmark CLI, ``benchmarks/bench_*.py``.  The four engine
-  micro-benchmarks run with ``--quick --no-record``, so they write no
-  ``BENCH_*.json`` point.
+  micro-benchmarks and the Fig. 5 inference benchmark run with
+  ``--quick --no-record``, so they write no ``BENCH_*.json`` point.
 
 A called code object matches a ``def`` of ``src/repro`` (nested ones
 included) by file, name and first line; a decorated function's code starts
@@ -50,6 +50,7 @@ KINDS = ("operator", "override", "dunder", "safety")
 ENGINE_BENCHMARKS = (
     "bench_accounting.py",
     "bench_data_dependent.py",
+    "bench_fig5_inference_scalability.py",
     "bench_matmat_engine.py",
     "bench_telemetry.py",
 )
